@@ -19,8 +19,10 @@ use crate::machine::{MachineStats, SimError, SpawnStats};
 use xmt_mem::{CacheStats, DramStats, ModuleStats};
 use xmt_noc::NetStats;
 
-/// Format magic: "XMTCKPT" plus a format version byte.
-const MAGIC: u64 = 0x584D_5443_4B50_5401;
+/// Format magic: "XMTCKPT" plus a format version byte. Version 2 added
+/// `mem_clock`; a version-1 blob fails the magic check like any other
+/// foreign byte string.
+const MAGIC: u64 = 0x584D_5443_4B50_5402;
 
 /// Per-module replayable state: the cache tag store and counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +53,11 @@ pub struct Checkpoint {
     pub(crate) prog_len: u32,
     // Architectural state.
     pub(crate) cycle: u64,
+    /// The memory-side clock (NoCs, modules, DRAM channels). Not
+    /// derivable from `cycle` — it trails it by the spawn-broadcast
+    /// cycles — and architectural: the butterfly NoC's alternating
+    /// arbitration priority is this clock's parity.
+    pub(crate) mem_clock: u64,
     pub(crate) pc: u32,
     pub(crate) next_tid: u32,
     pub(crate) spawn_count: u32,
@@ -94,6 +101,7 @@ impl Checkpoint {
             put_u32(&mut b, v);
         }
         put_u64(&mut b, self.cycle);
+        put_u64(&mut b, self.mem_clock);
         put_u32s(&mut b, &self.gregs);
         put_u32s(&mut b, &self.mtcu_iregs);
         put_u32s(&mut b, &self.mtcu_fregs);
@@ -147,6 +155,7 @@ impl Checkpoint {
         let spawn_count = r.u32()?;
         let spawn_entry = r.u32()?;
         let cycle = r.u64()?;
+        let mem_clock = r.u64()?;
         let gregs = r.u32s()?;
         let mtcu_iregs = r.u32s()?;
         let mtcu_fregs = r.u32s()?;
@@ -199,6 +208,7 @@ impl Checkpoint {
             dram_channels,
             prog_len,
             cycle,
+            mem_clock,
             pc,
             next_tid,
             spawn_count,
@@ -440,6 +450,7 @@ mod tests {
             dram_channels: 1,
             prog_len: 17,
             cycle: 12345,
+            mem_clock: 12301,
             pc: 9,
             next_tid: 64,
             spawn_count: 64,

@@ -31,23 +31,26 @@ use crate::probe::{BlockedTcus, NoProbe, Probe, SampleCtx};
 use crate::tier::{TraceCache, TraceStats, TranslationTier};
 use crate::txn_slab::TxnSlab;
 use std::collections::VecDeque;
-use xmt_isa::block::{eval_branch_uop, exec_uop};
-use xmt_isa::decoded::{DecodedProgram, NUM_STEP_CLASSES};
+use xmt_isa::block::MicroOp;
+use xmt_isa::decoded::DecodedProgram;
 use xmt_isa::instr::{eval_branch, Instr, Unit};
 use xmt_isa::interp::exec_compute;
-use xmt_isa::reg::{fr, ir, FReg, IReg, RegFile, NUM_GREGS};
+use xmt_isa::reg::{fr, ir, RegFile, NUM_GREGS};
 use xmt_isa::Program;
 use xmt_mem::{AddressHash, ChannelRequest, DramChannel, DramReq, MemReq, MemResp, MemoryModule};
 use xmt_noc::{Delivered, FaultyNetwork, Flit, Network, Topology};
 
+#[path = "issue.rs"]
+mod issue;
 #[path = "machine_threaded.rs"]
 mod threaded;
 
-/// FPU result latency in cycles.
-const FPU_LATENCY: u64 = 4;
-/// MDU (multiply/divide) latency in cycles.
-const MDU_LATENCY: u64 = 8;
-/// The unit latencies above as the [`xmt_isa::UnitLat`] value baked
+use issue::{
+    addr_of, ones, ClusterMasks, IssueClass, IssueEnv, IssueSink, Tcu, TxnKind, FPU_LATENCY,
+    MAX_OUTSTANDING, MDU_LATENCY,
+};
+
+/// The issue kernel's unit latencies as the [`xmt_isa::UnitLat`] value baked
 /// into every lowered micro-op — exported so external validators
 /// (`xmt-verify`'s translation-validation pass, `xmt_lint`) recompute
 /// the canonical lowering with the machine's own numbers.
@@ -57,9 +60,6 @@ pub const UNIT_LAT: xmt_isa::UnitLat = xmt_isa::UnitLat {
 };
 /// MTCU private-cache access latency for serial-mode memory ops.
 const SERIAL_MEM_LATENCY: u64 = 4;
-/// Maximum outstanding memory operations per TCU (models the XMT
-/// prefetch/decoupling capability).
-const MAX_OUTSTANDING: u8 = 8;
 /// Default watchdog no-progress horizon in cycles. Generous: legitimate
 /// quiet stretches are bounded by DRAM latency (hundreds of cycles), so
 /// two million cycles without one instruction retiring or one thread
@@ -301,14 +301,6 @@ impl RunOutcome {
     }
 }
 
-/// What a memory transaction will do when its reply arrives.
-#[derive(Debug, Clone, Copy)]
-enum TxnKind {
-    LoadI(IReg),
-    LoadF(FReg),
-    Store,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     cluster: usize,
@@ -320,256 +312,118 @@ struct Txn {
     value: u32,
 }
 
-/// One TCU's execution context.
+/// Offer `txn` to the request network, bound for `module`; false if
+/// the network refused it this cycle.
 ///
-/// `repr(C)` pins the field order: every field the per-cycle issue
-/// loop and the fast-forward scan inspect sits in the first 32 bytes,
-/// so classifying a TCU (idle / latency-busy / scoreboard-blocked)
-/// touches one cache line; the register file only comes in when the
-/// TCU actually executes.
-#[derive(Debug)]
-#[repr(C)]
-struct Tcu {
-    /// Cycle until which the TCU is busy (FPU/MDU latency).
-    busy_until: u64,
-    pc: usize,
-    /// Scoreboard: bitmask of integer registers with pending loads.
-    pend_i: u32,
-    /// Scoreboard: bitmask of FP registers with pending loads.
-    pend_f: u32,
-    active: bool,
-    /// Outstanding memory transactions (loads + stores).
-    outstanding: u8,
-    /// Memoized issue classification of the instruction at `pc` against
-    /// the current scoreboard (see [`IssueClass`]). Kept current by
-    /// [`reclassify`] at every pc change and scoreboard clear, so the
-    /// per-cycle issue loop and the fast-forward scan classify a
-    /// stalled TCU from this one byte without refetching the program.
-    cls: IssueClass,
-    /// Hard-fault: never activates; threads remap around it.
-    disabled: bool,
-    /// Hard-fault: accepts a thread, then never issues (holds the spawn
-    /// barrier open until the watchdog fires).
-    stuck: bool,
-    rf: RegFile,
-}
-
-impl Tcu {
-    fn idle() -> Self {
-        Self {
-            busy_until: 0,
-            pc: 0,
-            pend_i: 0,
-            pend_f: 0,
-            active: false,
-            outstanding: 0,
-            cls: IssueClass::BadPc,
-            disabled: false,
-            stuck: false,
-            rf: RegFile::new(0),
-        }
+/// Tag protocol: the slab's next tag is *peeked* and stamped into the
+/// flit first; the transaction is only committed on a successful
+/// injection, so a refused attempt leaves the tag stream untouched —
+/// the same allocation order every engine observes.
+#[inline(always)]
+fn inject_request(
+    req_net: &mut dyn Network,
+    txns: &mut TxnSlab<Txn>,
+    module: usize,
+    txn: Txn,
+) -> bool {
+    let tag = txns.peek_tag();
+    if !req_net.try_inject(Flit {
+        src: txn.cluster,
+        dst: module,
+        tag,
+    }) {
+        return false;
     }
+    let committed = txns.insert(txn);
+    debug_assert_eq!(committed, tag);
+    true
 }
 
-/// What a TCU's next visit will do, resolved from (`pc`, scoreboard)
-/// whenever either changes. Latency (`busy_until`) and port budgets are
-/// deliberately excluded: they vary cycle-to-cycle and stay as direct
-/// checks in the issue loop. The payoff is on stall-dominated cycles —
-/// classifying a blocked TCU touches only its own cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IssueClass {
-    /// `pc` outside the program: the visit faults.
-    BadPc,
-    /// Scoreboard conflict: stall until a reply clears it.
-    Scoreboard,
-    /// Issues on the ALU (always has budget).
-    Alu,
-    /// Wants the shared FPU port.
-    Fpu,
-    /// Wants the shared MDU port.
-    Mdu,
-    /// Wants the shared LSU port.
-    Lsu,
-    /// Branch or jump: always issues.
-    Branch,
-    /// `ps`/`sspawn`: always issues (global-state ops).
-    Ps,
-    /// `join`: retires, or waits silently on posted stores.
-    Join,
-    /// `nop`: always issues.
-    Nop,
-    /// Illegal in parallel mode: the visit faults.
-    Illegal,
+/// [`IssueSink`] of the serial engines (reference and fast-forward):
+/// thread IDs come off the shared PS counter, requests go straight
+/// into the request NoC, micro-ops lower lazily on first fetch, and
+/// `ps`/`sspawn` apply to the global registers on the spot.
+struct Direct<'a> {
+    /// The cluster being stepped (the NoC source port).
+    c: usize,
+    next_tid: &'a mut u32,
+    spawn_count: &'a mut u32,
+    gregs: &'a mut [u32; NUM_GREGS],
+    req_net: &'a mut dyn Network,
+    txns: &'a mut TxnSlab<Txn>,
+    trace: Option<&'a mut TraceCache>,
 }
 
-/// [`StepClass`] → [`IssueClass`] lookup. The static half of issue
-/// classification is precomputed per pc at decode time, so classifying
-/// (and in particular *re*classifying after every issue) is the two
-/// dynamic tests plus this table — no `Instr` match in the hot loop.
-const STEP_TO_ISSUE: [IssueClass; NUM_STEP_CLASSES] = [
-    IssueClass::Alu,
-    IssueClass::Fpu,
-    IssueClass::Mdu,
-    IssueClass::Lsu,
-    IssueClass::Branch,
-    IssueClass::Ps,
-    IssueClass::Join,
-    IssueClass::Nop,
-    IssueClass::Illegal,
-];
-
-/// Classify the instruction at `pc` against the scoreboard masks.
-#[inline]
-fn classify(decoded: &DecodedProgram, pc: usize, pend_i: u32, pend_f: u32) -> IssueClass {
-    if pc >= decoded.len() {
-        return IssueClass::BadPc;
-    }
-    let d = decoded.fetch(pc);
-    if pend_i & d.imask != 0 || pend_f & d.fmask != 0 {
-        return IssueClass::Scoreboard;
-    }
-    STEP_TO_ISSUE[d.step as usize]
-}
-
-/// Number of [`IssueClass`] variants (indexes [`ClusterMasks::cls`]).
-const NUM_ISSUE_CLASSES: usize = IssueClass::Illegal as usize + 1;
-
-/// Per-cluster bitmask mirror of the TCU hot state, bit `t` ↔ TCU `t`.
-///
-/// The masks let the issue loops reason about a whole cluster with a
-/// handful of word ops instead of touching one cache line per TCU: the
-/// reference loop uses `active & !busy` to visit only TCUs whose visit
-/// can have an effect, and the fast-forward engine issues straight off
-/// the per-class masks ([`Machine::step_cluster_bulk`]), accruing the
-/// stalls of losing contenders by popcount.
-///
-/// Invariants (maintained by every mutation path in this file; the
-/// threaded engine moves each cluster's masks into its shard for the
-/// run and maintains them through the same mutation paths):
-/// - `cls[k]` has bit `t` set iff `cluster[t].cls == k`, active or not.
-/// - `active` has bit `t` set iff `cluster[t].active`.
-/// - `busy` has bit `t` set iff `busy_until > cycle`, where `cycle` is
-///   the cycle currently being stepped; cleared via `wheel` at the top
-///   of each cluster step.
-/// - `out_nz` / `at_cap`: `outstanding > 0` / `>= MAX_OUTSTANDING`.
-#[derive(Debug, Clone)]
-struct ClusterMasks {
-    active: u64,
-    busy: u64,
-    /// TCUs whose `busy_until` equals a future cycle `x`, filed under
-    /// slot `x & 15`. Sound because issue latencies are ≤ 8 < 16 and
-    /// quiet skips never jump past the minimum live `busy_until`, so a
-    /// slot can never hold two generations at once. Skips replay the
-    /// wakes they jumped over via [`ClusterMasks::wake_through`].
-    wheel: [u64; 16],
-    cls: [u64; NUM_ISSUE_CLASSES],
-    out_nz: u64,
-    at_cap: u64,
-    /// Stuck-at TCUs: excluded from every mask-driven issue path (a
-    /// stuck TCU activates but never issues). Not folded into `busy` —
-    /// the 16-slot wheel would alias a forever-busy sentinel.
-    stuck: u64,
-    /// Disabled TCUs: never activate. Mirrors `Tcu::disabled` so
-    /// cluster-level idle capacity can be sized without touching the
-    /// TCU array (the threaded engine's initial grant sizing).
-    disabled: u64,
-}
-
-impl ClusterMasks {
-    fn new(ntcus: usize) -> Self {
-        let mut cls = [0u64; NUM_ISSUE_CLASSES];
-        // Idle TCUs carry `IssueClass::BadPc` (see `Tcu::idle`).
-        cls[IssueClass::BadPc as usize] = ones(ntcus);
-        Self {
-            active: 0,
-            busy: 0,
-            wheel: [0; 16],
-            cls,
-            out_nz: 0,
-            at_cap: 0,
-            stuck: 0,
-            disabled: 0,
-        }
-    }
-
-    /// Clear TCUs whose latency expires on `cycle` from `busy`.
-    /// Idempotent within a cycle (the slot zeroes), so the bulk path
-    /// can wake before deciding to fall back to the plain loop.
+impl IssueSink for Direct<'_> {
     #[inline(always)]
-    fn wake(&mut self, cycle: u64) {
-        let slot = (cycle & 15) as usize;
-        self.busy &= !self.wheel[slot];
-        self.wheel[slot] = 0;
+    fn tids_remain(&self) -> bool {
+        *self.next_tid < *self.spawn_count
     }
 
-    /// Record `busy_until` for TCU `t` after a latency issue.
+    // Thread IDs are handed out globally; every idle TCU of every
+    // cluster competes for them, which the central counter models
+    // exactly.
     #[inline(always)]
-    fn set_busy(&mut self, t: usize, busy_until: u64) {
-        let bit = 1u64 << t;
-        self.busy |= bit;
-        self.wheel[(busy_until & 15) as usize] |= bit;
+    fn next_tid(&mut self) -> Option<u32> {
+        self.tids_remain().then(|| {
+            let tid = *self.next_tid;
+            *self.next_tid += 1;
+            tid
+        })
     }
 
-    /// Perform the wakes of the `n` skipped cycles `next ..= next+n-1`
-    /// in one go, as quiet-cycle fast-forwarding must: per-cycle
-    /// stepping would have called [`ClusterMasks::wake`] on each. A TCU
-    /// whose `busy_until` equals a skipped cycle (typically `next`
-    /// itself — the skip horizon never passes a *later* live
-    /// `busy_until`) would otherwise keep a stale `busy` bit and be
-    /// invisible to the mask-driven issue loops until its wheel slot
-    /// happened to come around again, silently dropping its stall
-    /// accrual. Sixteen wakes visit every slot, so larger jumps clear
-    /// the whole wheel; waking a still-busy TCU early is harmless —
-    /// the issue loops re-check `busy_until` before acting.
-    #[inline]
-    fn wake_through(&mut self, next: u64, n: u64) {
-        for k in 0..n.min(16) {
-            self.wake(next + k);
+    #[inline(always)]
+    fn inject(&mut self, tcu: usize, addr: u32, kind: TxnKind, value: u32, module: usize) -> bool {
+        let txn = Txn {
+            cluster: self.c,
+            tcu,
+            addr,
+            kind,
+            value,
+        };
+        inject_request(self.req_net, self.txns, module, txn)
+    }
+
+    #[inline(always)]
+    fn fetch(&mut self, decoded: &DecodedProgram, pc: usize) -> Option<MicroOp> {
+        self.trace
+            .as_deref_mut()
+            .map(|tc| tc.fetch_warm(decoded, pc))
+    }
+
+    #[inline(always)]
+    fn note_entry(&mut self) {
+        if let Some(tc) = self.trace.as_deref_mut() {
+            tc.note_entry();
         }
     }
-}
 
-/// A mask with the low `n` bits set (`n ≤ 64`).
-#[inline(always)]
-fn ones(n: usize) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
+    #[inline(always)]
+    fn gregs(&self) -> &[u32; NUM_GREGS] {
+        self.gregs
     }
-}
 
-/// Rotate `mask` (defined over `ntcus` bits) so round-robin position
-/// `start` lands at bit 0; ascending trailing-zero extraction then
-/// yields TCU indices in round-robin visit order.
-#[inline(always)]
-fn rr_rotate(mask: u64, start: usize, ntcus: usize) -> u64 {
-    if start == 0 {
-        mask
-    } else {
-        ((mask >> start) | (mask << (ntcus - start))) & ones(ntcus)
+    fn global_op(&mut self, ins: &Instr, rf: &mut RegFile) {
+        match *ins {
+            Instr::Ps { rd, inc, on } => {
+                let old = self.gregs[on.index()];
+                self.gregs[on.index()] = old.wrapping_add(rf.read_i(inc));
+                rf.write_i(rd, old);
+            }
+            // PS on the spawn bound: the barrier now also waits for
+            // the new virtual threads, which idle TCUs pick up
+            // immediately.
+            Instr::Sspawn { rd, count } => {
+                let old = *self.spawn_count;
+                *self.spawn_count = old.wrapping_add(rf.read_i(count));
+                rf.write_i(rd, old);
+            }
+            _ => unreachable!("global-op class on a non-ps instruction"),
+        }
     }
-}
 
-/// Map a bit position of an [`rr_rotate`]d mask back to a TCU index.
-#[inline(always)]
-fn rr_unrotate(r: usize, start: usize, ntcus: usize) -> usize {
-    let t = start + r;
-    if t >= ntcus {
-        t - ntcus
-    } else {
-        t
-    }
-}
-
-/// [`reclassify`], mirroring the change into the cluster's class masks.
-#[inline(always)]
-fn reclassify_masked(tcu: &mut Tcu, m: &mut ClusterMasks, t: usize, decoded: &DecodedProgram) {
-    let new = classify(decoded, tcu.pc, tcu.pend_i, tcu.pend_f);
-    let bit = 1u64 << t;
-    m.cls[tcu.cls as usize] &= !bit;
-    m.cls[new as usize] |= bit;
-    tcu.cls = new;
+    #[inline(always)]
+    fn joined(&mut self, _n: u64) {}
 }
 
 /// Execution mode of the machine.
@@ -965,7 +819,7 @@ pub struct Machine<P: Probe = NoProbe> {
     /// machine-level boundary.
     trace: Option<Box<TraceCache>>,
     /// Tier-only worklist of clusters with any active TCU, maintained by
-    /// `step_parallel_fast` so fully idle clusters (proven quiescent:
+    /// `step_parallel_worklist` so fully idle clusters (proven quiescent:
     /// no busy TCUs, empty wake wheel) are never visited or skip-woken.
     par_active: Vec<usize>,
     /// Parallel cycles elapsed in the current section (tier bookkeeping
@@ -983,98 +837,6 @@ fn activate(list: &mut Vec<usize>, flags: &mut [bool], idx: usize) {
         let pos = list.partition_point(|&x| x < idx);
         list.insert(pos, idx);
     }
-}
-
-/// Bounds-check a base+offset word address against the memory image.
-#[inline(always)]
-fn addr_of(pc: usize, base: u32, off: u32, mem_len: usize) -> Result<usize, SimError> {
-    let a = base as u64 + off as u64;
-    if (a as usize) < mem_len {
-        Ok(a as usize)
-    } else {
-        // The clock is out of reach here; the step boundary stamps it.
-        Err(SimError::MemOutOfBounds {
-            pc,
-            addr: a,
-            at_cycle: 0,
-        })
-    }
-}
-
-/// Issue a load/store into the request network. Returns false if the
-/// network refused it this cycle. A free function over the exact pieces
-/// it needs so `step_cluster` can keep its disjoint field borrows.
-///
-/// Tag protocol: the slab's next tag is *peeked* and stamped into the
-/// flit first; the transaction is only committed on a successful
-/// injection, so a refused attempt leaves the tag stream untouched —
-/// the same allocation order every engine observes.
-#[allow(clippy::too_many_arguments)]
-fn issue_memory(
-    tcu: &mut Tcu,
-    c: usize,
-    t: usize,
-    pc: usize,
-    ins: &Instr,
-    mem_len: usize,
-    hash: &AddressHash,
-    req_net: &mut dyn Network,
-    txns: &mut TxnSlab<Txn>,
-    stats: &mut MachineStats,
-) -> Result<bool, SimError> {
-    let (addr, kind, value) = match *ins {
-        Instr::Lw { rd, base, off } => {
-            let a = addr_of(pc, tcu.rf.read_i(base), off, mem_len)?;
-            (a, TxnKind::LoadI(rd), 0)
-        }
-        Instr::Flw { fd, base, off } => {
-            let a = addr_of(pc, tcu.rf.read_i(base), off, mem_len)?;
-            (a, TxnKind::LoadF(fd), 0)
-        }
-        Instr::Sw { rs, base, off } => {
-            let a = addr_of(pc, tcu.rf.read_i(base), off, mem_len)?;
-            (a, TxnKind::Store, tcu.rf.read_i(rs))
-        }
-        Instr::Fsw { fs, base, off } => {
-            let a = addr_of(pc, tcu.rf.read_i(base), off, mem_len)?;
-            (a, TxnKind::Store, tcu.rf.read_f(fs).to_bits())
-        }
-        _ => unreachable!("issue_memory on non-memory instruction"),
-    };
-    let module = hash.module_of(addr as u32);
-    let tag = txns.peek_tag();
-    if !req_net.try_inject(Flit {
-        src: c,
-        dst: module,
-        tag,
-    }) {
-        return Ok(false);
-    }
-    let committed = txns.insert(Txn {
-        cluster: c,
-        tcu: t,
-        addr: addr as u32,
-        kind,
-        value,
-    });
-    debug_assert_eq!(committed, tag);
-    tcu.outstanding += 1;
-    match kind {
-        TxnKind::LoadI(rd) => {
-            if rd.index() != 0 {
-                tcu.pend_i |= 1 << rd.index();
-            }
-            stats.mem_reads += 1;
-        }
-        TxnKind::LoadF(fd) => {
-            tcu.pend_f |= 1 << fd.index();
-            stats.mem_reads += 1;
-        }
-        TxnKind::Store => {
-            stats.mem_writes += 1;
-        }
-    }
-    Ok(true)
 }
 
 /// Staged construction of a [`Machine`]: configuration, program,
@@ -1474,7 +1236,8 @@ impl MachineBuilder {
             && cp.cluster_rr.len() == m.cfg.clusters
             && cp.cluster_instr.len() == m.cfg.clusters
             && cp.modules.len() == m.cfg.memory_modules
-            && cp.channels.len() == m.cfg.dram_channels();
+            && cp.channels.len() == m.cfg.dram_channels()
+            && cp.mem_clock <= cp.cycle;
         if !geometry_ok {
             return Err(SimError::InvalidConfig {
                 what: "checkpoint geometry does not match the machine",
@@ -1498,8 +1261,16 @@ impl MachineBuilder {
             pc: cp.pc as usize,
             resume_at: cp.cycle + 1,
         };
-        // The restored clock counts as fresh progress; component clocks
-        // restart at 0 and `cycle - mem_clock` absorbs the offset.
+        // Every memory-side component resumes on the clock it paused on
+        // (the butterfly NoC arbitrates by clock parity).
+        m.skip_memory(cp.mem_clock);
+        for module in &mut m.modules {
+            module.sync_to(cp.mem_clock);
+        }
+        for channel in &mut m.channels {
+            channel.sync_to(cp.mem_clock);
+        }
+        // The restored clock counts as fresh progress.
         m.progress_cycle = cp.cycle;
         m.progress_mark = cp.stats.instructions + cp.stats.threads;
         m.last_sample = cp.cycle;
@@ -1717,7 +1488,7 @@ impl<P: Probe> Machine<P> {
 
     /// Fast-forwarding advance loop. Two optimizations over the
     /// reference loop, both invisible in the stats: cycles that do step
-    /// use mask-driven bulk issue ([`Machine::step_fast`]), and after
+    /// use mask-driven bulk issue ([`Machine::step_with`]), and after
     /// any cycle that issued no instruction and activated no thread the
     /// clock jumps directly to the next cycle on which anything can
     /// happen.
@@ -1733,7 +1504,7 @@ impl<P: Probe> Machine<P> {
     fn ff_advance(&mut self) -> Result<(), SimError> {
         let instr_before = self.stats.instructions;
         let threads_before = self.stats.threads;
-        self.step_fast()?;
+        self.step_with(true)?;
         self.check_progress()?;
         if instr_before == self.stats.instructions && threads_before == self.stats.threads {
             self.fast_forward();
@@ -1807,12 +1578,14 @@ impl<P: Probe> Machine<P> {
     /// Canonicalize a quiescent pause point: jump the clock to the eve
     /// of the MTCU's resume cycle (where the fast-forward engine would
     /// naturally land) and re-anchor `resume_at`. Unobservable in the
-    /// final results — it only moves the clock within a stretch where
-    /// nothing can happen — and it makes checkpoint bytes independent
-    /// of how the pause cycle was reached.
+    /// final results — it only moves the clocks, machine and memory
+    /// side together, within a stretch where nothing can happen — and
+    /// it makes checkpoint bytes independent of how the pause cycle
+    /// was reached.
     fn normalize_pause(&mut self) {
         if let Mode::Serial { pc, resume_at } = self.mode {
             let c = self.cycle.max(resume_at.saturating_sub(1));
+            self.skip_memory(c - self.cycle);
             self.cycle = c;
             self.stats.cycles = c;
             self.mode = Mode::Serial {
@@ -1845,6 +1618,7 @@ impl<P: Probe> Machine<P> {
             dram_channels: self.cfg.dram_channels() as u32,
             prog_len: self.prog.len() as u32,
             cycle: self.cycle,
+            mem_clock: self.mem_clock,
             pc: pc as u32,
             next_tid: self.next_tid,
             spawn_count: self.spawn_count,
@@ -1970,15 +1744,7 @@ impl<P: Probe> Machine<P> {
             return;
         }
         let n = horizon - next;
-        self.req_net.skip_idle(n);
-        self.reply_net.skip_idle(n);
-        for &m in &self.active_modules {
-            self.modules[m].skip_idle(n);
-        }
-        for &c in &self.active_channels {
-            self.channels[c].skip_idle(n);
-        }
-        self.mem_clock += n;
+        self.skip_memory(n);
         if parallel {
             self.stats.stall_scoreboard += n * blocked_scoreboard;
             self.stats.stall_lsu += n * blocked_lsu;
@@ -2006,6 +1772,22 @@ impl<P: Probe> Machine<P> {
         self.cycle += n;
         self.stats.cycles = self.cycle;
         self.poll_probe();
+    }
+
+    /// Jump the memory side over `n` cycles in which (per
+    /// [`Machine::memory_next_event`]) nothing moves: both NoCs and the
+    /// active modules and channels skip; idle ones catch up lazily via
+    /// `sync_to` when work next reaches them.
+    fn skip_memory(&mut self, n: u64) {
+        self.req_net.skip_idle(n);
+        self.reply_net.skip_idle(n);
+        for &m in &self.active_modules {
+            self.modules[m].skip_idle(n);
+        }
+        for &c in &self.active_channels {
+            self.channels[c].skip_idle(n);
+        }
+        self.mem_clock += n;
     }
 
     /// Earliest machine-clock cycle at which the memory system can
@@ -2158,13 +1940,23 @@ impl<P: Probe> Machine<P> {
         }
     }
 
-    /// Advance the machine one cycle.
+    /// Advance the machine one cycle with the reference issue loop:
+    /// every cluster steps, every ready TCU is visited in turn.
     pub fn step(&mut self) -> Result<(), SimError> {
-        let r = self.step_inner();
+        self.step_with(false)
+    }
+
+    /// One machine cycle. `fast` selects the fast-forward engine's
+    /// parallel-mode stepping — bulk issue off the cluster masks
+    /// wherever the visit order is unobservable and, with the tier on,
+    /// only the clusters on the active worklist; the reference engine
+    /// (`fast == false`) walks every TCU of every cluster.
+    fn step_with(&mut self, fast: bool) -> Result<(), SimError> {
+        let r = self.step_inner(fast);
         r.map_err(|e| e.stamped(self.cycle))
     }
 
-    fn step_inner(&mut self) -> Result<(), SimError> {
+    fn step_inner(&mut self, fast: bool) -> Result<(), SimError> {
         self.cycle += 1;
         self.stats.cycles = self.cycle;
         match self.mode {
@@ -2178,37 +1970,14 @@ impl<P: Probe> Machine<P> {
                 self.step_memory_system()?;
             }
             Mode::Parallel { return_pc } => {
-                self.step_parallel()?;
-                self.step_memory_system()?;
-                self.maybe_finish_spawn(return_pc);
-            }
-            Mode::Finished => {}
-        }
-        self.poll_probe();
-        Ok(())
-    }
-
-    /// [`Machine::step`] with mask-driven bulk issue in parallel mode.
-    /// Only the fast-forward engine uses this; the reference engine
-    /// sticks to the per-TCU visit loop it is the baseline for.
-    fn step_fast(&mut self) -> Result<(), SimError> {
-        let r = self.step_fast_inner();
-        r.map_err(|e| e.stamped(self.cycle))
-    }
-
-    fn step_fast_inner(&mut self) -> Result<(), SimError> {
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
-        match self.mode {
-            Mode::Serial { pc, resume_at } => {
-                if self.cycle >= resume_at {
-                    self.step_serial(pc)?;
+                if fast && self.trace.is_some() {
+                    self.step_parallel_worklist()?;
+                } else {
+                    for c in 0..self.clusters.len() {
+                        self.step_cluster(c, fast)?;
+                    }
                 }
                 self.step_memory_system()?;
-            }
-            Mode::Parallel { return_pc } => {
-                self.step_parallel_fast()?;
-                self.step_memory_system()?;
                 self.maybe_finish_spawn(return_pc);
             }
             Mode::Finished => {}
@@ -2217,50 +1986,61 @@ impl<P: Probe> Machine<P> {
         Ok(())
     }
 
-    /// One parallel-mode cycle over every cluster, bulk-issuing off the
-    /// cluster masks wherever the per-TCU visit order is unobservable.
-    /// Falls back to the plain [`Machine::step_cluster`] loop for any
-    /// cluster where it could be observed: pending thread activations
-    /// interleave with issues in round-robin order, a ready `ps` /
-    /// `sspawn` mutates shared state in that order, and a ready fault
-    /// must surface at the reference engine's exact visit.
-    fn step_parallel_fast(&mut self) -> Result<(), SimError> {
-        if self.trace.is_none() {
-            for c in 0..self.clusters.len() {
-                self.step_cluster_fast(c)?;
-            }
-            return Ok(());
-        }
-        self.step_parallel_fast_tiered()
-    }
-
-    /// One cluster's slice of a fast parallel cycle: wake the wheel,
-    /// then dispatch to the plain or bulk issue loop (see
-    /// [`Machine::step_parallel_fast`] for the criteria).
+    /// One cluster's slice of a parallel cycle: the issue kernel
+    /// ([`issue::step_cluster`]) over this machine's state, with every
+    /// globally ordered effect applied on the spot by [`Direct`].
     #[inline]
-    fn step_cluster_fast(&mut self, c: usize) -> Result<(), SimError> {
-        let cycle = self.cycle;
-        let ntcus = self.cfg.tcus_per_cluster;
-        let want_threads = self.next_tid < self.spawn_count;
-        let tier_on = self.trace.is_some();
-        let m = &mut self.masks[c];
-        m.wake(cycle);
-        let ready = m.active & !m.busy & !m.stuck;
-        // Tier refinement (bit-identical): an activation needs an idle
-        // enabled TCU in *this* cluster. Idle TCUs appearing mid-cycle
-        // (a join) are never revisited, and a mid-cycle `sspawn` mint
-        // is covered by the `ordered` full walk, so the cycle-start
-        // masks decide exactly.
-        let activations =
-            want_threads && (!tier_on || (!m.active & !m.disabled & ones(ntcus)) != 0);
-        let ordered = m.cls[IssueClass::Ps as usize]
-            | m.cls[IssueClass::BadPc as usize]
-            | m.cls[IssueClass::Illegal as usize];
-        if activations || ordered & ready != 0 {
-            self.step_cluster(c)
-        } else {
-            self.step_cluster_bulk(c, ready)
-        }
+    fn step_cluster(&mut self, c: usize, shortcuts: bool) -> Result<(), SimError> {
+        let Machine {
+            cfg,
+            clusters,
+            masks,
+            cluster_rr,
+            cluster_instr,
+            decoded,
+            gregs,
+            stats,
+            mem,
+            hash,
+            req_net,
+            txns,
+            next_tid,
+            spawn_count,
+            spawn_entry,
+            cycle,
+            trace,
+            ..
+        } = self;
+        let env = IssueEnv {
+            decoded,
+            ntcus: cfg.tcus_per_cluster,
+            fpus: cfg.fpus_per_cluster,
+            mdus: cfg.mdus_per_cluster,
+            lsus: cfg.lsus_per_cluster,
+            mem_len: mem.len(),
+            hash: *hash,
+            entry: *spawn_entry,
+            cycle: *cycle,
+        };
+        let mut sink = Direct {
+            c,
+            next_tid,
+            spawn_count,
+            gregs,
+            req_net: req_net.as_mut(),
+            txns,
+            trace: trace.as_deref_mut(),
+        };
+        cluster_instr[c] += issue::step_cluster(
+            &mut clusters[c],
+            &mut masks[c],
+            &mut cluster_rr[c],
+            &env,
+            stats,
+            &mut sink,
+            shortcuts,
+        )?;
+        Ok(())
     }
 
     /// Settle a cluster's round-robin arrears before it steps. With the
@@ -2285,7 +2065,7 @@ impl<P: Probe> Machine<P> {
     /// and an empty active mask implies an empty wake wheel, so an
     /// unvisited cluster is a guaranteed no-op) and can only rejoin via
     /// activation, which rebuilds the list under a full walk.
-    fn step_parallel_fast_tiered(&mut self) -> Result<(), SimError> {
+    fn step_parallel_worklist(&mut self) -> Result<(), SimError> {
         let nclusters = self.clusters.len();
         if self.next_tid < self.spawn_count {
             // Thread IDs remain: any cluster may activate an idle TCU,
@@ -2293,7 +2073,7 @@ impl<P: Probe> Machine<P> {
             self.par_active.clear();
             for c in 0..nclusters {
                 self.sync_rr(c);
-                self.step_cluster_fast(c)?;
+                self.step_cluster(c, true)?;
             }
             for c in 0..nclusters {
                 if self.masks[c].active != 0 {
@@ -2312,7 +2092,7 @@ impl<P: Probe> Machine<P> {
                 continue;
             }
             self.sync_rr(c);
-            if let Err(e) = self.step_cluster_fast(c) {
+            if let Err(e) = self.step_cluster(c, true) {
                 self.par_active = list;
                 return Err(e);
             }
@@ -2325,7 +2105,7 @@ impl<P: Probe> Machine<P> {
                 list.truncate(w);
                 for c2 in c + 1..nclusters {
                     self.sync_rr(c2);
-                    if let Err(e) = self.step_cluster_fast(c2) {
+                    if let Err(e) = self.step_cluster(c2, true) {
                         self.par_active = list;
                         return Err(e);
                     }
@@ -2346,230 +2126,6 @@ impl<P: Probe> Machine<P> {
         list.truncate(w);
         self.par_active = list;
         self.pcyc += 1;
-        Ok(())
-    }
-
-    /// Bulk-issue one cluster cycle straight off the masks: stall
-    /// counters accrue by popcount without touching the stalled TCUs'
-    /// cache lines, port winners are picked in round-robin order by
-    /// rotate + trailing-zeros, and only TCUs that actually execute are
-    /// dereferenced. Exactly mirrors [`Machine::step_cluster`] (the
-    /// golden cross-engine tests pin this); the caller has already
-    /// woken the masks and excluded activations and order-sensitive
-    /// classes.
-    fn step_cluster_bulk(&mut self, c: usize, ready: u64) -> Result<(), SimError> {
-        let instr_at_entry = self.stats.instructions;
-        let ntcus = self.cfg.tcus_per_cluster;
-        let fpu_budget = self.cfg.fpus_per_cluster;
-        let mdu_budget = self.cfg.mdus_per_cluster;
-        let lsu_budget = self.cfg.lsus_per_cluster;
-        let start = self.cluster_rr[c];
-        self.cluster_rr[c] = (start + 1) % ntcus;
-        let Machine {
-            clusters,
-            masks,
-            decoded,
-            gregs,
-            stats,
-            mem,
-            hash,
-            req_net,
-            txns,
-            cycle,
-            trace,
-            ..
-        } = self;
-        let mut trace = trace.as_deref_mut();
-        let cluster = &mut clusters[c][..];
-        let m = &mut masks[c];
-        let mem_len = mem.len();
-        let cycle = *cycle;
-
-        // Snapshot the per-class ready sets before any issue mutates
-        // the masks: a TCU's class is stable until its own visit (no
-        // cross-TCU effect changes it inside a cluster cycle), so the
-        // snapshot is exactly what the plain loop observes per visit.
-        let sb = m.cls[IssueClass::Scoreboard as usize] & ready;
-        let alu = m.cls[IssueClass::Alu as usize] & ready;
-        let fpu = m.cls[IssueClass::Fpu as usize] & ready;
-        let mdu = m.cls[IssueClass::Mdu as usize] & ready;
-        let lsu = m.cls[IssueClass::Lsu as usize] & ready;
-        let br = m.cls[IssueClass::Branch as usize] & ready;
-        let join = m.cls[IssueClass::Join as usize] & ready;
-        let nop = m.cls[IssueClass::Nop as usize] & ready;
-
-        // Scoreboard-blocked TCUs burn one stall each, unvisited.
-        stats.stall_scoreboard += u64::from(sb.count_ones());
-
-        // ALU, branch and nop always issue (ALU ports are provisioned
-        // one per TCU) and only touch the owning TCU, so round-robin
-        // order among them is unobservable; ascending order is fine.
-        let mut bits = alu;
-        while bits != 0 {
-            let t = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let tcu = &mut cluster[t];
-            if let Some(tc) = trace.as_deref_mut() {
-                let u = tc.fetch_warm(decoded, tcu.pc);
-                let ok = exec_uop(&u, &mut tcu.rf, gregs);
-                debug_assert!(ok, "ALU-class instruction must be compute-executable");
-            } else {
-                let d = decoded.fetch(tcu.pc);
-                let ok = exec_compute(&d.instr, &mut tcu.rf, gregs);
-                debug_assert!(ok, "ALU-class instruction must be compute-executable");
-            }
-            tcu.pc += 1;
-            reclassify_masked(tcu, m, t, decoded);
-            stats.instructions += 1;
-        }
-        let mut bits = br;
-        while bits != 0 {
-            let t = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let tcu = &mut cluster[t];
-            let pc = tcu.pc;
-            if let Some(tc) = trace.as_deref_mut() {
-                let u = tc.fetch_warm(decoded, pc);
-                tcu.pc = eval_branch_uop(&u, &tcu.rf).unwrap_or(pc + 1);
-                tc.note_entry();
-            } else {
-                match decoded.fetch(pc).instr {
-                    Instr::Branch {
-                        cond,
-                        rs1,
-                        rs2,
-                        target,
-                    } => {
-                        let taken = eval_branch(cond, tcu.rf.read_i(rs1), tcu.rf.read_i(rs2));
-                        tcu.pc = if taken { target } else { pc + 1 };
-                    }
-                    Instr::Jump { target } => tcu.pc = target,
-                    _ => unreachable!(),
-                }
-            }
-            reclassify_masked(tcu, m, t, decoded);
-            stats.instructions += 1;
-        }
-        let mut bits = nop;
-        while bits != 0 {
-            let t = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let tcu = &mut cluster[t];
-            tcu.pc += 1;
-            reclassify_masked(tcu, m, t, decoded);
-            stats.instructions += 1;
-        }
-
-        // FPU/MDU: the port goes to the first contenders in round-robin
-        // order; every loser burns one stall, counted without a visit.
-        let mut rot = rr_rotate(fpu, start, ntcus);
-        let mut budget = fpu_budget;
-        while rot != 0 && budget > 0 {
-            let t = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus);
-            rot &= rot - 1;
-            budget -= 1;
-            let tcu = &mut cluster[t];
-            if let Some(tc) = trace.as_deref_mut() {
-                let u = tc.fetch_warm(decoded, tcu.pc);
-                let ok = exec_uop(&u, &mut tcu.rf, gregs);
-                debug_assert!(ok);
-            } else {
-                let d = decoded.fetch(tcu.pc);
-                let ok = exec_compute(&d.instr, &mut tcu.rf, gregs);
-                debug_assert!(ok);
-            }
-            tcu.busy_until = cycle + FPU_LATENCY;
-            m.set_busy(t, cycle + FPU_LATENCY);
-            tcu.pc += 1;
-            reclassify_masked(tcu, m, t, decoded);
-            stats.instructions += 1;
-            stats.flops += 1;
-        }
-        stats.stall_fpu += u64::from(rot.count_ones());
-        let mut rot = rr_rotate(mdu, start, ntcus);
-        let mut budget = mdu_budget;
-        while rot != 0 && budget > 0 {
-            let t = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus);
-            rot &= rot - 1;
-            budget -= 1;
-            let tcu = &mut cluster[t];
-            if let Some(tc) = trace.as_deref_mut() {
-                let u = tc.fetch_warm(decoded, tcu.pc);
-                let ok = exec_uop(&u, &mut tcu.rf, gregs);
-                debug_assert!(ok);
-            } else {
-                let d = decoded.fetch(tcu.pc);
-                let ok = exec_compute(&d.instr, &mut tcu.rf, gregs);
-                debug_assert!(ok);
-            }
-            tcu.busy_until = cycle + MDU_LATENCY;
-            m.set_busy(t, cycle + MDU_LATENCY);
-            tcu.pc += 1;
-            reclassify_masked(tcu, m, t, decoded);
-            stats.instructions += 1;
-        }
-        stats.stall_mdu += u64::from(rot.count_ones());
-
-        // LSU: same round-robin port arbitration, plus the per-TCU
-        // outstanding-transaction cap (stalls without consuming the
-        // port) and NoC backpressure (consumes the port and stalls).
-        let mut rot = rr_rotate(lsu, start, ntcus);
-        let mut budget = lsu_budget;
-        while rot != 0 {
-            if budget == 0 {
-                stats.stall_lsu += u64::from(rot.count_ones());
-                break;
-            }
-            let t = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus);
-            rot &= rot - 1;
-            let bit = 1u64 << t;
-            if m.at_cap & bit != 0 {
-                stats.stall_lsu += 1;
-                continue;
-            }
-            let tcu = &mut cluster[t];
-            let pc = tcu.pc;
-            let d = decoded.fetch(pc);
-            if !issue_memory(
-                tcu,
-                c,
-                t,
-                pc,
-                &d.instr,
-                mem_len,
-                hash,
-                req_net.as_mut(),
-                txns,
-                stats,
-            )? {
-                budget -= 1;
-                stats.stall_lsu += 1;
-                continue;
-            }
-            budget -= 1;
-            m.out_nz |= bit;
-            if tcu.outstanding >= MAX_OUTSTANDING {
-                m.at_cap |= bit;
-            }
-            tcu.pc += 1;
-            reclassify_masked(tcu, m, t, decoded);
-            stats.instructions += 1;
-        }
-
-        // Joins with posted stores outstanding wait silently; the rest
-        // retire. (Plain loop leaves `cls` at `Join` on retire, so the
-        // class masks stay untouched here too.)
-        let retire = join & !m.out_nz;
-        let mut bits = retire;
-        while bits != 0 {
-            let t = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            cluster[t].active = false;
-        }
-        m.active &= !retire;
-        stats.instructions += u64::from(retire.count_ones());
-
-        self.cluster_instr[c] += self.stats.instructions - instr_at_entry;
         Ok(())
     }
 
@@ -2739,316 +2295,6 @@ impl<P: Probe> Machine<P> {
         Ok(())
     }
 
-    /// One parallel-mode cycle over every cluster.
-    fn step_parallel(&mut self) -> Result<(), SimError> {
-        for c in 0..self.clusters.len() {
-            self.step_cluster(c)?;
-        }
-        Ok(())
-    }
-
-    fn step_cluster(&mut self, c: usize) -> Result<(), SimError> {
-        let instr_at_entry = self.stats.instructions;
-        let ntcus = self.cfg.tcus_per_cluster;
-        let mut fpu_budget = self.cfg.fpus_per_cluster;
-        let mut mdu_budget = self.cfg.mdus_per_cluster;
-        let mut lsu_budget = self.cfg.lsus_per_cluster;
-        let start = self.cluster_rr[c];
-        self.cluster_rr[c] = (start + 1) % ntcus;
-        // Split `self` into disjoint field borrows so the issue loop
-        // holds one `&mut Tcu` per iteration instead of re-indexing
-        // `self.clusters[c][t]` (two bounds checks the optimizer cannot
-        // hoist past the interleaved shared-state writes) at every
-        // touch.
-        let Machine {
-            clusters,
-            masks,
-            decoded,
-            gregs,
-            stats,
-            mem,
-            hash,
-            req_net,
-            txns,
-            next_tid,
-            spawn_count,
-            spawn_entry,
-            cycle,
-            trace,
-            ..
-        } = self;
-        let mut trace = trace.as_deref_mut();
-        let cluster = &mut clusters[c][..];
-        let m = &mut masks[c];
-        let mem_len = mem.len();
-        let cycle = *cycle;
-        m.wake(cycle);
-
-        // Visit order, built without the per-TCU `% ntcus` (an integer
-        // division the compiler cannot strength-reduce for a runtime
-        // cluster width). When no idle TCU can activate this cycle —
-        // thread IDs are exhausted and no ready `sspawn` could mint
-        // more mid-cycle — the loop walks only ready TCUs: the masks
-        // prove idle and latency-busy visits are no-ops, so their cache
-        // lines are never touched.
-        let ready = m.active & !m.busy & !m.stuck;
-        // With the tier on, an activation additionally needs an idle
-        // enabled TCU here (see `step_cluster_fast` for why cycle-start
-        // masks decide exactly); disabled TCUs never take a thread, but
-        // stuck TCUs do — they hold it without issuing.
-        let can_activate = *next_tid < *spawn_count
-            && (trace.is_none() || (!m.active & !m.disabled & ones(ntcus)) != 0);
-        let mut order = [0u8; 64];
-        let visits: &[u8] = if can_activate || m.cls[IssueClass::Ps as usize] & ready != 0 {
-            for (i, t) in (start..ntcus).chain(0..start).enumerate() {
-                order[i] = t as u8;
-            }
-            &order[..ntcus]
-        } else {
-            let mut rot = rr_rotate(ready, start, ntcus);
-            let mut n = 0;
-            while rot != 0 {
-                order[n] = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus) as u8;
-                rot &= rot - 1;
-                n += 1;
-            }
-            &order[..n]
-        };
-
-        for &t in visits {
-            let t = t as usize;
-            let bit = 1u64 << t;
-            let tcu = &mut cluster[t];
-            // Activate idle TCUs while thread IDs remain (the PS unit
-            // allocates in constant time, so every idle TCU can pick up
-            // a thread in the same cycle).
-            if !tcu.active {
-                if tcu.disabled {
-                    continue;
-                }
-                // Thread ids are handed out globally; cluster c TCU t
-                // competes with all others, which the central counter
-                // models exactly.
-                if *next_tid < *spawn_count {
-                    let tid = *next_tid;
-                    *next_tid += 1;
-                    tcu.active = true;
-                    m.active |= bit;
-                    tcu.rf = RegFile::new(tid);
-                    tcu.pc = *spawn_entry;
-                    tcu.busy_until = 0;
-                    tcu.pend_i = 0;
-                    tcu.pend_f = 0;
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.threads += 1;
-                } else {
-                    continue;
-                }
-            }
-            if tcu.busy_until > cycle {
-                continue;
-            }
-            // A stuck-at TCU holds its thread but never issues; it
-            // makes no progress and no noise (the watchdog catches the
-            // barrier it will never reach).
-            if tcu.stuck {
-                continue;
-            }
-            match tcu.cls {
-                IssueClass::BadPc => {
-                    return Err(SimError::PcOutOfRange {
-                        pc: tcu.pc,
-                        at_cycle: cycle,
-                    });
-                }
-                IssueClass::Scoreboard => {
-                    stats.stall_scoreboard += 1;
-                }
-                IssueClass::Alu => {
-                    if let Some(tc) = trace.as_deref_mut() {
-                        let u = tc.fetch_warm(decoded, tcu.pc);
-                        let ok = exec_uop(&u, &mut tcu.rf, gregs);
-                        debug_assert!(ok, "ALU-class instruction must be compute-executable");
-                    } else {
-                        let d = decoded.fetch(tcu.pc);
-                        let ok = exec_compute(&d.instr, &mut tcu.rf, gregs);
-                        debug_assert!(ok, "ALU-class instruction must be compute-executable");
-                    }
-                    tcu.pc += 1;
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.instructions += 1;
-                }
-                IssueClass::Fpu => {
-                    if fpu_budget == 0 {
-                        stats.stall_fpu += 1;
-                        continue;
-                    }
-                    fpu_budget -= 1;
-                    if let Some(tc) = trace.as_deref_mut() {
-                        let u = tc.fetch_warm(decoded, tcu.pc);
-                        let ok = exec_uop(&u, &mut tcu.rf, gregs);
-                        debug_assert!(ok);
-                        debug_assert_eq!(u.lat as u64, FPU_LATENCY);
-                    } else {
-                        let d = decoded.fetch(tcu.pc);
-                        let ok = exec_compute(&d.instr, &mut tcu.rf, gregs);
-                        debug_assert!(ok);
-                    }
-                    tcu.busy_until = cycle + FPU_LATENCY;
-                    m.set_busy(t, cycle + FPU_LATENCY);
-                    tcu.pc += 1;
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.instructions += 1;
-                    stats.flops += 1;
-                }
-                IssueClass::Mdu => {
-                    if mdu_budget == 0 {
-                        stats.stall_mdu += 1;
-                        continue;
-                    }
-                    mdu_budget -= 1;
-                    if let Some(tc) = trace.as_deref_mut() {
-                        let u = tc.fetch_warm(decoded, tcu.pc);
-                        let ok = exec_uop(&u, &mut tcu.rf, gregs);
-                        debug_assert!(ok);
-                        debug_assert_eq!(u.lat as u64, MDU_LATENCY);
-                    } else {
-                        let d = decoded.fetch(tcu.pc);
-                        let ok = exec_compute(&d.instr, &mut tcu.rf, gregs);
-                        debug_assert!(ok);
-                    }
-                    tcu.busy_until = cycle + MDU_LATENCY;
-                    m.set_busy(t, cycle + MDU_LATENCY);
-                    tcu.pc += 1;
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.instructions += 1;
-                }
-                IssueClass::Lsu => {
-                    if lsu_budget == 0 {
-                        stats.stall_lsu += 1;
-                        continue;
-                    }
-                    if tcu.outstanding >= MAX_OUTSTANDING {
-                        stats.stall_lsu += 1;
-                        continue;
-                    }
-                    let pc = tcu.pc;
-                    let d = decoded.fetch(pc);
-                    if !issue_memory(
-                        tcu,
-                        c,
-                        t,
-                        pc,
-                        &d.instr,
-                        mem_len,
-                        hash,
-                        req_net.as_mut(),
-                        txns,
-                        stats,
-                    )? {
-                        // NoC refused (rate limit/backpressure): the
-                        // port attempt still consumed the LSU slot.
-                        lsu_budget -= 1;
-                        stats.stall_lsu += 1;
-                        continue;
-                    }
-                    lsu_budget -= 1;
-                    m.out_nz |= bit;
-                    if tcu.outstanding >= MAX_OUTSTANDING {
-                        m.at_cap |= bit;
-                    }
-                    tcu.pc += 1;
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.instructions += 1;
-                }
-                IssueClass::Branch => {
-                    let pc = tcu.pc;
-                    if let Some(tc) = trace.as_deref_mut() {
-                        let u = tc.fetch_warm(decoded, pc);
-                        tcu.pc = eval_branch_uop(&u, &tcu.rf).unwrap_or(pc + 1);
-                        tc.note_entry();
-                    } else {
-                        match decoded.fetch(pc).instr {
-                            Instr::Branch {
-                                cond,
-                                rs1,
-                                rs2,
-                                target,
-                            } => {
-                                let taken =
-                                    eval_branch(cond, tcu.rf.read_i(rs1), tcu.rf.read_i(rs2));
-                                tcu.pc = if taken { target } else { pc + 1 };
-                            }
-                            Instr::Jump { target } => tcu.pc = target,
-                            _ => unreachable!(),
-                        }
-                    }
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.instructions += 1;
-                }
-                IssueClass::Ps => {
-                    match decoded.fetch(tcu.pc).instr {
-                        Instr::Ps { rd, inc, on } => {
-                            let old = gregs[on.index()];
-                            gregs[on.index()] = old.wrapping_add(tcu.rf.read_i(inc));
-                            tcu.rf.write_i(rd, old);
-                            tcu.pc += 1;
-                        }
-                        Instr::Sspawn { rd, count } => {
-                            // PS on the spawn bound: the barrier now
-                            // also waits for the new virtual threads,
-                            // which idle TCUs pick up immediately.
-                            let old = *spawn_count;
-                            *spawn_count = spawn_count.wrapping_add(tcu.rf.read_i(count));
-                            tcu.rf.write_i(rd, old);
-                            tcu.pc += 1;
-                        }
-                        _ => unreachable!(),
-                    }
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.instructions += 1;
-                }
-                IssueClass::Join => {
-                    // Posted stores must drain before the thread
-                    // retires (the spawn barrier is a memory fence).
-                    if tcu.outstanding > 0 {
-                        continue;
-                    }
-                    tcu.active = false;
-                    m.active &= !bit;
-                    stats.instructions += 1;
-                }
-                IssueClass::Nop => {
-                    tcu.pc += 1;
-                    reclassify_masked(tcu, m, t, decoded);
-                    stats.instructions += 1;
-                }
-                IssueClass::Illegal => {
-                    let pc = tcu.pc;
-                    return Err(match decoded.fetch(pc).instr {
-                        Instr::Spawn { .. } => SimError::BadInstruction {
-                            pc,
-                            what: "nested spawn",
-                            at_cycle: cycle,
-                        },
-                        Instr::Halt => SimError::BadInstruction {
-                            pc,
-                            what: "halt in parallel mode",
-                            at_cycle: cycle,
-                        },
-                        _ => SimError::BadInstruction {
-                            pc,
-                            what: "instruction illegal in parallel mode",
-                            at_cycle: cycle,
-                        },
-                    });
-                }
-            }
-        }
-        self.cluster_instr[c] += self.stats.instructions - instr_at_entry;
-        Ok(())
-    }
-
     /// Advance the NoC, memory modules, DRAM channels and replies.
     fn step_memory_system(&mut self) -> Result<(), SimError> {
         let mut replies = std::mem::take(&mut self.scratch_replies);
@@ -3066,29 +2312,7 @@ impl<P: Probe> Machine<P> {
         } = self;
         for r in replies.drain(..) {
             let tcu = &mut clusters[r.cluster][r.tcu];
-            let m = &mut masks[r.cluster];
-            match r.kind {
-                TxnKind::LoadI(rd) => {
-                    tcu.rf.write_i(rd, r.value);
-                    tcu.pend_i &= !(1u32 << rd.index());
-                }
-                TxnKind::LoadF(fd) => {
-                    tcu.rf.write_f(fd, f32::from_bits(r.value));
-                    tcu.pend_f &= !(1u32 << fd.index());
-                }
-                TxnKind::Store => {}
-            }
-            tcu.outstanding -= 1;
-            let bit = 1u64 << r.tcu;
-            m.at_cap &= !bit;
-            if tcu.outstanding == 0 {
-                m.out_nz &= !bit;
-            }
-            // A cleared scoreboard bit can only unblock; other classes
-            // are unaffected by replies.
-            if tcu.cls == IssueClass::Scoreboard {
-                reclassify_masked(tcu, m, r.tcu, decoded);
-            }
+            issue::apply_reply(tcu, &mut masks[r.cluster], r.tcu, r.kind, r.value, decoded);
         }
         self.scratch_replies = replies;
         Ok(())
@@ -3903,37 +3127,119 @@ mod tests {
         assert_eq!(reports[0], reports[2]);
     }
 
+    /// Two back-to-back spawns of `n` tid-stores, with `pad` serial
+    /// instructions between them (shifts the second section's clock
+    /// parity).
+    fn two_spawns(n: u32, pad: usize) -> Program {
+        let mut b = ProgramBuilder::new();
+        let par = b.label();
+        let mid = b.label();
+        let after = b.label();
+        b.li(ir(1), n);
+        b.spawn(ir(1), par);
+        b.jump(mid);
+        b.bind(par);
+        b.tid(ir(2));
+        b.slli(ir(3), ir(2), 1);
+        b.sw(ir(3), ir(2), 0);
+        b.join();
+        b.bind(mid);
+        for _ in 0..pad {
+            b.li(ir(4), 7);
+        }
+        b.spawn(ir(1), par);
+        b.jump(after);
+        b.bind(after);
+        b.halt();
+        b.build().unwrap()
+    }
+
     /// Pause at a quiescent point, checkpoint, restore into a fresh
     /// machine, finish: final cycle count, stats and memory must match
-    /// an uninterrupted run exactly.
+    /// an uninterrupted run exactly — and so must simply running the
+    /// paused machine onward. The hybrid (butterfly) configurations
+    /// arbitrate by memory-clock parity, so they are paused between
+    /// two contended sections at both parities.
     #[test]
     fn checkpoint_restore_matches_uninterrupted_run() {
-        let prog = spawn_store_tids(64);
-        let mut straight = MachineBuilder::new(&tiny_config(), prog.clone())
-            .mem_words(256)
-            .build();
+        let hybrid = XmtConfig::xmt_64k().scaled_to(8);
+        assert!(hybrid.butterfly_levels > 0);
+        let cases = [
+            (tiny_config(), spawn_store_tids(64), 40),
+            (hybrid, two_spawns(256, 0), 30),
+            (hybrid, two_spawns(256, 1), 30),
+        ];
+        let mut odd_mem_clocks = 0;
+        for (cfg, prog, pause) in cases {
+            let build = || MachineBuilder::new(&cfg, prog.clone()).mem_words(1024);
+            let mut straight = build().build();
+            let ss = straight.run().unwrap();
+
+            let mut first = build().build();
+            let paused = first.run_until(pause);
+            let at = match paused.status {
+                RunStatus::Paused { at_cycle } => at_cycle,
+                other => panic!("expected a pause, got {other:?}"),
+            };
+            let cp = first.checkpoint().unwrap();
+            assert_eq!(cp.cycle(), at);
+            odd_mem_clocks += cp.mem_clock & 1;
+            let bytes = cp.to_bytes();
+            let cp2 = Checkpoint::from_bytes(&bytes).unwrap();
+
+            let mut resumed = build().resume(&cp2).unwrap();
+            let sr = resumed.run().unwrap();
+            assert_eq!(ss.stats, sr.stats);
+            assert_eq!(ss.spawns, sr.spawns);
+            assert_eq!(straight.mem, resumed.mem);
+
+            let onward = first.run().unwrap();
+            assert_eq!(ss.stats, onward.stats);
+            assert_eq!(straight.mem, first.mem);
+        }
+        assert!(odd_mem_clocks > 0, "no case paused at an odd memory clock");
+    }
+
+    /// A pause that lands on a multi-cycle serial instruction jumps the
+    /// clock to the eve of the MTCU's resume cycle; the memory side
+    /// must jump with it, or a hybrid NoC continues (or checkpoints)
+    /// with its arbitration parity out of step.
+    #[test]
+    fn pause_normalization_moves_the_memory_clock_too() {
+        let cfg = XmtConfig::xmt_64k().scaled_to(8);
+        let mut b = ProgramBuilder::new();
+        let par = b.label();
+        let mid = b.label();
+        let after = b.label();
+        b.li(ir(1), 256);
+        b.spawn(ir(1), par);
+        b.jump(mid);
+        b.bind(par);
+        b.tid(ir(2));
+        b.slli(ir(3), ir(2), 1);
+        b.sw(ir(3), ir(2), 0);
+        b.join();
+        b.bind(mid);
+        b.mul(ir(4), ir(1), ir(1)); // 8-cycle MDU op: a 7-cycle jump
+        b.spawn(ir(1), par);
+        b.jump(after);
+        b.bind(after);
+        b.halt();
+        let prog = b.build().unwrap();
+        let build = || MachineBuilder::new(&cfg, prog.clone()).mem_words(1024);
+        let mut straight = build().build();
         let ss = straight.run().unwrap();
 
-        let mut first = MachineBuilder::new(&tiny_config(), prog.clone())
-            .mem_words(256)
-            .build();
-        let paused = first.run_until(40);
-        let at = match paused.status {
-            RunStatus::Paused { at_cycle } => at_cycle,
-            other => panic!("expected a pause, got {other:?}"),
-        };
-        let cp = first.checkpoint().unwrap();
-        assert_eq!(cp.cycle(), at);
-        let bytes = cp.to_bytes();
-        let cp2 = Checkpoint::from_bytes(&bytes).unwrap();
-
-        let mut resumed = MachineBuilder::new(&tiny_config(), prog)
-            .mem_words(256)
-            .resume(&cp2)
-            .unwrap();
-        let sr = resumed.run().unwrap();
-        assert_eq!(ss.stats, sr.stats);
-        assert_eq!(straight.mem, resumed.mem);
+        // The first section's end, then a pause aimed at the `mul`.
+        let section_end = build().build().run_until(10).at_cycle();
+        let mut m = build().build();
+        let at = m.run_until(section_end + 2).at_cycle();
+        assert_eq!(at, section_end + 2 + MDU_LATENCY - 1, "pause did not jump");
+        let cp = m.checkpoint().unwrap();
+        let mut resumed = build().resume(&cp).unwrap();
+        assert_eq!(resumed.run().unwrap().stats, ss.stats);
+        assert_eq!(m.run().unwrap().stats, ss.stats);
+        assert_eq!(m.mem, straight.mem);
     }
 
     /// A checkpoint taken mid-flight must be refused, and a checkpoint

@@ -21,18 +21,21 @@
 //! horizon the `FastForward` engine computes, and jumps the clock in
 //! bulk, so barriers are amortized across entire memory-latency
 //! stretches. With one participant (the resolved default when the
-//! host has one CPU) the same loop runs inline with no
-//! synchronization at all, and memory instructions inject straight
-//! into the NoC instead of going through the record/replay path.
+//! host has one CPU) the same loop runs with no workers to publish to
+//! or wait for: the coordinator claims every shard itself.
 //!
-//! Bit-identity with `Engine::Reference` is preserved by
-//! re-serializing every globally-ordered decision on the coordinator:
-//! thread-ID grants are sized in global cluster order before each
-//! cycle, memory-injection attempts are recorded per shard and
-//! replayed into the request NoC in cluster order (transaction tags
-//! only advance on accepted injections, exactly as `issue_memory`),
-//! and module steps — independent per module — are merged back in
-//! module order before DRAM channels and reply routing run serially.
+//! The issue rules themselves are not in this file: a shard steps
+//! through the one issue kernel (`issue::step_cluster`), and [`Shard`]
+//! — this engine's `IssueSink` — is the whole of what differs from the
+//! serial engines. Bit-identity with `Engine::Reference` is preserved
+//! by re-serializing every globally-ordered decision on the
+//! coordinator: thread-ID grants are sized in global cluster order
+//! before each cycle, memory-injection attempts are recorded per shard
+//! and replayed into the request NoC in cluster order (through the
+//! same `inject_request` the serial engines call, so transaction tags
+//! only advance on accepted injections), and module steps —
+//! independent per module — are merged back in module order before
+//! DRAM channels and reply routing run serially.
 //! Round-robin pointers of unstepped clusters catch up lazily: the
 //! pointer advances once per parallel cycle in every engine, so a
 //! shard rejoining the work list (or the run ending) adds the number
@@ -55,16 +58,7 @@ use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
-use xmt_isa::block::{MicroOp, UopKind};
-
-/// Shard-side trace fetch: `None` selects the interpreter path —
-/// either the tier is off or the slot is cold (the latter cannot
-/// happen after `lower_all`, but the fallback keeps every seam safe).
-#[inline(always)]
-fn fetch_uop(trace: Option<&TraceCache>, pc: usize) -> Option<MicroOp> {
-    let u = trace?.fetch(pc);
-    (u.kind != UopKind::Cold).then_some(u)
-}
+use xmt_isa::block::UopKind;
 
 /// Spin iterations before a waiting worker parks (the coordinator's
 /// inter-epoch turnaround is usually far shorter than this).
@@ -72,26 +66,6 @@ const SPIN_ROUNDS: u32 = 1 << 12;
 /// Minimum active-module count before the module-step stage is worth
 /// an extra epoch (below it, the coordinator steps modules inline).
 const MEM_PAR_MIN: usize = 8;
-
-/// Immutable per-run parameters every participant needs.
-#[derive(Clone, Copy)]
-struct WorkerParams {
-    ntcus: usize,
-    fpus: usize,
-    mdus: usize,
-    lsus: usize,
-    mem_len: usize,
-    hash: AddressHash,
-}
-
-/// A matured reply to apply to a shard's TCU at the start of the next
-/// cycle (equivalent to the reference engine applying it at the end of
-/// the previous one: no issue logic runs in between).
-struct Delivery {
-    tcu: usize,
-    kind: TxnKind,
-    value: u32,
-}
 
 /// One memory-instruction injection attempt, replayed by the
 /// coordinator in cluster order. `accepted` is the shard's prediction
@@ -112,9 +86,7 @@ struct Attempt {
 struct ClusterShard {
     tcus: Vec<Tcu>,
     /// The cluster's issue masks, moved out of the machine together
-    /// with the TCUs and maintained by the exact mutation paths
-    /// `step_cluster` uses — the mask-driven visit order is what makes
-    /// a shard step as cheap as a reference step.
+    /// with the TCUs.
     masks: ClusterMasks,
     rr: usize,
     /// Parallel-cycle count `rr` reflects (lazy catch-up).
@@ -131,9 +103,11 @@ struct ClusterShard {
     joined: u64,
     /// Trace entries via branch/jump resolution (merged at shutdown).
     trace_entries: u64,
-    /// Replies to apply before issue.
-    deliveries: Vec<Delivery>,
-    /// Injection attempts recorded this cycle (record/replay path).
+    /// Matured replies to apply before the next cycle's issue
+    /// (equivalent to the serial engines applying them at the end of
+    /// the previous one: no issue logic runs in between).
+    deliveries: Vec<ReplyDelivery>,
+    /// Injection attempts recorded this cycle.
     attempts: Vec<Attempt>,
     /// First error this shard hit this cycle.
     error: Option<SimError>,
@@ -198,11 +172,12 @@ struct Shared<'a> {
     deltas: Vec<Pad<MachineStats>>,
     /// Per-worker parked flags (coordinator only unparks sleepers).
     parked: Vec<AtomicBool>,
-    decoded: &'a DecodedProgram,
     /// Pre-lowered trace cache, shared read-only by every participant
     /// (`None` when the machine runs the interpreter tier).
     trace: Option<&'a TraceCache>,
-    params: WorkerParams,
+    /// The run's issue environment; `entry` and `cycle` are filled in
+    /// per shard step from the section and the epoch command.
+    env: IssueEnv<'a>,
 }
 
 // SAFETY: every UnsafeCell is accessed under the epoch protocol
@@ -251,15 +226,19 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
     }
     .clamp(1, nclusters);
     let spawned = participants - 1;
-    let params = WorkerParams {
-        ntcus: m.cfg.tcus_per_cluster,
+    let ntcus = m.cfg.tcus_per_cluster;
+    let decoded = m.decoded.clone();
+    let env = IssueEnv {
+        decoded: &decoded,
+        ntcus,
         fpus: m.cfg.fpus_per_cluster,
         mdus: m.cfg.mdus_per_cluster,
         lsus: m.cfg.lsus_per_cluster,
         mem_len: m.mem.len(),
         hash: m.hash,
+        entry: 0,
+        cycle: 0,
     };
-    let decoded = m.decoded.clone();
     // Pre-lower every superblock so the shards' read-only fetches never
     // see a cold slot; the workers share one immutable cache.
     let trace: Option<TraceCache> = match m.trace.as_deref_mut() {
@@ -275,7 +254,7 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
     let healthy: Vec<u64> = m
         .masks
         .iter()
-        .map(|mk| params.ntcus as u64 - u64::from(mk.disabled.count_ones()))
+        .map(|mk| ntcus as u64 - u64::from(mk.disabled.count_ones()))
         .collect();
     let cluster_shards: Vec<Pad<ClusterShard>> = std::mem::take(&mut m.clusters)
         .into_iter()
@@ -320,9 +299,8 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
             .map(|_| Pad(UnsafeCell::new(MachineStats::default())))
             .collect(),
         parked: (0..spawned).map(|_| AtomicBool::new(false)).collect(),
-        decoded: &decoded,
         trace: trace.as_ref(),
-        params,
+        env,
     };
 
     let mut pcyc = 0u64;
@@ -356,8 +334,8 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
     let mut trace_entries = 0u64;
     for (c, cell) in shared.clusters.into_iter().enumerate() {
         let mut shard = cell.0.into_inner();
-        let lag = (pcyc - shard.synced) % params.ntcus as u64;
-        shard.rr = (shard.rr + lag as usize) % params.ntcus;
+        let lag = (pcyc - shard.synced) % ntcus as u64;
+        shard.rr = (shard.rr + lag as usize) % ntcus;
         m.clusters.push(shard.tcus);
         m.masks.push(shard.masks);
         m.cluster_rr.push(shard.rr);
@@ -481,7 +459,7 @@ fn run_cmd(sh: &Shared<'_>, cmd: EpochCmd, delta: &mut MachineStats) {
             // SAFETY: index `i` (hence cluster `c`) is claimed by
             // exactly one participant this epoch.
             let shard = unsafe { &mut *sh.clusters[c].0.get() };
-            step_shard_recording(sh, shard, cycle, pcyc, delta);
+            step_shard(sh, shard, cycle, pcyc, delta);
         },
         EpochCmd::Modules => {
             // SAFETY: re-derived by the coordinator for this epoch.
@@ -505,37 +483,45 @@ fn run_cmd(sh: &Shared<'_>, cmd: EpochCmd, delta: &mut MachineStats) {
     }
 }
 
-/// Step one shard in record/replay mode: injection attempts land in
-/// `shard.attempts` with a budget-predicted accept/reject for the
-/// coordinator to replay in cluster order.
-fn step_shard_recording(
-    sh: &Shared<'_>,
-    shard: &mut ClusterShard,
-    cycle: u64,
-    pcyc: u64,
-    delta: &mut MachineStats,
-) {
-    let ClusterShard {
-        tcus,
-        masks,
-        rr,
-        synced,
-        instr,
-        grant,
-        budget,
-        joined,
-        trace_entries,
-        deliveries,
-        attempts,
-        error,
-        ..
-    } = shard;
-    let mut sink = |tcu: usize, addr: u32, kind: TxnKind, value: u32, module: usize| {
-        let accepted = *budget > 0;
+/// [`IssueSink`] of the threaded engine: nothing a shard does may
+/// touch shared state, so every globally ordered effect is either
+/// pre-sized by the coordinator (the thread-ID grant, the NoC budget)
+/// or recorded for it to replay in cluster order (injection attempts,
+/// join and trace-entry counts).
+struct Shard<'a> {
+    /// This cluster's contiguous slice of the global thread-ID
+    /// counter, sized to its idle-TCU count.
+    grant: &'a mut Range<u32>,
+    /// Request-NoC injections the source port will still accept this
+    /// cycle. The prediction is exact: both NoCs refuse solely on the
+    /// backpressure `inject_budget` reported, and the replay asserts
+    /// the real network agrees.
+    budget: &'a mut usize,
+    attempts: &'a mut Vec<Attempt>,
+    joined: &'a mut u64,
+    trace_entries: &'a mut u64,
+    trace: Option<&'a TraceCache>,
+    gregs: &'a [u32; NUM_GREGS],
+}
+
+impl IssueSink for Shard<'_> {
+    #[inline(always)]
+    fn tids_remain(&self) -> bool {
+        self.grant.start < self.grant.end
+    }
+
+    #[inline(always)]
+    fn next_tid(&mut self) -> Option<u32> {
+        self.grant.next()
+    }
+
+    #[inline(always)]
+    fn inject(&mut self, tcu: usize, addr: u32, kind: TxnKind, value: u32, module: usize) -> bool {
+        let accepted = *self.budget > 0;
         if accepted {
-            *budget -= 1;
+            *self.budget -= 1;
         }
-        attempts.push(Attempt {
+        self.attempts.push(Attempt {
             tcu,
             addr,
             kind,
@@ -544,99 +530,91 @@ fn step_shard_recording(
             accepted,
         });
         accepted
-    };
-    step_shard(
-        sh,
-        tcus,
-        masks,
-        rr,
-        synced,
-        instr,
-        grant,
-        joined,
-        trace_entries,
-        deliveries,
-        error,
-        &mut sink,
-        cycle,
-        pcyc,
-        delta,
-    );
+    }
+
+    // Read-only fetch from the pre-lowered cache. A cold slot cannot
+    // happen after `lower_all`, but falling back to the interpreter
+    // path keeps every seam safe.
+    #[inline(always)]
+    fn fetch(&mut self, _decoded: &DecodedProgram, pc: usize) -> Option<MicroOp> {
+        let u = self.trace?.fetch(pc);
+        (u.kind != UopKind::Cold).then_some(u)
+    }
+
+    #[inline(always)]
+    fn note_entry(&mut self) {
+        *self.trace_entries += 1;
+    }
+
+    #[inline(always)]
+    fn gregs(&self) -> &[u32; NUM_GREGS] {
+        self.gregs
+    }
+
+    fn global_op(&mut self, _ins: &Instr, _rf: &mut RegFile) {
+        // `Machine::run` routes ps/sspawn programs to the fast-forward
+        // engine; they cannot reach a shard.
+        unreachable!("global-state op in threaded shard")
+    }
+
+    #[inline(always)]
+    fn joined(&mut self, n: u64) {
+        *self.joined += n;
+    }
 }
 
 /// Step one cluster shard one cycle: lazy round-robin catch-up, reply
-/// application, and the issue loop. `sink` receives every memory
-/// injection and reports acceptance.
-#[allow(clippy::too_many_arguments)]
-fn step_shard<F>(
+/// application, and the issue kernel behind a [`Shard`] sink.
+fn step_shard(
     sh: &Shared<'_>,
-    tcus: &mut [Tcu],
-    masks: &mut ClusterMasks,
-    rr: &mut usize,
-    synced: &mut u64,
-    instr: &mut u64,
-    grant: &mut Range<u32>,
-    joined: &mut u64,
-    trace_entries: &mut u64,
-    deliveries: &mut Vec<Delivery>,
-    error: &mut Option<SimError>,
-    sink: &mut F,
+    shard: &mut ClusterShard,
     cycle: u64,
     pcyc: u64,
     delta: &mut MachineStats,
-) where
-    F: FnMut(usize, u32, TxnKind, u32, usize) -> bool,
-{
-    let ntcus = sh.params.ntcus;
-    let lag = (pcyc - *synced) % ntcus as u64;
-    *rr = (*rr + lag as usize) % ntcus;
-    *synced = pcyc + 1; // step_cluster_local advances rr once more
-    for d in deliveries.drain(..) {
-        let tcu = &mut tcus[d.tcu];
-        match d.kind {
-            TxnKind::LoadI(rd) => {
-                tcu.rf.write_i(rd, d.value);
-                tcu.pend_i &= !(1u32 << rd.index());
-            }
-            TxnKind::LoadF(fd) => {
-                tcu.rf.write_f(fd, f32::from_bits(d.value));
-                tcu.pend_f &= !(1u32 << fd.index());
-            }
-            TxnKind::Store => {}
-        }
-        tcu.outstanding -= 1;
-        let bit = 1u64 << d.tcu;
-        masks.at_cap &= !bit;
-        if tcu.outstanding == 0 {
-            masks.out_nz &= !bit;
-        }
-        // A cleared scoreboard bit can only unblock; other classes
-        // are unaffected by replies.
-        if tcu.cls == IssueClass::Scoreboard {
-            reclassify_masked(tcu, masks, d.tcu, sh.decoded);
-        }
+) {
+    let ntcus = sh.env.ntcus;
+    let lag = (pcyc - shard.synced) % ntcus as u64;
+    shard.rr = (shard.rr + lag as usize) % ntcus;
+    shard.synced = pcyc + 1; // the step advances rr once more
+    for d in shard.deliveries.drain(..) {
+        let tcu = &mut shard.tcus[d.tcu];
+        issue::apply_reply(
+            tcu,
+            &mut shard.masks,
+            d.tcu,
+            d.kind,
+            d.value,
+            sh.env.decoded,
+        );
     }
     // SAFETY: written by the coordinator before the epoch (at spawn
     // time), read-only during it.
     let section = unsafe { &*sh.section.get() };
-    if let Err(e) = step_cluster_local(
-        tcus,
-        masks,
-        rr,
-        grant,
-        joined,
+    let env = IssueEnv {
+        entry: section.entry,
         cycle,
-        &section.gregs,
-        section.entry,
-        sh.decoded,
-        sh.trace,
-        trace_entries,
-        sh.params,
-        sink,
+        ..sh.env
+    };
+    let mut sink = Shard {
+        grant: &mut shard.grant,
+        budget: &mut shard.budget,
+        attempts: &mut shard.attempts,
+        joined: &mut shard.joined,
+        trace_entries: &mut shard.trace_entries,
+        trace: sh.trace,
+        gregs: &section.gregs,
+    };
+    match issue::step_cluster(
+        &mut shard.tcus,
+        &mut shard.masks,
+        &mut shard.rr,
+        &env,
         delta,
-        instr,
+        &mut sink,
+        true,
     ) {
-        *error = Some(e);
+        Ok(issued) => shard.instr += issued,
+        Err(e) => shard.error = Some(e),
     }
 }
 
@@ -649,7 +627,6 @@ fn main_loop<P: Probe>(
     let sh = pool.sh;
     let nclusters = healthy.len();
     let healthy_total: u64 = healthy.iter().sum();
-    let inline = pool.worker_threads.is_empty();
     // Post-cycle idle-TCU count per cluster, maintained incrementally
     // from grants and joins (drives grant sizing and the active-work
     // decision — full scans only happen on quiet cycles). Before the
@@ -720,152 +697,63 @@ fn main_loop<P: Probe>(
                     m.next_tid += g;
                     shard.joined = 0;
                     shard.error = None;
-                    if !inline {
-                        shard.budget = m.req_net.inject_budget(c);
-                        shard.attempts.clear();
-                    }
+                    shard.budget = m.req_net.inject_budget(c);
+                    shard.attempts.clear();
                     active.push(c as u32);
                 }
                 let instr_before = m.stats.instructions;
                 let threads_before = m.stats.threads;
                 let mut main_delta = MachineStats::default();
+                {
+                    // SAFETY: no epoch in flight.
+                    let work = unsafe { &mut *sh.work.get() };
+                    work.clear();
+                    work.extend_from_slice(&active);
+                }
+                // Phase 1: step the shards (workers+coordinator).
+                pool.dispatch(
+                    EpochCmd::Clusters {
+                        cycle: m.cycle,
+                        pcyc: *pcyc,
+                    },
+                    &mut main_delta,
+                );
+                pool.wait()?;
+                *pcyc += 1;
+                add_stats(&mut m.stats, &main_delta);
+                for d in &sh.deltas {
+                    // SAFETY: epoch done; workers are waiting.
+                    add_stats(&mut m.stats, unsafe { &*d.0.get() });
+                }
+                // Phase 2 (merge): replay attempts in cluster order so
+                // tags and NoC arbitration match the serial engines
+                // bit for bit, and fold the idle deltas back in.
                 let mut first_err: Option<SimError> = None;
-                if inline {
-                    // Phase 1+2, inline: the coordinator steps every
-                    // active shard itself and injects directly — the
-                    // sink is the exact `issue_memory` protocol, so no
-                    // attempt recording or replay happens. Cluster
-                    // order is the iteration order, and the first
-                    // error stops the cycle just like the reference
-                    // engine.
-                    let txns = &mut m.txns;
-                    let req_net = &mut m.req_net;
-                    for &c in &active {
-                        let c = c as usize;
-                        // SAFETY: no workers exist; the coordinator
-                        // owns every cell.
-                        let shard = unsafe { &mut *sh.clusters[c].0.get() };
-                        let ClusterShard {
-                            tcus,
-                            masks,
-                            rr,
-                            synced,
-                            instr,
-                            grant,
-                            joined,
-                            trace_entries,
-                            deliveries,
-                            error,
-                            ..
-                        } = shard;
-                        let mut sink =
-                            |tcu: usize, addr: u32, kind: TxnKind, value: u32, module: usize| {
-                                let tag = txns.peek_tag();
-                                let accepted = req_net.try_inject(Flit {
-                                    src: c,
-                                    dst: module,
-                                    tag,
-                                });
-                                if accepted {
-                                    txns.insert(Txn {
-                                        cluster: c,
-                                        tcu,
-                                        addr,
-                                        kind,
-                                        value,
-                                    });
-                                }
-                                accepted
+                for &c in &active {
+                    let c = c as usize;
+                    // SAFETY: epoch done; coordinator owns cells.
+                    let shard = unsafe { &mut *sh.clusters[c].0.get() };
+                    if first_err.is_none() {
+                        for a in shard.attempts.drain(..) {
+                            let txn = Txn {
+                                cluster: c,
+                                tcu: a.tcu,
+                                addr: a.addr,
+                                kind: a.kind,
+                                value: a.value,
                             };
-                        step_shard(
-                            sh,
-                            tcus,
-                            masks,
-                            rr,
-                            synced,
-                            instr,
-                            grant,
-                            joined,
-                            trace_entries,
-                            deliveries,
-                            error,
-                            &mut sink,
-                            m.cycle,
-                            *pcyc,
-                            &mut main_delta,
-                        );
-                        sum_idle += shard.joined;
-                        sum_idle -= shard.granted;
-                        idle[c] = idle[c] + shard.joined - shard.granted;
-                        if let Some(e) = shard.error.take() {
-                            first_err = Some(e);
-                            break;
+                            let accepted =
+                                inject_request(m.req_net.as_mut(), &mut m.txns, a.module, txn);
+                            debug_assert_eq!(
+                                accepted, a.accepted,
+                                "shard mispredicted NoC acceptance"
+                            );
                         }
+                        first_err = shard.error.take();
                     }
-                    *pcyc += 1;
-                    add_stats(&mut m.stats, &main_delta);
-                } else {
-                    {
-                        // SAFETY: no epoch in flight.
-                        let work = unsafe { &mut *sh.work.get() };
-                        work.clear();
-                        work.extend_from_slice(&active);
-                    }
-                    // Phase 1: step the shards (workers+coordinator).
-                    pool.dispatch(
-                        EpochCmd::Clusters {
-                            cycle: m.cycle,
-                            pcyc: *pcyc,
-                        },
-                        &mut main_delta,
-                    );
-                    pool.wait()?;
-                    *pcyc += 1;
-                    add_stats(&mut m.stats, &main_delta);
-                    for d in &sh.deltas {
-                        // SAFETY: epoch done; workers are waiting.
-                        add_stats(&mut m.stats, unsafe { &*d.0.get() });
-                    }
-                    // Phase 2 (merge): replay attempts in cluster
-                    // order so tags and NoC arbitration match the
-                    // serial engines bit for bit, and fold the idle
-                    // deltas back in.
-                    for &c in &active {
-                        let c = c as usize;
-                        // SAFETY: epoch done; coordinator owns cells.
-                        let shard = unsafe { &mut *sh.clusters[c].0.get() };
-                        if first_err.is_none() {
-                            for a in shard.attempts.drain(..) {
-                                // Peek-then-commit, exactly as the
-                                // serial `issue_memory`: the tag
-                                // stream only advances on accepted
-                                // injections.
-                                let tag = m.txns.peek_tag();
-                                let accepted = m.req_net.try_inject(Flit {
-                                    src: c,
-                                    dst: a.module,
-                                    tag,
-                                });
-                                debug_assert_eq!(
-                                    accepted, a.accepted,
-                                    "shard mispredicted NoC acceptance"
-                                );
-                                if accepted {
-                                    m.txns.insert(Txn {
-                                        cluster: c,
-                                        tcu: a.tcu,
-                                        addr: a.addr,
-                                        kind: a.kind,
-                                        value: a.value,
-                                    });
-                                }
-                            }
-                            first_err = shard.error.take();
-                        }
-                        sum_idle += shard.joined;
-                        sum_idle -= shard.granted;
-                        idle[c] = idle[c] + shard.joined - shard.granted;
-                    }
+                    sum_idle += shard.joined;
+                    sum_idle -= shard.granted;
+                    idle[c] = idle[c] + shard.joined - shard.granted;
                 }
                 if let Some(e) = first_err {
                     // `addr_of` faults surface from shards without a
@@ -880,7 +768,7 @@ fn main_loop<P: Probe>(
                 // injection) stays on the coordinator.
                 replies_buf.clear();
                 m.mem_route_requests()?;
-                if !inline && m.active_modules.len() >= MEM_PAR_MIN {
+                if !pool.worker_threads.is_empty() && m.active_modules.len() >= MEM_PAR_MIN {
                     {
                         // SAFETY: no epoch in flight.
                         let work = unsafe { &mut *sh.work.get() };
@@ -917,11 +805,7 @@ fn main_loop<P: Probe>(
                 for r in replies_buf.drain(..) {
                     // SAFETY: no epoch in flight.
                     let shard = unsafe { &mut *sh.clusters[r.cluster].0.get() };
-                    shard.deliveries.push(Delivery {
-                        tcu: r.tcu,
-                        kind: r.kind,
-                        value: r.value,
-                    });
+                    shard.deliveries.push(r);
                 }
                 if total_active == 0 {
                     m.maybe_finish_spawn_drained(return_pc);
@@ -980,15 +864,7 @@ fn main_loop<P: Probe>(
                                 let shard = unsafe { &mut *sh.clusters[c as usize].0.get() };
                                 shard.masks.wake_through(m.cycle + 1, n);
                             }
-                            m.req_net.skip_idle(n);
-                            m.reply_net.skip_idle(n);
-                            for &mm in &m.active_modules {
-                                m.modules[mm].skip_idle(n);
-                            }
-                            for &ch in &m.active_channels {
-                                m.channels[ch].skip_idle(n);
-                            }
-                            m.mem_clock += n;
+                            m.skip_memory(n);
                             m.cycle += n;
                             m.stats.cycles = m.cycle;
                             *pcyc += n;
@@ -999,567 +875,4 @@ fn main_loop<P: Probe>(
             }
         }
     }
-}
-
-/// Shard-side mirror of `Machine::step_cluster` + `issue_memory`.
-/// Must stay line-for-line equivalent in issue order, budget handling
-/// and statistics — the golden cycle tests pin the equivalence. The
-/// differences: thread IDs come from the pre-sized grant instead of
-/// the shared counter, and memory instructions go through `sink`
-/// (direct injection inline, record/replay under workers).
-#[allow(clippy::too_many_arguments)]
-fn step_cluster_local<F>(
-    cluster: &mut [Tcu],
-    m: &mut ClusterMasks,
-    rr: &mut usize,
-    grant: &mut Range<u32>,
-    joined: &mut u64,
-    cycle: u64,
-    gregs: &[u32; NUM_GREGS],
-    entry: usize,
-    decoded: &DecodedProgram,
-    trace: Option<&TraceCache>,
-    trace_entries: &mut u64,
-    p: WorkerParams,
-    sink: &mut F,
-    acc: &mut MachineStats,
-    cluster_instr: &mut u64,
-) -> Result<(), SimError>
-where
-    F: FnMut(usize, u32, TxnKind, u32, usize) -> bool,
-{
-    let instr_at_entry = acc.instructions;
-    let ntcus = p.ntcus;
-    let mut fpu_budget = p.fpus;
-    let mut mdu_budget = p.mdus;
-    let mut lsu_budget = p.lsus;
-    let start = *rr;
-    *rr = (start + 1) % ntcus;
-    m.wake(cycle);
-
-    let ready = m.active & !m.busy & !m.stuck;
-    // Bulk path, mirror of the fast-forward engine's
-    // `step_cluster_bulk`: when no idle TCU can activate this cycle
-    // (the shard's grant is empty — the pre-sized equivalent of
-    // `next_tid >= spawn_count`) and no ready TCU is in an
-    // order-sensitive class, the per-TCU visit order is unobservable
-    // and the cluster issues straight off the masks.
-    if grant.start >= grant.end
-        && (m.cls[IssueClass::Ps as usize]
-            | m.cls[IssueClass::BadPc as usize]
-            | m.cls[IssueClass::Illegal as usize])
-            & ready
-            == 0
-    {
-        step_cluster_bulk_local(
-            cluster,
-            m,
-            ready,
-            start,
-            joined,
-            cycle,
-            gregs,
-            decoded,
-            trace,
-            trace_entries,
-            p,
-            sink,
-            acc,
-        )?;
-        *cluster_instr += acc.instructions - instr_at_entry;
-        return Ok(());
-    }
-
-    // Visit order, mirror of `step_cluster`: walk every TCU only when
-    // an idle one could activate this cycle; otherwise (a ready
-    // `BadPc`/`Illegal` kept us off the bulk path) walk only ready
-    // TCUs in round-robin order, which surfaces the same first error.
-    let mut order = [0u8; 64];
-    let visits: &[u8] = if grant.start < grant.end || m.cls[IssueClass::Ps as usize] & ready != 0 {
-        for (i, t) in (start..ntcus).chain(0..start).enumerate() {
-            order[i] = t as u8;
-        }
-        &order[..ntcus]
-    } else {
-        let mut rot = rr_rotate(ready, start, ntcus);
-        let mut n = 0;
-        while rot != 0 {
-            order[n] = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus) as u8;
-            rot &= rot - 1;
-            n += 1;
-        }
-        &order[..n]
-    };
-
-    for &t in visits {
-        let t = t as usize;
-        let bit = 1u64 << t;
-        let tcu = &mut cluster[t];
-        if !tcu.active {
-            if tcu.disabled {
-                continue;
-            }
-            // The grant is this cluster's contiguous slice of the
-            // global thread-ID counter, sized to its idle-TCU count
-            // (which already excludes disabled TCUs).
-            if grant.start < grant.end {
-                let tid = grant.start;
-                grant.start += 1;
-                tcu.active = true;
-                m.active |= bit;
-                tcu.rf = RegFile::new(tid);
-                tcu.pc = entry;
-                tcu.busy_until = 0;
-                tcu.pend_i = 0;
-                tcu.pend_f = 0;
-                reclassify_masked(tcu, m, t, decoded);
-                acc.threads += 1;
-            } else {
-                continue;
-            }
-        }
-        if tcu.busy_until > cycle {
-            continue;
-        }
-        // Stuck-at TCUs hold their thread and never issue (mirror of
-        // `step_cluster`; the watchdog detects the hang).
-        if tcu.stuck {
-            continue;
-        }
-        match tcu.cls {
-            IssueClass::BadPc => {
-                return Err(SimError::PcOutOfRange {
-                    pc: tcu.pc,
-                    at_cycle: cycle,
-                });
-            }
-            IssueClass::Scoreboard => {
-                acc.stall_scoreboard += 1;
-            }
-            IssueClass::Alu => {
-                let ok = if let Some(u) = fetch_uop(trace, tcu.pc) {
-                    exec_uop(&u, &mut tcu.rf, gregs)
-                } else {
-                    let d = decoded.fetch(tcu.pc);
-                    exec_compute(&d.instr, &mut tcu.rf, gregs)
-                };
-                debug_assert!(ok, "ALU-class instruction must be compute-executable");
-                tcu.pc += 1;
-                reclassify_masked(tcu, m, t, decoded);
-                acc.instructions += 1;
-            }
-            IssueClass::Fpu => {
-                if fpu_budget == 0 {
-                    acc.stall_fpu += 1;
-                    continue;
-                }
-                fpu_budget -= 1;
-                let ok = if let Some(u) = fetch_uop(trace, tcu.pc) {
-                    exec_uop(&u, &mut tcu.rf, gregs)
-                } else {
-                    let d = decoded.fetch(tcu.pc);
-                    exec_compute(&d.instr, &mut tcu.rf, gregs)
-                };
-                debug_assert!(ok);
-                tcu.busy_until = cycle + FPU_LATENCY;
-                m.set_busy(t, cycle + FPU_LATENCY);
-                tcu.pc += 1;
-                reclassify_masked(tcu, m, t, decoded);
-                acc.instructions += 1;
-                acc.flops += 1;
-            }
-            IssueClass::Mdu => {
-                if mdu_budget == 0 {
-                    acc.stall_mdu += 1;
-                    continue;
-                }
-                mdu_budget -= 1;
-                let ok = if let Some(u) = fetch_uop(trace, tcu.pc) {
-                    exec_uop(&u, &mut tcu.rf, gregs)
-                } else {
-                    let d = decoded.fetch(tcu.pc);
-                    exec_compute(&d.instr, &mut tcu.rf, gregs)
-                };
-                debug_assert!(ok);
-                tcu.busy_until = cycle + MDU_LATENCY;
-                m.set_busy(t, cycle + MDU_LATENCY);
-                tcu.pc += 1;
-                reclassify_masked(tcu, m, t, decoded);
-                acc.instructions += 1;
-            }
-            IssueClass::Lsu => {
-                if lsu_budget == 0 {
-                    acc.stall_lsu += 1;
-                    continue;
-                }
-                if tcu.outstanding >= MAX_OUTSTANDING {
-                    acc.stall_lsu += 1;
-                    continue;
-                }
-                // Mirror of `issue_memory`: address/kind first (the
-                // bounds fault precedes the injection attempt), then
-                // the sink decides acceptance — by direct injection
-                // inline, or by budget prediction under workers
-                // (exact, because both NoCs accept at most one
-                // injection per source per cycle and refuse solely on
-                // the backpressure the budget reported).
-                let pc = tcu.pc;
-                let ins = decoded.fetch(pc).instr;
-                let (addr, kind, value) = match ins {
-                    Instr::Lw { rd, base, off } => (
-                        addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                        TxnKind::LoadI(rd),
-                        0,
-                    ),
-                    Instr::Flw { fd, base, off } => (
-                        addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                        TxnKind::LoadF(fd),
-                        0,
-                    ),
-                    Instr::Sw { rs, base, off } => (
-                        addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                        TxnKind::Store,
-                        tcu.rf.read_i(rs),
-                    ),
-                    Instr::Fsw { fs, base, off } => (
-                        addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                        TxnKind::Store,
-                        tcu.rf.read_f(fs).to_bits(),
-                    ),
-                    _ => unreachable!("LSU unit on non-memory instruction"),
-                };
-                let module = p.hash.module_of(addr as u32);
-                let accepted = sink(t, addr as u32, kind, value, module);
-                lsu_budget -= 1;
-                if !accepted {
-                    // NoC refused: the attempt still consumed the slot.
-                    acc.stall_lsu += 1;
-                    continue;
-                }
-                tcu.outstanding += 1;
-                match kind {
-                    TxnKind::LoadI(rd) => {
-                        if rd.index() != 0 {
-                            tcu.pend_i |= 1 << rd.index();
-                        }
-                        acc.mem_reads += 1;
-                    }
-                    TxnKind::LoadF(fd) => {
-                        tcu.pend_f |= 1 << fd.index();
-                        acc.mem_reads += 1;
-                    }
-                    TxnKind::Store => {
-                        acc.mem_writes += 1;
-                    }
-                }
-                m.out_nz |= bit;
-                if tcu.outstanding >= MAX_OUTSTANDING {
-                    m.at_cap |= bit;
-                }
-                tcu.pc += 1;
-                reclassify_masked(tcu, m, t, decoded);
-                acc.instructions += 1;
-            }
-            IssueClass::Branch => {
-                let pc = tcu.pc;
-                if let Some(u) = fetch_uop(trace, pc) {
-                    tcu.pc = eval_branch_uop(&u, &tcu.rf).unwrap_or(pc + 1);
-                    *trace_entries += 1;
-                } else {
-                    match decoded.fetch(pc).instr {
-                        Instr::Branch {
-                            cond,
-                            rs1,
-                            rs2,
-                            target,
-                        } => {
-                            let taken = eval_branch(cond, tcu.rf.read_i(rs1), tcu.rf.read_i(rs2));
-                            tcu.pc = if taken { target } else { pc + 1 };
-                        }
-                        Instr::Jump { target } => tcu.pc = target,
-                        _ => unreachable!(),
-                    }
-                }
-                reclassify_masked(tcu, m, t, decoded);
-                acc.instructions += 1;
-            }
-            IssueClass::Ps => {
-                // `Machine::run` routes ps/sspawn programs to the
-                // fast-forward engine; they cannot reach a shard.
-                unreachable!("global-state op in threaded shard")
-            }
-            IssueClass::Join => {
-                if tcu.outstanding > 0 {
-                    continue;
-                }
-                tcu.active = false;
-                m.active &= !bit;
-                *joined += 1;
-                acc.instructions += 1;
-            }
-            IssueClass::Nop => {
-                tcu.pc += 1;
-                reclassify_masked(tcu, m, t, decoded);
-                acc.instructions += 1;
-            }
-            IssueClass::Illegal => {
-                let pc = tcu.pc;
-                return Err(match decoded.fetch(pc).instr {
-                    Instr::Spawn { .. } => SimError::BadInstruction {
-                        pc,
-                        what: "nested spawn",
-                        at_cycle: cycle,
-                    },
-                    Instr::Halt => SimError::BadInstruction {
-                        pc,
-                        what: "halt in parallel mode",
-                        at_cycle: cycle,
-                    },
-                    _ => SimError::BadInstruction {
-                        pc,
-                        what: "instruction illegal in parallel mode",
-                        at_cycle: cycle,
-                    },
-                });
-            }
-        }
-    }
-    *cluster_instr += acc.instructions - instr_at_entry;
-    Ok(())
-}
-
-/// Shard-side mirror of `Machine::step_cluster_bulk`: stall counters
-/// accrue by popcount without touching the stalled TCUs' cache lines,
-/// port winners are picked in round-robin order by rotate +
-/// trailing-zeros, and only TCUs that actually execute are
-/// dereferenced. The caller has already woken the masks and excluded
-/// activations and order-sensitive classes; memory instructions go
-/// through `sink` exactly as in the per-TCU walk.
-#[allow(clippy::too_many_arguments)]
-fn step_cluster_bulk_local<F>(
-    cluster: &mut [Tcu],
-    m: &mut ClusterMasks,
-    ready: u64,
-    start: usize,
-    joined: &mut u64,
-    cycle: u64,
-    gregs: &[u32; NUM_GREGS],
-    decoded: &DecodedProgram,
-    trace: Option<&TraceCache>,
-    trace_entries: &mut u64,
-    p: WorkerParams,
-    sink: &mut F,
-    acc: &mut MachineStats,
-) -> Result<(), SimError>
-where
-    F: FnMut(usize, u32, TxnKind, u32, usize) -> bool,
-{
-    let ntcus = p.ntcus;
-
-    // Snapshot the per-class ready sets before any issue mutates the
-    // masks: a TCU's class is stable until its own visit, so the
-    // snapshot is exactly what the per-TCU walk observes per visit.
-    let sb = m.cls[IssueClass::Scoreboard as usize] & ready;
-    let alu = m.cls[IssueClass::Alu as usize] & ready;
-    let fpu = m.cls[IssueClass::Fpu as usize] & ready;
-    let mdu = m.cls[IssueClass::Mdu as usize] & ready;
-    let lsu = m.cls[IssueClass::Lsu as usize] & ready;
-    let br = m.cls[IssueClass::Branch as usize] & ready;
-    let join = m.cls[IssueClass::Join as usize] & ready;
-    let nop = m.cls[IssueClass::Nop as usize] & ready;
-
-    // Scoreboard-blocked TCUs burn one stall each, unvisited.
-    acc.stall_scoreboard += u64::from(sb.count_ones());
-
-    // ALU, branch and nop always issue (ALU ports are provisioned one
-    // per TCU) and only touch the owning TCU, so round-robin order
-    // among them is unobservable; ascending order is fine.
-    let mut bits = alu;
-    while bits != 0 {
-        let t = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let tcu = &mut cluster[t];
-        let ok = if let Some(u) = fetch_uop(trace, tcu.pc) {
-            exec_uop(&u, &mut tcu.rf, gregs)
-        } else {
-            let d = decoded.fetch(tcu.pc);
-            exec_compute(&d.instr, &mut tcu.rf, gregs)
-        };
-        debug_assert!(ok, "ALU-class instruction must be compute-executable");
-        tcu.pc += 1;
-        reclassify_masked(tcu, m, t, decoded);
-        acc.instructions += 1;
-    }
-    let mut bits = br;
-    while bits != 0 {
-        let t = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let tcu = &mut cluster[t];
-        let pc = tcu.pc;
-        if let Some(u) = fetch_uop(trace, pc) {
-            tcu.pc = eval_branch_uop(&u, &tcu.rf).unwrap_or(pc + 1);
-            *trace_entries += 1;
-        } else {
-            match decoded.fetch(pc).instr {
-                Instr::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                } => {
-                    let taken = eval_branch(cond, tcu.rf.read_i(rs1), tcu.rf.read_i(rs2));
-                    tcu.pc = if taken { target } else { pc + 1 };
-                }
-                Instr::Jump { target } => tcu.pc = target,
-                _ => unreachable!(),
-            }
-        }
-        reclassify_masked(tcu, m, t, decoded);
-        acc.instructions += 1;
-    }
-    let mut bits = nop;
-    while bits != 0 {
-        let t = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let tcu = &mut cluster[t];
-        tcu.pc += 1;
-        reclassify_masked(tcu, m, t, decoded);
-        acc.instructions += 1;
-    }
-
-    // FPU/MDU: the port goes to the first contenders in round-robin
-    // order; every loser burns one stall, counted without a visit.
-    let mut rot = rr_rotate(fpu, start, ntcus);
-    let mut budget = p.fpus;
-    while rot != 0 && budget > 0 {
-        let t = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus);
-        rot &= rot - 1;
-        budget -= 1;
-        let tcu = &mut cluster[t];
-        let ok = if let Some(u) = fetch_uop(trace, tcu.pc) {
-            exec_uop(&u, &mut tcu.rf, gregs)
-        } else {
-            let d = decoded.fetch(tcu.pc);
-            exec_compute(&d.instr, &mut tcu.rf, gregs)
-        };
-        debug_assert!(ok);
-        tcu.busy_until = cycle + FPU_LATENCY;
-        m.set_busy(t, cycle + FPU_LATENCY);
-        tcu.pc += 1;
-        reclassify_masked(tcu, m, t, decoded);
-        acc.instructions += 1;
-        acc.flops += 1;
-    }
-    acc.stall_fpu += u64::from(rot.count_ones());
-    let mut rot = rr_rotate(mdu, start, ntcus);
-    let mut budget = p.mdus;
-    while rot != 0 && budget > 0 {
-        let t = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus);
-        rot &= rot - 1;
-        budget -= 1;
-        let tcu = &mut cluster[t];
-        let ok = if let Some(u) = fetch_uop(trace, tcu.pc) {
-            exec_uop(&u, &mut tcu.rf, gregs)
-        } else {
-            let d = decoded.fetch(tcu.pc);
-            exec_compute(&d.instr, &mut tcu.rf, gregs)
-        };
-        debug_assert!(ok);
-        tcu.busy_until = cycle + MDU_LATENCY;
-        m.set_busy(t, cycle + MDU_LATENCY);
-        tcu.pc += 1;
-        reclassify_masked(tcu, m, t, decoded);
-        acc.instructions += 1;
-    }
-    acc.stall_mdu += u64::from(rot.count_ones());
-
-    // LSU: same round-robin port arbitration, plus the per-TCU
-    // outstanding-transaction cap (stalls without consuming the port)
-    // and NoC backpressure (consumes the port and stalls).
-    let mut rot = rr_rotate(lsu, start, ntcus);
-    let mut budget = p.lsus;
-    while rot != 0 {
-        if budget == 0 {
-            acc.stall_lsu += u64::from(rot.count_ones());
-            break;
-        }
-        let t = rr_unrotate(rot.trailing_zeros() as usize, start, ntcus);
-        rot &= rot - 1;
-        let bit = 1u64 << t;
-        if m.at_cap & bit != 0 {
-            acc.stall_lsu += 1;
-            continue;
-        }
-        let tcu = &mut cluster[t];
-        let pc = tcu.pc;
-        let ins = decoded.fetch(pc).instr;
-        let (addr, kind, value) = match ins {
-            Instr::Lw { rd, base, off } => (
-                addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                TxnKind::LoadI(rd),
-                0,
-            ),
-            Instr::Flw { fd, base, off } => (
-                addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                TxnKind::LoadF(fd),
-                0,
-            ),
-            Instr::Sw { rs, base, off } => (
-                addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                TxnKind::Store,
-                tcu.rf.read_i(rs),
-            ),
-            Instr::Fsw { fs, base, off } => (
-                addr_of(pc, tcu.rf.read_i(base), off, p.mem_len)?,
-                TxnKind::Store,
-                tcu.rf.read_f(fs).to_bits(),
-            ),
-            _ => unreachable!("LSU unit on non-memory instruction"),
-        };
-        let module = p.hash.module_of(addr as u32);
-        let accepted = sink(t, addr as u32, kind, value, module);
-        budget -= 1;
-        if !accepted {
-            acc.stall_lsu += 1;
-            continue;
-        }
-        tcu.outstanding += 1;
-        match kind {
-            TxnKind::LoadI(rd) => {
-                if rd.index() != 0 {
-                    tcu.pend_i |= 1 << rd.index();
-                }
-                acc.mem_reads += 1;
-            }
-            TxnKind::LoadF(fd) => {
-                tcu.pend_f |= 1 << fd.index();
-                acc.mem_reads += 1;
-            }
-            TxnKind::Store => {
-                acc.mem_writes += 1;
-            }
-        }
-        m.out_nz |= bit;
-        if tcu.outstanding >= MAX_OUTSTANDING {
-            m.at_cap |= bit;
-        }
-        tcu.pc += 1;
-        reclassify_masked(tcu, m, t, decoded);
-        acc.instructions += 1;
-    }
-
-    // Joins with posted stores outstanding wait silently; the rest
-    // retire. (The per-TCU walk leaves `cls` at `Join` on retire, so
-    // the class masks stay untouched here too.)
-    let retire = join & !m.out_nz;
-    let mut bits = retire;
-    while bits != 0 {
-        let t = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        cluster[t].active = false;
-    }
-    m.active &= !retire;
-    *joined += u64::from(retire.count_ones());
-    acc.instructions += u64::from(retire.count_ones());
-    Ok(())
 }

@@ -171,58 +171,90 @@ fn degraded_fft_validates_on_every_engine() {
     }
 }
 
-/// Pause a golden workload, checkpoint, serialize the checkpoint to
-/// bytes and back, resume in a fresh machine, and finish: the final
-/// statistics, spawn digest and memory image must equal an
-/// uninterrupted run's. Exercised on every golden case at its halfway
-/// point, and on the FFT at several pause depths.
+/// Run `case` in slices: pause at each cycle `pauses_for` picks from
+/// the uninterrupted cycle count (the machine stops at the next
+/// quiescent cycle), checkpoint, serialize the checkpoint to bytes and
+/// back, and resume those bytes in a fresh machine — the job service's
+/// slice commit. After the last pause the run finishes; final
+/// statistics, spawn digest and memory image must equal the
+/// uninterrupted run's.
+fn check_sliced(case: &golden::GoldenCase, pauses_for: impl Fn(u64) -> Vec<u64>) {
+    let mut full = case.machine();
+    let uninterrupted = full.run().expect("golden case must complete");
+    let pauses = pauses_for(uninterrupted.stats.cycles);
+    let what = format!("{} sliced at {pauses:?}", case.name);
+
+    let mut m = case.machine();
+    let mut now = 0;
+    for pause in pauses {
+        if pause <= now {
+            continue; // the previous slice already ran past this point
+        }
+        let outcome = m.run_until(pause);
+        match outcome.status {
+            RunStatus::Completed => {
+                assert_eq!(outcome.report.stats, uninterrupted.stats, "{what}");
+                return;
+            }
+            RunStatus::Paused { at_cycle } => {
+                assert!(at_cycle >= pause, "{what}");
+                now = at_cycle;
+            }
+            RunStatus::Failed(e) => panic!("{what}: pause@{pause}: {e:?}"),
+        }
+        let bytes = m.checkpoint_bytes().unwrap();
+        let restored = Checkpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.cycle(), now, "{what}");
+        m = case.builder().resume(&restored).unwrap();
+    }
+    let rep = m.run().expect(&what);
+    assert_eq!(rep.stats, uninterrupted.stats, "{what}");
+    assert_eq!(
+        golden::spawn_digest(&rep),
+        golden::spawn_digest(&uninterrupted),
+        "{what}"
+    );
+    assert_eq!(m.mem, full.mem, "{what}");
+}
+
+/// Eight slices of `cycles / 8 + 1` cycles each, every one resumed from
+/// the previous slice's bytes — how the job service runs a paper-scale
+/// job.
+fn check_scaling_slices(expensive: bool) {
+    for case in golden::scaling_cases() {
+        if (case.name == "fft_xmt8k_n65536") != expensive {
+            continue;
+        }
+        check_sliced(&case, |cycles| {
+            (1..8).map(|k| k * (cycles / 8 + 1)).collect()
+        });
+    }
+}
+
+/// Checkpoint/restore equivalence on every golden case at its halfway
+/// point, on the FFT at several pause depths, and on the paper-scale
+/// configurations as a chain of eight slices — including the hybrid
+/// (butterfly) 64k machine, whose NoC arbitrates by memory-clock
+/// parity and so only resumes exactly if that clock is restored.
 #[test]
 fn checkpoint_restore_matches_uninterrupted_golden_runs() {
     for case in golden::cases() {
-        let uninterrupted = case.run();
-        let mut full = case.machine();
-        full.run().unwrap();
-        let mem_full = full.mem.clone();
-
-        let mut pauses = vec![uninterrupted.stats.cycles / 2];
+        check_sliced(&case, |cycles| vec![cycles / 2]);
         if case.name == "fft_radix8_n512" {
-            pauses.extend([64, 1000, 9000]);
-        }
-        for pause in pauses {
-            let mut m = case.machine();
-            let outcome = m.run_until(pause);
-            let cp = match outcome.status {
-                RunStatus::Completed => {
-                    assert_eq!(outcome.report.stats, uninterrupted.stats, "{}", case.name);
-                    continue;
-                }
-                RunStatus::Paused { at_cycle } => {
-                    assert!(at_cycle >= pause, "{}", case.name);
-                    m.checkpoint().unwrap()
-                }
-                RunStatus::Failed(e) => panic!("{} pause@{pause}: {e:?}", case.name),
-            };
-            let bytes = cp.to_bytes();
-            let restored = Checkpoint::from_bytes(&bytes).unwrap();
-            assert_eq!(restored.cycle(), cp.cycle());
-            let mut resumed = case.builder().resume(&restored).unwrap();
-            let rep = resumed
-                .run()
-                .expect(&format!("{} resume@{pause}", case.name));
-            assert_eq!(
-                rep.stats, uninterrupted.stats,
-                "{} pause@{pause}",
-                case.name
-            );
-            assert_eq!(
-                golden::spawn_digest(&rep),
-                golden::spawn_digest(&uninterrupted),
-                "{} pause@{pause}",
-                case.name
-            );
-            assert_eq!(resumed.mem, mem_full, "{} pause@{pause}", case.name);
+            for pause in [64, 1000, 9000] {
+                check_sliced(&case, |_| vec![pause]);
+            }
         }
     }
+    check_scaling_slices(false);
+}
+
+/// The dense 8k case simulates ~9M instructions three times over; it
+/// runs with the release-profile gates (ci.sh, `-- --include-ignored`).
+#[test]
+#[ignore = "release-profile gate: run via ci.sh (cargo test --release -- --include-ignored)"]
+fn checkpoint_restore_matches_uninterrupted_golden_runs_dense() {
+    check_scaling_slices(true);
 }
 
 /// Checkpoint/restore composes with the block-compiled tier: pausing a
