@@ -40,10 +40,24 @@ use xmt_isa::Program;
 use xmt_mem::{AddressHash, ChannelRequest, DramChannel, DramReq, MemReq, MemResp, MemoryModule};
 use xmt_noc::{Delivered, FaultyNetwork, Flit, Network, Topology};
 
+#[path = "builder.rs"]
+mod builder;
+#[path = "ff.rs"]
+mod ff;
 #[path = "issue.rs"]
 mod issue;
+#[path = "memsys.rs"]
+mod memsys;
+#[path = "outcome.rs"]
+mod outcome;
 #[path = "machine_threaded.rs"]
 mod threaded;
+
+use ff::{scan_cluster, ClusterScan, FfScanCache};
+use memsys::{activate, ReplyDelivery};
+pub use outcome::{
+    MachineStats, RunOutcome, RunReport, RunStatus, SimError, SpawnStats, UtilizationReport,
+};
 
 use issue::{
     addr_of, ones, ClusterMasks, IssueClass, IssueEnv, IssueSink, Tcu, TxnKind, FPU_LATENCY,
@@ -60,247 +74,6 @@ pub const UNIT_LAT: xmt_isa::UnitLat = xmt_isa::UnitLat {
 };
 /// MTCU private-cache access latency for serial-mode memory ops.
 const SERIAL_MEM_LATENCY: u64 = 4;
-/// Default watchdog no-progress horizon in cycles. Generous: legitimate
-/// quiet stretches are bounded by DRAM latency (hundreds of cycles), so
-/// two million cycles without one instruction retiring or one thread
-/// starting is always a hang.
-const DEFAULT_WATCHDOG: u64 = 2_000_000;
-
-/// Simulator errors. Every variant carries the program counter of the
-/// fault (where one exists) and the machine cycle it surfaced on:
-/// deep construction sites that cannot see the clock leave `at_cycle`
-/// at 0 and the step boundary stamps it via [`SimError::stamped`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// Memory access outside the configured memory image.
-    MemOutOfBounds {
-        /// Program counter at the fault.
-        pc: usize,
-        /// Faulting word address.
-        addr: u64,
-        /// Machine cycle the fault surfaced on.
-        at_cycle: u64,
-    },
-    /// Nested spawn, halt-in-parallel, etc.
-    BadInstruction {
-        /// Program counter at the fault.
-        pc: usize,
-        /// Description of the illegal action.
-        what: &'static str,
-        /// Machine cycle the fault surfaced on.
-        at_cycle: u64,
-    },
-    /// Cycle limit exceeded — deadlock or runaway program.
-    CycleLimit {
-        /// Cycle at which the limit tripped.
-        at_cycle: u64,
-    },
-    /// Execution ran off the end of the program.
-    PcOutOfRange {
-        /// Program counter at the fault.
-        pc: usize,
-        /// Machine cycle the fault surfaced on.
-        at_cycle: u64,
-    },
-    /// The watchdog saw no forward progress (no instruction retired and
-    /// no thread started) for a whole no-progress horizon — a hang that
-    /// would otherwise burn the entire cycle budget, e.g. a stuck-at
-    /// TCU holding the spawn barrier open forever.
-    Stalled {
-        /// Cycle the watchdog fired on.
-        at_cycle: u64,
-        /// Instructions retired when progress last advanced.
-        last_retired: u64,
-    },
-    /// An internal protocol invariant broke (e.g. a NoC delivery whose
-    /// transaction tag is unknown). Always a simulator bug, surfaced as
-    /// a typed error instead of a panic so long sweeps keep their
-    /// partial results.
-    Protocol {
-        /// Which invariant broke.
-        what: &'static str,
-        /// Machine cycle the fault surfaced on.
-        at_cycle: u64,
-    },
-    /// The builder was asked for an impossible machine (fault indices
-    /// out of range, every TCU disabled, all DRAM channels dead, …).
-    InvalidConfig {
-        /// What was wrong.
-        what: &'static str,
-    },
-}
-
-impl SimError {
-    /// The machine cycle the error surfaced on (0 for construction-time
-    /// errors, which precede the first cycle).
-    pub fn cycle(&self) -> u64 {
-        match *self {
-            SimError::MemOutOfBounds { at_cycle, .. }
-            | SimError::BadInstruction { at_cycle, .. }
-            | SimError::CycleLimit { at_cycle }
-            | SimError::PcOutOfRange { at_cycle, .. }
-            | SimError::Stalled { at_cycle, .. }
-            | SimError::Protocol { at_cycle, .. } => at_cycle,
-            SimError::InvalidConfig { .. } => 0,
-        }
-    }
-
-    /// Fill in `at_cycle` if the construction site could not see the
-    /// clock (left it at 0). Applied at the step boundaries.
-    fn stamped(mut self, cycle: u64) -> Self {
-        match &mut self {
-            SimError::MemOutOfBounds { at_cycle, .. }
-            | SimError::BadInstruction { at_cycle, .. }
-            | SimError::CycleLimit { at_cycle }
-            | SimError::PcOutOfRange { at_cycle, .. }
-            | SimError::Stalled { at_cycle, .. }
-            | SimError::Protocol { at_cycle, .. } => {
-                if *at_cycle == 0 {
-                    *at_cycle = cycle;
-                }
-            }
-            SimError::InvalidConfig { .. } => {}
-        }
-        self
-    }
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::MemOutOfBounds { pc, addr, at_cycle } => write!(
-                f,
-                "memory access at word {addr:#x} out of bounds (pc {pc}, cycle {at_cycle})"
-            ),
-            SimError::BadInstruction { pc, what, at_cycle } => {
-                write!(f, "{what} at pc {pc} (cycle {at_cycle})")
-            }
-            SimError::CycleLimit { at_cycle } => write!(f, "cycle limit hit at {at_cycle}"),
-            SimError::PcOutOfRange { pc, at_cycle } => {
-                write!(f, "pc {pc} out of range (cycle {at_cycle})")
-            }
-            SimError::Stalled {
-                at_cycle,
-                last_retired,
-            } => write!(
-                f,
-                "no forward progress: watchdog fired at cycle {at_cycle} \
-                 ({last_retired} instructions retired)"
-            ),
-            SimError::Protocol { what, at_cycle } => {
-                write!(f, "protocol invariant broken: {what} (cycle {at_cycle})")
-            }
-            SimError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-/// Typed status of a [`RunOutcome`]: how the run ended.
-///
-/// Replaces the old `Result<RunReport, FailedRun>` pair (and the
-/// `Done`/`Paused` enum `run_until` used to return) with one surface:
-/// every way a run can stop is a variant here, and the partial report
-/// travels alongside in the [`RunOutcome`] rather than inside an error
-/// type.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunStatus {
-    /// The program reached `halt`; the report is complete.
-    Completed,
-    /// [`Machine::run_until`] paused at the first quiescent cycle at or
-    /// after the requested pause point; [`Machine::checkpoint`] can
-    /// snapshot the machine, or the run can simply continue.
-    Paused {
-        /// Cycle the machine paused on.
-        at_cycle: u64,
-    },
-    /// The run stopped on a typed error ([`SimError::cycle`] gives the
-    /// failure cycle); the report is partial, as of that cycle.
-    Failed(SimError),
-}
-
-/// Everything [`Machine::run`] / [`Machine::run_until`] reports: a
-/// typed [`RunStatus`] plus the [`RunReport`] — complete on success,
-/// partial at a pause or failure — so a swept or faulted run that
-/// times out still yields its counters, spawn log and utilization.
-///
-/// Subsumes the old `RunReport`-on-`Ok` / `FailedRun`-on-`Err` pair:
-/// one value, with combinators for the common call shapes
-/// ([`RunOutcome::expect`], [`RunOutcome::unwrap`],
-/// [`RunOutcome::into_result`]).
-#[derive(Debug, Clone)]
-#[must_use = "a RunOutcome may carry a failure; check its status"]
-pub struct RunOutcome {
-    /// How the run ended.
-    pub status: RunStatus,
-    /// The run's report — complete when `status` is
-    /// [`RunStatus::Completed`], otherwise partial as of the pause or
-    /// failure cycle.
-    pub report: RunReport,
-}
-
-impl RunOutcome {
-    /// True when the program ran to `halt`.
-    pub fn is_completed(&self) -> bool {
-        matches!(self.status, RunStatus::Completed)
-    }
-
-    /// True when the run paused at a quiescent cycle (only
-    /// [`Machine::run_until`] produces this).
-    pub fn is_paused(&self) -> bool {
-        matches!(self.status, RunStatus::Paused { .. })
-    }
-
-    /// The typed error, when the run failed.
-    pub fn error(&self) -> Option<&SimError> {
-        match &self.status {
-            RunStatus::Failed(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The cycle the outcome was decided on: the failure cycle, the
-    /// pause cycle, or the final cycle of a completed run.
-    pub fn at_cycle(&self) -> u64 {
-        match &self.status {
-            RunStatus::Completed => self.report.stats.cycles,
-            RunStatus::Paused { at_cycle } => *at_cycle,
-            RunStatus::Failed(e) => e.cycle(),
-        }
-    }
-
-    /// The completed report, or a panic naming `what` and the error —
-    /// the moral equivalent of `Result::expect` for call sites that
-    /// treat anything but completion as a bug.
-    #[track_caller]
-    pub fn expect(self, what: &str) -> RunReport {
-        match self.status {
-            RunStatus::Completed => self.report,
-            RunStatus::Paused { at_cycle } => {
-                panic!("{what}: run paused at cycle {at_cycle}")
-            }
-            RunStatus::Failed(e) => panic!("{what}: {e}"),
-        }
-    }
-
-    /// The completed report, or a panic carrying the error.
-    #[track_caller]
-    pub fn unwrap(self) -> RunReport {
-        self.expect("run did not complete")
-    }
-
-    /// Split back into the old `Result` shape for `?`-style callers:
-    /// a failure becomes `Err` with its typed error, anything else
-    /// (completed *or* paused) yields the report.
-    pub fn into_result(self) -> Result<RunReport, SimError> {
-        match self.status {
-            RunStatus::Failed(e) => Err(e),
-            _ => Ok(self.report),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     cluster: usize,
@@ -441,144 +214,6 @@ enum Mode {
     Finished,
 }
 
-/// Counters accumulated over the whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MachineStats {
-    /// Cycle count.
-    pub cycles: u64,
-    /// The `instructions` value.
-    pub instructions: u64,
-    /// The `flops` value.
-    pub flops: u64,
-    /// The `mem_reads` value.
-    pub mem_reads: u64,
-    /// The `mem_writes` value.
-    pub mem_writes: u64,
-    /// The `threads` value.
-    pub threads: u64,
-    /// The `spawns` value.
-    pub spawns: u64,
-    /// Issue stalls by cause.
-    pub stall_scoreboard: u64,
-    /// The `stall_fpu` value.
-    pub stall_fpu: u64,
-    /// The `stall_mdu` value.
-    pub stall_mdu: u64,
-    /// The `stall_lsu` value.
-    pub stall_lsu: u64,
-}
-
-/// Per-spawn (per parallel section) statistics — the phase-level data
-/// behind the Roofline points of Fig. 3.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpawnStats {
-    /// Index of the spawn in program order.
-    pub index: usize,
-    /// Virtual threads executed.
-    pub threads: u64,
-    /// Machine cycle the spawn instruction issued on (start of the
-    /// broadcast) — positions the phase on a trace timeline.
-    pub start_cycle: u64,
-    /// Wall cycles from spawn start to the barrier completing.
-    pub cycles: u64,
-    /// The `instructions` value.
-    pub instructions: u64,
-    /// The `flops` value.
-    pub flops: u64,
-    /// The `mem_reads` value.
-    pub mem_reads: u64,
-    /// The `mem_writes` value.
-    pub mem_writes: u64,
-    /// Bytes actually transferred on the DRAM channels.
-    pub dram_bytes: u64,
-    /// Scoreboard stall cycles accrued inside this section.
-    pub stall_scoreboard: u64,
-    /// FPU-port stall cycles accrued inside this section.
-    pub stall_fpu: u64,
-    /// MDU-port stall cycles accrued inside this section.
-    pub stall_mdu: u64,
-    /// LSU/NoC/memory stall cycles accrued inside this section.
-    pub stall_lsu: u64,
-}
-
-impl SpawnStats {
-    /// Achieved GFLOPS (actual FLOP count) at `clock_ghz`.
-    pub fn gflops(&self, clock_ghz: f64) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.flops as f64 * clock_ghz / self.cycles as f64
-    }
-
-    /// Operational intensity in FLOPs per DRAM byte.
-    pub fn intensity(&self) -> f64 {
-        if self.dram_bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.flops as f64 / self.dram_bytes as f64
-    }
-}
-
-/// Post-run utilization snapshot (see [`Machine::utilization`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct UtilizationReport {
-    /// Instructions issued by each cluster.
-    pub cluster_instr: Vec<u64>,
-    /// Cache-bank accesses per memory module.
-    pub module_accesses: Vec<u64>,
-    /// Cache hit rate per module (1.0 when untouched).
-    pub module_hit_rate: Vec<f64>,
-    /// Fraction of cycles each DRAM channel was busy.
-    pub channel_busy: Vec<f64>,
-    /// FLOPs issued / (cycles × FPUs): compute-ceiling utilization.
-    pub fpu_utilization: f64,
-}
-
-impl UtilizationReport {
-    /// Max/mean ratio of per-cluster instruction counts (1.0 = perfect
-    /// load balance; the XMT thread scheduler should keep this low).
-    pub fn cluster_imbalance(&self) -> f64 {
-        let max = self.cluster_instr.iter().copied().max().unwrap_or(0) as f64;
-        let sum: u64 = self.cluster_instr.iter().sum();
-        let mean = sum as f64 / self.cluster_instr.len().max(1) as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-
-    /// Max/mean ratio of per-module access counts (address hashing
-    /// should keep this near 1).
-    pub fn module_imbalance(&self) -> f64 {
-        let max = self.module_accesses.iter().copied().max().unwrap_or(0) as f64;
-        let sum: u64 = self.module_accesses.iter().sum();
-        let mean = sum as f64 / self.module_accesses.len().max(1) as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-}
-
-/// Everything a completed run reports: the overall counters, the
-/// per-phase (per-spawn) log behind the Roofline points of Fig. 3, and
-/// the component-utilization snapshot. One struct instead of the old
-/// `RunSummary` + separate `Machine::utilization()` accessor, so every
-/// caller — benches, tables, tests — gets the whole picture from
-/// [`Machine::run`] in one move.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Accumulated statistics.
-    pub stats: MachineStats,
-    /// The `spawns` value.
-    pub spawns: Vec<SpawnStats>,
-    /// Per-component utilization (cluster issue balance, module cache
-    /// behaviour, DRAM-channel occupancy, FPU-ceiling fraction).
-    pub utilization: UtilizationReport,
-}
-
 struct SpawnTracker {
     index: usize,
     start_cycle: u64,
@@ -613,106 +248,6 @@ pub enum Engine {
         /// the cluster count).
         threads: usize,
     },
-}
-
-/// A matured reply headed for a TCU (cluster, tcu, kind, value).
-struct ReplyDelivery {
-    cluster: usize,
-    tcu: usize,
-    kind: TxnKind,
-    value: u32,
-}
-
-/// Result of scanning one cluster for fast-forward eligibility.
-#[derive(Debug, Clone, Copy)]
-struct ClusterScan {
-    /// Some TCU could issue (or fault) next cycle — cannot skip.
-    issue_next: bool,
-    /// Earliest `busy_until` among latency-stalled TCUs (`u64::MAX`
-    /// when none).
-    min_busy: u64,
-    /// TCUs that would burn a scoreboard-stall per skipped cycle.
-    blocked_scoreboard: u64,
-    /// TCUs that would burn an LSU-stall per skipped cycle (at the
-    /// outstanding-transaction cap).
-    blocked_lsu: u64,
-    /// Idle TCUs (would activate if thread IDs remained).
-    idle: u64,
-}
-
-/// Scan a cluster as it would be seen at the top of cycle `next`:
-/// classify every TCU as issuing, latency-stalled, scoreboard-stalled,
-/// LSU-capped, silently waiting (join with posted stores) or idle.
-/// Mirrors the issue tests of `step_cluster` exactly; any instruction
-/// that would issue *or fault* reports `issue_next` so the per-cycle
-/// path keeps sole ownership of side effects and errors.
-///
-/// With `COMPLETE` the scan visits every TCU — the threaded engine
-/// sizes thread-ID grants from `idle`, so its counts must stay complete
-/// even once `issue_next` is set. The fast-forward engine only uses the
-/// counts when nothing issues, so it passes `COMPLETE = false` and the
-/// scan returns the moment `issue_next` is decided.
-fn scan_cluster<const COMPLETE: bool>(cluster: &[Tcu], next: u64) -> ClusterScan {
-    let mut scan = ClusterScan {
-        issue_next: false,
-        min_busy: u64::MAX,
-        blocked_scoreboard: 0,
-        blocked_lsu: 0,
-        idle: 0,
-    };
-    for tcu in cluster {
-        if !tcu.active {
-            // A disabled TCU never activates: it is not idle capacity,
-            // so thread-ID grant sizing must not count it.
-            if !tcu.disabled {
-                scan.idle += 1;
-            }
-            continue;
-        }
-        if tcu.busy_until > next {
-            scan.min_busy = scan.min_busy.min(tcu.busy_until);
-            continue;
-        }
-        if tcu.stuck {
-            // Stuck-at: active but never issues — no stall counter, no
-            // issue, no event. Only the watchdog ends this.
-            continue;
-        }
-        match tcu.cls {
-            IssueClass::Scoreboard => scan.blocked_scoreboard += 1,
-            IssueClass::Lsu if tcu.outstanding >= MAX_OUTSTANDING => {
-                scan.blocked_lsu += 1;
-            }
-            IssueClass::Join if tcu.outstanding > 0 => {
-                // Join waiting on posted stores is silent: no stall
-                // counter, no issue. The reply that unblocks it is a
-                // tracked memory event.
-            }
-            // Every other class issues or faults (port budgets start
-            // ≥1 per cluster, and a budget only empties on a cycle
-            // that issued — which this, by construction, is not).
-            _ => {
-                scan.issue_next = true;
-                if !COMPLETE {
-                    return scan;
-                }
-            }
-        }
-    }
-    scan
-}
-
-/// Memoized aggregate of a completed all-clusters fast-forward scan
-/// that found nothing able to issue or activate. Valid until any TCU
-/// mutates (an instruction issues, a thread activates, or a memory
-/// reply is applied) or the clock reaches `min_busy`; quiet steps and
-/// bulk skips preserve it, so memory-bound stretches pay for one
-/// O(clusters × TCUs) scan instead of one per quiet cycle.
-#[derive(Debug, Clone, Copy)]
-struct FfScanCache {
-    min_busy: u64,
-    blocked_scoreboard: u64,
-    blocked_lsu: u64,
 }
 
 /// The XMT machine. Built via [`MachineBuilder`].
@@ -830,15 +365,6 @@ pub struct Machine<P: Probe = NoProbe> {
     rr_synced: Vec<u64>,
 }
 
-/// Insert `idx` into a sorted active list if not already present.
-fn activate(list: &mut Vec<usize>, flags: &mut [bool], idx: usize) {
-    if !flags[idx] {
-        flags[idx] = true;
-        let pos = list.partition_point(|&x| x < idx);
-        list.insert(pos, idx);
-    }
-}
-
 /// Staged construction of a [`Machine`]: configuration, program,
 /// initial memory image, engine selection and probe registration in
 /// one chainable value, replacing the old `Machine::new(cfg, prog,
@@ -867,435 +393,6 @@ pub struct MachineBuilder {
     faults: FaultPlan,
     watchdog: Option<u64>,
     tier: TranslationTier,
-}
-
-impl MachineBuilder {
-    /// Start building a machine for `cfg` running `prog`. The memory
-    /// image starts empty; size it with [`MachineBuilder::mem_words`]
-    /// or implicitly via the `write_*` methods.
-    pub fn new(cfg: &XmtConfig, prog: Program) -> Self {
-        Self {
-            cfg: *cfg,
-            prog,
-            mem: Vec::new(),
-            engine: Engine::default(),
-            max_cycles: None,
-            faults: FaultPlan::default(),
-            watchdog: None,
-            tier: TranslationTier::default(),
-        }
-    }
-
-    /// Grow the memory image to at least `words` zeroed words.
-    pub fn mem_words(mut self, words: usize) -> Self {
-        if self.mem.len() < words {
-            self.mem.resize(words, 0);
-        }
-        self
-    }
-
-    /// Select the advance engine (default [`Engine::FastForward`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Select the execution tier (default [`TranslationTier::Block`],
-    /// the trace-cache replay path). [`TranslationTier::Interpreter`]
-    /// restores per-instruction dispatch; the two are bit-identical in
-    /// every architectural and statistical output, differing only in
-    /// host-side speed.
-    pub fn tier(mut self, tier: TranslationTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Override the runaway/deadlock cycle limit.
-    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
-        self.max_cycles = Some(max_cycles);
-        self
-    }
-
-    /// Override the watchdog no-progress horizon (default two million
-    /// cycles; see [`SimError::Stalled`]).
-    pub fn watchdog(mut self, horizon: u64) -> Self {
-        self.watchdog = Some(horizon);
-        self
-    }
-
-    /// Attach a deterministic [`FaultPlan`]. A benign plan (the
-    /// default) interposes nothing: the machine is bit-identical to one
-    /// built without faults.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Graceful-degradation shorthand: take whole clusters and DRAM
-    /// channels offline. Spawned threads remap around the dead clusters
-    /// and the address hash spreads lines over the surviving module
-    /// groups, so a correct program still produces correct output at
-    /// reduced throughput. Merges into the current fault plan.
-    pub fn degraded(mut self, dead_clusters: &[usize], dead_channels: &[usize]) -> Self {
-        for &c in dead_clusters {
-            self.faults.dead_clusters.push(c);
-        }
-        for &ch in dead_channels {
-            self.faults.dead_channels.push(ch);
-        }
-        self
-    }
-
-    /// Store an `f32` slice at word address `addr` (bit-cast), growing
-    /// the memory image to fit.
-    pub fn write_f32s(mut self, addr: usize, data: &[f32]) -> Self {
-        self = self.mem_words(addr + data.len());
-        for (i, &v) in data.iter().enumerate() {
-            self.mem[addr + i] = v.to_bits();
-        }
-        self
-    }
-
-    /// Store a `u32` slice at word address `addr`, growing the memory
-    /// image to fit.
-    pub fn write_u32s(mut self, addr: usize, data: &[u32]) -> Self {
-        self = self.mem_words(addr + data.len());
-        self.mem[addr..addr + data.len()].copy_from_slice(data);
-        self
-    }
-
-    /// Build an unprobed machine (the zero-overhead default). Panics on
-    /// an invalid fault plan; use [`MachineBuilder::try_build`] for a
-    /// typed error instead.
-    pub fn build(self) -> Machine {
-        self.try_build().expect("invalid machine configuration")
-    }
-
-    /// Build an unprobed machine, returning
-    /// [`SimError::InvalidConfig`] when the configuration or fault plan
-    /// is impossible (indices out of range, every TCU disabled, …).
-    pub fn try_build(self) -> Result<Machine, SimError> {
-        self.try_build_probed(NoProbe)
-    }
-
-    /// Build a machine with `probe` attached. Panicking sibling of
-    /// [`MachineBuilder::try_build_probed`].
-    pub fn build_probed<P: Probe>(self, probe: P) -> Machine<P> {
-        self.try_build_probed(probe)
-            .expect("invalid machine configuration")
-    }
-
-    /// Validate the fault plan against the configuration.
-    fn validate_faults(&self) -> Result<(), SimError> {
-        let f = &self.faults;
-        let err = |what| Err(SimError::InvalidConfig { what });
-        if f.dead_clusters.iter().any(|&c| c >= self.cfg.clusters) {
-            return err("dead cluster index out of range");
-        }
-        if f.dead_tcus
-            .iter()
-            .chain(&f.stuck_tcus)
-            .any(|id| id.cluster >= self.cfg.clusters || id.tcu >= self.cfg.tcus_per_cluster)
-        {
-            return err("faulted TCU index out of range");
-        }
-        if f.dead_channels
-            .iter()
-            .any(|&ch| ch >= self.cfg.dram_channels())
-        {
-            return err("dead DRAM channel index out of range");
-        }
-        let p_ok = |p: f64| (0.0..=1.0).contains(&p);
-        if !p_ok(f.dram_single) || !p_ok(f.dram_double) || !p_ok(f.noc_corrupt) {
-            return err("fault probability out of [0, 1]");
-        }
-        if !f.dead_channels.is_empty() {
-            if self.cfg.memory_modules > 64 {
-                return err("degraded placement requires \u{2264} 64 memory modules");
-            }
-            let mut dead = f.dead_channels.clone();
-            dead.sort_unstable();
-            dead.dedup();
-            if dead.len() >= self.cfg.dram_channels() {
-                return err("at least one DRAM channel must stay online");
-            }
-        }
-        // At least one TCU must be able to run threads.
-        let mut dead_clusters = f.dead_clusters.clone();
-        dead_clusters.sort_unstable();
-        dead_clusters.dedup();
-        let mut dead_tcus: Vec<(usize, usize)> = f
-            .dead_tcus
-            .iter()
-            .map(|id| (id.cluster, id.tcu))
-            .filter(|&(c, _)| !dead_clusters.contains(&c))
-            .collect();
-        dead_tcus.sort_unstable();
-        dead_tcus.dedup();
-        let total = self.cfg.clusters * self.cfg.tcus_per_cluster;
-        let dead = dead_clusters.len() * self.cfg.tcus_per_cluster + dead_tcus.len();
-        if dead >= total {
-            return err("every TCU is disabled");
-        }
-        Ok(())
-    }
-
-    /// Build a machine with `probe` attached. The probe's
-    /// [`Probe::bind`] runs here, before the first cycle, so ring
-    /// buffers are sized once and the hot path never allocates. With a
-    /// benign fault plan the constructed machine is bit-identical to
-    /// the pre-fault-injection simulator: no fault layer is interposed
-    /// anywhere.
-    pub fn try_build_probed<P: Probe>(self, mut probe: P) -> Result<Machine<P>, SimError> {
-        self.validate_faults()?;
-        let MachineBuilder {
-            cfg,
-            prog,
-            mem,
-            engine,
-            max_cycles,
-            faults,
-            watchdog,
-            tier,
-        } = self;
-        assert!(
-            cfg.tcus_per_cluster <= 64,
-            "the mask-accelerated issue loop packs a cluster into u64 \
-             bitmasks; configs beyond 64 TCUs per cluster are unsupported"
-        );
-        probe.bind(&cfg);
-        let next_sample = if P::ENABLED {
-            probe.interval().max(1)
-        } else {
-            u64::MAX
-        };
-        let topo = cfg.topology();
-        let reply_topo = if topo.is_nonblocking() {
-            Topology::pure_mot(cfg.memory_modules, cfg.clusters)
-        } else {
-            Topology::hybrid(
-                cfg.memory_modules,
-                cfg.clusters,
-                cfg.mot_levels,
-                cfg.butterfly_levels,
-            )
-        };
-        let modules = (0..cfg.memory_modules)
-            .map(|i| MemoryModule::new(i, cfg.cache))
-            .collect();
-        let mut channels: Vec<DramChannel> = (0..cfg.dram_channels())
-            .map(|_| DramChannel::new(cfg.dram))
-            .collect();
-        for (ch, channel) in channels.iter_mut().enumerate() {
-            if let Some(ecc) = faults.ecc_for_channel(ch) {
-                channel.enable_ecc(ecc);
-            }
-        }
-        // Dead DRAM channels take their whole memory-module group
-        // offline; the hash spreads lines over the survivors.
-        let offline_modules: Vec<usize> = faults
-            .dead_channels
-            .iter()
-            .flat_map(|&ch| ch * cfg.mm_per_dram_ctrl..(ch + 1) * cfg.mm_per_dram_ctrl)
-            .collect();
-        let hash = if offline_modules.is_empty() {
-            AddressHash::new(cfg.memory_modules, cfg.cache.line_words)
-        } else {
-            AddressHash::degraded(cfg.memory_modules, cfg.cache.line_words, &offline_modules)
-        };
-        let mut req_net = xmt_noc::build_network(topo);
-        let mut reply_net = xmt_noc::build_network(reply_topo);
-        if let Some(lf) = faults.req_net_faults() {
-            req_net = Box::new(FaultyNetwork::new(req_net, lf));
-        }
-        if let Some(lf) = faults.reply_net_faults() {
-            reply_net = Box::new(FaultyNetwork::new(reply_net, lf));
-        }
-        let decoded = DecodedProgram::new(&prog);
-        let trace = (tier == TranslationTier::Block)
-            .then(|| Box::new(TraceCache::new(&decoded, FPU_LATENCY, MDU_LATENCY)));
-        let has_global_ops = (0..prog.len())
-            .any(|pc| matches!(prog.fetch(pc), Instr::Ps { .. } | Instr::Sspawn { .. }));
-        let n_channels = channels.len();
-        let mut m = Machine {
-            prog,
-            mem,
-            gregs: [0; NUM_GREGS],
-            mtcu_rf: RegFile::new(0),
-            mode: Mode::Serial {
-                pc: 0,
-                resume_at: 0,
-            },
-            cycle: 0,
-            next_tid: 0,
-            spawn_count: 0,
-            spawn_entry: 0,
-            clusters: (0..cfg.clusters)
-                .map(|_| (0..cfg.tcus_per_cluster).map(|_| Tcu::idle()).collect())
-                .collect(),
-            cluster_rr: vec![0; cfg.clusters],
-            cluster_instr: vec![0; cfg.clusters],
-            req_net,
-            reply_net,
-            modules,
-            channels,
-            module_outbox: vec![VecDeque::new(); cfg.memory_modules],
-            hash,
-            txns: TxnSlab::new(),
-            max_cycles: max_cycles.unwrap_or(200_000_000),
-            watchdog: watchdog.unwrap_or(DEFAULT_WATCHDOG),
-            progress_cycle: 0,
-            progress_mark: 0,
-            stats: MachineStats::default(),
-            spawn_log: Vec::new(),
-            tracker: None,
-            engine,
-            decoded,
-            has_global_ops,
-            mem_clock: 0,
-            active_modules: Vec::new(),
-            module_active: vec![false; cfg.memory_modules],
-            active_channels: Vec::new(),
-            channel_active: vec![false; n_channels],
-            active_outboxes: Vec::new(),
-            outbox_active: vec![false; cfg.memory_modules],
-            masks: vec![ClusterMasks::new(cfg.tcus_per_cluster); cfg.clusters],
-            ff_cache: None,
-            scratch_replies: Vec::new(),
-            scratch_deliveries: Vec::new(),
-            scratch_creqs: Vec::new(),
-            scratch_resps: Vec::new(),
-            probe,
-            next_sample,
-            last_sample: 0,
-            trace,
-            par_active: Vec::new(),
-            pcyc: 0,
-            rr_synced: vec![0; cfg.clusters],
-            cfg,
-        };
-        for &c in &faults.dead_clusters {
-            for tcu in &mut m.clusters[c] {
-                tcu.disabled = true;
-            }
-            m.masks[c].disabled = ones(m.cfg.tcus_per_cluster);
-        }
-        for id in &faults.dead_tcus {
-            m.clusters[id.cluster][id.tcu].disabled = true;
-            m.masks[id.cluster].disabled |= 1u64 << id.tcu;
-        }
-        for id in &faults.stuck_tcus {
-            let tcu = &mut m.clusters[id.cluster][id.tcu];
-            if !tcu.disabled {
-                tcu.stuck = true;
-                m.masks[id.cluster].stuck |= 1u64 << id.tcu;
-            }
-        }
-        Ok(m)
-    }
-
-    /// Build a machine and restore `cp` into it, resuming the run the
-    /// checkpoint was taken from. The builder must describe the same
-    /// machine (config, program, fault plan) that produced the
-    /// checkpoint — geometry is validated, and the fault layers rewind
-    /// their deterministic streams to the saved cursors, so the resumed
-    /// run finishes with the same final cycle count and spawn digest as
-    /// the uninterrupted one under every engine.
-    pub fn resume(self, cp: &Checkpoint) -> Result<Machine, SimError> {
-        self.resume_probed(cp, NoProbe)
-    }
-
-    /// [`MachineBuilder::resume`] with `probe` attached. The probe's
-    /// sampling clock is aligned to the *next* interval boundary after
-    /// the checkpoint cycle (no catch-up samples for the skipped
-    /// prefix), and [`Probe::resync`] is called once with the restored
-    /// cumulative state so interval deltas continue from the
-    /// checkpoint — a *fresh* [`crate::IntervalProbe`] resumes as the
-    /// tail of the uninterrupted run's stream, with the interval the
-    /// checkpoint split accounting only its post-checkpoint fraction.
-    /// Re-attaching the paused machine's own probe
-    /// ([`Machine::into_probe`] +
-    /// [`IntervalProbe::into_carried`](crate::IntervalProbe::into_carried))
-    /// strengthens that to full bit-identity: the split interval's row
-    /// comes out exactly as the uninterrupted run would have emitted
-    /// it.
-    pub fn resume_probed<P: Probe>(
-        self,
-        cp: &Checkpoint,
-        probe: P,
-    ) -> Result<Machine<P>, SimError> {
-        let mut m = self.try_build_probed(probe)?;
-        let geometry_ok = cp.clusters as usize == m.cfg.clusters
-            && cp.tcus_per_cluster as usize == m.cfg.tcus_per_cluster
-            && cp.memory_modules as usize == m.cfg.memory_modules
-            && cp.dram_channels as usize == m.cfg.dram_channels()
-            && cp.prog_len as usize == m.prog.len()
-            && cp.gregs.len() == NUM_GREGS
-            && cp.mtcu_iregs.len() == 32
-            && cp.mtcu_fregs.len() == 32
-            && cp.cluster_rr.len() == m.cfg.clusters
-            && cp.cluster_instr.len() == m.cfg.clusters
-            && cp.modules.len() == m.cfg.memory_modules
-            && cp.channels.len() == m.cfg.dram_channels()
-            && cp.mem_clock <= cp.cycle;
-        if !geometry_ok {
-            return Err(SimError::InvalidConfig {
-                what: "checkpoint geometry does not match the machine",
-            });
-        }
-        m.mem = cp.mem.clone();
-        m.gregs.copy_from_slice(&cp.gregs);
-        for i in 0..32 {
-            m.mtcu_rf.write_i(ir(i), cp.mtcu_iregs[i]);
-            m.mtcu_rf.write_f(fr(i), f32::from_bits(cp.mtcu_fregs[i]));
-        }
-        m.cycle = cp.cycle;
-        m.next_tid = cp.next_tid;
-        m.spawn_count = cp.spawn_count;
-        m.spawn_entry = cp.spawn_entry as usize;
-        m.stats = cp.stats;
-        m.spawn_log = cp.spawn_log.clone();
-        m.cluster_rr = cp.cluster_rr.iter().map(|&r| r as usize).collect();
-        m.cluster_instr = cp.cluster_instr.clone();
-        m.mode = Mode::Serial {
-            pc: cp.pc as usize,
-            resume_at: cp.cycle + 1,
-        };
-        // Every memory-side component resumes on the clock it paused on
-        // (the butterfly NoC arbitrates by clock parity).
-        m.skip_memory(cp.mem_clock);
-        for module in &mut m.modules {
-            module.sync_to(cp.mem_clock);
-        }
-        for channel in &mut m.channels {
-            channel.sync_to(cp.mem_clock);
-        }
-        // The restored clock counts as fresh progress.
-        m.progress_cycle = cp.cycle;
-        m.progress_mark = cp.stats.instructions + cp.stats.threads;
-        m.last_sample = cp.cycle;
-        for (module, ms) in m.modules.iter_mut().zip(&cp.modules) {
-            let bank = module.bank_mut();
-            bank.restore_tags(&ms.tags);
-            bank.stats = ms.cache;
-            module.stats = ms.module;
-        }
-        for (channel, cs) in m.channels.iter_mut().zip(&cp.channels) {
-            channel.restore_state(cs.stats, cs.transfers);
-        }
-        m.req_net.restore_stats(cp.req_stats);
-        m.reply_net.restore_stats(cp.reply_stats);
-        if P::ENABLED {
-            // Jump the sampling clock past the restored prefix (else
-            // `poll_probe` would emit a catch-up sample for every
-            // boundary below `cp.cycle`) and re-prime the probe's
-            // delta baseline from the restored cumulative counters.
-            let iv = m.probe.interval().max(1);
-            m.next_sample = (cp.cycle / iv).saturating_add(1).saturating_mul(iv);
-            m.emit_sample_with(cp.cycle, true);
-        }
-        Ok(m)
-    }
 }
 
 impl<P: Probe> Machine<P> {
@@ -1661,162 +758,6 @@ impl<P: Probe> Machine<P> {
     /// journal) actually wants. Same quiescence requirement.
     pub fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, SimError> {
         Ok(self.checkpoint()?.to_bytes())
-    }
-
-    /// Move the clock from the end of a quiet cycle to just before the
-    /// next event, replicating the bulk effects per-cycle stepping
-    /// would have had: stall counters accrue per skipped cycle,
-    /// round-robin pointers advance, component clocks jump.
-    fn fast_forward(&mut self) {
-        let next = self.cycle + 1;
-        // The earliest cycle on which stepping could do something;
-        // capped so a totally event-free machine still trips the
-        // cycle-limit check exactly where the reference engine does,
-        // and so the watchdog fires on the identical cycle (a stuck
-        // TCU never issues, which a quiet-scan would skip past).
-        let mut horizon = (self.max_cycles + 1).min(self.watchdog_horizon());
-        let mut blocked_scoreboard = 0u64;
-        let mut blocked_lsu = 0u64;
-        let parallel = match self.mode {
-            Mode::Finished => return,
-            Mode::Serial { resume_at, .. } => {
-                if resume_at <= next {
-                    return; // the MTCU issues next cycle
-                }
-                horizon = horizon.min(resume_at);
-                false
-            }
-            Mode::Parallel { .. } => {
-                // A memoized scan stays exact while nothing that feeds
-                // it changed: issues/activations/replies invalidate it,
-                // and past `min_busy` a latency-stalled TCU wakes.
-                let agg = match self.ff_cache.filter(|c| next < c.min_busy) {
-                    Some(c) => c,
-                    None => {
-                        let mut agg = FfScanCache {
-                            min_busy: u64::MAX,
-                            blocked_scoreboard: 0,
-                            blocked_lsu: 0,
-                        };
-                        // With the tier on and thread IDs exhausted,
-                        // clusters off the worklist have no active TCUs:
-                        // nothing to issue, wake or attribute stalls to,
-                        // so the scan covers the worklist only.
-                        let members: Option<&[usize]> = (self.trace.is_some()
-                            && self.next_tid >= self.spawn_count)
-                            .then_some(self.par_active.as_slice());
-                        let n_scan = members.map_or(self.clusters.len(), |m| m.len());
-                        for i in 0..n_scan {
-                            let c = members.map_or(i, |m| m[i]);
-                            let scan = scan_cluster::<false>(&self.clusters[c], next);
-                            if scan.issue_next
-                                || (scan.idle > 0 && self.next_tid < self.spawn_count)
-                            {
-                                return; // someone issues or activates next cycle
-                            }
-                            agg.min_busy = agg.min_busy.min(scan.min_busy);
-                            agg.blocked_scoreboard += scan.blocked_scoreboard;
-                            agg.blocked_lsu += scan.blocked_lsu;
-                        }
-                        self.ff_cache = Some(agg);
-                        agg
-                    }
-                };
-                horizon = horizon.min(agg.min_busy);
-                blocked_scoreboard = agg.blocked_scoreboard;
-                blocked_lsu = agg.blocked_lsu;
-                true
-            }
-        };
-        if let Some(e) = self.memory_next_event() {
-            horizon = horizon.min(e);
-        }
-        if P::ENABLED {
-            // Sampling boundaries are events: stop the skip at the
-            // boundary so the probe records the same machine state
-            // per-cycle stepping would. Splitting a quiet skip is
-            // stats-invariant (stall accrual, wheel wakes and
-            // round-robin advance all split additively), so the run's
-            // aggregates — and the unprobed engine — are untouched.
-            horizon = horizon.min(self.next_sample.saturating_add(1));
-        }
-        if horizon <= next {
-            return;
-        }
-        let n = horizon - next;
-        self.skip_memory(n);
-        if parallel {
-            self.stats.stall_scoreboard += n * blocked_scoreboard;
-            self.stats.stall_lsu += n * blocked_lsu;
-            if self.trace.is_some() {
-                // Only worklist clusters can hold a non-empty wake
-                // wheel (inactive ⇒ empty, the worklist invariant), and
-                // the round-robin pointers catch up lazily via `pcyc`
-                // instead of an O(clusters) advance per skip.
-                let masks = &mut self.masks;
-                for &c in &self.par_active {
-                    masks[c].wake_through(next, n);
-                }
-                self.pcyc += n;
-            } else {
-                for m in &mut self.masks {
-                    m.wake_through(next, n);
-                }
-                let ntcus = self.cfg.tcus_per_cluster;
-                let adv = (n % ntcus as u64) as usize;
-                for rr in &mut self.cluster_rr {
-                    *rr = (*rr + adv) % ntcus;
-                }
-            }
-        }
-        self.cycle += n;
-        self.stats.cycles = self.cycle;
-        self.poll_probe();
-    }
-
-    /// Jump the memory side over `n` cycles in which (per
-    /// [`Machine::memory_next_event`]) nothing moves: both NoCs and the
-    /// active modules and channels skip; idle ones catch up lazily via
-    /// `sync_to` when work next reaches them.
-    fn skip_memory(&mut self, n: u64) {
-        self.req_net.skip_idle(n);
-        self.reply_net.skip_idle(n);
-        for &m in &self.active_modules {
-            self.modules[m].skip_idle(n);
-        }
-        for &c in &self.active_channels {
-            self.channels[c].skip_idle(n);
-        }
-        self.mem_clock += n;
-    }
-
-    /// Earliest machine-clock cycle at which the memory system can
-    /// change state on its own, or `None` when fully drained.
-    fn memory_next_event(&self) -> Option<u64> {
-        // A queued reply injection retries every cycle (it can be
-        // refused by backpressure, which mutates NoC stats).
-        if !self.active_outboxes.is_empty() {
-            return Some(self.cycle + 1);
-        }
-        let off = self.cycle - self.mem_clock;
-        let mut e = u64::MAX;
-        if let Some(x) = self.req_net.next_event() {
-            e = e.min(x + off);
-        }
-        if let Some(x) = self.reply_net.next_event() {
-            e = e.min(x + off);
-        }
-        for &m in &self.active_modules {
-            if let Some(x) = self.modules[m].next_event() {
-                e = e.min(x + off);
-            }
-        }
-        for &c in &self.active_channels {
-            if let Some(x) = self.channels[c].next_event() {
-                e = e.min(x + off);
-            }
-        }
-        (e != u64::MAX).then_some(e)
     }
 
     /// Per-spawn statistics accumulated so far. [`Machine::run`] moves
@@ -2292,221 +1233,6 @@ impl<P: Probe> Machine<P> {
                 })
             }
         }
-        Ok(())
-    }
-
-    /// Advance the NoC, memory modules, DRAM channels and replies.
-    fn step_memory_system(&mut self) -> Result<(), SimError> {
-        let mut replies = std::mem::take(&mut self.scratch_replies);
-        self.step_memory_system_collect(&mut replies)?;
-        if !replies.is_empty() {
-            // Replies clear scoreboard bits and drop outstanding
-            // counts, so any memoized quiet scan is stale.
-            self.ff_cache = None;
-        }
-        let Machine {
-            clusters,
-            masks,
-            decoded,
-            ..
-        } = self;
-        for r in replies.drain(..) {
-            let tcu = &mut clusters[r.cluster][r.tcu];
-            issue::apply_reply(tcu, &mut masks[r.cluster], r.tcu, r.kind, r.value, decoded);
-        }
-        self.scratch_replies = replies;
-        Ok(())
-    }
-
-    /// One memory-system cycle with matured replies pushed to `out`
-    /// instead of applied (the threaded engine routes them to the
-    /// worker that owns the target cluster). Only *active* modules,
-    /// channels and outboxes are visited; idle components are clock-
-    /// synced lazily when something arrives for them.
-    ///
-    /// Every NoC delivery must map to a live transaction; a dangling
-    /// tag (e.g. a fault layer exhausting its retry budget and
-    /// dropping a flit) is a broken protocol invariant and surfaces as
-    /// [`SimError::Protocol`] rather than a panic.
-    fn step_memory_system_collect(&mut self, out: &mut Vec<ReplyDelivery>) -> Result<(), SimError> {
-        self.mem_route_requests()?;
-        self.mem_step_modules();
-        self.mem_drain_collect(out)
-    }
-
-    /// Memory-cycle stage 1: request network → modules. The functional
-    /// effect happens here (arrival order at the home module defines
-    /// the memory order; kernels separate read and write sets between
-    /// barriers).
-    fn mem_route_requests(&mut self) -> Result<(), SimError> {
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
-        self.req_net.step_into(&mut deliveries);
-        for d in deliveries.drain(..) {
-            let Some(txn) = self.txns.get_mut(d.flit.tag) else {
-                return Err(SimError::Protocol {
-                    what: "request delivery for a dead transaction",
-                    at_cycle: 0,
-                });
-            };
-            match txn.kind {
-                TxnKind::LoadI(_) | TxnKind::LoadF(_) => {
-                    txn.value = self.mem[txn.addr as usize];
-                }
-                TxnKind::Store => {
-                    self.mem[txn.addr as usize] = txn.value;
-                }
-            }
-            let addr = txn.addr;
-            let is_write = matches!(txn.kind, TxnKind::Store);
-            if P::ENABLED {
-                // Oracle hook at the exact point that defines memory
-                // order. The issuing TCU still carries the thread's
-                // tid: a virtual thread only retires at `join` once
-                // its outstanding count drains to zero.
-                let (cluster, tcu) = (txn.cluster, txn.tcu);
-                let tid = self.clusters[cluster][tcu].rf.tid;
-                let spawn = self.tracker.as_ref().map(|t| t.index as u64);
-                self.probe.mem_access(spawn, tid, addr, is_write);
-            }
-            // The module is about to take its step for this memory
-            // cycle, so align it to the *previous* one.
-            self.modules[d.flit.dst].sync_to(self.mem_clock);
-            self.modules[d.flit.dst].enqueue(MemReq {
-                addr,
-                is_write,
-                tag: d.flit.tag,
-            });
-            activate(
-                &mut self.active_modules,
-                &mut self.module_active,
-                d.flit.dst,
-            );
-        }
-        self.scratch_deliveries = deliveries;
-        Ok(())
-    }
-
-    /// Memory-cycle stage 2: active modules service their queues and
-    /// emit DRAM requests (accumulated into `scratch_creqs`, in active-
-    /// module order) and replies (routed to the per-module outboxes).
-    /// The threaded engine replaces this stage with a work-stealing
-    /// pass over the same active list — each module's step is
-    /// independent, and the creq/outbox merge is re-serialized in
-    /// module order — so both paths leave identical state for
-    /// [`Machine::mem_drain_collect`].
-    fn mem_step_modules(&mut self) {
-        let mut creqs = std::mem::take(&mut self.scratch_creqs);
-        let mut resps = std::mem::take(&mut self.scratch_resps);
-        for &m in &self.active_modules {
-            self.modules[m].step(&mut creqs, &mut resps);
-            for resp in resps.drain(..) {
-                self.module_outbox[m].push_back(resp.req.tag);
-                activate(&mut self.active_outboxes, &mut self.outbox_active, m);
-            }
-        }
-        self.scratch_resps = resps;
-        self.scratch_creqs = creqs;
-        self.retire_inactive_modules();
-    }
-
-    /// Drop modules that went quiescent from the active list (shared
-    /// tail of the serial and threaded module-step stages).
-    fn retire_inactive_modules(&mut self) {
-        let module_active = &mut self.module_active;
-        let modules = &self.modules;
-        self.active_modules.retain(|&m| {
-            let still = modules[m].is_active();
-            module_active[m] = still;
-            still
-        });
-    }
-
-    /// Memory-cycle stage 3: DRAM channels, module fills, reply
-    /// injection and reply delivery. Consumes the channel requests
-    /// stage 2 left in `scratch_creqs`.
-    fn mem_drain_collect(&mut self, out: &mut Vec<ReplyDelivery>) -> Result<(), SimError> {
-        let mut creqs = std::mem::take(&mut self.scratch_creqs);
-        for cr in creqs.drain(..) {
-            let ch = cr.module / self.cfg.mm_per_dram_ctrl;
-            self.channels[ch].sync_to(self.mem_clock);
-            self.channels[ch].enqueue(DramReq {
-                tag: cr.module as u64,
-                ..cr.req
-            });
-            activate(&mut self.active_channels, &mut self.channel_active, ch);
-        }
-        self.scratch_creqs = creqs;
-        self.mem_clock += 1;
-        // DRAM channels → module fills.
-        for &ch in &self.active_channels {
-            if let Some(done) = self.channels[ch].step() {
-                let m = done.req.tag as usize;
-                // Post-step: both module and channel clocks now sit at
-                // the current memory cycle.
-                self.modules[m].sync_to(self.mem_clock);
-                self.modules[m].on_fill(done);
-                if self.modules[m].is_active() {
-                    activate(&mut self.active_modules, &mut self.module_active, m);
-                }
-            }
-        }
-        let channel_active = &mut self.channel_active;
-        let channels = &self.channels;
-        self.active_channels.retain(|&ch| {
-            let still = channels[ch].pending() > 0;
-            channel_active[ch] = still;
-            still
-        });
-        // Module outboxes → reply network (one injection per module
-        // port per cycle).
-        let outbox_active = &mut self.outbox_active;
-        let module_outbox = &mut self.module_outbox;
-        let reply_net = &mut self.reply_net;
-        let txns = &self.txns;
-        let mut dead_tag = false;
-        self.active_outboxes.retain(|&m| {
-            if let Some(&tag) = module_outbox[m].front() {
-                match txns.get(tag) {
-                    Some(txn) => {
-                        if reply_net.try_inject(Flit {
-                            src: m,
-                            dst: txn.cluster,
-                            tag,
-                        }) {
-                            module_outbox[m].pop_front();
-                        }
-                    }
-                    None => dead_tag = true,
-                }
-            }
-            let still = !module_outbox[m].is_empty();
-            outbox_active[m] = still;
-            still
-        });
-        if dead_tag {
-            return Err(SimError::Protocol {
-                what: "module reply for a dead transaction",
-                at_cycle: 0,
-            });
-        }
-        // Reply network → TCUs.
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
-        self.reply_net.step_into(&mut deliveries);
-        for d in deliveries.drain(..) {
-            let Some(txn) = self.txns.remove(d.flit.tag) else {
-                return Err(SimError::Protocol {
-                    what: "reply delivery for a dead transaction",
-                    at_cycle: 0,
-                });
-            };
-            out.push(ReplyDelivery {
-                cluster: txn.cluster,
-                tcu: txn.tcu,
-                kind: txn.kind,
-                value: txn.value,
-            });
-        }
-        self.scratch_deliveries = deliveries;
         Ok(())
     }
 

@@ -1,0 +1,258 @@
+//! The memory side of a machine cycle: request NoC → memory modules →
+//! DRAM channels → reply NoC → TCUs, stepping only the components that
+//! have work.
+
+use super::*;
+
+/// A matured reply headed for a TCU (cluster, tcu, kind, value).
+pub(super) struct ReplyDelivery {
+    pub(super) cluster: usize,
+    pub(super) tcu: usize,
+    pub(super) kind: TxnKind,
+    pub(super) value: u32,
+}
+
+/// Insert `idx` into a sorted active list if not already present.
+pub(super) fn activate(list: &mut Vec<usize>, flags: &mut [bool], idx: usize) {
+    if !flags[idx] {
+        flags[idx] = true;
+        let pos = list.partition_point(|&x| x < idx);
+        list.insert(pos, idx);
+    }
+}
+
+impl<P: Probe> Machine<P> {
+    /// Jump the memory side over `n` cycles in which (per
+    /// [`Machine::memory_next_event`]) nothing moves: both NoCs and the
+    /// active modules and channels skip; idle ones catch up lazily via
+    /// `sync_to` when work next reaches them.
+    pub(super) fn skip_memory(&mut self, n: u64) {
+        self.req_net.skip_idle(n);
+        self.reply_net.skip_idle(n);
+        for &m in &self.active_modules {
+            self.modules[m].skip_idle(n);
+        }
+        for &c in &self.active_channels {
+            self.channels[c].skip_idle(n);
+        }
+        self.mem_clock += n;
+    }
+
+    /// Advance the NoC, memory modules, DRAM channels and replies.
+    pub(super) fn step_memory_system(&mut self) -> Result<(), SimError> {
+        let mut replies = std::mem::take(&mut self.scratch_replies);
+        self.step_memory_system_collect(&mut replies)?;
+        if !replies.is_empty() {
+            // Replies clear scoreboard bits and drop outstanding
+            // counts, so any memoized quiet scan is stale.
+            self.ff_cache = None;
+        }
+        let Machine {
+            clusters,
+            masks,
+            decoded,
+            ..
+        } = self;
+        for r in replies.drain(..) {
+            let tcu = &mut clusters[r.cluster][r.tcu];
+            issue::apply_reply(tcu, &mut masks[r.cluster], r.tcu, r.kind, r.value, decoded);
+        }
+        self.scratch_replies = replies;
+        Ok(())
+    }
+
+    /// One memory-system cycle with matured replies pushed to `out`
+    /// instead of applied (the threaded engine routes them to the
+    /// worker that owns the target cluster). Only *active* modules,
+    /// channels and outboxes are visited; idle components are clock-
+    /// synced lazily when something arrives for them.
+    ///
+    /// Every NoC delivery must map to a live transaction; a dangling
+    /// tag (e.g. a fault layer exhausting its retry budget and
+    /// dropping a flit) is a broken protocol invariant and surfaces as
+    /// [`SimError::Protocol`] rather than a panic.
+    fn step_memory_system_collect(&mut self, out: &mut Vec<ReplyDelivery>) -> Result<(), SimError> {
+        self.mem_route_requests()?;
+        self.mem_step_modules();
+        self.mem_drain_collect(out)
+    }
+
+    /// Memory-cycle stage 1: request network → modules. The functional
+    /// effect happens here (arrival order at the home module defines
+    /// the memory order; kernels separate read and write sets between
+    /// barriers).
+    pub(super) fn mem_route_requests(&mut self) -> Result<(), SimError> {
+        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
+        self.req_net.step_into(&mut deliveries);
+        for d in deliveries.drain(..) {
+            let Some(txn) = self.txns.get_mut(d.flit.tag) else {
+                return Err(SimError::Protocol {
+                    what: "request delivery for a dead transaction",
+                    at_cycle: 0,
+                });
+            };
+            match txn.kind {
+                TxnKind::LoadI(_) | TxnKind::LoadF(_) => {
+                    txn.value = self.mem[txn.addr as usize];
+                }
+                TxnKind::Store => {
+                    self.mem[txn.addr as usize] = txn.value;
+                }
+            }
+            let addr = txn.addr;
+            let is_write = matches!(txn.kind, TxnKind::Store);
+            if P::ENABLED {
+                // Oracle hook at the exact point that defines memory
+                // order. The issuing TCU still carries the thread's
+                // tid: a virtual thread only retires at `join` once
+                // its outstanding count drains to zero.
+                let (cluster, tcu) = (txn.cluster, txn.tcu);
+                let tid = self.clusters[cluster][tcu].rf.tid;
+                let spawn = self.tracker.as_ref().map(|t| t.index as u64);
+                self.probe.mem_access(spawn, tid, addr, is_write);
+            }
+            // The module is about to take its step for this memory
+            // cycle, so align it to the *previous* one.
+            self.modules[d.flit.dst].sync_to(self.mem_clock);
+            self.modules[d.flit.dst].enqueue(MemReq {
+                addr,
+                is_write,
+                tag: d.flit.tag,
+            });
+            activate(
+                &mut self.active_modules,
+                &mut self.module_active,
+                d.flit.dst,
+            );
+        }
+        self.scratch_deliveries = deliveries;
+        Ok(())
+    }
+
+    /// Memory-cycle stage 2: active modules service their queues and
+    /// emit DRAM requests (accumulated into `scratch_creqs`, in active-
+    /// module order) and replies (routed to the per-module outboxes).
+    /// The threaded engine replaces this stage with a work-stealing
+    /// pass over the same active list — each module's step is
+    /// independent, and the creq/outbox merge is re-serialized in
+    /// module order — so both paths leave identical state for
+    /// [`Machine::mem_drain_collect`].
+    pub(super) fn mem_step_modules(&mut self) {
+        let mut creqs = std::mem::take(&mut self.scratch_creqs);
+        let mut resps = std::mem::take(&mut self.scratch_resps);
+        for &m in &self.active_modules {
+            self.modules[m].step(&mut creqs, &mut resps);
+            for resp in resps.drain(..) {
+                self.module_outbox[m].push_back(resp.req.tag);
+                activate(&mut self.active_outboxes, &mut self.outbox_active, m);
+            }
+        }
+        self.scratch_resps = resps;
+        self.scratch_creqs = creqs;
+        self.retire_inactive_modules();
+    }
+
+    /// Drop modules that went quiescent from the active list (shared
+    /// tail of the serial and threaded module-step stages).
+    pub(super) fn retire_inactive_modules(&mut self) {
+        let module_active = &mut self.module_active;
+        let modules = &self.modules;
+        self.active_modules.retain(|&m| {
+            let still = modules[m].is_active();
+            module_active[m] = still;
+            still
+        });
+    }
+
+    /// Memory-cycle stage 3: DRAM channels, module fills, reply
+    /// injection and reply delivery. Consumes the channel requests
+    /// stage 2 left in `scratch_creqs`.
+    pub(super) fn mem_drain_collect(
+        &mut self,
+        out: &mut Vec<ReplyDelivery>,
+    ) -> Result<(), SimError> {
+        let mut creqs = std::mem::take(&mut self.scratch_creqs);
+        for cr in creqs.drain(..) {
+            let ch = cr.module / self.cfg.mm_per_dram_ctrl;
+            self.channels[ch].sync_to(self.mem_clock);
+            self.channels[ch].enqueue(DramReq {
+                tag: cr.module as u64,
+                ..cr.req
+            });
+            activate(&mut self.active_channels, &mut self.channel_active, ch);
+        }
+        self.scratch_creqs = creqs;
+        self.mem_clock += 1;
+        // DRAM channels → module fills.
+        for &ch in &self.active_channels {
+            if let Some(done) = self.channels[ch].step() {
+                let m = done.req.tag as usize;
+                // Post-step: both module and channel clocks now sit at
+                // the current memory cycle.
+                self.modules[m].sync_to(self.mem_clock);
+                self.modules[m].on_fill(done);
+                if self.modules[m].is_active() {
+                    activate(&mut self.active_modules, &mut self.module_active, m);
+                }
+            }
+        }
+        let channel_active = &mut self.channel_active;
+        let channels = &self.channels;
+        self.active_channels.retain(|&ch| {
+            let still = channels[ch].pending() > 0;
+            channel_active[ch] = still;
+            still
+        });
+        // Module outboxes → reply network (one injection per module
+        // port per cycle).
+        let outbox_active = &mut self.outbox_active;
+        let module_outbox = &mut self.module_outbox;
+        let reply_net = &mut self.reply_net;
+        let txns = &self.txns;
+        let mut dead_tag = false;
+        self.active_outboxes.retain(|&m| {
+            if let Some(&tag) = module_outbox[m].front() {
+                match txns.get(tag) {
+                    Some(txn) => {
+                        if reply_net.try_inject(Flit {
+                            src: m,
+                            dst: txn.cluster,
+                            tag,
+                        }) {
+                            module_outbox[m].pop_front();
+                        }
+                    }
+                    None => dead_tag = true,
+                }
+            }
+            let still = !module_outbox[m].is_empty();
+            outbox_active[m] = still;
+            still
+        });
+        if dead_tag {
+            return Err(SimError::Protocol {
+                what: "module reply for a dead transaction",
+                at_cycle: 0,
+            });
+        }
+        // Reply network → TCUs.
+        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
+        self.reply_net.step_into(&mut deliveries);
+        for d in deliveries.drain(..) {
+            let Some(txn) = self.txns.remove(d.flit.tag) else {
+                return Err(SimError::Protocol {
+                    what: "reply delivery for a dead transaction",
+                    at_cycle: 0,
+                });
+            };
+            out.push(ReplyDelivery {
+                cluster: txn.cluster,
+                tcu: txn.tcu,
+                kind: txn.kind,
+                value: txn.value,
+            });
+        }
+        self.scratch_deliveries = deliveries;
+        Ok(())
+    }
+}
