@@ -73,9 +73,10 @@ echo "== fault smoke: sweep + checkpoint round-trip =="
 # rates, degraded topologies and a watchdog-tripping stuck TCU; the
 # fault_resilience suite (rerun explicitly here as the resilience gate)
 # covers seeded replay on generated programs and checkpoint/restore
-# equivalence on every golden case.
+# equivalence on every golden case — and, sliced eight ways, on every
+# paper-scale case (the dense one is #[ignore]d out of the debug suite).
 cargo run --release -p xmt-bench --bin fault_sweep
-cargo test --release -p xmt-integration --test fault_resilience -q
+cargo test --release -p xmt-integration --test fault_resilience -q -- --include-ignored
 
 echo "== job server smoke: preemption, cache identity, worker kill =="
 # The simulation-as-a-service gate (DESIGN.md §16): submits the five
@@ -104,5 +105,13 @@ echo "== network smoke: TCP protocol, WAL crash recovery, quotas, backpressure =
 cargo test --release -p xmt-integration --test wire_properties -q
 cargo test --release -p xmt-integration --test net_service -q
 cargo test --release -p xmt-server --test crash_restart -q
+
+echo "== repository benchmark: smoke run of every workload, traced =="
+# benchmark/ (BENCHMARK.json) in ~20 s with tiny op counts: every
+# workload's cycles, spawn digest and result bytes are checked against
+# BENCH_sim.json / a direct run, the traced passes exercise every
+# per-layer metric, and the service's sliced (checkpoint/resume) path
+# must agree with an uninterrupted run.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke --traced
 
 echo "ci.sh: all green"

@@ -25,12 +25,18 @@
 //!
 //! With `--check`, after measuring, the run fails (exit 1) if any
 //! workload's fresh fast-forward speedup falls below 1.0× or if a
-//! workload's simulated cycle count differs from the committed
-//! baseline — CI wires this to `BENCH_sim.json` so an engine change
-//! cannot silently regress the default engine or the golden cycle
-//! counts. The unprobed fast-forward throughput must also stay within
-//! a (generous) factor of the baseline's, so probe hooks cannot creep
-//! into the `NoProbe` hot path unnoticed.
+//! workload's simulated cycle count (or, for the scaling cases, spawn
+//! digest) differs from the committed baseline — CI wires this to
+//! `BENCH_sim.json` so an engine change cannot silently regress the
+//! default engine or the golden cycle counts. The unprobed fast-forward
+//! throughput must also stay within a (generous) factor of the
+//! baseline's, so probe hooks cannot creep into the `NoProbe` hot path
+//! unnoticed. Throughput is only comparable between hosts with the same
+//! core count (the threaded engine sizes its worker pool from it): when
+//! the baseline's `host_threads` differs from this host's, cycle counts
+//! and digests are still checked, but the cycles/s floor and the
+//! Threaded gate are *not applied* and the run fails with a message
+//! asking for the baseline to be re-recorded here.
 //!
 //! With `--engine <name>` (reference | fast_forward | threaded), only
 //! that engine is measured. No JSON is written and no cross-engine
@@ -129,34 +135,53 @@ fn measure(case: &golden::GoldenCase, engine: Engine) -> (u64, u64, f64) {
     (cycles, digest, best)
 }
 
-/// Extract `"field": <digits>` following `"name": "<workload>"` from a
-/// baseline JSON, with no JSON dependency (the file is written by this
-/// binary, so the shape is known).
-fn baseline_u64(baseline: &str, workload: &str, field: &str) -> Option<u64> {
+/// The part of a baseline JSON from `"name": "<workload>"` on. No JSON
+/// dependency: the file is written by this binary, so the shape is
+/// known.
+fn workload_tail<'a>(baseline: &'a str, workload: &str) -> Option<&'a str> {
     let start = baseline.find(&format!("\"name\": \"{workload}\""))?;
-    let tail = &baseline[start..];
-    let f = tail.find(&format!("\"{field}\":"))?;
-    let digits: String = tail[f..]
+    Some(&baseline[start..])
+}
+
+/// The first run of digits in `radix` after `key` in `text`.
+fn number_after(text: &str, key: &str, radix: u32) -> Option<u64> {
+    let tail = &text[text.find(key)? + key.len()..];
+    let digits: String = tail
         .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(char::is_ascii_digit)
+        .skip_while(|c| !c.is_digit(radix))
+        .take_while(|c| c.is_digit(radix))
         .collect();
-    digits.parse().ok()
+    u64::from_str_radix(&digits, radix).ok()
+}
+
+/// `"field": <digits>` of a baseline workload.
+fn baseline_u64(baseline: &str, workload: &str, field: &str) -> Option<u64> {
+    number_after(
+        workload_tail(baseline, workload)?,
+        &format!("\"{field}\":"),
+        10,
+    )
+}
+
+/// The baseline's `spawn_digest` for a scaling workload.
+fn baseline_digest(baseline: &str, workload: &str) -> Option<u64> {
+    number_after(
+        workload_tail(baseline, workload)?,
+        "\"spawn_digest\": \"0x",
+        16,
+    )
+}
+
+/// The `host_threads` the baseline was recorded with.
+fn baseline_host_threads(baseline: &str) -> Option<u64> {
+    number_after(baseline, "\"host_threads\":", 10)
 }
 
 /// The baseline's fast-forward `cycles_per_second` for a workload.
 fn baseline_ff_rate(baseline: &str, workload: &str) -> Option<u64> {
-    let start = baseline.find(&format!("\"name\": \"{workload}\""))?;
-    let tail = &baseline[start..];
-    let ff = tail.find("\"fast_forward\":")?;
-    let tail = &tail[ff..];
-    let f = tail.find("\"cycles_per_second\":")?;
-    let digits: String = tail[f..]
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+    let tail = workload_tail(baseline, workload)?;
+    let ff = &tail[tail.find("\"fast_forward\":")?..];
+    number_after(ff, "\"cycles_per_second\":", 10)
 }
 
 /// Unprobed throughput may not fall below this fraction of the
@@ -628,6 +653,20 @@ fn main() {
 
     let mut failures = Vec::new();
     let host_threads = std::thread::available_parallelism().map_or(1, usize::from);
+    // Throughput floors only mean something against a baseline recorded
+    // on a host with the same core count.
+    let rates_comparable = match baseline.as_deref().map(baseline_host_threads) {
+        Some(recorded) if recorded != Some(host_threads as u64) => {
+            failures.push(format!(
+                "baseline was recorded with host_threads={} but this host has {host_threads}: \
+                 cycle counts and digests checked, cycles/s floors and the Threaded gate NOT \
+                 applied — re-record the baseline on this host",
+                recorded.map_or_else(|| "?".to_string(), |n| n.to_string())
+            ));
+            false
+        }
+        _ => true,
+    };
     let mut json = String::from("{\n  \"benchmark\": \"sim_throughput\",\n");
     writeln!(json, "  \"machine\": {{").unwrap();
     writeln!(json, "    \"host_threads\": {host_threads},").unwrap();
@@ -659,7 +698,7 @@ fn main() {
                 None => failures.push(format!("{}: missing from baseline", case.name)),
                 _ => {}
             }
-            if let Some(rate) = baseline_ff_rate(base, case.name) {
+            if let Some(rate) = baseline_ff_rate(base, case.name).filter(|_| rates_comparable) {
                 let floor = NOPROBE_RATE_FLOOR * rate as f64;
                 if rows[1].4 < floor {
                     failures.push(format!(
@@ -726,7 +765,7 @@ fn main() {
             let ref_rate = rows.iter().find(|r| r.0 == "reference").map(|r| r.4);
             if let (Some(rr), Some(thr)) = (ref_rate, rows.iter().find(|r| r.0 == "threaded")) {
                 let ratio = thr.4 / rr;
-                if ratio < SCALING_GATE_FLOOR {
+                if rates_comparable && ratio < SCALING_GATE_FLOOR {
                     failures.push(format!(
                         "{}: threaded {:.2}x reference < {SCALING_GATE_FLOOR}x floor \
                          — the sharded engine must win at paper scale",
@@ -741,6 +780,14 @@ fn main() {
                         case.name, rows[0].1
                     )),
                     None => failures.push(format!("{}: missing from baseline", case.name)),
+                    _ => {}
+                }
+                match baseline_digest(base, case.name) {
+                    Some(want) if want != rows[0].2 => failures.push(format!(
+                        "{}: spawn digest {:#018x} != baseline {want:#018x}",
+                        case.name, rows[0].2
+                    )),
+                    None => failures.push(format!("{}: no baseline spawn digest", case.name)),
                     _ => {}
                 }
             }

@@ -25,9 +25,9 @@ pub(super) struct ClusterScan {
 /// Scan a cluster as it would be seen at the top of cycle `next`:
 /// classify every TCU as issuing, latency-stalled, scoreboard-stalled,
 /// LSU-capped, silently waiting (join with posted stores) or idle.
-/// Mirrors the issue tests of `step_cluster` exactly; any instruction
-/// that would issue *or fault* reports `issue_next` so the per-cycle
-/// path keeps sole ownership of side effects and errors.
+/// Reads the memoized `IssueClass` the issue kernel dispatches on; any
+/// class that would issue *or fault* reports `issue_next`, so the
+/// kernel keeps sole ownership of side effects and errors.
 ///
 /// With `COMPLETE` the scan visits every TCU — the threaded engine
 /// sizes thread-ID grants from `idle`, so its counts must stay complete

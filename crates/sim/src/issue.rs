@@ -23,6 +23,7 @@
 //! engine's records it in the shard for the coordinator to replay.
 
 use super::{MachineStats, SimError};
+use crate::config::XmtConfig;
 use xmt_isa::block::{eval_branch_uop, exec_uop, MicroOp};
 use xmt_isa::decoded::{DecodedProgram, NUM_STEP_CLASSES};
 use xmt_isa::instr::{eval_branch, Instr};
@@ -355,12 +356,10 @@ pub(super) fn apply_reply(
 #[derive(Clone, Copy)]
 pub(super) struct IssueEnv<'a> {
     pub(super) decoded: &'a DecodedProgram,
-    pub(super) ntcus: usize,
-    pub(super) fpus: usize,
-    pub(super) mdus: usize,
-    pub(super) lsus: usize,
+    /// Cluster width and FPU/MDU/LSU ports per cluster.
+    pub(super) cfg: &'a XmtConfig,
     pub(super) mem_len: usize,
-    pub(super) hash: AddressHash,
+    pub(super) hash: &'a AddressHash,
     /// Entry pc of the current parallel section.
     pub(super) entry: usize,
     /// The cycle being stepped.
@@ -469,6 +468,24 @@ impl<S: IssueSink> Cx<'_, S> {
             Port::Fpu => self.stats.stall_fpu += n,
             Port::Mdu => self.stats.stall_mdu += n,
         }
+    }
+
+    /// Bulk arbitration of one shared port: it goes to the first
+    /// `budget` contenders in round-robin order from `start`; every
+    /// loser burns one stall, counted without a visit.
+    #[inline(always)]
+    fn arbitrate(&mut self, port: Port, contenders: u64, mut budget: usize, start: usize) {
+        let ntcus = self.env.cfg.tcus_per_cluster;
+        let mut rot = rr_rotate(contenders, start, ntcus);
+        while rot != 0 && budget > 0 {
+            budget -= 1;
+            self.port_issue(
+                rr_unrotate(rot.trailing_zeros() as usize, start, ntcus),
+                port,
+            );
+            rot &= rot - 1;
+        }
+        self.port_stall(port, u64::from(rot.count_ones()));
     }
 
     /// Resolve the branch or jump at TCU `t`.
@@ -595,22 +612,22 @@ impl<S: IssueSink> Cx<'_, S> {
         self.stats.instructions += n;
         self.sink.joined(n);
     }
+}
 
-    /// The typed error a `BadPc` or `Illegal` visit surfaces.
-    #[cold]
-    fn fault(&self, t: usize) -> SimError {
-        let pc = self.tcus[t].pc;
-        let at_cycle = self.env.cycle;
-        if pc >= self.env.decoded.len() {
-            return SimError::PcOutOfRange { pc, at_cycle };
-        }
-        let what = match self.env.decoded.fetch(pc).instr {
-            Instr::Spawn { .. } => "nested spawn",
-            Instr::Halt => "halt in parallel mode",
-            _ => "instruction illegal in parallel mode",
-        };
-        SimError::BadInstruction { pc, what, at_cycle }
+/// The typed error a `BadPc` or `Illegal` visit at `pc` surfaces. (A
+/// free function of scalars, so the cold path does not pin the hot
+/// loop's state in memory.)
+#[cold]
+fn fault(decoded: &DecodedProgram, pc: usize, at_cycle: u64) -> SimError {
+    if pc >= decoded.len() {
+        return SimError::PcOutOfRange { pc, at_cycle };
     }
+    let what = match decoded.fetch(pc).instr {
+        Instr::Spawn { .. } => "nested spawn",
+        Instr::Halt => "halt in parallel mode",
+        _ => "instruction illegal in parallel mode",
+    };
+    SimError::BadInstruction { pc, what, at_cycle }
 }
 
 /// True when the order in which this cluster's TCUs are visited can be
@@ -635,7 +652,7 @@ fn order_observable(m: &ClusterMasks, ready: u64, activations: bool) -> bool {
 /// pointer (advanced once per parallel cycle); `shortcuts` permits
 /// [`issue_bulk`] where legal — the reference engine passes `false`.
 /// Returns the number of instructions the cluster issued.
-#[inline]
+#[inline(always)]
 pub(super) fn step_cluster<S: IssueSink>(
     tcus: &mut [Tcu],
     m: &mut ClusterMasks,
@@ -647,13 +664,18 @@ pub(super) fn step_cluster<S: IssueSink>(
 ) -> Result<u64, SimError> {
     let instr_at_entry = stats.instructions;
     let start = *rr;
-    *rr = (start + 1) % env.ntcus;
+    *rr = (start + 1) % env.cfg.tcus_per_cluster;
     m.wake(env.cycle);
     let ready = m.active & !m.busy & !m.stuck;
     // Cycle-start masks decide activations exactly: a TCU that goes
     // idle mid-cycle (a join) has had its visit, and IDs minted
     // mid-cycle come from a ready `sspawn`, which forces the full walk.
-    let activations = sink.tids_remain() && !m.active & !m.disabled & ones(env.ntcus) != 0;
+    let activations =
+        sink.tids_remain() && !m.active & !m.disabled & ones(env.cfg.tcus_per_cluster) != 0;
+    if ready == 0 && !activations {
+        // Idle, or every thread latency-busy: no visit can do anything.
+        return Ok(0);
+    }
     let mut cx = Cx {
         tcus,
         m,
@@ -674,17 +696,18 @@ pub(super) fn step_cluster<S: IssueSink>(
 /// thread IDs mid-cycle, only ready TCUs are walked: the masks prove
 /// idle and latency-busy visits are no-ops, so their cache lines are
 /// never touched.
+#[inline(always)]
 fn issue_walk<S: IssueSink>(
     cx: &mut Cx<'_, S>,
     ready: u64,
     activations: bool,
     start: usize,
 ) -> Result<(), SimError> {
-    let ntcus = cx.env.ntcus;
+    let ntcus = cx.env.cfg.tcus_per_cluster;
     let cycle = cx.env.cycle;
-    let mut fpu_budget = cx.env.fpus;
-    let mut mdu_budget = cx.env.mdus;
-    let mut lsu_budget = cx.env.lsus;
+    let mut fpu_budget = cx.env.cfg.fpus_per_cluster;
+    let mut mdu_budget = cx.env.cfg.mdus_per_cluster;
+    let mut lsu_budget = cx.env.cfg.lsus_per_cluster;
     // Visit order, built without a per-TCU `% ntcus` (an integer
     // division the compiler cannot strength-reduce for a runtime
     // cluster width).
@@ -712,8 +735,9 @@ fn issue_walk<S: IssueSink>(
         // can pick up a thread in the same cycle; disabled TCUs never
         // do, stuck ones do and then hold it without issuing (only the
         // watchdog ends that).
-        if cx.m.active & bit == 0 {
-            if cx.m.disabled & bit != 0 {
+        let tcu = &cx.tcus[t];
+        if !tcu.active {
+            if tcu.disabled {
                 continue;
             }
             match cx.sink.next_tid() {
@@ -721,11 +745,14 @@ fn issue_walk<S: IssueSink>(
                 None => continue,
             }
         }
-        if cx.tcus[t].busy_until > cycle || cx.m.stuck & bit != 0 {
+        let tcu = &cx.tcus[t];
+        if tcu.busy_until > cycle || tcu.stuck {
             continue;
         }
-        match cx.tcus[t].cls {
-            IssueClass::BadPc | IssueClass::Illegal => return Err(cx.fault(t)),
+        match tcu.cls {
+            IssueClass::BadPc | IssueClass::Illegal => {
+                return Err(fault(cx.env.decoded, tcu.pc, cycle));
+            }
             IssueClass::Scoreboard => cx.stats.stall_scoreboard += 1,
             IssueClass::Alu => cx.compute(t, 0),
             IssueClass::Fpu if fpu_budget == 0 => cx.port_stall(Port::Fpu, 1),
@@ -742,6 +769,8 @@ fn issue_walk<S: IssueSink>(
             IssueClass::Lsu => cx.lsu(t, &mut lsu_budget)?,
             IssueClass::Branch => cx.branch(t),
             IssueClass::Ps => cx.global(t),
+            // The common visit while posted stores drain: skip `retire`.
+            IssueClass::Join if tcu.outstanding > 0 => {}
             IssueClass::Join => cx.retire(bit),
             IssueClass::Nop => cx.nop(t),
         }
@@ -754,8 +783,9 @@ fn issue_walk<S: IssueSink>(
 /// port winners are picked in round-robin order by rotate +
 /// trailing-zeros, and only TCUs that actually execute are
 /// dereferenced. Precondition: [`order_observable`] is false.
+#[inline(always)]
 fn issue_bulk<S: IssueSink>(cx: &mut Cx<'_, S>, ready: u64, start: usize) -> Result<(), SimError> {
-    let ntcus = cx.env.ntcus;
+    let ntcus = cx.env.cfg.tcus_per_cluster;
     // Snapshot the per-class ready sets before any issue mutates the
     // masks: a TCU's class is stable until its own visit (no cross-TCU
     // effect changes it inside a cluster cycle), so the snapshot is
@@ -792,27 +822,13 @@ fn issue_bulk<S: IssueSink>(cx: &mut Cx<'_, S>, ready: u64, start: usize) -> Res
         bits &= bits - 1;
     }
 
-    // FPU/MDU: the port goes to the first contenders in round-robin
-    // order; every loser burns one stall, counted without a visit.
-    for (port, contenders, mut budget) in
-        [(Port::Fpu, fpu, cx.env.fpus), (Port::Mdu, mdu, cx.env.mdus)]
-    {
-        let mut rot = rr_rotate(contenders, start, ntcus);
-        while rot != 0 && budget > 0 {
-            budget -= 1;
-            cx.port_issue(
-                rr_unrotate(rot.trailing_zeros() as usize, start, ntcus),
-                port,
-            );
-            rot &= rot - 1;
-        }
-        cx.port_stall(port, u64::from(rot.count_ones()));
-    }
+    cx.arbitrate(Port::Fpu, fpu, cx.env.cfg.fpus_per_cluster, start);
+    cx.arbitrate(Port::Mdu, mdu, cx.env.cfg.mdus_per_cluster, start);
 
     // LSU: same round-robin port arbitration; see `Cx::lsu` for the
     // outstanding cap and NoC backpressure.
     let mut rot = rr_rotate(lsu, start, ntcus);
-    let mut budget = cx.env.lsus;
+    let mut budget = cx.env.cfg.lsus_per_cluster;
     while rot != 0 {
         if budget == 0 {
             cx.stats.stall_lsu += u64::from(rot.count_ones());
@@ -981,14 +997,18 @@ mod tests {
                 }
                 tcus.push(tcu);
             }
+            let cfg = XmtConfig {
+                tcus_per_cluster: ntcus,
+                fpus_per_cluster: 1 + rng.below(4) as usize,
+                mdus_per_cluster: 1 + rng.below(2) as usize,
+                lsus_per_cluster: 1 + rng.below(4) as usize,
+                ..XmtConfig::xmt_4k()
+            };
             let env = IssueEnv {
                 decoded: &decoded,
-                ntcus,
-                fpus: 1 + rng.below(4) as usize,
-                mdus: 1 + rng.below(2) as usize,
-                lsus: 1 + rng.below(4) as usize,
+                cfg: &cfg,
                 mem_len: 1 << 12,
-                hash: AddressHash::new(16, 8),
+                hash: &AddressHash::new(16, 8),
                 entry: 0,
                 cycle,
             };

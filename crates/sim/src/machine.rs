@@ -176,6 +176,7 @@ impl IssueSink for Direct<'_> {
         self.gregs
     }
 
+    #[inline(always)]
     fn global_op(&mut self, ins: &Instr, rf: &mut RegFile) {
         match *ins {
             Instr::Ps { rd, inc, on } => {
@@ -930,7 +931,6 @@ impl<P: Probe> Machine<P> {
     /// One cluster's slice of a parallel cycle: the issue kernel
     /// ([`issue::step_cluster`]) over this machine's state, with every
     /// globally ordered effect applied on the spot by [`Direct`].
-    #[inline]
     fn step_cluster(&mut self, c: usize, shortcuts: bool) -> Result<(), SimError> {
         let Machine {
             cfg,
@@ -954,12 +954,9 @@ impl<P: Probe> Machine<P> {
         } = self;
         let env = IssueEnv {
             decoded,
-            ntcus: cfg.tcus_per_cluster,
-            fpus: cfg.fpus_per_cluster,
-            mdus: cfg.mdus_per_cluster,
-            lsus: cfg.lsus_per_cluster,
+            cfg,
             mem_len: mem.len(),
-            hash: *hash,
+            hash,
             entry: *spawn_entry,
             cycle: *cycle,
         };

@@ -227,15 +227,12 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
     .clamp(1, nclusters);
     let spawned = participants - 1;
     let ntcus = m.cfg.tcus_per_cluster;
-    let decoded = m.decoded.clone();
+    let (cfg, hash, decoded) = (m.cfg, m.hash, m.decoded.clone());
     let env = IssueEnv {
         decoded: &decoded,
-        ntcus,
-        fpus: m.cfg.fpus_per_cluster,
-        mdus: m.cfg.mdus_per_cluster,
-        lsus: m.cfg.lsus_per_cluster,
+        cfg: &cfg,
         mem_len: m.mem.len(),
-        hash: m.hash,
+        hash: &hash,
         entry: 0,
         cycle: 0,
     };
@@ -572,7 +569,7 @@ fn step_shard(
     pcyc: u64,
     delta: &mut MachineStats,
 ) {
-    let ntcus = sh.env.ntcus;
+    let ntcus = sh.env.cfg.tcus_per_cluster;
     let lag = (pcyc - shard.synced) % ntcus as u64;
     shard.rr = (shard.rr + lag as usize) % ntcus;
     shard.synced = pcyc + 1; // the step advances rr once more

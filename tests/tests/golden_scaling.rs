@@ -7,8 +7,9 @@
 //! every engine must reproduce them bit-for-bit.
 //!
 //! Debug builds simulate these machines slowly, so the default (tier-1)
-//! suite checks only the Threaded engine — the one whose sharded
-//! stepping is most at risk of drifting — on the three cheaper cases.
+//! suite checks one engine — Threaded, which exercises the coordinator's
+//! grant sizing and injection replay on top of the shared issue kernel —
+//! on the three cheaper cases.
 //! The dense 8k case and the Reference/FastForward engines run in
 //! release via `ci.sh` (`cargo test --release ... -- --ignored`), and
 //! `bench_sim --scaling` independently asserts three-engine identity on
