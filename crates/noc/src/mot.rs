@@ -108,7 +108,7 @@ impl Network for MotNetwork {
             injected_at: self.cycle,
         }));
         self.stats.injected += 1;
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight() + 1);
+        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight());
         true
     }
 
@@ -214,6 +214,26 @@ mod tests {
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].flit.tag, 1);
         assert_eq!(delivered[0].latency(), lat);
+    }
+
+    #[test]
+    fn peak_in_flight_counts_each_flit_once() {
+        let mut one = net(8, 8);
+        assert!(one.try_inject(Flit {
+            src: 0,
+            dst: 3,
+            tag: 0
+        }));
+        assert_eq!(one.stats.peak_in_flight, 1);
+        let mut many = net(8, 8);
+        for s in 0..5 {
+            assert!(many.try_inject(Flit {
+                src: s,
+                dst: 3,
+                tag: s as u64
+            }));
+        }
+        assert_eq!(many.stats.peak_in_flight, 5);
     }
 
     #[test]

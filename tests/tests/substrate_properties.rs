@@ -327,7 +327,7 @@ fn mot_16_is_pinned() {
     assert_eq!(refused, 0, "a MoT source port is never backpressured");
     assert_eq!(
         (hash, stats),
-        (2456153032161054724, net_stats(3523, 3523, 36730, 188, 3072))
+        (2456153032161054724, net_stats(3523, 3523, 36730, 187, 3072))
     );
 }
 
@@ -340,7 +340,7 @@ fn mot_256_hot_destination_is_pinned() {
         (hash, stats),
         (
             10019025269528492511,
-            net_stats(56837, 56837, 118953331, 8690, 49152)
+            net_stats(56837, 56837, 118953331, 8689, 49152)
         )
     );
 }
