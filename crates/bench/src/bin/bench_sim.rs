@@ -20,7 +20,7 @@
 //! ```text
 //! cargo run --release -p xmt-bench --bin bench_sim [out.json] \
 //!     [--check baseline.json] [--engine <name>] [--scaling] [--probe] \
-//!     [--faults] [--tier]
+//!     [--faults] [--tier] [--profile]
 //! ```
 //!
 //! With `--check`, after measuring, the run fails (exit 1) if any
@@ -80,10 +80,22 @@
 //! fast-forward throughput must reach [`TIER_GATE_FLOOR`] × tier-off
 //! on the paper-scale FFT workloads. No JSON is written in this mode.
 
+//!
+//! With `--profile`, every paper-scale workload runs once under
+//! fast-forward with the [`HostLayers`] ledger attached, and a
+//! `"layers"` line (host ns and share of `Machine::run` per
+//! [`HostLayer`]) is spliced into that workload's `scaling` row of the
+//! output file, which must already hold the row (`--scaling` writes
+//! them; rewriting them drops the line, so profile afterwards). Fails
+//! if the run's cycles or digest differ from the row's, or if the
+//! layers account for less than [`PROFILE_FLOOR`] of the run's wall
+//! time. The ledger's clock reads cost host time, so no rate in the
+//! file is ever measured with it attached.
+
 use std::fmt::Write as _;
 use std::time::Instant;
 use xmt_fft::golden;
-use xmt_sim::{Engine, FaultPlan, TranslationTier};
+use xmt_sim::{Engine, FaultPlan, HostLayer, HostLayers, TranslationTier};
 
 /// Keep sampling until this much measured time has accumulated.
 const TARGET_SECS: f64 = 0.25;
@@ -501,6 +513,91 @@ fn tier_check(baseline: Option<&str>) -> Vec<String> {
     failures
 }
 
+/// `--profile`: the layers must account for at least this much of
+/// `Machine::run`'s wall time.
+const PROFILE_FLOOR: f64 = 0.95;
+
+/// Put `line` into scaling row `name` of BENCH_sim.json `text`, directly
+/// before the row's `"engines"` line, replacing an earlier `"layers"`
+/// line there.
+fn splice_layers(text: &mut String, name: &str, line: &str) -> Result<(), String> {
+    let find = |text: &str, from: usize, what: &str| {
+        text[from..]
+            .find(what)
+            .map(|i| from + i)
+            .ok_or_else(|| format!("{name}: no {what} to splice the layers before"))
+    };
+    let scaling = find(text, 0, "\"scaling\"")?;
+    let row = find(text, scaling, &format!("\"name\": \"{name}\""))?;
+    let engines = find(text, row, "      \"engines\"")?;
+    let start = text[row..engines]
+        .find("      \"layers\"")
+        .map_or(engines, |i| row + i);
+    text.replace_range(start..engines, line);
+    Ok(())
+}
+
+/// `--profile`: the host-time ledger of every scaling case, spliced
+/// into `out_path` (see the module docs). Returns failure messages.
+fn profile(out_path: &str) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut text = std::fs::read_to_string(out_path)
+        .unwrap_or_else(|e| panic!("--profile splices into {out_path}: {e}"));
+    for case in golden::scaling_cases() {
+        let sim = case.sim_config().engine(Engine::FastForward);
+        // Warm-up, as every other measurement here.
+        case.builder_cfg(&sim)
+            .build()
+            .run()
+            .expect("golden case must complete");
+        let mut m = case.builder_cfg(&sim).build_probed(HostLayers::new());
+        let t0 = Instant::now();
+        let rep = m.run().expect("golden case must complete");
+        let run_ns = t0.elapsed().as_nanos() as u64;
+        let (cycles, digest) = (rep.stats.cycles, golden::spawn_digest(&rep));
+        if baseline_u64(&text, case.name, "simulated_cycles") != Some(cycles)
+            || baseline_digest(&text, case.name) != Some(digest)
+        {
+            failures.push(format!(
+                "{}: profiled run gave {cycles} cycles, digest {digest:#018x}; {out_path} differs",
+                case.name
+            ));
+        }
+        let ledger = *m.probe();
+        let accounted = ledger.total_ns() as f64 / run_ns as f64;
+        if accounted < PROFILE_FLOOR {
+            failures.push(format!(
+                "{}: layers account for {:.1}% of Machine::run < {:.0}%",
+                case.name,
+                accounted * 100.0,
+                PROFILE_FLOOR * 100.0
+            ));
+        }
+        let mut line =
+            format!("      \"layers\": {{ \"run_ns\": {run_ns}, \"accounted\": {accounted:.4}");
+        eprint!("{:18} {:>8.1} ms ", case.name, run_ns as f64 / 1e6);
+        for layer in HostLayer::ALL {
+            let ns = ledger.ns(layer);
+            let share = ns as f64 / run_ns as f64;
+            write!(
+                line,
+                ", \"{}\": {{ \"ns\": {ns}, \"share\": {share:.4} }}",
+                layer.name()
+            )
+            .unwrap();
+            eprint!(" {} {:.1}%", layer.name(), share * 100.0);
+        }
+        eprintln!();
+        line.push_str(" },\n");
+        if let Err(e) = splice_layers(&mut text, case.name, &line) {
+            failures.push(e);
+        }
+    }
+    std::fs::write(out_path, &text).expect("write BENCH_sim.json");
+    eprintln!("wrote {out_path}");
+    failures
+}
+
 /// One measured row: engine label, cycles, digest, best secs, rate.
 type Row = (&'static str, u64, u64, f64, f64);
 
@@ -578,6 +675,7 @@ fn main() {
     let fault_mode = args.iter().any(|a| a == "--faults");
     let tier_mode = args.iter().any(|a| a == "--tier");
     let scaling_mode = args.iter().any(|a| a == "--scaling");
+    let profile_mode = args.iter().any(|a| a == "--profile");
     let out_path = args
         .iter()
         .find(|a| {
@@ -590,6 +688,16 @@ fn main() {
     let baseline = check_path
         .map(|p| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read baseline {p}: {e}")));
 
+    if profile_mode {
+        let failures = profile(&out_path);
+        if !failures.is_empty() {
+            for f in &failures {
+                eprintln!("PROFILE CHECK FAILED: {f}");
+            }
+            std::process::exit(1);
+        }
+        return;
+    }
     if probe_mode {
         let failures = probe_check(baseline.as_deref());
         if !failures.is_empty() {

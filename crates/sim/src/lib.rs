@@ -53,7 +53,8 @@ pub use machine::{
 pub use perfmodel::{phase_time, run_phases, Bottleneck, PhaseDemand, PhaseTime};
 pub use physical::{summarize, PhysicalSummary};
 pub use probe::{
-    BlockedTcus, Conflict, IntervalProbe, IntervalRow, NoProbe, Probe, RaceCheck, SampleCtx,
+    BlockedTcus, Conflict, HostLayer, HostLayers, IntervalProbe, IntervalRow, NoProbe, Probe,
+    RaceCheck, SampleCtx,
 };
 pub use simcfg::{program_digest, SimConfig};
 pub use tier::{TraceCache, TraceStats, TranslationTier};

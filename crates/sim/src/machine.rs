@@ -27,7 +27,7 @@
 use crate::checkpoint::{ChannelState, Checkpoint, ModuleState};
 use crate::config::XmtConfig;
 use crate::fault::FaultPlan;
-use crate::probe::{BlockedTcus, NoProbe, Probe, SampleCtx};
+use crate::probe::{BlockedTcus, HostLayer, NoProbe, Probe, SampleCtx};
 use crate::tier::{TraceCache, TraceStats, TranslationTier};
 use crate::txn_slab::TxnSlab;
 use std::collections::VecDeque;
@@ -522,7 +522,17 @@ impl<P: Probe> Machine<P> {
         }
     }
 
+    /// Host-time ledger hook (see [`HostLayer`]); compiled out unless
+    /// the probe asks for host timing.
+    #[inline(always)]
+    fn lap(&mut self, layer: Option<HostLayer>) {
+        if P::HOST_TIMING {
+            self.probe.host_lap(layer);
+        }
+    }
+
     fn run_inner(&mut self) -> Result<RunReport, SimError> {
+        self.lap(None);
         match self.engine {
             Engine::Reference => self.run_reference(),
             Engine::FastForward => self.run_ff(),
@@ -612,6 +622,7 @@ impl<P: Probe> Machine<P> {
             // any memoized quiet scan is stale.
             self.ff_cache = None;
         }
+        self.lap(Some(HostLayer::FastForward));
         Ok(())
     }
 
@@ -647,6 +658,7 @@ impl<P: Probe> Machine<P> {
 
     /// `Some(pause_cycle)` on a quiescent pause, `None` on completion.
     fn run_until_inner(&mut self, pause_at: u64) -> Result<Option<u64>, SimError> {
+        self.lap(None);
         while !matches!(self.mode, Mode::Finished) {
             if self.cycle >= pause_at && self.quiescent() {
                 self.normalize_pause();
@@ -906,6 +918,7 @@ impl<P: Probe> Machine<P> {
                 if self.cycle >= resume_at {
                     self.step_serial(pc)?;
                 }
+                self.lap(Some(HostLayer::SerialStep));
                 // Serial mode still drains the memory system (posted
                 // writes from the previous section are already done by
                 // the barrier, but channels may be finishing refills).
@@ -919,6 +932,7 @@ impl<P: Probe> Machine<P> {
                         self.step_cluster(c, fast)?;
                     }
                 }
+                self.lap(Some(HostLayer::ClusterIssue));
                 self.step_memory_system()?;
                 self.maybe_finish_spawn(return_pc);
             }

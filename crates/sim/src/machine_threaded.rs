@@ -758,6 +758,7 @@ fn main_loop<P: Probe>(
                     return Err(e.stamped(m.cycle));
                 }
                 let total_active = healthy_total - sum_idle;
+                m.lap(Some(HostLayer::ClusterIssue));
                 // Phase 3: the memory system. Module steps are
                 // independent per module, so a big enough active set
                 // gets its own work-stealing epoch; everything with a
@@ -792,6 +793,7 @@ fn main_loop<P: Probe>(
                     }
                     m.scratch_creqs = creqs;
                     m.retire_inactive_modules();
+                    m.lap(Some(HostLayer::ModuleSteps));
                 } else {
                     m.mem_step_modules();
                 }

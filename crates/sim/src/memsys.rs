@@ -58,6 +58,7 @@ impl<P: Probe> Machine<P> {
             issue::apply_reply(tcu, &mut masks[r.cluster], r.tcu, r.kind, r.value, decoded);
         }
         self.scratch_replies = replies;
+        self.lap(Some(HostLayer::ReplyApply));
         Ok(())
     }
 
@@ -84,6 +85,7 @@ impl<P: Probe> Machine<P> {
     pub(super) fn mem_route_requests(&mut self) -> Result<(), SimError> {
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         self.req_net.step_into(&mut deliveries);
+        self.lap(Some(HostLayer::ReqNetStep));
         for d in deliveries.drain(..) {
             let Some(txn) = self.txns.get_mut(d.flit.tag) else {
                 return Err(SimError::Protocol {
@@ -126,6 +128,7 @@ impl<P: Probe> Machine<P> {
             );
         }
         self.scratch_deliveries = deliveries;
+        self.lap(Some(HostLayer::ReqDelivery));
         Ok(())
     }
 
@@ -150,6 +153,7 @@ impl<P: Probe> Machine<P> {
         self.scratch_resps = resps;
         self.scratch_creqs = creqs;
         self.retire_inactive_modules();
+        self.lap(Some(HostLayer::ModuleSteps));
     }
 
     /// Drop modules that went quiescent from the active list (shared
@@ -203,6 +207,7 @@ impl<P: Probe> Machine<P> {
             channel_active[ch] = still;
             still
         });
+        self.lap(Some(HostLayer::Channels));
         // Module outboxes → reply network (one injection per module
         // port per cycle).
         let outbox_active = &mut self.outbox_active;
@@ -229,6 +234,7 @@ impl<P: Probe> Machine<P> {
             outbox_active[m] = still;
             still
         });
+        self.lap(Some(HostLayer::OutboxInjection));
         if dead_tag {
             return Err(SimError::Protocol {
                 what: "module reply for a dead transaction",
@@ -238,6 +244,7 @@ impl<P: Probe> Machine<P> {
         // Reply network → TCUs.
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         self.reply_net.step_into(&mut deliveries);
+        self.lap(Some(HostLayer::ReplyNetStep));
         for d in deliveries.drain(..) {
             let Some(txn) = self.txns.remove(d.flit.tag) else {
                 return Err(SimError::Protocol {
@@ -253,6 +260,7 @@ impl<P: Probe> Machine<P> {
             });
         }
         self.scratch_deliveries = deliveries;
+        self.lap(Some(HostLayer::ReplyDelivery));
         Ok(())
     }
 }

@@ -84,10 +84,85 @@ impl SampleCtx<'_> {
     }
 }
 
+/// A host-time bucket of the advance loop: where the *simulator* (not
+/// the simulated machine) spends wall time inside one cycle, in the
+/// order a cycle visits them. Collected by [`HostLayers`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostLayer {
+    /// The MTCU's serial instruction (plus the top-of-cycle bookkeeping).
+    SerialStep,
+    /// The issue kernel over every stepped cluster.
+    ClusterIssue,
+    /// `req_net.step_into`.
+    ReqNetStep,
+    /// Request deliveries: functional memory effect and module enqueue.
+    ReqDelivery,
+    /// Active memory modules' steps and the move into their outboxes.
+    ModuleSteps,
+    /// DRAM-channel enqueue, channel steps and line fills.
+    Channels,
+    /// Module outboxes into the reply network.
+    OutboxInjection,
+    /// `reply_net.step_into`.
+    ReplyNetStep,
+    /// Reply deliveries: transaction retirement.
+    ReplyDelivery,
+    /// Replies written back to their TCUs.
+    ReplyApply,
+    /// End-of-cycle checks, the quiet scan and the bulk skip.
+    FastForward,
+}
+
+impl HostLayer {
+    /// Every layer, in cycle order.
+    pub const ALL: [HostLayer; 11] = [
+        HostLayer::SerialStep,
+        HostLayer::ClusterIssue,
+        HostLayer::ReqNetStep,
+        HostLayer::ReqDelivery,
+        HostLayer::ModuleSteps,
+        HostLayer::Channels,
+        HostLayer::OutboxInjection,
+        HostLayer::ReplyNetStep,
+        HostLayer::ReplyDelivery,
+        HostLayer::ReplyApply,
+        HostLayer::FastForward,
+    ];
+
+    /// Stable snake-case name (the `layers` keys of BENCH_sim.json).
+    pub fn name(self) -> &'static str {
+        match self {
+            HostLayer::SerialStep => "serial_step",
+            HostLayer::ClusterIssue => "cluster_issue",
+            HostLayer::ReqNetStep => "req_net_step",
+            HostLayer::ReqDelivery => "req_delivery",
+            HostLayer::ModuleSteps => "module_steps",
+            HostLayer::Channels => "channels",
+            HostLayer::OutboxInjection => "outbox_injection",
+            HostLayer::ReplyNetStep => "reply_net_step",
+            HostLayer::ReplyDelivery => "reply_delivery",
+            HostLayer::ReplyApply => "reply_apply",
+            HostLayer::FastForward => "fast_forward",
+        }
+    }
+}
+
 /// Observer attached to a machine as a zero-cost generic parameter.
 pub trait Probe {
     /// `false` compiles every probe hook out of the engine hot paths.
     const ENABLED: bool;
+
+    /// `true` makes the advance loops call [`Probe::host_lap`] at every
+    /// [`HostLayer`] boundary; `false` (every probe but [`HostLayers`])
+    /// compiles those calls out.
+    const HOST_TIMING: bool = false;
+
+    /// The advance loop crossed a layer boundary: the host time since
+    /// the previous call belongs to `layer` (`None`: to nobody — a run
+    /// is starting). Only called when [`Probe::HOST_TIMING`] is set.
+    fn host_lap(&mut self, layer: Option<HostLayer>) {
+        let _ = layer;
+    }
 
     /// Called once, before the first cycle, with the machine
     /// configuration — size ring buffers here so [`Probe::record`]
@@ -140,6 +215,51 @@ impl Probe for NoProbe {
     const ENABLED: bool = false;
 
     fn record(&mut self, _ctx: &SampleCtx<'_>) {}
+}
+
+/// Host-time ledger: attributes the wall time of [`Machine::run`]
+/// (crate::Machine::run) to [`HostLayer`]s by reading the clock once at
+/// every layer boundary. It samples nothing (`ENABLED = false`), so the
+/// simulated results are those of a [`NoProbe`] machine; the host time
+/// is not — a dozen clock reads a cycle is small against a paper-scale
+/// cycle and several times a 512-point job's, so end-to-end numbers are
+/// never taken with it attached (`bench_sim --profile` is its one user).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HostLayers {
+    last: Option<std::time::Instant>,
+    ns: [u64; HostLayer::ALL.len()],
+}
+
+impl HostLayers {
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Host nanoseconds attributed to `layer` so far.
+    pub fn ns(&self, layer: HostLayer) -> u64 {
+        self.ns[layer as usize]
+    }
+
+    /// Host nanoseconds attributed to any layer so far.
+    pub fn total_ns(&self) -> u64 {
+        self.ns.iter().sum()
+    }
+}
+
+impl Probe for HostLayers {
+    const ENABLED: bool = false;
+    const HOST_TIMING: bool = true;
+
+    fn record(&mut self, _ctx: &SampleCtx<'_>) {}
+
+    fn host_lap(&mut self, layer: Option<HostLayer>) {
+        let now = std::time::Instant::now();
+        if let (Some(layer), Some(last)) = (layer, self.last) {
+            self.ns[layer as usize] += (now - last).as_nanos() as u64;
+        }
+        self.last = Some(now);
+    }
 }
 
 /// One materialized sample: per-interval deltas plus instantaneous

@@ -9,6 +9,8 @@
 //! * The sample stream is bit-identical across engines — the same
 //!   contract the engines already honour for stats/spawns/memory.
 //! * Attaching a probe never changes the simulated cycle count.
+//! * The [`HostLayers`] host-time ledger changes no simulated result and
+//!   attributes (nearly) all of the run's wall time, never more.
 //! * The [`RaceCheck`] oracle agrees with the static verdict of
 //!   `xmt-verify`: zero observed conflicts on every (statically
 //!   race-free) golden workload, and at least one on a seeded racy
@@ -17,7 +19,8 @@
 use xmt_fft::golden;
 use xmt_isa::{ir, ProgramBuilder};
 use xmt_sim::{
-    Engine, IntervalProbe, IntervalRow, MachineBuilder, MachineStats, RaceCheck, RunReport,
+    Engine, HostLayer, HostLayers, IntervalProbe, IntervalRow, MachineBuilder, MachineStats,
+    RaceCheck, RunReport,
 };
 
 const ENGINES: [Engine; 3] = [
@@ -242,4 +245,35 @@ fn ring_overwrite_keeps_totals_and_reports_drops() {
     assert!(probe.dropped() > 0, "expected ring overwrite");
     assert_eq!(probe.rows().len(), 8);
     assert_eq!(probe.totals(), report.stats);
+}
+
+#[test]
+fn host_ledger_changes_nothing_and_accounts_for_the_run() {
+    for case in golden::cases() {
+        let plain = case.builder().build().run().expect("golden case");
+        for engine in ENGINES {
+            let mut m = case
+                .builder()
+                .engine(engine)
+                .build_probed(HostLayers::new());
+            let t0 = std::time::Instant::now();
+            let report = m.run().expect("golden case must complete");
+            let wall = t0.elapsed().as_nanos() as u64;
+            assert_eq!(report.stats, plain.stats, "{} {engine:?}", case.name);
+            assert_eq!(
+                golden::spawn_digest(&report),
+                golden::spawn_digest(&plain),
+                "{} {engine:?}",
+                case.name
+            );
+            let ledger = m.probe();
+            let sum: u64 = HostLayer::ALL.iter().map(|&l| ledger.ns(l)).sum();
+            assert_eq!(sum, ledger.total_ns());
+            assert!(
+                sum > 0 && sum <= wall,
+                "{} {engine:?}: {sum} of {wall} ns",
+                case.name
+            );
+        }
+    }
 }
