@@ -32,14 +32,21 @@ pub struct MemResp {
     pub hit: bool,
 }
 
+/// Tag-word flag: the way holds a line.
+const VALID: u32 = 1;
+/// Tag-word flag: the held line is dirty.
+const DIRTY: u32 = 2;
+
 /// Set-associative tag store with LRU replacement.
 #[derive(Debug, Clone)]
 struct TagStore {
     sets: usize,
     ways: usize,
-    /// tags[set * ways + way] = Some((line, dirty)); LRU order kept by
-    /// position (way 0 = most recent).
-    tags: Vec<Option<(u32, bool)>>,
+    /// `tags[set * ways + way]` is `0` for an empty way, else
+    /// `line << 2 | DIRTY? | VALID` — the word checkpoints store, so an
+    /// 8-way set is half a host cache line. LRU order kept by position
+    /// (way 0 = most recent).
+    tags: Vec<u32>,
 }
 
 impl TagStore {
@@ -47,7 +54,7 @@ impl TagStore {
         Self {
             sets,
             ways,
-            tags: vec![None; sets * ways],
+            tags: vec![0; sets * ways],
         }
     }
 
@@ -59,24 +66,20 @@ impl TagStore {
     fn access(&mut self, line: u32, write: bool) -> (bool, Option<u32>) {
         let s = self.set_of(line);
         let slice = &mut self.tags[s * self.ways..(s + 1) * self.ways];
-        if let Some(pos) = slice
-            .iter()
-            .position(|e| matches!(e, Some((l, _)) if *l == line))
-        {
+        let clean = line << 2 | VALID;
+        let dirty = if write { DIRTY } else { 0 };
+        if let Some(pos) = slice.iter().position(|&e| e & !DIRTY == clean) {
             // Hit: move to MRU, merge dirty bit.
-            let (l, d) = slice[pos].unwrap();
+            let e = slice[pos];
             slice.copy_within(0..pos, 1);
-            slice[0] = Some((l, d || write));
+            slice[0] = e | dirty;
             (true, None)
         } else {
             // Miss: evict LRU way.
             let victim = slice[self.ways - 1];
             slice.copy_within(0..self.ways - 1, 1);
-            slice[0] = Some((line, write));
-            let wb = match victim {
-                Some((vl, true)) => Some(vl),
-                _ => None,
-            };
+            slice[0] = clean | dirty;
+            let wb = (victim & (VALID | DIRTY) == VALID | DIRTY).then_some(victim >> 2);
             (false, wb)
         }
     }
@@ -158,6 +161,9 @@ impl CacheBank {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.lines.is_power_of_two() && cfg.ways.is_power_of_two());
         assert!(cfg.ways <= cfg.lines);
+        // Word addresses are `u32`, so this bounds a line index to the
+        // 30 bits the packed tag word has for it.
+        assert!(cfg.line_words >= 4, "lines shorter than 4 words");
         let sets = cfg.lines / cfg.ways;
         Self {
             cfg,
@@ -206,14 +212,7 @@ impl CacheBank {
     /// store keeps recency by position, the raw vector round-trips the
     /// complete replacement state.
     pub fn tag_snapshot(&self) -> Vec<u64> {
-        self.tags
-            .tags
-            .iter()
-            .map(|slot| match slot {
-                None => 0,
-                Some((line, dirty)) => ((*line as u64) << 2) | ((*dirty as u64) << 1) | 1,
-            })
-            .collect()
+        self.tags.tags.iter().map(|&word| u64::from(word)).collect()
     }
 
     /// Restore a [`CacheBank::tag_snapshot`] into a freshly built bank
@@ -226,11 +225,7 @@ impl CacheBank {
         );
         assert!(self.queue.is_empty(), "restore into a busy bank");
         for (slot, &word) in self.tags.tags.iter_mut().zip(snapshot) {
-            *slot = if word & 1 == 0 {
-                None
-            } else {
-                Some(((word >> 2) as u32, word & 2 != 0))
-            };
+            *slot = u32::try_from(word).expect("tag word beyond 32 bits");
         }
     }
 

@@ -9,8 +9,7 @@
 
 use crate::cache::{CacheBank, CacheConfig, MemReq, MemResp, Service};
 use crate::dram::{DramDone, DramReq};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::VecDeque;
 
 /// A DRAM request emitted by a module, to be enqueued on its channel by
 /// the caller (the simulator owns the channels because several modules
@@ -21,24 +20,6 @@ pub struct ChannelRequest {
     pub module: usize,
     /// The originating request.
     pub req: DramReq,
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Ready {
-    at: u64,
-    seq: u64,
-    resp: MemResp,
-}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Per-module statistics beyond the bank's own.
@@ -55,11 +36,18 @@ pub struct ModuleStats {
 pub struct MemoryModule {
     id: usize,
     bank: CacheBank,
-    /// line → requests waiting on its fill.
-    pending_fills: HashMap<u32, Vec<MemReq>>,
-    ready: BinaryHeap<Reverse<Ready>>,
+    /// The MSHR table: `fill_lines[i]` has a fill in flight and
+    /// `fill_waiters[i]` are the requests waiting on it. Short (bounded
+    /// by the lines DRAM has not yet returned), so searched linearly;
+    /// its order is never observed.
+    fill_lines: Vec<u32>,
+    fill_waiters: Vec<Vec<MemReq>>,
+    /// Emptied waiter vectors, reused by the next miss.
+    spare_waiters: Vec<Vec<MemReq>>,
+    /// Responses with the cycle they mature on, in schedule order. A
+    /// FIFO and not a priority queue: see [`MemoryModule::schedule`].
+    ready: VecDeque<(u64, MemResp)>,
     cycle: u64,
-    seq: u64,
     /// Accumulated statistics.
     pub stats: ModuleStats,
 }
@@ -70,10 +58,11 @@ impl MemoryModule {
         Self {
             id,
             bank: CacheBank::new(cfg),
-            pending_fills: HashMap::new(),
-            ready: BinaryHeap::new(),
+            fill_lines: Vec::new(),
+            fill_waiters: Vec::new(),
+            spare_waiters: Vec::new(),
+            ready: VecDeque::new(),
             cycle: 0,
-            seq: 0,
             stats: ModuleStats::default(),
         }
     }
@@ -97,7 +86,7 @@ impl MemoryModule {
     /// Requests and fills still outstanding.
     pub fn outstanding(&self) -> usize {
         self.bank.queue_len()
-            + self.pending_fills.values().map(Vec::len).sum::<usize>()
+            + self.fill_waiters.iter().map(Vec::len).sum::<usize>()
             + self.ready.len()
     }
 
@@ -120,7 +109,7 @@ impl MemoryModule {
         if self.bank.queue_len() > 0 {
             Some(self.cycle + 1)
         } else {
-            self.ready.peek().map(|Reverse(r)| r.at)
+            self.ready.front().map(|&(at, _)| at)
         }
     }
 
@@ -146,13 +135,17 @@ impl MemoryModule {
         self.cycle += n;
     }
 
-    fn schedule(&mut self, resp: MemResp, at: u64) {
-        self.seq += 1;
-        self.ready.push(Reverse(Ready {
-            at,
-            seq: self.seq,
-            resp,
-        }));
+    /// Queue `resp` to leave `hit_latency` cycles from now. The delay
+    /// is one constant and the clock never goes back (`sync_to` and
+    /// `skip_idle` only advance it), so responses are scheduled in the
+    /// order they mature.
+    fn schedule(&mut self, resp: MemResp) {
+        let at = self.cycle + self.bank.config().hit_latency as u64;
+        debug_assert!(
+            self.ready.back().is_none_or(|&(last, _)| last <= at),
+            "responses scheduled out of order"
+        );
+        self.ready.push_back((at, resp));
     }
 
     /// Advance one cycle: service at most one bank access and release
@@ -162,7 +155,6 @@ impl MemoryModule {
     /// reuse them across modules and cycles without reallocating.
     pub fn step(&mut self, channel_out: &mut Vec<ChannelRequest>, resp_out: &mut Vec<MemResp>) {
         self.cycle += 1;
-        let hit_lat = self.bank.config().hit_latency as u64;
         // A request whose line already has a fill in flight merges into
         // the waiting set (MSHR behaviour) — it must not probe the tag
         // store, which already contains the still-arriving line, or it
@@ -170,9 +162,9 @@ impl MemoryModule {
         // ordering.
         if let Some(head) = self.bank.peek() {
             let line = self.bank.line_of(head.addr);
-            if let Some(waiters) = self.pending_fills.get_mut(&line) {
+            if let Some(i) = self.fill_lines.iter().position(|&l| l == line) {
                 let req = self.bank.pop_head().expect("head exists");
-                waiters.push(req);
+                self.fill_waiters[i].push(req);
                 self.stats.merged_misses += 1;
                 // Release matured responses and return early: the bank
                 // port was consumed by the merge.
@@ -182,40 +174,33 @@ impl MemoryModule {
         }
         match self.bank.service_one() {
             Some(Service::Hit(req)) => {
-                self.schedule(MemResp { req, hit: true }, self.cycle + hit_lat);
+                self.schedule(MemResp { req, hit: true });
             }
             Some(Service::Miss {
                 req,
                 fill_line,
                 writeback,
             }) => {
+                let module = self.id;
+                let mut to_dram = |line, is_write| {
+                    let req = DramReq {
+                        line,
+                        is_write,
+                        tag: 0,
+                    };
+                    channel_out.push(ChannelRequest { module, req });
+                };
                 if let Some(wb) = writeback {
-                    channel_out.push(ChannelRequest {
-                        module: self.id,
-                        req: DramReq {
-                            line: wb,
-                            is_write: true,
-                            tag: 0,
-                        },
-                    });
+                    to_dram(wb, true);
                 }
-                match self.pending_fills.entry(fill_line) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        self.stats.merged_misses += 1;
-                        e.get_mut().push(req);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(vec![req]);
-                        channel_out.push(ChannelRequest {
-                            module: self.id,
-                            req: DramReq {
-                                line: fill_line,
-                                is_write: false,
-                                tag: 0,
-                            },
-                        });
-                    }
-                }
+                // The merge check above took every head whose line has
+                // a fill in flight, so this miss opens a new entry.
+                debug_assert!(!self.fill_lines.contains(&fill_line));
+                let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+                waiters.push(req);
+                self.fill_lines.push(fill_line);
+                self.fill_waiters.push(waiters);
+                to_dram(fill_line, false);
             }
             None => {}
         }
@@ -224,13 +209,13 @@ impl MemoryModule {
 
     /// Pop every response whose latency has matured into `out`.
     fn release(&mut self, out: &mut Vec<MemResp>) {
-        while let Some(Reverse(r)) = self.ready.peek() {
-            if r.at > self.cycle {
+        while let Some(&(at, resp)) = self.ready.front() {
+            if at > self.cycle {
                 break;
             }
-            let Reverse(r) = self.ready.pop().unwrap();
+            self.ready.pop_front();
             self.stats.responses += 1;
-            out.push(r.resp);
+            out.push(resp);
         }
     }
 
@@ -239,11 +224,13 @@ impl MemoryModule {
         if done.req.is_write {
             return; // write-backs complete silently
         }
-        if let Some(waiters) = self.pending_fills.remove(&done.req.line) {
-            let hit_lat = self.bank.config().hit_latency as u64;
-            for req in waiters {
-                self.schedule(MemResp { req, hit: false }, self.cycle + hit_lat);
+        if let Some(i) = self.fill_lines.iter().position(|&l| l == done.req.line) {
+            self.fill_lines.swap_remove(i);
+            let mut waiters = self.fill_waiters.swap_remove(i);
+            for req in waiters.drain(..) {
+                self.schedule(MemResp { req, hit: false });
             }
+            self.spare_waiters.push(waiters);
         }
     }
 }

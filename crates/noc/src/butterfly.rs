@@ -13,33 +13,62 @@
 //! Section VI-B: configurations with more butterfly levels fall further
 //! below the bandwidth roofline on permutation-heavy phases (rotation).
 
+use crate::egress::{Egress, InFlight};
 use crate::net::{Delivered, Flit, NetStats, Network};
 use crate::topology::Topology;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    flit: Flit,
-    injected_at: u64,
+/// Fixed-capacity FIFO rings of in-flight slab indices, one per switch
+/// input, in one allocation. The backpressure check against `qcap`
+/// precedes every push, so no ring ever needs to grow.
+#[derive(Debug)]
+struct Rings {
+    qcap: usize,
+    /// Slots per ring (`qcap` rounded up to a power of two) less one.
+    mask: usize,
+    slots: Vec<u32>,
+    /// Free-running pop counts: `u8` wraps with every stride up to 256.
+    head: Vec<u8>,
+    len: Vec<u8>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Arriving {
-    arrive_at: u64,
-    seq: u64,
-    flit: Flit,
-    injected_at: u64,
-}
-
-impl Ord for Arriving {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.arrive_at, self.seq).cmp(&(other.arrive_at, other.seq))
+impl Rings {
+    fn new(rings: usize, qcap: usize) -> Self {
+        assert!((1..=255).contains(&qcap), "queue capacity must fit u8");
+        let stride = qcap.next_power_of_two();
+        Self {
+            qcap,
+            mask: stride - 1,
+            slots: vec![0; rings * stride],
+            head: vec![0; rings],
+            len: vec![0; rings],
+        }
     }
-}
-impl PartialOrd for Arriving {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn len(&self, ring: usize) -> usize {
+        self.len[ring] as usize
+    }
+
+    /// Slot index of `ring`'s `k`-th entry.
+    fn slot(&self, ring: usize, k: usize) -> usize {
+        ring * (self.mask + 1) + ((self.head[ring] as usize + k) & self.mask)
+    }
+
+    fn front(&self, ring: usize) -> Option<u32> {
+        (self.len[ring] > 0).then(|| self.slots[self.slot(ring, 0)])
+    }
+
+    fn push_back(&mut self, ring: usize, v: u32) {
+        debug_assert!(self.len(ring) < self.qcap, "push into a full ring");
+        let at = self.slot(ring, self.len(ring));
+        self.slots[at] = v;
+        self.len[ring] += 1;
+    }
+
+    fn pop_front(&mut self, ring: usize) -> u32 {
+        let v = self.front(ring).expect("pop from an empty ring");
+        self.head[ring] = self.head[ring].wrapping_add(1);
+        self.len[ring] -= 1;
+        v
     }
 }
 
@@ -51,18 +80,18 @@ pub struct ButterflyNetwork {
     port_bits: u32,
     stages: u32,
     qcap: usize,
-    /// queues[s][row]: flits waiting at the input of stage `s`.
-    queues: Vec<Vec<VecDeque<InFlight>>>,
+    /// Ring `s * ports + row`: flits waiting at the input of stage `s`.
+    queues: Rings,
+    /// The flits those rings index; `free` lists the vacant slots.
+    flits: Vec<InFlight>,
+    free: Vec<u32>,
     /// Total flits across `queues` (O(1) next-event check).
     staged: usize,
-    /// Outer (MoT) traversal pipeline after the last butterfly stage.
-    pipeline: BinaryHeap<Reverse<Arriving>>,
-    dst_queues: Vec<VecDeque<Arriving>>,
-    /// Total flits across `dst_queues`.
-    queued: usize,
+    /// Outer (MoT) traversal after the last butterfly stage, and the
+    /// per-destination service queues.
+    egress: Egress,
     last_inject: Vec<u64>,
     cycle: u64,
-    seq: u64,
     extra_latency: u64,
     /// Per-stage flit counts (skip empty stages in `step_into`).
     staged_per: Vec<usize>,
@@ -70,8 +99,6 @@ pub struct ButterflyNetwork {
     /// either input queue of switch `w` is non-empty. Lets a stage
     /// advance visit only occupied switches.
     occ: Vec<Vec<u64>>,
-    /// Occupancy bitmap over `dst_queues` (serve without scanning).
-    dst_occ: Vec<u64>,
     /// Accumulated statistics.
     pub stats: NetStats,
     /// Stage-move stalls due to contention or full downstream queues.
@@ -88,7 +115,6 @@ impl ButterflyNetwork {
 
     /// The `with_queue_capacity` value.
     pub fn with_queue_capacity(topo: Topology, qcap: usize) -> Self {
-        assert!(qcap >= 1);
         assert_eq!(
             topo.clusters, topo.modules,
             "butterfly model assumes symmetric port counts"
@@ -106,18 +132,16 @@ impl ButterflyNetwork {
             port_bits,
             stages,
             qcap,
-            queues: vec![vec![VecDeque::new(); ports]; stages as usize],
+            queues: Rings::new(stages as usize * ports, qcap),
+            flits: Vec::new(),
+            free: Vec::new(),
             staged: 0,
-            pipeline: BinaryHeap::new(),
-            dst_queues: vec![VecDeque::new(); ports],
-            queued: 0,
+            egress: Egress::new(ports),
             last_inject: vec![u64::MAX; ports],
             cycle: 0,
-            seq: 0,
             extra_latency: topo.mot_levels as u64,
             staged_per: vec![0; stages as usize],
             occ: vec![vec![0u64; (ports / 2).div_ceil(64).max(1)]; stages as usize],
-            dst_occ: vec![0u64; ports.div_ceil(64)],
             stats: NetStats::default(),
             stalls: 0,
         }
@@ -134,16 +158,6 @@ impl ButterflyNetwork {
         self.port_bits - 1 - s
     }
 
-    fn push_outer_pipeline(&mut self, f: InFlight) {
-        self.seq += 1;
-        self.pipeline.push(Reverse(Arriving {
-            arrive_at: self.cycle + self.extra_latency + 1,
-            seq: self.seq,
-            flit: f.flit,
-            injected_at: f.injected_at,
-        }));
-    }
-
     /// Advance one stage: move head flits toward stage `s+1` (or the
     /// outer pipeline for the last stage), arbitrating switch outputs.
     /// Only switches with a queued flit are visited (`occ`); the
@@ -155,6 +169,10 @@ impl ButterflyNetwork {
         let bit = self.route_bit(s);
         let mask = 1usize << bit;
         let si = s as usize;
+        // Ring index of row 0 at this stage and at the next.
+        let here = si * self.ports;
+        let next = here + self.ports;
+        let last = s + 1 == self.stages;
         // Value the old per-switch bit would hold after `cycle - 1`
         // toggles from an all-false start.
         let pri = self.cycle & 1 == 0;
@@ -171,14 +189,12 @@ impl ButterflyNetwork {
                 let r1 = r0 | mask;
 
                 // Desired outputs of the two head flits.
-                let want = |q: &VecDeque<InFlight>| -> Option<usize> {
-                    q.front().map(|f| {
-                        let dbit = f.flit.dst & mask;
-                        (r0 & !mask) | dbit
-                    })
+                let want = |row: usize| -> Option<usize> {
+                    let head = self.queues.front(here + row)?;
+                    Some(r0 | (self.flits[head as usize].flit.dst & mask))
                 };
-                let w0 = want(&self.queues[si][r0]);
-                let w1 = want(&self.queues[si][r1]);
+                let w0 = want(r0);
+                let w1 = want(r1);
 
                 // Arbitration: if both want the same output, alternate.
                 let (first, second) = if pri { (r1, r0) } else { (r0, r1) };
@@ -190,26 +206,23 @@ impl ButterflyNetwork {
                         self.stalls += 1;
                         continue; // lost arbitration this cycle
                     }
-                    // Check downstream space.
-                    let can_move = if s + 1 < self.stages {
-                        self.queues[si + 1][out].len() < self.qcap
-                    } else {
-                        true // outer pipeline is unbounded
-                    };
-                    if !can_move {
+                    // Downstream space (the outer pipeline is unbounded).
+                    if !last && self.queues.len(next + out) >= self.qcap {
                         self.stalls += 1;
                         continue;
                     }
-                    let f = self.queues[si][row].pop_front().expect("head exists");
+                    let i = self.queues.pop_front(here + row);
                     self.staged_per[si] -= 1;
-                    if s + 1 < self.stages {
-                        self.queues[si + 1][out].push_back(f);
+                    if !last {
+                        self.queues.push_back(next + out, i);
                         self.staged_per[si + 1] += 1;
                         let nw = remove_bit(out, self.route_bit(s + 1));
                         self.occ[si + 1][nw >> 6] |= 1u64 << (nw & 63);
                     } else {
                         self.staged -= 1;
-                        self.push_outer_pipeline(f);
+                        self.free.push(i);
+                        let arrive_at = self.cycle + self.extra_latency + 1;
+                        self.egress.push(arrive_at, self.flits[i as usize]);
                     }
                     if taken.is_none() {
                         taken = Some(out);
@@ -217,7 +230,7 @@ impl ButterflyNetwork {
                         taken = Some(usize::MAX); // both outputs used
                     }
                 }
-                if self.queues[si][r0].is_empty() && self.queues[si][r1].is_empty() {
+                if self.queues.len(here + r0) == 0 && self.queues.len(here + r1) == 0 {
                     self.occ[si][wi] &= !(1u64 << slot);
                 }
             }
@@ -264,25 +277,27 @@ impl Network for ButterflyNetwork {
             self.stats.inject_rejections += 1;
             return false;
         }
+        let f = InFlight {
+            flit,
+            injected_at: self.cycle,
+        };
         if self.stages == 0 {
             self.last_inject[flit.src] = self.cycle;
             self.stats.injected += 1;
-            let inf = InFlight {
-                flit,
-                injected_at: self.cycle,
-            };
-            self.push_outer_pipeline(inf);
+            self.egress.push(self.cycle + self.extra_latency + 1, f);
             return true;
         }
-        if self.queues[0][flit.src].len() >= self.qcap {
+        if self.queues.len(flit.src) >= self.qcap {
             self.stats.inject_rejections += 1;
             return false; // backpressure at the injection port
         }
         self.last_inject[flit.src] = self.cycle;
-        self.queues[0][flit.src].push_back(InFlight {
-            flit,
-            injected_at: self.cycle,
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.flits.push(f);
+            u32::try_from(self.flits.len() - 1).expect("more flits staged than ring slots")
         });
+        self.flits[i as usize] = f;
+        self.queues.push_back(flit.src, i);
         self.staged += 1;
         self.staged_per[0] += 1;
         let w = remove_bit(flit.src, self.route_bit(0));
@@ -304,47 +319,11 @@ impl Network for ButterflyNetwork {
                 }
             }
         }
-        // Outer pipeline → destination queues.
-        while let Some(Reverse(a)) = self.pipeline.peek() {
-            if a.arrive_at > self.cycle {
-                break;
-            }
-            let Reverse(a) = self.pipeline.pop().unwrap();
-            let dst = a.flit.dst;
-            self.dst_queues[dst].push_back(a);
-            self.dst_occ[dst >> 6] |= 1u64 << (dst & 63);
-            self.queued += 1;
-        }
-        // Each non-empty destination port serves one flit per cycle
-        // (ascending port order, same as the full scan).
-        if self.queued > 0 {
-            for wi in 0..self.dst_occ.len() {
-                let mut bits = self.dst_occ[wi];
-                while bits != 0 {
-                    let slot = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let dst = (wi << 6) | slot;
-                    let q = &mut self.dst_queues[dst];
-                    let a = q.pop_front().expect("occupied destination queue");
-                    self.queued -= 1;
-                    let d = Delivered {
-                        flit: a.flit,
-                        injected_at: a.injected_at,
-                        delivered_at: self.cycle,
-                    };
-                    self.stats.delivered += 1;
-                    self.stats.total_latency += d.latency();
-                    out.push(d);
-                    if q.is_empty() {
-                        self.dst_occ[wi] &= !(1u64 << slot);
-                    }
-                }
-            }
-        }
+        self.egress.step(self.cycle, &mut self.stats, out);
     }
 
     fn in_flight(&self) -> usize {
-        self.staged + self.pipeline.len() + self.queued
+        self.staged + self.egress.in_flight()
     }
 
     fn cycle(&self) -> u64 {
@@ -356,21 +335,19 @@ impl Network for ButterflyNetwork {
     }
 
     fn next_event(&self) -> Option<u64> {
-        if self.staged > 0 || self.queued > 0 {
-            // Staged flits may move (or stall-count) every cycle, and
-            // non-empty destination queues serve every cycle.
+        if self.staged > 0 {
+            // Staged flits may move (or stall-count) every cycle.
             Some(self.cycle + 1)
         } else {
-            self.pipeline.peek().map(|Reverse(a)| a.arrive_at)
+            self.egress.next_event(self.cycle)
         }
     }
 
     fn skip_idle(&mut self, n: u64) {
-        debug_assert_eq!(self.staged + self.queued, 0, "skip_idle with queued flits");
-        debug_assert!(self
-            .pipeline
-            .peek()
-            .is_none_or(|Reverse(a)| a.arrive_at > self.cycle + n));
+        debug_assert!(
+            self.next_event().is_none_or(|e| e > self.cycle + n),
+            "skip_idle crossed a network event"
+        );
         // The arbitration parity is derived from the clock, so the
         // skip advances it implicitly (odd skips flip it, exactly as
         // stepping would).
@@ -378,7 +355,7 @@ impl Network for ButterflyNetwork {
     }
 
     fn inject_budget(&self, src: usize) -> usize {
-        if self.stages == 0 || self.queues[0][src].len() < self.qcap {
+        if self.stages == 0 || self.queues.len(src) < self.qcap {
             1
         } else {
             0

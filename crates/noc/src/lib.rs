@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 pub mod analytic;
 pub mod butterfly;
+mod egress;
 pub mod faulty;
 pub mod mot;
 pub mod mot_switch;

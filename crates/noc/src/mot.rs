@@ -7,46 +7,18 @@
 //! per-destination service queue at 1 flit/cycle. Sources are limited
 //! to one injection per cycle (the cluster's single LSU port).
 
+use crate::egress::{Egress, InFlight};
 use crate::net::{Delivered, Flit, NetStats, Network};
 use crate::topology::Topology;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// In-flight flit ordered by arrival cycle at its destination queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Arriving {
-    arrive_at: u64,
-    seq: u64,
-    flit: Flit,
-    injected_at: u64,
-}
-
-impl Ord for Arriving {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.arrive_at, self.seq).cmp(&(other.arrive_at, other.seq))
-    }
-}
-impl PartialOrd for Arriving {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// The idealized non-blocking MoT network.
 #[derive(Debug)]
 pub struct MotNetwork {
     topo: Topology,
     cycle: u64,
-    seq: u64,
     latency: u64,
-    /// Flits in the wire pipeline, keyed by queue-arrival cycle.
-    pipeline: BinaryHeap<Reverse<Arriving>>,
-    /// Per-destination service queues (the fan-in tree roots).
-    dst_queues: Vec<VecDeque<Arriving>>,
-    /// Total flits across `dst_queues` (O(1) emptiness/next-event).
-    queued: usize,
-    /// Occupancy bitmap over `dst_queues` (serve without scanning).
-    dst_occ: Vec<u64>,
+    /// The wire pipeline and the per-destination service queues.
+    egress: Egress,
     /// Last injection cycle per source (rate limit 1/cycle).
     last_inject: Vec<u64>,
     /// Accumulated statistics.
@@ -64,11 +36,7 @@ impl MotNetwork {
             latency: topo.latency_cycles() as u64,
             topo,
             cycle: 0,
-            seq: 0,
-            pipeline: BinaryHeap::new(),
-            dst_queues: vec![VecDeque::new(); topo.modules],
-            queued: 0,
-            dst_occ: vec![0u64; topo.modules.div_ceil(64)],
+            egress: Egress::new(topo.modules),
             last_inject: vec![u64::MAX; topo.clusters],
             stats: NetStats::default(),
         }
@@ -100,13 +68,9 @@ impl Network for MotNetwork {
             return false;
         }
         self.last_inject[flit.src] = self.cycle;
-        self.seq += 1;
-        self.pipeline.push(Reverse(Arriving {
-            arrive_at: self.cycle + self.latency,
-            seq: self.seq,
-            flit,
-            injected_at: self.cycle,
-        }));
+        let injected_at = self.cycle;
+        self.egress
+            .push(self.cycle + self.latency, InFlight { flit, injected_at });
         self.stats.injected += 1;
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight());
         true
@@ -114,51 +78,11 @@ impl Network for MotNetwork {
 
     fn step_into(&mut self, out: &mut Vec<Delivered>) {
         self.cycle += 1;
-        // Fast path: nothing in flight, the step is a pure clock tick.
-        if self.queued == 0 && self.pipeline.is_empty() {
-            return;
-        }
-        // Move pipeline arrivals into their destination queues.
-        while let Some(Reverse(a)) = self.pipeline.peek() {
-            if a.arrive_at > self.cycle {
-                break;
-            }
-            let Reverse(a) = self.pipeline.pop().unwrap();
-            let dst = a.flit.dst;
-            self.dst_queues[dst].push_back(a);
-            self.dst_occ[dst >> 6] |= 1u64 << (dst & 63);
-            self.queued += 1;
-        }
-        // Each non-empty destination port serves one flit per cycle
-        // (ascending port order, same as the full scan).
-        if self.queued > 0 {
-            for wi in 0..self.dst_occ.len() {
-                let mut bits = self.dst_occ[wi];
-                while bits != 0 {
-                    let slot = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let dst = (wi << 6) | slot;
-                    let q = &mut self.dst_queues[dst];
-                    let a = q.pop_front().expect("occupied destination queue");
-                    self.queued -= 1;
-                    let d = Delivered {
-                        flit: a.flit,
-                        injected_at: a.injected_at,
-                        delivered_at: self.cycle,
-                    };
-                    self.stats.delivered += 1;
-                    self.stats.total_latency += d.latency();
-                    out.push(d);
-                    if q.is_empty() {
-                        self.dst_occ[wi] &= !(1u64 << slot);
-                    }
-                }
-            }
-        }
+        self.egress.step(self.cycle, &mut self.stats, out);
     }
 
     fn in_flight(&self) -> usize {
-        self.pipeline.len() + self.queued
+        self.egress.in_flight()
     }
 
     fn cycle(&self) -> u64 {
@@ -170,22 +94,14 @@ impl Network for MotNetwork {
     }
 
     fn next_event(&self) -> Option<u64> {
-        if self.queued > 0 {
-            // A destination port will serve on the very next step.
-            Some(self.cycle + 1)
-        } else {
-            // Earliest pipeline arrival: it enters its destination
-            // queue and is served the same cycle.
-            self.pipeline.peek().map(|Reverse(a)| a.arrive_at)
-        }
+        self.egress.next_event(self.cycle)
     }
 
     fn skip_idle(&mut self, n: u64) {
-        debug_assert_eq!(self.queued, 0, "skip_idle with queued flits");
-        debug_assert!(self
-            .pipeline
-            .peek()
-            .is_none_or(|Reverse(a)| a.arrive_at > self.cycle + n));
+        debug_assert!(
+            self.next_event().is_none_or(|e| e > self.cycle + n),
+            "skip_idle crossed a network event"
+        );
         self.cycle += n;
     }
 }

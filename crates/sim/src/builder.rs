@@ -295,12 +295,9 @@ impl MachineBuilder {
             decoded,
             has_global_ops,
             mem_clock: 0,
-            active_modules: Vec::new(),
-            module_active: vec![false; cfg.memory_modules],
-            active_channels: Vec::new(),
-            channel_active: vec![false; n_channels],
-            active_outboxes: Vec::new(),
-            outbox_active: vec![false; cfg.memory_modules],
+            active_modules: ActiveSet::new(cfg.memory_modules),
+            active_channels: ActiveSet::new(n_channels),
+            active_outboxes: ActiveSet::new(cfg.memory_modules),
             masks: vec![ClusterMasks::new(cfg.tcus_per_cluster); cfg.clusters],
             ff_cache: None,
             scratch_replies: Vec::new(),

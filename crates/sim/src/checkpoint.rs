@@ -172,6 +172,9 @@ impl Checkpoint {
         let mut modules = Vec::with_capacity(n_modules.min(1 << 16));
         for _ in 0..n_modules {
             let tags = r.u64s()?;
+            if tags.iter().any(|&word| word > u64::from(u32::MAX)) {
+                return Err(corrupt("cache tag word beyond 32 bits"));
+            }
             let cache = CacheStats {
                 accesses: r.u64()?,
                 hits: r.u64()?,

@@ -225,12 +225,12 @@ impl<P: Probe> Machine<P> {
         if let Some(x) = self.reply_net.next_event() {
             e = e.min(x + off);
         }
-        for &m in &self.active_modules {
+        for m in self.active_modules.iter() {
             if let Some(x) = self.modules[m].next_event() {
                 e = e.min(x + off);
             }
         }
-        for &c in &self.active_channels {
+        for c in self.active_channels.iter() {
             if let Some(x) = self.channels[c].next_event() {
                 e = e.min(x + off);
             }

@@ -54,7 +54,7 @@ mod outcome;
 mod threaded;
 
 use ff::{scan_cluster, ClusterScan, FfScanCache};
-use memsys::{activate, ReplyDelivery};
+use memsys::{ActiveSet, ReplyDelivery};
 pub use outcome::{
     MachineStats, RunOutcome, RunReport, RunStatus, SimError, SpawnStats, UtilizationReport,
 };
@@ -315,16 +315,13 @@ pub struct Machine<P: Probe = NoProbe> {
     /// stepping components); `cycle - mem_clock` converts component
     /// clocks to machine clocks.
     mem_clock: u64,
-    /// Sorted indices of modules with work (`MemoryModule::is_active`);
-    /// only these step each cycle. `module_active` mirrors membership.
-    active_modules: Vec<usize>,
-    module_active: Vec<bool>,
-    /// Sorted indices of channels with transfers pending.
-    active_channels: Vec<usize>,
-    channel_active: Vec<bool>,
-    /// Sorted indices of non-empty module outboxes.
-    active_outboxes: Vec<usize>,
-    outbox_active: Vec<bool>,
+    /// Modules with work (`MemoryModule::is_active`); only these step
+    /// each cycle.
+    active_modules: ActiveSet,
+    /// Channels with transfers pending.
+    active_channels: ActiveSet,
+    /// Non-empty module outboxes.
+    active_outboxes: ActiveSet,
     /// Per-cluster bitmask mirrors of TCU hot state (see
     /// [`ClusterMasks`]); every mutation path in this file keeps them
     /// current, so the issue loops can skip or bulk-process TCUs
@@ -1341,16 +1338,15 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The sparse active sets (`active_modules` and friends) must stay
-    /// sorted, duplicate-free and in lockstep with their membership
-    /// flags under arbitrary insert/remove interleavings — `activate`
-    /// inserts, and the step loops remove via `retain` with flag
-    /// write-back. A `BTreeSet` mirror is the specification.
+    /// The active sets (`active_modules` and friends) must visit their
+    /// members in ascending order, without duplicates, and keep `len`
+    /// right under arbitrary insert/drop interleavings — `insert` adds,
+    /// and the step loops drop members mid-visit via `retain`. A
+    /// `BTreeSet` mirror is the specification.
     #[test]
     fn active_set_survives_insert_remove_churn() {
-        const N: usize = 24;
-        let mut list: Vec<usize> = Vec::new();
-        let mut flags = vec![false; N];
+        const N: usize = 150; // three words, the last one partial
+        let mut set = ActiveSet::new(N);
         let mut mirror = std::collections::BTreeSet::new();
         let mut rng = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
@@ -1365,37 +1361,31 @@ mod tests {
                 // Double-activation is the common case in the step
                 // loops (a module gets traffic every cycle); it must
                 // be idempotent.
-                activate(&mut list, &mut flags, idx);
+                set.insert(idx);
                 mirror.insert(idx);
             } else {
-                // The step loops drop members mid-iteration exactly
-                // like this: retain + flag write-back.
-                list.retain(|&x| {
-                    let still = x != idx;
-                    if !still {
-                        flags[x] = false;
-                    }
-                    still
+                // Drop `idx` and every seventh member, mid-visit.
+                let mut visited = Vec::new();
+                set.retain(|x| {
+                    visited.push(x);
+                    x != idx && x % 7 != 0
                 });
-                mirror.remove(&idx);
+                let expect: Vec<usize> = mirror.iter().copied().collect();
+                assert_eq!(visited, expect, "retain visits every member, ascending");
+                mirror.retain(|&x| x != idx && x % 7 != 0);
             }
             let expect: Vec<usize> = mirror.iter().copied().collect();
-            assert_eq!(list, expect, "active list diverged from mirror");
-            for (i, &f) in flags.iter().enumerate() {
-                assert_eq!(f, mirror.contains(&i), "flag {i} out of sync");
-            }
+            assert_eq!(set.iter().collect::<Vec<_>>(), expect);
+            assert_eq!(set.len(), mirror.len());
+            assert_eq!(set.is_empty(), mirror.is_empty());
         }
         // Drain to empty and verify reuse from a clean slate.
-        list.retain(|&x| {
-            flags[x] = false;
-            false
-        });
-        mirror.clear();
-        assert!(list.is_empty());
-        activate(&mut list, &mut flags, N - 1);
-        activate(&mut list, &mut flags, 0);
-        activate(&mut list, &mut flags, N - 1);
-        assert_eq!(list, [0, N - 1]);
+        set.retain(|_| false);
+        assert!(set.is_empty());
+        set.insert(N - 1);
+        set.insert(0);
+        set.insert(N - 1);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, N - 1]);
     }
 
     #[test]

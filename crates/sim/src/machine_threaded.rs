@@ -771,7 +771,7 @@ fn main_loop<P: Probe>(
                         // SAFETY: no epoch in flight.
                         let work = unsafe { &mut *sh.work.get() };
                         work.clear();
-                        work.extend(m.active_modules.iter().map(|&mm| mm as u32));
+                        work.extend(m.active_modules.iter().map(|mm| mm as u32));
                     }
                     // SAFETY: re-derive the buffer pointer for this
                     // epoch; the coordinator leaves `m.modules` alone
@@ -782,12 +782,12 @@ fn main_loop<P: Probe>(
                     // Merge in module order: responses to outboxes,
                     // channel requests into the serial creq stream.
                     let mut creqs = std::mem::take(&mut m.scratch_creqs);
-                    for &mm in &m.active_modules {
+                    for mm in m.active_modules.iter() {
                         // SAFETY: epoch done; coordinator owns cells.
                         let ms = unsafe { &mut *sh.modules[mm].0.get() };
                         for resp in ms.resps.drain(..) {
                             m.module_outbox[mm].push_back(resp.req.tag);
-                            activate(&mut m.active_outboxes, &mut m.outbox_active, mm);
+                            m.active_outboxes.insert(mm);
                         }
                         creqs.append(&mut ms.creqs);
                     }

@@ -12,12 +12,52 @@ pub(super) struct ReplyDelivery {
     pub(super) value: u32,
 }
 
-/// Insert `idx` into a sorted active list if not already present.
-pub(super) fn activate(list: &mut Vec<usize>, flags: &mut [bool], idx: usize) {
-    if !flags[idx] {
-        flags[idx] = true;
-        let pos = list.partition_point(|&x| x < idx);
-        list.insert(pos, idx);
+/// The components of one kind (modules, channels, outboxes) that have
+/// work, as a bitset: joining and leaving are O(1), and members are
+/// visited by `trailing_zeros` in ascending index order — the order the
+/// memory cycle merges DRAM requests and reply injections in.
+#[derive(Debug)]
+pub(super) struct ActiveSet(Vec<u64>);
+
+impl ActiveSet {
+    pub(super) fn new(universe: usize) -> Self {
+        Self(vec![0; universe.div_ceil(64)])
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.0.iter().all(|&word| word == 0)
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    /// Add `idx` (a no-op when already a member).
+    pub(super) fn insert(&mut self, idx: usize) {
+        self.0[idx >> 6] |= 1u64 << (idx & 63);
+    }
+
+    /// Members, ascending.
+    pub(super) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(wi, &word)| {
+            let rest = |&bits: &u64| Some(bits & (bits - 1)).filter(|&b| b != 0);
+            std::iter::successors(Some(word).filter(|&b| b != 0), rest)
+                .map(move |bits| (wi << 6) | bits.trailing_zeros() as usize)
+        })
+    }
+
+    /// Visit the members in ascending order, dropping those `keep`
+    /// returns false for.
+    pub(super) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (wi, word) in self.0.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                if !keep((wi << 6) | bits.trailing_zeros() as usize) {
+                    *word ^= bits & bits.wrapping_neg();
+                }
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -29,10 +69,10 @@ impl<P: Probe> Machine<P> {
     pub(super) fn skip_memory(&mut self, n: u64) {
         self.req_net.skip_idle(n);
         self.reply_net.skip_idle(n);
-        for &m in &self.active_modules {
+        for m in self.active_modules.iter() {
             self.modules[m].skip_idle(n);
         }
-        for &c in &self.active_channels {
+        for c in self.active_channels.iter() {
             self.channels[c].skip_idle(n);
         }
         self.mem_clock += n;
@@ -121,11 +161,7 @@ impl<P: Probe> Machine<P> {
                 is_write,
                 tag: d.flit.tag,
             });
-            activate(
-                &mut self.active_modules,
-                &mut self.module_active,
-                d.flit.dst,
-            );
+            self.active_modules.insert(d.flit.dst);
         }
         self.scratch_deliveries = deliveries;
         self.lap(Some(HostLayer::ReqDelivery));
@@ -143,11 +179,11 @@ impl<P: Probe> Machine<P> {
     pub(super) fn mem_step_modules(&mut self) {
         let mut creqs = std::mem::take(&mut self.scratch_creqs);
         let mut resps = std::mem::take(&mut self.scratch_resps);
-        for &m in &self.active_modules {
+        for m in self.active_modules.iter() {
             self.modules[m].step(&mut creqs, &mut resps);
             for resp in resps.drain(..) {
                 self.module_outbox[m].push_back(resp.req.tag);
-                activate(&mut self.active_outboxes, &mut self.outbox_active, m);
+                self.active_outboxes.insert(m);
             }
         }
         self.scratch_resps = resps;
@@ -156,16 +192,11 @@ impl<P: Probe> Machine<P> {
         self.lap(Some(HostLayer::ModuleSteps));
     }
 
-    /// Drop modules that went quiescent from the active list (shared
+    /// Drop modules that went quiescent from the active set (shared
     /// tail of the serial and threaded module-step stages).
     pub(super) fn retire_inactive_modules(&mut self) {
-        let module_active = &mut self.module_active;
         let modules = &self.modules;
-        self.active_modules.retain(|&m| {
-            let still = modules[m].is_active();
-            module_active[m] = still;
-            still
-        });
+        self.active_modules.retain(|m| modules[m].is_active());
     }
 
     /// Memory-cycle stage 3: DRAM channels, module fills, reply
@@ -183,12 +214,12 @@ impl<P: Probe> Machine<P> {
                 tag: cr.module as u64,
                 ..cr.req
             });
-            activate(&mut self.active_channels, &mut self.channel_active, ch);
+            self.active_channels.insert(ch);
         }
         self.scratch_creqs = creqs;
         self.mem_clock += 1;
         // DRAM channels → module fills.
-        for &ch in &self.active_channels {
+        for ch in self.active_channels.iter() {
             if let Some(done) = self.channels[ch].step() {
                 let m = done.req.tag as usize;
                 // Post-step: both module and channel clocks now sit at
@@ -196,26 +227,20 @@ impl<P: Probe> Machine<P> {
                 self.modules[m].sync_to(self.mem_clock);
                 self.modules[m].on_fill(done);
                 if self.modules[m].is_active() {
-                    activate(&mut self.active_modules, &mut self.module_active, m);
+                    self.active_modules.insert(m);
                 }
             }
         }
-        let channel_active = &mut self.channel_active;
         let channels = &self.channels;
-        self.active_channels.retain(|&ch| {
-            let still = channels[ch].pending() > 0;
-            channel_active[ch] = still;
-            still
-        });
+        self.active_channels.retain(|ch| channels[ch].pending() > 0);
         self.lap(Some(HostLayer::Channels));
         // Module outboxes → reply network (one injection per module
         // port per cycle).
-        let outbox_active = &mut self.outbox_active;
         let module_outbox = &mut self.module_outbox;
         let reply_net = &mut self.reply_net;
         let txns = &self.txns;
         let mut dead_tag = false;
-        self.active_outboxes.retain(|&m| {
+        self.active_outboxes.retain(|m| {
             if let Some(&tag) = module_outbox[m].front() {
                 match txns.get(tag) {
                     Some(txn) => {
@@ -230,9 +255,7 @@ impl<P: Probe> Machine<P> {
                     None => dead_tag = true,
                 }
             }
-            let still = !module_outbox[m].is_empty();
-            outbox_active[m] = still;
-            still
+            !module_outbox[m].is_empty()
         });
         self.lap(Some(HostLayer::OutboxInjection));
         if dead_tag {
