@@ -37,9 +37,10 @@ pub struct MemoryModule {
     id: usize,
     bank: CacheBank,
     /// The MSHR table: `fill_lines[i]` has a fill in flight and
-    /// `fill_waiters[i]` are the requests waiting on it. Short (bounded
-    /// by the lines DRAM has not yet returned), so searched linearly;
-    /// its order is never observed.
+    /// `fill_waiters[i]` are the requests waiting on it. As long as
+    /// the lines DRAM has yet to return — a handful — and kept sorted
+    /// by line so a lookup is a binary search; its order is never
+    /// observed.
     fill_lines: Vec<u32>,
     fill_waiters: Vec<Vec<MemReq>>,
     /// Emptied waiter vectors, reused by the next miss.
@@ -135,10 +136,9 @@ impl MemoryModule {
         self.cycle += n;
     }
 
-    /// Queue `resp` to leave `hit_latency` cycles from now. The delay
-    /// is one constant and the clock never goes back (`sync_to` and
-    /// `skip_idle` only advance it), so responses are scheduled in the
-    /// order they mature.
+    /// Queue `resp` to leave `hit_latency` cycles from now: a constant
+    /// delay on a clock that only advances (`sync_to`, `skip_idle`), so
+    /// responses are scheduled in the order they mature.
     fn schedule(&mut self, resp: MemResp) {
         let at = self.cycle + self.bank.config().hit_latency as u64;
         debug_assert!(
@@ -160,16 +160,19 @@ impl MemoryModule {
         // store, which already contains the still-arriving line, or it
         // would overtake the original miss and break same-location
         // ordering.
+        let mut mshr_slot = 0; // where the head's line would enter the table
         if let Some(head) = self.bank.peek() {
-            let line = self.bank.line_of(head.addr);
-            if let Some(i) = self.fill_lines.iter().position(|&l| l == line) {
-                let req = self.bank.pop_head().expect("head exists");
-                self.fill_waiters[i].push(req);
-                self.stats.merged_misses += 1;
-                // Release matured responses and return early: the bank
-                // port was consumed by the merge.
-                self.release(resp_out);
-                return;
+            match self.fill_lines.binary_search(&self.bank.line_of(head.addr)) {
+                Ok(i) => {
+                    let req = self.bank.pop_head().expect("head exists");
+                    self.fill_waiters[i].push(req);
+                    self.stats.merged_misses += 1;
+                    // Release matured responses and return early: the
+                    // bank port was consumed by the merge.
+                    self.release(resp_out);
+                    return;
+                }
+                Err(slot) => mshr_slot = slot,
             }
         }
         match self.bank.service_one() {
@@ -195,11 +198,10 @@ impl MemoryModule {
                 }
                 // The merge check above took every head whose line has
                 // a fill in flight, so this miss opens a new entry.
-                debug_assert!(!self.fill_lines.contains(&fill_line));
                 let mut waiters = self.spare_waiters.pop().unwrap_or_default();
                 waiters.push(req);
-                self.fill_lines.push(fill_line);
-                self.fill_waiters.push(waiters);
+                self.fill_lines.insert(mshr_slot, fill_line);
+                self.fill_waiters.insert(mshr_slot, waiters);
                 to_dram(fill_line, false);
             }
             None => {}
@@ -224,9 +226,9 @@ impl MemoryModule {
         if done.req.is_write {
             return; // write-backs complete silently
         }
-        if let Some(i) = self.fill_lines.iter().position(|&l| l == done.req.line) {
-            self.fill_lines.swap_remove(i);
-            let mut waiters = self.fill_waiters.swap_remove(i);
+        if let Ok(i) = self.fill_lines.binary_search(&done.req.line) {
+            self.fill_lines.remove(i);
+            let mut waiters = self.fill_waiters.remove(i);
             for req in waiters.drain(..) {
                 self.schedule(MemResp { req, hit: false });
             }
