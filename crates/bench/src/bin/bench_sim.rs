@@ -576,16 +576,15 @@ fn profile(out_path: &str) -> Vec<String> {
         let mut line =
             format!("      \"layers\": {{ \"run_ns\": {run_ns}, \"accounted\": {accounted:.4}");
         eprint!("{:18} {:>8.1} ms ", case.name, run_ns as f64 / 1e6);
-        for layer in HostLayer::ALL {
+        for (layer, name) in HostLayer::ALL {
             let ns = ledger.ns(layer);
             let share = ns as f64 / run_ns as f64;
             write!(
                 line,
-                ", \"{}\": {{ \"ns\": {ns}, \"share\": {share:.4} }}",
-                layer.name()
+                ", \"{name}\": {{ \"ns\": {ns}, \"share\": {share:.4} }}"
             )
             .unwrap();
-            eprint!(" {} {:.1}%", layer.name(), share * 100.0);
+            eprint!(" {name} {:.1}%", share * 100.0);
         }
         eprintln!();
         line.push_str(" },\n");

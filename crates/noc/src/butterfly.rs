@@ -18,11 +18,10 @@ use crate::net::{Delivered, Flit, NetStats, Network};
 use crate::topology::Topology;
 
 /// Fixed-capacity FIFO rings of in-flight slab indices, one per switch
-/// input, in one allocation. The backpressure check against `qcap`
-/// precedes every push, so no ring ever needs to grow.
+/// input, in one allocation. The network's backpressure check against
+/// `qcap` precedes every push, so no ring ever needs to grow.
 #[derive(Debug)]
 struct Rings {
-    qcap: usize,
     /// Slots per ring (`qcap` rounded up to a power of two) less one.
     mask: usize,
     slots: Vec<u32>,
@@ -36,7 +35,6 @@ impl Rings {
         assert!((1..=255).contains(&qcap), "queue capacity must fit u8");
         let stride = qcap.next_power_of_two();
         Self {
-            qcap,
             mask: stride - 1,
             slots: vec![0; rings * stride],
             head: vec![0; rings],
@@ -58,7 +56,7 @@ impl Rings {
     }
 
     fn push_back(&mut self, ring: usize, v: u32) {
-        debug_assert!(self.len(ring) < self.qcap, "push into a full ring");
+        debug_assert!(self.len(ring) <= self.mask, "push into a full ring");
         let at = self.slot(ring, self.len(ring));
         self.slots[at] = v;
         self.len[ring] += 1;

@@ -114,37 +114,21 @@ pub enum HostLayer {
 }
 
 impl HostLayer {
-    /// Every layer, in cycle order.
-    pub const ALL: [HostLayer; 11] = [
-        HostLayer::SerialStep,
-        HostLayer::ClusterIssue,
-        HostLayer::ReqNetStep,
-        HostLayer::ReqDelivery,
-        HostLayer::ModuleSteps,
-        HostLayer::Channels,
-        HostLayer::OutboxInjection,
-        HostLayer::ReplyNetStep,
-        HostLayer::ReplyDelivery,
-        HostLayer::ReplyApply,
-        HostLayer::FastForward,
+    /// Every layer in cycle order, with its stable snake-case name (the
+    /// `layers` keys of BENCH_sim.json).
+    pub const ALL: [(HostLayer, &'static str); 11] = [
+        (HostLayer::SerialStep, "serial_step"),
+        (HostLayer::ClusterIssue, "cluster_issue"),
+        (HostLayer::ReqNetStep, "req_net_step"),
+        (HostLayer::ReqDelivery, "req_delivery"),
+        (HostLayer::ModuleSteps, "module_steps"),
+        (HostLayer::Channels, "channels"),
+        (HostLayer::OutboxInjection, "outbox_injection"),
+        (HostLayer::ReplyNetStep, "reply_net_step"),
+        (HostLayer::ReplyDelivery, "reply_delivery"),
+        (HostLayer::ReplyApply, "reply_apply"),
+        (HostLayer::FastForward, "fast_forward"),
     ];
-
-    /// Stable snake-case name (the `layers` keys of BENCH_sim.json).
-    pub fn name(self) -> &'static str {
-        match self {
-            HostLayer::SerialStep => "serial_step",
-            HostLayer::ClusterIssue => "cluster_issue",
-            HostLayer::ReqNetStep => "req_net_step",
-            HostLayer::ReqDelivery => "req_delivery",
-            HostLayer::ModuleSteps => "module_steps",
-            HostLayer::Channels => "channels",
-            HostLayer::OutboxInjection => "outbox_injection",
-            HostLayer::ReplyNetStep => "reply_net_step",
-            HostLayer::ReplyDelivery => "reply_delivery",
-            HostLayer::ReplyApply => "reply_apply",
-            HostLayer::FastForward => "fast_forward",
-        }
-    }
 }
 
 /// Observer attached to a machine as a zero-cost generic parameter.
@@ -217,9 +201,9 @@ impl Probe for NoProbe {
     fn record(&mut self, _ctx: &SampleCtx<'_>) {}
 }
 
-/// Host-time ledger: attributes the wall time of [`Machine::run`]
-/// (crate::Machine::run) to [`HostLayer`]s by reading the clock once at
-/// every layer boundary. It samples nothing (`ENABLED = false`), so the
+/// Host-time ledger: attributes the wall time of
+/// [`Machine::run`](crate::Machine::run) to [`HostLayer`]s by reading
+/// the clock once at every layer boundary. It samples nothing (`ENABLED = false`), so the
 /// simulated results are those of a [`NoProbe`] machine; the host time
 /// is not — a dozen clock reads a cycle is small against a paper-scale
 /// cycle and several times a 512-point job's, so end-to-end numbers are

@@ -267,7 +267,7 @@ fn host_ledger_changes_nothing_and_accounts_for_the_run() {
                 case.name
             );
             let ledger = m.probe();
-            let sum: u64 = HostLayer::ALL.iter().map(|&l| ledger.ns(l)).sum();
+            let sum: u64 = HostLayer::ALL.iter().map(|&(l, _)| ledger.ns(l)).sum();
             assert_eq!(sum, ledger.total_ns());
             assert!(
                 sum > 0 && sum <= wall,
