@@ -5,6 +5,7 @@
 //! `table1` … `table6`, `fig3` (see DESIGN.md §5 for the index), plus
 //! ablation binaries for the design choices of Section IV-A.
 
+pub mod baseline;
 pub mod calibrate;
 pub mod fmt;
 pub mod runner;

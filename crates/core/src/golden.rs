@@ -291,7 +291,7 @@ pub fn cases() -> Vec<GoldenCase> {
 /// active-cluster work list pays off most). Not part of [`cases`] (the
 /// per-commit golden suite stays cheap); `tests/tests/golden_scaling.rs`
 /// pins their cycle counts and spawn digests across engines, and
-/// `bench_sim --scaling` measures them into `BENCH_sim.json`.
+/// `bench_sim` records them in `BENCH_sim.json` and checks them there.
 pub fn scaling_cases() -> Vec<GoldenCase> {
     vec![
         GoldenCase {

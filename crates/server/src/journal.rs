@@ -39,7 +39,7 @@
 //!   its typed error).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::job::{JobId, Lane};
@@ -426,37 +426,6 @@ impl Replay {
     fn find(&mut self, id: JobId) -> Option<&mut RecoveredJob> {
         self.jobs.iter_mut().find(|j| j.id == id)
     }
-}
-
-/// Read a whole journal file's record stream (diagnostics and tests;
-/// the server itself uses [`Journal::replay`]).
-pub fn read_records(path: &Path) -> std::io::Result<Vec<Record>> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while bytes.len() - pos >= 12 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        if len > MAX_RECORD || bytes.len() - pos - 12 < len {
-            break;
-        }
-        let payload = &bytes[pos + 12..pos + 12 + len];
-        if fnv1a(payload) != sum {
-            break;
-        }
-        if let Ok(rec) = Record::decode(payload) {
-            out.push(rec);
-        }
-        pos += 12 + len;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -39,10 +39,10 @@ const ROW_MAGIC: u64 = 0x584D_5452_4F57_0001;
 pub fn encode_report(r: &RunReport) -> Vec<u8> {
     let mut b = Vec::with_capacity(256 + r.spawns.len() * 13 * 8);
     put_u64(&mut b, MAGIC);
-    put_machine_stats(&mut b, &r.stats);
+    put_words(&mut b, &r.stats.to_words());
     put_u32(&mut b, r.spawns.len() as u32);
     for s in &r.spawns {
-        put_spawn_stats(&mut b, s);
+        put_words(&mut b, &s.to_words());
     }
     put_u64s(&mut b, &r.utilization.cluster_instr);
     put_u64s(&mut b, &r.utilization.module_accesses);
@@ -59,11 +59,11 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, &'static str> {
     if r.u64()? != MAGIC {
         return Err("report magic/version mismatch");
     }
-    let stats = r.machine_stats()?;
+    let stats = MachineStats::from_words(r.words()?);
     let n = r.len()?;
     let mut spawns = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        spawns.push(r.spawn_stats()?);
+        spawns.push(SpawnStats::from_words(r.words()?));
     }
     let utilization = UtilizationReport {
         cluster_instr: r.u64s()?,
@@ -399,41 +399,11 @@ fn put_f64s(b: &mut Vec<u8>, vs: &[f64]) {
     }
 }
 
-fn put_machine_stats(b: &mut Vec<u8>, s: &MachineStats) {
-    for v in [
-        s.cycles,
-        s.instructions,
-        s.flops,
-        s.mem_reads,
-        s.mem_writes,
-        s.threads,
-        s.spawns,
-        s.stall_scoreboard,
-        s.stall_fpu,
-        s.stall_mdu,
-        s.stall_lsu,
-    ] {
-        put_u64(b, v);
-    }
-}
-
-fn put_spawn_stats(b: &mut Vec<u8>, s: &SpawnStats) {
-    for v in [
-        s.index as u64,
-        s.threads,
-        s.start_cycle,
-        s.cycles,
-        s.instructions,
-        s.flops,
-        s.mem_reads,
-        s.mem_writes,
-        s.dram_bytes,
-        s.stall_scoreboard,
-        s.stall_fpu,
-        s.stall_mdu,
-        s.stall_lsu,
-    ] {
-        put_u64(b, v);
+/// Fixed-size word groups (the stats structs' `to_words`): no length
+/// prefix.
+fn put_words(b: &mut Vec<u8>, ws: &[u64]) {
+    for &w in ws {
+        put_u64(b, w);
     }
 }
 
@@ -658,38 +628,12 @@ impl<'a> Reader<'a> {
         Ok(self.u64s()?.into_iter().map(f64::from_bits).collect())
     }
 
-    fn machine_stats(&mut self) -> Result<MachineStats, &'static str> {
-        Ok(MachineStats {
-            cycles: self.u64()?,
-            instructions: self.u64()?,
-            flops: self.u64()?,
-            mem_reads: self.u64()?,
-            mem_writes: self.u64()?,
-            threads: self.u64()?,
-            spawns: self.u64()?,
-            stall_scoreboard: self.u64()?,
-            stall_fpu: self.u64()?,
-            stall_mdu: self.u64()?,
-            stall_lsu: self.u64()?,
-        })
-    }
-
-    fn spawn_stats(&mut self) -> Result<SpawnStats, &'static str> {
-        Ok(SpawnStats {
-            index: self.u64()? as usize,
-            threads: self.u64()?,
-            start_cycle: self.u64()?,
-            cycles: self.u64()?,
-            instructions: self.u64()?,
-            flops: self.u64()?,
-            mem_reads: self.u64()?,
-            mem_writes: self.u64()?,
-            dram_bytes: self.u64()?,
-            stall_scoreboard: self.u64()?,
-            stall_fpu: self.u64()?,
-            stall_mdu: self.u64()?,
-            stall_lsu: self.u64()?,
-        })
+    fn words<const N: usize>(&mut self) -> Result<[u64; N], &'static str> {
+        let mut w = [0; N];
+        for v in &mut w {
+            *v = self.u64()?;
+        }
+        Ok(w)
     }
 }
 

@@ -106,10 +106,10 @@ impl Checkpoint {
         put_u32s(&mut b, &self.mtcu_iregs);
         put_u32s(&mut b, &self.mtcu_fregs);
         put_u32s(&mut b, &self.mem);
-        put_machine_stats(&mut b, &self.stats);
+        put_words(&mut b, &self.stats.to_words());
         put_u32(&mut b, self.spawn_log.len() as u32);
         for s in &self.spawn_log {
-            put_spawn_stats(&mut b, s);
+            put_words(&mut b, &s.to_words());
         }
         put_u32s(&mut b, &self.cluster_rr);
         put_u64s(&mut b, &self.cluster_instr);
@@ -160,11 +160,11 @@ impl Checkpoint {
         let mtcu_iregs = r.u32s()?;
         let mtcu_fregs = r.u32s()?;
         let mem = r.u32s()?;
-        let stats = r.machine_stats()?;
+        let stats = MachineStats::from_words(r.words()?);
         let n_spawns = r.len()?;
         let mut spawn_log = Vec::with_capacity(n_spawns.min(1 << 16));
         for _ in 0..n_spawns {
-            spawn_log.push(r.spawn_stats()?);
+            spawn_log.push(SpawnStats::from_words(r.words()?));
         }
         let cluster_rr = r.u32s()?;
         let cluster_instr = r.u64s()?;
@@ -258,41 +258,11 @@ fn put_u64s(b: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-fn put_machine_stats(b: &mut Vec<u8>, s: &MachineStats) {
-    for v in [
-        s.cycles,
-        s.instructions,
-        s.flops,
-        s.mem_reads,
-        s.mem_writes,
-        s.threads,
-        s.spawns,
-        s.stall_scoreboard,
-        s.stall_fpu,
-        s.stall_mdu,
-        s.stall_lsu,
-    ] {
-        put_u64(b, v);
-    }
-}
-
-fn put_spawn_stats(b: &mut Vec<u8>, s: &SpawnStats) {
-    for v in [
-        s.index as u64,
-        s.threads,
-        s.start_cycle,
-        s.cycles,
-        s.instructions,
-        s.flops,
-        s.mem_reads,
-        s.mem_writes,
-        s.dram_bytes,
-        s.stall_scoreboard,
-        s.stall_fpu,
-        s.stall_mdu,
-        s.stall_lsu,
-    ] {
-        put_u64(b, v);
+/// Fixed-size word groups (the stats structs' `to_words`): no length
+/// prefix.
+fn put_words(b: &mut Vec<u8>, ws: &[u64]) {
+    for &w in ws {
+        put_u64(b, w);
     }
 }
 
@@ -379,38 +349,12 @@ impl Reader<'_> {
         (0..n).map(|_| self.u64()).collect()
     }
 
-    fn machine_stats(&mut self) -> Result<MachineStats, SimError> {
-        Ok(MachineStats {
-            cycles: self.u64()?,
-            instructions: self.u64()?,
-            flops: self.u64()?,
-            mem_reads: self.u64()?,
-            mem_writes: self.u64()?,
-            threads: self.u64()?,
-            spawns: self.u64()?,
-            stall_scoreboard: self.u64()?,
-            stall_fpu: self.u64()?,
-            stall_mdu: self.u64()?,
-            stall_lsu: self.u64()?,
-        })
-    }
-
-    fn spawn_stats(&mut self) -> Result<SpawnStats, SimError> {
-        Ok(SpawnStats {
-            index: self.u64()? as usize,
-            threads: self.u64()?,
-            start_cycle: self.u64()?,
-            cycles: self.u64()?,
-            instructions: self.u64()?,
-            flops: self.u64()?,
-            mem_reads: self.u64()?,
-            mem_writes: self.u64()?,
-            dram_bytes: self.u64()?,
-            stall_scoreboard: self.u64()?,
-            stall_fpu: self.u64()?,
-            stall_mdu: self.u64()?,
-            stall_lsu: self.u64()?,
-        })
+    fn words<const N: usize>(&mut self) -> Result<[u64; N], SimError> {
+        let mut w = [0; N];
+        for v in &mut w {
+            *v = self.u64()?;
+        }
+        Ok(w)
     }
 
     fn dram_stats(&mut self) -> Result<DramStats, SimError> {

@@ -133,12 +133,11 @@ impl<P: Probe> Machine<P> {
                             blocked_scoreboard: 0,
                             blocked_lsu: 0,
                         };
-                        // With the tier on and thread IDs exhausted,
-                        // clusters off the worklist have no active TCUs:
-                        // nothing to issue, wake or attribute stalls to,
-                        // so the scan covers the worklist only.
-                        let members: Option<&[usize]> = (self.trace.is_some()
-                            && self.next_tid >= self.spawn_count)
+                        // With thread IDs exhausted, clusters off the
+                        // worklist have no active TCUs: nothing to issue,
+                        // wake or attribute stalls to, so the scan covers
+                        // the worklist only.
+                        let members: Option<&[usize]> = (self.next_tid >= self.spawn_count)
                             .then_some(self.par_active.as_slice());
                         let n_scan = members.map_or(self.clusters.len(), |m| m.len());
                         for i in 0..n_scan {
@@ -183,26 +182,15 @@ impl<P: Probe> Machine<P> {
         if parallel {
             self.stats.stall_scoreboard += n * blocked_scoreboard;
             self.stats.stall_lsu += n * blocked_lsu;
-            if self.trace.is_some() {
-                // Only worklist clusters can hold a non-empty wake
-                // wheel (inactive ⇒ empty, the worklist invariant), and
-                // the round-robin pointers catch up lazily via `pcyc`
-                // instead of an O(clusters) advance per skip.
-                let masks = &mut self.masks;
-                for &c in &self.par_active {
-                    masks[c].wake_through(next, n);
-                }
-                self.pcyc += n;
-            } else {
-                for m in &mut self.masks {
-                    m.wake_through(next, n);
-                }
-                let ntcus = self.cfg.tcus_per_cluster;
-                let adv = (n % ntcus as u64) as usize;
-                for rr in &mut self.cluster_rr {
-                    *rr = (*rr + adv) % ntcus;
-                }
+            // Only worklist clusters can hold a non-empty wake wheel
+            // (inactive ⇒ empty, the worklist invariant), and the
+            // round-robin pointers catch up lazily via `pcyc` instead
+            // of an O(clusters) advance per skip.
+            let masks = &mut self.masks;
+            for &c in &self.par_active {
+                masks[c].wake_through(next, n);
             }
+            self.pcyc += n;
         }
         self.cycle += n;
         self.stats.cycles = self.cycle;

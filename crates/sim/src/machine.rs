@@ -351,12 +351,13 @@ pub struct Machine<P: Probe = NoProbe> {
     /// interpreter path remains the fallback at every cold slot and
     /// machine-level boundary.
     trace: Option<Box<TraceCache>>,
-    /// Tier-only worklist of clusters with any active TCU, maintained by
-    /// `step_parallel_worklist` so fully idle clusters (proven quiescent:
-    /// no busy TCUs, empty wake wheel) are never visited or skip-woken.
+    /// Fast-forward worklist of clusters with any active TCU, maintained
+    /// by `step_parallel_worklist` so fully idle clusters (proven
+    /// quiescent: no busy TCUs, empty wake wheel) are never visited or
+    /// skip-woken.
     par_active: Vec<usize>,
-    /// Parallel cycles elapsed in the current section (tier bookkeeping
-    /// for the lazy round-robin advance; always 0 when the tier is off).
+    /// Parallel cycles elapsed in the current section (bookkeeping for
+    /// the lazy round-robin advance; stays 0 under per-cycle stepping).
     pcyc: u64,
     /// Per-cluster section cycle through which `cluster_rr` has been
     /// advanced; `sync_rr` settles the arrears before a cluster steps.
@@ -899,9 +900,9 @@ impl<P: Probe> Machine<P> {
 
     /// One machine cycle. `fast` selects the fast-forward engine's
     /// parallel-mode stepping — bulk issue off the cluster masks
-    /// wherever the visit order is unobservable and, with the tier on,
-    /// only the clusters on the active worklist; the reference engine
-    /// (`fast == false`) walks every TCU of every cluster.
+    /// wherever the visit order is unobservable, over only the clusters
+    /// on the active worklist; the reference engine (`fast == false`)
+    /// walks every TCU of every cluster.
     fn step_with(&mut self, fast: bool) -> Result<(), SimError> {
         let r = self.step_inner(fast);
         r.map_err(|e| e.stamped(self.cycle))
@@ -922,7 +923,7 @@ impl<P: Probe> Machine<P> {
                 self.step_memory_system()?;
             }
             Mode::Parallel { return_pc } => {
-                if fast && self.trace.is_some() {
+                if fast {
                     self.step_parallel_worklist()?;
                 } else {
                     for c in 0..self.clusters.len() {
@@ -992,23 +993,30 @@ impl<P: Probe> Machine<P> {
         Ok(())
     }
 
-    /// Settle a cluster's round-robin arrears before it steps. With the
-    /// tier on, skipped clusters and bulk fast-forwards no longer eagerly
-    /// advance every `cluster_rr` each cycle; `pcyc` counts the parallel
-    /// cycles of the current section and each cluster catches up lazily
-    /// (same scheme as the threaded engine's shard `synced` field).
+    /// Settle a cluster's round-robin arrears. Skipped clusters and bulk
+    /// fast-forwards do not advance every `cluster_rr` each cycle; `pcyc`
+    /// counts the parallel cycles of the current section and each
+    /// cluster catches up lazily (same scheme as the threaded engine's
+    /// shard `synced` field).
     #[inline]
-    fn sync_rr(&mut self, c: usize) {
+    fn settle_rr(&mut self, c: usize) {
         let ntcus = self.cfg.tcus_per_cluster;
         let lag = (self.pcyc - self.rr_synced[c]) % ntcus as u64;
         if lag > 0 {
             self.cluster_rr[c] = (self.cluster_rr[c] + lag as usize) % ntcus;
         }
-        // The step about to run advances the pointer once more.
-        self.rr_synced[c] = self.pcyc + 1;
+        self.rr_synced[c] = self.pcyc;
     }
 
-    /// Tiered fast parallel cycle: only clusters on the `par_active`
+    /// [`Machine::settle_rr`] before cluster `c` steps; the step advances
+    /// the pointer once more.
+    #[inline]
+    fn sync_rr(&mut self, c: usize) {
+        self.settle_rr(c);
+        self.rr_synced[c] += 1;
+    }
+
+    /// Fast parallel cycle: only clusters on the `par_active`
     /// worklist are visited. A cluster leaves the list when its last
     /// thread joins (proven quiescent: joins drain posted stores first,
     /// and an empty active mask implies an empty wake wheel, so an
@@ -1190,14 +1198,12 @@ impl<P: Probe> Machine<P> {
                 self.spawn_count = n;
                 self.spawn_entry = entry;
                 self.next_tid = 0;
-                if self.trace.is_some() {
-                    // Fresh section: restart the lazy round-robin clock
-                    // and the cluster worklist (rebuilt on the first
-                    // parallel cycle, when thread IDs are available).
-                    self.pcyc = 0;
-                    self.rr_synced.fill(0);
-                    self.par_active.clear();
-                }
+                // Fresh section: restart the lazy round-robin clock and
+                // the cluster worklist (rebuilt on the first parallel
+                // cycle, when thread IDs are available).
+                self.pcyc = 0;
+                self.rr_synced.fill(0);
+                self.par_active.clear();
                 // Broadcast: the parallel section reaches every cluster
                 // in log₂(clusters) cycles (Section II-A: "start all
                 // TCUs at once in the same time it takes to start one").
@@ -1291,18 +1297,11 @@ impl<P: Probe> Machine<P> {
                 stall_lsu: self.stats.stall_lsu - tr.start.stall_lsu,
             });
         }
-        if self.trace.is_some() {
-            // Settle every cluster's lazy round-robin arrears so the
-            // serial-mode `cluster_rr` bytes (checkpointed, compared
-            // across engines) match eager per-cycle advancing exactly.
-            let ntcus = self.cfg.tcus_per_cluster;
-            for c in 0..self.cluster_rr.len() {
-                let lag = (self.pcyc - self.rr_synced[c]) % ntcus as u64;
-                if lag > 0 {
-                    self.cluster_rr[c] = (self.cluster_rr[c] + lag as usize) % ntcus;
-                }
-                self.rr_synced[c] = self.pcyc;
-            }
+        // Settle every cluster's lazy round-robin arrears so the
+        // serial-mode `cluster_rr` bytes (checkpointed, compared across
+        // engines) match eager per-cycle advancing exactly.
+        for c in 0..self.cluster_rr.len() {
+            self.settle_rr(c);
         }
         self.mode = Mode::Serial {
             pc: return_pc,

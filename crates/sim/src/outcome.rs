@@ -238,6 +238,27 @@ impl RunOutcome {
     }
 }
 
+/// `to_words`/`from_words` for a struct of counters: the field order
+/// every byte codec (checkpoints, the job service's report format)
+/// writes, stated once. Changing a list changes both formats. (The
+/// casts are for `SpawnStats::index`, the one field that is not `u64`.)
+macro_rules! word_codec {
+    ($ty:ident, $n:literal, [$($field:ident),*]) => {
+        impl $ty {
+            /// The fields in codec order.
+            pub fn to_words(&self) -> [u64; $n] {
+                [$(self.$field as u64),*]
+            }
+
+            /// Inverse of `to_words`.
+            pub fn from_words(words: [u64; $n]) -> Self {
+                let [$($field),*] = words;
+                $ty { $($field: $field as _),* }
+            }
+        }
+    };
+}
+
 /// Counters accumulated over the whole run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineStats {
@@ -264,6 +285,24 @@ pub struct MachineStats {
     /// The `stall_lsu` value.
     pub stall_lsu: u64,
 }
+
+word_codec!(
+    MachineStats,
+    11,
+    [
+        cycles,
+        instructions,
+        flops,
+        mem_reads,
+        mem_writes,
+        threads,
+        spawns,
+        stall_scoreboard,
+        stall_fpu,
+        stall_mdu,
+        stall_lsu
+    ]
+);
 
 /// Per-spawn (per parallel section) statistics — the phase-level data
 /// behind the Roofline points of Fig. 3.
@@ -297,6 +336,26 @@ pub struct SpawnStats {
     /// LSU/NoC/memory stall cycles accrued inside this section.
     pub stall_lsu: u64,
 }
+
+word_codec!(
+    SpawnStats,
+    13,
+    [
+        index,
+        threads,
+        start_cycle,
+        cycles,
+        instructions,
+        flops,
+        mem_reads,
+        mem_writes,
+        dram_bytes,
+        stall_scoreboard,
+        stall_fpu,
+        stall_mdu,
+        stall_lsu
+    ]
+);
 
 impl SpawnStats {
     /// Achieved GFLOPS (actual FLOP count) at `clock_ghz`.

@@ -6,8 +6,10 @@
 //! [`NoProbe`] has `ENABLED = false`, so every probe hook in the engine
 //! hot paths sits behind `if P::ENABLED { ... }` and is constant-folded
 //! away — the allocation-free hot path stays allocation-free and the
-//! golden cycle counts and bench throughput are bit-for-bit those of an
-//! unprobed machine (`bench_sim --probe --check` enforces this).
+//! golden cycle counts are bit-for-bit those of an unprobed machine
+//! (`tests/tests/probe_correctness.rs` holds this on every golden case
+//! and engine; what a probe costs in host time is the benchmark's
+//! `sim.probed_run_ms` against `sim.run_ms`).
 //!
 //! Sampling contract: the machine calls [`Probe::record`] once per
 //! elapsed interval of [`Probe::interval`] cycles, at the first moment
@@ -207,7 +209,8 @@ impl Probe for NoProbe {
 /// simulated results are those of a [`NoProbe`] machine; the host time
 /// is not — a dozen clock reads a cycle is small against a paper-scale
 /// cycle and several times a 512-point job's, so end-to-end numbers are
-/// never taken with it attached (`bench_sim --profile` is its one user).
+/// never taken with it attached (`bench_sim`'s ledger run is its one
+/// user).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostLayers {
     last: Option<std::time::Instant>,

@@ -31,8 +31,9 @@ pub enum TranslationTier {
 }
 
 /// Counters describing how the trace cache was exercised. Fully
-/// deterministic for a given (program, config, engine): the CI tier
-/// stage asserts byte-equality across repeated runs.
+/// deterministic for a given (program, config, engine): `bench_sim
+/// --check` asserts they repeat between runs and match the committed
+/// `trace` rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStats {
     /// Superblocks in the program (static).

@@ -12,8 +12,8 @@
 //! on the three cheaper cases.
 //! The dense 8k case and the Reference/FastForward engines run in
 //! release via `ci.sh` (`cargo test --release ... -- --ignored`), and
-//! `bench_sim --scaling` independently asserts three-engine identity on
-//! every case.
+//! `bench_sim --check` independently asserts three-engine identity on
+//! every case, tier on and off.
 
 use xmt_fft::golden::{scaling_cases, spawn_digest};
 
