@@ -42,9 +42,9 @@ stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 # lowering (including the trace cache a probed run actually replayed),
 # and the static traffic/roofline analyzer cross-checked against
 # IntervalProbe measurements — the paper-scale FFT must classify
-# bandwidth-bound (DESIGN.md §12, §17). Clean results are cached under
-# target/xmt-lint-cache/ keyed by program digest; the JSON artifact is
-# CI-archivable. Exit 1 on any finding or failed cross-check.
+# bandwidth-bound (DESIGN.md §12, §17). Every pass runs on every target
+# every time (about a second); the JSON artifact is CI-archivable.
+# Exit 1 on any finding or failed cross-check.
 stage "static analysis: front half + transval + traffic (xmt-lint)" \
     cargo run --release -p xmt-bench --bin xmt_lint -- --artifact target/xmt-lint.json
 

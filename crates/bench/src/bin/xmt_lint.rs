@@ -20,19 +20,14 @@
 //!
 //!   --format text|json   report format on stdout (default: text)
 //!   --traffic-full       also measure the scaling cases (expensive)
-//!   --no-cache           ignore the verification cache and re-prove
 //!   --artifact PATH      JSON artifact path (default: target/xmt-lint.json)
 //! ```
 //!
 //! Exit codes: **0** everything proven clean, **1** findings or a
-//! failed cross-check or verdict pin, **2** usage error. The JSON
-//! artifact is written on every run (pass or fail) so CI can archive
-//! it.
-//!
-//! Clean per-target results are cached under `target/xmt-lint-cache/`,
-//! keyed by a digest of the program, the lowering latencies, the
-//! traffic parameters and the pass roster/version — editing a kernel
-//! generator or an analysis invalidates exactly the affected entries.
+//! failed cross-check or verdict pin, **2** usage error. Every pass
+//! runs on every target every time — a clean result is only ever this
+//! build's own — and the JSON artifact is written on every run (pass
+//! or fail) so CI can archive it.
 //!
 //! XMTC-authored targets are a special case: their scatter addresses
 //! come from `/` and `%` on broadcast globals, which the affine domain
@@ -41,26 +36,23 @@
 //! generated kernels, which the domain does prove, gate strictly.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::exit;
 
 use xmt_fft::golden::{self, GoldenCase};
 use xmt_fft::plan::{default_copies, XmtFftPlan};
 use xmt_fft::traffic::traffic_params;
 use xmt_isa::Program;
-use xmt_sim::simcfg::fnv1a;
 use xmt_sim::{program_digest, IntervalProbe, UNIT_LAT};
 use xmt_verify::traffic::{analyze, TrafficParams, TrafficReport, Verdict};
 use xmt_verify::transval::{validate_cache, validate_program, TransvalStats};
 use xmt_verify::{verify, Kind};
 
-const CACHE_VERSION: &str = "xmt-lint-v1";
 const PASSES: &str = "structure,dataflow,deadstore,races,transval,traffic";
 
 struct Flags {
     json: bool,
     traffic_full: bool,
-    no_cache: bool,
     artifact: PathBuf,
 }
 
@@ -68,7 +60,6 @@ fn parse_flags() -> Result<Flags, String> {
     let mut flags = Flags {
         json: false,
         traffic_full: false,
-        no_cache: false,
         artifact: target_dir().join("xmt-lint.json"),
     };
     let mut args = std::env::args().skip(1);
@@ -80,7 +71,6 @@ fn parse_flags() -> Result<Flags, String> {
                 other => return Err(format!("--format wants text|json, got {other:?}")),
             },
             "--traffic-full" => flags.traffic_full = true,
-            "--no-cache" => flags.no_cache = true,
             "--artifact" => match args.next() {
                 Some(p) => flags.artifact = PathBuf::from(p),
                 None => return Err("--artifact wants a path".into()),
@@ -117,7 +107,6 @@ struct Outcome {
     name: String,
     kind: &'static str,
     digest: u64,
-    cached: bool,
     errors: usize,
     warnings: usize,
     unproven: usize,
@@ -142,97 +131,6 @@ impl Outcome {
 
 fn in_range(v: u64, (lo, hi): (u64, u64)) -> bool {
     lo <= v && v <= hi
-}
-
-fn cache_key(t: &Target, measured: bool) -> u64 {
-    let p = &t.params;
-    let canon = format!(
-        "{CACHE_VERSION}|passes={PASSES}|lat=fpu{},mdu{}|relax={}|meas={}|expect={:?}|\
-         params={},{},{},{},{},{},{},{},{},{}|prog={:016x}",
-        UNIT_LAT.fpu,
-        UNIT_LAT.mdu,
-        t.relax_races as u8,
-        measured as u8,
-        t.expect,
-        p.line_words,
-        p.cache_lines,
-        p.clusters,
-        p.tcus_per_cluster,
-        p.fpus_per_cluster,
-        p.lsus_per_cluster,
-        p.icn_words_per_cluster,
-        p.dram_bytes_per_cycle,
-        p.startup_cycles,
-        p.compute_efficiency,
-        program_digest(&t.prog),
-    );
-    fnv1a(canon.as_bytes())
-}
-
-fn cache_path(key: u64) -> PathBuf {
-    target_dir()
-        .join("xmt-lint-cache")
-        .join(format!("{key:016x}.ok"))
-}
-
-/// A clean result, round-tripped through the cache as `k v` lines.
-fn cache_store(path: &Path, o: &Outcome) {
-    let mut s = String::new();
-    let _ = writeln!(s, "warnings {}", o.warnings);
-    let _ = writeln!(s, "unproven {}", o.unproven);
-    if let Some(tv) = o.transval {
-        let _ = writeln!(s, "tv {} {} {}", tv.blocks, tv.uops, tv.cold_blocks);
-    }
-    if let Some(tv) = o.cache_audit {
-        let _ = writeln!(s, "audit {} {} {}", tv.blocks, tv.uops, tv.cold_blocks);
-    }
-    if let Some(v) = o.verdict {
-        let _ = writeln!(s, "verdict {v}");
-    }
-    let _ = writeln!(s, "crosscheck {}", o.crosscheck);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let _ = std::fs::write(path, s);
-}
-
-fn cache_load(path: &Path, o: &mut Outcome) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    let stats = |ws: &[&str]| -> Option<TransvalStats> {
-        Some(TransvalStats {
-            blocks: ws.get(1)?.parse().ok()?,
-            uops: ws.get(2)?.parse().ok()?,
-            cold_blocks: ws.get(3)?.parse().ok()?,
-        })
-    };
-    for line in text.lines() {
-        let ws: Vec<&str> = line.split_whitespace().collect();
-        match ws.first().copied() {
-            Some("warnings") => o.warnings = ws.get(1).and_then(|v| v.parse().ok()).unwrap_or(0),
-            Some("unproven") => o.unproven = ws.get(1).and_then(|v| v.parse().ok()).unwrap_or(0),
-            Some("tv") => o.transval = stats(&ws),
-            Some("audit") => o.cache_audit = stats(&ws),
-            Some("verdict") => {
-                o.verdict = match ws.get(1).copied() {
-                    Some("bandwidth-bound") => Some(Verdict::BandwidthBound),
-                    Some("compute-bound") => Some(Verdict::ComputeBound),
-                    Some("latency-bound") => Some(Verdict::LatencyBound),
-                    _ => Some(Verdict::Unknown),
-                }
-            }
-            Some("crosscheck") => {
-                o.crosscheck = match ws.get(1).copied() {
-                    Some("ok") => "ok",
-                    _ => "skipped",
-                }
-            }
-            _ => {}
-        }
-    }
-    o.cached = true;
-    true
 }
 
 /// Run the probed simulation for a measured target: per-phase interval
@@ -312,7 +210,7 @@ fn crosscheck(case: &GoldenCase, prog: &Program, report: &TrafficReport, o: &mut
     o.crosscheck = if bad == 0 { "ok" } else { "failed" };
 }
 
-fn run_target(t: &Target, flags: &Flags) -> Outcome {
+fn run_target(t: &Target) -> Outcome {
     let mut o = Outcome {
         name: t.name.clone(),
         kind: t.kind,
@@ -321,13 +219,6 @@ fn run_target(t: &Target, flags: &Flags) -> Outcome {
         expect: t.expect,
         ..Outcome::default()
     };
-    let key = cache_key(t, t.measure.is_some());
-    let path = cache_path(key);
-    if !flags.no_cache && cache_load(&path, &mut o) {
-        return o;
-    }
-    o.cached = false;
-
     // Front half + pass 1 on the canonical lowering.
     let report = verify(&t.prog);
     o.warnings = report.warnings().count();
@@ -365,13 +256,6 @@ fn run_target(t: &Target, flags: &Flags) -> Outcome {
         Err(e) => o.findings.push(format!("error[traffic]: {e}")),
     }
     o.errors = o.findings.len();
-
-    if !o.gated() {
-        cache_store(&path, &o);
-    } else {
-        // A previously-clean entry must not mask a now-failing target.
-        let _ = std::fs::remove_file(&path);
-    }
     o
 }
 
@@ -499,12 +383,11 @@ fn render_json(results: &[Outcome], failed: bool) -> String {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\"name\":\"{}\",\"kind\":\"{}\",\"digest\":\"{:016x}\",\"cached\":{},\
+            "{{\"name\":\"{}\",\"kind\":\"{}\",\"digest\":\"{:016x}\",\
              \"errors\":{},\"warnings\":{},\"unproven_races\":{}",
             json_escape(&o.name),
             o.kind,
             o.digest,
-            o.cached,
             o.findings.len().max(o.errors),
             o.warnings,
             o.unproven
@@ -596,9 +479,8 @@ fn render_text(results: &[Outcome]) {
             .transval
             .map_or("-".to_string(), |t| format!("{}b/{}u", t.blocks, t.uops));
         let roof = o.verdict.map_or("-".to_string(), |v| v.to_string());
-        let cached = if o.cached { " (cached)" } else { "" };
         println!(
-            "{verdict:>4}  {:<20} {:<8} transval {tv:>10}  roofline {roof:<16} xcheck {}{cached}",
+            "{verdict:>4}  {:<20} {:<8} transval {tv:>10}  roofline {roof:<16} xcheck {}",
             o.name, o.kind, o.crosscheck
         );
         if let Some(tv) = o.cache_audit {
@@ -636,7 +518,7 @@ fn main() {
         Ok(f) => f,
         Err(e) => {
             eprintln!("xmt-lint: {e}");
-            eprintln!("usage: xmt_lint [--format text|json] [--traffic-full] [--no-cache] [--artifact PATH]");
+            eprintln!("usage: xmt_lint [--format text|json] [--traffic-full] [--artifact PATH]");
             exit(2);
         }
     };
@@ -645,7 +527,7 @@ fn main() {
     let mut results = Vec::new();
     let mut failed = false;
     for t in &targets {
-        let o = run_target(t, &flags);
+        let o = run_target(t);
         failed |= o.gated();
         results.push(o);
     }

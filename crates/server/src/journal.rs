@@ -190,7 +190,7 @@ impl Record {
             4 => Record::Cancelled { id: r.u64()? },
             _ => return Err("unknown journal record tag"),
         };
-        if r.pos != payload.len() {
+        if !r.at_end() {
             return Err("trailing bytes after journal record");
         }
         Ok(rec)

@@ -248,7 +248,7 @@ pub fn decode_request_frame(tag: u8, body: &[u8]) -> Result<Request, WireError> 
         REQ_STATS => Request::Stats,
         _ => return Err("unknown request tag"),
     };
-    if r.pos != body.len() {
+    if !r.at_end() {
         return Err("trailing bytes after request frame");
     }
     Ok(req)
@@ -312,7 +312,7 @@ pub fn decode_stats(body: &[u8]) -> Result<RemoteStats, WireError> {
             evictions: r.u64()?,
         },
     };
-    if r.pos != body.len() {
+    if !r.at_end() {
         return Err("trailing bytes after stats frame");
     }
     Ok(s)
@@ -339,7 +339,7 @@ pub fn decode_status(body: &[u8]) -> Result<JobStatus, WireError> {
         from_cache: r.u8()? != 0,
         deduped: r.u8()? != 0,
     };
-    if r.pos != body.len() {
+    if !r.at_end() {
         return Err("trailing bytes after status frame");
     }
     Ok(s)

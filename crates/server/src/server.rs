@@ -1341,6 +1341,32 @@ mod tests {
         assert!(!status.deduped);
     }
 
+    /// A request no machine can be built from must not take the worker
+    /// with it: built in-process it resolves `Failed` with the typed
+    /// error, and the next job on the same, only worker completes.
+    #[test]
+    fn bad_geometry_fails_typed_and_the_worker_lives() {
+        let srv = tiny_server(1, u64::MAX);
+        let limit = Duration::from_secs(30);
+        let mut bad = SimRequest::golden("ps_tickets").unwrap();
+        bad.sim.arch.tcus_per_cluster = 128;
+        let r = srv.submit(bad).unwrap().wait_deadline(limit).unwrap();
+        assert!(
+            matches!(
+                r.outcome.status,
+                RunStatus::Failed(SimError::InvalidConfig { .. })
+            ),
+            "got {:?}",
+            r.outcome.status
+        );
+        let next = srv
+            .submit(SimRequest::golden("ps_tickets").unwrap())
+            .unwrap()
+            .wait_deadline(limit)
+            .unwrap();
+        assert!(next.outcome.is_completed());
+    }
+
     #[test]
     fn preempted_job_matches_uninterrupted_run() {
         let whole = tiny_server(1, u64::MAX)

@@ -3,19 +3,24 @@
 //! payload and journal record body) and [`IntervalRow`] (the streamed
 //! probe sample).
 //!
-//! Same idiom as the simulator's checkpoint codec: versioned magic,
-//! little-endian fixed-width fields, length-prefixed arrays, floats
-//! bit-exact via `to_bits`. Encoding is canonical — equal values
+//! Same idiom as the simulator's checkpoint codec, over the same
+//! primitives ([`xmt_sim::bytes`]): versioned magic, little-endian
+//! fixed-width fields, length-prefixed arrays, floats bit-exact via
+//! `to_bits`. Encoding is canonical — equal values
 //! encode to equal bytes — which is what makes "a cache hit returns a
 //! byte-identical report" a checkable contract rather than a hope.
 //!
 //! Every decoder is total: arbitrary, truncated or bit-flipped input
 //! returns a typed error — never a panic, never an over-read, never an
 //! attacker-sized allocation (length prefixes are bounded by the
-//! remaining payload, and request fields carry explicit sanity
-//! bounds). `tests/tests/wire_properties.rs` fuzzes this contract.
+//! remaining payload, request fields carry explicit sanity bounds, and
+//! the architecture must pass [`XmtConfig::validate`], so no request
+//! that decodes can panic a machine constructor).
+//! `tests/tests/wire_properties.rs` fuzzes this contract.
 
 use crate::request::{SimRequest, WorkloadSpec};
+pub(crate) use xmt_sim::bytes::{put_str, put_u32, put_u64, Reader};
+use xmt_sim::bytes::{put_u64s, put_words};
 use xmt_sim::{
     BlockedTcus, Engine, FaultPlan, IntervalRow, MachineStats, RunReport, SimConfig, SpawnStats,
     TranslationTier, UtilizationReport, XmtConfig,
@@ -55,12 +60,12 @@ pub fn encode_report(r: &RunReport) -> Vec<u8> {
 /// Parse the byte format; rejects truncated, corrupt or
 /// differently-versioned blobs (e.g. a stale persisted cache file).
 pub fn decode_report(bytes: &[u8]) -> Result<RunReport, &'static str> {
-    let mut r = Reader { b: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.u64()? != MAGIC {
         return Err("report magic/version mismatch");
     }
     let stats = MachineStats::from_words(r.words()?);
-    let n = r.len()?;
+    let n = r.count()?;
     let mut spawns = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         spawns.push(SpawnStats::from_words(r.words()?));
@@ -68,11 +73,11 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, &'static str> {
     let utilization = UtilizationReport {
         cluster_instr: r.u64s()?,
         module_accesses: r.u64s()?,
-        module_hit_rate: r.f64s()?,
-        channel_busy: r.f64s()?,
+        module_hit_rate: f64s(&mut r)?,
+        channel_busy: f64s(&mut r)?,
         fpu_utilization: f64::from_bits(r.u64()?),
     };
-    if r.pos != bytes.len() {
+    if !r.at_end() {
         return Err("trailing bytes after report payload");
     }
     Ok(RunReport {
@@ -120,7 +125,7 @@ pub fn encode_request(req: &SimRequest) -> Vec<u8> {
 /// [`SimRequest::program`] can keep its "validated at construction"
 /// contract.
 pub fn decode_request(bytes: &[u8]) -> Result<SimRequest, WireError> {
-    let mut r = Reader { b: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.u64()? != REQ_MAGIC {
         return Err("request magic/version mismatch");
     }
@@ -160,8 +165,8 @@ pub fn decode_request(bytes: &[u8]) -> Result<SimRequest, WireError> {
         }
         _ => return Err("unknown workload tag"),
     };
-    let sim = r.sim_config()?;
-    if r.pos != bytes.len() {
+    let sim = sim_config(&mut r)?;
+    if !r.at_end() {
         return Err("trailing bytes after request payload");
     }
     let req = SimRequest { workload, sim };
@@ -221,7 +226,7 @@ pub fn encode_row(row: &IntervalRow) -> Vec<u8> {
 
 /// Parse one streamed probe sample.
 pub fn decode_row(bytes: &[u8]) -> Result<IntervalRow, WireError> {
-    let mut r = Reader { b: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.u64()? != ROW_MAGIC {
         return Err("row magic/version mismatch");
     }
@@ -265,7 +270,7 @@ pub fn decode_row(bytes: &[u8]) -> Result<IntervalRow, WireError> {
         channel_busy: r.u64s()?,
         channel_queue: r.u64s()?,
     };
-    if r.pos != bytes.len() {
+    if !r.at_end() {
         return Err("trailing bytes after row payload");
     }
     Ok(row)
@@ -371,27 +376,6 @@ fn put_opt_u64(b: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// A length-prefixed UTF-8 string.
-pub(crate) fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u32(b, s.len() as u32);
-    b.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64s(b: &mut Vec<u8>, vs: &[u64]) {
-    put_u32(b, vs.len() as u32);
-    for &v in vs {
-        put_u64(b, v);
-    }
-}
-
 fn put_f64s(b: &mut Vec<u8>, vs: &[f64]) {
     put_u32(b, vs.len() as u32);
     for &v in vs {
@@ -399,242 +383,145 @@ fn put_f64s(b: &mut Vec<u8>, vs: &[f64]) {
     }
 }
 
-/// Fixed-size word groups (the stats structs' `to_words`): no length
-/// prefix.
-fn put_words(b: &mut Vec<u8>, ws: &[u64]) {
-    for &w in ws {
-        put_u64(b, w);
+fn opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, &'static str> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u64()?)),
+        _ => Err("bad option flag"),
     }
 }
 
-/// Bounds-checked little-endian reader over a byte slice — every
-/// decoder in this crate (reports, requests, rows, net frames, journal
-/// records) funnels through it, so "never over-read" is enforced in
-/// one place.
-pub(crate) struct Reader<'a> {
-    pub(crate) b: &'a [u8],
-    pub(crate) pos: usize,
+/// A `usize` that must fit the service's allocation bounds.
+fn bounded_usize(r: &mut Reader<'_>, max: u64, what: &'static str) -> Result<usize, &'static str> {
+    let v = r.u64()?;
+    if v > max {
+        return Err(what);
+    }
+    Ok(v as usize)
 }
 
-impl<'a> Reader<'a> {
-    /// A reader positioned at the start of `bytes`.
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { b: bytes, pos: 0 }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, &'static str> {
-        let v = *self.b.get(self.pos).ok_or("payload truncated")?;
-        self.pos += 1;
-        Ok(v)
-    }
-
-    /// A length-prefixed UTF-8 string, capped at `max` bytes.
-    pub(crate) fn str(&mut self, max: usize) -> Result<String, &'static str> {
-        let n = self.len()?;
-        if n > max {
-            return Err("string length exceeds field bound");
-        }
-        let end = self.pos + n;
-        let s = std::str::from_utf8(&self.b[self.pos..end]).map_err(|_| "string not UTF-8")?;
-        self.pos = end;
-        Ok(s.to_string())
-    }
-
-    /// A length-prefixed byte blob (length bounded by the remaining
-    /// payload, like every prefix).
-    pub(crate) fn blob(&mut self) -> Result<Vec<u8>, &'static str> {
-        let n = self.len()?;
-        let end = self.pos + n;
-        let v = self.b[self.pos..end].to_vec();
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, &'static str> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err("bad option flag"),
-        }
-    }
-
-    /// A `usize` that must fit the service's allocation bounds.
-    fn bounded_usize(&mut self, max: u64, what: &'static str) -> Result<usize, &'static str> {
-        let v = self.u64()?;
-        if v > max {
-            return Err(what);
-        }
-        Ok(v as usize)
-    }
-
-    fn sim_config(&mut self) -> Result<SimConfig, &'static str> {
-        let arch = self.xmt_config()?;
-        let engine = match self.u8()? {
-            0 => Engine::Reference,
-            1 => Engine::FastForward,
-            2 => {
-                let threads = self.u32()?;
-                if threads == 0 || threads > 512 {
-                    return Err("threaded engine thread count outside 1..=512");
-                }
-                Engine::Threaded {
-                    threads: threads as usize,
-                }
+fn sim_config(r: &mut Reader<'_>) -> Result<SimConfig, &'static str> {
+    let arch = xmt_config(r)?;
+    let engine = match r.u8()? {
+        0 => Engine::Reference,
+        1 => Engine::FastForward,
+        2 => {
+            let threads = r.u32()?;
+            if threads == 0 || threads > 512 {
+                return Err("threaded engine thread count outside 1..=512");
             }
-            _ => return Err("unknown engine tag"),
-        };
-        let tier = match self.u8()? {
-            0 => TranslationTier::Interpreter,
-            1 => TranslationTier::Block,
-            _ => return Err("unknown tier tag"),
-        };
-        let faults = self.fault_plan()?;
-        let watchdog = self.opt_u64()?;
-        let max_cycles = self.opt_u64()?;
-        let probe_interval = self.opt_u64()?;
-        if probe_interval == Some(0) {
-            return Err("probe interval must be nonzero");
+            Engine::Threaded {
+                threads: threads as usize,
+            }
         }
-        let probe_capacity = self.bounded_usize(1 << 20, "probe capacity exceeds bound")?;
-        let mem_words = self.bounded_usize(1 << 28, "memory image exceeds bound")?;
-        let mut s = SimConfig::new(&arch)
-            .engine(engine)
-            .tier(tier)
-            .faults(faults)
-            .probe_capacity(probe_capacity)
-            .mem_words(mem_words);
-        s.watchdog = watchdog;
-        s.max_cycles = max_cycles;
-        s.probe_interval = probe_interval;
-        Ok(s)
+        _ => return Err("unknown engine tag"),
+    };
+    let tier = match r.u8()? {
+        0 => TranslationTier::Interpreter,
+        1 => TranslationTier::Block,
+        _ => return Err("unknown tier tag"),
+    };
+    let faults = fault_plan(r)?;
+    let watchdog = opt_u64(r)?;
+    let max_cycles = opt_u64(r)?;
+    let probe_interval = opt_u64(r)?;
+    if probe_interval == Some(0) {
+        return Err("probe interval must be nonzero");
     }
+    let probe_capacity = bounded_usize(r, 1 << 20, "probe capacity exceeds bound")?;
+    let mem_words = bounded_usize(r, 1 << 28, "memory image exceeds bound")?;
+    let mut s = SimConfig::new(&arch)
+        .engine(engine)
+        .tier(tier)
+        .faults(faults)
+        .probe_capacity(probe_capacity)
+        .mem_words(mem_words);
+    s.watchdog = watchdog;
+    s.max_cycles = max_cycles;
+    s.probe_interval = probe_interval;
+    Ok(s)
+}
 
-    fn xmt_config(&mut self) -> Result<XmtConfig, &'static str> {
-        let name = self.str(32)?;
-        // `XmtConfig::name` is `&'static str`: resolve against the five
-        // paper configurations instead of leaking attacker-controlled
-        // strings. Every config the workspace produces (including
-        // `scaled_to` variants) keeps its base row's name.
-        let mut cfg = XmtConfig::paper_configs()
-            .into_iter()
-            .find(|c| c.name == name)
-            .ok_or("unknown architecture name")?;
-        cfg.tcus = self.bounded_usize(1 << 20, "tcus exceeds bound")?;
-        cfg.clusters = self.bounded_usize(1 << 14, "clusters exceeds bound")?;
-        cfg.tcus_per_cluster = self.bounded_usize(1 << 10, "tcus/cluster exceeds bound")?;
-        cfg.memory_modules = self.bounded_usize(1 << 14, "memory modules exceed bound")?;
-        cfg.mm_per_dram_ctrl = self.bounded_usize(1 << 14, "mm/ctrl exceeds bound")?;
-        cfg.fpus_per_cluster = self.bounded_usize(1 << 10, "fpus/cluster exceeds bound")?;
-        cfg.alus_per_cluster = self.bounded_usize(1 << 10, "alus/cluster exceeds bound")?;
-        cfg.mdus_per_cluster = self.bounded_usize(1 << 10, "mdus/cluster exceeds bound")?;
-        cfg.lsus_per_cluster = self.bounded_usize(1 << 10, "lsus/cluster exceeds bound")?;
-        cfg.mot_levels = self.u64()? as u32;
-        cfg.butterfly_levels = self.u64()? as u32;
-        if cfg.mot_levels > 32 || cfg.butterfly_levels > 32 {
-            return Err("noc levels exceed bound");
-        }
-        cfg.clock_ghz = f64::from_bits(self.u64()?);
-        cfg.tech_nm = self.u64()? as u32;
-        cfg.si_layers = self.u64()? as u32;
-        cfg.cache.lines = self.bounded_usize(1 << 20, "cache lines exceed bound")?;
-        cfg.cache.ways = self.bounded_usize(1 << 8, "cache ways exceed bound")?;
-        cfg.cache.line_words = self.bounded_usize(1 << 8, "cache line words exceed bound")?;
-        cfg.cache.hit_latency = self.u64()? as u32;
-        cfg.dram.bytes_per_cycle = f64::from_bits(self.u64()?);
-        cfg.dram.access_latency = self.u64()? as u32;
-        cfg.dram.line_bytes = self.u64()? as u32;
-        Ok(cfg)
+fn xmt_config(r: &mut Reader<'_>) -> Result<XmtConfig, &'static str> {
+    let name = r.str(32)?;
+    // `XmtConfig::name` is `&'static str`: resolve against the five
+    // paper configurations instead of leaking attacker-controlled
+    // strings. Every config the workspace produces (including
+    // `scaled_to` variants) keeps its base row's name.
+    let mut cfg = XmtConfig::paper_configs()
+        .into_iter()
+        .find(|c| c.name == name)
+        .ok_or("unknown architecture name")?;
+    cfg.tcus = bounded_usize(r, 1 << 20, "tcus exceeds bound")?;
+    cfg.clusters = bounded_usize(r, 1 << 14, "clusters exceeds bound")?;
+    cfg.tcus_per_cluster = bounded_usize(r, 1 << 10, "tcus/cluster exceeds bound")?;
+    cfg.memory_modules = bounded_usize(r, 1 << 14, "memory modules exceed bound")?;
+    cfg.mm_per_dram_ctrl = bounded_usize(r, 1 << 14, "mm/ctrl exceeds bound")?;
+    cfg.fpus_per_cluster = bounded_usize(r, 1 << 10, "fpus/cluster exceeds bound")?;
+    cfg.alus_per_cluster = bounded_usize(r, 1 << 10, "alus/cluster exceeds bound")?;
+    cfg.mdus_per_cluster = bounded_usize(r, 1 << 10, "mdus/cluster exceeds bound")?;
+    cfg.lsus_per_cluster = bounded_usize(r, 1 << 10, "lsus/cluster exceeds bound")?;
+    cfg.mot_levels = r.u64()? as u32;
+    cfg.butterfly_levels = r.u64()? as u32;
+    if cfg.mot_levels > 32 || cfg.butterfly_levels > 32 {
+        return Err("noc levels exceed bound");
     }
+    cfg.clock_ghz = f64::from_bits(r.u64()?);
+    cfg.tech_nm = r.u64()? as u32;
+    cfg.si_layers = r.u64()? as u32;
+    cfg.cache.lines = bounded_usize(r, 1 << 20, "cache lines exceed bound")?;
+    cfg.cache.ways = bounded_usize(r, 1 << 8, "cache ways exceed bound")?;
+    cfg.cache.line_words = bounded_usize(r, 1 << 8, "cache line words exceed bound")?;
+    cfg.cache.hit_latency = r.u64()? as u32;
+    cfg.dram.bytes_per_cycle = f64::from_bits(r.u64()?);
+    cfg.dram.access_latency = r.u64()? as u32;
+    cfg.dram.line_bytes = r.u64()? as u32;
+    cfg.validate()?;
+    Ok(cfg)
+}
 
-    fn fault_plan(&mut self) -> Result<FaultPlan, &'static str> {
-        let mut f = FaultPlan::new(self.u64()?);
-        f.dram_single = f64::from_bits(self.u64()?);
-        f.dram_double = f64::from_bits(self.u64()?);
-        f.dram_retry_limit = self.u32()?;
-        f.noc_corrupt = f64::from_bits(self.u64()?);
-        f.noc_retry_limit = self.u32()?;
-        f.noc_backoff_base = self.u64()?;
-        f.dead_clusters = self.component_list()?;
-        f.dead_tcus = self.tcu_list()?;
-        f.stuck_tcus = self.tcu_list()?;
-        f.dead_channels = self.component_list()?;
-        Ok(f)
-    }
+fn fault_plan(r: &mut Reader<'_>) -> Result<FaultPlan, &'static str> {
+    let mut f = FaultPlan::new(r.u64()?);
+    f.dram_single = f64::from_bits(r.u64()?);
+    f.dram_double = f64::from_bits(r.u64()?);
+    f.dram_retry_limit = r.u32()?;
+    f.noc_corrupt = f64::from_bits(r.u64()?);
+    f.noc_retry_limit = r.u32()?;
+    f.noc_backoff_base = r.u64()?;
+    f.dead_clusters = component_list(r)?;
+    f.dead_tcus = tcu_list(r)?;
+    f.stuck_tcus = tcu_list(r)?;
+    f.dead_channels = component_list(r)?;
+    Ok(f)
+}
 
-    fn component_list(&mut self) -> Result<Vec<usize>, &'static str> {
-        let vs = self.u64s()?;
-        if vs.len() > 4096 || vs.iter().any(|&v| v > 1 << 20) {
-            return Err("component fault list exceeds bound");
-        }
-        Ok(vs.into_iter().map(|v| v as usize).collect())
+fn component_list(r: &mut Reader<'_>) -> Result<Vec<usize>, &'static str> {
+    let vs = r.u64s()?;
+    if vs.len() > 4096 || vs.iter().any(|&v| v > 1 << 20) {
+        return Err("component fault list exceeds bound");
     }
+    Ok(vs.into_iter().map(|v| v as usize).collect())
+}
 
-    fn tcu_list(&mut self) -> Result<Vec<xmt_sim::TcuId>, &'static str> {
-        let vs = self.u64s()?;
-        if vs.len() % 2 != 0 {
-            return Err("tcu fault list has odd length");
-        }
-        if vs.len() > 8192 || vs.iter().any(|&v| v > 1 << 20) {
-            return Err("tcu fault list exceeds bound");
-        }
-        Ok(vs
-            .chunks_exact(2)
-            .map(|p| xmt_sim::TcuId {
-                cluster: p[0] as usize,
-                tcu: p[1] as usize,
-            })
-            .collect())
+fn tcu_list(r: &mut Reader<'_>) -> Result<Vec<xmt_sim::TcuId>, &'static str> {
+    let vs = r.u64s()?;
+    if vs.len() % 2 != 0 {
+        return Err("tcu fault list has odd length");
     }
+    if vs.len() > 8192 || vs.iter().any(|&v| v > 1 << 20) {
+        return Err("tcu fault list exceeds bound");
+    }
+    Ok(vs
+        .chunks_exact(2)
+        .map(|p| xmt_sim::TcuId {
+            cluster: p[0] as usize,
+            tcu: p[1] as usize,
+        })
+        .collect())
+}
 
-    pub(crate) fn u32(&mut self) -> Result<u32, &'static str> {
-        let end = self.pos + 4;
-        if end > self.b.len() {
-            return Err("report truncated");
-        }
-        let v = u32::from_le_bytes(self.b[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, &'static str> {
-        let end = self.pos + 8;
-        if end > self.b.len() {
-            return Err("report truncated");
-        }
-        let v = u64::from_le_bytes(self.b[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
-    }
-
-    /// A length prefix, bounded by the remaining payload so a corrupt
-    /// count cannot drive a huge allocation.
-    pub(crate) fn len(&mut self) -> Result<usize, &'static str> {
-        let n = self.u32()? as usize;
-        if n > self.b.len() - self.pos {
-            return Err("report length prefix exceeds payload");
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, &'static str> {
-        let n = self.len()?;
-        if n * 8 > self.b.len() - self.pos {
-            return Err("report truncated inside u64 array");
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, &'static str> {
-        Ok(self.u64s()?.into_iter().map(f64::from_bits).collect())
-    }
-
-    fn words<const N: usize>(&mut self) -> Result<[u64; N], &'static str> {
-        let mut w = [0; N];
-        for v in &mut w {
-            *v = self.u64()?;
-        }
-        Ok(w)
-    }
+fn f64s(r: &mut Reader<'_>) -> Result<Vec<f64>, &'static str> {
+    Ok(r.u64s()?.into_iter().map(f64::from_bits).collect())
 }
 
 #[cfg(test)]

@@ -107,15 +107,16 @@ impl MachineBuilder {
     }
 
     /// Build an unprobed machine (the zero-overhead default). Panics on
-    /// an invalid fault plan; use [`MachineBuilder::try_build`] for a
-    /// typed error instead.
+    /// an invalid configuration or fault plan; use
+    /// [`MachineBuilder::try_build`] for a typed error instead.
     pub fn build(self) -> Machine {
         self.try_build().expect("invalid machine configuration")
     }
 
     /// Build an unprobed machine, returning
-    /// [`SimError::InvalidConfig`] when the configuration or fault plan
-    /// is impossible (indices out of range, every TCU disabled, …).
+    /// [`SimError::InvalidConfig`] when the configuration
+    /// ([`XmtConfig::validate`]) or fault plan is impossible (indices
+    /// out of range, every TCU disabled, …).
     pub fn try_build(self) -> Result<Machine, SimError> {
         self.try_build_probed(NoProbe)
     }
@@ -162,23 +163,6 @@ impl MachineBuilder {
                 return err("at least one DRAM channel must stay online");
             }
         }
-        // At least one TCU must be able to run threads.
-        let mut dead_clusters = f.dead_clusters.clone();
-        dead_clusters.sort_unstable();
-        dead_clusters.dedup();
-        let mut dead_tcus: Vec<(usize, usize)> = f
-            .dead_tcus
-            .iter()
-            .map(|id| (id.cluster, id.tcu))
-            .filter(|&(c, _)| !dead_clusters.contains(&c))
-            .collect();
-        dead_tcus.sort_unstable();
-        dead_tcus.dedup();
-        let total = self.cfg.clusters * self.cfg.tcus_per_cluster;
-        let dead = dead_clusters.len() * self.cfg.tcus_per_cluster + dead_tcus.len();
-        if dead >= total {
-            return err("every TCU is disabled");
-        }
         Ok(())
     }
 
@@ -189,6 +173,9 @@ impl MachineBuilder {
     /// the pre-fault-injection simulator: no fault layer is interposed
     /// anywhere.
     pub fn try_build_probed<P: Probe>(self, mut probe: P) -> Result<Machine<P>, SimError> {
+        self.cfg
+            .validate()
+            .map_err(|what| SimError::InvalidConfig { what })?;
         self.validate_faults()?;
         let MachineBuilder {
             cfg,
@@ -200,11 +187,6 @@ impl MachineBuilder {
             watchdog,
             tier,
         } = self;
-        assert!(
-            cfg.tcus_per_cluster <= 64,
-            "the mask-accelerated issue loop packs a cluster into u64 \
-             bitmasks; configs beyond 64 TCUs per cluster are unsupported"
-        );
         probe.bind(&cfg);
         let next_sample = if P::ENABLED {
             probe.interval().max(1)
@@ -268,14 +250,13 @@ impl MachineBuilder {
                 pc: 0,
                 resume_at: 0,
             },
-            cycle: 0,
             next_tid: 0,
             spawn_count: 0,
             spawn_entry: 0,
             clusters: (0..cfg.clusters)
                 .map(|_| (0..cfg.tcus_per_cluster).map(|_| Tcu::idle()).collect())
                 .collect(),
-            cluster_rr: vec![0; cfg.clusters],
+            rr: 0,
             cluster_instr: vec![0; cfg.clusters],
             req_net,
             reply_net,
@@ -308,27 +289,25 @@ impl MachineBuilder {
             next_sample,
             last_sample: 0,
             trace,
-            par_active: Vec::new(),
-            pcyc: 0,
-            rr_synced: vec![0; cfg.clusters],
+            par_active: ActiveSet::new(cfg.clusters),
             cfg,
         };
         for &c in &faults.dead_clusters {
-            for tcu in &mut m.clusters[c] {
-                tcu.disabled = true;
-            }
             m.masks[c].disabled = ones(m.cfg.tcus_per_cluster);
         }
         for id in &faults.dead_tcus {
-            m.clusters[id.cluster][id.tcu].disabled = true;
             m.masks[id.cluster].disabled |= 1u64 << id.tcu;
         }
         for id in &faults.stuck_tcus {
-            let tcu = &mut m.clusters[id.cluster][id.tcu];
-            if !tcu.disabled {
-                tcu.stuck = true;
-                m.masks[id.cluster].stuck |= 1u64 << id.tcu;
-            }
+            let masks = &mut m.masks[id.cluster];
+            masks.stuck |= (1u64 << id.tcu) & !masks.disabled;
+        }
+        // At least one TCU must be able to run threads.
+        let all = ones(m.cfg.tcus_per_cluster);
+        if m.masks.iter().all(|masks| masks.disabled == all) {
+            return Err(SimError::InvalidConfig {
+                what: "every TCU is disabled",
+            });
         }
         Ok(m)
     }
@@ -375,11 +354,23 @@ impl MachineBuilder {
             && cp.cluster_rr.len() == m.cfg.clusters
             && cp.cluster_instr.len() == m.cfg.clusters
             && cp.modules.len() == m.cfg.memory_modules
+            && (cp.modules.iter()).all(|ms| ms.tags.len() == m.cfg.cache.lines)
             && cp.channels.len() == m.cfg.dram_channels()
             && cp.mem_clock <= cp.cycle;
         if !geometry_ok {
             return Err(SimError::InvalidConfig {
                 what: "checkpoint geometry does not match the machine",
+            });
+        }
+        // The machine has one clock and one round-robin counter; the
+        // format carries the clock twice and the counter per cluster.
+        let rr = cp.cluster_rr[0];
+        if cp.stats.cycles != cp.cycle
+            || cp.cluster_rr.iter().any(|&r| r != rr)
+            || rr as usize >= m.cfg.tcus_per_cluster
+        {
+            return Err(SimError::InvalidConfig {
+                what: "checkpoint clock or round-robin state is inconsistent",
             });
         }
         m.mem = cp.mem.clone();
@@ -388,13 +379,12 @@ impl MachineBuilder {
             m.mtcu_rf.write_i(ir(i), cp.mtcu_iregs[i]);
             m.mtcu_rf.write_f(fr(i), f32::from_bits(cp.mtcu_fregs[i]));
         }
-        m.cycle = cp.cycle;
         m.next_tid = cp.next_tid;
         m.spawn_count = cp.spawn_count;
         m.spawn_entry = cp.spawn_entry as usize;
         m.stats = cp.stats;
         m.spawn_log = cp.spawn_log.clone();
-        m.cluster_rr = cp.cluster_rr.iter().map(|&r| r as usize).collect();
+        m.rr = rr as usize;
         m.cluster_instr = cp.cluster_instr.clone();
         m.mode = Mode::Serial {
             pc: cp.pc as usize,

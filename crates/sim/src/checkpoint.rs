@@ -15,6 +15,7 @@
 //! little-endian with explicit geometry, so a stale or mismatched blob
 //! is rejected with a typed [`SimError`] instead of resuming garbage.
 
+use crate::bytes::{put_u32, put_u32s, put_u64, put_u64s, put_words, Reader};
 use crate::machine::{MachineStats, SimError, SpawnStats};
 use xmt_mem::{CacheStats, DramStats, ModuleStats};
 use xmt_noc::NetStats;
@@ -69,6 +70,8 @@ pub struct Checkpoint {
     // Accumulated observables.
     pub(crate) stats: MachineStats,
     pub(crate) spawn_log: Vec<SpawnStats>,
+    /// The machine's round-robin counter, once per cluster (the format
+    /// dates from a copy per cluster; `resume` requires them equal).
     pub(crate) cluster_rr: Vec<u32>,
     pub(crate) cluster_instr: Vec<u64>,
     pub(crate) modules: Vec<ModuleState>,
@@ -141,129 +144,77 @@ impl Checkpoint {
     /// Parse the byte format; rejects truncated, corrupt or
     /// differently-versioned blobs with a typed error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, SimError> {
-        let mut r = Reader { b: bytes, pos: 0 };
+        Self::decode(bytes).map_err(|what| SimError::InvalidConfig { what })
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Checkpoint, &'static str> {
+        let mut r = Reader::new(bytes);
         if r.u64()? != MAGIC {
-            return Err(corrupt("checkpoint magic/version mismatch"));
+            return Err("checkpoint magic/version mismatch");
         }
-        let clusters = r.u32()?;
-        let tcus_per_cluster = r.u32()?;
-        let memory_modules = r.u32()?;
-        let dram_channels = r.u32()?;
-        let prog_len = r.u32()?;
-        let pc = r.u32()?;
-        let next_tid = r.u32()?;
-        let spawn_count = r.u32()?;
-        let spawn_entry = r.u32()?;
-        let cycle = r.u64()?;
-        let mem_clock = r.u64()?;
-        let gregs = r.u32s()?;
-        let mtcu_iregs = r.u32s()?;
-        let mtcu_fregs = r.u32s()?;
-        let mem = r.u32s()?;
-        let stats = MachineStats::from_words(r.words()?);
-        let n_spawns = r.len()?;
-        let mut spawn_log = Vec::with_capacity(n_spawns.min(1 << 16));
-        for _ in 0..n_spawns {
-            spawn_log.push(SpawnStats::from_words(r.words()?));
+        // Field initializers run in the order written: format order.
+        let cp = Checkpoint {
+            clusters: r.u32()?,
+            tcus_per_cluster: r.u32()?,
+            memory_modules: r.u32()?,
+            dram_channels: r.u32()?,
+            prog_len: r.u32()?,
+            pc: r.u32()?,
+            next_tid: r.u32()?,
+            spawn_count: r.u32()?,
+            spawn_entry: r.u32()?,
+            cycle: r.u64()?,
+            mem_clock: r.u64()?,
+            gregs: r.u32s()?,
+            mtcu_iregs: r.u32s()?,
+            mtcu_fregs: r.u32s()?,
+            mem: r.u32s()?,
+            stats: MachineStats::from_words(r.words()?),
+            spawn_log: (0..r.count()?)
+                .map(|_| Ok(SpawnStats::from_words(r.words()?)))
+                .collect::<Result<_, &'static str>>()?,
+            cluster_rr: r.u32s()?,
+            cluster_instr: r.u64s()?,
+            modules: (0..r.count()?)
+                .map(|_| module_state(&mut r))
+                .collect::<Result<_, _>>()?,
+            channels: (0..r.count()?)
+                .map(|_| {
+                    Ok(ChannelState {
+                        stats: dram_stats(&mut r)?,
+                        transfers: r.u64()?,
+                    })
+                })
+                .collect::<Result<_, &'static str>>()?,
+            req_stats: net_stats(&mut r)?,
+            reply_stats: net_stats(&mut r)?,
+        };
+        if !r.at_end() {
+            return Err("trailing bytes after checkpoint payload");
         }
-        let cluster_rr = r.u32s()?;
-        let cluster_instr = r.u64s()?;
-        let n_modules = r.len()?;
-        let mut modules = Vec::with_capacity(n_modules.min(1 << 16));
-        for _ in 0..n_modules {
-            let tags = r.u64s()?;
-            if tags.iter().any(|&word| word > u64::from(u32::MAX)) {
-                return Err(corrupt("cache tag word beyond 32 bits"));
-            }
-            let cache = CacheStats {
-                accesses: r.u64()?,
-                hits: r.u64()?,
-                misses: r.u64()?,
-                writebacks: r.u64()?,
-                peak_queue: r.u64()? as usize,
-            };
-            let module = ModuleStats {
-                merged_misses: r.u64()?,
-                responses: r.u64()?,
-            };
-            modules.push(ModuleState {
-                tags,
-                cache,
-                module,
-            });
-        }
-        let n_channels = r.len()?;
-        let mut channels = Vec::with_capacity(n_channels.min(1 << 16));
-        for _ in 0..n_channels {
-            let stats = r.dram_stats()?;
-            let transfers = r.u64()?;
-            channels.push(ChannelState { stats, transfers });
-        }
-        let req_stats = r.net_stats()?;
-        let reply_stats = r.net_stats()?;
-        if r.pos != bytes.len() {
-            return Err(corrupt("trailing bytes after checkpoint payload"));
-        }
-        Ok(Checkpoint {
-            clusters,
-            tcus_per_cluster,
-            memory_modules,
-            dram_channels,
-            prog_len,
-            cycle,
-            mem_clock,
-            pc,
-            next_tid,
-            spawn_count,
-            spawn_entry,
-            gregs,
-            mtcu_iregs,
-            mtcu_fregs,
-            mem,
-            stats,
-            spawn_log,
-            cluster_rr,
-            cluster_instr,
-            modules,
-            channels,
-            req_stats,
-            reply_stats,
-        })
+        Ok(cp)
     }
 }
 
-fn corrupt(what: &'static str) -> SimError {
-    SimError::InvalidConfig { what }
-}
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32s(b: &mut Vec<u8>, vs: &[u32]) {
-    put_u32(b, vs.len() as u32);
-    for &v in vs {
-        put_u32(b, v);
+fn module_state(r: &mut Reader<'_>) -> Result<ModuleState, &'static str> {
+    let tags = r.u64s()?;
+    if tags.iter().any(|&word| word > u64::from(u32::MAX)) {
+        return Err("cache tag word beyond 32 bits");
     }
-}
-
-fn put_u64s(b: &mut Vec<u8>, vs: &[u64]) {
-    put_u32(b, vs.len() as u32);
-    for &v in vs {
-        put_u64(b, v);
-    }
-}
-
-/// Fixed-size word groups (the stats structs' `to_words`): no length
-/// prefix.
-fn put_words(b: &mut Vec<u8>, ws: &[u64]) {
-    for &w in ws {
-        put_u64(b, w);
-    }
+    Ok(ModuleState {
+        tags,
+        cache: CacheStats {
+            accesses: r.u64()?,
+            hits: r.u64()?,
+            misses: r.u64()?,
+            writebacks: r.u64()?,
+            peak_queue: r.u64()? as usize,
+        },
+        module: ModuleStats {
+            merged_misses: r.u64()?,
+            responses: r.u64()?,
+        },
+    })
 }
 
 fn put_dram_stats(b: &mut Vec<u8>, s: &DramStats) {
@@ -297,92 +248,31 @@ fn put_net_stats(b: &mut Vec<u8>, s: &NetStats) {
     }
 }
 
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
+fn dram_stats(r: &mut Reader<'_>) -> Result<DramStats, &'static str> {
+    Ok(DramStats {
+        reads: r.u64()?,
+        writes: r.u64()?,
+        bytes: r.u64()?,
+        busy_cycles: r.u64()?,
+        peak_queue: r.u64()? as usize,
+        ecc_corrected: r.u64()?,
+        ecc_detected: r.u64()?,
+        ecc_retries: r.u64()?,
+        ecc_unrecoverable: r.u64()?,
+    })
 }
 
-impl Reader<'_> {
-    fn u32(&mut self) -> Result<u32, SimError> {
-        let end = self.pos + 4;
-        if end > self.b.len() {
-            return Err(corrupt("checkpoint truncated"));
-        }
-        let v = u32::from_le_bytes(self.b[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn u64(&mut self) -> Result<u64, SimError> {
-        let end = self.pos + 8;
-        if end > self.b.len() {
-            return Err(corrupt("checkpoint truncated"));
-        }
-        let v = u64::from_le_bytes(self.b[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
-    }
-
-    /// A length prefix, sanity-bounded by the remaining payload so a
-    /// corrupt count cannot drive a huge allocation.
-    fn len(&mut self) -> Result<usize, SimError> {
-        let n = self.u32()? as usize;
-        if n > self.b.len() - self.pos {
-            return Err(corrupt("checkpoint length prefix exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    fn u32s(&mut self) -> Result<Vec<u32>, SimError> {
-        let n = self.len()?;
-        if n * 4 > self.b.len() - self.pos {
-            return Err(corrupt("checkpoint truncated inside u32 array"));
-        }
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, SimError> {
-        let n = self.len()?;
-        if n * 8 > self.b.len() - self.pos {
-            return Err(corrupt("checkpoint truncated inside u64 array"));
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn words<const N: usize>(&mut self) -> Result<[u64; N], SimError> {
-        let mut w = [0; N];
-        for v in &mut w {
-            *v = self.u64()?;
-        }
-        Ok(w)
-    }
-
-    fn dram_stats(&mut self) -> Result<DramStats, SimError> {
-        Ok(DramStats {
-            reads: self.u64()?,
-            writes: self.u64()?,
-            bytes: self.u64()?,
-            busy_cycles: self.u64()?,
-            peak_queue: self.u64()? as usize,
-            ecc_corrected: self.u64()?,
-            ecc_detected: self.u64()?,
-            ecc_retries: self.u64()?,
-            ecc_unrecoverable: self.u64()?,
-        })
-    }
-
-    fn net_stats(&mut self) -> Result<NetStats, SimError> {
-        Ok(NetStats {
-            injected: self.u64()?,
-            delivered: self.u64()?,
-            total_latency: self.u64()?,
-            peak_in_flight: self.u64()? as usize,
-            inject_rejections: self.u64()?,
-            corrupted: self.u64()?,
-            retried: self.u64()?,
-            retry_exhausted: self.u64()?,
-        })
-    }
+fn net_stats(r: &mut Reader<'_>) -> Result<NetStats, &'static str> {
+    Ok(NetStats {
+        injected: r.u64()?,
+        delivered: r.u64()?,
+        total_latency: r.u64()?,
+        peak_in_flight: r.u64()? as usize,
+        inject_rejections: r.u64()?,
+        corrupted: r.u64()?,
+        retried: r.u64()?,
+        retry_exhausted: r.u64()?,
+    })
 }
 
 #[cfg(test)]

@@ -50,6 +50,55 @@ impl XmtConfig {
         self.memory_modules / self.mm_per_dram_ctrl
     }
 
+    /// The geometry rules a [`crate::Machine`] can be built from, stated
+    /// once: [`crate::MachineBuilder::try_build`] checks them, and so
+    /// does every decoder that accepts a configuration from outside
+    /// the process. Each rule is what some component's constructor or
+    /// index arithmetic relies on.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        // `ClusterMasks` packs a cluster into `u64` bitmasks.
+        if !(1..=64).contains(&self.tcus_per_cluster) {
+            return Err("tcus per cluster outside 1..=64");
+        }
+        // NoC ports and the address hash select by bit field.
+        if !self.clusters.is_power_of_two() || !self.memory_modules.is_power_of_two() {
+            return Err("cluster and memory-module counts must be powers of two");
+        }
+        // Module `m` belongs to channel `m / mm_per_dram_ctrl`.
+        if !self.memory_modules.is_multiple_of(self.mm_per_dram_ctrl) {
+            return Err("memory modules per DRAM controller must divide the module count");
+        }
+        if self.butterfly_levels > 0 {
+            let port_bits = self.clusters.trailing_zeros();
+            if self.clusters != self.memory_modules {
+                return Err("a butterfly NoC needs as many memory modules as clusters");
+            }
+            if self.butterfly_levels > port_bits
+                || u64::from(self.mot_levels) + u64::from(self.butterfly_levels)
+                    > 2 * u64::from(port_bits)
+            {
+                return Err("more NoC levels than port address bits");
+            }
+        }
+        let cache = &self.cache;
+        if !cache.lines.is_power_of_two()
+            || !cache.ways.is_power_of_two()
+            || cache.ways > cache.lines
+        {
+            return Err("cache lines and ways must be powers of two, ways <= lines");
+        }
+        // The packed tag word keeps 30 bits for a line index.
+        if !cache.line_words.is_power_of_two() || cache.line_words < 4 {
+            return Err("cache line must be a power of two of at least 4 words");
+        }
+        // A line's burst must be a cycle count the clock can add.
+        let rate = self.dram.bytes_per_cycle;
+        if rate.is_nan() || rate <= 0.0 || self.dram.burst_cycles() > 1 << 32 {
+            return Err("DRAM bytes per cycle must be positive and a burst at most 2^32 cycles");
+        }
+        Ok(())
+    }
+
     /// NoC topology (cluster ports × module ports with the Table II
     /// level split).
     pub fn topology(&self) -> Topology {

@@ -37,7 +37,7 @@ pub(super) const FPU_LATENCY: u64 = 4;
 pub(super) const MDU_LATENCY: u64 = 8;
 /// Maximum outstanding memory operations per TCU (models the XMT
 /// prefetch/decoupling capability).
-pub(super) const MAX_OUTSTANDING: u8 = 8;
+const MAX_OUTSTANDING: u8 = 8;
 
 /// What a memory transaction will do when its reply arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,13 +47,14 @@ pub(super) enum TxnKind {
     Store,
 }
 
-/// One TCU's execution context.
+/// One TCU's execution context. Whether the TCU is running a thread,
+/// disabled or stuck is not here: those flags live in the cluster's
+/// [`ClusterMasks`] only.
 ///
 /// `repr(C)` pins the field order: every field the per-cycle issue
-/// loop and the fast-forward scan inspect sits in the first 32 bytes,
-/// so classifying a TCU (idle / latency-busy / scoreboard-blocked)
-/// touches one cache line; the register file only comes in when the
-/// TCU actually executes.
+/// loop inspects sits in the first 32 bytes, so visiting a TCU touches
+/// one cache line; the register file only comes in when the TCU
+/// actually executes.
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub(super) struct Tcu {
@@ -64,20 +65,14 @@ pub(super) struct Tcu {
     pub(super) pend_i: u32,
     /// Scoreboard: bitmask of FP registers with pending loads.
     pub(super) pend_f: u32,
-    pub(super) active: bool,
     /// Outstanding memory transactions (loads + stores).
     pub(super) outstanding: u8,
     /// Memoized issue classification of the instruction at `pc` against
     /// the current scoreboard (see [`IssueClass`]). Kept current by
     /// [`reclassify_masked`] at every pc change and scoreboard clear,
-    /// so the issue loops and the fast-forward scan classify a stalled
-    /// TCU from this one byte without refetching the program.
+    /// so the issue walk classifies a stalled TCU from this one byte
+    /// without refetching the program.
     pub(super) cls: IssueClass,
-    /// Hard-fault: never activates; threads remap around it.
-    pub(super) disabled: bool,
-    /// Hard-fault: accepts a thread, then never issues (holds the spawn
-    /// barrier open until the watchdog fires).
-    pub(super) stuck: bool,
     pub(super) rf: RegFile,
 }
 
@@ -88,11 +83,8 @@ impl Tcu {
             pc: 0,
             pend_i: 0,
             pend_f: 0,
-            active: false,
             outstanding: 0,
             cls: IssueClass::BadPc,
-            disabled: false,
-            stuck: false,
             rf: RegFile::new(0),
         }
     }
@@ -162,26 +154,29 @@ fn classify(decoded: &DecodedProgram, pc: usize, pend_i: u32, pend_f: u32) -> Is
 /// Number of [`IssueClass`] variants (indexes [`ClusterMasks::cls`]).
 const NUM_ISSUE_CLASSES: usize = IssueClass::Illegal as usize + 1;
 
-/// Per-cluster bitmask mirror of the TCU hot state, bit `t` ↔ TCU `t`.
+/// Per-cluster bitmasks, bit `t` ↔ TCU `t`: the TCU flags (`active`,
+/// `stuck`, `disabled` — stored nowhere else) and a mirror of the TCU
+/// hot state.
 ///
 /// The masks let the issue loops reason about a whole cluster with a
 /// handful of word ops instead of touching one cache line per TCU:
 /// [`issue_walk`] uses `active & !busy` to visit only TCUs whose visit
-/// can have an effect, and [`issue_bulk`] issues straight off the
+/// can have an effect, [`issue_bulk`] issues straight off the
 /// per-class masks, accruing the stalls of losing contenders by
-/// popcount.
+/// popcount, and [`ClusterMasks::quiet_scan`] plans a quiet-cycle skip
+/// without reading a TCU at all.
 ///
-/// Invariants (maintained by every mutation path in this module and by
-/// the builder's fault setup; the threaded engine moves each cluster's
-/// masks into its shard for the run):
+/// Mirror invariants (maintained by every mutation path in this
+/// module; the threaded engine moves each cluster's masks into its
+/// shard for the run):
 /// - `cls[k]` has bit `t` set iff `cluster[t].cls == k`, active or not.
-/// - `active` has bit `t` set iff `cluster[t].active`.
 /// - `busy` has bit `t` set iff `busy_until > cycle`, where `cycle` is
 ///   the cycle currently being stepped; cleared via `wheel` at the top
 ///   of each cluster step.
 /// - `out_nz` / `at_cap`: `outstanding > 0` / `>= MAX_OUTSTANDING`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct ClusterMasks {
+    /// TCUs running a thread.
     pub(super) active: u64,
     pub(super) busy: u64,
     /// TCUs whose `busy_until` equals a future cycle `x`, filed under
@@ -193,14 +188,30 @@ pub(super) struct ClusterMasks {
     pub(super) cls: [u64; NUM_ISSUE_CLASSES],
     out_nz: u64,
     at_cap: u64,
-    /// Stuck-at TCUs: excluded from every mask-driven issue path (a
-    /// stuck TCU activates but never issues). Not folded into `busy` —
-    /// the 16-slot wheel would alias a forever-busy sentinel.
+    /// Hard fault, stuck-at: the TCU accepts a thread, then never
+    /// issues (holds the spawn barrier open until the watchdog fires).
+    /// Not folded into `busy` — the 16-slot wheel would alias a
+    /// forever-busy sentinel.
     pub(super) stuck: u64,
-    /// Disabled TCUs: never activate. Mirrors `Tcu::disabled` so
-    /// cluster-level idle capacity can be sized without touching the
-    /// TCU array (the threaded engine's initial grant sizing).
+    /// Hard fault, disabled: the TCU never activates; threads remap
+    /// around it.
     pub(super) disabled: u64,
+}
+
+/// What a cluster would do over a run of quiet cycles, as
+/// [`ClusterMasks::quiet_scan`] sees it at the top of the first one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct ClusterScan {
+    /// Some TCU could issue (or fault) next cycle — cannot skip.
+    pub(super) issue_next: bool,
+    /// Earliest `busy_until` among latency-stalled TCUs (`u64::MAX`
+    /// when none).
+    pub(super) min_busy: u64,
+    /// TCUs that would burn a scoreboard-stall per skipped cycle.
+    pub(super) blocked_scoreboard: u64,
+    /// TCUs that would burn an LSU-stall per skipped cycle (at the
+    /// outstanding-transaction cap).
+    pub(super) blocked_lsu: u64,
 }
 
 impl ClusterMasks {
@@ -234,6 +245,43 @@ impl ClusterMasks {
         let bit = 1u64 << t;
         self.busy |= bit;
         self.wheel[(busy_until & 15) as usize] |= bit;
+    }
+
+    /// Idle enabled TCUs among the cluster's `ntcus`: the thread IDs it
+    /// could take.
+    pub(super) fn idle(&self, ntcus: usize) -> u64 {
+        u64::from((!self.active & !self.disabled & ones(ntcus)).count_ones())
+    }
+
+    /// Classify the cluster's running TCUs as they would be seen at the
+    /// top of cycle `next`, the cycle after the one last stepped:
+    /// issuing, latency-stalled, scoreboard-stalled, LSU-capped,
+    /// silently waiting (a `join` with posted stores in flight: no
+    /// stall counter, and the reply that unblocks it is a tracked
+    /// memory event) or stuck (never issues, no counter, no event).
+    /// Any class that would issue *or fault* reports `issue_next` —
+    /// port budgets start ≥ 1 per cluster and only empty on a cycle
+    /// that issued — so the issue kernel keeps sole ownership of side
+    /// effects and errors.
+    pub(super) fn quiet_scan(&self, next: u64) -> ClusterScan {
+        // Still latency-busy at `next`: busy now and not due to wake on
+        // `next` itself.
+        let latent = self.busy & !self.wheel[(next & 15) as usize];
+        let ready = self.active & !self.stuck & !latent;
+        let scoreboard = self.cls[IssueClass::Scoreboard as usize] & ready;
+        let capped = self.cls[IssueClass::Lsu as usize] & self.at_cap & ready;
+        let silent = self.cls[IssueClass::Join as usize] & self.out_nz & ready;
+        // Latencies are ≤ 8, so the first later wheel slot holding a
+        // latent TCU names the earliest wake.
+        let min_busy = (1..16)
+            .find(|k| self.wheel[((next + k) & 15) as usize] & latent != 0)
+            .map_or(u64::MAX, |k| next + k);
+        ClusterScan {
+            issue_next: ready & !(scoreboard | capped | silent) != 0,
+            min_busy,
+            blocked_scoreboard: u64::from(scoreboard.count_ones()),
+            blocked_lsu: u64::from(capped.count_ones()),
+        }
     }
 
     /// Perform the wakes of the `n` skipped cycles `next ..= next+n-1`
@@ -388,8 +436,6 @@ pub(super) trait IssueSink {
     fn gregs(&self) -> &[u32; NUM_GREGS];
     /// Apply a `ps`/`sspawn` on behalf of the TCU owning `rf`.
     fn global_op(&mut self, ins: &Instr, rf: &mut RegFile);
-    /// `n` threads retired at `join`.
-    fn joined(&mut self, n: u64);
 }
 
 /// The shared FPU and MDU ports: same arbitration, different latency,
@@ -415,7 +461,6 @@ impl<S: IssueSink> Cx<'_, S> {
     #[inline(always)]
     fn activate(&mut self, t: usize, tid: u32) {
         let tcu = &mut self.tcus[t];
-        tcu.active = true;
         self.m.active |= 1u64 << t;
         tcu.rf = RegFile::new(tid);
         tcu.pc = self.env.entry;
@@ -602,15 +647,8 @@ impl<S: IssueSink> Cx<'_, S> {
     #[inline(always)]
     fn retire(&mut self, mask: u64) {
         let retire = mask & !self.m.out_nz;
-        let mut bits = retire;
-        while bits != 0 {
-            self.tcus[bits.trailing_zeros() as usize].active = false;
-            bits &= bits - 1;
-        }
         self.m.active &= !retire;
-        let n = u64::from(retire.count_ones());
-        self.stats.instructions += n;
-        self.sink.joined(n);
+        self.stats.instructions += u64::from(retire.count_ones());
     }
 }
 
@@ -648,23 +686,23 @@ fn order_observable(m: &ClusterMasks, ready: u64, activations: bool) -> bool {
     activations || ordered & ready != 0
 }
 
-/// Step one cluster one cycle. `rr` is the cluster's round-robin
-/// pointer (advanced once per parallel cycle); `shortcuts` permits
-/// [`issue_bulk`] where legal — the reference engine passes `false`.
-/// Returns the number of instructions the cluster issued.
+/// Step one cluster one cycle. `start` is the machine's round-robin
+/// position for this parallel cycle — the shared-port arbiters of every
+/// cluster tick on the one core clock, so there is one counter, not
+/// one per cluster; `shortcuts` permits [`issue_bulk`] where legal —
+/// the reference engine passes `false`. Returns the number of
+/// instructions the cluster issued.
 #[inline(always)]
 pub(super) fn step_cluster<S: IssueSink>(
     tcus: &mut [Tcu],
     m: &mut ClusterMasks,
-    rr: &mut usize,
+    start: usize,
     env: &IssueEnv<'_>,
     stats: &mut MachineStats,
     sink: &mut S,
     shortcuts: bool,
 ) -> Result<u64, SimError> {
     let instr_at_entry = stats.instructions;
-    let start = *rr;
-    *rr = (start + 1) % env.cfg.tcus_per_cluster;
     m.wake(env.cycle);
     let ready = m.active & !m.busy & !m.stuck;
     // Cycle-start masks decide activations exactly: a TCU that goes
@@ -735,9 +773,8 @@ fn issue_walk<S: IssueSink>(
         // can pick up a thread in the same cycle; disabled TCUs never
         // do, stuck ones do and then hold it without issuing (only the
         // watchdog ends that).
-        let tcu = &cx.tcus[t];
-        if !tcu.active {
-            if tcu.disabled {
+        if cx.m.active & bit == 0 {
+            if cx.m.disabled & bit != 0 {
                 continue;
             }
             match cx.sink.next_tid() {
@@ -746,7 +783,7 @@ fn issue_walk<S: IssueSink>(
             }
         }
         let tcu = &cx.tcus[t];
-        if tcu.busy_until > cycle || tcu.stuck {
+        if tcu.busy_until > cycle || cx.m.stuck & bit != 0 {
             continue;
         }
         match tcu.cls {
@@ -884,7 +921,6 @@ mod tests {
         budget: usize,
         granted: Vec<u32>,
         injections: Vec<(usize, u32, TxnKind, u32, usize, bool)>,
-        joined: u64,
         entries: u64,
         trace: TraceCache,
         gregs: [u32; NUM_GREGS],
@@ -925,9 +961,6 @@ mod tests {
         fn global_op(&mut self, _ins: &Instr, _rf: &mut RegFile) {
             unreachable!("bulk-eligible states hold no ready ps/sspawn")
         }
-        fn joined(&mut self, n: u64) {
-            self.joined += n;
-        }
     }
 
     /// Everything observable about a TCU, comparably.
@@ -935,10 +968,39 @@ mod tests {
         let iregs: Vec<u32> = (0..32).map(|i| t.rf.read_i(ir(i))).collect();
         let fregs: Vec<u32> = (0..32).map(|i| t.rf.read_f(fr(i)).to_bits()).collect();
         (
-            (t.busy_until, t.pc, t.pend_i, t.pend_f, t.active),
-            (t.outstanding, t.cls, t.disabled, t.stuck, t.rf.tid),
+            (t.busy_until, t.pc, t.pend_i, t.pend_f),
+            (t.outstanding, t.cls, t.rf.tid),
             (iregs, fregs),
         )
+    }
+
+    /// The per-TCU definition [`ClusterMasks::quiet_scan`] replaced,
+    /// kept as its oracle: walk every TCU as it would be seen at the
+    /// top of cycle `next`.
+    fn scan_by_walk(tcus: &[Tcu], m: &ClusterMasks, next: u64) -> ClusterScan {
+        let mut scan = ClusterScan {
+            issue_next: false,
+            min_busy: u64::MAX,
+            blocked_scoreboard: 0,
+            blocked_lsu: 0,
+        };
+        for (t, tcu) in tcus.iter().enumerate() {
+            let bit = 1u64 << t;
+            if m.active & bit == 0 {
+                continue;
+            }
+            if tcu.busy_until > next {
+                scan.min_busy = scan.min_busy.min(tcu.busy_until);
+            } else if m.stuck & bit == 0 {
+                match tcu.cls {
+                    IssueClass::Scoreboard => scan.blocked_scoreboard += 1,
+                    IssueClass::Lsu if tcu.outstanding >= MAX_OUTSTANDING => scan.blocked_lsu += 1,
+                    IssueClass::Join if tcu.outstanding > 0 => {}
+                    _ => scan.issue_next = true,
+                }
+            }
+        }
+        scan
     }
 
     proptest! {
@@ -949,7 +1011,10 @@ mod tests {
         /// identical TCUs, masks and statistics, and the same sequence
         /// of NoC injections and thread-ID grants at the sink. (The
         /// order of micro-op fetches may differ; the set of blocks
-        /// they lower may not.)
+        /// they lower may not.) And on the same states — before the
+        /// cycle and after it, with TCUs latency-busy, waking on the
+        /// scanned cycle, stuck, disabled and at the outstanding cap —
+        /// the mask-driven quiet scan equals the per-TCU walk.
         #[test]
         fn bulk_and_walk_agree_wherever_bulk_is_legal(seed in any::<u64>()) {
             let mut rng = proptest::TestRng::new(seed);
@@ -963,17 +1028,17 @@ mod tests {
             for t in 0..ntcus {
                 let bit = 1u64 << t;
                 let mut tcu = Tcu::idle();
-                tcu.disabled = rng.below(16) == 0;
+                let disabled = rng.below(16) == 0;
                 // No activation may be pending: with thread IDs left,
                 // every enabled TCU is running.
-                tcu.active = !tcu.disabled && (tids_remain || rng.below(4) != 0);
-                tcu.stuck = tcu.active && rng.below(16) == 0;
+                let active = !disabled && (tids_remain || rng.below(4) != 0);
+                let stuck = active && rng.below(16) == 0;
                 tcu.busy_until = match rng.below(4) {
-                    0 if tcu.active => cycle + rng.below(9), // latency-busy, or waking now
+                    0 if active => cycle + rng.below(9), // latency-busy, or waking now
                     _ => cycle - rng.below(20),
                 };
                 // Order-sensitive classes only where they are not ready.
-                let unready = !tcu.active || tcu.stuck || tcu.busy_until > cycle;
+                let unready = !active || stuck || tcu.busy_until > cycle;
                 tcu.pc = rng.below(if unready { 12 } else { 10 }) as usize;
                 tcu.rf = RegFile::new(t as u32);
                 for r in 1..8 {
@@ -987,12 +1052,12 @@ mod tests {
                 tcu.outstanding = rng.below(u64::from(MAX_OUTSTANDING) + 1) as u8;
                 tcu.cls = classify(&decoded, tcu.pc, tcu.pend_i, tcu.pend_f);
                 m.cls[tcu.cls as usize] |= bit;
-                if tcu.active { m.active |= bit; }
-                if tcu.disabled { m.disabled |= bit; }
-                if tcu.stuck { m.stuck |= bit; }
+                if active { m.active |= bit; }
+                if disabled { m.disabled |= bit; }
+                if stuck { m.stuck |= bit; }
                 if tcu.outstanding > 0 { m.out_nz |= bit; }
                 if tcu.outstanding >= MAX_OUTSTANDING { m.at_cap |= bit; }
-                if tcu.busy_until >= cycle && tcu.active {
+                if tcu.busy_until >= cycle && active {
                     m.set_busy(t, tcu.busy_until);
                 }
                 tcus.push(tcu);
@@ -1018,6 +1083,7 @@ mod tests {
             let ready = m.active & !m.busy & !m.stuck;
             let activations = tids_remain && !m.active & !m.disabled & ones(ntcus) != 0;
             prop_assert!(!order_observable(&m, ready, activations));
+            prop_assert_eq!(m.quiet_scan(cycle + 1), scan_by_walk(&tcus, &m, cycle + 1));
 
             let run = |bulk: bool| {
                 let (mut tcus, mut m) = (tcus.clone(), m.clone());
@@ -1027,7 +1093,6 @@ mod tests {
                     budget,
                     granted: Vec::new(),
                     injections: Vec::new(),
-                    joined: 0,
                     entries: 0,
                     trace: TraceCache::new(&decoded, FPU_LATENCY, MDU_LATENCY),
                     gregs: [7; NUM_GREGS],
@@ -1050,8 +1115,9 @@ mod tests {
                     .iter()
                     .map(|u| u.kind != UopKind::Cold)
                     .collect();
+                assert_eq!(m.quiet_scan(cycle + 1), scan_by_walk(&tcus, &m, cycle + 1));
                 let tcus: Vec<_> = tcus.iter().map(tcu_view).collect();
-                let effects = (sink.granted, sink.injections, sink.joined, sink.entries);
+                let effects = (sink.granted, sink.injections, sink.entries);
                 (tcus, m, stats, effects, lowered)
             };
             let (bulk, walk) = (run(true), run(false));

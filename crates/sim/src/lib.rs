@@ -22,6 +22,9 @@
 //! * [`tier`] — the block-compiled execution tier: a per-program trace
 //!   cache of superblock micro-ops that the issue loops replay via
 //!   dense dispatch, bit-identical to per-instruction interpretation.
+//! * [`bytes`] — the little-endian writer/reader every binary format
+//!   (checkpoints here; reports, requests, frames and journal records
+//!   in `xmt-server`) is built from.
 //! * [`fault`] / [`checkpoint`] — deterministic resilience: seeded
 //!   [`FaultPlan`]s (ECC-checked DRAM flips, NoC corruption + retry,
 //!   dead/stuck components), graceful degradation around offline
@@ -29,6 +32,7 @@
 //!   snapshots that resume bit-identically.
 
 #![warn(missing_docs)]
+pub mod bytes;
 pub mod checkpoint;
 pub mod config;
 pub mod energy;

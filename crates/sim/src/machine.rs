@@ -53,7 +53,7 @@ mod outcome;
 #[path = "machine_threaded.rs"]
 mod threaded;
 
-use ff::{scan_cluster, ClusterScan, FfScanCache};
+use ff::FfScanCache;
 use memsys::{ActiveSet, ReplyDelivery};
 pub use outcome::{
     MachineStats, RunOutcome, RunReport, RunStatus, SimError, SpawnStats, UtilizationReport,
@@ -61,7 +61,7 @@ pub use outcome::{
 
 use issue::{
     addr_of, ones, ClusterMasks, IssueClass, IssueEnv, IssueSink, Tcu, TxnKind, FPU_LATENCY,
-    MAX_OUTSTANDING, MDU_LATENCY,
+    MDU_LATENCY,
 };
 
 /// The issue kernel's unit latencies as the [`xmt_isa::UnitLat`] value baked
@@ -195,9 +195,6 @@ impl IssueSink for Direct<'_> {
             _ => unreachable!("global-op class on a non-ps instruction"),
         }
     }
-
-    #[inline(always)]
-    fn joined(&mut self, _n: u64) {}
 }
 
 /// Execution mode of the machine.
@@ -265,13 +262,16 @@ pub struct Machine<P: Probe = NoProbe> {
     gregs: [u32; NUM_GREGS],
     mtcu_rf: RegFile,
     mode: Mode,
-    cycle: u64,
     /// Parallel-section thread allocation (the PS unit's counter).
     next_tid: u32,
     spawn_count: u32,
     spawn_entry: usize,
     clusters: Vec<Vec<Tcu>>,
-    cluster_rr: Vec<usize>,
+    /// Round-robin position of the shared-port arbiters: the TCU each
+    /// cluster visits first this parallel cycle. One counter for the
+    /// machine — every cluster's arbiter ticks on the one core clock —
+    /// advanced once per parallel cycle, stepped or skipped.
+    rr: usize,
     /// Instructions issued per cluster (load-balance observability).
     cluster_instr: Vec<u64>,
     req_net: Box<dyn Network>,
@@ -296,7 +296,7 @@ pub struct Machine<P: Probe = NoProbe> {
     progress_cycle: u64,
     /// Progress fingerprint (instructions retired + threads started).
     progress_mark: u64,
-    /// Accumulated statistics.
+    /// Accumulated statistics. `stats.cycles` is the machine clock.
     pub stats: MachineStats,
     spawn_log: Vec<SpawnStats>,
     tracker: Option<SpawnTracker>,
@@ -322,10 +322,9 @@ pub struct Machine<P: Probe = NoProbe> {
     active_channels: ActiveSet,
     /// Non-empty module outboxes.
     active_outboxes: ActiveSet,
-    /// Per-cluster bitmask mirrors of TCU hot state (see
-    /// [`ClusterMasks`]); every mutation path in this file keeps them
-    /// current, so the issue loops can skip or bulk-process TCUs
-    /// without touching their cache lines.
+    /// Per-cluster TCU flags and bitmask mirrors of TCU hot state (see
+    /// [`ClusterMasks`]), so the issue loops can skip or bulk-process
+    /// TCUs without touching their cache lines.
     masks: Vec<ClusterMasks>,
     /// Memoized quiet-scan aggregates for [`Machine::fast_forward`].
     ff_cache: Option<FfScanCache>,
@@ -352,16 +351,10 @@ pub struct Machine<P: Probe = NoProbe> {
     /// machine-level boundary.
     trace: Option<Box<TraceCache>>,
     /// Fast-forward worklist of clusters with any active TCU, maintained
-    /// by `step_parallel_worklist` so fully idle clusters (proven
-    /// quiescent: no busy TCUs, empty wake wheel) are never visited or
-    /// skip-woken.
-    par_active: Vec<usize>,
-    /// Parallel cycles elapsed in the current section (bookkeeping for
-    /// the lazy round-robin advance; stays 0 under per-cycle stepping).
-    pcyc: u64,
-    /// Per-cluster section cycle through which `cluster_rr` has been
-    /// advanced; `sync_rr` settles the arrears before a cluster steps.
-    rr_synced: Vec<u64>,
+    /// by `step_clusters` so fully idle clusters (proven quiescent: no
+    /// busy TCUs, empty wake wheel) are never visited or skip-woken.
+    /// Empty outside parallel sections.
+    par_active: ActiveSet,
 }
 
 /// Staged construction of a [`Machine`]: configuration, program,
@@ -453,6 +446,7 @@ impl<P: Probe> Machine<P> {
     /// cache behaviour and DRAM-channel occupancy. Folded into the
     /// [`RunReport`] so callers no longer query the machine post-run.
     fn utilization(&self) -> UtilizationReport {
+        let cycles = self.stats.cycles;
         let cluster_instr = self.cluster_instr.clone();
         let module_accesses: Vec<u64> = self
             .modules
@@ -475,18 +469,18 @@ impl<P: Probe> Machine<P> {
             .channels
             .iter()
             .map(|ch| {
-                if self.cycle == 0 {
+                if cycles == 0 {
                     0.0
                 } else {
-                    ch.stats.busy_cycles as f64 / self.cycle as f64
+                    ch.stats.busy_cycles as f64 / cycles as f64
                 }
             })
             .collect();
-        let fpu_util = if self.cycle == 0 {
+        let fpu_util = if cycles == 0 {
             0.0
         } else {
             self.stats.flops as f64
-                / (self.cycle as f64 * (self.cfg.clusters * self.cfg.fpus_per_cluster) as f64)
+                / (cycles as f64 * (self.cfg.clusters * self.cfg.fpus_per_cluster) as f64)
         };
         UtilizationReport {
             cluster_instr,
@@ -532,20 +526,28 @@ impl<P: Probe> Machine<P> {
     fn run_inner(&mut self) -> Result<RunReport, SimError> {
         self.lap(None);
         match self.engine {
-            Engine::Reference => self.run_reference(),
-            Engine::FastForward => self.run_ff(),
-            Engine::Threaded { threads } => {
-                // With a probe attached the threaded engine would lag
-                // samples: workers bank skip-accrued stall deltas until
-                // their next step reply, so mid-run boundaries see
-                // stale aggregates. Fast-forward samples exactly, so a
-                // probed Threaded selection falls back to it (the
-                // sample stream stays bit-identical to Reference).
-                if P::ENABLED || self.has_global_ops || self.clusters.len() < 2 {
-                    self.run_ff()
-                } else {
-                    threaded::run(self, threads)
+            // The baseline: one `step` per simulated cycle.
+            Engine::Reference => {
+                while !matches!(self.mode, Mode::Finished) {
+                    self.step()?;
+                    self.check_progress()?;
                 }
+                Ok(self.report())
+            }
+            // With a probe attached the threaded engine would lag
+            // samples: workers bank skip-accrued stall deltas until
+            // their next step reply, so mid-run boundaries see stale
+            // aggregates. Fast-forward samples exactly, so a probed
+            // Threaded selection falls back to it (the sample stream
+            // stays bit-identical to Reference).
+            Engine::Threaded { threads }
+                if !P::ENABLED && !self.has_global_ops && self.clusters.len() >= 2 =>
+            {
+                threaded::run(self, threads)
+            }
+            // Fast-forward is a `run_until` whose pause never comes.
+            Engine::FastForward | Engine::Threaded { .. } => {
+                self.run_until_inner(u64::MAX).map(|_| self.report())
             }
         }
     }
@@ -559,18 +561,18 @@ impl<P: Probe> Machine<P> {
     /// threaded engines cap their skip horizons there so all three
     /// engines fail on the identical cycle.
     fn check_progress(&mut self) -> Result<(), SimError> {
-        if self.cycle > self.max_cycles {
+        if self.stats.cycles > self.max_cycles {
             return Err(SimError::CycleLimit {
-                at_cycle: self.cycle,
+                at_cycle: self.stats.cycles,
             });
         }
         let mark = self.stats.instructions + self.stats.threads;
         if mark != self.progress_mark {
             self.progress_mark = mark;
-            self.progress_cycle = self.cycle;
-        } else if self.cycle >= self.progress_cycle + self.watchdog {
+            self.progress_cycle = self.stats.cycles;
+        } else if self.stats.cycles >= self.progress_cycle + self.watchdog {
             return Err(SimError::Stalled {
-                at_cycle: self.cycle,
+                at_cycle: self.stats.cycles,
                 last_retired: self.stats.instructions,
             });
         }
@@ -583,30 +585,12 @@ impl<P: Probe> Machine<P> {
         (self.progress_cycle + self.watchdog).saturating_add(1)
     }
 
-    /// The baseline advance loop: one `step` per simulated cycle.
-    fn run_reference(&mut self) -> Result<RunReport, SimError> {
-        while !matches!(self.mode, Mode::Finished) {
-            self.step()?;
-            self.check_progress()?;
-        }
-        Ok(self.report())
-    }
-
-    /// Fast-forwarding advance loop. Two optimizations over the
-    /// reference loop, both invisible in the stats: cycles that do step
-    /// use mask-driven bulk issue ([`Machine::step_with`]), and after
-    /// any cycle that issued no instruction and activated no thread the
-    /// clock jumps directly to the next cycle on which anything can
+    /// One fast-forward iteration. Two optimizations over the
+    /// reference loop, both invisible in the stats: the cycle that
+    /// steps uses mask-driven bulk issue ([`Machine::step_with`]), and
+    /// if it issued no instruction and activated no thread the clock
+    /// then jumps directly to the next cycle on which anything can
     /// happen.
-    fn run_ff(&mut self) -> Result<RunReport, SimError> {
-        while !matches!(self.mode, Mode::Finished) {
-            self.ff_advance()?;
-        }
-        Ok(self.report())
-    }
-
-    /// One fast-forward iteration: a stepped cycle, then (if it was
-    /// quiet) a bulk skip to the next event.
     fn ff_advance(&mut self) -> Result<(), SimError> {
         let instr_before = self.stats.instructions;
         let threads_before = self.stats.threads;
@@ -658,9 +642,9 @@ impl<P: Probe> Machine<P> {
     fn run_until_inner(&mut self, pause_at: u64) -> Result<Option<u64>, SimError> {
         self.lap(None);
         while !matches!(self.mode, Mode::Finished) {
-            if self.cycle >= pause_at && self.quiescent() {
+            if self.stats.cycles >= pause_at && self.quiescent() {
                 self.normalize_pause();
-                return Ok(Some(self.cycle));
+                return Ok(Some(self.stats.cycles));
             }
             self.ff_advance()?;
         }
@@ -692,9 +676,8 @@ impl<P: Probe> Machine<P> {
     /// was reached.
     fn normalize_pause(&mut self) {
         if let Mode::Serial { pc, resume_at } = self.mode {
-            let c = self.cycle.max(resume_at.saturating_sub(1));
-            self.skip_memory(c - self.cycle);
-            self.cycle = c;
+            let c = self.stats.cycles.max(resume_at.saturating_sub(1));
+            self.skip_memory(c - self.stats.cycles);
             self.stats.cycles = c;
             self.mode = Mode::Serial {
                 pc,
@@ -711,7 +694,7 @@ impl<P: Probe> Machine<P> {
         if !self.quiescent() {
             return Err(SimError::Protocol {
                 what: "checkpoint of a non-quiescent machine",
-                at_cycle: self.cycle,
+                at_cycle: self.stats.cycles,
             });
         }
         self.normalize_pause();
@@ -725,7 +708,7 @@ impl<P: Probe> Machine<P> {
             memory_modules: self.cfg.memory_modules as u32,
             dram_channels: self.cfg.dram_channels() as u32,
             prog_len: self.prog.len() as u32,
-            cycle: self.cycle,
+            cycle: self.stats.cycles,
             mem_clock: self.mem_clock,
             pc: pc as u32,
             next_tid: self.next_tid,
@@ -739,7 +722,7 @@ impl<P: Probe> Machine<P> {
             mem: self.mem.clone(),
             stats: self.stats,
             spawn_log: self.spawn_log.clone(),
-            cluster_rr: self.cluster_rr.iter().map(|&r| r as u32).collect(),
+            cluster_rr: vec![self.rr as u32; self.cfg.clusters],
             cluster_instr: self.cluster_instr.clone(),
             modules: self
                 .modules
@@ -799,8 +782,8 @@ impl<P: Probe> Machine<P> {
     /// Assemble the [`RunReport`], flushing the probe's final partial
     /// interval first so interval totals equal the run aggregates.
     fn report(&mut self) -> RunReport {
-        if P::ENABLED && self.cycle > self.last_sample {
-            self.emit_sample(self.cycle);
+        if P::ENABLED && self.stats.cycles > self.last_sample {
+            self.emit_sample(self.stats.cycles);
         }
         RunReport {
             stats: self.stats,
@@ -831,7 +814,7 @@ impl<P: Probe> Machine<P> {
         if !P::ENABLED {
             return;
         }
-        while self.cycle >= self.next_sample {
+        while self.stats.cycles >= self.next_sample {
             let boundary = self.next_sample;
             self.next_sample = boundary.saturating_add(self.probe.interval().max(1));
             self.emit_sample(boundary);
@@ -851,7 +834,6 @@ impl<P: Probe> Machine<P> {
         let Machine {
             probe,
             stats,
-            cycle,
             tracker,
             req_net,
             reply_net,
@@ -873,7 +855,7 @@ impl<P: Probe> Machine<P> {
         }
         let ctx = SampleCtx {
             boundary,
-            cycle: *cycle,
+            cycle: stats.cycles,
             spawn: tracker.as_ref().map(|t| t.index as u64),
             stats,
             req_net: req_net.stats(),
@@ -888,7 +870,7 @@ impl<P: Probe> Machine<P> {
             probe.resync(&ctx);
         } else {
             probe.record(&ctx);
-            *last_sample = *cycle;
+            *last_sample = stats.cycles;
         }
     }
 
@@ -901,19 +883,18 @@ impl<P: Probe> Machine<P> {
     /// One machine cycle. `fast` selects the fast-forward engine's
     /// parallel-mode stepping — bulk issue off the cluster masks
     /// wherever the visit order is unobservable, over only the clusters
-    /// on the active worklist; the reference engine (`fast == false`)
+    /// that can do something; the reference engine (`fast == false`)
     /// walks every TCU of every cluster.
     fn step_with(&mut self, fast: bool) -> Result<(), SimError> {
         let r = self.step_inner(fast);
-        r.map_err(|e| e.stamped(self.cycle))
+        r.map_err(|e| e.stamped(self.stats.cycles))
     }
 
     fn step_inner(&mut self, fast: bool) -> Result<(), SimError> {
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
+        self.stats.cycles += 1;
         match self.mode {
             Mode::Serial { pc, resume_at } => {
-                if self.cycle >= resume_at {
+                if self.stats.cycles >= resume_at {
                     self.step_serial(pc)?;
                 }
                 self.lap(Some(HostLayer::SerialStep));
@@ -923,13 +904,8 @@ impl<P: Probe> Machine<P> {
                 self.step_memory_system()?;
             }
             Mode::Parallel { return_pc } => {
-                if fast {
-                    self.step_parallel_worklist()?;
-                } else {
-                    for c in 0..self.clusters.len() {
-                        self.step_cluster(c, fast)?;
-                    }
-                }
+                self.step_clusters(fast)?;
+                self.advance_rr(1);
                 self.lap(Some(HostLayer::ClusterIssue));
                 self.step_memory_system()?;
                 self.maybe_finish_spawn(return_pc);
@@ -940,15 +916,31 @@ impl<P: Probe> Machine<P> {
         Ok(())
     }
 
-    /// One cluster's slice of a parallel cycle: the issue kernel
-    /// ([`issue::step_cluster`]) over this machine's state, with every
-    /// globally ordered effect applied on the spot by [`Direct`].
-    fn step_cluster(&mut self, c: usize, shortcuts: bool) -> Result<(), SimError> {
+    /// `n` parallel cycles went by, stepped or skipped: the arbiters
+    /// moved on by one TCU per cycle.
+    fn advance_rr(&mut self, n: u64) {
+        let ntcus = self.cfg.tcus_per_cluster as u64;
+        self.rr = ((self.rr as u64 + n % ntcus) % ntcus) as usize;
+    }
+
+    /// The cluster half of a parallel cycle: the issue kernel
+    /// ([`issue::step_cluster`]) over this machine's clusters in
+    /// ascending order, with every globally ordered effect applied on
+    /// the spot by [`Direct`]. While thread IDs remain any cluster may
+    /// activate an idle TCU, so every cluster steps — also within a
+    /// cycle, from the cluster on whose `sspawn` minted new IDs
+    /// (clusters before it already had their visit). Otherwise, with
+    /// `fast`, only the `par_active` worklist steps: a cluster off it
+    /// has no thread running — its last one joined with posted stores
+    /// drained, and an empty active mask implies an empty wake wheel —
+    /// so its visit is a guaranteed no-op. Membership follows the
+    /// active mask of every cluster that steps.
+    fn step_clusters(&mut self, fast: bool) -> Result<(), SimError> {
         let Machine {
             cfg,
             clusters,
             masks,
-            cluster_rr,
+            par_active,
             cluster_instr,
             decoded,
             gregs,
@@ -959,8 +951,6 @@ impl<P: Probe> Machine<P> {
             txns,
             next_tid,
             spawn_count,
-            spawn_entry,
-            cycle,
             trace,
             ..
         } = self;
@@ -969,11 +959,11 @@ impl<P: Probe> Machine<P> {
             cfg,
             mem_len: mem.len(),
             hash,
-            entry: *spawn_entry,
-            cycle: *cycle,
+            entry: self.spawn_entry,
+            cycle: stats.cycles,
         };
         let mut sink = Direct {
-            c,
+            c: 0,
             next_tid,
             spawn_count,
             gregs,
@@ -981,108 +971,21 @@ impl<P: Probe> Machine<P> {
             txns,
             trace: trace.as_deref_mut(),
         };
-        cluster_instr[c] += issue::step_cluster(
-            &mut clusters[c],
-            &mut masks[c],
-            &mut cluster_rr[c],
-            &env,
-            stats,
-            &mut sink,
-            shortcuts,
-        )?;
-        Ok(())
-    }
-
-    /// Settle a cluster's round-robin arrears. Skipped clusters and bulk
-    /// fast-forwards do not advance every `cluster_rr` each cycle; `pcyc`
-    /// counts the parallel cycles of the current section and each
-    /// cluster catches up lazily (same scheme as the threaded engine's
-    /// shard `synced` field).
-    #[inline]
-    fn settle_rr(&mut self, c: usize) {
-        let ntcus = self.cfg.tcus_per_cluster;
-        let lag = (self.pcyc - self.rr_synced[c]) % ntcus as u64;
-        if lag > 0 {
-            self.cluster_rr[c] = (self.cluster_rr[c] + lag as usize) % ntcus;
-        }
-        self.rr_synced[c] = self.pcyc;
-    }
-
-    /// [`Machine::settle_rr`] before cluster `c` steps; the step advances
-    /// the pointer once more.
-    #[inline]
-    fn sync_rr(&mut self, c: usize) {
-        self.settle_rr(c);
-        self.rr_synced[c] += 1;
-    }
-
-    /// Fast parallel cycle: only clusters on the `par_active`
-    /// worklist are visited. A cluster leaves the list when its last
-    /// thread joins (proven quiescent: joins drain posted stores first,
-    /// and an empty active mask implies an empty wake wheel, so an
-    /// unvisited cluster is a guaranteed no-op) and can only rejoin via
-    /// activation, which rebuilds the list under a full walk.
-    fn step_parallel_worklist(&mut self) -> Result<(), SimError> {
-        let nclusters = self.clusters.len();
-        if self.next_tid < self.spawn_count {
-            // Thread IDs remain: any cluster may activate an idle TCU,
-            // so walk them all and rebuild the worklist.
-            self.par_active.clear();
-            for c in 0..nclusters {
-                self.sync_rr(c);
-                self.step_cluster(c, true)?;
-            }
-            for c in 0..nclusters {
-                if self.masks[c].active != 0 {
-                    self.par_active.push(c);
+        let mut c = 0;
+        while c < clusters.len() {
+            if fast && !sink.tids_remain() {
+                match par_active.next_from(c) {
+                    Some(member) => c = member,
+                    None => break,
                 }
             }
-            self.pcyc += 1;
-            return Ok(());
+            sink.c = c;
+            let (tcus, m) = (&mut clusters[c], &mut masks[c]);
+            cluster_instr[c] +=
+                issue::step_cluster(tcus, m, self.rr, &env, stats, &mut sink, fast)?;
+            par_active.set(c, m.active != 0);
+            c += 1;
         }
-        // Steady state: compact the worklist in place while stepping.
-        let mut list = std::mem::take(&mut self.par_active);
-        let mut w = 0;
-        for i in 0..list.len() {
-            let c = list[i];
-            if self.masks[c].active == 0 {
-                continue;
-            }
-            self.sync_rr(c);
-            if let Err(e) = self.step_cluster(c, true) {
-                self.par_active = list;
-                return Err(e);
-            }
-            if self.next_tid < self.spawn_count {
-                // An `sspawn` minted thread IDs mid-cycle. The
-                // reference walk visits clusters in ascending order, so
-                // every cluster after `c` — listed or not — may now
-                // activate idle TCUs this same cycle; clusters at or
-                // before `c` already had their visit.
-                list.truncate(w);
-                for c2 in c + 1..nclusters {
-                    self.sync_rr(c2);
-                    if let Err(e) = self.step_cluster(c2, true) {
-                        self.par_active = list;
-                        return Err(e);
-                    }
-                }
-                for c2 in 0..nclusters {
-                    if self.masks[c2].active != 0 && list.binary_search(&c2).is_err() {
-                        list.push(c2);
-                    }
-                }
-                list.sort_unstable();
-                self.par_active = list;
-                self.pcyc += 1;
-                return Ok(());
-            }
-            list[w] = c;
-            w += 1;
-        }
-        list.truncate(w);
-        self.par_active = list;
-        self.pcyc += 1;
         Ok(())
     }
 
@@ -1094,7 +997,7 @@ impl<P: Probe> Machine<P> {
         if pc >= self.prog.len() {
             return Err(SimError::PcOutOfRange {
                 pc,
-                at_cycle: self.cycle,
+                at_cycle: self.stats.cycles,
             });
         }
         let ins = self.prog.fetch(pc);
@@ -1114,7 +1017,7 @@ impl<P: Probe> Machine<P> {
             };
             self.mode = Mode::Serial {
                 pc: pc + 1,
-                resume_at: self.cycle + lat,
+                resume_at: self.stats.cycles + lat,
             };
             return Ok(());
         }
@@ -1123,7 +1026,7 @@ impl<P: Probe> Machine<P> {
                 self.gregs[dst.index()] = self.mtcu_rf.read_i(rs);
                 self.mode = Mode::Serial {
                     pc: pc + 1,
-                    resume_at: self.cycle + 1,
+                    resume_at: self.stats.cycles + 1,
                 };
             }
             Instr::Lw { rd, base, off } => {
@@ -1133,7 +1036,7 @@ impl<P: Probe> Machine<P> {
                 self.stats.mem_reads += 1;
                 self.mode = Mode::Serial {
                     pc: pc + 1,
-                    resume_at: self.cycle + SERIAL_MEM_LATENCY,
+                    resume_at: self.stats.cycles + SERIAL_MEM_LATENCY,
                 };
             }
             Instr::Sw { rs, base, off } => {
@@ -1142,7 +1045,7 @@ impl<P: Probe> Machine<P> {
                 self.stats.mem_writes += 1;
                 self.mode = Mode::Serial {
                     pc: pc + 1,
-                    resume_at: self.cycle + SERIAL_MEM_LATENCY,
+                    resume_at: self.stats.cycles + SERIAL_MEM_LATENCY,
                 };
             }
             Instr::Flw { fd, base, off } => {
@@ -1152,7 +1055,7 @@ impl<P: Probe> Machine<P> {
                 self.stats.mem_reads += 1;
                 self.mode = Mode::Serial {
                     pc: pc + 1,
-                    resume_at: self.cycle + SERIAL_MEM_LATENCY,
+                    resume_at: self.stats.cycles + SERIAL_MEM_LATENCY,
                 };
             }
             Instr::Fsw { fs, base, off } => {
@@ -1161,7 +1064,7 @@ impl<P: Probe> Machine<P> {
                 self.stats.mem_writes += 1;
                 self.mode = Mode::Serial {
                     pc: pc + 1,
-                    resume_at: self.cycle + SERIAL_MEM_LATENCY,
+                    resume_at: self.stats.cycles + SERIAL_MEM_LATENCY,
                 };
             }
             Instr::Branch {
@@ -1174,13 +1077,13 @@ impl<P: Probe> Machine<P> {
                 let next = if t { target } else { pc + 1 };
                 self.mode = Mode::Serial {
                     pc: next,
-                    resume_at: self.cycle + 1,
+                    resume_at: self.stats.cycles + 1,
                 };
             }
             Instr::Jump { target } => {
                 self.mode = Mode::Serial {
                     pc: target,
-                    resume_at: self.cycle + 1,
+                    resume_at: self.stats.cycles + 1,
                 };
             }
             Instr::Ps { rd, inc, on } => {
@@ -1189,7 +1092,7 @@ impl<P: Probe> Machine<P> {
                 self.mtcu_rf.write_i(rd, old);
                 self.mode = Mode::Serial {
                     pc: pc + 1,
-                    resume_at: self.cycle + 1,
+                    resume_at: self.stats.cycles + 1,
                 };
             }
             Instr::Spawn { count, entry } => {
@@ -1198,39 +1101,32 @@ impl<P: Probe> Machine<P> {
                 self.spawn_count = n;
                 self.spawn_entry = entry;
                 self.next_tid = 0;
-                // Fresh section: restart the lazy round-robin clock and
-                // the cluster worklist (rebuilt on the first parallel
-                // cycle, when thread IDs are available).
-                self.pcyc = 0;
-                self.rr_synced.fill(0);
-                self.par_active.clear();
                 // Broadcast: the parallel section reaches every cluster
                 // in log₂(clusters) cycles (Section II-A: "start all
                 // TCUs at once in the same time it takes to start one").
                 let broadcast = (self.cfg.clusters as f64).log2().ceil() as u64 + 1;
                 self.tracker = Some(SpawnTracker {
                     index: self.spawn_log.len(),
-                    start_cycle: self.cycle,
+                    start_cycle: self.stats.cycles,
                     start: self.stats,
                     start_dram_bytes: self.dram_bytes(),
                     threads_at_start: self.stats.threads,
                 });
-                self.cycle += broadcast;
-                self.stats.cycles = self.cycle;
+                self.stats.cycles += broadcast;
                 self.mode = Mode::Parallel { return_pc: pc + 1 };
             }
             Instr::Join => {
                 return Err(SimError::BadInstruction {
                     pc,
                     what: "join in serial mode",
-                    at_cycle: self.cycle,
+                    at_cycle: self.stats.cycles,
                 })
             }
             Instr::Sspawn { .. } => {
                 return Err(SimError::BadInstruction {
                     pc,
                     what: "sspawn in serial mode",
-                    at_cycle: self.cycle,
+                    at_cycle: self.stats.cycles,
                 })
             }
             Instr::Halt => {
@@ -1243,7 +1139,7 @@ impl<P: Probe> Machine<P> {
                 return Err(SimError::BadInstruction {
                     pc,
                     what: "instruction not executable in serial mode",
-                    at_cycle: self.cycle,
+                    at_cycle: self.stats.cycles,
                 })
             }
         }
@@ -1255,7 +1151,7 @@ impl<P: Probe> Machine<P> {
         if self.next_tid < self.spawn_count {
             return;
         }
-        if self.clusters.iter().any(|cl| cl.iter().any(|t| t.active)) {
+        if self.masks.iter().any(|m| m.active != 0) {
             return;
         }
         self.maybe_finish_spawn_drained(return_pc);
@@ -1285,7 +1181,7 @@ impl<P: Probe> Machine<P> {
                 index: tr.index,
                 threads: self.stats.threads - tr.threads_at_start,
                 start_cycle: tr.start_cycle,
-                cycles: self.cycle - tr.start_cycle,
+                cycles: self.stats.cycles - tr.start_cycle,
                 instructions: self.stats.instructions - tr.start.instructions,
                 flops: self.stats.flops - tr.start.flops,
                 mem_reads: self.stats.mem_reads - tr.start.mem_reads,
@@ -1297,15 +1193,9 @@ impl<P: Probe> Machine<P> {
                 stall_lsu: self.stats.stall_lsu - tr.start.stall_lsu,
             });
         }
-        // Settle every cluster's lazy round-robin arrears so the
-        // serial-mode `cluster_rr` bytes (checkpointed, compared across
-        // engines) match eager per-cycle advancing exactly.
-        for c in 0..self.cluster_rr.len() {
-            self.settle_rr(c);
-        }
         self.mode = Mode::Serial {
             pc: return_pc,
-            resume_at: self.cycle + 1,
+            resume_at: self.stats.cycles + 1,
         };
     }
 }
@@ -1340,8 +1230,9 @@ mod tests {
     /// The active sets (`active_modules` and friends) must visit their
     /// members in ascending order, without duplicates, and keep `len`
     /// right under arbitrary insert/drop interleavings — `insert` adds,
-    /// and the step loops drop members mid-visit via `retain`. A
-    /// `BTreeSet` mirror is the specification.
+    /// the step loops drop members mid-visit via `retain`, and the
+    /// cluster worklist follows a mask with `set` and walks itself with
+    /// `next_from`. A `BTreeSet` mirror is the specification.
     #[test]
     fn active_set_survives_insert_remove_churn() {
         const N: usize = 150; // three words, the last one partial
@@ -1373,6 +1264,16 @@ mod tests {
                 assert_eq!(visited, expect, "retain visits every member, ascending");
                 mirror.retain(|&x| x != idx && x % 7 != 0);
             }
+            // The worklist's own moves: membership set from a
+            // predicate, and the next member from a cursor.
+            let (other, member) = ((next() % N as u64) as usize, next() % 2 == 0);
+            set.set(other, member);
+            if member {
+                mirror.insert(other);
+            } else {
+                mirror.remove(&other);
+            }
+            assert_eq!(set.next_from(idx), mirror.range(idx..).next().copied());
             let expect: Vec<usize> = mirror.iter().copied().collect();
             assert_eq!(set.iter().collect::<Vec<_>>(), expect);
             assert_eq!(set.len(), mirror.len());
@@ -1992,10 +1893,25 @@ mod tests {
         let st = m2.run_until(10);
         assert!(matches!(st.status, RunStatus::Paused { .. }));
         let cp = m2.checkpoint().unwrap();
-        let r = MachineBuilder::new(&XmtConfig::xmt_4k().scaled_to(8), prog)
+        let r = MachineBuilder::new(&XmtConfig::xmt_4k().scaled_to(8), prog.clone())
             .mem_words(256)
             .resume(&cp);
         assert!(matches!(r, Err(SimError::InvalidConfig { .. })));
+        // Round-robin values that are not one in-range number decode —
+        // the format has a slot per cluster — but must not resume: an
+        // out-of-range one used to index past the issue walk's order.
+        let clusters = tiny_config().clusters;
+        let mut unequal = vec![cp.cluster_rr[0]; clusters];
+        unequal[clusters - 1] += 1;
+        for rr in [unequal, vec![1000; clusters], vec![32; clusters]] {
+            let mut bad = cp.clone();
+            bad.cluster_rr = rr;
+            let bad = Checkpoint::from_bytes(&bad.to_bytes()).unwrap();
+            let r = MachineBuilder::new(&tiny_config(), prog.clone())
+                .mem_words(256)
+                .resume(&bad);
+            assert!(matches!(r, Err(SimError::InvalidConfig { .. })));
+        }
     }
 
     /// `run_until` with a pause point past the program's end completes

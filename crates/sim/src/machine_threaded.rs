@@ -1,13 +1,12 @@
 //! Sharded parallel advance loop (`Engine::Threaded`).
 //!
 //! The machine is partitioned into *shards*: every cluster (with its
-//! TCUs, round-robin pointer and issue scratch) and every memory
-//! module lives in its own padded cell, and a pool of persistent
-//! workers claims cells from a per-cycle work list with an atomic
-//! cursor — work-stealing restricted to the **active-cluster list**,
-//! so clusters with no running threads are never touched (the
-//! reference engine walks every cluster every cycle; here an idle
-//! shard costs nothing, not even a cache line).
+//! TCUs and issue scratch) and every memory module lives in its own
+//! padded cell, and a pool of persistent workers claims cells from a
+//! per-cycle work list with an atomic cursor — work-stealing restricted
+//! to the **active-cluster list**, so clusters with no running threads
+//! are never touched (the reference engine walks every cluster every
+//! cycle; here an idle shard costs nothing, not even a cache line).
 //!
 //! Synchronization is epoch-based, not message-based: the coordinator
 //! publishes a command (step clusters / step modules / stop) by
@@ -36,10 +35,6 @@
 //! only advance on accepted injections), and module steps —
 //! independent per module — are merged back in module order before
 //! DRAM channels and reply routing run serially.
-//! Round-robin pointers of unstepped clusters catch up lazily: the
-//! pointer advances once per parallel cycle in every engine, so a
-//! shard rejoining the work list (or the run ending) adds the number
-//! of parallel cycles it sat out, modulo the cluster's TCU count.
 //!
 //! Programs that mutate global state from parallel mode
 //! (`ps`/`sspawn`) and probed machines never reach this module —
@@ -88,19 +83,12 @@ struct ClusterShard {
     /// The cluster's issue masks, moved out of the machine together
     /// with the TCUs.
     masks: ClusterMasks,
-    rr: usize,
-    /// Parallel-cycle count `rr` reflects (lazy catch-up).
-    synced: u64,
     /// Instructions issued by this cluster (merged at shutdown).
     instr: u64,
     /// Contiguous thread-ID grant for this cycle.
     grant: Range<u32>,
-    /// Grant size, kept for the coordinator's idle bookkeeping.
-    granted: u64,
     /// Request-NoC injection budget sampled for this cycle.
     budget: usize,
-    /// Threads that retired (`join`) this cycle.
-    joined: u64,
     /// Trace entries via branch/jump resolution (merged at shutdown).
     trace_entries: u64,
     /// Matured replies to apply before the next cycle's issue
@@ -123,12 +111,11 @@ struct ModuleShard {
 /// What an epoch asks the participants to do.
 #[derive(Clone, Copy)]
 enum EpochCmd {
-    /// Claim clusters from the work list and step them one cycle.
-    /// `pcyc` is the parallel-cycle count before this cycle, for lazy
-    /// round-robin catch-up.
+    /// Claim clusters from the work list and step them one cycle,
+    /// visiting TCUs from round-robin position `start`.
     Clusters {
         cycle: u64,
-        pcyc: u64,
+        start: usize,
     },
     /// Claim modules from the work list and step each one memory
     /// cycle into its [`ModuleShard`].
@@ -248,26 +235,17 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
 
     // Move the TCU state (and the issue masks) out of the machine
     // into the shards.
-    let healthy: Vec<u64> = m
-        .masks
-        .iter()
-        .map(|mk| ntcus as u64 - u64::from(mk.disabled.count_ones()))
-        .collect();
+    let healthy: Vec<u64> = m.masks.iter().map(|masks| masks.idle(ntcus)).collect();
     let cluster_shards: Vec<Pad<ClusterShard>> = std::mem::take(&mut m.clusters)
         .into_iter()
-        .zip(std::mem::take(&mut m.cluster_rr))
         .zip(std::mem::take(&mut m.masks))
-        .map(|((tcus, rr), masks)| {
+        .map(|(tcus, masks)| {
             Pad(UnsafeCell::new(ClusterShard {
                 tcus,
                 masks,
-                rr,
-                synced: 0,
                 instr: 0,
                 grant: 0..0,
-                granted: 0,
                 budget: 0,
-                joined: 0,
                 trace_entries: 0,
                 deliveries: Vec::new(),
                 attempts: Vec::new(),
@@ -300,7 +278,6 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
         env,
     };
 
-    let mut pcyc = 0u64;
     let result = std::thread::scope(|s| {
         let handles: Vec<_> = (0..spawned)
             .map(|w| {
@@ -317,7 +294,7 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
             worker_threads,
             done_target: 0,
         };
-        let result = main_loop(m, &mut pool, &healthy, &mut pcyc);
+        let result = main_loop(m, &mut pool, &healthy);
         // Shut the pool down without waiting for the Stop epoch (a
         // panicked worker would never acknowledge it); the scope join
         // below is the real barrier and surfaces worker panics.
@@ -326,16 +303,12 @@ pub(super) fn run<P: Probe>(m: &mut Machine<P>, threads: usize) -> Result<RunRep
     });
 
     // Reassemble the machine (also on the error path, so the caller
-    // can still inspect memory and statistics). Round-robin pointers
-    // catch up to the final parallel-cycle count here.
+    // can still inspect memory and statistics).
     let mut trace_entries = 0u64;
     for (c, cell) in shared.clusters.into_iter().enumerate() {
-        let mut shard = cell.0.into_inner();
-        let lag = (pcyc - shard.synced) % ntcus as u64;
-        shard.rr = (shard.rr + lag as usize) % ntcus;
+        let shard = cell.0.into_inner();
         m.clusters.push(shard.tcus);
         m.masks.push(shard.masks);
-        m.cluster_rr.push(shard.rr);
         m.cluster_instr[c] += shard.instr;
         trace_entries += shard.trace_entries;
     }
@@ -447,7 +420,7 @@ fn run_cmd(sh: &Shared<'_>, cmd: EpochCmd, delta: &mut MachineStats) {
     // and read-only during it.
     let work = unsafe { &*sh.work.get() };
     match cmd {
-        EpochCmd::Clusters { cycle, pcyc } => loop {
+        EpochCmd::Clusters { cycle, start } => loop {
             let i = sh.cursor.fetch_add(1, Ordering::Relaxed);
             if i >= work.len() {
                 break;
@@ -456,7 +429,7 @@ fn run_cmd(sh: &Shared<'_>, cmd: EpochCmd, delta: &mut MachineStats) {
             // SAFETY: index `i` (hence cluster `c`) is claimed by
             // exactly one participant this epoch.
             let shard = unsafe { &mut *sh.clusters[c].0.get() };
-            step_shard(sh, shard, cycle, pcyc, delta);
+            step_shard(sh, shard, cycle, start, delta);
         },
         EpochCmd::Modules => {
             // SAFETY: re-derived by the coordinator for this epoch.
@@ -484,7 +457,7 @@ fn run_cmd(sh: &Shared<'_>, cmd: EpochCmd, delta: &mut MachineStats) {
 /// touch shared state, so every globally ordered effect is either
 /// pre-sized by the coordinator (the thread-ID grant, the NoC budget)
 /// or recorded for it to replay in cluster order (injection attempts,
-/// join and trace-entry counts).
+/// trace-entry counts).
 struct Shard<'a> {
     /// This cluster's contiguous slice of the global thread-ID
     /// counter, sized to its idle-TCU count.
@@ -495,7 +468,6 @@ struct Shard<'a> {
     /// the real network agrees.
     budget: &'a mut usize,
     attempts: &'a mut Vec<Attempt>,
-    joined: &'a mut u64,
     trace_entries: &'a mut u64,
     trace: Option<&'a TraceCache>,
     gregs: &'a [u32; NUM_GREGS],
@@ -553,26 +525,17 @@ impl IssueSink for Shard<'_> {
         // engine; they cannot reach a shard.
         unreachable!("global-state op in threaded shard")
     }
-
-    #[inline(always)]
-    fn joined(&mut self, n: u64) {
-        *self.joined += n;
-    }
 }
 
-/// Step one cluster shard one cycle: lazy round-robin catch-up, reply
-/// application, and the issue kernel behind a [`Shard`] sink.
+/// Step one cluster shard one cycle: reply application, and the issue
+/// kernel behind a [`Shard`] sink.
 fn step_shard(
     sh: &Shared<'_>,
     shard: &mut ClusterShard,
     cycle: u64,
-    pcyc: u64,
+    start: usize,
     delta: &mut MachineStats,
 ) {
-    let ntcus = sh.env.cfg.tcus_per_cluster;
-    let lag = (pcyc - shard.synced) % ntcus as u64;
-    shard.rr = (shard.rr + lag as usize) % ntcus;
-    shard.synced = pcyc + 1; // the step advances rr once more
     for d in shard.deliveries.drain(..) {
         let tcu = &mut shard.tcus[d.tcu];
         issue::apply_reply(
@@ -596,7 +559,6 @@ fn step_shard(
         grant: &mut shard.grant,
         budget: &mut shard.budget,
         attempts: &mut shard.attempts,
-        joined: &mut shard.joined,
         trace_entries: &mut shard.trace_entries,
         trace: sh.trace,
         gregs: &section.gregs,
@@ -604,7 +566,7 @@ fn step_shard(
     match issue::step_cluster(
         &mut shard.tcus,
         &mut shard.masks,
-        &mut shard.rr,
+        start,
         &env,
         delta,
         &mut sink,
@@ -619,13 +581,13 @@ fn main_loop<P: Probe>(
     m: &mut Machine<P>,
     pool: &mut Pool<'_, '_>,
     healthy: &[u64],
-    pcyc: &mut u64,
 ) -> Result<(), SimError> {
     let sh = pool.sh;
     let nclusters = healthy.len();
+    let ntcus = m.cfg.tcus_per_cluster;
     let healthy_total: u64 = healthy.iter().sum();
-    // Post-cycle idle-TCU count per cluster, maintained incrementally
-    // from grants and joins (drives grant sizing and the active-work
+    // Post-cycle idle-TCU count per cluster, re-read from the masks of
+    // each shard that stepped (drives grant sizing and the active-work
     // decision — full scans only happen on quiet cycles). Before the
     // first spawn — and between sections — every non-disabled TCU is
     // idle.
@@ -636,8 +598,6 @@ fn main_loop<P: Probe>(
     // repurposed for module indices during Modules epochs, so the
     // merge and skip phases read this one.
     let mut active: Vec<u32> = Vec::with_capacity(nclusters);
-    // Quiet-cycle scans of the active clusters (skip planning).
-    let mut scans: Vec<ClusterScan> = Vec::with_capacity(nclusters);
 
     loop {
         match m.mode {
@@ -666,8 +626,7 @@ fn main_loop<P: Probe>(
                 }
             }
             Mode::Parallel { return_pc } => {
-                m.cycle += 1;
-                m.stats.cycles = m.cycle;
+                m.stats.cycles += 1;
                 // Phase 0: build the active work list and size the
                 // thread-ID grants from the idle counts — exactly the
                 // TCUs the serial scan would have activated, in the
@@ -690,9 +649,7 @@ fn main_loop<P: Probe>(
                     // every cell.
                     let shard = unsafe { &mut *sh.clusters[c].0.get() };
                     shard.grant = m.next_tid..m.next_tid + g;
-                    shard.granted = u64::from(g);
                     m.next_tid += g;
-                    shard.joined = 0;
                     shard.error = None;
                     shard.budget = m.req_net.inject_budget(c);
                     shard.attempts.clear();
@@ -710,13 +667,13 @@ fn main_loop<P: Probe>(
                 // Phase 1: step the shards (workers+coordinator).
                 pool.dispatch(
                     EpochCmd::Clusters {
-                        cycle: m.cycle,
-                        pcyc: *pcyc,
+                        cycle: m.stats.cycles,
+                        start: m.rr,
                     },
                     &mut main_delta,
                 );
                 pool.wait()?;
-                *pcyc += 1;
+                m.advance_rr(1);
                 add_stats(&mut m.stats, &main_delta);
                 for d in &sh.deltas {
                     // SAFETY: epoch done; workers are waiting.
@@ -724,7 +681,7 @@ fn main_loop<P: Probe>(
                 }
                 // Phase 2 (merge): replay attempts in cluster order so
                 // tags and NoC arbitration match the serial engines
-                // bit for bit, and fold the idle deltas back in.
+                // bit for bit, and take the new idle counts.
                 let mut first_err: Option<SimError> = None;
                 for &c in &active {
                     let c = c as usize;
@@ -748,14 +705,14 @@ fn main_loop<P: Probe>(
                         }
                         first_err = shard.error.take();
                     }
-                    sum_idle += shard.joined;
-                    sum_idle -= shard.granted;
-                    idle[c] = idle[c] + shard.joined - shard.granted;
+                    let now_idle = shard.masks.idle(ntcus);
+                    sum_idle = sum_idle + now_idle - idle[c];
+                    idle[c] = now_idle;
                 }
                 if let Some(e) = first_err {
                     // `addr_of` faults surface from shards without a
                     // clock; stamp them with the merge-side cycle.
-                    return Err(e.stamped(m.cycle));
+                    return Err(e.stamped(m.stats.cycles));
                 }
                 let total_active = healthy_total - sum_idle;
                 m.lap(Some(HostLayer::ClusterIssue));
@@ -817,8 +774,7 @@ fn main_loop<P: Probe>(
                 // outside the work list are fully idle and would
                 // report `issue_next: false`, `min_busy: MAX` and zero
                 // blocked counts, so only work-list shards constrain
-                // the horizon. Round-robin pointers catch up lazily
-                // from the parallel-cycle count.
+                // the horizon.
                 let quiet =
                     instr_before == m.stats.instructions && threads_before == m.stats.threads;
                 if quiet && pending_count == 0 && matches!(m.mode, Mode::Parallel { .. }) {
@@ -827,32 +783,31 @@ fn main_loop<P: Probe>(
                     // watchdog would fire (a stuck TCU looks
                     // permanently quiet).
                     let mut horizon = (m.max_cycles + 1).min(m.watchdog_horizon());
+                    let next = m.stats.cycles + 1;
                     let mut can_skip = !(m.next_tid < m.spawn_count && sum_idle > 0);
-                    scans.clear();
+                    let (mut blocked_scoreboard, mut blocked_lsu) = (0, 0);
                     if can_skip {
                         for &c in &active {
                             // SAFETY: no epoch in flight.
                             let shard = unsafe { &*sh.clusters[c as usize].0.get() };
-                            let scan = scan_cluster::<true>(&shard.tcus, m.cycle + 1);
-                            debug_assert_eq!(scan.idle, idle[c as usize]);
+                            let scan = shard.masks.quiet_scan(next);
                             if scan.issue_next {
                                 can_skip = false;
                                 break;
                             }
                             horizon = horizon.min(scan.min_busy);
-                            scans.push(scan);
+                            blocked_scoreboard += scan.blocked_scoreboard;
+                            blocked_lsu += scan.blocked_lsu;
                         }
                     }
                     if can_skip {
                         if let Some(e) = m.memory_next_event() {
                             horizon = horizon.min(e);
                         }
-                        if horizon > m.cycle + 1 {
-                            let n = horizon - (m.cycle + 1);
-                            for scan in &scans {
-                                m.stats.stall_scoreboard += n * scan.blocked_scoreboard;
-                                m.stats.stall_lsu += n * scan.blocked_lsu;
-                            }
+                        if horizon > next {
+                            let n = horizon - next;
+                            m.stats.stall_scoreboard += n * blocked_scoreboard;
+                            m.stats.stall_lsu += n * blocked_lsu;
                             // Busy bits of skipped cycles must clear,
                             // exactly as `fast_forward` does, or the
                             // mask-driven issue loop would skip TCUs
@@ -861,12 +816,11 @@ fn main_loop<P: Probe>(
                             for &c in &active {
                                 // SAFETY: no epoch in flight.
                                 let shard = unsafe { &mut *sh.clusters[c as usize].0.get() };
-                                shard.masks.wake_through(m.cycle + 1, n);
+                                shard.masks.wake_through(next, n);
                             }
                             m.skip_memory(n);
-                            m.cycle += n;
-                            m.stats.cycles = m.cycle;
-                            *pcyc += n;
+                            m.stats.cycles += n;
+                            m.advance_rr(n);
                             m.check_progress()?;
                         }
                     }

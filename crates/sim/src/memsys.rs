@@ -12,10 +12,11 @@ pub(super) struct ReplyDelivery {
     pub(super) value: u32,
 }
 
-/// The components of one kind (modules, channels, outboxes) that have
-/// work, as a bitset: joining and leaving are O(1), and members are
-/// visited by `trailing_zeros` in ascending index order — the order the
-/// memory cycle merges DRAM requests and reply injections in.
+/// The components of one kind (modules, channels, outboxes, clusters)
+/// that have work, as a bitset: joining and leaving are O(1), and
+/// members are visited by `trailing_zeros` in ascending index order —
+/// the order the memory cycle merges DRAM requests and reply injections
+/// in, and the order clusters step in.
 #[derive(Debug)]
 pub(super) struct ActiveSet(Vec<u64>);
 
@@ -37,13 +38,27 @@ impl ActiveSet {
         self.0[idx >> 6] |= 1u64 << (idx & 63);
     }
 
+    /// Make `idx` a member, or not.
+    pub(super) fn set(&mut self, idx: usize, member: bool) {
+        let bit = 1u64 << (idx & 63);
+        let word = &mut self.0[idx >> 6];
+        *word = if member { *word | bit } else { *word & !bit };
+    }
+
+    /// The smallest member at or after `from`.
+    pub(super) fn next_from(&self, from: usize) -> Option<usize> {
+        let mut wi = from >> 6;
+        let mut word = *self.0.get(wi)? & (u64::MAX << (from & 63));
+        while word == 0 {
+            wi += 1;
+            word = *self.0.get(wi)?;
+        }
+        Some((wi << 6) | word.trailing_zeros() as usize)
+    }
+
     /// Members, ascending.
     pub(super) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(wi, &word)| {
-            let rest = |&bits: &u64| Some(bits & (bits - 1)).filter(|&b| b != 0);
-            std::iter::successors(Some(word).filter(|&b| b != 0), rest)
-                .map(move |bits| (wi << 6) | bits.trailing_zeros() as usize)
-        })
+        std::iter::successors(self.next_from(0), |&idx| self.next_from(idx + 1))
     }
 
     /// Visit the members in ascending order, dropping those `keep`

@@ -2,7 +2,9 @@
 //!
 //! The journal replays whatever a crash left on disk and the TCP
 //! front end parses whatever a socket delivers, so every decoder in
-//! `xmt_server::wire` and `xmt_server::net` is a trust boundary. The
+//! `xmt_server::wire` and `xmt_server::net` — and the checkpoint
+//! decoder, whose bytes a journal `Commit` record carries — is a trust
+//! boundary. The
 //! properties pin the contract: on *arbitrary* bytes, on *truncated*
 //! valid encodings, and on *bit-flipped* valid encodings, every
 //! decoder returns a typed error or a (harmless) decoded value — it
@@ -12,6 +14,7 @@
 use proptest::prelude::*;
 use xmt_server::net::{self, Request};
 use xmt_server::{decode_report, decode_request, decode_row, encode_request, SimRequest};
+use xmt_sim::{Checkpoint, SimError, XmtConfig};
 
 /// All the golden names the request codec can carry.
 const NAMES: [&str; 3] = ["ps_tickets", "fft_radix8_n512", "spawn_storm"];
@@ -22,6 +25,7 @@ fn decode_all(bytes: &[u8]) {
     let _ = decode_request(bytes);
     let _ = decode_report(bytes);
     let _ = decode_row(bytes);
+    let _ = Checkpoint::from_bytes(bytes);
     let _ = net::split_frame(bytes);
     let _ = net::decode_stats(bytes);
     let _ = net::decode_status(bytes);
@@ -40,6 +44,73 @@ fn valid_frame(name: &str, lane_high: bool, token: u64) -> (u8, Vec<u8>) {
         sub = sub.lane(xmt_server::Lane::High);
     }
     net::encode_request_frame(&Request::Submit(Box::new(sub)))
+}
+
+/// Single-field changes to a request's machine geometry, each of which
+/// used to decode, be admitted, and then panic a machine constructor
+/// (or, for the DRAM rate, the first burst) on the worker thread.
+const BAD_GEOMETRY: [fn(&mut XmtConfig); 13] = [
+    |a| a.tcus_per_cluster = 65,
+    |a| a.clusters = 3,
+    |a| a.memory_modules = 0,
+    |a| a.memory_modules = 3,
+    |a| a.mm_per_dram_ctrl = 0,
+    |a| a.mm_per_dram_ctrl = 5,
+    |a| a.cache.lines = 0,
+    |a| a.cache.ways = 0,
+    |a| a.cache.ways = 3,
+    |a| a.cache.line_words = 0,
+    |a| a.cache.line_words = 3,
+    |a| a.dram.bytes_per_cycle = 0.0,
+    |a| a.butterfly_levels = 31,
+];
+
+/// Single-field changes a machine can be built from (whatever it then
+/// computes): the decoder must keep accepting them.
+const ODD_GEOMETRY: [fn(&mut XmtConfig); 7] = [
+    |a| a.tcus = 1,
+    |a| a.tcus_per_cluster = 1,
+    |a| a.fpus_per_cluster = 0,
+    |a| a.lsus_per_cluster = 0,
+    |a| a.mot_levels = 0,
+    |a| a.cache.hit_latency = 0,
+    |a| a.dram.access_latency = 0,
+];
+
+/// The geometry rules are stated once (`XmtConfig::validate`) and both
+/// doors check them: a bad request is a typed error at the socket, and
+/// a typed `InvalidConfig` — never a panic — when built in-process.
+/// What the decoder lets through builds and runs to a typed outcome.
+#[test]
+fn bad_geometry_is_a_typed_error_at_both_doors() {
+    let base = SimRequest::golden("ps_tickets").unwrap();
+    for (i, change) in BAD_GEOMETRY.iter().enumerate() {
+        let mut req = base.clone();
+        change(&mut req.sim.arch);
+        assert!(
+            decode_request(&encode_request(&req)).is_err(),
+            "bad geometry {i} decodes"
+        );
+        assert!(
+            matches!(
+                req.builder().try_build(),
+                Err(SimError::InvalidConfig { .. })
+            ),
+            "bad geometry {i} builds"
+        );
+    }
+    for (i, change) in ODD_GEOMETRY.iter().enumerate() {
+        let mut req = base.clone().with_sim(|s| s.max_cycles(100_000));
+        change(&mut req.sim.arch);
+        let decoded = decode_request(&encode_request(&req))
+            .unwrap_or_else(|e| panic!("odd geometry {i} rejected: {e}"));
+        assert_eq!(decoded, req);
+        let mut m = decoded
+            .builder()
+            .try_build()
+            .unwrap_or_else(|e| panic!("odd geometry {i} does not build: {e}"));
+        let _ = m.run();
+    }
 }
 
 proptest! {
