@@ -35,6 +35,13 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+// The statistics frame's cache half, in wire order.
+xmt_sim::word_codec!(
+    pub(crate) CacheStats,
+    5,
+    [entries, hits, disk_hits, misses, evictions]
+);
+
 /// One resident entry: the canonical report bytes plus the eviction
 /// score inputs.
 #[derive(Debug)]
@@ -62,10 +69,8 @@ pub struct ResultCache {
     map: HashMap<u64, Entry>,
     clock: u64,
     dir: Option<PathBuf>,
-    hits: u64,
-    disk_hits: u64,
-    misses: u64,
-    evictions: u64,
+    /// The counters (`entries` is filled in by [`ResultCache::stats`]).
+    stats: CacheStats,
 }
 
 impl ResultCache {
@@ -82,10 +87,7 @@ impl ResultCache {
             map: HashMap::new(),
             clock: 0,
             dir,
-            hits: 0,
-            disk_hits: 0,
-            misses: 0,
-            evictions: 0,
+            stats: CacheStats::default(),
         }
     }
 
@@ -101,17 +103,17 @@ impl ResultCache {
         let clock = self.clock;
         if let Some(e) = self.map.get_mut(&key) {
             e.touched = clock;
-            self.hits += 1;
+            self.stats.hits += 1;
             return Some(e.bytes.clone());
         }
         if let Some(path) = self.path_for(key) {
             if let Some((cycles, bytes)) = std::fs::read(&path).ok().and_then(split_disk_entry) {
-                self.disk_hits += 1;
+                self.stats.disk_hits += 1;
                 self.admit(key, bytes.clone(), cycles);
                 return Some(bytes);
             }
         }
-        self.misses += 1;
+        self.stats.misses += 1;
         None
     }
 
@@ -151,7 +153,7 @@ impl ResultCache {
                 .map(|(k, _, _)| k);
             if let Some(k) = victim {
                 self.map.remove(&k);
-                self.evictions += 1;
+                self.stats.evictions += 1;
             }
         }
     }
@@ -160,10 +162,7 @@ impl ResultCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             entries: self.map.len(),
-            hits: self.hits,
-            disk_hits: self.disk_hits,
-            misses: self.misses,
-            evictions: self.evictions,
+            ..self.stats
         }
     }
 }

@@ -17,12 +17,8 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant, SystemTime};
 
 use crate::job::{JobError, JobId, JobStatus};
-use crate::net::{
-    self, RemoteStats, Request, ERR_MALFORMED, MAX_FRAME, RESP_END, RESP_ERR, RESP_OK, RESP_RESULT,
-    RESP_ROW, RESP_STATS, RESP_STATUS, RESP_SUBMITTED,
-};
+use crate::net::{self, RemoteStats, Request, Response, MAX_FRAME};
 use crate::server::Submission;
-use crate::wire::{self, Reader};
 use xmt_sim::{IntervalRow, RunReport};
 
 /// Client knobs.
@@ -98,7 +94,7 @@ pub struct RemoteResult {
     pub from_cache: bool,
     /// Worker slices the job took.
     pub slices: u32,
-    /// Canonical [`wire::encode_report`] bytes — byte-identical to
+    /// Canonical [`crate::wire::encode_report`] bytes — byte-identical to
     /// what a local [`crate::JobHandle::wait`] returns.
     pub bytes: Vec<u8>,
     /// The decoded report.
@@ -146,24 +142,18 @@ impl Client {
             sub.token = self.next_token;
             self.next_token = self.next_token.wrapping_add(1) | 1;
         }
-        let (tag, body) = net::encode_request_frame(&Request::Submit(Box::new(sub)));
-        let (rtag, rbody) = self.rpc(tag, &body, self.cfg.request_timeout)?;
-        match rtag {
-            RESP_SUBMITTED => {
-                let mut r = Reader::new(&rbody);
-                r.u64().map_err(ClientError::Protocol)
-            }
-            other => Err(unexpected(other, &rbody)),
+        let req = Request::Submit(Box::new(sub));
+        match self.rpc(&req, self.cfg.request_timeout)? {
+            Response::Submitted(id) => Ok(id),
+            _ => Err(UNEXPECTED),
         }
     }
 
     /// Status snapshot for a job.
     pub fn poll(&mut self, id: JobId) -> Result<JobStatus, ClientError> {
-        let (tag, body) = net::encode_request_frame(&Request::Poll(id));
-        let (rtag, rbody) = self.rpc(tag, &body, self.cfg.request_timeout)?;
-        match rtag {
-            RESP_STATUS => net::decode_status(&rbody).map_err(ClientError::Protocol),
-            other => Err(unexpected(other, &rbody)),
+        match self.rpc(&Request::Poll(id), self.cfg.request_timeout)? {
+            Response::Status(s) => Ok(s),
+            _ => Err(UNEXPECTED),
         }
     }
 
@@ -171,55 +161,30 @@ impl Client {
     /// enforces the bound and answers [`JobError::Timeout`]; the job
     /// keeps running).
     pub fn wait(&mut self, id: JobId, timeout: Duration) -> Result<RemoteResult, ClientError> {
-        let (tag, body) = net::encode_request_frame(&Request::Wait {
+        let req = Request::Wait {
             id,
             timeout_ms: timeout.as_millis() as u64,
-        });
+        };
         // The socket deadline must outlast the server-side wait bound.
-        let (rtag, rbody) = self.rpc(tag, &body, timeout + self.cfg.request_timeout)?;
-        match rtag {
-            RESP_RESULT => {
-                let mut r = Reader::new(&rbody);
-                let completed = match net::state_from_code(r.u8().map_err(ClientError::Protocol)?)
-                    .map_err(ClientError::Protocol)?
-                {
-                    crate::job::JobState::Done => true,
-                    crate::job::JobState::Failed => false,
-                    _ => return Err(ClientError::Protocol("non-terminal result state")),
-                };
-                let from_cache = r.u8().map_err(ClientError::Protocol)? != 0;
-                let slices = r.u32().map_err(ClientError::Protocol)?;
-                let bytes = r.blob().map_err(ClientError::Protocol)?;
-                let report = wire::decode_report(&bytes).map_err(ClientError::Protocol)?;
-                Ok(RemoteResult {
-                    completed,
-                    from_cache,
-                    slices,
-                    bytes,
-                    report,
-                })
-            }
-            other => Err(unexpected(other, &rbody)),
+        match self.rpc(&req, timeout + self.cfg.request_timeout)? {
+            Response::Result(r) => Ok(r),
+            _ => Err(UNEXPECTED),
         }
     }
 
     /// Cancel a job (idempotent; finished jobs keep their result).
     pub fn cancel(&mut self, id: JobId) -> Result<(), ClientError> {
-        let (tag, body) = net::encode_request_frame(&Request::Cancel(id));
-        let (rtag, rbody) = self.rpc(tag, &body, self.cfg.request_timeout)?;
-        match rtag {
-            RESP_OK => Ok(()),
-            other => Err(unexpected(other, &rbody)),
+        match self.rpc(&Request::Cancel(id), self.cfg.request_timeout)? {
+            Response::Ok => Ok(()),
+            _ => Err(UNEXPECTED),
         }
     }
 
     /// Server + cache statistics.
     pub fn stats(&mut self) -> Result<RemoteStats, ClientError> {
-        let (tag, body) = net::encode_request_frame(&Request::Stats);
-        let (rtag, rbody) = self.rpc(tag, &body, self.cfg.request_timeout)?;
-        match rtag {
-            RESP_STATS => net::decode_stats(&rbody).map_err(ClientError::Protocol),
-            other => Err(unexpected(other, &rbody)),
+        match self.rpc(&Request::Stats, self.cfg.request_timeout)? {
+            Response::Stats(s) => Ok(s),
+            _ => Err(UNEXPECTED),
         }
     }
 
@@ -235,78 +200,59 @@ impl Client {
         // Streams are not idempotent (rows are consumed server-side):
         // no transport retry here.
         let hard = Instant::now() + deadline;
-        self.send_frame(tag, &body).map_err(ClientError::Io)?;
+        self.send_frame(tag, &body)?;
         let mut rows = Vec::new();
         loop {
             let left = hard.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                self.conn = None;
-                return Err(ClientError::Timeout);
-            }
-            let (rtag, rbody) = match self.read_frame(left) {
-                Ok(f) => f,
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
+            let next = if left.is_zero() {
+                Err(ClientError::Timeout)
+            } else {
+                self.read_frame(left).and_then(response)
             };
-            match rtag {
-                RESP_ROW => rows.push(wire::decode_row(&rbody).map_err(ClientError::Protocol)?),
-                RESP_END => return Ok(rows),
-                other => return Err(unexpected(other, &rbody)),
-            }
-        }
-    }
-
-    /// One request→response exchange with transport retries.
-    fn rpc(
-        &mut self,
-        tag: u8,
-        body: &[u8],
-        read_deadline: Duration,
-    ) -> Result<(u8, Vec<u8>), ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let r = self
-                .send_frame(tag, body)
-                .map_err(ClientError::Io)
-                .and_then(|()| self.read_frame(read_deadline));
-            match r {
-                Ok((RESP_ERR, body)) => {
-                    return Err(match body.first().copied().and_then(net::err_from_code) {
-                        Some(e) => ClientError::Server(e),
-                        None => ClientError::Protocol("server rejected the request frame"),
-                    });
-                }
-                Ok(other) => return Ok(other),
-                Err(e) if e.retryable() && attempt < self.cfg.retries => {
+            match next {
+                Ok(Response::Row(row)) => rows.push(row),
+                Ok(Response::End) => return Ok(rows),
+                // Rows may still be in flight behind whatever this
+                // was: the connection is out of step, drop it.
+                other => {
                     self.conn = None;
-                    std::thread::sleep(backoff(self.cfg.backoff_base, attempt));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
+                    return Err(other.err().unwrap_or(UNEXPECTED));
                 }
             }
         }
     }
 
-    /// Run `f` under the same retry/backoff policy as [`Client::rpc`].
-    fn with_retries(
+    /// One request→response exchange with transport retries. A typed
+    /// refusal is an answer: it comes back as [`ClientError::Server`]
+    /// without a retry and without dropping the connection.
+    fn rpc(&mut self, req: &Request, read_deadline: Duration) -> Result<Response, ClientError> {
+        let (tag, body) = net::encode_request_frame(req);
+        self.with_retries(|c| {
+            c.send_frame(tag, &body)?;
+            c.read_frame(read_deadline)
+        })
+        .and_then(response)
+    }
+
+    /// Run `f`, retrying transport failures with capped exponential
+    /// backoff on a fresh connection; whatever error is final also
+    /// drops the connection (a response may still be in flight on it).
+    fn with_retries<T>(
         &mut self,
-        f: impl Fn(&mut Client) -> Result<(), ClientError>,
-    ) -> Result<(), ClientError> {
+        mut f: impl FnMut(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let mut attempt = 0u32;
         loop {
             match f(self) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.retryable() && attempt < self.cfg.retries => {
+                Ok(v) => return Ok(v),
+                Err(e) => {
                     self.conn = None;
+                    if !e.retryable() || attempt >= self.cfg.retries {
+                        return Err(e);
+                    }
                     std::thread::sleep(backoff(self.cfg.backoff_base, attempt));
                     attempt += 1;
                 }
-                Err(e) => return Err(e),
             }
         }
     }
@@ -321,13 +267,8 @@ impl Client {
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    fn send_frame(&mut self, tag: u8, body: &[u8]) -> io::Result<()> {
-        let sock = match self.ensure_conn() {
-            Ok(s) => s,
-            Err(ClientError::Io(e)) => return Err(e),
-            Err(_) => return Err(io::ErrorKind::Other.into()),
-        };
-        net::write_frame(sock, tag, body)
+    fn send_frame(&mut self, tag: u8, body: &[u8]) -> Result<(), ClientError> {
+        net::write_frame(self.ensure_conn()?, tag, body).map_err(ClientError::Io)
     }
 
     /// Read one response frame within `deadline`.
@@ -346,19 +287,20 @@ impl Client {
         let mut payload = vec![0u8; len];
         read_all(sock, &mut payload, hard)?;
         let (tag, body) = net::split_frame(&payload).map_err(ClientError::Protocol)?;
-        if tag == RESP_ERR && body.first() == Some(&ERR_MALFORMED) {
-            return Err(ClientError::Protocol("server rejected the request frame"));
-        }
         Ok((tag, body.to_vec()))
     }
 }
 
 /// A response tag the request never asks for: either a peer bug or a
-/// desynchronized stream. Surface it as a protocol violation.
-fn unexpected(tag: u8, _body: &[u8]) -> ClientError {
-    match tag {
-        RESP_ERR => ClientError::Protocol("server rejected the request frame"),
-        _ => ClientError::Protocol("unexpected response tag"),
+/// desynchronized stream.
+const UNEXPECTED: ClientError = ClientError::Protocol("unexpected response tag");
+
+/// Decode a response frame; the server's typed refusals become errors.
+fn response((tag, body): (u8, Vec<u8>)) -> Result<Response, ClientError> {
+    match net::decode_response(tag, &body).map_err(ClientError::Protocol)? {
+        Response::Err(Some(e)) => Err(ClientError::Server(e)),
+        Response::Err(None) => Err(ClientError::Protocol("server rejected the request frame")),
+        other => Ok(other),
     }
 }
 
@@ -495,7 +437,7 @@ mod tests {
             conn: Some(sock),
             next_token: 1,
         };
-        match c.read_frame(Duration::from_secs(5)) {
+        match c.read_frame(Duration::from_secs(5)).and_then(response) {
             Err(ClientError::Protocol(_)) => {}
             other => panic!("expected protocol rejection, got {other:?}"),
         }

@@ -2,7 +2,8 @@
 //! and terminal results. The live handle ([`crate::JobHandle`]) lives
 //! with the server; these are the plain values it traffics in.
 
-use xmt_sim::RunOutcome;
+use crate::wire::{self, WireError};
+use xmt_sim::{RunOutcome, RunStatus};
 
 /// Server-assigned job identity (dense, submission-ordered; stable
 /// across a journal-replayed restart).
@@ -19,6 +20,26 @@ pub enum Lane {
     Normal,
     /// The express lane: interactive or deadline-bound requests.
     High,
+}
+
+impl Lane {
+    /// The lane's byte in journal records and submit frames, and its
+    /// index among the scheduler's run queues.
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            Lane::Normal => 0,
+            Lane::High => 1,
+        }
+    }
+
+    /// Inverse of [`Lane::code`].
+    pub(crate) fn from_code(code: u8) -> Result<Lane, WireError> {
+        match code {
+            0 => Ok(Lane::Normal),
+            1 => Ok(Lane::High),
+            _ => Err("bad lane tag"),
+        }
+    }
 }
 
 /// Where a job is in its lifecycle.
@@ -117,4 +138,27 @@ pub struct JobResult {
     /// Worker slices the job took (preemption count + 1, 0 on a cache
     /// hit).
     pub slices: u32,
+}
+
+impl JobResult {
+    /// A completed result from its canonical report bytes — how a
+    /// cache hit and a journal-recovered `Done` job come back without
+    /// running. `Err` when the bytes no longer decode (a stale or
+    /// corrupt blob): the caller runs the job instead.
+    pub(crate) fn completed(
+        bytes: Vec<u8>,
+        from_cache: bool,
+        slices: u32,
+    ) -> Result<JobResult, WireError> {
+        let report = wire::decode_report(&bytes)?;
+        Ok(JobResult {
+            outcome: RunOutcome {
+                status: RunStatus::Completed,
+                report,
+            },
+            bytes,
+            from_cache,
+            slices,
+        })
+    }
 }

@@ -20,7 +20,9 @@
 //! nothing before it. On startup the server *compacts* the replayed
 //! journal — one `Submit` (plus latest `Commit`, or the terminal
 //! record) per live job — so repeated crash/restart cycles do not grow
-//! the file without bound.
+//! the file without bound. Ids are assigned and journaled under one
+//! lock, so `Submit` records arrive in id order and the fold finds a
+//! job by binary search: replay is linear in the file.
 //!
 //! Replay policy per record kind:
 //! - `Submit` — readmit the job (its id, tenant, lane and idempotency
@@ -43,8 +45,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::job::{JobId, Lane};
-use crate::request::SimRequest;
-use crate::wire::{self, Reader};
+use crate::server::Submission;
+use crate::wire;
 use xmt_sim::simcfg::fnv1a;
 
 /// Hard cap on one journal record (a checkpoint of a paper-scale
@@ -113,10 +115,7 @@ impl Record {
                 b.push(0);
                 wire::put_u64(&mut b, *id);
                 wire::put_str(&mut b, tenant);
-                b.push(match lane {
-                    Lane::Normal => 0,
-                    Lane::High => 1,
-                });
+                b.push(lane.code());
                 wire::put_u64(&mut b, *token);
                 wire::put_u32(&mut b, req.len() as u32);
                 b.extend_from_slice(req);
@@ -158,42 +157,45 @@ impl Record {
     }
 
     fn decode(payload: &[u8]) -> Result<Record, &'static str> {
-        let mut r = Reader::new(payload);
-        let rec = match r.u8()? {
-            0 => Record::Submit {
-                id: r.u64()?,
-                tenant: r.str(256)?,
-                lane: match r.u8()? {
-                    0 => Lane::Normal,
-                    1 => Lane::High,
-                    _ => return Err("bad lane tag"),
+        wire::whole(payload, "trailing bytes after journal record", |r| {
+            Ok(match r.u8()? {
+                0 => Record::Submit {
+                    id: r.u64()?,
+                    tenant: r.str(256)?,
+                    lane: Lane::from_code(r.u8()?)?,
+                    token: r.u64()?,
+                    req: r.blob()?,
                 },
-                token: r.u64()?,
-                req: r.blob()?,
-            },
-            1 => Record::Commit {
-                id: r.u64()?,
-                at_cycle: r.u64()?,
-                checkpoint: r.blob()?,
-            },
-            2 => Record::Done {
-                id: r.u64()?,
-                slices: r.u32()?,
-                from_cache: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err("bad from_cache flag"),
+                1 => Record::Commit {
+                    id: r.u64()?,
+                    at_cycle: r.u64()?,
+                    checkpoint: r.blob()?,
                 },
-                report: r.blob()?,
-            },
-            3 => Record::Failed { id: r.u64()? },
-            4 => Record::Cancelled { id: r.u64()? },
-            _ => return Err("unknown journal record tag"),
-        };
-        if !r.at_end() {
-            return Err("trailing bytes after journal record");
-        }
-        Ok(rec)
+                2 => Record::Done {
+                    id: r.u64()?,
+                    slices: r.u32()?,
+                    from_cache: match r.u8()? {
+                        0 => false,
+                        1 => true,
+                        _ => return Err("bad from_cache flag"),
+                    },
+                    report: r.blob()?,
+                },
+                3 => Record::Failed { id: r.u64()? },
+                4 => Record::Cancelled { id: r.u64()? },
+                _ => return Err("unknown journal record tag"),
+            })
+        })
+    }
+
+    /// The record as it sits in the file: `[len][fnv][payload]`.
+    fn frame(&self) -> Vec<u8> {
+        let payload = self.encode();
+        let mut frame = Vec::with_capacity(12 + payload.len());
+        wire::put_u32(&mut frame, payload.len() as u32);
+        wire::put_u64(&mut frame, fnv1a(&payload));
+        frame.extend_from_slice(&payload);
+        frame
     }
 }
 
@@ -203,43 +205,20 @@ impl Record {
 pub struct RecoveredJob {
     /// Server-assigned id (restored verbatim).
     pub id: JobId,
-    /// Submitting tenant.
-    pub tenant: String,
-    /// Scheduling lane.
-    pub lane: Lane,
-    /// Client idempotency token (0 = none).
-    pub token: u64,
-    /// The decoded request.
-    pub req: SimRequest,
+    /// The submission as it was accepted, request decoded.
+    pub sub: Submission,
     /// Latest quiescent checkpoint `(at_cycle, bytes)`, if any slice
     /// committed before the crash.
     pub checkpoint: Option<(u64, Vec<u8>)>,
-    /// How the job ended, if it did.
-    pub terminal: Option<Terminal>,
-}
-
-/// A recovered terminal state.
-#[derive(Debug, Clone)]
-pub enum Terminal {
-    /// Completed with the recorded canonical report bytes.
-    Done {
-        /// Worker slices consumed.
-        slices: u32,
-        /// Served from the content cache.
-        from_cache: bool,
-        /// Canonical report bytes.
-        report: Vec<u8>,
-    },
-    /// Failed — the server re-executes the job on recovery.
-    Failed,
-    /// Cancelled before completion.
-    Cancelled,
+    /// How the job ended, if it did: its latest `Done`, `Failed` or
+    /// `Cancelled` record.
+    pub terminal: Option<Record>,
 }
 
 /// What [`Journal::replay`] found.
 #[derive(Debug, Default)]
 pub struct Replay {
-    /// Recovered jobs in first-submission order.
+    /// Recovered jobs in id (= submission) order.
     pub jobs: Vec<RecoveredJob>,
     /// True when replay stopped at a torn or corrupt tail frame.
     pub torn_tail: bool,
@@ -275,12 +254,7 @@ impl Journal {
 
     /// Append one record durably: frame, write, flush, `sync_data`.
     pub fn append(&mut self, rec: &Record) -> std::io::Result<()> {
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        wire::put_u32(&mut frame, payload.len() as u32);
-        wire::put_u64(&mut frame, fnv1a(&payload));
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
+        self.file.write_all(&rec.frame())?;
         self.file.sync_data()
     }
 
@@ -329,12 +303,7 @@ impl Journal {
         {
             let mut f = File::create(&tmp)?;
             for rec in records {
-                let payload = rec.encode();
-                let mut frame = Vec::with_capacity(12 + payload.len());
-                wire::put_u32(&mut frame, payload.len() as u32);
-                wire::put_u64(&mut frame, fnv1a(&payload));
-                frame.extend_from_slice(&payload);
-                f.write_all(&frame)?;
+                f.write_all(&rec.frame())?;
             }
             f.sync_data()?;
         }
@@ -375,16 +344,21 @@ impl Replay {
                 };
                 // Duplicate submit ids cannot happen in a well-formed
                 // journal; keep the first.
-                if self.find(id).is_none() {
-                    self.jobs.push(RecoveredJob {
-                        id,
-                        tenant,
-                        lane,
-                        token,
-                        req,
-                        checkpoint: None,
-                        terminal: None,
-                    });
+                if let Err(at) = self.slot(id) {
+                    self.jobs.insert(
+                        at,
+                        RecoveredJob {
+                            id,
+                            sub: Submission {
+                                req,
+                                tenant,
+                                lane,
+                                token,
+                            },
+                            checkpoint: None,
+                            terminal: None,
+                        },
+                    );
                 }
             }
             Record::Commit {
@@ -392,45 +366,30 @@ impl Replay {
                 at_cycle,
                 checkpoint,
             } => {
-                if let Some(j) = self.find(id) {
-                    j.checkpoint = Some((at_cycle, checkpoint));
+                if let Ok(at) = self.slot(id) {
+                    self.jobs[at].checkpoint = Some((at_cycle, checkpoint));
                 }
             }
-            Record::Done {
-                id,
-                slices,
-                from_cache,
-                report,
-            } => {
-                if let Some(j) = self.find(id) {
-                    j.terminal = Some(Terminal::Done {
-                        slices,
-                        from_cache,
-                        report,
-                    });
-                }
-            }
-            Record::Failed { id } => {
-                if let Some(j) = self.find(id) {
-                    j.terminal = Some(Terminal::Failed);
-                }
-            }
-            Record::Cancelled { id } => {
-                if let Some(j) = self.find(id) {
-                    j.terminal = Some(Terminal::Cancelled);
+            Record::Done { id, .. } | Record::Failed { id } | Record::Cancelled { id } => {
+                if let Ok(at) = self.slot(id) {
+                    self.jobs[at].terminal = Some(rec);
                 }
             }
         }
     }
 
-    fn find(&mut self, id: JobId) -> Option<&mut RecoveredJob> {
-        self.jobs.iter_mut().find(|j| j.id == id)
+    /// Where job `id` is (`Ok`) or belongs (`Err`) in `jobs`, which is
+    /// kept sorted by id: a well-formed journal submits in id order, so
+    /// a new job lands at the end.
+    fn slot(&self, id: JobId) -> Result<usize, usize> {
+        self.jobs.binary_search_by_key(&id, |j| j.id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::SimRequest;
 
     fn scratch(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("xmt-journal-test-{tag}-{}", std::process::id()));
@@ -486,10 +445,10 @@ mod tests {
         assert!(rep.jobs[0].terminal.is_none());
         assert!(matches!(
             rep.jobs[1].terminal,
-            Some(Terminal::Done { ref report, .. }) if report == &vec![9; 16]
+            Some(Record::Done { ref report, .. }) if report == &vec![9; 16]
         ));
-        assert_eq!(rep.jobs[1].tenant, "acme");
-        assert_eq!(rep.jobs[1].token, 7);
+        assert_eq!(rep.jobs[1].sub.tenant, "acme");
+        assert_eq!(rep.jobs[1].sub.token, 7);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

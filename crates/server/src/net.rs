@@ -17,10 +17,12 @@
 //! [`REQ_STREAM`] answers with zero or more [`RESP_ROW`] frames
 //! terminated by [`RESP_END`].
 //!
-//! Requests: `Submit{tenant, lane, token, request}`, `Poll{id}`,
-//! `Wait{id, timeout_ms}`, `Cancel{id}`, `Stream{id}`, `Stats`.
-//! Responses: `Submitted{id}`, `Status{…}`, `Result{…}`, `Err{code}`,
-//! `Row{…}`, `End`, `Stats{…}`.
+//! Requests ([`Request`], [`encode_request_frame`] /
+//! [`decode_request_frame`]): `Submit{tenant, lane, token, request}`,
+//! `Poll{id}`, `Wait{id, timeout_ms}`, `Cancel{id}`, `Stream{id}`,
+//! `Stats`. Responses ([`Response`], one `encode_*` per body and
+//! [`decode_response`]): `Ok`, `Submitted{id}`, `Status{…}`,
+//! `Result{…}`, `Err{code}`, `Row{…}`, `End`, `Stats{…}`.
 //!
 //! [`NetServer::bind`] runs an accept thread plus one thread per
 //! connection over an [`Arc<Server>`]; long waits and row streams are
@@ -30,14 +32,16 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::cache::CacheStats;
-use crate::job::{JobError, JobState, JobStatus, Lane};
-use crate::server::{Server, ServerStats, Submission};
-use crate::wire::{self, Reader, WireError};
+use crate::client::RemoteResult;
+use crate::job::{JobError, JobId, JobResult, JobState, JobStatus, Lane};
+use crate::server::{JobHandle, Server, ServerStats, Submission};
+use crate::wire::{self, WireError};
+use xmt_sim::IntervalRow;
 
 /// Protocol magic, first payload field of every frame ("XMTJ" v1).
 pub const PROTO_MAGIC: u64 = 0x584D_544A_0000_0001;
@@ -185,10 +189,7 @@ pub fn encode_request_frame(req: &Request) -> (u8, Vec<u8>) {
     match req {
         Request::Submit(sub) => {
             wire::put_str(&mut b, &sub.tenant);
-            b.push(match sub.lane {
-                Lane::Normal => 0,
-                Lane::High => 1,
-            });
+            b.push(sub.lane.code());
             wire::put_u64(&mut b, sub.token);
             let req = wire::encode_request(&sub.req);
             wire::put_u32(&mut b, req.len() as u32);
@@ -219,39 +220,31 @@ pub fn encode_request_frame(req: &Request) -> (u8, Vec<u8>) {
 /// Decode a request frame body (the server side). Every failure is a
 /// typed error — malformed input can never panic the server.
 pub fn decode_request_frame(tag: u8, body: &[u8]) -> Result<Request, WireError> {
-    let mut r = Reader::new(body);
-    let req = match tag {
-        REQ_SUBMIT => {
-            let tenant = r.str(256)?;
-            let lane = match r.u8()? {
-                0 => Lane::Normal,
-                1 => Lane::High,
-                _ => return Err("bad lane tag"),
-            };
-            let token = r.u64()?;
-            let req = r.blob()?;
-            let req = wire::decode_request(&req)?;
-            Request::Submit(Box::new(Submission {
-                req,
-                tenant,
-                lane,
-                token,
-            }))
-        }
-        REQ_POLL => Request::Poll(r.u64()?),
-        REQ_WAIT => Request::Wait {
-            id: r.u64()?,
-            timeout_ms: r.u64()?,
-        },
-        REQ_CANCEL => Request::Cancel(r.u64()?),
-        REQ_STREAM => Request::Stream(r.u64()?),
-        REQ_STATS => Request::Stats,
-        _ => return Err("unknown request tag"),
-    };
-    if !r.at_end() {
-        return Err("trailing bytes after request frame");
-    }
-    Ok(req)
+    wire::whole(body, "trailing bytes after request frame", |r| {
+        Ok(match tag {
+            REQ_SUBMIT => {
+                let tenant = r.str(256)?;
+                let lane = Lane::from_code(r.u8()?)?;
+                let token = r.u64()?;
+                let req = wire::decode_request(&r.blob()?)?;
+                Request::Submit(Box::new(Submission {
+                    req,
+                    tenant,
+                    lane,
+                    token,
+                }))
+            }
+            REQ_POLL => Request::Poll(r.u64()?),
+            REQ_WAIT => Request::Wait {
+                id: r.u64()?,
+                timeout_ms: r.u64()?,
+            },
+            REQ_CANCEL => Request::Cancel(r.u64()?),
+            REQ_STREAM => Request::Stream(r.u64()?),
+            REQ_STATS => Request::Stats,
+            _ => return Err("unknown request tag"),
+        })
+    })
 }
 
 /// Statistics bundle carried by [`RESP_STATS`].
@@ -263,59 +256,23 @@ pub struct RemoteStats {
     pub cache: CacheStats,
 }
 
-/// Encode a [`RESP_STATS`] body.
+/// Encode a [`RESP_STATS`] body: the server's counter words, then the
+/// cache's (field order: the `word_codec!` lists beside the structs).
 pub fn encode_stats(s: &RemoteStats) -> Vec<u8> {
     let mut b = Vec::with_capacity(15 * 8);
-    for v in [
-        s.server.submitted,
-        s.server.completed,
-        s.server.failed,
-        s.server.cancelled,
-        s.server.deduped,
-        s.server.tokens_reused,
-        s.server.rejected_overload,
-        s.server.rejected_quota,
-        s.server.queued as u64,
-        s.server.journal_bytes,
-        s.cache.entries as u64,
-        s.cache.hits,
-        s.cache.disk_hits,
-        s.cache.misses,
-        s.cache.evictions,
-    ] {
-        wire::put_u64(&mut b, v);
-    }
+    wire::put_words(&mut b, &s.server.to_words());
+    wire::put_words(&mut b, &s.cache.to_words());
     b
 }
 
 /// Decode a [`RESP_STATS`] body.
 pub fn decode_stats(body: &[u8]) -> Result<RemoteStats, WireError> {
-    let mut r = Reader::new(body);
-    let s = RemoteStats {
-        server: ServerStats {
-            submitted: r.u64()?,
-            completed: r.u64()?,
-            failed: r.u64()?,
-            cancelled: r.u64()?,
-            deduped: r.u64()?,
-            tokens_reused: r.u64()?,
-            rejected_overload: r.u64()?,
-            rejected_quota: r.u64()?,
-            queued: r.u64()? as usize,
-            journal_bytes: r.u64()?,
-        },
-        cache: CacheStats {
-            entries: r.u64()? as usize,
-            hits: r.u64()?,
-            disk_hits: r.u64()?,
-            misses: r.u64()?,
-            evictions: r.u64()?,
-        },
-    };
-    if !r.at_end() {
-        return Err("trailing bytes after stats frame");
-    }
-    Ok(s)
+    wire::whole(body, "trailing bytes after stats frame", |r| {
+        Ok(RemoteStats {
+            server: ServerStats::from_words(r.words()?),
+            cache: CacheStats::from_words(r.words()?),
+        })
+    })
 }
 
 /// Encode a [`RESP_STATUS`] body.
@@ -331,18 +288,115 @@ pub fn encode_status(s: &JobStatus) -> Vec<u8> {
 
 /// Decode a [`RESP_STATUS`] body.
 pub fn decode_status(body: &[u8]) -> Result<JobStatus, WireError> {
-    let mut r = Reader::new(body);
-    let s = JobStatus {
-        state: state_from_code(r.u8()?)?,
-        at_cycle: r.u64()?,
-        slices: r.u32()?,
-        from_cache: r.u8()? != 0,
-        deduped: r.u8()? != 0,
-    };
-    if !r.at_end() {
-        return Err("trailing bytes after status frame");
+    wire::whole(body, "trailing bytes after status frame", |r| {
+        Ok(JobStatus {
+            state: state_from_code(r.u8()?)?,
+            at_cycle: r.u64()?,
+            slices: r.u32()?,
+            from_cache: r.u8()? != 0,
+            deduped: r.u8()? != 0,
+        })
+    })
+}
+
+/// Encode a [`RESP_SUBMITTED`] body.
+pub fn encode_submitted(id: JobId) -> Vec<u8> {
+    id.to_le_bytes().to_vec()
+}
+
+/// Decode a [`RESP_SUBMITTED`] body.
+pub fn decode_submitted(body: &[u8]) -> Result<JobId, WireError> {
+    wire::whole(body, "trailing bytes after submitted frame", |r| r.u64())
+}
+
+/// Encode a [`RESP_RESULT`] body from a terminal result (its report
+/// bytes are copied once, into the body).
+pub fn encode_result(r: &JobResult) -> Vec<u8> {
+    let mut b = Vec::with_capacity(16 + r.bytes.len());
+    b.push(state_code(if r.outcome.is_completed() {
+        JobState::Done
+    } else {
+        JobState::Failed
+    }));
+    b.push(u8::from(r.from_cache));
+    wire::put_u32(&mut b, r.slices);
+    wire::put_u32(&mut b, r.bytes.len() as u32);
+    b.extend_from_slice(&r.bytes);
+    b
+}
+
+/// Decode a [`RESP_RESULT`] body.
+pub fn decode_result(body: &[u8]) -> Result<RemoteResult, WireError> {
+    wire::whole(body, "trailing bytes after result frame", |r| {
+        let completed = match state_from_code(r.u8()?)? {
+            JobState::Done => true,
+            JobState::Failed => false,
+            _ => return Err("non-terminal result state"),
+        };
+        let from_cache = r.u8()? != 0;
+        let slices = r.u32()?;
+        let bytes = r.blob()?;
+        Ok(RemoteResult {
+            completed,
+            from_cache,
+            slices,
+            report: wire::decode_report(&bytes)?,
+            bytes,
+        })
+    })
+}
+
+/// Encode a [`RESP_ERR`] body: a job error's code, or
+/// [`ERR_MALFORMED`] for `None`.
+pub fn encode_err(e: Option<JobError>) -> [u8; 1] {
+    [e.map_or(ERR_MALFORMED, err_code)]
+}
+
+/// Decode a [`RESP_ERR`] body (`None`: the peer could not parse our
+/// frame, or answered with a code this build does not know).
+pub fn decode_err(body: &[u8]) -> Result<Option<JobError>, WireError> {
+    wire::whole(body, "trailing bytes after error frame", |r| {
+        Ok(err_from_code(r.u8()?))
+    })
+}
+
+/// One decoded response frame.
+#[derive(Debug, Clone)]
+pub enum Response {
+    /// Acknowledgement (cancel).
+    Ok,
+    /// The submission was accepted under this id.
+    Submitted(JobId),
+    /// Status snapshot.
+    Status(JobStatus),
+    /// Terminal result.
+    Result(RemoteResult),
+    /// Typed refusal; `None` when the request frame was malformed.
+    Err(Option<JobError>),
+    /// One streamed interval row.
+    Row(IntervalRow),
+    /// End of a row stream.
+    End,
+    /// Statistics.
+    Stats(RemoteStats),
+}
+
+/// Decode a response frame body (the client side): the one place a
+/// response body is parsed, total on arbitrary bytes like every other
+/// decoder here.
+pub fn decode_response(tag: u8, body: &[u8]) -> Result<Response, WireError> {
+    let empty = |what| wire::whole(body, "trailing bytes after bodiless response", |_| Ok(what));
+    match tag {
+        RESP_OK => empty(Response::Ok),
+        RESP_SUBMITTED => decode_submitted(body).map(Response::Submitted),
+        RESP_STATUS => decode_status(body).map(Response::Status),
+        RESP_RESULT => decode_result(body).map(Response::Result),
+        RESP_ERR => decode_err(body).map(Response::Err),
+        RESP_ROW => wire::decode_row(body).map(Response::Row),
+        RESP_END => empty(Response::End),
+        RESP_STATS => decode_stats(body).map(Response::Stats),
+        _ => Err("unknown response tag"),
     }
-    Ok(s)
 }
 
 /// Interval between stop-flag checks while a connection thread is
@@ -375,16 +429,13 @@ impl NetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let accept = std::thread::spawn(move || {
-            let conns: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+            let mut conns = Vec::new();
             while !stop2.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((sock, _)) => {
                         let srv = Arc::clone(&server);
                         let st = Arc::clone(&stop2);
-                        conns
-                            .lock()
-                            .unwrap()
-                            .push(std::thread::spawn(move || serve_conn(sock, &srv, &st)));
+                        conns.push(std::thread::spawn(move || serve_conn(sock, &srv, &st)));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(POLL_TICK / 4);
@@ -392,7 +443,7 @@ impl NetServer {
                     Err(_) => break,
                 }
             }
-            for h in conns.into_inner().unwrap() {
+            for h in conns {
                 let _ = h.join();
             }
         });
@@ -489,6 +540,38 @@ fn read_frame(sock: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<(u8,
     }
 }
 
+/// Wait for `h` at most `timeout_ms`, in short ticks so
+/// [`NetServer::stop`] joins promptly.
+fn wait_in_ticks(h: &JobHandle, timeout_ms: u64, stop: &AtomicBool) -> Result<JobResult, JobError> {
+    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
+    loop {
+        let tick = POLL_TICK.min(deadline.saturating_duration_since(Instant::now()));
+        match h.wait_deadline(tick) {
+            Err(JobError::Timeout) if stop.load(Ordering::Relaxed) => {
+                return Err(JobError::Shutdown)
+            }
+            Err(JobError::Timeout) if Instant::now() < deadline => {}
+            other => return other,
+        }
+    }
+}
+
+/// Forward a probed job's rows as [`RESP_ROW`] frames until its stream
+/// closes, then [`RESP_END`]. Unprobed, already-taken or drained: the
+/// stream simply ends.
+fn stream_rows(sock: &mut TcpStream, mut h: JobHandle, stop: &AtomicBool) -> io::Result<()> {
+    if let Some(rx) = h.take_stream() {
+        while !stop.load(Ordering::Relaxed) {
+            match rx.recv_timeout(POLL_TICK) {
+                Ok(row) => write_frame(sock, RESP_ROW, &wire::encode_row(&row))?,
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+    }
+    write_frame(sock, RESP_END, &[])
+}
+
 /// Serve one connection: a request→response loop until EOF, stop, or
 /// a framing error.
 fn serve_conn(mut sock: TcpStream, server: &Server, stop: &AtomicBool) {
@@ -499,111 +582,37 @@ fn serve_conn(mut sock: TcpStream, server: &Server, stop: &AtomicBool) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
-        let req = match decode_request_frame(tag, &body) {
-            Ok(r) => r,
-            Err(_) => {
-                // Typed rejection, connection stays usable (the frame
-                // itself was sound).
-                if write_frame(&mut sock, RESP_ERR, &[ERR_MALFORMED]).is_err() {
-                    return;
-                }
-                continue;
+        // Every refusal — a body that does not parse (the frame itself
+        // was sound, so the connection stays usable), an unknown id, a
+        // typed admission or wait error — is one `RESP_ERR` frame.
+        let handle = |id| server.handle(id).ok_or(Some(JobError::UnknownJob));
+        let sent = match decode_request_frame(tag, &body).map_err(|_| None) {
+            Err(e) => Err(e),
+            Ok(Request::Submit(sub)) => server
+                .submit_with(*sub)
+                .map(|h| write_frame(&mut sock, RESP_SUBMITTED, &encode_submitted(h.id())))
+                .map_err(Some),
+            Ok(Request::Poll(id)) => {
+                handle(id).map(|h| write_frame(&mut sock, RESP_STATUS, &encode_status(&h.poll())))
             }
-        };
-        let ok = match req {
-            Request::Submit(sub) => match server.submit_with(*sub) {
-                Ok(h) => {
-                    let mut b = Vec::with_capacity(8);
-                    wire::put_u64(&mut b, h.id());
-                    write_frame(&mut sock, RESP_SUBMITTED, &b)
-                }
-                Err(e) => write_frame(&mut sock, RESP_ERR, &[err_code(e)]),
-            },
-            Request::Poll(id) => match server.handle(id) {
-                Some(h) => write_frame(&mut sock, RESP_STATUS, &encode_status(&h.poll())),
-                None => write_frame(&mut sock, RESP_ERR, &[err_code(JobError::UnknownJob)]),
-            },
-            Request::Wait { id, timeout_ms } => match server.handle(id) {
-                None => write_frame(&mut sock, RESP_ERR, &[err_code(JobError::UnknownJob)]),
-                Some(h) => {
-                    // Wait in short ticks so stop() joins promptly.
-                    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-                    let outcome = loop {
-                        let tick =
-                            POLL_TICK.min(deadline.saturating_duration_since(Instant::now()));
-                        match h.wait_deadline(tick) {
-                            Err(JobError::Timeout) => {
-                                if stop.load(Ordering::Relaxed) {
-                                    break Err(JobError::Shutdown);
-                                }
-                                if Instant::now() >= deadline {
-                                    break Err(JobError::Timeout);
-                                }
-                            }
-                            other => break other,
-                        }
-                    };
-                    match outcome {
-                        Ok(r) => {
-                            let mut b = Vec::with_capacity(16 + r.bytes.len());
-                            b.push(state_code(if r.outcome.is_completed() {
-                                JobState::Done
-                            } else {
-                                JobState::Failed
-                            }));
-                            b.push(u8::from(r.from_cache));
-                            wire::put_u32(&mut b, r.slices);
-                            wire::put_u32(&mut b, r.bytes.len() as u32);
-                            b.extend_from_slice(&r.bytes);
-                            write_frame(&mut sock, RESP_RESULT, &b)
-                        }
-                        Err(e) => write_frame(&mut sock, RESP_ERR, &[err_code(e)]),
-                    }
-                }
-            },
-            Request::Cancel(id) => match server.handle(id) {
-                Some(h) => {
-                    h.cancel();
-                    write_frame(&mut sock, RESP_OK, &[])
-                }
-                None => write_frame(&mut sock, RESP_ERR, &[err_code(JobError::UnknownJob)]),
-            },
-            Request::Stream(id) => match server.handle(id) {
-                None => write_frame(&mut sock, RESP_ERR, &[err_code(JobError::UnknownJob)]),
-                Some(mut h) => {
-                    let rx = h.take_stream();
-                    let mut res = Ok(());
-                    if let Some(rx) = rx {
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            match rx.recv_timeout(POLL_TICK) {
-                                Ok(row) => {
-                                    res = write_frame(&mut sock, RESP_ROW, &wire::encode_row(&row));
-                                    if res.is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                    }
-                    // Unprobed, already-taken, or drained: the stream
-                    // simply ends.
-                    res.and_then(|()| write_frame(&mut sock, RESP_END, &[]))
-                }
-            },
-            Request::Stats => {
+            Ok(Request::Wait { id, timeout_ms }) => handle(id)
+                .and_then(|h| wait_in_ticks(&h, timeout_ms, stop).map_err(Some))
+                .map(|r| write_frame(&mut sock, RESP_RESULT, &encode_result(&r))),
+            Ok(Request::Cancel(id)) => handle(id).map(|h| {
+                h.cancel();
+                write_frame(&mut sock, RESP_OK, &[])
+            }),
+            Ok(Request::Stream(id)) => handle(id).map(|h| stream_rows(&mut sock, h, stop)),
+            Ok(Request::Stats) => {
                 let s = RemoteStats {
                     server: server.stats(),
                     cache: server.cache_stats(),
                 };
-                write_frame(&mut sock, RESP_STATS, &encode_stats(&s))
+                Ok(write_frame(&mut sock, RESP_STATS, &encode_stats(&s)))
             }
         };
-        if ok.is_err() {
+        let sent = sent.unwrap_or_else(|e| write_frame(&mut sock, RESP_ERR, &encode_err(e)));
+        if sent.is_err() {
             return;
         }
     }
@@ -689,6 +698,68 @@ mod tests {
         };
         assert_eq!(decode_status(&encode_status(&st)).unwrap(), st);
         assert!(decode_stats(&[0; 7]).is_err(), "truncated stats rejected");
+    }
+
+    /// Every response body through its `encode_*` and the one
+    /// `decode_response`, and each body refused under a wrong length.
+    #[test]
+    fn responses_round_trip() {
+        let report = SimRequest::golden("ps_tickets")
+            .unwrap()
+            .builder()
+            .build()
+            .run()
+            .report;
+        let done = JobResult::completed(wire::encode_report(&report), true, 3).unwrap();
+        let failed = JobResult {
+            outcome: xmt_sim::RunOutcome {
+                status: xmt_sim::RunStatus::Failed(xmt_sim::SimError::CycleLimit { at_cycle: 9 }),
+                report,
+            },
+            from_cache: false,
+            ..done.clone()
+        };
+        for (r, completed) in [(&done, true), (&failed, false)] {
+            match decode_response(RESP_RESULT, &encode_result(r)).unwrap() {
+                Response::Result(back) => {
+                    assert_eq!(back.completed, completed);
+                    assert_eq!(back.from_cache, r.from_cache);
+                    assert_eq!((back.slices, &back.bytes), (r.slices, &r.bytes));
+                    assert_eq!(wire::encode_report(&back.report), r.bytes);
+                }
+                other => panic!("expected a result, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            decode_response(RESP_SUBMITTED, &encode_submitted(77)),
+            Ok(Response::Submitted(77))
+        ));
+        for e in [Some(JobError::Overloaded), Some(JobError::UnknownJob), None] {
+            match decode_response(RESP_ERR, &encode_err(e)).unwrap() {
+                Response::Err(back) => assert_eq!(back, e),
+                other => panic!("expected an error, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            decode_response(RESP_ERR, &[200]),
+            Ok(Response::Err(None))
+        ));
+        let row = IntervalRow {
+            cycle: 5,
+            spawn: Some(1),
+            channel_busy: vec![3],
+            ..IntervalRow::default()
+        };
+        match decode_response(RESP_ROW, &wire::encode_row(&row)).unwrap() {
+            Response::Row(back) => assert_eq!(back, row),
+            other => panic!("expected a row, got {other:?}"),
+        }
+        assert!(matches!(decode_response(RESP_OK, &[]), Ok(Response::Ok)));
+        assert!(matches!(decode_response(RESP_END, &[]), Ok(Response::End)));
+        for tag in [RESP_OK, RESP_SUBMITTED, RESP_RESULT, RESP_ERR, RESP_END] {
+            assert!(decode_response(tag, &[0; 3]).is_err(), "tag {tag:#x}");
+        }
+        assert!(decode_response(0x7F, &[]).is_err(), "unknown tag");
     }
 
     #[test]

@@ -77,13 +77,18 @@ impl SimRequest {
     /// default. Errors on an unknown name — requests are validated at
     /// construction so the worker pool never sees an unresolvable job.
     pub fn golden(name: &str) -> Result<Self, String> {
-        let case = find_case(name).ok_or_else(|| format!("unknown golden workload '{name}'"))?;
-        Ok(Self {
+        find_case(name)
+            .map(|case| Self::of_case(&case))
+            .ok_or_else(|| format!("unknown golden workload '{name}'"))
+    }
+
+    fn of_case(case: &GoldenCase) -> Self {
+        Self {
             workload: WorkloadSpec::Golden {
-                name: name.to_string(),
+                name: case.name.to_string(),
             },
             sim: case.sim_config(),
-        })
+        }
     }
 
     /// A request for an FFT of the given shape on `arch`, with a
@@ -110,15 +115,7 @@ impl SimRequest {
     /// The five paper configurations as one batch — the golden cases
     /// whose cycle counts the regression tests pin.
     pub fn paper_batch() -> Vec<SimRequest> {
-        golden::cases()
-            .into_iter()
-            .map(|c| SimRequest {
-                workload: WorkloadSpec::Golden {
-                    name: c.name.to_string(),
-                },
-                sim: c.sim_config(),
-            })
-            .collect()
+        golden::cases().iter().map(Self::of_case).collect()
     }
 
     /// A soft-fault sweep over the golden FFT: one request per rate,

@@ -17,6 +17,16 @@
 //! machine fully thread-local (the threaded engine's `Box<dyn
 //! Network>` internals are never `Send`-required).
 //!
+//! Job lifecycle: a job changes state only through the [`State`]
+//! transitions — `insert` (a new entry), `enqueue` / `follow` (it
+//! waits in its lane, or rides an identical batch row), `start` (a
+//! worker pops it), `pause` (checkpoint + carried probe → `Paused`),
+//! `rollback` (a killed worker's slice is discarded), `cancel`, and
+//! `resolve` (terminal state, fan-out to followers, counters, journal
+//! record). Admission, the worker's slice commit and crash recovery
+//! ([`recover`]) all go through them, so a recovered job is in exactly
+//! the state the live path would have left it in.
+//!
 //! Admission control: the run queues are bounded
 //! ([`ServerConfig::max_queued`]) and shed load with
 //! [`JobError::Overloaded`] instead of queueing without bound. With a
@@ -53,11 +63,11 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{JobError, JobId, JobResult, JobState, JobStatus, Lane};
-use crate::journal::{Journal, Record, Terminal};
+use crate::journal::{Journal, Record, RecoveredJob};
 use crate::request::SimRequest;
 use crate::wire;
 use xmt_sim::{
-    Checkpoint, IntervalProbe, IntervalRow, Machine, MachineStats, Probe, RunOutcome, RunStatus,
+    Checkpoint, IntervalProbe, IntervalRow, MachineStats, NoProbe, Probe, RunOutcome, RunStatus,
     SimError, UtilizationReport,
 };
 
@@ -101,12 +111,6 @@ impl Bucket {
         let dt = self.last.elapsed().as_secs_f64();
         self.last = Instant::now();
         self.level = (self.level + dt * q.refill_cycles_per_sec as f64).min(q.burst_cycles as f64);
-    }
-
-    /// Bring the bucket current and say whether a new job may enter.
-    fn admit(&mut self, q: &QuotaPolicy) -> bool {
-        self.refill(q);
-        self.level > 0.0
     }
 }
 
@@ -223,33 +227,55 @@ pub struct ServerStats {
     pub journal_bytes: u64,
 }
 
+// The statistics frame's server half, in wire order.
+xmt_sim::word_codec!(
+    pub(crate) ServerStats,
+    10,
+    [
+        submitted,
+        completed,
+        failed,
+        cancelled,
+        deduped,
+        tokens_reused,
+        rejected_overload,
+        rejected_quota,
+        queued,
+        journal_bytes,
+    ]
+);
+
+/// What a job carries from one slice to the next: everything a worker
+/// needs, beside the request, to continue the run bit-identically.
+/// Empty before the first slice and after a terminal state.
+#[derive(Clone, Default)]
+struct SliceState {
+    /// Serialized checkpoint to resume from (`None`: cycle zero).
+    checkpoint: Option<Vec<u8>>,
+    /// The paused machine's probe, carried so the resumed sample
+    /// stream is bit-identical to an uninterrupted run's (see
+    /// [`IntervalProbe::into_carried`]). `None` for unprobed jobs.
+    probe: Option<IntervalProbe>,
+    /// Probe samples already streamed to the subscriber — the carried
+    /// probe's ring holds the whole history, so each commit sends only
+    /// the rows past this watermark.
+    rows_sent: u64,
+}
+
 /// Everything the server knows about one job.
 struct JobEntry {
     req: SimRequest,
     digest: u64,
     tenant: String,
     lane: Lane,
-    state: JobState,
-    at_cycle: u64,
-    slices: u32,
-    from_cache: bool,
-    /// True for a dedupe follower: this entry never executes, its
-    /// result fans out from its batch primary.
-    deduped: bool,
+    /// What [`JobHandle::poll`] reports. `deduped` marks a dedupe
+    /// follower: the entry never executes, its result fans out from
+    /// its batch primary.
+    status: JobStatus,
     /// Dedupe followers to resolve when this (primary) job resolves.
     followers: Vec<JobId>,
-    /// Serialized checkpoint between slices (`None` before the first
-    /// slice and after a terminal state).
-    checkpoint: Option<Vec<u8>>,
-    /// The paused machine's probe, carried across slices so the
-    /// resumed sample stream is bit-identical to an uninterrupted
-    /// run's (see [`IntervalProbe::into_carried`]). `None` for
-    /// unprobed jobs and before the first probed slice.
-    probe: Option<IntervalProbe>,
-    /// Probe samples already streamed to the subscriber — the carried
-    /// probe's ring holds the whole history, so each commit sends only
-    /// the rows past this watermark.
-    rows_sent: u64,
+    /// Where the next slice starts.
+    carry: SliceState,
     cancelled: bool,
     /// Live end of the probe-row stream; dropped at terminal states so
     /// the receiver's iteration ends.
@@ -260,46 +286,19 @@ struct JobEntry {
     result: Option<Result<JobResult, JobError>>,
 }
 
-impl JobEntry {
-    fn fresh(req: SimRequest, digest: u64, tenant: String, lane: Lane) -> JobEntry {
-        let (stream, stream_rx) = if req.sim.probe_interval.is_some() {
-            let (tx, rx) = mpsc::channel();
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
-        JobEntry {
-            req,
-            digest,
-            tenant,
-            lane,
-            state: JobState::Queued,
-            at_cycle: 0,
-            slices: 0,
-            from_cache: false,
-            deduped: false,
-            followers: Vec::new(),
-            checkpoint: None,
-            probe: None,
-            rows_sent: 0,
-            cancelled: false,
-            stream,
-            stream_rx,
-            result: None,
-        }
-    }
-}
-
-fn lane_idx(lane: Lane) -> usize {
-    match lane {
-        Lane::Normal => 0,
-        Lane::High => 1,
-    }
+/// One popped unit of work: everything a worker needs to run a slice
+/// without holding the lock.
+struct Popped {
+    id: JobId,
+    req: SimRequest,
+    digest: u64,
+    from: SliceState,
 }
 
 /// Scheduler state under the mutex.
+#[derive(Default)]
 struct State {
-    /// Run queues by lane: `[Normal, High]`.
+    /// Run queues by lane, indexed by [`Lane::code`].
     queues: [VecDeque<JobId>; 2],
     /// Consecutive `High` pops taken while `Normal` work waited.
     high_streak: u32,
@@ -317,77 +316,265 @@ struct State {
 }
 
 impl State {
-    /// Resolve a job to a terminal state and fan the result out to its
-    /// dedupe followers. Returns the journal records to append (the
-    /// caller appends them *after* dropping the state lock). Jobs that
-    /// already resolved are left untouched.
-    fn resolve(
-        &mut self,
-        id: JobId,
-        state: JobState,
-        result: Result<JobResult, JobError>,
-    ) -> Vec<Record> {
+    fn queued(&self) -> usize {
+        self.queues[0].len() + self.queues[1].len()
+    }
+
+    /// A new job enters the table under `id` (fresh from admission, or
+    /// restored verbatim from the journal) and claims its idempotency
+    /// token. It waits nowhere yet: [`State::enqueue`] or
+    /// [`State::follow`] comes next.
+    fn insert(&mut self, id: JobId, sub: Submission, digest: u64) {
+        let Submission {
+            req,
+            tenant,
+            lane,
+            token,
+        } = sub;
+        if token != 0 {
+            self.tokens.insert((tenant.clone(), token), id);
+        }
+        let (stream, stream_rx) = if req.sim.probe_interval.is_some() {
+            let (tx, rx) = mpsc::channel();
+            (Some(tx), Some(rx))
+        } else {
+            (None, None)
+        };
+        self.jobs.insert(
+            id,
+            JobEntry {
+                req,
+                digest,
+                tenant,
+                lane,
+                status: JobStatus {
+                    state: JobState::Queued,
+                    at_cycle: 0,
+                    slices: 0,
+                    from_cache: false,
+                    deduped: false,
+                },
+                followers: Vec::new(),
+                carry: SliceState::default(),
+                cancelled: false,
+                stream,
+                stream_rx,
+                result: None,
+            },
+        );
+        self.next_id = self.next_id.max(id.saturating_add(1));
+        self.stats.submitted += 1;
+    }
+
+    /// The job waits at the back of its lane.
+    fn enqueue(&mut self, id: JobId) {
+        let lane = self.jobs[&id].lane;
+        self.queues[lane.code() as usize].push_back(id);
+    }
+
+    /// The job is a dedupe follower of `primary`: it never executes,
+    /// the primary's result fans out to it — at once when the primary
+    /// (submitted moments ago in the same batch) has already resolved.
+    fn follow(&mut self, id: JobId, primary: JobId) -> Vec<Record> {
+        let e = self.jobs.get_mut(&id).expect("follower entry exists");
+        e.status.deduped = true;
+        self.stats.deduped += 1;
+        let p = self.jobs.get_mut(&primary).expect("primary entry exists");
+        match p.result.clone() {
+            Some(r) => self.resolve(id, r),
+            None => {
+                p.followers.push(id);
+                Vec::new()
+            }
+        }
+    }
+
+    /// Pop the next runnable id, `High` lane first with a bounded
+    /// anti-starvation share for `Normal`: after [`HIGH_BURST`]
+    /// consecutive express pops while `Normal` work waits, `Normal`
+    /// gets one.
+    fn pop_id(&mut self) -> Option<JobId> {
+        let [normal, high] = &mut self.queues;
+        if high.is_empty() || (!normal.is_empty() && self.high_streak >= HIGH_BURST) {
+            self.high_streak = 0;
+            return normal.pop_front();
+        }
+        self.high_streak = if normal.is_empty() {
+            0
+        } else {
+            self.high_streak + 1
+        };
+        high.pop_front()
+    }
+
+    /// A worker takes the next waiting job: it is `Running`, and the
+    /// worker gets copies of its request and slice state. Copies, not
+    /// the originals: if the slice is discarded by a worker kill, the
+    /// entry still holds the job's last committed state.
+    fn start(&mut self) -> Option<Popped> {
+        let id = self.pop_id()?;
+        let e = self.jobs.get_mut(&id).expect("queued job entry exists");
+        e.status.state = JobState::Running;
+        Some(Popped {
+            id,
+            req: e.req.clone(),
+            digest: e.digest,
+            from: e.carry.clone(),
+        })
+    }
+
+    /// Preemption: the job holds `carry` at `at_cycle` and is `Paused`
+    /// (the caller requeues it). Returns the journal `Commit` — except
+    /// for a probed job, which replay restarts from scratch anyway.
+    fn pause(&mut self, id: JobId, at_cycle: u64, carry: SliceState) -> Option<Record> {
+        let e = self.jobs.get_mut(&id).expect("paused job entry exists");
+        let commit = match (&carry.probe, &carry.checkpoint) {
+            (None, Some(cp)) => Some(Record::Commit {
+                id,
+                at_cycle,
+                checkpoint: cp.clone(),
+            }),
+            _ => None,
+        };
+        e.status.at_cycle = at_cycle;
+        e.carry = carry;
+        e.status.state = JobState::Paused;
+        commit
+    }
+
+    /// A killed worker's slice is discarded: the job goes back to the
+    /// head of its lane exactly as it was popped — or, when a cancel
+    /// arrived while it ran, resolves now.
+    fn rollback(&mut self, id: JobId) -> Vec<Record> {
+        let e = self.jobs.get_mut(&id).expect("running job entry exists");
+        if e.result.is_some() {
+            return Vec::new();
+        }
+        if e.cancelled {
+            return self.resolve(id, Err(JobError::Cancelled));
+        }
+        e.status.state = if e.carry.checkpoint.is_some() {
+            JobState::Paused
+        } else {
+            JobState::Queued
+        };
+        let lane = e.lane;
+        self.queues[lane.code() as usize].push_front(id);
+        Vec::new()
+    }
+
+    /// A cancel request: a waiting job (or a follower) resolves at
+    /// once, a running one at its slice commit, a finished one keeps
+    /// its result.
+    fn cancel(&mut self, id: JobId) -> Vec<Record> {
+        let Some(e) = self.jobs.get_mut(&id) else {
+            return Vec::new();
+        };
+        if e.result.is_some() {
+            return Vec::new();
+        }
+        e.cancelled = true;
+        if e.status.state == JobState::Running {
+            return Vec::new();
+        }
+        for q in &mut self.queues {
+            q.retain(|&x| x != id);
+        }
+        self.resolve(id, Err(JobError::Cancelled))
+    }
+
+    /// Resolve a job to the terminal state its result names (`Done`
+    /// for a completed outcome, `Failed` for a failed one, `Cancelled`
+    /// for an error) and fan the result out to its dedupe followers.
+    /// Returns the journal records to append (the caller appends them
+    /// *after* dropping the state lock). Jobs that already resolved are
+    /// left untouched.
+    fn resolve(&mut self, id: JobId, result: Result<JobResult, JobError>) -> Vec<Record> {
+        let state = match &result {
+            Ok(r) if r.outcome.is_completed() => JobState::Done,
+            Ok(_) => JobState::Failed,
+            Err(_) => JobState::Cancelled,
+        };
         let mut recs = Vec::new();
         let mut pending = vec![id];
         while let Some(jid) = pending.pop() {
-            let followers = {
-                let Some(e) = self.jobs.get_mut(&jid) else {
-                    continue;
-                };
-                if e.result.is_some() {
-                    continue;
-                }
-                e.state = state;
-                e.checkpoint = None;
-                e.probe = None;
-                e.stream = None;
-                if e.deduped {
-                    // Followers never ran; mirror the primary's
-                    // progress marks so their status reads sensibly.
-                    if let Ok(r) = &result {
-                        e.at_cycle = r.outcome.at_cycle();
-                        e.from_cache = r.from_cache;
-                    }
-                }
-                e.result = Some(result.clone());
-                std::mem::take(&mut e.followers)
+            let Some(e) = self.jobs.get_mut(&jid) else {
+                continue;
             };
-            match state {
-                JobState::Done => self.stats.completed += 1,
-                JobState::Failed => self.stats.failed += 1,
-                JobState::Cancelled => self.stats.cancelled += 1,
-                _ => {}
+            if e.result.is_some() {
+                continue;
             }
-            let rec = match (state, &result) {
-                (JobState::Done, Ok(r)) => Some(Record::Done {
-                    id: jid,
-                    slices: r.slices,
-                    from_cache: r.from_cache,
-                    report: r.bytes.clone(),
-                }),
-                (JobState::Failed, _) => Some(Record::Failed { id: jid }),
-                (JobState::Cancelled, _) => Some(Record::Cancelled { id: jid }),
-                _ => None,
-            };
-            recs.extend(rec);
-            pending.extend(followers);
+            e.status.state = state;
+            e.carry = SliceState::default();
+            e.stream = None;
+            if let Ok(r) = &result {
+                // A job that never ran — a cache hit, a recovered
+                // result, a follower — takes its progress marks from
+                // the result; one that ran already has them.
+                e.status.at_cycle = e.status.at_cycle.max(r.outcome.at_cycle());
+                e.status.from_cache = r.from_cache;
+                if !e.status.deduped {
+                    e.status.slices = r.slices;
+                }
+            }
+            e.result = Some(result.clone());
+            pending.append(&mut e.followers);
+            match &result {
+                Ok(r) if state == JobState::Done => {
+                    self.stats.completed += 1;
+                    recs.push(Record::Done {
+                        id: jid,
+                        slices: r.slices,
+                        from_cache: r.from_cache,
+                        report: r.bytes.clone(),
+                    });
+                }
+                Ok(_) => {
+                    self.stats.failed += 1;
+                    recs.push(Record::Failed { id: jid });
+                }
+                Err(_) => {
+                    self.stats.cancelled += 1;
+                    recs.push(Record::Cancelled { id: jid });
+                }
+            }
         }
         recs
+    }
+
+    /// The pool is going down: nothing waits any more and every
+    /// unresolved handle reads `Shutdown`. No journal records: the jobs
+    /// keep their `Submit` (and latest `Commit`), so a restart on the
+    /// same journal resumes them — drop and crash recover identically.
+    fn shut_down(&mut self) {
+        self.shutdown = true;
+        for q in &mut self.queues {
+            q.clear();
+        }
+        for e in self.jobs.values_mut() {
+            if e.result.is_none() {
+                e.result = Some(Err(JobError::Shutdown));
+                e.stream = None;
+            }
+        }
+    }
+
+    /// The tenant's bucket, created full on first use and brought
+    /// current.
+    fn bucket(&mut self, q: &QuotaPolicy, tenant: &str) -> &mut Bucket {
+        let b = self
+            .buckets
+            .entry(tenant.to_string())
+            .or_insert_with(|| Bucket::full(q));
+        b.refill(q);
+        b
     }
 
     /// Debit a committed slice's simulated cycles from its tenant's
     /// bucket (no-op when unmetered).
     fn charge(&mut self, quota: &Option<QuotaPolicy>, tenant: &str, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        if let Some(q) = quota {
-            let b = self
-                .buckets
-                .entry(tenant.to_string())
-                .or_insert_with(|| Bucket::full(q));
-            b.refill(q);
-            b.level -= cycles as f64;
+        if let (Some(q), true) = (quota, cycles > 0) {
+            self.bucket(q, tenant).level -= cycles as f64;
         }
     }
 }
@@ -406,34 +593,30 @@ pub(crate) struct Shared {
 
 /// Append records to the journal, best-effort (a failed append only
 /// costs restart work — the in-memory result already stands, and
-/// replay re-executes anything not recorded).
-fn journal_append(shared: &Shared, recs: &[Record]) {
-    if recs.is_empty() {
-        return;
-    }
-    if let Some(j) = shared.journal.lock().unwrap().as_mut() {
-        for r in recs {
-            if j.append(r).is_err() {
-                break;
+/// replay re-executes anything not recorded), then wake whoever waits
+/// on the state they describe.
+fn publish(shared: &Shared, recs: &[Record]) {
+    if !recs.is_empty() {
+        if let Some(j) = shared.journal.lock().unwrap().as_mut() {
+            for r in recs {
+                if j.append(r).is_err() {
+                    break;
+                }
             }
         }
     }
+    shared.cv.notify_all();
 }
 
-/// What one worker slice produced (built outside the lock).
-struct SliceOut {
-    /// `Some` when the run ended (completed or failed) this slice.
-    terminal: Option<RunOutcome>,
-    /// Serialized checkpoint when the job was preempted instead.
-    cp_bytes: Option<Vec<u8>>,
-    at_cycle: u64,
-    /// Probe rows not yet streamed (the tail past the job's
-    /// `rows_sent` watermark).
-    rows: Vec<IntervalRow>,
-    /// The machine's probe, to carry into the next slice.
-    probe: Option<IntervalProbe>,
-    /// The new `rows_sent` watermark after `rows` are delivered.
-    rows_sent: u64,
+/// The journal record of an accepted submission.
+fn submit_record(id: JobId, sub: &Submission) -> Record {
+    Record::Submit {
+        id,
+        tenant: sub.tenant.clone(),
+        lane: sub.lane,
+        token: sub.token,
+        req: wire::encode_request(&sub.req),
+    }
 }
 
 /// The batch job server. Dropping it shuts the pool down: pending jobs
@@ -468,17 +651,15 @@ impl Server {
     /// source is journal I/O — a journal-less server cannot fail to
     /// start.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
-        let mut st = State {
-            queues: [VecDeque::new(), VecDeque::new()],
-            high_streak: 0,
-            jobs: HashMap::new(),
-            next_id: 0,
-            shutdown: false,
-            kill_requests: 0,
-            tokens: HashMap::new(),
-            buckets: HashMap::new(),
-            stats: ServerStats::default(),
-        };
+        let workers = cfg.workers.max(1);
+        Server::start_with(cfg, workers)
+    }
+
+    /// [`Server::start`] with exactly `workers` threads (none: jobs
+    /// are admitted and recovered but never run — what the recovery
+    /// tests look at).
+    fn start_with(cfg: ServerConfig, workers: usize) -> std::io::Result<Server> {
+        let mut st = State::default();
         let journal = match &cfg.journal {
             None => None,
             Some(path) => {
@@ -496,7 +677,7 @@ impl Server {
             quota: cfg.quota,
             journal: Mutex::new(journal),
         });
-        let workers = (0..cfg.workers.max(1))
+        let workers = (0..workers)
             .map(|_| {
                 let sh = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&sh))
@@ -532,7 +713,9 @@ impl Server {
     /// [`Server::submit_batch`] with explicit per-row metadata.
     /// Dedupe only collapses unprobed, untokened rows (a probed job's
     /// value is its stream; a tokened row keeps idempotency
-    /// semantics).
+    /// semantics) of this one call: batch membership is not journaled,
+    /// so after a restart every unfinished row runs on its own and
+    /// identical ones meet in the result cache instead.
     pub fn submit_batch_with(&self, subs: Vec<Submission>) -> Vec<Result<JobHandle, JobError>> {
         let mut primaries: HashMap<u64, JobId> = HashMap::new();
         subs.into_iter()
@@ -555,38 +738,25 @@ impl Server {
     /// execution).
     fn admit(&self, sub: Submission, dedup_of: Option<JobId>) -> Result<JobHandle, JobError> {
         let digest = sub.req.digest();
-        let Submission {
-            req,
-            tenant,
-            lane,
-            token,
-        } = sub;
         let mut st = self.shared.state.lock().unwrap();
         if st.shutdown {
             return Err(JobError::Shutdown);
         }
-        if token != 0 {
-            if let Some(&id) = st.tokens.get(&(tenant.clone(), token)) {
+        if sub.token != 0 {
+            if let Some(&id) = st.tokens.get(&(sub.tenant.clone(), sub.token)) {
                 st.stats.tokens_reused += 1;
-                drop(st);
-                return Ok(JobHandle {
-                    id,
-                    shared: Arc::clone(&self.shared),
-                });
+                return Ok(self.handle_to(id));
             }
         }
-        let follower = dedup_of.filter(|p| st.jobs.contains_key(p));
-        if follower.is_none() {
-            if st.queues[0].len() + st.queues[1].len() >= self.shared.max_queued {
+        let primary = dedup_of.filter(|p| st.jobs.contains_key(p));
+        if primary.is_none() {
+            if st.queued() >= self.shared.max_queued {
                 st.stats.rejected_overload += 1;
                 return Err(JobError::Overloaded);
             }
+            // Admission needs a positive balance, nothing more.
             if let Some(q) = &self.shared.quota {
-                let b = st
-                    .buckets
-                    .entry(tenant.clone())
-                    .or_insert_with(|| Bucket::full(q));
-                if !b.admit(q) {
+                if st.bucket(q, &sub.tenant).level <= 0.0 {
                     st.stats.rejected_quota += 1;
                     return Err(JobError::QuotaExceeded);
                 }
@@ -597,72 +767,35 @@ impl Server {
         // fsynced while we still hold the state lock (order: state →
         // journal), so an accepted handle implies a replayable job.
         if let Some(j) = self.shared.journal.lock().unwrap().as_mut() {
-            let rec = Record::Submit {
-                id,
-                tenant: tenant.clone(),
-                lane,
-                token,
-                req: wire::encode_request(&req),
-            };
-            if j.append(&rec).is_err() {
+            if j.append(&submit_record(id, &sub)).is_err() {
                 return Err(JobError::Journal);
             }
         }
-        st.next_id += 1;
-        let mut entry = JobEntry::fresh(req, digest, tenant.clone(), lane);
-        let mut recs = Vec::new();
-        match follower {
-            Some(pid) => {
-                entry.deduped = true;
-                st.stats.deduped += 1;
-                st.jobs.insert(id, entry);
-                // The primary may already have resolved (it was
-                // submitted moments ago in this same batch): fan out
-                // now instead of registering with a finished job.
-                let done = st.jobs.get(&pid).and_then(|p| p.result.clone());
-                match done {
-                    Some(r) => {
-                        let state = match &r {
-                            Ok(jr) if jr.outcome.is_completed() => JobState::Done,
-                            Ok(_) => JobState::Failed,
-                            Err(_) => JobState::Cancelled,
-                        };
-                        recs = st.resolve(id, state, r);
-                    }
-                    None => st
-                        .jobs
-                        .get_mut(&pid)
-                        .expect("primary entry exists")
-                        .followers
-                        .push(id),
-                }
-            }
+        st.insert(id, sub, digest);
+        let recs = match primary {
+            Some(pid) => st.follow(id, pid),
             None => {
-                st.jobs.insert(id, entry);
-                st.queues[lane_idx(lane)].push_back(id);
+                st.enqueue(id);
+                Vec::new()
             }
-        }
-        if token != 0 {
-            st.tokens.insert((tenant, token), id);
-        }
-        st.stats.submitted += 1;
+        };
         drop(st);
-        journal_append(&self.shared, &recs);
-        self.shared.cv.notify_all();
-        Ok(JobHandle {
+        publish(&self.shared, &recs);
+        Ok(self.handle_to(id))
+    }
+
+    fn handle_to(&self, id: JobId) -> JobHandle {
+        JobHandle {
             id,
             shared: Arc::clone(&self.shared),
-        })
+        }
     }
 
     /// A handle to an existing job by id (`None` for unknown ids) —
     /// how the network layer reattaches to journal-recovered jobs.
     pub fn handle(&self, id: JobId) -> Option<JobHandle> {
-        let st = self.shared.state.lock().unwrap();
-        st.jobs.contains_key(&id).then(|| JobHandle {
-            id,
-            shared: Arc::clone(&self.shared),
-        })
+        let known = self.shared.state.lock().unwrap().jobs.contains_key(&id);
+        known.then(|| self.handle_to(id))
     }
 
     /// Kill one worker mid-job (failure-injection hook): the next
@@ -671,10 +804,7 @@ impl Server {
     /// thread exits. A replacement worker is spawned immediately so
     /// the pool keeps its strength.
     pub fn kill_worker(&self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.kill_requests += 1;
-        }
+        self.shared.state.lock().unwrap().kill_requests += 1;
         let sh = Arc::clone(&self.shared);
         self.workers
             .lock()
@@ -692,9 +822,10 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         let mut s = {
             let st = self.shared.state.lock().unwrap();
-            let mut s = st.stats;
-            s.queued = st.queues[0].len() + st.queues[1].len();
-            s
+            ServerStats {
+                queued: st.queued(),
+                ..st.stats
+            }
         };
         if let Some(j) = self.shared.journal.lock().unwrap().as_ref() {
             s.journal_bytes = j.len();
@@ -714,126 +845,62 @@ impl Server {
     }
 }
 
-/// Rebuild scheduler state from journal replay; returns the compacted
-/// record list to rewrite the journal with. Non-terminal duplicates
-/// (same content address, unprobed) re-collapse onto one primary,
-/// exactly as batch dedupe admitted them.
-fn recover(st: &mut State, jobs: Vec<crate::journal::RecoveredJob>) -> Vec<Record> {
+/// Rebuild scheduler state from journal replay by walking each job
+/// through the live transitions, and return the compacted record list
+/// to rewrite the journal with: a job's `Submit`, then whatever those
+/// transitions journal. Nothing here decides anything admission or a
+/// worker does not — in particular identical unfinished jobs are *not*
+/// collapsed (which rows formed a batch is not journaled): each is
+/// requeued on its own, and the first to finish serves the rest from
+/// the result cache, as at admission.
+fn recover(st: &mut State, jobs: Vec<RecoveredJob>) -> Vec<Record> {
     let mut compact = Vec::new();
-    let mut primaries: HashMap<u64, JobId> = HashMap::new();
     for r in jobs {
-        st.next_id = st.next_id.max(r.id + 1);
-        let digest = r.req.digest();
-        let probed = r.req.sim.probe_interval.is_some();
-        if r.token != 0 {
-            st.tokens.insert((r.tenant.clone(), r.token), r.id);
-        }
-        compact.push(Record::Submit {
-            id: r.id,
-            tenant: r.tenant.clone(),
-            lane: r.lane,
-            token: r.token,
-            req: wire::encode_request(&r.req),
-        });
-        let mut entry = JobEntry::fresh(r.req, digest, r.tenant, r.lane);
-        // A recorded Done whose bytes no longer decode (version skew)
-        // falls through to re-execution — determinism regenerates it.
-        let done = match &r.terminal {
-            Some(Terminal::Done {
+        let probed = r.sub.req.sim.probe_interval.is_some();
+        compact.push(submit_record(r.id, &r.sub));
+        let digest = r.sub.req.digest();
+        st.insert(r.id, r.sub, digest);
+        let ended = match r.terminal {
+            // A recorded Done whose bytes no longer decode (version
+            // skew) falls through to re-execution — determinism
+            // regenerates it.
+            Some(Record::Done {
                 slices,
                 from_cache,
                 report,
-            }) => wire::decode_report(report)
+                ..
+            }) => JobResult::completed(report, from_cache, slices)
                 .ok()
-                .map(|rep| (*slices, *from_cache, report.clone(), rep)),
+                .map(Ok),
+            Some(Record::Cancelled { .. }) => Some(Err(JobError::Cancelled)),
+            // A `Failed` record only marks that it happened: like an
+            // unfinished job, the run is repeated.
             _ => None,
         };
-        if let Some((slices, from_cache, bytes, report)) = done {
-            entry.state = JobState::Done;
-            entry.slices = slices;
-            entry.from_cache = from_cache;
-            entry.at_cycle = report.stats.cycles;
-            entry.stream = None;
-            entry.stream_rx = None;
-            entry.result = Some(Ok(JobResult {
-                outcome: RunOutcome {
-                    status: RunStatus::Completed,
-                    report,
-                },
-                bytes: bytes.clone(),
-                from_cache,
-                slices,
-            }));
-            st.stats.completed += 1;
-            compact.push(Record::Done {
-                id: r.id,
-                slices,
-                from_cache,
-                report: bytes,
-            });
-        } else if matches!(r.terminal, Some(Terminal::Cancelled)) {
-            entry.state = JobState::Cancelled;
-            entry.stream = None;
-            entry.stream_rx = None;
-            entry.result = Some(Err(JobError::Cancelled));
-            st.stats.cancelled += 1;
-            compact.push(Record::Cancelled { id: r.id });
-        } else if let Some(&pid) = (!probed).then(|| primaries.get(&digest)).flatten() {
-            entry.deduped = true;
-            st.stats.deduped += 1;
-            let id = r.id;
-            st.jobs.insert(id, entry);
-            st.jobs
-                .get_mut(&pid)
-                .expect("recovered primary exists")
-                .followers
-                .push(id);
-            st.stats.submitted += 1;
-            continue;
-        } else {
-            // Re-execute: from the latest checkpoint when unprobed,
-            // from scratch when probed (the probe ring is not
-            // journaled; a deterministic rerun regenerates the
-            // identical row stream).
-            if !probed {
-                primaries.insert(digest, r.id);
-                if let Some((at, cp)) = r.checkpoint {
-                    entry.at_cycle = at;
-                    entry.state = JobState::Paused;
-                    compact.push(Record::Commit {
-                        id: r.id,
-                        at_cycle: at,
-                        checkpoint: cp.clone(),
-                    });
-                    entry.checkpoint = Some(cp);
+        match ended {
+            Some(result) => compact.extend(st.resolve(r.id, result)),
+            None => {
+                // From the latest checkpoint when unprobed, from
+                // scratch when probed (the probe ring is not journaled;
+                // a deterministic rerun regenerates the identical row
+                // stream).
+                if let (false, Some((at_cycle, cp))) = (probed, r.checkpoint) {
+                    let carry = SliceState {
+                        checkpoint: Some(cp),
+                        ..SliceState::default()
+                    };
+                    compact.extend(st.pause(r.id, at_cycle, carry));
                 }
+                st.enqueue(r.id);
             }
-            st.queues[lane_idx(entry.lane)].push_back(r.id);
         }
-        st.stats.submitted += 1;
-        st.jobs.insert(r.id, entry);
     }
     compact
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            st.queues[0].clear();
-            st.queues[1].clear();
-            // No journal writes here: unresolved jobs keep their
-            // Submit (and latest Commit) records, so a restart on the
-            // same journal resumes them — drop and crash recover
-            // identically.
-            for e in st.jobs.values_mut() {
-                if e.result.is_none() {
-                    e.result = Some(Err(JobError::Shutdown));
-                    e.stream = None;
-                }
-            }
-        }
+        self.shared.state.lock().unwrap().shut_down();
         self.shared.cv.notify_all();
         for h in self.workers.lock().unwrap().drain(..) {
             let _ = h.join();
@@ -851,28 +918,12 @@ impl JobHandle {
     /// A snapshot of the job's current state.
     pub fn poll(&self) -> JobStatus {
         let st = self.shared.state.lock().unwrap();
-        let e = st.jobs.get(&self.id).expect("job entry exists");
-        JobStatus {
-            state: e.state,
-            at_cycle: e.at_cycle,
-            slices: e.slices,
-            from_cache: e.from_cache,
-            deduped: e.deduped,
-        }
+        st.jobs.get(&self.id).expect("job entry exists").status
     }
 
     /// Block until the job reaches a terminal state.
     pub fn wait(&self) -> Result<JobResult, JobError> {
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            if let Some(r) = &st.jobs.get(&self.id).expect("job entry exists").result {
-                return r.clone();
-            }
-            if st.shutdown {
-                return Err(JobError::Shutdown);
-            }
-            st = self.shared.cv.wait(st).unwrap();
-        }
+        self.wait_until(None)
     }
 
     /// [`JobHandle::wait`] with a deadline: [`JobError::Timeout`] if
@@ -880,7 +931,11 @@ impl JobHandle {
     /// running — only this wait gives up, and a later wait can still
     /// collect the result.
     pub fn wait_deadline(&self, timeout: Duration) -> Result<JobResult, JobError> {
-        let deadline = Instant::now() + timeout;
+        // A timeout past the end of the clock is no deadline.
+        self.wait_until(Instant::now().checked_add(timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> Result<JobResult, JobError> {
         let mut st = self.shared.state.lock().unwrap();
         loop {
             if let Some(r) = &st.jobs.get(&self.id).expect("job entry exists").result {
@@ -889,11 +944,16 @@ impl JobHandle {
             if st.shutdown {
                 return Err(JobError::Shutdown);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(JobError::Timeout);
-            }
-            st = self.shared.cv.wait_timeout(st, deadline - now).unwrap().0;
+            st = match deadline {
+                None => self.shared.cv.wait(st).unwrap(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(JobError::Timeout);
+                    }
+                    self.shared.cv.wait_timeout(st, deadline - now).unwrap().0
+                }
+            };
         }
     }
 
@@ -903,27 +963,8 @@ impl JobHandle {
     /// share one execution). A job that already finished keeps its
     /// result.
     pub fn cancel(&self) {
-        let recs = {
-            let mut st = self.shared.state.lock().unwrap();
-            let Some(e) = st.jobs.get_mut(&self.id) else {
-                return;
-            };
-            if e.result.is_some() {
-                return;
-            }
-            e.cancelled = true;
-            if e.state != JobState::Running {
-                let id = self.id;
-                for q in &mut st.queues {
-                    q.retain(|&x| x != id);
-                }
-                st.resolve(id, JobState::Cancelled, Err(JobError::Cancelled))
-            } else {
-                Vec::new()
-            }
-        };
-        journal_append(&self.shared, &recs);
-        self.shared.cv.notify_all();
+        let recs = self.shared.state.lock().unwrap().cancel(self.id);
+        publish(&self.shared, &recs);
     }
 
     /// Take the probe-row stream (probed requests only; `None` for
@@ -941,95 +982,18 @@ impl JobHandle {
     }
 }
 
-/// One popped unit of work: everything a worker needs to run a slice
-/// without holding the lock.
-struct Popped {
-    id: JobId,
-    req: SimRequest,
-    digest: u64,
-    cp_bytes: Option<Vec<u8>>,
-    probe: Option<IntervalProbe>,
-    rows_sent: u64,
-}
-
-/// Pop the next runnable id, `High` lane first with a bounded
-/// anti-starvation share for `Normal`: after [`HIGH_BURST`]
-/// consecutive express pops while `Normal` work waits, `Normal` gets
-/// one.
-fn pop_id(st: &mut State) -> Option<JobId> {
-    let high_waiting = !st.queues[1].is_empty();
-    let normal_waiting = !st.queues[0].is_empty();
-    if high_waiting && normal_waiting && st.high_streak >= HIGH_BURST {
-        st.high_streak = 0;
-        return st.queues[0].pop_front();
-    }
-    if high_waiting {
-        st.high_streak = if normal_waiting {
-            st.high_streak + 1
-        } else {
-            0
-        };
-        return st.queues[1].pop_front();
-    }
-    st.high_streak = 0;
-    st.queues[0].pop_front()
-}
-
-/// What one scheduling decision came to.
-enum PopOutcome {
-    /// Run this slice.
-    Run(Box<Popped>),
-    /// A cancelled job was resolved at pop; flush its records and look
-    /// again.
-    Flush(Vec<Record>),
-    /// The pool is shutting down.
-    Shutdown,
-}
-
 /// Pop the next runnable job, blocking on the condvar. `None` = this
 /// worker should exit (shutdown).
 fn next_job(shared: &Shared) -> Option<Popped> {
+    let mut st = shared.state.lock().unwrap();
     loop {
-        let out = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    break PopOutcome::Shutdown;
-                }
-                if let Some(id) = pop_id(&mut st) {
-                    let e = st.jobs.get_mut(&id).expect("queued job entry exists");
-                    if e.cancelled {
-                        break PopOutcome::Flush(st.resolve(
-                            id,
-                            JobState::Cancelled,
-                            Err(JobError::Cancelled),
-                        ));
-                    }
-                    e.state = JobState::Running;
-                    // Clone (not take) the checkpoint and probe: if
-                    // this slice is discarded by a worker kill, the
-                    // entry still holds the job's last committed
-                    // state.
-                    break PopOutcome::Run(Box::new(Popped {
-                        id,
-                        req: e.req.clone(),
-                        digest: e.digest,
-                        cp_bytes: e.checkpoint.clone(),
-                        probe: e.probe.clone(),
-                        rows_sent: e.rows_sent,
-                    }));
-                }
-                st = shared.cv.wait(st).unwrap();
-            }
-        };
-        match out {
-            PopOutcome::Shutdown => return None,
-            PopOutcome::Run(p) => return Some(*p),
-            PopOutcome::Flush(recs) => {
-                journal_append(shared, &recs);
-                shared.cv.notify_all();
-            }
+        if st.shutdown {
+            return None;
         }
+        if let Some(p) = st.start() {
+            return Some(p);
+        }
+        st = shared.cv.wait(st).unwrap();
     }
 }
 
@@ -1043,94 +1007,95 @@ fn empty_report() -> xmt_sim::RunReport {
     }
 }
 
-/// How far one quantum got: either preempted with checkpoint bytes, or
-/// a terminal outcome. Shared by the probed and unprobed paths.
-struct Advanced {
-    terminal: Option<RunOutcome>,
-    cp_bytes: Option<Vec<u8>>,
+/// What one worker slice produced (built outside the lock).
+struct SliceOut {
     at_cycle: u64,
+    /// Probe rows not yet streamed (the tail past the job's
+    /// `rows_sent` watermark).
+    rows: Vec<IntervalRow>,
+    end: SliceEnd,
 }
 
-/// Advance a machine by one quantum.
-fn advance<P: Probe>(m: &mut Machine<P>, target: u64) -> Result<Advanced, SimError> {
+/// How a slice ended.
+enum SliceEnd {
+    /// The run ended, completed or failed.
+    Ended(RunOutcome),
+    /// The quantum ran out: the next slice starts from this.
+    Paused(SliceState),
+}
+
+/// Build (or resume) the job's machine around `probe`, advance it to
+/// `target`, and hand back the outcome, the checkpoint bytes when that
+/// outcome is a pause, and the probe. Probed or not, one path.
+fn run_quantum<P: Probe>(
+    req: &SimRequest,
+    cp: Option<&Checkpoint>,
+    probe: P,
+    target: u64,
+) -> Result<(RunOutcome, Option<Vec<u8>>, P), SimError> {
+    let builder = req.builder();
+    let mut m = match cp {
+        Some(c) => builder.resume_probed(c, probe)?,
+        None => builder.try_build_probed(probe)?,
+    };
     let outcome = m.run_until(target);
-    match outcome.status {
-        RunStatus::Paused { at_cycle } => Ok(Advanced {
-            terminal: None,
-            cp_bytes: Some(m.checkpoint_bytes()?),
-            at_cycle,
-        }),
-        _ => Ok(Advanced {
-            at_cycle: outcome.at_cycle(),
-            cp_bytes: None,
-            terminal: Some(outcome),
-        }),
-    }
+    let checkpoint = match outcome.status {
+        RunStatus::Paused { .. } => Some(m.checkpoint_bytes()?),
+        _ => None,
+    };
+    Ok((outcome, checkpoint, m.into_probe()))
 }
 
-/// Build (or resume) the job's machine and run one quantum. Every
-/// error along the way — corrupt checkpoint, invalid config, run
-/// failure — funnels into the returned `Result`; run failures are
-/// *not* errors here (they arrive as terminal outcomes with partial
-/// reports).
+/// Run one quantum of the job from `from`. Every error along the way —
+/// corrupt checkpoint, invalid config — funnels into the returned
+/// `Result`; run failures are *not* errors here (they arrive as
+/// terminal outcomes with partial reports).
 ///
 /// Probed jobs carry their `IntervalProbe` across slices
 /// ([`IntervalProbe::into_carried`]): the probe's delta baseline stays
 /// at the last emitted boundary and the checkpoint restores every
 /// cumulative counter it refers to, so the sample stream — including
 /// the interval each pause splits — is bit-identical to an
-/// uninterrupted run's. `rows_sent` is the subscriber's watermark;
-/// only rows past it are returned for streaming.
-fn run_slice(
-    req: &SimRequest,
-    cp_bytes: Option<&[u8]>,
-    carried: Option<IntervalProbe>,
-    rows_sent: u64,
-    quantum: u64,
-) -> Result<SliceOut, SimError> {
-    let cp = cp_bytes.map(Checkpoint::from_bytes).transpose()?;
-    let target = cp
-        .as_ref()
-        .map_or(0, Checkpoint::cycle)
-        .saturating_add(quantum);
-    let builder = req.builder();
-    if let Some(fresh) = req.sim.interval_probe() {
-        let probe = carried.map_or(fresh, IntervalProbe::into_carried);
-        let mut m = match &cp {
-            Some(c) => builder.resume_probed(c, probe)?,
-            None => builder.try_build_probed(probe)?,
-        };
-        let a = advance(&mut m, target)?;
-        let probe = m.into_probe();
-        let all = probe.rows();
-        // The ring holds the newest `all.len()` of `samples()` rows;
-        // skip the ones the subscriber already has (rows lost to ring
-        // overwrite are simply gone — same contract as `rows()`).
-        let first = probe.samples() - all.len() as u64;
-        let skip = rows_sent.saturating_sub(first) as usize;
-        Ok(SliceOut {
-            terminal: a.terminal,
-            cp_bytes: a.cp_bytes,
-            at_cycle: a.at_cycle,
-            rows: all.into_iter().skip(skip).collect(),
-            rows_sent: probe.samples(),
-            probe: Some(probe),
-        })
-    } else {
-        let mut m = match &cp {
-            Some(c) => builder.resume(c)?,
-            None => builder.try_build()?,
-        };
-        let a = advance(&mut m, target)?;
-        Ok(SliceOut {
-            terminal: a.terminal,
-            cp_bytes: a.cp_bytes,
-            at_cycle: a.at_cycle,
-            rows: Vec::new(),
-            probe: None,
-            rows_sent: 0,
-        })
-    }
+/// uninterrupted run's. `from.rows_sent` is the subscriber's
+/// watermark; only rows past it are returned for streaming.
+fn run_slice(req: &SimRequest, from: SliceState, quantum: u64) -> Result<SliceOut, SimError> {
+    let cp = (from.checkpoint.as_deref())
+        .map(Checkpoint::from_bytes)
+        .transpose()?;
+    let cp = cp.as_ref();
+    let target = cp.map_or(0, Checkpoint::cycle).saturating_add(quantum);
+    let (outcome, checkpoint, probe, rows, rows_sent) = match req.sim.interval_probe() {
+        Some(fresh) => {
+            let probe = from.probe.map_or(fresh, IntervalProbe::into_carried);
+            let (outcome, checkpoint, probe) = run_quantum(req, cp, probe, target)?;
+            let all = probe.rows();
+            // The ring holds the newest `all.len()` of `samples()`
+            // rows; skip the ones the subscriber already has (rows
+            // lost to ring overwrite are simply gone — same contract
+            // as `rows()`).
+            let first = probe.samples() - all.len() as u64;
+            let skip = from.rows_sent.saturating_sub(first) as usize;
+            let rows = all.into_iter().skip(skip).collect();
+            let sent = probe.samples();
+            (outcome, checkpoint, Some(probe), rows, sent)
+        }
+        None => {
+            let (outcome, checkpoint, NoProbe) = run_quantum(req, cp, NoProbe, target)?;
+            (outcome, checkpoint, None, Vec::new(), 0)
+        }
+    };
+    Ok(SliceOut {
+        at_cycle: outcome.at_cycle(),
+        rows,
+        end: match checkpoint {
+            None => SliceEnd::Ended(outcome),
+            Some(cp) => SliceEnd::Paused(SliceState {
+                checkpoint: Some(cp),
+                probe,
+                rows_sent,
+            }),
+        },
+    })
 }
 
 /// One worker thread: pop, slice, commit, repeat.
@@ -1139,166 +1104,90 @@ fn worker_loop(shared: &Shared) {
         id,
         req,
         digest,
-        cp_bytes,
-        probe,
-        rows_sent,
+        from,
     }) = next_job(shared)
     {
+        let cacheable = req.sim.probe_interval.is_none();
         // First slice of an unprobed run: try the content cache before
         // building anything. (Probed runs bypass the cache — their
-        // value is the stream.) Cache hits charge no quota.
-        if cp_bytes.is_none() && req.sim.probe_interval.is_none() {
+        // value is the stream.) Cache hits charge no quota; a corrupt
+        // cached blob falls through and recomputes.
+        if from.checkpoint.is_none() && cacheable {
             let cached = shared.cache.lock().unwrap().get(digest);
-            if let Some(bytes) = cached {
-                if let Ok(report) = wire::decode_report(&bytes) {
-                    let recs = {
-                        let mut st = shared.state.lock().unwrap();
-                        let e = st.jobs.get_mut(&id).expect("running job entry exists");
-                        e.from_cache = true;
-                        e.at_cycle = report.stats.cycles;
-                        st.resolve(
-                            id,
-                            JobState::Done,
-                            Ok(JobResult {
-                                outcome: RunOutcome {
-                                    status: RunStatus::Completed,
-                                    report,
-                                },
-                                bytes,
-                                from_cache: true,
-                                slices: 0,
-                            }),
-                        )
-                    };
-                    journal_append(shared, &recs);
-                    shared.cv.notify_all();
-                    continue;
-                }
-                // A corrupt cached blob falls through and recomputes.
+            if let Some(Ok(hit)) = cached.map(|bytes| JobResult::completed(bytes, true, 0)) {
+                let recs = shared.state.lock().unwrap().resolve(id, Ok(hit));
+                publish(shared, &recs);
+                continue;
             }
         }
 
-        let slice = run_slice(&req, cp_bytes.as_deref(), probe, rows_sent, shared.quantum);
+        let slice = run_slice(&req, from, shared.quantum);
 
         let mut cache_put: Option<(u64, Vec<u8>, u64)> = None;
-        let recs = {
-            let mut st = shared.state.lock().unwrap();
-            // A pending kill consumes this slice instead of committing
-            // it: roll the job back to its pre-slice state and die.
-            if st.kill_requests > 0 {
-                st.kill_requests -= 1;
-                let e = st.jobs.get_mut(&id).expect("running job entry exists");
-                if e.result.is_none() {
-                    e.state = if e.checkpoint.is_some() {
-                        JobState::Paused
-                    } else {
-                        JobState::Queued
-                    };
-                    let lane = e.lane;
-                    st.queues[lane_idx(lane)].push_front(id);
+        let mut st = shared.state.lock().unwrap();
+        // A pending kill consumes this slice instead of committing
+        // it: roll the job back to its pre-slice state and die.
+        if st.kill_requests > 0 {
+            st.kill_requests -= 1;
+            let recs = st.rollback(id);
+            drop(st);
+            publish(shared, &recs);
+            return;
+        }
+        let e = st.jobs.get_mut(&id).expect("running job entry exists");
+        let recs = if e.cancelled {
+            st.resolve(id, Err(JobError::Cancelled))
+        } else {
+            e.status.slices += 1;
+            let slices = e.status.slices;
+            // Construction/resume-level failure: terminal where the
+            // job stood, with an empty partial report.
+            let s = slice.unwrap_or_else(|err| SliceOut {
+                at_cycle: e.status.at_cycle,
+                rows: Vec::new(),
+                end: SliceEnd::Ended(RunOutcome {
+                    status: RunStatus::Failed(err),
+                    report: empty_report(),
+                }),
+            });
+            if let Some(tx) = &e.stream {
+                for row in s.rows {
+                    // A dropped receiver is fine — rows are
+                    // best-effort observability, not results.
+                    let _ = tx.send(row);
                 }
-                drop(st);
-                shared.cv.notify_all();
-                return;
             }
-            let e = st.jobs.get_mut(&id).expect("running job entry exists");
-            if e.cancelled {
-                st.resolve(id, JobState::Cancelled, Err(JobError::Cancelled))
-            } else {
-                e.slices += 1;
-                let slices = e.slices;
-                let tenant = e.tenant.clone();
-                let prev_cycle = e.at_cycle;
-                match slice {
-                    Err(err) => {
-                        // Construction/resume-level failure: terminal,
-                        // with an empty partial report.
-                        let outcome = RunOutcome {
-                            status: RunStatus::Failed(err),
-                            report: empty_report(),
-                        };
-                        let bytes = wire::encode_report(&outcome.report);
-                        st.resolve(
-                            id,
-                            JobState::Failed,
-                            Ok(JobResult {
-                                outcome,
-                                bytes,
-                                from_cache: false,
-                                slices,
-                            }),
-                        )
+            let burned = s.at_cycle.saturating_sub(e.status.at_cycle);
+            let tenant = e.tenant.clone();
+            st.charge(&shared.quota, &tenant, burned);
+            match s.end {
+                // Preempted: commit the checkpoint and the carried
+                // probe, go to the back of the lane.
+                SliceEnd::Paused(carry) => {
+                    let commit = st.pause(id, s.at_cycle, carry);
+                    st.enqueue(id);
+                    commit.into_iter().collect()
+                }
+                SliceEnd::Ended(outcome) => {
+                    let bytes = wire::encode_report(&outcome.report);
+                    if outcome.is_completed() && cacheable {
+                        cache_put = Some((digest, bytes.clone(), s.at_cycle));
                     }
-                    Ok(s) => {
-                        e.at_cycle = s.at_cycle;
-                        e.rows_sent = s.rows_sent;
-                        if let Some(tx) = &e.stream {
-                            for row in s.rows {
-                                // A dropped receiver is fine — rows
-                                // are best-effort observability, not
-                                // results.
-                                let _ = tx.send(row);
-                            }
-                        }
-                        let burned = s.at_cycle.saturating_sub(prev_cycle);
-                        match s.terminal {
-                            None => {
-                                // Preempted: commit the checkpoint and
-                                // the carried probe, go to the back of
-                                // the lane. Probed jobs skip the
-                                // journal Commit — replay restarts
-                                // them from scratch anyway.
-                                let journal_cp = (e.probe.is_none() && s.probe.is_none())
-                                    .then(|| s.cp_bytes.clone())
-                                    .flatten();
-                                e.checkpoint = s.cp_bytes;
-                                e.probe = s.probe;
-                                e.state = JobState::Paused;
-                                let lane = e.lane;
-                                st.queues[lane_idx(lane)].push_back(id);
-                                st.charge(&shared.quota, &tenant, burned);
-                                journal_cp
-                                    .map(|checkpoint| {
-                                        vec![Record::Commit {
-                                            id,
-                                            at_cycle: s.at_cycle,
-                                            checkpoint,
-                                        }]
-                                    })
-                                    .unwrap_or_default()
-                            }
-                            Some(outcome) => {
-                                let bytes = wire::encode_report(&outcome.report);
-                                let completed = outcome.is_completed();
-                                if completed && req.sim.probe_interval.is_none() {
-                                    cache_put = Some((digest, bytes.clone(), s.at_cycle));
-                                }
-                                st.charge(&shared.quota, &tenant, burned);
-                                st.resolve(
-                                    id,
-                                    if completed {
-                                        JobState::Done
-                                    } else {
-                                        JobState::Failed
-                                    },
-                                    Ok(JobResult {
-                                        outcome,
-                                        bytes,
-                                        from_cache: false,
-                                        slices,
-                                    }),
-                                )
-                            }
-                        }
-                    }
+                    let result = JobResult {
+                        outcome,
+                        bytes,
+                        from_cache: false,
+                        slices,
+                    };
+                    st.resolve(id, Ok(result))
                 }
             }
         };
+        drop(st);
         if let Some((key, bytes, cycles)) = cache_put {
             shared.cache.lock().unwrap().insert(key, bytes, cycles);
         }
-        journal_append(shared, &recs);
-        shared.cv.notify_all();
+        publish(shared, &recs);
     }
 }
 
@@ -1490,20 +1379,10 @@ mod tests {
 
     #[test]
     fn high_lane_drains_first_with_antistarvation() {
-        let mut st = State {
-            queues: [VecDeque::new(), VecDeque::new()],
-            high_streak: 0,
-            jobs: HashMap::new(),
-            next_id: 0,
-            shutdown: false,
-            kill_requests: 0,
-            tokens: HashMap::new(),
-            buckets: HashMap::new(),
-            stats: ServerStats::default(),
-        };
+        let mut st = State::default();
         st.queues[0].extend([10, 11]);
         st.queues[1].extend([20, 21, 22, 23, 24]);
-        let order: Vec<JobId> = std::iter::from_fn(|| pop_id(&mut st)).collect();
+        let order: Vec<JobId> = std::iter::from_fn(|| st.pop_id()).collect();
         assert_eq!(
             order,
             vec![20, 21, 22, 10, 23, 24, 11],
@@ -1641,6 +1520,199 @@ mod tests {
             r.bytes, reference.bytes,
             "recovered run is byte-identical to an uninterrupted one"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// Both limits at `u64::MAX` are reachable through the request
+    /// decoder; they mean "no limit", not an overflow that kills the
+    /// worker (debug) or reports a healthy job `Stalled` (release).
+    #[test]
+    fn unbounded_limits_from_a_decoded_request_resolve_done() {
+        let req = SimRequest::golden("ps_tickets")
+            .unwrap()
+            .with_sim(|s| s.watchdog(u64::MAX).max_cycles(u64::MAX));
+        let req = wire::decode_request(&wire::encode_request(&req)).unwrap();
+        let r = tiny_server(1, u64::MAX)
+            .submit(req)
+            .unwrap()
+            .wait_deadline(Duration::from_secs(30))
+            .unwrap();
+        assert!(r.outcome.is_completed(), "got {:?}", r.outcome.status);
+        assert_eq!(r.outcome.report.stats.cycles, 135);
+    }
+
+    /// A restart must not change what a tenant's job means: two
+    /// tenants' identical, separately submitted, tokened jobs come back
+    /// from the journal as two independent jobs — cancelling one leaves
+    /// the other to run on its own and bill its own tenant.
+    #[test]
+    fn recovered_duplicates_stay_independent() {
+        let dir = scratch("independent");
+        let cfg = || ServerConfig {
+            workers: 1,
+            quantum: u64::MAX,
+            journal: Some(dir.join("jobs.journal")),
+            quota: Some(QuotaPolicy {
+                burst_cycles: 1_000_000,
+                refill_cycles_per_sec: 0,
+            }),
+            ..ServerConfig::default()
+        };
+        let sub = |tenant: &str, token: u64| {
+            Submission::new(SimRequest::golden("ps_tickets").unwrap())
+                .tenant(tenant)
+                .token(token)
+        };
+        // No workers: both jobs are journaled and still unfinished
+        // when the server goes away.
+        let (alice, bob) = {
+            let srv = Server::start_with(cfg(), 0).unwrap();
+            let a = srv.submit_with(sub("alice", 1)).unwrap().id();
+            let b = srv.submit_with(sub("bob", 2)).unwrap().id();
+            (a, b)
+        };
+        {
+            let srv = Server::start_with(cfg(), 0).unwrap();
+            let (a, b) = (srv.handle(alice).unwrap(), srv.handle(bob).unwrap());
+            assert!(!b.poll().deduped, "recovery must not re-collapse");
+            a.cancel();
+            assert_eq!(a.wait().unwrap_err(), JobError::Cancelled);
+            assert_eq!(b.poll().state, JobState::Queued, "bob rode alice's job");
+            assert_eq!(srv.stats().deduped, 0);
+        }
+        let srv = Server::start(cfg()).unwrap();
+        let b = srv.handle(bob).unwrap();
+        let r = b.wait_deadline(Duration::from_secs(30)).unwrap();
+        assert!(r.outcome.is_completed() && !r.from_cache);
+        assert!(!b.poll().deduped);
+        assert_eq!(
+            srv.handle(alice).unwrap().wait().unwrap_err(),
+            JobError::Cancelled
+        );
+        assert!(
+            srv.quota_level("bob").unwrap() < 1_000_000.0,
+            "bob pays for bob's run"
+        );
+        assert_eq!(srv.quota_level("alice"), None, "alice is billed nothing");
+        let stats = srv.stats();
+        assert_eq!(
+            (stats.completed, stats.cancelled, stats.deduped),
+            (1, 1, 0),
+            "{stats:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Compaction is a fixpoint: recovery walks every job through the
+    /// live transitions, so what it writes back is what it would read
+    /// — a second restart finds the same jobs in the same states and
+    /// rewrites the same bytes.
+    #[test]
+    fn compaction_is_a_fixpoint() {
+        let dir = scratch("fixpoint");
+        let path = dir.join("jobs.journal");
+        let fft = SimRequest::golden("fft_radix8_n512").unwrap();
+        let stuck = fft.clone().with_sim(|s| {
+            s.faults(xmt_sim::FaultPlan::new(7).stuck_tcu(1, 3))
+                .watchdog(5_000)
+        });
+        let tickets = SimRequest::golden("ps_tickets").unwrap();
+        let report = wire::encode_report(&tickets.builder().build().run().report);
+        let (at_cycle, checkpoint) = {
+            let mut m = fft.builder().build();
+            let at = m.run_until(1_000).at_cycle();
+            (at, m.checkpoint_bytes().unwrap())
+        };
+        // A finished, a cancelled, a failed, a paused (its first
+        // commit superseded) and a probed job (whose commit replay
+        // ignores).
+        let reqs = [
+            tickets,
+            SimRequest::golden("spawn_storm").unwrap(),
+            stuck,
+            fft.clone(),
+            fft.clone().with_sim(|s| s.probed(64)),
+        ];
+        let commit = |id, at_cycle, checkpoint: &[u8]| Record::Commit {
+            id,
+            at_cycle,
+            checkpoint: checkpoint.to_vec(),
+        };
+        {
+            let mut j = Journal::open(&path).unwrap();
+            for (id, req) in reqs.iter().enumerate() {
+                let sub = Submission::new(req.clone()).tenant("t").token(id as u64);
+                j.append(&submit_record(id as u64, &sub)).unwrap();
+            }
+            for rec in [
+                commit(3, 7, &[1, 2, 3]),
+                Record::Done {
+                    id: 0,
+                    slices: 1,
+                    from_cache: false,
+                    report: report.clone(),
+                },
+                Record::Cancelled { id: 1 },
+                Record::Failed { id: 2 },
+                commit(3, at_cycle, &checkpoint),
+                commit(4, at_cycle, &checkpoint),
+            ] {
+                j.append(&rec).unwrap();
+            }
+        }
+        let written = std::fs::read(&path).unwrap();
+        let cfg = || ServerConfig {
+            workers: 1,
+            quantum: 2_000,
+            journal: Some(path.clone()),
+            ..ServerConfig::default()
+        };
+        // Restart without workers, so nothing moves between recovery
+        // and the drop.
+        let restart = || {
+            let srv = Server::start_with(cfg(), 0).unwrap();
+            let seen: Vec<_> = (0..5)
+                .map(|id| {
+                    let h = srv.handle(id).unwrap();
+                    let result = h.wait_deadline(Duration::ZERO).map(|r| r.bytes);
+                    (h.poll(), result)
+                })
+                .collect();
+            (seen, srv.stats())
+        };
+        let first = restart();
+        let a = std::fs::read(&path).unwrap();
+        let second = restart();
+        let b = std::fs::read(&path).unwrap();
+        assert!(a.len() < written.len(), "compaction drops dead records");
+        assert_eq!(a, b, "a second restart rewrites the same bytes");
+        assert_eq!(first, second, "and finds the same jobs");
+        let states: Vec<_> = first.0.iter().map(|(s, _)| (s.state, s.at_cycle)).collect();
+        assert_eq!(
+            states,
+            [
+                (JobState::Done, 135),
+                (JobState::Cancelled, 0),
+                (JobState::Queued, 0),
+                (JobState::Paused, at_cycle),
+                (JobState::Queued, 0),
+            ]
+        );
+        assert_eq!(first.0[0].1, Ok(report));
+        // With workers the unfinished three run out as they would
+        // have: the failure repeats, the paused job continues from its
+        // checkpoint to the uninterrupted run's bytes.
+        let srv = Server::start(cfg()).unwrap();
+        let wait = |id| {
+            let h = srv.handle(id).unwrap();
+            h.wait_deadline(Duration::from_secs(120)).unwrap()
+        };
+        assert!(matches!(
+            wait(2).outcome.status,
+            RunStatus::Failed(SimError::Stalled { .. })
+        ));
+        let whole = wire::encode_report(&fft.builder().build().run().report);
+        assert_eq!(wait(3).bytes, whole);
+        assert_eq!(wait(4).bytes, whole);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

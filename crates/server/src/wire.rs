@@ -19,10 +19,10 @@
 //! `tests/tests/wire_properties.rs` fuzzes this contract.
 
 use crate::request::{SimRequest, WorkloadSpec};
-pub(crate) use xmt_sim::bytes::{put_str, put_u32, put_u64, Reader};
-use xmt_sim::bytes::{put_u64s, put_words};
+use xmt_sim::bytes::put_u64s;
+pub(crate) use xmt_sim::bytes::{put_str, put_u32, put_u64, put_words, Reader};
 use xmt_sim::{
-    BlockedTcus, Engine, FaultPlan, IntervalRow, MachineStats, RunReport, SimConfig, SpawnStats,
+    Engine, FaultPlan, IntervalRow, MachineStats, RunReport, SimConfig, SpawnStats,
     TranslationTier, UtilizationReport, XmtConfig,
 };
 
@@ -30,6 +30,23 @@ use xmt_sim::{
 /// invariant. (`&'static str` keeps the codec allocation-free on the
 /// error path — the same idiom the checkpoint codec uses.)
 pub type WireError = &'static str;
+
+/// Run decoder `f` over the whole of `bytes`. Every format in this
+/// crate ends where its payload ends, so bytes left over are an error
+/// (`trailing`) — checked here, once, for every decoder.
+pub(crate) fn whole<T>(
+    bytes: &[u8],
+    trailing: WireError,
+    f: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(bytes);
+    let v = f(&mut r)?;
+    if r.at_end() {
+        Ok(v)
+    } else {
+        Err(trailing)
+    }
+}
 
 /// Format magic: "XMTREP" plus a format version byte.
 const MAGIC: u64 = 0x584D_5452_4550_0001;
@@ -60,30 +77,28 @@ pub fn encode_report(r: &RunReport) -> Vec<u8> {
 /// Parse the byte format; rejects truncated, corrupt or
 /// differently-versioned blobs (e.g. a stale persisted cache file).
 pub fn decode_report(bytes: &[u8]) -> Result<RunReport, &'static str> {
-    let mut r = Reader::new(bytes);
-    if r.u64()? != MAGIC {
-        return Err("report magic/version mismatch");
-    }
-    let stats = MachineStats::from_words(r.words()?);
-    let n = r.count()?;
-    let mut spawns = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        spawns.push(SpawnStats::from_words(r.words()?));
-    }
-    let utilization = UtilizationReport {
-        cluster_instr: r.u64s()?,
-        module_accesses: r.u64s()?,
-        module_hit_rate: f64s(&mut r)?,
-        channel_busy: f64s(&mut r)?,
-        fpu_utilization: f64::from_bits(r.u64()?),
-    };
-    if !r.at_end() {
-        return Err("trailing bytes after report payload");
-    }
-    Ok(RunReport {
-        stats,
-        spawns,
-        utilization,
+    whole(bytes, "trailing bytes after report payload", |r| {
+        if r.u64()? != MAGIC {
+            return Err("report magic/version mismatch");
+        }
+        let stats = MachineStats::from_words(r.words()?);
+        let n = r.count()?;
+        let mut spawns = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            spawns.push(SpawnStats::from_words(r.words()?));
+        }
+        let utilization = UtilizationReport {
+            cluster_instr: r.u64s()?,
+            module_accesses: r.u64s()?,
+            module_hit_rate: f64s(r)?,
+            channel_busy: f64s(r)?,
+            fpu_utilization: f64::from_bits(r.u64()?),
+        };
+        Ok(RunReport {
+            stats,
+            spawns,
+            utilization,
+        })
     })
 }
 
@@ -125,7 +140,16 @@ pub fn encode_request(req: &SimRequest) -> Vec<u8> {
 /// [`SimRequest::program`] can keep its "validated at construction"
 /// contract.
 pub fn decode_request(bytes: &[u8]) -> Result<SimRequest, WireError> {
-    let mut r = Reader::new(bytes);
+    let req = whole(bytes, "trailing bytes after request payload", request)?;
+    if let WorkloadSpec::Golden { name } = &req.workload {
+        if crate::request::find_case(name).is_none() {
+            return Err("unknown golden workload name");
+        }
+    }
+    Ok(req)
+}
+
+fn request(r: &mut Reader<'_>) -> Result<SimRequest, WireError> {
     if r.u64()? != REQ_MAGIC {
         return Err("request magic/version mismatch");
     }
@@ -165,60 +189,20 @@ pub fn decode_request(bytes: &[u8]) -> Result<SimRequest, WireError> {
         }
         _ => return Err("unknown workload tag"),
     };
-    let sim = sim_config(&mut r)?;
-    if !r.at_end() {
-        return Err("trailing bytes after request payload");
-    }
-    let req = SimRequest { workload, sim };
-    if let WorkloadSpec::Golden { name } = &req.workload {
-        if crate::request::find_case(name).is_none() {
-            return Err("unknown golden workload name");
-        }
-    }
-    Ok(req)
+    let sim = sim_config(r)?;
+    Ok(SimRequest { workload, sim })
 }
 
-/// Serialize one streamed probe sample.
+/// Serialize one streamed probe sample: the scalar words in
+/// [`IntervalRow::to_words`] order with `spawn` after the first two
+/// (`boundary`, `cycle`), then the per-channel series.
 pub fn encode_row(row: &IntervalRow) -> Vec<u8> {
     let mut b = Vec::with_capacity(256);
     put_u64(&mut b, ROW_MAGIC);
-    put_u64(&mut b, row.boundary);
-    put_u64(&mut b, row.cycle);
-    match row.spawn {
-        None => b.push(0),
-        Some(s) => {
-            b.push(1);
-            put_u64(&mut b, s);
-        }
-    }
-    for v in [
-        row.instructions,
-        row.flops,
-        row.mem_reads,
-        row.mem_writes,
-        row.threads,
-        row.stall_scoreboard,
-        row.stall_fpu,
-        row.stall_mdu,
-        row.stall_lsu,
-        row.dram_bytes,
-        row.noc_injected,
-        row.noc_delivered,
-        row.noc_rejections,
-        row.noc_in_flight,
-        row.txns_in_flight,
-        row.blocked.scoreboard,
-        row.blocked.fpu,
-        row.blocked.mdu,
-        row.blocked.lsu,
-        row.module_queue,
-        row.ecc_corrected,
-        row.ecc_detected,
-        row.noc_corrupted,
-        row.noc_retried,
-    ] {
-        put_u64(&mut b, v);
-    }
+    let words = row.to_words();
+    put_words(&mut b, &words[..2]);
+    put_opt_u64(&mut b, row.spawn);
+    put_words(&mut b, &words[2..]);
     put_u64s(&mut b, &row.channel_busy);
     put_u64s(&mut b, &row.channel_queue);
     b
@@ -226,54 +210,26 @@ pub fn encode_row(row: &IntervalRow) -> Vec<u8> {
 
 /// Parse one streamed probe sample.
 pub fn decode_row(bytes: &[u8]) -> Result<IntervalRow, WireError> {
-    let mut r = Reader::new(bytes);
-    if r.u64()? != ROW_MAGIC {
-        return Err("row magic/version mismatch");
-    }
-    let boundary = r.u64()?;
-    let cycle = r.u64()?;
-    let spawn = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()?),
-        _ => return Err("bad spawn flag"),
-    };
-    let row = IntervalRow {
-        boundary,
-        cycle,
-        spawn,
-        instructions: r.u64()?,
-        flops: r.u64()?,
-        mem_reads: r.u64()?,
-        mem_writes: r.u64()?,
-        threads: r.u64()?,
-        stall_scoreboard: r.u64()?,
-        stall_fpu: r.u64()?,
-        stall_mdu: r.u64()?,
-        stall_lsu: r.u64()?,
-        dram_bytes: r.u64()?,
-        noc_injected: r.u64()?,
-        noc_delivered: r.u64()?,
-        noc_rejections: r.u64()?,
-        noc_in_flight: r.u64()?,
-        txns_in_flight: r.u64()?,
-        blocked: BlockedTcus {
-            scoreboard: r.u64()?,
-            fpu: r.u64()?,
-            mdu: r.u64()?,
-            lsu: r.u64()?,
-        },
-        module_queue: r.u64()?,
-        ecc_corrected: r.u64()?,
-        ecc_detected: r.u64()?,
-        noc_corrupted: r.u64()?,
-        noc_retried: r.u64()?,
-        channel_busy: r.u64s()?,
-        channel_queue: r.u64s()?,
-    };
-    if !r.at_end() {
-        return Err("trailing bytes after row payload");
-    }
-    Ok(row)
+    whole(bytes, "trailing bytes after row payload", |r| {
+        if r.u64()? != ROW_MAGIC {
+            return Err("row magic/version mismatch");
+        }
+        let mut words = IntervalRow::default().to_words();
+        let (head, tail) = words.split_at_mut(2);
+        for w in head {
+            *w = r.u64()?;
+        }
+        let spawn = opt_u64(r)?;
+        for w in tail {
+            *w = r.u64()?;
+        }
+        Ok(IntervalRow {
+            spawn,
+            channel_busy: r.u64s()?,
+            channel_queue: r.u64s()?,
+            ..IntervalRow::from_words(words)
+        })
+    })
 }
 
 fn put_sim_config(b: &mut Vec<u8>, s: &SimConfig) {
@@ -335,34 +291,15 @@ fn put_fault_plan(b: &mut Vec<u8>, f: &FaultPlan) {
     put_u64(b, f.noc_corrupt.to_bits());
     put_u32(b, f.noc_retry_limit);
     put_u64(b, f.noc_backoff_base);
-    put_u64s(
-        b,
-        &f.dead_clusters
-            .iter()
-            .map(|&c| c as u64)
-            .collect::<Vec<_>>(),
-    );
-    put_u64s(
-        b,
-        &f.dead_tcus
-            .iter()
-            .flat_map(|t| [t.cluster as u64, t.tcu as u64])
-            .collect::<Vec<_>>(),
-    );
-    put_u64s(
-        b,
-        &f.stuck_tcus
-            .iter()
-            .flat_map(|t| [t.cluster as u64, t.tcu as u64])
-            .collect::<Vec<_>>(),
-    );
-    put_u64s(
-        b,
-        &f.dead_channels
-            .iter()
-            .map(|&c| c as u64)
-            .collect::<Vec<_>>(),
-    );
+    put_usizes(b, f.dead_clusters.iter().copied());
+    put_usizes(b, f.dead_tcus.iter().flat_map(|t| [t.cluster, t.tcu]));
+    put_usizes(b, f.stuck_tcus.iter().flat_map(|t| [t.cluster, t.tcu]));
+    put_usizes(b, f.dead_channels.iter().copied());
+}
+
+/// Component indices as a length-prefixed `u64` array.
+fn put_usizes(b: &mut Vec<u8>, vs: impl Iterator<Item = usize>) {
+    put_u64s(b, &vs.map(|v| v as u64).collect::<Vec<_>>());
 }
 
 /// `Some(v)` as `[1, v]`, `None` as `[0]`.
@@ -648,6 +585,7 @@ mod tests {
 
     #[test]
     fn row_round_trip_is_exact() {
+        use xmt_sim::BlockedTcus;
         let row = IntervalRow {
             boundary: 640,
             cycle: 641,

@@ -26,12 +26,8 @@ impl<P: Probe> Machine<P> {
     /// round-robin counter advances, component clocks jump.
     pub(super) fn fast_forward(&mut self) {
         let next = self.stats.cycles + 1;
-        // The earliest cycle on which stepping could do something;
-        // capped so a totally event-free machine still trips the
-        // cycle-limit check exactly where the reference engine does,
-        // and so the watchdog fires on the identical cycle (a stuck
-        // TCU never issues, which a quiet-scan would skip past).
-        let mut horizon = (self.max_cycles + 1).min(self.watchdog_horizon());
+        // The earliest cycle on which stepping could do something.
+        let mut horizon = self.skip_horizon();
         // The blocked TCUs of the open parallel section, if any.
         let blocked = match self.mode {
             Mode::Finished => return,

@@ -570,7 +570,7 @@ impl<P: Probe> Machine<P> {
         if mark != self.progress_mark {
             self.progress_mark = mark;
             self.progress_cycle = self.stats.cycles;
-        } else if self.stats.cycles >= self.progress_cycle + self.watchdog {
+        } else if self.stats.cycles >= self.progress_cycle.saturating_add(self.watchdog) {
             return Err(SimError::Stalled {
                 at_cycle: self.stats.cycles,
                 last_retired: self.stats.instructions,
@@ -579,10 +579,15 @@ impl<P: Probe> Machine<P> {
         Ok(())
     }
 
-    /// The skip horizon the watchdog imposes: one past the firing
-    /// cycle, so a fast-forward lands exactly on it.
-    fn watchdog_horizon(&self) -> u64 {
-        (self.progress_cycle + self.watchdog).saturating_add(1)
+    /// How far a bulk skip may jump: one past the cycle on which the
+    /// watchdog or the cycle limit would fire, so a totally event-free
+    /// machine trips either check exactly where the reference engine
+    /// does (a stuck TCU never issues, which a quiet scan would skip
+    /// past). Saturating: a decoded request may carry `u64::MAX` for
+    /// either limit.
+    pub(super) fn skip_horizon(&self) -> u64 {
+        let watchdog = self.progress_cycle.saturating_add(self.watchdog);
+        watchdog.min(self.max_cycles).saturating_add(1)
     }
 
     /// One fast-forward iteration. Two optimizations over the

@@ -782,7 +782,7 @@ fn main_loop<P: Probe>(
                     // may not leap past the cycle on which the
                     // watchdog would fire (a stuck TCU looks
                     // permanently quiet).
-                    let mut horizon = (m.max_cycles + 1).min(m.watchdog_horizon());
+                    let mut horizon = m.skip_horizon();
                     let next = m.stats.cycles + 1;
                     let mut can_skip = !(m.next_tid < m.spawn_count && sum_idle > 0);
                     let (mut blocked_scoreboard, mut blocked_lsu) = (0, 0);

@@ -238,22 +238,27 @@ impl RunOutcome {
     }
 }
 
-/// `to_words`/`from_words` for a struct of counters: the field order
-/// every byte codec (checkpoints, the job service's report format)
-/// writes, stated once. Changing a list changes both formats. (The
-/// casts are for `SpawnStats::index`, the one field that is not `u64`.)
+/// `to_words`/`from_words` for a struct's `u64`-like fields: the field
+/// order every byte codec (checkpoints, the job service's report, row
+/// and statistics formats) writes, stated once. Changing a list changes
+/// those formats. A field may be a path into a nested struct
+/// (`blocked.fpu`); fields left out of the list keep their `Default`
+/// through `from_words`. (The casts are for the fields that are `usize`.)
+#[macro_export]
 macro_rules! word_codec {
-    ($ty:ident, $n:literal, [$($field:ident),*]) => {
+    ($vis:vis $ty:ident, $n:expr, [$($($field:ident).+),* $(,)?]) => {
         impl $ty {
-            /// The fields in codec order.
-            pub fn to_words(&self) -> [u64; $n] {
-                [$(self.$field as u64),*]
+            /// The listed fields in codec order.
+            $vis fn to_words(&self) -> [u64; $n] {
+                [$(self.$($field).+ as u64),*]
             }
 
             /// Inverse of `to_words`.
-            pub fn from_words(words: [u64; $n]) -> Self {
-                let [$($field),*] = words;
-                $ty { $($field: $field as _),* }
+            $vis fn from_words(words: [u64; $n]) -> Self {
+                let mut v = <$ty>::default();
+                let mut words = words.into_iter();
+                $(v.$($field).+ = words.next().expect("one word per listed field") as _;)*
+                v
             }
         }
     };
@@ -287,7 +292,7 @@ pub struct MachineStats {
 }
 
 word_codec!(
-    MachineStats,
+    pub MachineStats,
     11,
     [
         cycles,
@@ -338,7 +343,7 @@ pub struct SpawnStats {
 }
 
 word_codec!(
-    SpawnStats,
+    pub SpawnStats,
     13,
     [
         index,

@@ -307,36 +307,44 @@ pub struct IntervalRow {
     pub channel_queue: Vec<u64>,
 }
 
-/// Fixed-size portion of a ring slot (`Copy`, so the ring is a flat
-/// `Vec<RowFixed>` written in place — no per-sample allocation).
-#[derive(Debug, Clone, Copy, Default)]
-struct RowFixed {
-    boundary: u64,
-    cycle: u64,
-    /// Spawn index, or `u64::MAX` for serial mode.
-    spawn: u64,
-    instructions: u64,
-    flops: u64,
-    mem_reads: u64,
-    mem_writes: u64,
-    threads: u64,
-    stall_scoreboard: u64,
-    stall_fpu: u64,
-    stall_mdu: u64,
-    stall_lsu: u64,
-    dram_bytes: u64,
-    noc_injected: u64,
-    noc_delivered: u64,
-    noc_rejections: u64,
-    noc_in_flight: u64,
-    txns_in_flight: u64,
-    blocked: BlockedTcus,
-    module_queue: u64,
-    ecc_corrected: u64,
-    ecc_detected: u64,
-    noc_corrupted: u64,
-    noc_retried: u64,
-}
+/// Scalar `u64` fields of an [`IntervalRow`].
+const ROW_WORDS: usize = 26;
+
+// The scalar block in row-codec order: what the probe's ring stores per
+// slot and what the job service's row format writes (`spawn` and the
+// per-channel series travel beside it).
+crate::word_codec!(
+    pub IntervalRow,
+    ROW_WORDS,
+    [
+        boundary,
+        cycle,
+        instructions,
+        flops,
+        mem_reads,
+        mem_writes,
+        threads,
+        stall_scoreboard,
+        stall_fpu,
+        stall_mdu,
+        stall_lsu,
+        dram_bytes,
+        noc_injected,
+        noc_delivered,
+        noc_rejections,
+        noc_in_flight,
+        txns_in_flight,
+        blocked.scoreboard,
+        blocked.fpu,
+        blocked.mdu,
+        blocked.lsu,
+        module_queue,
+        ecc_corrected,
+        ecc_detected,
+        noc_corrupted,
+        noc_retried,
+    ]
+);
 
 /// Cumulative counters as of the previous sample (for deltas).
 #[derive(Debug, Clone, Copy, Default)]
@@ -352,12 +360,31 @@ struct Snapshot {
     noc_retried: u64,
 }
 
+impl Snapshot {
+    /// The cumulative counters as `ctx` shows them now.
+    fn of(ctx: &SampleCtx<'_>) -> Snapshot {
+        Snapshot {
+            stats: *ctx.stats,
+            dram_bytes: ctx.dram_bytes(),
+            noc_injected: ctx.req_net.injected + ctx.reply_net.injected,
+            noc_delivered: ctx.req_net.delivered + ctx.reply_net.delivered,
+            noc_rejections: ctx.req_net.inject_rejections + ctx.reply_net.inject_rejections,
+            ecc_corrected: ctx.channels.iter().map(|c| c.stats.ecc_corrected).sum(),
+            ecc_detected: ctx.channels.iter().map(|c| c.stats.ecc_detected).sum(),
+            noc_corrupted: ctx.req_net.corrupted + ctx.reply_net.corrupted,
+            noc_retried: ctx.req_net.retried + ctx.reply_net.retried,
+        }
+    }
+}
+
 /// Time-sliced counter probe: samples every `interval` cycles into a
 /// fixed ring of `capacity` rows (oldest rows are overwritten once the
 /// ring is full; [`IntervalProbe::dropped`] reports how many).
 ///
-/// All storage is allocated once in [`Probe::bind`]; the per-channel
-/// series live in flat `capacity × channels` arrays beside the ring.
+/// All storage is allocated once in [`Probe::bind`]: a ring slot is a
+/// row's `spawn` and scalar words ([`IntervalRow::to_words`]), and the
+/// per-channel series live in flat `capacity × channels` arrays beside
+/// the ring.
 #[derive(Debug, Clone)]
 pub struct IntervalProbe {
     interval: u64,
@@ -365,7 +392,7 @@ pub struct IntervalProbe {
     nchan: usize,
     /// Samples recorded over the whole run (ring slot = `seq % capacity`).
     seq: u64,
-    fixed: Vec<RowFixed>,
+    ring: Vec<(Option<u64>, [u64; ROW_WORDS])>,
     chan_busy: Vec<u64>,
     chan_queue: Vec<u64>,
     last: Snapshot,
@@ -389,7 +416,7 @@ impl IntervalProbe {
             capacity,
             nchan: 0,
             seq: 0,
-            fixed: Vec::new(),
+            ring: Vec::new(),
             chan_busy: Vec::new(),
             chan_queue: Vec::new(),
             last: Snapshot::default(),
@@ -441,36 +468,13 @@ impl IntervalProbe {
         (first..self.seq)
             .map(|s| {
                 let slot = (s % self.capacity as u64) as usize;
-                let f = &self.fixed[slot];
+                let (spawn, words) = self.ring[slot];
+                let chan = slot * self.nchan..(slot + 1) * self.nchan;
                 IntervalRow {
-                    boundary: f.boundary,
-                    cycle: f.cycle,
-                    spawn: (f.spawn != u64::MAX).then_some(f.spawn),
-                    instructions: f.instructions,
-                    flops: f.flops,
-                    mem_reads: f.mem_reads,
-                    mem_writes: f.mem_writes,
-                    threads: f.threads,
-                    stall_scoreboard: f.stall_scoreboard,
-                    stall_fpu: f.stall_fpu,
-                    stall_mdu: f.stall_mdu,
-                    stall_lsu: f.stall_lsu,
-                    dram_bytes: f.dram_bytes,
-                    noc_injected: f.noc_injected,
-                    noc_delivered: f.noc_delivered,
-                    noc_rejections: f.noc_rejections,
-                    noc_in_flight: f.noc_in_flight,
-                    txns_in_flight: f.txns_in_flight,
-                    blocked: f.blocked,
-                    module_queue: f.module_queue,
-                    ecc_corrected: f.ecc_corrected,
-                    ecc_detected: f.ecc_detected,
-                    noc_corrupted: f.noc_corrupted,
-                    noc_retried: f.noc_retried,
-                    channel_busy: self.chan_busy[slot * self.nchan..(slot + 1) * self.nchan]
-                        .to_vec(),
-                    channel_queue: self.chan_queue[slot * self.nchan..(slot + 1) * self.nchan]
-                        .to_vec(),
+                    spawn,
+                    channel_busy: self.chan_busy[chan.clone()].to_vec(),
+                    channel_queue: self.chan_queue[chan].to_vec(),
+                    ..IntervalRow::from_words(words)
                 }
             })
             .collect()
@@ -595,12 +599,12 @@ impl Probe for IntervalProbe {
         // rebuild — unless the machine geometry changed under it, in
         // which case continuation is meaningless and it re-initializes
         // like a fresh probe.
-        if self.carried && self.nchan == cfg.dram_channels() && !self.fixed.is_empty() {
+        if self.carried && self.nchan == cfg.dram_channels() && !self.ring.is_empty() {
             return;
         }
         self.carried = false;
         self.nchan = cfg.dram_channels();
-        self.fixed = vec![RowFixed::default(); self.capacity];
+        self.ring = vec![(None, [0; ROW_WORDS]); self.capacity];
         self.chan_busy = vec![0; self.capacity * self.nchan];
         self.chan_queue = vec![0; self.capacity * self.nchan];
         self.last_chan_busy = vec![0; self.nchan];
@@ -614,20 +618,13 @@ impl Probe for IntervalProbe {
 
     fn record(&mut self, ctx: &SampleCtx<'_>) {
         let slot = (self.seq % self.capacity as u64) as usize;
-        let s = ctx.stats;
-        let p = &self.last.stats;
-        let dram_bytes = ctx.dram_bytes();
-        let injected = ctx.req_net.injected + ctx.reply_net.injected;
-        let delivered = ctx.req_net.delivered + ctx.reply_net.delivered;
-        let rejections = ctx.req_net.inject_rejections + ctx.reply_net.inject_rejections;
-        let ecc_corrected: u64 = ctx.channels.iter().map(|c| c.stats.ecc_corrected).sum();
-        let ecc_detected: u64 = ctx.channels.iter().map(|c| c.stats.ecc_detected).sum();
-        let corrupted = ctx.req_net.corrupted + ctx.reply_net.corrupted;
-        let retried = ctx.req_net.retried + ctx.reply_net.retried;
-        self.fixed[slot] = RowFixed {
+        let (now, last) = (Snapshot::of(ctx), &self.last);
+        let (s, p) = (&now.stats, &last.stats);
+        // An `IntervalRow` with empty series allocates nothing.
+        let row = IntervalRow {
             boundary: ctx.boundary,
             cycle: ctx.cycle,
-            spawn: ctx.spawn.unwrap_or(u64::MAX),
+            spawn: ctx.spawn,
             instructions: s.instructions - p.instructions,
             flops: s.flops - p.flops,
             mem_reads: s.mem_reads - p.mem_reads,
@@ -637,36 +634,29 @@ impl Probe for IntervalProbe {
             stall_fpu: s.stall_fpu - p.stall_fpu,
             stall_mdu: s.stall_mdu - p.stall_mdu,
             stall_lsu: s.stall_lsu - p.stall_lsu,
-            dram_bytes: dram_bytes - self.last.dram_bytes,
-            noc_injected: injected - self.last.noc_injected,
-            noc_delivered: delivered - self.last.noc_delivered,
-            noc_rejections: rejections - self.last.noc_rejections,
+            dram_bytes: now.dram_bytes - last.dram_bytes,
+            noc_injected: now.noc_injected - last.noc_injected,
+            noc_delivered: now.noc_delivered - last.noc_delivered,
+            noc_rejections: now.noc_rejections - last.noc_rejections,
             noc_in_flight: ctx.noc_in_flight,
             txns_in_flight: ctx.txns_in_flight,
             blocked: ctx.blocked,
             module_queue: ctx.modules.iter().map(|m| m.outstanding() as u64).sum(),
-            ecc_corrected: ecc_corrected - self.last.ecc_corrected,
-            ecc_detected: ecc_detected - self.last.ecc_detected,
-            noc_corrupted: corrupted - self.last.noc_corrupted,
-            noc_retried: retried - self.last.noc_retried,
+            ecc_corrected: now.ecc_corrected - last.ecc_corrected,
+            ecc_detected: now.ecc_detected - last.ecc_detected,
+            noc_corrupted: now.noc_corrupted - last.noc_corrupted,
+            noc_retried: now.noc_retried - last.noc_retried,
+            channel_busy: Vec::new(),
+            channel_queue: Vec::new(),
         };
+        self.ring[slot] = (row.spawn, row.to_words());
         let base = slot * self.nchan;
         for (k, ch) in ctx.channels.iter().enumerate() {
             self.chan_busy[base + k] = ch.stats.busy_cycles - self.last_chan_busy[k];
             self.chan_queue[base + k] = ch.pending() as u64;
             self.last_chan_busy[k] = ch.stats.busy_cycles;
         }
-        self.last = Snapshot {
-            stats: *s,
-            dram_bytes,
-            noc_injected: injected,
-            noc_delivered: delivered,
-            noc_rejections: rejections,
-            ecc_corrected,
-            ecc_detected,
-            noc_corrupted: corrupted,
-            noc_retried: retried,
-        };
+        self.last = now;
         self.seq += 1;
     }
 
@@ -678,21 +668,11 @@ impl Probe for IntervalProbe {
         if self.carried {
             return;
         }
-        // Same cumulative reads as `record`, but only the baseline is
-        // updated — no row is written and `seq` does not advance, so a
-        // resumed stream continues exactly where the paused one left
-        // off (per-interval deltas relative to the checkpoint).
-        self.last = Snapshot {
-            stats: *ctx.stats,
-            dram_bytes: ctx.dram_bytes(),
-            noc_injected: ctx.req_net.injected + ctx.reply_net.injected,
-            noc_delivered: ctx.req_net.delivered + ctx.reply_net.delivered,
-            noc_rejections: ctx.req_net.inject_rejections + ctx.reply_net.inject_rejections,
-            ecc_corrected: ctx.channels.iter().map(|c| c.stats.ecc_corrected).sum(),
-            ecc_detected: ctx.channels.iter().map(|c| c.stats.ecc_detected).sum(),
-            noc_corrupted: ctx.req_net.corrupted + ctx.reply_net.corrupted,
-            noc_retried: ctx.req_net.retried + ctx.reply_net.retried,
-        };
+        // Only the baseline moves — no row is written and `seq` does
+        // not advance, so a resumed stream continues exactly where the
+        // paused one left off (per-interval deltas relative to the
+        // checkpoint).
+        self.last = Snapshot::of(ctx);
         for (k, ch) in ctx.channels.iter().enumerate() {
             if k < self.last_chan_busy.len() {
                 self.last_chan_busy[k] = ch.stats.busy_cycles;

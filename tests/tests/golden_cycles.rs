@@ -168,3 +168,31 @@ fn fast_forward_engine_matches_pre_refactor_golden() {
 fn threaded_engine_matches_pre_refactor_golden() {
     check_all(xmt_sim::Engine::Threaded { threads: 0 });
 }
+
+/// A watchdog and a cycle limit of `u64::MAX` — both reachable from a
+/// decoded service request — mean "no limit", under every engine: the
+/// run completes on the golden cycle instead of overflowing the
+/// horizon arithmetic (a panic in debug builds, an immediate `Stalled`
+/// in release).
+#[test]
+fn unbounded_watchdog_and_cycle_limit_do_not_overflow() {
+    let case = cases()
+        .into_iter()
+        .find(|c| c.name == "ps_tickets")
+        .unwrap();
+    for engine in [
+        xmt_sim::Engine::Reference,
+        xmt_sim::Engine::FastForward,
+        xmt_sim::Engine::Threaded { threads: 2 },
+    ] {
+        let out = case
+            .builder()
+            .engine(engine)
+            .watchdog(u64::MAX)
+            .max_cycles(u64::MAX)
+            .build()
+            .run();
+        assert!(out.is_completed(), "{engine:?}: {:?}", out.status);
+        assert_eq!(out.report.stats.cycles, 135, "{engine:?}");
+    }
+}

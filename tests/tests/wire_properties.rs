@@ -1,9 +1,10 @@
 //! Adversarial-input properties of the job service's wire codecs.
 //!
 //! The journal replays whatever a crash left on disk and the TCP
-//! front end parses whatever a socket delivers, so every decoder in
-//! `xmt_server::wire` and `xmt_server::net` — and the checkpoint
-//! decoder, whose bytes a journal `Commit` record carries — is a trust
+//! front end and client parse whatever a socket delivers, so every
+//! decoder in `xmt_server::wire` and `xmt_server::net` (requests and
+//! responses), journal replay itself — and the checkpoint decoder,
+//! whose bytes a journal `Commit` record carries — is a trust
 //! boundary. The
 //! properties pin the contract: on *arbitrary* bytes, on *truncated*
 //! valid encodings, and on *bit-flipped* valid encodings, every
@@ -12,8 +13,9 @@
 //! values stay exact under the same generators.
 
 use proptest::prelude::*;
+use xmt_server::journal::Record;
 use xmt_server::net::{self, Request};
-use xmt_server::{decode_report, decode_request, decode_row, encode_request, SimRequest};
+use xmt_server::{decode_report, decode_request, decode_row, encode_request, Journal, SimRequest};
 use xmt_sim::{Checkpoint, SimError, XmtConfig};
 
 /// All the golden names the request codec can carry.
@@ -29,10 +31,61 @@ fn decode_all(bytes: &[u8]) {
     let _ = net::split_frame(bytes);
     let _ = net::decode_stats(bytes);
     let _ = net::decode_status(bytes);
-    // A frame body under every request tag, known and unknown.
+    // A frame body under every request and response tag, known and
+    // unknown.
     for tag in 0..=u8::MAX {
         let _ = net::decode_request_frame(tag, bytes);
+        let _ = net::decode_response(tag, bytes);
     }
+}
+
+/// A journal file of `bytes`, replayed: whatever a crash or a bad disk
+/// left must come back as a (possibly empty, possibly torn) replay,
+/// never a panic. One file per calling test.
+fn replay_file(test: &str, bytes: &[u8]) -> xmt_server::journal::Replay {
+    let path = std::env::temp_dir().join(format!("xmt-wire-{test}-{}.journal", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let replay = Journal::replay(&path).expect("replay only fails on I/O");
+    let _ = std::fs::remove_file(&path);
+    replay
+}
+
+/// The bytes of a well-formed journal holding every record kind.
+fn valid_journal() -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("xmt-wire-valid-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut j = Journal::open(&path).unwrap();
+    for (id, name) in NAMES.iter().enumerate() {
+        j.append(&Record::Submit {
+            id: id as u64,
+            tenant: "prop".into(),
+            lane: xmt_server::Lane::High,
+            token: id as u64,
+            req: encode_request(&SimRequest::golden(name).unwrap()),
+        })
+        .unwrap();
+    }
+    for rec in [
+        Record::Commit {
+            id: 0,
+            at_cycle: 40,
+            checkpoint: vec![7; 33],
+        },
+        Record::Done {
+            id: 0,
+            slices: 2,
+            from_cache: false,
+            report: vec![9; 21],
+        },
+        Record::Failed { id: 1 },
+        Record::Cancelled { id: 2 },
+    ] {
+        j.append(&rec).unwrap();
+    }
+    drop(j);
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    bytes
 }
 
 /// A valid encoded submit-request frame to mutate, plus its tag.
@@ -122,6 +175,39 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         decode_all(&bytes);
+    }
+
+    /// Journal replay over arbitrary bytes, and over a well-formed
+    /// journal truncated or bit-flipped anywhere: it returns, and a
+    /// damaged file never yields more than the intact one held — at
+    /// most the jobs whose `Submit` precedes the damage.
+    #[test]
+    fn journal_replay_survives_any_file(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        cut in 0.0f64..1.0,
+        bit_frac in 0.0f64..1.0,
+    ) {
+        replay_file("any", &bytes);
+        let full = valid_journal();
+        prop_assert_eq!(replay_file("any", &full).jobs.len(), NAMES.len());
+        // A cut loses exactly the frame it lands in: the tail is torn
+        // unless the cut falls between two frames.
+        let mut ends = vec![0];
+        while let Some(len4) = full.get(ends[ends.len() - 1]..).and_then(|rest| rest.get(..4)) {
+            let len = u32::from_le_bytes(len4.try_into().unwrap()) as usize;
+            ends.push(ends[ends.len() - 1] + 12 + len);
+        }
+        let cut = (full.len() as f64 * cut) as usize;
+        let torn = replay_file("any", &full[..cut]);
+        prop_assert!(torn.jobs.len() <= NAMES.len());
+        prop_assert_eq!(torn.torn_tail, !ends.contains(&cut));
+        let mut flipped = full.clone();
+        let bit = (flipped.len() * 8 - 1).min((flipped.len() as f64 * 8.0 * bit_frac) as usize);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let damaged = replay_file("any", &flipped);
+        prop_assert!(damaged.jobs.len() <= NAMES.len());
+        // A flipped bit fails its frame's checksum: replay stops there.
+        prop_assert!(damaged.torn_tail);
     }
 
     /// Truncating a valid request encoding at any point yields a typed
