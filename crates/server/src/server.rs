@@ -1,31 +1,10 @@
 //! The job server: a sharded pool of host worker threads over a
 //! two-lane round-robin preemptive scheduler with admission control
-//! and a write-ahead journal.
-//!
-//! Scheduling model: two FIFO run queues of job ids — a `High` express
-//! lane and the default `Normal` lane — under a mutex+condvar. A
-//! worker pops the head (`High` first, with a bounded anti-starvation
-//! share for `Normal`), rebuilds the job's machine — from scratch on
-//! its first slice, from its serialized checkpoint on later ones — and
-//! advances it by one *quantum* of simulated cycles
-//! ([`Machine::run_until`]). A job that outlives its quantum is
-//! checkpointed at the quiescent pause point, serialized back to
-//! bytes, and pushed to the *back* of its lane: round-robin fairness,
-//! so paper-scale runs interleave with short sweep rows instead of
-//! starving them. Machines never cross threads — only requests and
-//! checkpoint bytes live in shared state, which keeps every worker's
-//! machine fully thread-local (the threaded engine's `Box<dyn
-//! Network>` internals are never `Send`-required).
-//!
-//! Job lifecycle: a job changes state only through the [`State`]
-//! transitions — `insert` (a new entry), `enqueue` / `follow` (it
-//! waits in its lane, or rides an identical batch row), `start` (a
-//! worker pops it), `pause` (checkpoint + carried probe → `Paused`),
-//! `rollback` (a killed worker's slice is discarded), `cancel`, and
-//! `resolve` (terminal state, fan-out to followers, counters, journal
-//! record). Admission, the worker's slice commit and crash recovery
-//! ([`recover`]) all go through them, so a recovered job is in exactly
-//! the state the live path would have left it in.
+//! and a write-ahead journal. This module is the front: configuration,
+//! admission, handles. `state` holds the scheduler state and the job
+//! lifecycle — the only code that changes a job's state — `worker`
+//! the pool threads that run slices, `recovery` the rebuild from a
+//! replayed journal.
 //!
 //! Admission control: the run queues are bounded
 //! ([`ServerConfig::max_queued`]) and shed load with
@@ -45,35 +24,24 @@
 //! compacts the file — so a `SIGKILL` mid-batch costs at most the
 //! torn tail record, and the restarted batch finishes with
 //! byte-identical results.
-//!
-//! Failure injection: [`Server::kill_worker`] marks one pending kill
-//! and spawns a replacement thread. The next worker to finish a slice
-//! consumes the kill *instead of committing*: its slice's results
-//! (checkpoint, streamed rows, even a terminal report) are discarded
-//! as if the thread had died mid-job, the job is requeued exactly as
-//! it was popped, and the thread exits. Because every slice starts
-//! from a deterministic checkpoint, the rerun is bit-identical — the
-//! contract the server smoke test pins.
 
-use std::collections::{HashMap, VecDeque};
+mod recovery;
+mod state;
+mod worker;
+
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use self::state::State;
 use crate::cache::{CacheStats, ResultCache};
-use crate::job::{JobError, JobId, JobResult, JobState, JobStatus, Lane};
-use crate::journal::{Journal, Record, RecoveredJob};
+use crate::job::{JobError, JobId, JobResult, JobStatus, Lane};
+use crate::journal::{Journal, Record};
 use crate::request::SimRequest;
 use crate::wire;
-use xmt_sim::{
-    Checkpoint, IntervalProbe, IntervalRow, MachineStats, NoProbe, Probe, RunOutcome, RunStatus,
-    SimError, UtilizationReport,
-};
-
-/// Consecutive `High`-lane pops a worker may take while `Normal` work
-/// waits, before the scheduler grants `Normal` one pop.
-const HIGH_BURST: u32 = 3;
+use xmt_sim::IntervalRow;
 
 /// Per-tenant token-bucket quota, denominated in simulated cycles.
 ///
@@ -90,28 +58,6 @@ pub struct QuotaPolicy {
     /// Refill rate, in simulated cycles per wall-clock second (0 =
     /// a fixed allowance that never refills).
     pub refill_cycles_per_sec: u64,
-}
-
-/// One tenant's bucket: balance plus the wall-clock instant it was
-/// last brought current.
-struct Bucket {
-    level: f64,
-    last: Instant,
-}
-
-impl Bucket {
-    fn full(q: &QuotaPolicy) -> Bucket {
-        Bucket {
-            level: q.burst_cycles as f64,
-            last: Instant::now(),
-        }
-    }
-
-    fn refill(&mut self, q: &QuotaPolicy) {
-        let dt = self.last.elapsed().as_secs_f64();
-        self.last = Instant::now();
-        self.level = (self.level + dt * q.refill_cycles_per_sec as f64).min(q.burst_cycles as f64);
-    }
 }
 
 /// Server construction knobs.
@@ -245,340 +191,6 @@ xmt_sim::word_codec!(
     ]
 );
 
-/// What a job carries from one slice to the next: everything a worker
-/// needs, beside the request, to continue the run bit-identically.
-/// Empty before the first slice and after a terminal state.
-#[derive(Clone, Default)]
-struct SliceState {
-    /// Serialized checkpoint to resume from (`None`: cycle zero).
-    checkpoint: Option<Vec<u8>>,
-    /// The paused machine's probe, carried so the resumed sample
-    /// stream is bit-identical to an uninterrupted run's (see
-    /// [`IntervalProbe::into_carried`]). `None` for unprobed jobs.
-    probe: Option<IntervalProbe>,
-    /// Probe samples already streamed to the subscriber — the carried
-    /// probe's ring holds the whole history, so each commit sends only
-    /// the rows past this watermark.
-    rows_sent: u64,
-}
-
-/// Everything the server knows about one job.
-struct JobEntry {
-    req: SimRequest,
-    digest: u64,
-    tenant: String,
-    lane: Lane,
-    /// What [`JobHandle::poll`] reports. `deduped` marks a dedupe
-    /// follower: the entry never executes, its result fans out from
-    /// its batch primary.
-    status: JobStatus,
-    /// Dedupe followers to resolve when this (primary) job resolves.
-    followers: Vec<JobId>,
-    /// Where the next slice starts.
-    carry: SliceState,
-    cancelled: bool,
-    /// Live end of the probe-row stream; dropped at terminal states so
-    /// the receiver's iteration ends.
-    stream: Option<mpsc::Sender<IntervalRow>>,
-    /// Receiver end, parked here until a subscriber takes it
-    /// ([`JobHandle::take_stream`]).
-    stream_rx: Option<mpsc::Receiver<IntervalRow>>,
-    result: Option<Result<JobResult, JobError>>,
-}
-
-/// One popped unit of work: everything a worker needs to run a slice
-/// without holding the lock.
-struct Popped {
-    id: JobId,
-    req: SimRequest,
-    digest: u64,
-    from: SliceState,
-}
-
-/// Scheduler state under the mutex.
-#[derive(Default)]
-struct State {
-    /// Run queues by lane, indexed by [`Lane::code`].
-    queues: [VecDeque<JobId>; 2],
-    /// Consecutive `High` pops taken while `Normal` work waited.
-    high_streak: u32,
-    jobs: HashMap<JobId, JobEntry>,
-    next_id: JobId,
-    shutdown: bool,
-    /// Pending worker kills ([`Server::kill_worker`]); consumed at
-    /// slice commit.
-    kill_requests: usize,
-    /// Idempotency map: `(tenant, token)` → the job it first named.
-    tokens: HashMap<(String, u64), JobId>,
-    /// Per-tenant quota buckets (only with a [`QuotaPolicy`]).
-    buckets: HashMap<String, Bucket>,
-    stats: ServerStats,
-}
-
-impl State {
-    fn queued(&self) -> usize {
-        self.queues[0].len() + self.queues[1].len()
-    }
-
-    /// A new job enters the table under `id` (fresh from admission, or
-    /// restored verbatim from the journal) and claims its idempotency
-    /// token. It waits nowhere yet: [`State::enqueue`] or
-    /// [`State::follow`] comes next.
-    fn insert(&mut self, id: JobId, sub: Submission, digest: u64) {
-        let Submission {
-            req,
-            tenant,
-            lane,
-            token,
-        } = sub;
-        if token != 0 {
-            self.tokens.insert((tenant.clone(), token), id);
-        }
-        let (stream, stream_rx) = if req.sim.probe_interval.is_some() {
-            let (tx, rx) = mpsc::channel();
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
-        self.jobs.insert(
-            id,
-            JobEntry {
-                req,
-                digest,
-                tenant,
-                lane,
-                status: JobStatus {
-                    state: JobState::Queued,
-                    at_cycle: 0,
-                    slices: 0,
-                    from_cache: false,
-                    deduped: false,
-                },
-                followers: Vec::new(),
-                carry: SliceState::default(),
-                cancelled: false,
-                stream,
-                stream_rx,
-                result: None,
-            },
-        );
-        self.next_id = self.next_id.max(id.saturating_add(1));
-        self.stats.submitted += 1;
-    }
-
-    /// The job waits at the back of its lane.
-    fn enqueue(&mut self, id: JobId) {
-        let lane = self.jobs[&id].lane;
-        self.queues[lane.code() as usize].push_back(id);
-    }
-
-    /// The job is a dedupe follower of `primary`: it never executes,
-    /// the primary's result fans out to it — at once when the primary
-    /// (submitted moments ago in the same batch) has already resolved.
-    fn follow(&mut self, id: JobId, primary: JobId) -> Vec<Record> {
-        let e = self.jobs.get_mut(&id).expect("follower entry exists");
-        e.status.deduped = true;
-        self.stats.deduped += 1;
-        let p = self.jobs.get_mut(&primary).expect("primary entry exists");
-        match p.result.clone() {
-            Some(r) => self.resolve(id, r),
-            None => {
-                p.followers.push(id);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Pop the next runnable id, `High` lane first with a bounded
-    /// anti-starvation share for `Normal`: after [`HIGH_BURST`]
-    /// consecutive express pops while `Normal` work waits, `Normal`
-    /// gets one.
-    fn pop_id(&mut self) -> Option<JobId> {
-        let [normal, high] = &mut self.queues;
-        if high.is_empty() || (!normal.is_empty() && self.high_streak >= HIGH_BURST) {
-            self.high_streak = 0;
-            return normal.pop_front();
-        }
-        self.high_streak = if normal.is_empty() {
-            0
-        } else {
-            self.high_streak + 1
-        };
-        high.pop_front()
-    }
-
-    /// A worker takes the next waiting job: it is `Running`, and the
-    /// worker gets copies of its request and slice state. Copies, not
-    /// the originals: if the slice is discarded by a worker kill, the
-    /// entry still holds the job's last committed state.
-    fn start(&mut self) -> Option<Popped> {
-        let id = self.pop_id()?;
-        let e = self.jobs.get_mut(&id).expect("queued job entry exists");
-        e.status.state = JobState::Running;
-        Some(Popped {
-            id,
-            req: e.req.clone(),
-            digest: e.digest,
-            from: e.carry.clone(),
-        })
-    }
-
-    /// Preemption: the job holds `carry` at `at_cycle` and is `Paused`
-    /// (the caller requeues it). Returns the journal `Commit` — except
-    /// for a probed job, which replay restarts from scratch anyway.
-    fn pause(&mut self, id: JobId, at_cycle: u64, carry: SliceState) -> Option<Record> {
-        let e = self.jobs.get_mut(&id).expect("paused job entry exists");
-        let commit = match (&carry.probe, &carry.checkpoint) {
-            (None, Some(cp)) => Some(Record::Commit {
-                id,
-                at_cycle,
-                checkpoint: cp.clone(),
-            }),
-            _ => None,
-        };
-        e.status.at_cycle = at_cycle;
-        e.carry = carry;
-        e.status.state = JobState::Paused;
-        commit
-    }
-
-    /// A killed worker's slice is discarded: the job goes back to the
-    /// head of its lane exactly as it was popped — or, when a cancel
-    /// arrived while it ran, resolves now.
-    fn rollback(&mut self, id: JobId) -> Vec<Record> {
-        let e = self.jobs.get_mut(&id).expect("running job entry exists");
-        if e.result.is_some() {
-            return Vec::new();
-        }
-        if e.cancelled {
-            return self.resolve(id, Err(JobError::Cancelled));
-        }
-        e.status.state = if e.carry.checkpoint.is_some() {
-            JobState::Paused
-        } else {
-            JobState::Queued
-        };
-        let lane = e.lane;
-        self.queues[lane.code() as usize].push_front(id);
-        Vec::new()
-    }
-
-    /// A cancel request: a waiting job (or a follower) resolves at
-    /// once, a running one at its slice commit, a finished one keeps
-    /// its result.
-    fn cancel(&mut self, id: JobId) -> Vec<Record> {
-        let Some(e) = self.jobs.get_mut(&id) else {
-            return Vec::new();
-        };
-        if e.result.is_some() {
-            return Vec::new();
-        }
-        e.cancelled = true;
-        if e.status.state == JobState::Running {
-            return Vec::new();
-        }
-        for q in &mut self.queues {
-            q.retain(|&x| x != id);
-        }
-        self.resolve(id, Err(JobError::Cancelled))
-    }
-
-    /// Resolve a job to the terminal state its result names (`Done`
-    /// for a completed outcome, `Failed` for a failed one, `Cancelled`
-    /// for an error) and fan the result out to its dedupe followers.
-    /// Returns the journal records to append (the caller appends them
-    /// *after* dropping the state lock). Jobs that already resolved are
-    /// left untouched.
-    fn resolve(&mut self, id: JobId, result: Result<JobResult, JobError>) -> Vec<Record> {
-        let state = match &result {
-            Ok(r) if r.outcome.is_completed() => JobState::Done,
-            Ok(_) => JobState::Failed,
-            Err(_) => JobState::Cancelled,
-        };
-        let mut recs = Vec::new();
-        let mut pending = vec![id];
-        while let Some(jid) = pending.pop() {
-            let Some(e) = self.jobs.get_mut(&jid) else {
-                continue;
-            };
-            if e.result.is_some() {
-                continue;
-            }
-            e.status.state = state;
-            e.carry = SliceState::default();
-            e.stream = None;
-            if let Ok(r) = &result {
-                // A job that never ran — a cache hit, a recovered
-                // result, a follower — takes its progress marks from
-                // the result; one that ran already has them.
-                e.status.at_cycle = e.status.at_cycle.max(r.outcome.at_cycle());
-                e.status.from_cache = r.from_cache;
-                if !e.status.deduped {
-                    e.status.slices = r.slices;
-                }
-            }
-            e.result = Some(result.clone());
-            pending.append(&mut e.followers);
-            match &result {
-                Ok(r) if state == JobState::Done => {
-                    self.stats.completed += 1;
-                    recs.push(Record::Done {
-                        id: jid,
-                        slices: r.slices,
-                        from_cache: r.from_cache,
-                        report: r.bytes.clone(),
-                    });
-                }
-                Ok(_) => {
-                    self.stats.failed += 1;
-                    recs.push(Record::Failed { id: jid });
-                }
-                Err(_) => {
-                    self.stats.cancelled += 1;
-                    recs.push(Record::Cancelled { id: jid });
-                }
-            }
-        }
-        recs
-    }
-
-    /// The pool is going down: nothing waits any more and every
-    /// unresolved handle reads `Shutdown`. No journal records: the jobs
-    /// keep their `Submit` (and latest `Commit`), so a restart on the
-    /// same journal resumes them — drop and crash recover identically.
-    fn shut_down(&mut self) {
-        self.shutdown = true;
-        for q in &mut self.queues {
-            q.clear();
-        }
-        for e in self.jobs.values_mut() {
-            if e.result.is_none() {
-                e.result = Some(Err(JobError::Shutdown));
-                e.stream = None;
-            }
-        }
-    }
-
-    /// The tenant's bucket, created full on first use and brought
-    /// current.
-    fn bucket(&mut self, q: &QuotaPolicy, tenant: &str) -> &mut Bucket {
-        let b = self
-            .buckets
-            .entry(tenant.to_string())
-            .or_insert_with(|| Bucket::full(q));
-        b.refill(q);
-        b
-    }
-
-    /// Debit a committed slice's simulated cycles from its tenant's
-    /// bucket (no-op when unmetered).
-    fn charge(&mut self, quota: &Option<QuotaPolicy>, tenant: &str, cycles: u64) {
-        if let (Some(q), true) = (quota, cycles > 0) {
-            self.bucket(q, tenant).level -= cycles as f64;
-        }
-    }
-}
-
 pub(crate) struct Shared {
     state: Mutex<State>,
     cv: Condvar,
@@ -664,7 +276,7 @@ impl Server {
             None => None,
             Some(path) => {
                 let replay = Journal::replay(path)?;
-                let compact = recover(&mut st, replay.jobs);
+                let compact = recovery::recover(&mut st, replay.jobs);
                 Some(Journal::rewrite(path, &compact)?)
             }
         };
@@ -680,7 +292,7 @@ impl Server {
         let workers = (0..workers)
             .map(|_| {
                 let sh = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&sh))
+                std::thread::spawn(move || worker::run(&sh))
             })
             .collect();
         Ok(Server {
@@ -809,7 +421,7 @@ impl Server {
         self.workers
             .lock()
             .unwrap()
-            .push(std::thread::spawn(move || worker_loop(&sh)));
+            .push(std::thread::spawn(move || worker::run(&sh)));
         self.shared.cv.notify_all();
     }
 
@@ -843,59 +455,6 @@ impl Server {
         b.refill(&quota);
         Some(b.level)
     }
-}
-
-/// Rebuild scheduler state from journal replay by walking each job
-/// through the live transitions, and return the compacted record list
-/// to rewrite the journal with: a job's `Submit`, then whatever those
-/// transitions journal. Nothing here decides anything admission or a
-/// worker does not — in particular identical unfinished jobs are *not*
-/// collapsed (which rows formed a batch is not journaled): each is
-/// requeued on its own, and the first to finish serves the rest from
-/// the result cache, as at admission.
-fn recover(st: &mut State, jobs: Vec<RecoveredJob>) -> Vec<Record> {
-    let mut compact = Vec::new();
-    for r in jobs {
-        let probed = r.sub.req.sim.probe_interval.is_some();
-        compact.push(submit_record(r.id, &r.sub));
-        let digest = r.sub.req.digest();
-        st.insert(r.id, r.sub, digest);
-        let ended = match r.terminal {
-            // A recorded Done whose bytes no longer decode (version
-            // skew) falls through to re-execution — determinism
-            // regenerates it.
-            Some(Record::Done {
-                slices,
-                from_cache,
-                report,
-                ..
-            }) => JobResult::completed(report, from_cache, slices)
-                .ok()
-                .map(Ok),
-            Some(Record::Cancelled { .. }) => Some(Err(JobError::Cancelled)),
-            // A `Failed` record only marks that it happened: like an
-            // unfinished job, the run is repeated.
-            _ => None,
-        };
-        match ended {
-            Some(result) => compact.extend(st.resolve(r.id, result)),
-            None => {
-                // From the latest checkpoint when unprobed, from
-                // scratch when probed (the probe ring is not journaled;
-                // a deterministic rerun regenerates the identical row
-                // stream).
-                if let (false, Some((at_cycle, cp))) = (probed, r.checkpoint) {
-                    let carry = SliceState {
-                        checkpoint: Some(cp),
-                        ..SliceState::default()
-                    };
-                    compact.extend(st.pause(r.id, at_cycle, carry));
-                }
-                st.enqueue(r.id);
-            }
-        }
-    }
-    compact
 }
 
 impl Drop for Server {
@@ -982,219 +541,13 @@ impl JobHandle {
     }
 }
 
-/// Pop the next runnable job, blocking on the condvar. `None` = this
-/// worker should exit (shutdown).
-fn next_job(shared: &Shared) -> Option<Popped> {
-    let mut st = shared.state.lock().unwrap();
-    loop {
-        if st.shutdown {
-            return None;
-        }
-        if let Some(p) = st.start() {
-            return Some(p);
-        }
-        st = shared.cv.wait(st).unwrap();
-    }
-}
-
-/// An empty report for failures that precede the first cycle
-/// (builder/resume rejections).
-fn empty_report() -> xmt_sim::RunReport {
-    xmt_sim::RunReport {
-        stats: MachineStats::default(),
-        spawns: Vec::new(),
-        utilization: UtilizationReport::default(),
-    }
-}
-
-/// What one worker slice produced (built outside the lock).
-struct SliceOut {
-    at_cycle: u64,
-    /// Probe rows not yet streamed (the tail past the job's
-    /// `rows_sent` watermark).
-    rows: Vec<IntervalRow>,
-    end: SliceEnd,
-}
-
-/// How a slice ended.
-enum SliceEnd {
-    /// The run ended, completed or failed.
-    Ended(RunOutcome),
-    /// The quantum ran out: the next slice starts from this.
-    Paused(SliceState),
-}
-
-/// Build (or resume) the job's machine around `probe`, advance it to
-/// `target`, and hand back the outcome, the checkpoint bytes when that
-/// outcome is a pause, and the probe. Probed or not, one path.
-fn run_quantum<P: Probe>(
-    req: &SimRequest,
-    cp: Option<&Checkpoint>,
-    probe: P,
-    target: u64,
-) -> Result<(RunOutcome, Option<Vec<u8>>, P), SimError> {
-    let builder = req.builder();
-    let mut m = match cp {
-        Some(c) => builder.resume_probed(c, probe)?,
-        None => builder.try_build_probed(probe)?,
-    };
-    let outcome = m.run_until(target);
-    let checkpoint = match outcome.status {
-        RunStatus::Paused { .. } => Some(m.checkpoint_bytes()?),
-        _ => None,
-    };
-    Ok((outcome, checkpoint, m.into_probe()))
-}
-
-/// Run one quantum of the job from `from`. Every error along the way —
-/// corrupt checkpoint, invalid config — funnels into the returned
-/// `Result`; run failures are *not* errors here (they arrive as
-/// terminal outcomes with partial reports).
-///
-/// Probed jobs carry their `IntervalProbe` across slices
-/// ([`IntervalProbe::into_carried`]): the probe's delta baseline stays
-/// at the last emitted boundary and the checkpoint restores every
-/// cumulative counter it refers to, so the sample stream — including
-/// the interval each pause splits — is bit-identical to an
-/// uninterrupted run's. `from.rows_sent` is the subscriber's
-/// watermark; only rows past it are returned for streaming.
-fn run_slice(req: &SimRequest, from: SliceState, quantum: u64) -> Result<SliceOut, SimError> {
-    let cp = (from.checkpoint.as_deref())
-        .map(Checkpoint::from_bytes)
-        .transpose()?;
-    let cp = cp.as_ref();
-    let target = cp.map_or(0, Checkpoint::cycle).saturating_add(quantum);
-    let (outcome, checkpoint, probe, rows, rows_sent) = match req.sim.interval_probe() {
-        Some(fresh) => {
-            let probe = from.probe.map_or(fresh, IntervalProbe::into_carried);
-            let (outcome, checkpoint, probe) = run_quantum(req, cp, probe, target)?;
-            let all = probe.rows();
-            // The ring holds the newest `all.len()` of `samples()`
-            // rows; skip the ones the subscriber already has (rows
-            // lost to ring overwrite are simply gone — same contract
-            // as `rows()`).
-            let first = probe.samples() - all.len() as u64;
-            let skip = from.rows_sent.saturating_sub(first) as usize;
-            let rows = all.into_iter().skip(skip).collect();
-            let sent = probe.samples();
-            (outcome, checkpoint, Some(probe), rows, sent)
-        }
-        None => {
-            let (outcome, checkpoint, NoProbe) = run_quantum(req, cp, NoProbe, target)?;
-            (outcome, checkpoint, None, Vec::new(), 0)
-        }
-    };
-    Ok(SliceOut {
-        at_cycle: outcome.at_cycle(),
-        rows,
-        end: match checkpoint {
-            None => SliceEnd::Ended(outcome),
-            Some(cp) => SliceEnd::Paused(SliceState {
-                checkpoint: Some(cp),
-                probe,
-                rows_sent,
-            }),
-        },
-    })
-}
-
-/// One worker thread: pop, slice, commit, repeat.
-fn worker_loop(shared: &Shared) {
-    while let Some(Popped {
-        id,
-        req,
-        digest,
-        from,
-    }) = next_job(shared)
-    {
-        let cacheable = req.sim.probe_interval.is_none();
-        // First slice of an unprobed run: try the content cache before
-        // building anything. (Probed runs bypass the cache — their
-        // value is the stream.) Cache hits charge no quota; a corrupt
-        // cached blob falls through and recomputes.
-        if from.checkpoint.is_none() && cacheable {
-            let cached = shared.cache.lock().unwrap().get(digest);
-            if let Some(Ok(hit)) = cached.map(|bytes| JobResult::completed(bytes, true, 0)) {
-                let recs = shared.state.lock().unwrap().resolve(id, Ok(hit));
-                publish(shared, &recs);
-                continue;
-            }
-        }
-
-        let slice = run_slice(&req, from, shared.quantum);
-
-        let mut cache_put: Option<(u64, Vec<u8>, u64)> = None;
-        let mut st = shared.state.lock().unwrap();
-        // A pending kill consumes this slice instead of committing
-        // it: roll the job back to its pre-slice state and die.
-        if st.kill_requests > 0 {
-            st.kill_requests -= 1;
-            let recs = st.rollback(id);
-            drop(st);
-            publish(shared, &recs);
-            return;
-        }
-        let e = st.jobs.get_mut(&id).expect("running job entry exists");
-        let recs = if e.cancelled {
-            st.resolve(id, Err(JobError::Cancelled))
-        } else {
-            e.status.slices += 1;
-            let slices = e.status.slices;
-            // Construction/resume-level failure: terminal where the
-            // job stood, with an empty partial report.
-            let s = slice.unwrap_or_else(|err| SliceOut {
-                at_cycle: e.status.at_cycle,
-                rows: Vec::new(),
-                end: SliceEnd::Ended(RunOutcome {
-                    status: RunStatus::Failed(err),
-                    report: empty_report(),
-                }),
-            });
-            if let Some(tx) = &e.stream {
-                for row in s.rows {
-                    // A dropped receiver is fine — rows are
-                    // best-effort observability, not results.
-                    let _ = tx.send(row);
-                }
-            }
-            let burned = s.at_cycle.saturating_sub(e.status.at_cycle);
-            let tenant = e.tenant.clone();
-            st.charge(&shared.quota, &tenant, burned);
-            match s.end {
-                // Preempted: commit the checkpoint and the carried
-                // probe, go to the back of the lane.
-                SliceEnd::Paused(carry) => {
-                    let commit = st.pause(id, s.at_cycle, carry);
-                    st.enqueue(id);
-                    commit.into_iter().collect()
-                }
-                SliceEnd::Ended(outcome) => {
-                    let bytes = wire::encode_report(&outcome.report);
-                    if outcome.is_completed() && cacheable {
-                        cache_put = Some((digest, bytes.clone(), s.at_cycle));
-                    }
-                    let result = JobResult {
-                        outcome,
-                        bytes,
-                        from_cache: false,
-                        slices,
-                    };
-                    st.resolve(id, Ok(result))
-                }
-            }
-        };
-        drop(st);
-        if let Some((key, bytes, cycles)) = cache_put {
-            shared.cache.lock().unwrap().insert(key, bytes, cycles);
-        }
-        publish(shared, &recs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::state::HIGH_BURST;
+    use super::submit_record;
     use super::*;
-    use crate::request::SimRequest;
+    use crate::job::JobState;
+    use xmt_sim::{RunStatus, SimError};
 
     fn tiny_server(workers: usize, quantum: u64) -> Server {
         Server::start(ServerConfig {
