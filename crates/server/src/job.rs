@@ -12,27 +12,20 @@ pub type JobId = u64;
 /// Scheduling lane for a submission. The scheduler drains `High`
 /// before `Normal`, with a bounded anti-starvation share for `Normal`
 /// (see `crates/server/src/server.rs`); within a lane, preempted jobs
-/// round-robin as before.
+/// round-robin as before. The discriminant is the lane's byte in
+/// journal records and submit frames, and its index among the
+/// scheduler's run queues.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Lane {
     /// The default lane: bulk sweeps, batch rows.
     #[default]
-    Normal,
+    Normal = 0,
     /// The express lane: interactive or deadline-bound requests.
-    High,
+    High = 1,
 }
 
 impl Lane {
-    /// The lane's byte in journal records and submit frames, and its
-    /// index among the scheduler's run queues.
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            Lane::Normal => 0,
-            Lane::High => 1,
-        }
-    }
-
-    /// Inverse of [`Lane::code`].
+    /// The lane of a wire byte (`lane as u8` is the other direction).
     pub(crate) fn from_code(code: u8) -> Result<Lane, WireError> {
         match code {
             0 => Ok(Lane::Normal),
@@ -42,23 +35,24 @@ impl Lane {
     }
 }
 
-/// Where a job is in its lifecycle.
+/// Where a job is in its lifecycle. The discriminant is the state's
+/// wire code ([`crate::net::state_code`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// In the run queue, never run.
-    Queued,
+    Queued = 0,
     /// A worker is running a slice right now.
-    Running,
+    Running = 1,
     /// Preempted at a quiescent checkpoint; requeued for its next
     /// slice.
-    Paused,
+    Paused = 2,
     /// Completed; the result carries a full report.
-    Done,
+    Done = 3,
     /// The simulation stopped on a typed error; the result carries the
     /// partial report.
-    Failed,
+    Failed = 4,
     /// Cancelled before completion.
-    Cancelled,
+    Cancelled = 5,
 }
 
 /// A point-in-time snapshot of a job, from [`crate::JobHandle::poll`].
@@ -79,31 +73,32 @@ pub struct JobStatus {
 }
 
 /// Why a job produced no simulation outcome — or why a submission was
-/// rejected at admission.
+/// rejected at admission. The discriminant is the error's wire code
+/// ([`crate::net::err_code`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobError {
     /// The job was cancelled via [`crate::JobHandle::cancel`].
-    Cancelled,
+    Cancelled = 0,
     /// The server shut down before the job finished.
-    Shutdown,
+    Shutdown = 1,
     /// A bounded wait ([`crate::JobHandle::wait_deadline`]) expired
     /// before the job reached a terminal state. The job keeps running;
     /// only the wait timed out.
-    Timeout,
+    Timeout = 2,
     /// Load shedding: the bounded submission queue is full. Back off
     /// and resubmit.
-    Overloaded,
+    Overloaded = 3,
     /// The submitting tenant's token bucket is exhausted (quota is
     /// consumed in simulated cycles; it refills in wall-clock time).
-    QuotaExceeded,
+    QuotaExceeded = 4,
     /// No job with the requested id exists on this server (bad id, or
     /// a journal that predates it).
-    UnknownJob,
+    UnknownJob = 5,
     /// The write-ahead journal could not durably record the
     /// submission, so the job was **not** accepted (an acknowledged
     /// submission must survive a crash; an unjournalable one is
     /// refused instead of silently degrading).
-    Journal,
+    Journal = 6,
 }
 
 impl std::fmt::Display for JobError {

@@ -115,7 +115,7 @@ impl Record {
                 b.push(0);
                 wire::put_u64(&mut b, *id);
                 wire::put_str(&mut b, tenant);
-                b.push(lane.code());
+                b.push(*lane as u8);
                 wire::put_u64(&mut b, *token);
                 wire::put_u32(&mut b, req.len() as u32);
                 b.extend_from_slice(req);

@@ -84,17 +84,9 @@ pub const RESP_STATS: u8 = 0x87;
 /// every [`JobError`] code).
 pub const ERR_MALFORMED: u8 = 255;
 
-/// [`JobError`] → wire code.
+/// [`JobError`] → wire code (its discriminant).
 pub fn err_code(e: JobError) -> u8 {
-    match e {
-        JobError::Cancelled => 0,
-        JobError::Shutdown => 1,
-        JobError::Timeout => 2,
-        JobError::Overloaded => 3,
-        JobError::QuotaExceeded => 4,
-        JobError::UnknownJob => 5,
-        JobError::Journal => 6,
-    }
+    e as u8
 }
 
 /// Wire code → [`JobError`] (`None` for [`ERR_MALFORMED`] and unknown
@@ -112,16 +104,9 @@ pub fn err_from_code(c: u8) -> Option<JobError> {
     })
 }
 
-/// [`JobState`] → wire code.
+/// [`JobState`] → wire code (its discriminant).
 pub fn state_code(s: JobState) -> u8 {
-    match s {
-        JobState::Queued => 0,
-        JobState::Running => 1,
-        JobState::Paused => 2,
-        JobState::Done => 3,
-        JobState::Failed => 4,
-        JobState::Cancelled => 5,
-    }
+    s as u8
 }
 
 /// Wire code → [`JobState`].
@@ -189,7 +174,7 @@ pub fn encode_request_frame(req: &Request) -> (u8, Vec<u8>) {
     match req {
         Request::Submit(sub) => {
             wire::put_str(&mut b, &sub.tenant);
-            b.push(sub.lane.code());
+            b.push(sub.lane as u8);
             wire::put_u64(&mut b, sub.token);
             let req = wire::encode_request(&sub.req);
             wire::put_u32(&mut b, req.len() as u32);

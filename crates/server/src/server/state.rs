@@ -98,7 +98,7 @@ pub(super) struct Popped {
 /// Scheduler state under the mutex.
 #[derive(Default)]
 pub(super) struct State {
-    /// Run queues by lane, indexed by [`Lane::code`].
+    /// Run queues by lane, indexed by `Lane as usize`.
     pub(super) queues: [VecDeque<JobId>; 2],
     /// Consecutive `High` pops taken while `Normal` work waited.
     pub(super) high_streak: u32,
@@ -169,7 +169,7 @@ impl State {
     /// The job waits at the back of its lane.
     pub(super) fn enqueue(&mut self, id: JobId) {
         let lane = self.jobs[&id].lane;
-        self.queues[lane.code() as usize].push_back(id);
+        self.queues[lane as usize].push_back(id);
     }
 
     /// The job is a dedupe follower of `primary`: it never executes,
@@ -259,7 +259,7 @@ impl State {
             JobState::Queued
         };
         let lane = e.lane;
-        self.queues[lane.code() as usize].push_front(id);
+        self.queues[lane as usize].push_front(id);
         Vec::new()
     }
 
