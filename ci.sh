@@ -36,6 +36,21 @@ stage "rustfmt" cargo fmt --all --check
 
 stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
+# Informational, exact, read-only: the non-test line ledger CHANGES.md
+# quotes — per crate, the lines of every .rs file under src/ before its
+# first `#[cfg(test)]`, then the same count over all of crates/. It
+# compares nothing; a PR that claims "less code" quotes it before and
+# after.
+line_ledger() {
+    local count='FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+    for c in crates/*/; do
+        printf '  %-10s src %6d\n' "$(basename "$c")" \
+            "$(find "$c/src" -name '*.rs' -print0 | xargs -0 awk "$count")"
+    done
+    printf '  %-14s %6d\n' "crates/" "$(find crates -name '*.rs' -print0 | xargs -0 awk "$count")"
+}
+stage "non-test line ledger (informational)" line_ledger
+
 # Two-pass pipeline over every golden workload, scaling case, FFT plan
 # and XMTC sample: structure / def-before-use / dead-store / race
 # analysis, symbolic translation validation of the block-compiled

@@ -11,10 +11,10 @@ pub type JobId = u64;
 
 /// Scheduling lane for a submission. The scheduler drains `High`
 /// before `Normal`, with a bounded anti-starvation share for `Normal`
-/// (see `crates/server/src/server.rs`); within a lane, preempted jobs
-/// round-robin as before. The discriminant is the lane's byte in
-/// journal records and submit frames, and its index among the
-/// scheduler's run queues.
+/// (`State::pop_id`, `crates/server/src/server/state.rs`); within a
+/// lane, preempted jobs round-robin as before. The discriminant is the
+/// lane's byte in journal records and submit frames, and its index
+/// among the scheduler's run queues.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Lane {
     /// The default lane: bulk sweeps, batch rows.
