@@ -45,7 +45,7 @@ pub(super) fn recover(st: &mut State, jobs: Vec<RecoveredJob>) -> Vec<Record> {
                 // scratch when probed (the probe ring is not journaled;
                 // a deterministic rerun regenerates the identical row
                 // stream).
-                if let (false, Some((at_cycle, cp))) = (probed, r.checkpoint) {
+                if let Some((at_cycle, cp)) = r.checkpoint.filter(|_| !probed) {
                     let carry = SliceState {
                         checkpoint: Some(cp),
                         ..SliceState::default()

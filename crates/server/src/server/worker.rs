@@ -114,7 +114,7 @@ fn run_slice(req: &SimRequest, from: SliceState, quantum: u64) -> Result<SliceOu
         .transpose()?;
     let cp = cp.as_ref();
     let target = cp.map_or(0, Checkpoint::cycle).saturating_add(quantum);
-    let (outcome, checkpoint, probe, rows, rows_sent) = match req.sim.interval_probe() {
+    let (outcome, checkpoint, probe, rows) = match req.sim.interval_probe() {
         Some(fresh) => {
             let probe = from.probe.map_or(fresh, IntervalProbe::into_carried);
             let (outcome, checkpoint, probe) = run_quantum(req, cp, probe, target)?;
@@ -126,12 +126,11 @@ fn run_slice(req: &SimRequest, from: SliceState, quantum: u64) -> Result<SliceOu
             let first = probe.samples() - all.len() as u64;
             let skip = from.rows_sent.saturating_sub(first) as usize;
             let rows = all.into_iter().skip(skip).collect();
-            let sent = probe.samples();
-            (outcome, checkpoint, Some(probe), rows, sent)
+            (outcome, checkpoint, Some(probe), rows)
         }
         None => {
             let (outcome, checkpoint, NoProbe) = run_quantum(req, cp, NoProbe, target)?;
-            (outcome, checkpoint, None, Vec::new(), 0)
+            (outcome, checkpoint, None, Vec::new())
         }
     };
     Ok(SliceOut {
@@ -141,8 +140,8 @@ fn run_slice(req: &SimRequest, from: SliceState, quantum: u64) -> Result<SliceOu
             None => SliceEnd::Ended(outcome),
             Some(cp) => SliceEnd::Paused(SliceState {
                 checkpoint: Some(cp),
+                rows_sent: probe.as_ref().map_or(0, IntervalProbe::samples),
                 probe,
-                rows_sent,
             }),
         },
     })
