@@ -78,8 +78,12 @@ stage "simulator exact pass vs BENCH_sim.json" \
 # The debug-profile workspace run covers the threaded engine on the
 # cheap scaling cases; the release-only (#[ignore]) tests pin the
 # reference/fast-forward engines and the dense 65536-point case too.
-stage "paper-scale golden constants (release profile)" \
-    cargo test --release -p xmt-integration --test golden_scaling -q -- --ignored
+# park_boundary rides along (--include-ignored runs its one plain test):
+# the wakes a parked cluster replays when it leaves, checked under the
+# codegen the benchmark times.
+stage "paper-scale golden constants + park boundary (release profile)" \
+    cargo test --release -p xmt-integration --test golden_scaling --test park_boundary -q \
+    -- --include-ignored
 
 # fault_sweep validates the golden FFT under escalating soft-fault
 # rates, degraded topologies and a watchdog-tripping stuck TCU; the

@@ -181,8 +181,9 @@ fn exact_pass(
 
 /// One fast-forward run with the host-time ledger attached: the
 /// `layers` JSON object (host ns and share of `Machine::run` per
-/// [`HostLayer`]). The ledger's clock reads cost host time, so no rate
-/// in the file is measured with it attached.
+/// [`HostLayer`], and the cluster steps taken and parked). The ledger's
+/// clock reads cost host time, so no rate in the file is measured with
+/// it attached.
 fn ledger(case: &GoldenCase, want: &ExactRow, failures: &mut Vec<String>) -> String {
     let sim = case.sim_config().engine(Engine::FastForward);
     let mut m = case.builder_cfg(&sim).build_probed(HostLayers::new());
@@ -206,8 +207,18 @@ fn ledger(case: &GoldenCase, want: &ExactRow, failures: &mut Vec<String>) -> Str
             LEDGER_FLOOR * 100.0
         ));
     }
-    let mut json = format!("{{ \"run_ns\": {run_ns}, \"accounted\": {accounted:.4}");
-    eprint!("{:18} {:>8.1} ms ", case.name, run_ns as f64 / 1e6);
+    // Two counts beside the nanoseconds, exact where those are one
+    // host's reading: an engine that parks nobody steps their sum.
+    let (steps, parked) = (ledger.cluster_steps(), ledger.parked_cluster_cycles());
+    let mut json = format!(
+        "{{ \"run_ns\": {run_ns}, \"accounted\": {accounted:.4}, \
+         \"cluster_steps\": {steps}, \"parked_cluster_cycles\": {parked}"
+    );
+    eprint!(
+        "{:18} {:>8.1} ms  {steps} cluster steps, {parked} parked ",
+        case.name,
+        run_ns as f64 / 1e6
+    );
     for (layer, name) in HostLayer::ALL {
         let ns = ledger.ns(layer);
         let share = ns as f64 / run_ns as f64;

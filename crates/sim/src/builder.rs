@@ -280,7 +280,6 @@ impl MachineBuilder {
             active_channels: ActiveSet::new(n_channels),
             active_outboxes: ActiveSet::new(cfg.memory_modules),
             masks: vec![ClusterMasks::new(cfg.tcus_per_cluster); cfg.clusters],
-            ff_cache: None,
             scratch_replies: Vec::new(),
             scratch_deliveries: Vec::new(),
             scratch_creqs: Vec::new(),
@@ -290,6 +289,7 @@ impl MachineBuilder {
             last_sample: 0,
             trace,
             par_active: ActiveSet::new(cfg.clusters),
+            parked: Parked::new(cfg.clusters),
             cfg,
         };
         for &c in &faults.dead_clusters {

@@ -200,7 +200,7 @@ pub(super) struct ClusterMasks {
 
 /// What a cluster would do over a run of quiet cycles, as
 /// [`ClusterMasks::quiet_scan`] sees it at the top of the first one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(super) struct ClusterScan {
     /// Some TCU could issue (or fault) next cycle — cannot skip.
     pub(super) issue_next: bool,
@@ -270,18 +270,42 @@ impl ClusterMasks {
         let ready = self.active & !self.stuck & !latent;
         let scoreboard = self.cls[IssueClass::Scoreboard as usize] & ready;
         let capped = self.cls[IssueClass::Lsu as usize] & self.at_cap & ready;
-        let silent = self.cls[IssueClass::Join as usize] & self.out_nz & ready;
         // Latencies are ≤ 8, so the first later wheel slot holding a
         // latent TCU names the earliest wake.
-        let min_busy = (1..16)
-            .find(|k| self.wheel[((next + k) & 15) as usize] & latent != 0)
-            .map_or(u64::MAX, |k| next + k);
+        let min_busy = if latent == 0 {
+            u64::MAX
+        } else {
+            (1..16)
+                .find(|k| self.wheel[((next + k) & 15) as usize] & latent != 0)
+                .map_or(u64::MAX, |k| next + k)
+        };
         ClusterScan {
-            issue_next: ready & !(scoreboard | capped | silent) != 0,
+            issue_next: ready & !self.waiting() != 0,
             min_busy,
             blocked_scoreboard: u64::from(scoreboard.count_ones()),
             blocked_lsu: u64::from(capped.count_ones()),
         }
+    }
+
+    /// The TCUs whose visit can only stall or wait, whatever the cycle,
+    /// until a memory reply arrives: scoreboard-blocked, at the
+    /// outstanding cap in front of a memory instruction, at a `join`
+    /// with posted stores in flight — or stuck, which no reply cures.
+    #[inline(always)]
+    fn waiting(&self) -> u64 {
+        self.cls[IssueClass::Scoreboard as usize]
+            | self.cls[IssueClass::Lsu as usize] & self.at_cap
+            | self.cls[IssueClass::Join as usize] & self.out_nz
+            | self.stuck
+    }
+
+    /// TCU `t` is among them. A reply that leaves its TCU waiting
+    /// leaves the cluster's quiet scan as it was: the TCU counted as
+    /// scoreboard-blocked (or not at all) before and after, and a
+    /// memory instruction at the cap never stays there.
+    #[inline(always)]
+    pub(super) fn still_waiting(&self, t: usize) -> bool {
+        self.waiting() & (1u64 << t) != 0
     }
 
     /// Perform the wakes of the `n` skipped cycles `next ..= next+n-1`
@@ -297,6 +321,9 @@ impl ClusterMasks {
     /// the walk re-checks `busy_until` before acting.
     #[inline]
     pub(super) fn wake_through(&mut self, next: u64, n: u64) {
+        if self.busy == 0 {
+            return; // the wheel files busy TCUs only
+        }
         for k in 0..n.min(16) {
             self.wake(next + k);
         }
@@ -882,6 +909,8 @@ fn issue_bulk<S: IssueSink>(cx: &mut Cx<'_, S>, ready: u64, start: usize) -> Res
 
 #[cfg(test)]
 mod tests {
+    use super::super::ff::Parked;
+    use super::super::memsys::ActiveSet;
     use super::*;
     use crate::tier::TraceCache;
     use proptest::prelude::*;
@@ -924,6 +953,20 @@ mod tests {
         entries: u64,
         trace: TraceCache,
         gregs: [u32; NUM_GREGS],
+    }
+
+    impl Recording {
+        fn new(tids: Range<u32>, budget: usize, decoded: &DecodedProgram) -> Self {
+            Self {
+                tids,
+                budget,
+                granted: Vec::new(),
+                injections: Vec::new(),
+                entries: 0,
+                trace: TraceCache::new(decoded, FPU_LATENCY, MDU_LATENCY),
+                gregs: [7; NUM_GREGS],
+            }
+        }
     }
 
     impl IssueSink for Recording {
@@ -1003,6 +1046,89 @@ mod tests {
         scan
     }
 
+    /// A seeded cluster of `ntcus` TCUs as the step of `cycle` finds it:
+    /// TCUs latency-busy, waking on `cycle`, stuck, disabled, at the
+    /// outstanding cap, scoreboard-blocked, and (unready only) faulting.
+    /// With `quiet`, every TCU that could issue is rewritten into one
+    /// of the three states that wait for a memory reply.
+    fn gen_cluster(
+        rng: &mut proptest::TestRng,
+        decoded: &DecodedProgram,
+        ntcus: usize,
+        cycle: u64,
+        tids_remain: bool,
+        quiet: bool,
+    ) -> (Vec<Tcu>, ClusterMasks) {
+        let mut tcus = Vec::new();
+        let mut m = ClusterMasks::new(ntcus);
+        m.cls = [0; NUM_ISSUE_CLASSES];
+        for t in 0..ntcus {
+            let bit = 1u64 << t;
+            let mut tcu = Tcu::idle();
+            let disabled = rng.below(16) == 0;
+            // No activation may be pending: with thread IDs left,
+            // every enabled TCU is running.
+            let active = !disabled && (tids_remain || rng.below(4) != 0);
+            let stuck = active && rng.below(16) == 0;
+            tcu.busy_until = match rng.below(4) {
+                0 if active => cycle + rng.below(9), // latency-busy, or waking now
+                _ => cycle - rng.below(20),
+            };
+            // Order-sensitive classes only where they are not ready.
+            let unready = !active || stuck || tcu.busy_until > cycle;
+            tcu.pc = rng.below(if unready { 12 } else { 10 }) as usize;
+            tcu.rf = RegFile::new(t as u32);
+            for r in 1..8 {
+                tcu.rf.write_i(ir(r), rng.below(1000) as u32);
+                tcu.rf.write_f(fr(r), rng.unit_f64() as f32);
+            }
+            if rng.below(4) == 0 {
+                tcu.pend_i = 1 << rng.below(6);
+                tcu.pend_f = 1 << rng.below(6);
+            }
+            tcu.outstanding = rng.below(u64::from(MAX_OUTSTANDING) + 1) as u8;
+            tcu.cls = classify(decoded, tcu.pc, tcu.pend_i, tcu.pend_f);
+            let waits = match tcu.cls {
+                IssueClass::Scoreboard => true,
+                IssueClass::Lsu => tcu.outstanding >= MAX_OUTSTANDING,
+                IssueClass::Join => tcu.outstanding > 0,
+                _ => false,
+            };
+            if quiet && !waits {
+                match rng.below(3) {
+                    // `addi r1, r1, 1` behind a pending r1.
+                    0 => (tcu.pc, tcu.pend_i) = (0, tcu.pend_i | 2),
+                    // A memory instruction at the cap.
+                    1 => (tcu.pc, tcu.outstanding) = (3 + rng.below(3) as usize, MAX_OUTSTANDING),
+                    // `join` with posted stores in flight.
+                    _ => (tcu.pc, tcu.outstanding) = (9, 1 + rng.below(8) as u8),
+                }
+                tcu.cls = classify(decoded, tcu.pc, tcu.pend_i, tcu.pend_f);
+            }
+            m.cls[tcu.cls as usize] |= bit;
+            if active {
+                m.active |= bit;
+            }
+            if disabled {
+                m.disabled |= bit;
+            }
+            if stuck {
+                m.stuck |= bit;
+            }
+            if tcu.outstanding > 0 {
+                m.out_nz |= bit;
+            }
+            if tcu.outstanding >= MAX_OUTSTANDING {
+                m.at_cap |= bit;
+            }
+            if tcu.busy_until >= cycle && active {
+                m.set_busy(t, tcu.busy_until);
+            }
+            tcus.push(tcu);
+        }
+        (tcus, m)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -1022,46 +1148,7 @@ mod tests {
             let ntcus = 1 + rng.below(64) as usize;
             let cycle = 100 + rng.below(64);
             let tids_remain = rng.below(2) == 0;
-            let mut tcus = Vec::new();
-            let mut m = ClusterMasks::new(ntcus);
-            m.cls = [0; NUM_ISSUE_CLASSES];
-            for t in 0..ntcus {
-                let bit = 1u64 << t;
-                let mut tcu = Tcu::idle();
-                let disabled = rng.below(16) == 0;
-                // No activation may be pending: with thread IDs left,
-                // every enabled TCU is running.
-                let active = !disabled && (tids_remain || rng.below(4) != 0);
-                let stuck = active && rng.below(16) == 0;
-                tcu.busy_until = match rng.below(4) {
-                    0 if active => cycle + rng.below(9), // latency-busy, or waking now
-                    _ => cycle - rng.below(20),
-                };
-                // Order-sensitive classes only where they are not ready.
-                let unready = !active || stuck || tcu.busy_until > cycle;
-                tcu.pc = rng.below(if unready { 12 } else { 10 }) as usize;
-                tcu.rf = RegFile::new(t as u32);
-                for r in 1..8 {
-                    tcu.rf.write_i(ir(r), rng.below(1000) as u32);
-                    tcu.rf.write_f(fr(r), rng.unit_f64() as f32);
-                }
-                if rng.below(4) == 0 {
-                    tcu.pend_i = 1 << rng.below(6);
-                    tcu.pend_f = 1 << rng.below(6);
-                }
-                tcu.outstanding = rng.below(u64::from(MAX_OUTSTANDING) + 1) as u8;
-                tcu.cls = classify(&decoded, tcu.pc, tcu.pend_i, tcu.pend_f);
-                m.cls[tcu.cls as usize] |= bit;
-                if active { m.active |= bit; }
-                if disabled { m.disabled |= bit; }
-                if stuck { m.stuck |= bit; }
-                if tcu.outstanding > 0 { m.out_nz |= bit; }
-                if tcu.outstanding >= MAX_OUTSTANDING { m.at_cap |= bit; }
-                if tcu.busy_until >= cycle && active {
-                    m.set_busy(t, tcu.busy_until);
-                }
-                tcus.push(tcu);
-            }
+            let (tcus, mut m) = gen_cluster(&mut rng, &decoded, ntcus, cycle, tids_remain, false);
             let cfg = XmtConfig {
                 tcus_per_cluster: ntcus,
                 fpus_per_cluster: 1 + rng.below(4) as usize,
@@ -1088,15 +1175,7 @@ mod tests {
             let run = |bulk: bool| {
                 let (mut tcus, mut m) = (tcus.clone(), m.clone());
                 let mut stats = MachineStats::default();
-                let mut sink = Recording {
-                    tids: 0..u32::from(tids_remain),
-                    budget,
-                    granted: Vec::new(),
-                    injections: Vec::new(),
-                    entries: 0,
-                    trace: TraceCache::new(&decoded, FPU_LATENCY, MDU_LATENCY),
-                    gregs: [7; NUM_GREGS],
-                };
+                let mut sink = Recording::new(0..u32::from(tids_remain), budget, &decoded);
                 let mut cx = Cx {
                     tcus: &mut tcus,
                     m: &mut m,
@@ -1126,6 +1205,95 @@ mod tests {
             prop_assert_eq!(bulk.2, walk.2);
             prop_assert_eq!(&bulk.3, &walk.3);
             prop_assert_eq!(&bulk.4, &walk.4);
+        }
+
+        /// A cluster parked for `k` cycles and then settled is the
+        /// cluster stepped `k` times: identical TCUs and masks (the
+        /// wake wheel included), identical stall counters, nothing at
+        /// the sink, and a mask scan that still equals the per-TCU
+        /// walk. `k` runs to 20 — past one wheel revolution — unless a
+        /// latency-stalled TCU's wake ends the stretch first, as it
+        /// does in the machine. On one of the cycles a memory reply
+        /// may land: the cluster stays parked, on its recorded scan,
+        /// exactly when the reply leaves its TCU waiting, and is
+        /// stepped like the other copy from then on when it does not.
+        #[test]
+        fn parked_then_settled_equals_empty_steps(seed in any::<u64>()) {
+            let mut rng = proptest::TestRng::new(seed);
+            let decoded = class_program();
+            let ntcus = 1 + rng.below(64) as usize;
+            let cycle = 100 + rng.below(64);
+            let (tcus, mut m) = gen_cluster(&mut rng, &decoded, ntcus, cycle, false, true);
+            m.wake(cycle);
+            let next = cycle + 1;
+            let scan = m.quiet_scan(next);
+            prop_assert_eq!(scan, scan_by_walk(&tcus, &m, next));
+            prop_assert!(!scan.issue_next);
+            let k = (1 + rng.below(20)).min(scan.min_busy - next);
+            let reply = (0..ntcus)
+                .filter(|&t| m.active >> t & 1 != 0 && tcus[t].outstanding > 0)
+                .nth(rng.below(ntcus as u64) as usize)
+                .map(|t| {
+                    let kind = match (tcus[t].pend_i, tcus[t].pend_f, rng.below(3)) {
+                        (i, _, 0) if i != 0 => TxnKind::LoadI(ir(i.trailing_zeros() as usize)),
+                        (_, f, 1) if f != 0 => TxnKind::LoadF(fr(f.trailing_zeros() as usize)),
+                        _ => TxnKind::Store,
+                    };
+                    (next + rng.below(k), t, kind)
+                });
+            let cfg = XmtConfig {
+                tcus_per_cluster: ntcus,
+                ..XmtConfig::xmt_4k()
+            };
+            let hash = AddressHash::new(16, 8);
+            let start = rng.below(ntcus as u64) as usize;
+            let budget = rng.below(4) as usize;
+
+            let run = |park: bool| {
+                let (mut tcus, mut m) = (tcus.clone(), m.clone());
+                let mut stats = MachineStats::default();
+                let mut sink = Recording::new(0..0, budget, &decoded);
+                let (mut parked, mut worklist) = (Parked::new(1), ActiveSet::new(1));
+                if park {
+                    parked.park(&mut worklist, 0, next, scan);
+                }
+                for cycle in next..next + k {
+                    if parked.contains(0) {
+                        parked.wake_due(&mut worklist, cycle, std::slice::from_mut(&mut m));
+                        parked.accrue(&mut stats, 1);
+                    }
+                    if !parked.contains(0) {
+                        let env = IssueEnv {
+                            decoded: &decoded,
+                            cfg: &cfg,
+                            mem_len: 1 << 12,
+                            hash: &hash,
+                            entry: 0,
+                            cycle,
+                        };
+                        let at = (start + (cycle - next) as usize) % ntcus;
+                        step_cluster(&mut tcus, &mut m, at, &env, &mut stats, &mut sink, true)
+                            .unwrap();
+                    }
+                    if let Some((_, t, kind)) = reply.filter(|r| r.0 == cycle) {
+                        apply_reply(&mut tcus[t], &mut m, t, kind, 77, &decoded);
+                        if parked.contains(0) && !m.still_waiting(t) {
+                            parked.unpark(&mut worklist, 0, &mut m, cycle + 1);
+                        }
+                    }
+                }
+                if parked.contains(0) {
+                    parked.unpark(&mut worklist, 0, &mut m, next + k);
+                }
+                assert_eq!(m.quiet_scan(next + k), scan_by_walk(&tcus, &m, next + k));
+                let tcus: Vec<_> = tcus.iter().map(tcu_view).collect();
+                (tcus, m, stats, (sink.granted, sink.injections, sink.entries))
+            };
+            let (parked, stepped) = (run(true), run(false));
+            prop_assert_eq!(&parked.0, &stepped.0);
+            prop_assert_eq!(&parked.1, &stepped.1);
+            prop_assert_eq!(parked.2, stepped.2);
+            prop_assert_eq!(&parked.3, &stepped.3);
         }
     }
 }

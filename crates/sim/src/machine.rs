@@ -53,7 +53,7 @@ mod outcome;
 #[path = "machine_threaded.rs"]
 mod threaded;
 
-use ff::FfScanCache;
+use ff::Parked;
 use memsys::{ActiveSet, ReplyDelivery};
 pub use outcome::{
     MachineStats, RunOutcome, RunReport, RunStatus, SimError, SpawnStats, UtilizationReport,
@@ -326,8 +326,6 @@ pub struct Machine<P: Probe = NoProbe> {
     /// [`ClusterMasks`]), so the issue loops can skip or bulk-process
     /// TCUs without touching their cache lines.
     masks: Vec<ClusterMasks>,
-    /// Memoized quiet-scan aggregates for [`Machine::fast_forward`].
-    ff_cache: Option<FfScanCache>,
     /// Reusable per-cycle scratch: matured replies awaiting write-back.
     scratch_replies: Vec<ReplyDelivery>,
     /// Reusable per-cycle scratch: NoC deliveries (request and reply
@@ -355,6 +353,10 @@ pub struct Machine<P: Probe = NoProbe> {
     /// busy TCUs, empty wake wheel) are never visited or skip-woken.
     /// Empty outside parallel sections.
     par_active: ActiveSet,
+    /// Clusters fast-forward has taken off the worklist although they
+    /// have active TCUs, because none of those can issue (see
+    /// [`Parked`]); un-parking puts a cluster back.
+    parked: Parked,
 }
 
 /// Staged construction of a [`Machine`]: configuration, program,
@@ -604,10 +606,6 @@ impl<P: Probe> Machine<P> {
         if instr_before == self.stats.instructions && threads_before == self.stats.threads {
             self.fast_forward();
             self.check_progress()?;
-        } else {
-            // The step mutated TCU state (issue or activation), so
-            // any memoized quiet scan is stale.
-            self.ff_cache = None;
         }
         self.lap(Some(HostLayer::FastForward));
         Ok(())
@@ -846,9 +844,13 @@ impl<P: Probe> Machine<P> {
             channels,
             modules,
             masks,
+            parked,
             last_sample,
             ..
         } = self;
+        // The sample reads every cluster's `busy` mask as the cycle
+        // just stepped left it.
+        parked.settle(masks, stats.cycles + 1);
         let mut blocked = BlockedTcus::default();
         for m in masks.iter() {
             let ready = m.active & !m.busy & !m.stuck;
@@ -940,12 +942,20 @@ impl<P: Probe> Machine<P> {
     /// drained, and an empty active mask implies an empty wake wheel —
     /// so its visit is a guaranteed no-op. Membership follows the
     /// active mask of every cluster that steps.
+    ///
+    /// With `fast`, [`Parked`] clusters are off the worklist and sit the
+    /// cycle out whether or not IDs remain: the cycle opens by
+    /// un-parking those a latency expiry wakes and crediting the rest
+    /// their stalls, and a cluster whose step issued nothing parks if
+    /// its quiet scan for the next cycle finds nobody able to issue and
+    /// no idle TCU that could take a remaining ID.
     fn step_clusters(&mut self, fast: bool) -> Result<(), SimError> {
         let Machine {
             cfg,
             clusters,
             masks,
             par_active,
+            parked,
             cluster_instr,
             decoded,
             gregs,
@@ -957,15 +967,27 @@ impl<P: Probe> Machine<P> {
             next_tid,
             spawn_count,
             trace,
+            probe,
             ..
         } = self;
+        let cycle = stats.cycles;
+        parked.wake_due(par_active, cycle, masks);
+        parked.accrue(stats, 1);
+        if !fast {
+            // The reference walk visits everyone (fast-forward can have
+            // left members behind only by failing mid-section).
+            parked.unpark_all(par_active, 0, cycle, masks, stats);
+        }
+        // Host ledger: clusters stepped, and clusters sitting it out.
+        let mut steps = 0;
+        let mut sat_out = if P::HOST_TIMING { parked.len() } else { 0 };
         let env = IssueEnv {
             decoded,
             cfg,
             mem_len: mem.len(),
             hash,
             entry: self.spawn_entry,
-            cycle: stats.cycles,
+            cycle,
         };
         let mut sink = Direct {
             c: 0,
@@ -976,20 +998,48 @@ impl<P: Probe> Machine<P> {
             txns,
             trace: trace.as_deref_mut(),
         };
+        let mut tids_remain = sink.tids_remain();
         let mut c = 0;
         while c < clusters.len() {
-            if fast && !sink.tids_remain() {
-                match par_active.next_from(c) {
-                    Some(member) => c = member,
+            if fast {
+                match parked.next_stepping(par_active, tids_remain, c) {
+                    Some(stepping) => c = stepping,
                     None => break,
                 }
             }
             sink.c = c;
             let (tcus, m) = (&mut clusters[c], &mut masks[c]);
-            cluster_instr[c] +=
-                issue::step_cluster(tcus, m, self.rr, &env, stats, &mut sink, fast)?;
+            let issued = match issue::step_cluster(tcus, m, self.rr, &env, stats, &mut sink, fast) {
+                Ok(issued) => issued,
+                Err(e) => {
+                    // The clusters after `c` never had this cycle.
+                    parked.unpark_all(par_active, c + 1, cycle, masks, stats);
+                    return Err(e);
+                }
+            };
+            steps += 1;
+            cluster_instr[c] += issued;
             par_active.set(c, m.active != 0);
+            let had_tids = std::mem::replace(&mut tids_remain, sink.tids_remain());
+            if fast && issued == 0 && m.active != 0 {
+                let scan = m.quiet_scan(cycle + 1);
+                let activates = tids_remain && m.idle(cfg.tcus_per_cluster) > 0;
+                if !(scan.issue_next || activates) {
+                    parked.park(par_active, c, cycle + 1, scan);
+                }
+            }
+            if tids_remain && !had_tids {
+                // An `sspawn` minted IDs: parked clusters may hold idle
+                // TCUs, and those after `c` activate them this cycle.
+                let gave_back = parked.unpark_all(par_active, c + 1, cycle, masks, stats);
+                if P::HOST_TIMING {
+                    sat_out -= gave_back;
+                }
+            }
             c += 1;
+        }
+        if P::HOST_TIMING {
+            probe.host_steps(steps, sat_out);
         }
         Ok(())
     }
@@ -1152,13 +1202,22 @@ impl<P: Probe> Machine<P> {
     }
 
     /// Close the parallel section when all work and memory drained.
+    /// "No thread running anywhere" is asked of the worklist and the
+    /// parked set, not of every cluster's masks, and that is exact: a
+    /// cluster's `active` mask changes only inside its own step
+    /// (activation, `join`), `step_clusters` sets its membership from
+    /// the mask after every step under either serial engine, and a
+    /// cluster that does not step has the mask it had when it last did —
+    /// empty if it is off the list with IDs exhausted, non-empty if it
+    /// is parked.
     fn maybe_finish_spawn(&mut self, return_pc: usize) {
-        if self.next_tid < self.spawn_count {
+        if self.next_tid < self.spawn_count
+            || !self.par_active.is_empty()
+            || !self.parked.is_empty()
+        {
             return;
         }
-        if self.masks.iter().any(|m| m.active != 0) {
-            return;
-        }
+        debug_assert!(self.masks.iter().all(|m| m.active == 0));
         self.maybe_finish_spawn_drained(return_pc);
     }
 
@@ -1655,6 +1714,67 @@ mod tests {
         }
         assert_eq!(stall_cycles[0], stall_cycles[1]);
         assert_eq!(stall_cycles[0], stall_cycles[2]);
+    }
+
+    /// A fault in the middle of a cycle leaves fast-forward's partial
+    /// report equal to the reference's, parked clusters included: those
+    /// before the faulting cluster sat the cycle out, those after it
+    /// never had it. 40 threads fill cluster 0 and put 8 in cluster 1,
+    /// each running a chain of dependent loads, while thread `faulty` —
+    /// in either cluster — reaches a `halt` after `delay` ALU ops; the
+    /// delays sweep the fault across parked and stepping neighbours.
+    /// (An illegal instruction forces the walk; a bounds fault inside a
+    /// bulk cycle has already counted the cycle's scoreboard stalls, at
+    /// the parent too.)
+    #[test]
+    fn mid_cycle_fault_reports_reference_statistics() {
+        for (faulty, delay) in [3, 35]
+            .into_iter()
+            .flat_map(|f| (0..64).map(move |d| (f, d)))
+        {
+            let mut b = ProgramBuilder::new();
+            let par = b.label();
+            let after = b.label();
+            let blocked = b.label();
+            b.li(ir(1), 40);
+            b.spawn(ir(1), par);
+            b.jump(after);
+            b.bind(par);
+            b.tid(ir(2));
+            b.li(ir(5), faulty);
+            b.bne(ir(2), ir(5), blocked);
+            for _ in 0..delay {
+                b.addi(ir(6), ir(6), 1);
+            }
+            b.halt();
+            b.bind(blocked);
+            for _ in 0..4 {
+                b.lw(ir(3), ir(2), 0);
+                b.add(ir(2), ir(3), ir(2));
+            }
+            b.join();
+            b.bind(after);
+            b.halt();
+            let prog = b.build().unwrap();
+            let run = |engine| {
+                let mut m = MachineBuilder::new(&tiny_config(), prog.clone())
+                    .mem_words(256)
+                    .engine(engine)
+                    .build();
+                let outcome = m.run();
+                assert!(
+                    matches!(
+                        outcome.status,
+                        RunStatus::Failed(SimError::BadInstruction { .. })
+                    ),
+                    "{:?}",
+                    outcome.status
+                );
+                (outcome.status, outcome.report.stats)
+            };
+            let (reference, fast) = (run(Engine::Reference), run(Engine::FastForward));
+            assert_eq!(reference, fast, "faulty thread {faulty} after {delay}");
+        }
     }
 
     /// Disabled TCUs and clusters shed capacity, not correctness:

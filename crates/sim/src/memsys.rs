@@ -38,6 +38,10 @@ impl ActiveSet {
         self.0[idx >> 6] |= 1u64 << (idx & 63);
     }
 
+    pub(super) fn contains(&self, idx: usize) -> bool {
+        self.0[idx >> 6] & (1u64 << (idx & 63)) != 0
+    }
+
     /// Make `idx` a member, or not.
     pub(super) fn set(&mut self, idx: usize, member: bool) {
         let bit = 1u64 << (idx & 63);
@@ -97,20 +101,23 @@ impl<P: Probe> Machine<P> {
     pub(super) fn step_memory_system(&mut self) -> Result<(), SimError> {
         let mut replies = std::mem::take(&mut self.scratch_replies);
         self.step_memory_system_collect(&mut replies)?;
-        if !replies.is_empty() {
-            // Replies clear scoreboard bits and drop outstanding
-            // counts, so any memoized quiet scan is stale.
-            self.ff_cache = None;
-        }
         let Machine {
             clusters,
             masks,
             decoded,
+            par_active,
+            parked,
+            stats,
             ..
         } = self;
         for r in replies.drain(..) {
-            let tcu = &mut clusters[r.cluster][r.tcu];
-            issue::apply_reply(tcu, &mut masks[r.cluster], r.tcu, r.kind, r.value, decoded);
+            let (tcu, m) = (&mut clusters[r.cluster][r.tcu], &mut masks[r.cluster]);
+            issue::apply_reply(tcu, m, r.tcu, r.kind, r.value, decoded);
+            // A reply that frees its TCU to issue makes a parked
+            // cluster's scan stale: it steps again from the next cycle.
+            if parked.contains(r.cluster) && !m.still_waiting(r.tcu) {
+                parked.unpark(par_active, r.cluster, m, stats.cycles + 1);
+            }
         }
         self.scratch_replies = replies;
         self.lap(Some(HostLayer::ReplyApply));

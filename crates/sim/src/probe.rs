@@ -150,6 +150,14 @@ pub trait Probe {
         let _ = layer;
     }
 
+    /// One parallel cycle's cluster work under the serial engines:
+    /// `stepped` clusters went through the issue kernel, `parked` sat
+    /// the cycle out with their stalls paid by addition (fast-forward
+    /// only). Only called when [`Probe::HOST_TIMING`] is set.
+    fn host_steps(&mut self, stepped: u64, parked: u64) {
+        let _ = (stepped, parked);
+    }
+
     /// Called once, before the first cycle, with the machine
     /// configuration — size ring buffers here so [`Probe::record`]
     /// never allocates.
@@ -215,6 +223,8 @@ impl Probe for NoProbe {
 pub struct HostLayers {
     last: Option<std::time::Instant>,
     ns: [u64; HostLayer::ALL.len()],
+    cluster_steps: u64,
+    parked_cluster_cycles: u64,
 }
 
 impl HostLayers {
@@ -232,6 +242,19 @@ impl HostLayers {
     pub fn total_ns(&self) -> u64 {
         self.ns.iter().sum()
     }
+
+    /// Cluster steps taken so far: calls of the issue kernel. Unlike
+    /// the nanoseconds, a count that repeats exactly.
+    pub fn cluster_steps(&self) -> u64 {
+        self.cluster_steps
+    }
+
+    /// Cluster steps *not* taken so far because the cluster was parked
+    /// on a cycle the machine stepped — with the steps taken, what an
+    /// engine that parks nobody would have stepped. Exact likewise.
+    pub fn parked_cluster_cycles(&self) -> u64 {
+        self.parked_cluster_cycles
+    }
 }
 
 impl Probe for HostLayers {
@@ -246,6 +269,11 @@ impl Probe for HostLayers {
             self.ns[layer as usize] += (now - last).as_nanos() as u64;
         }
         self.last = Some(now);
+    }
+
+    fn host_steps(&mut self, stepped: u64, parked: u64) {
+        self.cluster_steps += stepped;
+        self.parked_cluster_cycles += parked;
     }
 }
 

@@ -12,11 +12,25 @@
 //! optimizations with no observable effect.
 
 use proptest::prelude::*;
-use xmt_integration::genprog::{branchy_op_strategy, build, build_multi_spawn, op_strategy};
-use xmt_isa::Program;
+use xmt_integration::genprog::{
+    branchy_op_strategy, build, build_multi_spawn, emit, op_strategy, GenOp,
+};
+use xmt_isa::reg::ir;
+use xmt_isa::{Program, ProgramBuilder};
 use xmt_sim::{
     Engine, IntervalProbe, IntervalRow, MachineBuilder, RunReport, TranslationTier, XmtConfig,
 };
+
+/// The shared read-only region `[0, 64)` the generated loads read.
+fn ro_words(seed: u64) -> Vec<u32> {
+    (0..64u64)
+        .map(|i| {
+            let mut z = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z ^= z >> 31;
+            z as u32
+        })
+        .collect()
+}
 
 /// Run `prog` under `engine` with an [`IntervalProbe`] attached,
 /// returning the report, probe sample stream and final state. The
@@ -55,13 +69,7 @@ proptest! {
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
         let mem_words = 128 + 24 * 8 + 16;
-        let ro: Vec<u32> = (0..64u64)
-            .map(|i| {
-                let mut z = ro_seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z ^= z >> 31;
-                z as u32
-            })
-            .collect();
+        let ro = ro_words(ro_seed);
 
         // clusters ≥ 2 so the threaded engine actually partitions.
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
@@ -128,13 +136,7 @@ proptest! {
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
         let mem_words = 128 + 256 * 8 + 16;
-        let ro: Vec<u32> = (0..64u64)
-            .map(|i| {
-                let mut z = ro_seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z ^= z >> 31;
-                z as u32
-            })
-            .collect();
+        let ro = ro_words(ro_seed);
 
         let cfg = XmtConfig::xmt_4k();
         let (s_ref, mem_ref, gr_ref) =
@@ -192,13 +194,7 @@ proptest! {
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
         let mem_words = 128 + 24 * 8 + 16;
-        let ro: Vec<u32> = (0..64u64)
-            .map(|i| {
-                let mut z = ro_seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z ^= z >> 31;
-                z as u32
-            })
-            .collect();
+        let ro = ro_words(ro_seed);
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
 
         let (s_base, mem_base, gr_base) = run_engine_tiered(
@@ -295,4 +291,87 @@ fn shard_churn_across_spawn_widths() {
     assert_eq!(s_ref.stats, s_ff.stats);
     assert_eq!(mem_ref, mem_ff);
     assert_eq!(gr_ref, gr_ff);
+}
+
+/// A section in which thread `minter`, after `delay` dependent loads,
+/// `sspawn`s `extra` more threads, while every thread (the late ones
+/// too) runs `par_ops` and then a dependent-load loop of 1, 3, 5 or 7
+/// rounds by its tid. The uneven loops leave clusters with joined
+/// (idle) TCUs beside memory-blocked ones — what fast-forward parks —
+/// at the cycle the new IDs appear, in clusters on both sides of the
+/// minter's.
+fn sspawn_program(par_ops: &[GenOp], threads: u8, minter: u8, delay: u8, extra: u8) -> Program {
+    let mut b = ProgramBuilder::new();
+    let (par, after, no_mint, top) = (b.label(), b.label(), b.label(), b.label());
+    b.li(ir(22), threads as u32);
+    b.spawn(ir(22), par);
+    b.jump(after);
+    b.bind(par);
+    b.tid(ir(19));
+    b.slli(ir(20), ir(19), 3);
+    b.addi(ir(20), ir(20), 128);
+    for op in par_ops {
+        emit(&mut b, op);
+    }
+    b.li(ir(23), minter as u32);
+    b.bne(ir(19), ir(23), no_mint);
+    for i in 0..delay {
+        emit(&mut b, &GenOp::LoadUse { rd: 3, addr: i });
+    }
+    b.li(ir(23), extra as u32);
+    b.sspawn(ir(24), ir(23));
+    b.bind(no_mint);
+    b.andi(ir(21), ir(19), 3);
+    b.slli(ir(21), ir(21), 1);
+    b.addi(ir(21), ir(21), 1);
+    b.bind(top);
+    emit(&mut b, &GenOp::LoadUse { rd: 4, addr: 40 });
+    b.addi(ir(21), ir(21), u32::MAX);
+    b.bne(ir(21), ir(0), top);
+    b.sw(ir(4), ir(20), 7);
+    b.join();
+    b.bind(after);
+    b.halt();
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `sspawn` mints thread IDs in the middle of a cycle while
+    /// fast-forward has clusters parked: those after the minting
+    /// cluster activate idle TCUs in that very cycle, those before it
+    /// in the next, exactly as under the reference walk — statistics,
+    /// spawn log, memory and the every-cycle probe stream agree.
+    /// (Threaded falls back to fast-forward on such programs.)
+    #[test]
+    fn sspawn_mints_ids_while_clusters_are_parked(
+        par_ops in proptest::collection::vec(op_strategy(), 0..6),
+        threads in 1u8..100,
+        minter in any::<u8>(),
+        delay in 0u8..6,
+        extra in 1u8..60,
+        ro_seed in any::<u64>(),
+    ) {
+        let prog = sspawn_program(&par_ops, threads, minter % threads, delay, extra);
+        let mem_words = 128 + 160 * 8 + 16;
+        let ro = ro_words(ro_seed);
+        let cfg = XmtConfig::xmt_4k().scaled_to(4);
+        let run = |engine: Engine| {
+            let mut m = MachineBuilder::new(&cfg, prog.clone())
+                .mem_words(mem_words)
+                .engine(engine)
+                .write_u32s(0, &ro)
+                .build_probed(IntervalProbe::new(1, 1 << 12));
+            let report = m.run().expect("generated program must complete");
+            (report, m.probe().rows(), m.mem.clone())
+        };
+        let (s_ref, rows_ref, mem_ref) = run(Engine::Reference);
+        let (s_ff, rows_ff, mem_ff) = run(Engine::FastForward);
+        prop_assert_eq!(s_ref.stats.threads, u64::from(threads) + u64::from(extra));
+        prop_assert_eq!(s_ref.stats, s_ff.stats, "fast-forward stats diverge");
+        prop_assert_eq!(&s_ref.spawns, &s_ff.spawns, "fast-forward spawn log diverges");
+        prop_assert_eq!(&mem_ref, &mem_ff, "fast-forward memory diverges");
+        prop_assert_eq!(&rows_ref, &rows_ff, "fast-forward probe stream diverges");
+    }
 }
