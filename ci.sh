@@ -85,15 +85,23 @@ stage "paper-scale golden constants + park boundary (release profile)" \
     cargo test --release -p xmt-integration --test golden_scaling --test park_boundary -q \
     -- --include-ignored
 
-# fault_sweep validates the golden FFT under escalating soft-fault
+# `paper fault_sweep` validates the golden FFT under escalating soft-fault
 # rates, degraded topologies and a watchdog-tripping stuck TCU; the
 # fault_resilience suite (rerun explicitly here as the resilience gate)
 # covers seeded replay on generated programs and checkpoint/restore
 # equivalence on every golden case — and, sliced eight ways, on every
 # paper-scale case (the dense one is #[ignore]d out of the debug suite).
-stage "fault smoke: sweep" cargo run --release -p xmt-bench --bin fault_sweep
+stage "fault smoke: sweep" cargo run --release -p xmt-bench --bin paper -- fault_sweep
 stage "fault smoke: checkpoint round-trip" \
     cargo test --release -p xmt-integration --test fault_resilience -q -- --include-ignored
+
+# The paper's evaluation, executed: every `paper` command spawned as a
+# process — tier-1 already ran the quick ones unoptimised; this adds the
+# full table4/table5, the three ablations and the paper-scale capture —
+# plus fig3.svg, the Table IV model row and the docs' command names held
+# to what the binary does.
+stage "paper binary: every command, release" \
+    cargo test --release -p xmt-bench --test paper_cli -q -- --include-ignored
 
 # The simulation-as-a-service gate (DESIGN.md §16): submits the five
 # paper configurations as one batch, kills a worker mid-job, and

@@ -12,7 +12,7 @@ use xmt_bench::{render_table, run_plan_validated, sample_wave};
 use xmt_fft::plan::XmtFftPlan;
 use xmt_sim::XmtConfig;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let n = 4096usize; // 2^12 = 8^4 = 4^6 = 2^12: all three radices apply
     let cfg = XmtConfig::xmt_4k().scaled_to(8);
     let x = sample_wave(n, 0.11, 0.07);

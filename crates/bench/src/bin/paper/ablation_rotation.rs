@@ -10,7 +10,7 @@ use xmt_bench::{render_table, run_plan_validated, sample_wave};
 use xmt_fft::plan::XmtFftPlan;
 use xmt_sim::XmtConfig;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let cfg = XmtConfig::xmt_4k().scaled_to(8);
     println!("Ablation — fused vs separate rotation pass (4k scaled to 8 clusters)\n");
     let mut rows = Vec::new();

@@ -12,7 +12,7 @@ use xmt_bench::{render_table, run_plan_validated, sample_wave};
 use xmt_fft::plan::XmtFftPlan;
 use xmt_sim::XmtConfig;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     // Many rows sharing a tiny table maximizes same-line pressure: a
     // 16-entry table is 4 cache lines, so with one copy only 4 of the
     // 32 cache modules serve every twiddle read.

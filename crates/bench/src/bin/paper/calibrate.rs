@@ -6,10 +6,10 @@
 //! configuration — the evidence that the 512³ projections rest on a
 //! validated model (the methodology of DESIGN.md §7).
 
+use xmt_bench::{run_plan_validated, sample_wave};
 use xmt_fft::plan::XmtFftPlan;
-use xmt_fft::run::run_on_machine;
-use xmt_fft::{project, FftProjection};
-use xmt_sim::{SpawnStats, XmtConfig};
+use xmt_fft::project;
+use xmt_sim::XmtConfig;
 
 /// One calibration point.
 #[derive(Debug, Clone)]
@@ -23,10 +23,6 @@ pub struct Calibration {
     pub modeled_cycles: f64,
     /// measured / modeled.
     pub ratio: f64,
-    /// Per-spawn stats from the simulator.
-    pub spawns: Vec<SpawnStats>,
-    /// Model projection detail.
-    pub projection: FftProjection,
 }
 
 /// Run one calibration: `base` scaled to `clusters`, FFT of `dims`.
@@ -34,29 +30,18 @@ pub fn calibrate(base: &XmtConfig, clusters: usize, dims: &[usize]) -> Calibrati
     let cfg = base.scaled_to(clusters);
     let copies = xmt_fft::default_copies(*dims.last().expect("non-empty dims"), cfg.memory_modules);
     let plan = XmtFftPlan::build(dims, copies);
-    let total: usize = dims.iter().product();
-    let input: Vec<parafft::Complex32> = (0..total)
-        .map(|i| parafft::Complex32::new((i as f32 * 0.17).sin(), (i as f32 * 0.31).cos()))
-        .collect();
-    let run = run_on_machine(&plan, &cfg, &input).expect("simulation succeeds");
+    let input = sample_wave(dims.iter().product(), 0.17, 0.31);
+    let run = run_plan_validated(&plan, &cfg, &input, "calibration");
 
-    // Functional check: the simulated FFT must match the host library.
-    let want = xmt_fft::host_reference(&plan, &input);
-    let err = xmt_fft::rel_error(&want, &run.output);
-    assert!(err < 1e-3, "simulated FFT numerically wrong: rel err {err}");
-
-    let projection = project(&cfg, dims);
     let measured_cycles = run.report.stats.cycles;
-    let modeled = projection.total_cycles;
+    let modeled_cycles = project(&cfg, dims).total_cycles;
     Calibration {
         config_name: base.name,
         clusters,
         dims: dims.to_vec(),
         measured_cycles,
-        modeled_cycles: modeled,
-        ratio: measured_cycles as f64 / modeled,
-        spawns: run.report.spawns,
-        projection,
+        modeled_cycles,
+        ratio: measured_cycles as f64 / modeled_cycles,
     }
 }
 
@@ -69,7 +54,7 @@ mod tests {
         // A small 2D job on a scaled 4k machine: the analytic model
         // must land within a small constant factor of the simulator
         // (latency effects dominate at tiny scale, so the band is
-        // loose here; the bench binaries run larger, tighter points).
+        // loose here; `table4` runs larger, tighter points).
         let c = calibrate(&XmtConfig::xmt_4k(), 4, &[32, 32]);
         assert!(c.measured_cycles > 0);
         assert!(
@@ -79,12 +64,5 @@ mod tests {
             c.modeled_cycles,
             c.ratio
         );
-    }
-
-    #[test]
-    fn calibration_reports_all_spawns() {
-        let c = calibrate(&XmtConfig::xmt_4k(), 4, &[64]);
-        assert_eq!(c.spawns.len(), 2); // 64 = 8·8 → two stages
-        assert_eq!(c.projection.demands.len(), 2);
     }
 }

@@ -8,7 +8,7 @@ use xmt_bench::render_table;
 use xmt_fft::{stage_demands, table4_projection};
 use xmt_sim::{gflops_per_watt, phase_energy, XmtConfig};
 
-fn main() {
+pub fn run(_: &crate::Args) {
     println!("Energy per 512^3 single-precision 3D FFT (activity-based model)\n");
     let mut rows = Vec::new();
     for (cfg, proj) in XmtConfig::paper_configs().iter().zip(table4_projection()) {

@@ -22,7 +22,7 @@
 //! anywhere in the fault path).
 //!
 //! ```text
-//! cargo run --release -p xmt-bench --bin fault_sweep [--seed N]
+//! cargo run --release -p xmt-bench --bin paper -- fault_sweep [--seed N]
 //! ```
 
 use parafft::Complex32;
@@ -56,14 +56,8 @@ fn run_fft(
     Ok((rep.stats.cycles, m.probe().rows(), err))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().expect("--seed needs an integer"))
-        .unwrap_or(0x0FA5_7FF7);
+pub fn run(args: &crate::Args) {
+    let seed = args.count("--seed").unwrap_or(0x0FA5_7FF7);
 
     let cfg = golden::golden_config();
     let input = golden::sample_input(512, 2024);

@@ -24,7 +24,7 @@ fn series_for(p: &FftProjection, cfg: &XmtConfig) -> RooflineSeries {
     s
 }
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let cfgs = XmtConfig::paper_configs();
     let projections: Vec<FftProjection> =
         cfgs.iter().map(|c| project(c, &[512, 512, 512])).collect();

@@ -9,13 +9,13 @@
 //! up as a golden-test failure instead.
 //!
 //! ```text
-//! cargo run --release -p xmt-bench --bin golden_capture
+//! cargo run --release -p xmt-bench --bin paper -- golden_capture [--scaling]
 //! ```
 
 use xmt_fft::golden;
 
-fn main() {
-    let scaling = std::env::args().any(|a| a == "--scaling");
+pub fn run(args: &crate::Args) {
+    let scaling = args.has("--scaling");
     let mut out = String::new();
     let cases = if scaling {
         golden::scaling_cases()

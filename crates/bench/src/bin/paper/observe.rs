@@ -6,12 +6,13 @@
 //! table with each spawn's roofline placement.
 //!
 //! ```text
-//! cargo run --release -p xmt-bench --bin observe [workload] \
+//! cargo run --release -p xmt-bench --bin paper -- observe [workload] \
 //!     [--interval N] [--out trace.json] [--stream]
 //! ```
 //!
 //! Defaults: `fft_radix8_n512`, interval 64 cycles, output
-//! `trace_<workload>.json`.
+//! `trace_<workload>.json` in the target directory (`CARGO_TARGET_DIR`,
+//! else `target/`), where `xmt_lint` puts its artifact.
 //!
 //! `--stream` shrinks the per-module cache to a few lines and
 //! throttles DRAM channel bandwidth before running, putting the
@@ -29,30 +30,15 @@
 //! what-if analysis; the golden cycle counts only pin the unmodified
 //! configuration.)
 
+use std::path::PathBuf;
+
 use xmt_fft::golden;
 use xmt_sim::{chrome_trace, phase_table, IntervalProbe};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workload = "fft_radix8_n512".to_string();
-    let mut interval: u64 = 64;
-    let mut out = None;
-    let mut stream = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--interval" => {
-                interval = it
-                    .next()
-                    .expect("--interval needs a value")
-                    .parse()
-                    .expect("--interval takes a cycle count");
-            }
-            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
-            "--stream" => stream = true,
-            _ => workload = a.clone(),
-        }
-    }
+pub fn run(args: &crate::Args) {
+    let workload = args.get("workload").unwrap_or("fft_radix8_n512");
+    let interval = args.count("--interval").unwrap_or(64);
+    let stream = args.has("--stream");
 
     let cases = golden::cases();
     let case = cases
@@ -65,7 +51,10 @@ fn main() {
             );
             std::process::exit(2);
         });
-    let out_path = out.unwrap_or_else(|| format!("trace_{workload}.json"));
+    let out_path = match args.get("--out") {
+        Some(p) => PathBuf::from(p),
+        None => xmt_bench::target_dir().join(format!("trace_{workload}.json")),
+    };
 
     let mut cfg = golden::golden_config();
     if stream {
@@ -103,8 +92,12 @@ fn main() {
     );
 
     let json = chrome_trace(&rows, &report, &cfg);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    eprintln!("wrote {out_path} — load it in chrome://tracing or ui.perfetto.dev");
+    if let Some(dir) = out_path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    let shown = out_path.display();
+    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {shown}: {e}"));
+    eprintln!("wrote {shown} — load it in chrome://tracing or ui.perfetto.dev");
 
     println!("{}", phase_table(&report, &cfg));
 }

@@ -10,7 +10,7 @@ use xmt_bench::render_table;
 use xmt_fft::project;
 use xmt_sim::XmtConfig;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     println!("Prior work on the FFT (paper Section I-A) — published vs this workspace's models\n");
 
     let gtx = GpuSpec::gtx_280();

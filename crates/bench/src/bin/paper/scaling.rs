@@ -12,7 +12,7 @@ use xmt_bench::{render_table, ColumnTable};
 use xmt_fft::project;
 use xmt_sim::XmtConfig;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     println!("XMT problem-size scaling (GFLOPS, 5N.log2N convention)\n");
     let sizes: [usize; 4] = [128, 256, 512, 1024];
     let mut t = ColumnTable::new("config", sizes.iter().map(|s| format!("{s}^3")));

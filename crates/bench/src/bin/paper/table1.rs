@@ -6,7 +6,7 @@
 
 use xmt_bench::render_table;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let rows = vec![
         vec![
             "Graph Biconnectivity [8]",

@@ -6,7 +6,7 @@
 use xmt_bench::ColumnTable;
 use xmt_sim::XmtConfig;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let cfgs = XmtConfig::paper_configs();
     let mut t = ColumnTable::new("", cfgs.iter().map(|c| c.name));
     t.row("TCUs", cfgs.iter().map(|c| c.tcus))

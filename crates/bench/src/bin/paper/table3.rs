@@ -9,7 +9,7 @@ use xmt_sim::{summarize, XmtConfig};
 const PAPER_TOTALS: [f64; 5] = [227.0, 551.0, 3046.0, 3284.0, 3540.0];
 const PAPER_PER_LAYER: [f64; 5] = [227.0, 276.0, 380.0, 365.0, 393.0];
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let cfgs = XmtConfig::paper_configs();
     let sums: Vec<_> = cfgs.iter().map(summarize).collect();
     let mut t = ColumnTable::new("", cfgs.iter().map(|c| c.name));

@@ -10,14 +10,15 @@
 //!
 //! Run with `--quick` to skip the slower calibration runs.
 
-use xmt_bench::{calibrate, render_table, ColumnTable};
+use crate::calibrate::calibrate;
+use xmt_bench::{render_table, ColumnTable};
 use xmt_fft::table4_projection;
 use xmt_sim::XmtConfig;
 
 const PAPER_GFLOPS: [f64; 5] = [239.0, 500.0, 3667.0, 12570.0, 18972.0];
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub fn run(args: &crate::Args) {
+    let quick = args.has("--quick");
 
     println!("Table IV — FFT performance on XMT (3D FFT, 512^3, single precision)\n");
     let proj = table4_projection();

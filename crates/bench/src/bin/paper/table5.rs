@@ -13,8 +13,8 @@ use xmt_fft::table4_projection;
 const PAPER_VS_SERIAL: [f64; 5] = [31.0, 66.0, 482.0, 1652.0, 2494.0];
 const PAPER_VS_32T: [f64; 5] = [2.8, 5.8, 43.0, 147.0, 222.0];
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub fn run(args: &crate::Args) {
+    let quick = args.has("--quick");
     let proj = table4_projection();
     let pinned = paper_pinned();
 

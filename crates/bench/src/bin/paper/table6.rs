@@ -10,7 +10,7 @@ use xmt_bench::ColumnTable;
 use xmt_fft::project;
 use xmt_sim::{summarize, XmtConfig};
 
-fn main() {
+pub fn run(_: &crate::Args) {
     let edison = Cluster::edison();
     let ejob = Fft3dJob::edison_reference();
     let efft = model(&edison, &ejob);

@@ -60,7 +60,7 @@ fn parse_flags() -> Result<Flags, String> {
     let mut flags = Flags {
         json: false,
         traffic_full: false,
-        artifact: target_dir().join("xmt-lint.json"),
+        artifact: xmt_bench::target_dir().join("xmt-lint.json"),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -79,12 +79,6 @@ fn parse_flags() -> Result<Flags, String> {
         }
     }
     Ok(flags)
-}
-
-fn target_dir() -> PathBuf {
-    std::env::var_os("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target"))
 }
 
 /// One program the lint proves things about.

@@ -1,15 +1,25 @@
-//! # xmt-bench — experiment harness shared by the table/figure
-//! regenerator binaries and the Criterion benches.
+//! # xmt-bench — experiment harness shared by the `paper` binary, the
+//! two gate binaries and the Criterion benches.
 //!
-//! One binary per table/figure of the paper:
-//! `table1` … `table6`, `fig3` (see DESIGN.md §5 for the index), plus
-//! ablation binaries for the design choices of Section IV-A.
+//! `paper <command>` regenerates every table and figure of the paper
+//! (`table1` … `table6`, `fig3`; DESIGN.md §5 has the index) and the
+//! ablations of Section IV-A's design choices; `bench_sim` and
+//! `xmt_lint` are the exact gates `ci.sh` runs.
+
+use std::path::PathBuf;
 
 pub mod baseline;
-pub mod calibrate;
 pub mod fmt;
 pub mod runner;
 
-pub use calibrate::{calibrate, Calibration};
 pub use fmt::render_table;
-pub use runner::{run_plan_validated, run_validated, sample_wave, ColumnTable};
+pub use runner::{run_plan_validated, sample_wave, ColumnTable};
+
+/// Where the binaries put what they write unasked (`xmt-lint.json`,
+/// `trace_<workload>.json`): cargo's target directory, so a run from
+/// the repository root leaves the work tree clean.
+pub fn target_dir() -> PathBuf {
+    std::env::var_os("CARGO_TARGET_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("target"))
+}

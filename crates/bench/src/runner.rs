@@ -1,16 +1,13 @@
-//! Shared execution harness for the table/ablation regenerator
-//! binaries.
-//!
-//! Every binary used to carry its own copy of the same three chores:
-//! generate a deterministic input wave, run a plan on the simulator
-//! and assert the output against the host reference, and assemble a
-//! label-plus-columns table via `std::iter::once(..).chain(..)`
-//! chains. They live here once, around the [`MachineBuilder`] API.
+//! Shared execution harness for the `paper` binary's commands: the
+//! three chores every table and ablation has — generate a
+//! deterministic input wave, run a plan on the simulator and assert
+//! the output against the host reference, assemble a
+//! label-plus-columns table.
 
 use parafft::Complex32;
 use xmt_fft::plan::XmtFftPlan;
-use xmt_fft::run::{host_reference, read_result, rel_error, MachineRun};
-use xmt_sim::{MachineBuilder, XmtConfig};
+use xmt_fft::run::{host_reference, plan_builder, read_result, rel_error, MachineRun};
+use xmt_sim::XmtConfig;
 
 /// Deterministic complex test wave: `(sin(i·fa), cos(i·fb))`.
 pub fn sample_wave(n: usize, fa: f32, fb: f32) -> Vec<Complex32> {
@@ -19,38 +16,23 @@ pub fn sample_wave(n: usize, fa: f32, fb: f32) -> Vec<Complex32> {
         .collect()
 }
 
-/// Build, run and functionally validate a prepared machine against
-/// the host reference library. Panics with `what` context if the
-/// simulation fails or the transform is numerically wrong — the
-/// regenerator binaries must never print numbers from a wrong FFT.
-pub fn run_validated(
-    builder: MachineBuilder,
-    plan: &XmtFftPlan,
-    input: &[Complex32],
-    what: &str,
-) -> MachineRun {
-    let mut m = builder.build();
-    let report = m.run().expect(what);
-    let output = read_result(plan, &m);
-    let err = rel_error(&host_reference(plan, input), &output);
-    assert!(err < 1e-3, "{what}: simulated FFT wrong: rel err {err}");
-    MachineRun { output, report }
-}
-
-/// Plan-level wrapper over [`run_validated`]: loads program, twiddles
-/// and input into a fresh [`MachineBuilder`] first.
+/// Load program, twiddles and input into a fresh machine, run it and
+/// validate the result against the host reference library. Panics
+/// with `what` context if the simulation fails or the transform is
+/// numerically wrong — the regenerator commands must never print
+/// numbers from a wrong FFT.
 pub fn run_plan_validated(
     plan: &XmtFftPlan,
     cfg: &XmtConfig,
     input: &[Complex32],
     what: &str,
 ) -> MachineRun {
-    run_validated(
-        xmt_fft::run::plan_builder(plan, cfg, input),
-        plan,
-        input,
-        what,
-    )
+    let mut m = plan_builder(plan, cfg, input).build();
+    let report = m.run().expect(what);
+    let output = read_result(plan, &m);
+    let err = rel_error(&host_reference(plan, input), &output);
+    assert!(err < 1e-3, "{what}: simulated FFT wrong: rel err {err}");
+    MachineRun { output, report }
 }
 
 /// A table assembled row by row: a corner label, one header per

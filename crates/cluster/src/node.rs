@@ -39,18 +39,6 @@ impl NodeSpec {
         self.cores() as f64 * self.clock_ghz * self.flops_per_core_cycle
     }
 
-    /// Total silicon in mm².
-    pub fn silicon_mm2(&self) -> f64 {
-        self.sockets as f64 * self.die_mm2
-    }
-
-    /// Die area scaled to a 22 nm process with ideal area scaling
-    /// (the paper's normalization in Section VI-A and Table VI).
-    pub fn silicon_mm2_at_22nm(&self) -> f64 {
-        let scale = (22.0 / self.tech_nm as f64).powi(2);
-        self.silicon_mm2() * scale
-    }
-
     /// The Edison compute node: dual 12-core Intel Xeon E5-2695v2
     /// (Ivy Bridge EP, 2.4 GHz, AVX: 8 DP FLOPs/cycle).
     pub fn e5_2695v2_node() -> Self {
@@ -66,25 +54,6 @@ impl NodeSpec {
             die_mm2: 541.0,
             tech_nm: 22,
             power_w: 330.0,
-        }
-    }
-
-    /// The paper's FFTW baseline host: dual 8-core Intel Xeon E5-2690
-    /// (Sandy Bridge EP, 2.9 GHz base — the paper normalizes its own
-    /// clock to 3.3 GHz which matches the E5-2690 max turbo).
-    pub fn e5_2690_node() -> Self {
-        Self {
-            name: "2x Xeon E5-2690",
-            sockets: 2,
-            cores_per_socket: 8,
-            clock_ghz: 3.3,
-            flops_per_core_cycle: 8.0,
-            mem_gbs: 102.4,  // 4ch DDR3-1600 per socket
-            inject_gbs: 0.0, // standalone host
-            llc_mb_per_socket: 20.0,
-            die_mm2: 416.0,
-            tech_nm: 32,
-            power_w: 270.0,
         }
     }
 }
@@ -105,23 +74,5 @@ mod tests {
         // Total cache: 60 MB/node × 5192 = 311,520 MB (Table VI).
         let cache_mb = n.llc_mb_per_socket * n.sockets as f64 * 5192.0;
         assert!((cache_mb - 311_520.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn e5_2690_area_scaling_matches_section_vi_a() {
-        // Paper: "The E5-2690 uses 416 mm² in 32 nm … would use about
-        // 197 mm² in 22 nm" (per socket).
-        let n = NodeSpec::e5_2690_node();
-        let scaled = n.die_mm2 * (22.0f64 / 32.0).powi(2);
-        assert!((scaled - 196.6).abs() < 1.0, "got {scaled}");
-        // And the 4k XMT config (227 mm²) is ≈1.15× that.
-        assert!((227.0 / scaled - 1.15).abs() < 0.01);
-    }
-
-    #[test]
-    fn peak_formula() {
-        let n = NodeSpec::e5_2690_node();
-        assert_eq!(n.cores(), 16);
-        assert!((n.peak_gflops() - 16.0 * 3.3 * 8.0).abs() < 1e-9);
     }
 }

@@ -12,7 +12,6 @@ use crate::FftDirection;
 #[derive(Clone, Debug)]
 pub struct Bluestein<T> {
     n: usize,
-    direction: FftDirection,
     m: usize,
     stages: Vec<usize>,
     tw_fwd: TwiddleTable<T>,
@@ -67,7 +66,6 @@ impl<T: Float> Bluestein<T> {
 
         Self {
             n,
-            direction,
             m,
             stages,
             tw_fwd,
@@ -75,26 +73,6 @@ impl<T: Float> Bluestein<T> {
             chirp,
             kernel_hat: kernel,
         }
-    }
-
-    /// Transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Transform direction.
-    pub fn direction(&self) -> FftDirection {
-        self.direction
-    }
-
-    /// Internal convolution length (a power of two ≥ 2N−1).
-    pub fn conv_len(&self) -> usize {
-        self.m
     }
 
     /// Transform `data` in place (unnormalized, like the other drivers).
@@ -183,7 +161,7 @@ mod tests {
     #[test]
     fn conv_len_is_sufficient_power_of_two() {
         let plan = Bluestein::<f64>::new(100, FftDirection::Forward);
-        assert!(plan.conv_len().is_power_of_two());
-        assert!(plan.conv_len() >= 199);
+        assert!(plan.m.is_power_of_two());
+        assert!(plan.m >= 199);
     }
 }

@@ -3,7 +3,9 @@
 //! The paper reports FLOPS "based on the standard rule of 5N·log₂N
 //! floating-point operations for an FFT of N elements" (Section VI),
 //! *except* in the Roofline analysis, which uses actual operation
-//! counts. Both conventions live here so every crate agrees on them.
+//! counts. The convention lives here so every crate agrees on it; the
+//! actual counts are `xmt_fft::phases`', built on
+//! [`codelet_flops`](crate::codelets::codelet_flops).
 
 /// The 5N·log₂N convention for an N-point complex FFT.
 ///
@@ -25,41 +27,12 @@ pub fn fft_flops_convention_nd(dims: &[u64]) -> f64 {
     fft_flops_convention(n_total)
 }
 
-/// Actual real-operation count of one radix-`r` Stockham pass over `n`
-/// elements: `n/r` codelets plus twiddle multiplies on non-trivial
-/// outputs (6 real ops per complex multiply).
-pub fn stage_actual_flops(n: u64, r: u64) -> u64 {
-    let codelets = n / r;
-    let codelet_ops = crate::codelets::codelet_flops(r as usize);
-    // Each codelet applies r−1 twiddle multiplies (k=0 is free); the
-    // p=0 sub-problem skips them but is a vanishing fraction at scale.
-    codelets * (codelet_ops + 6 * (r - 1))
-}
-
-/// Actual operation count of a full 1D mixed-radix FFT with the given
-/// stage list.
-pub fn fft_actual_flops(n: u64, stages: &[usize]) -> u64 {
-    stages
-        .iter()
-        .map(|&r| stage_actual_flops(n, r as u64))
-        .sum()
-}
-
 /// GFLOPS given a flop count and elapsed seconds.
 pub fn gflops(flops: f64, seconds: f64) -> f64 {
     if seconds <= 0.0 {
         return 0.0;
     }
     flops / seconds / 1e9
-}
-
-/// GFLOPS given a flop count, cycle count and clock in GHz (the form the
-/// simulator reports: the paper assumes a 3.3 GHz clock).
-pub fn gflops_from_cycles(flops: f64, cycles: u64, clock_ghz: f64) -> f64 {
-    if cycles == 0 {
-        return 0.0;
-    }
-    flops * clock_ghz / cycles as f64
 }
 
 #[cfg(test)]
@@ -89,20 +62,8 @@ mod tests {
     }
 
     #[test]
-    fn actual_is_below_convention_for_radix8() {
-        // Radix-8 does fewer actual ops than the 5N·log₂N convention.
-        let n = 512u64;
-        let actual = fft_actual_flops(n, &[8, 8, 8]) as f64;
-        assert!(actual < fft_flops_convention(n));
-        assert!(actual > 0.5 * fft_flops_convention(n));
-    }
-
-    #[test]
     fn gflops_helpers() {
         assert_eq!(gflops(2e9, 1.0), 2.0);
         assert_eq!(gflops(1.0, 0.0), 0.0);
-        // 100 flops in 50 cycles at 1 GHz = 2 GFLOPS.
-        assert!((gflops_from_cycles(100.0, 50, 1.0) - 2.0).abs() < 1e-12);
-        assert_eq!(gflops_from_cycles(100.0, 0, 1.0), 0.0);
     }
 }

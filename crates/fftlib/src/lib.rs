@@ -38,10 +38,7 @@
 //! * [`plan`] — the planner front end ([`Fft`], [`FftPlanner`]).
 //! * [`nd`] — 2D/3D transforms by the rotation method.
 //! * [`realfft`] — real-input transforms.
-//! * [`convolve`] — FFT convolution utilities.
-//! * [`flops`] — the 5N·log₂N and actual-FLOP accounting conventions.
-//! * [`window`], [`spectrum`] — analysis conveniences (windows,
-//!   fftshift, magnitude/power/dB spectra).
+//! * [`flops`] — the 5N·log₂N accounting convention.
 
 #![warn(missing_docs)]
 #![allow(clippy::len_without_is_empty)]
@@ -49,8 +46,6 @@
 pub mod bluestein;
 pub mod codelets;
 pub mod complex;
-pub mod convolve;
-pub mod dct;
 pub mod dft;
 pub mod flops;
 pub mod nd;
@@ -59,20 +54,14 @@ pub mod plan;
 pub mod radix2;
 pub mod realfft;
 pub mod recursive;
-pub mod spectrum;
 pub mod stockham;
-pub mod stream;
 pub mod twiddle;
-pub mod window;
 
 pub use complex::{Complex, Complex32, Complex64, Float};
-pub use dct::Dct;
 pub use nd::{Fft2d, Fft3d, Granularity};
 pub use plan::{fft, ifft, Algorithm, Fft, FftPlanner, Normalization};
 pub use realfft::RealFft;
-pub use stream::OverlapSave;
 pub use twiddle::{ReplicatedTwiddles, TwiddleTable};
-pub use window::Window;
 
 /// Transform direction. Forward uses the `e^{-i2πkn/N}` kernel of
 /// Eq. (1) of the paper; inverse conjugates it.

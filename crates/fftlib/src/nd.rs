@@ -51,11 +51,6 @@ impl<T: Float> Fft2d<T> {
         }
     }
 
-    /// The array shape.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// Transform direction.
     pub fn direction(&self) -> FftDirection {
         self.direction
@@ -123,11 +118,6 @@ impl<T: Float> Fft3d<T> {
         Self::new((n, n, n), direction)
     }
 
-    /// The array shape.
-    pub fn shape(&self) -> (usize, usize, usize) {
-        self.shape
-    }
-
     /// Transform direction.
     pub fn direction(&self) -> FftDirection {
         self.direction
@@ -136,11 +126,6 @@ impl<T: Float> Fft3d<T> {
     /// Length/count of contained items.
     pub fn len(&self) -> usize {
         self.shape.0 * self.shape.1 * self.shape.2
-    }
-
-    /// True if there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Serial in-place 3D transform.

@@ -78,36 +78,6 @@ impl<T: Float> Fft<T> {
         }
     }
 
-    /// Length/count of contained items.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Transform direction.
-    pub fn direction(&self) -> FftDirection {
-        self.direction
-    }
-
-    /// The algorithm this plan selected.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// The normalization convention.
-    pub fn normalization(&self) -> Normalization {
-        self.normalization
-    }
-
-    /// Stage radices (empty for Bluestein plans).
-    pub fn stages(&self) -> &[usize] {
-        &self.stages
-    }
-
     /// Scratch elements required by [`Self::process_with_scratch`].
     pub fn scratch_len(&self) -> usize {
         match self.algorithm {
@@ -197,11 +167,6 @@ impl<T: Float> FftPlanner<T> {
             .or_insert_with(|| Arc::new(Fft::new(n, direction)))
             .clone()
     }
-
-    /// Number of distinct plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 impl<T: Float> Default for FftPlanner<T> {
@@ -236,19 +201,19 @@ mod tests {
     #[test]
     fn plan_selects_algorithm_by_smoothness() {
         assert_eq!(
-            Fft::<f64>::new(512, FftDirection::Forward).algorithm(),
+            Fft::<f64>::new(512, FftDirection::Forward).algorithm,
             Algorithm::Stockham
         );
         assert_eq!(
-            Fft::<f64>::new(360, FftDirection::Forward).algorithm(),
+            Fft::<f64>::new(360, FftDirection::Forward).algorithm,
             Algorithm::Stockham
         );
         assert_eq!(
-            Fft::<f64>::new(17, FftDirection::Forward).algorithm(),
+            Fft::<f64>::new(17, FftDirection::Forward).algorithm,
             Algorithm::Bluestein
         );
         assert_eq!(
-            Fft::<f64>::new(34, FftDirection::Forward).algorithm(),
+            Fft::<f64>::new(34, FftDirection::Forward).algorithm,
             Algorithm::Bluestein
         );
     }
@@ -306,7 +271,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let _ = p.plan(64, FftDirection::Inverse);
         let _ = p.plan(128, FftDirection::Forward);
-        assert_eq!(p.cached_plans(), 3);
+        assert_eq!(p.cache.len(), 3);
     }
 
     #[test]

@@ -90,19 +90,6 @@ pub fn fft_dif2_scrambled<T: Float>(
     }
 }
 
-/// Per-stage twiddle root orders touched by DIT vs DIF, smallest
-/// sub-problem first. Demonstrates the paper's observation that DIT goes
-/// fine→coarse (2, 4, 8, …, N) while DIF goes coarse→fine (N, …, 4, 2).
-pub fn twiddle_order(n: usize, dif: bool) -> Vec<usize> {
-    assert!(n.is_power_of_two() && n >= 2);
-    let mut orders: Vec<usize> =
-        std::iter::successors(Some(2usize), |&l| if l < n { Some(l * 2) } else { None }).collect();
-    if dif {
-        orders.reverse();
-    }
-    orders
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,12 +153,6 @@ mod tests {
             *e = e.scale(1.0 / n as f64);
         }
         assert!(max_error(&x, &v) < 1e-10);
-    }
-
-    #[test]
-    fn twiddle_order_directions() {
-        assert_eq!(twiddle_order(16, false), vec![2, 4, 8, 16]);
-        assert_eq!(twiddle_order(16, true), vec![16, 8, 4, 2]);
     }
 
     #[test]

@@ -131,13 +131,6 @@ fn hybrid_rec<T: Float>(
     }
 }
 
-/// Peak working set (in elements) touched by a depth-first traversal at
-/// recursion depth `i` of an `n`-point transform: `n / 2^i`. Matches the
-/// paper's locality argument; used in the traversal ablation's report.
-pub fn depth_first_working_set(n: usize, depth: u32) -> usize {
-    n >> depth.min(n.trailing_zeros())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,12 +178,5 @@ mod tests {
             fft_hybrid(&x, &mut out, FftDirection::Forward, &tw, cutoff);
             assert!(max_error(&out, &reference) < 1e-10, "cutoff={cutoff}");
         }
-    }
-
-    #[test]
-    fn working_set_halves_per_level() {
-        assert_eq!(depth_first_working_set(1024, 0), 1024);
-        assert_eq!(depth_first_working_set(1024, 3), 128);
-        assert_eq!(depth_first_working_set(1024, 99), 1);
     }
 }

@@ -53,27 +53,6 @@ pub fn plan_stages(n: usize) -> Option<Vec<usize>> {
     }
 }
 
-/// Work and memory-traffic profile of a stage plan, used by the cost
-/// model and the benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagePlanProfile {
-    /// Number of passes over the array (= number of stages).
-    pub passes: usize,
-    /// Total element loads across all stages (`passes × n`).
-    pub loads: u64,
-    /// Total element stores (same as loads for Stockham).
-    pub stores: u64,
-}
-
-/// Profile a stage plan for an `n`-point transform.
-pub fn profile_stages(n: usize, stages: &[usize]) -> StagePlanProfile {
-    StagePlanProfile {
-        passes: stages.len(),
-        loads: (stages.len() as u64) * n as u64,
-        stores: (stages.len() as u64) * n as u64,
-    }
-}
-
 const MAX_RADIX: usize = 16;
 
 /// One Stockham stage: consume `src`, produce `dst`.
@@ -364,14 +343,6 @@ mod tests {
             *v = v.scale(1.0 / n as f64);
         }
         assert!(max_error(&x, &back) < 1e-10);
-    }
-
-    #[test]
-    fn profile_counts_passes() {
-        let p = profile_stages(512, &plan_stages(512).unwrap());
-        assert_eq!(p.passes, 3);
-        assert_eq!(p.loads, 3 * 512);
-        assert_eq!(p.stores, 3 * 512);
     }
 
     #[test]

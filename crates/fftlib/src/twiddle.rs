@@ -52,12 +52,6 @@ impl<T: Float> TwiddleTable<T> {
     }
 
     #[inline]
-    /// True if there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    #[inline]
     /// Transform direction.
     pub fn direction(&self) -> FftDirection {
         self.direction
@@ -67,23 +61,6 @@ impl<T: Float> TwiddleTable<T> {
     #[inline(always)]
     pub fn get(&self, k: usize) -> Complex<T> {
         self.factors[k % self.n]
-    }
-
-    /// `ω_m^{±k}` for a divisor `m` of `n`, served from this table.
-    ///
-    /// Since `ω_m = ω_n^{n/m}`, the `m`-th roots are the stride-`n/m`
-    /// subset of this table; this is what lets one table serve every
-    /// stage of a decimation-in-frequency FFT (Section IV-A).
-    #[inline(always)]
-    pub fn get_sub(&self, m: usize, k: usize) -> Complex<T> {
-        debug_assert!(self.n.is_multiple_of(m), "{} does not divide {}", m, self.n);
-        self.factors[(k % m) * (self.n / m)]
-    }
-
-    /// Raw factor slice.
-    #[inline]
-    pub fn factors(&self) -> &[Complex<T>] {
-        &self.factors
     }
 }
 
@@ -116,24 +93,6 @@ impl<T: Float> ReplicatedTwiddles<T> {
         Self { n, copies, flat }
     }
 
-    /// Number of distinct factors.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    /// True if there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of replicas of each factor.
-    #[inline]
-    pub fn copies(&self) -> usize {
-        self.copies
-    }
-
     /// Read factor `k`, spreading readers across replicas by `reader`.
     #[inline(always)]
     pub fn get(&self, k: usize, reader: usize) -> Complex<T> {
@@ -144,13 +103,6 @@ impl<T: Float> ReplicatedTwiddles<T> {
     #[inline]
     pub fn flat(&self) -> &[Complex<T>] {
         &self.flat
-    }
-
-    /// Flat index of replica `reader % copies` of factor `k`; matches the
-    /// addressing used by [`Self::get`] and by the XMT kernels.
-    #[inline(always)]
-    pub fn flat_index(&self, k: usize, reader: usize) -> usize {
-        (k % self.n) * self.copies + reader % self.copies
     }
 }
 
@@ -199,15 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_table_matches_smaller_table() {
-        let big = TwiddleTable::<f64>::new(64, FftDirection::Forward);
-        let small = TwiddleTable::<f64>::new(16, FftDirection::Forward);
-        for k in 0..16 {
-            assert!(big.get_sub(16, k).dist(small.get(k)) < 1e-12);
-        }
-    }
-
-    #[test]
     fn replicas_agree_with_base_table() {
         let t = TwiddleTable::<f64>::new(16, FftDirection::Forward);
         let r = ReplicatedTwiddles::new(&t, 4);
@@ -216,21 +159,6 @@ mod tests {
                 assert_eq!(r.get(k, reader), t.get(k));
             }
         }
-    }
-
-    #[test]
-    fn distinct_readers_hit_distinct_addresses() {
-        let t = TwiddleTable::<f64>::new(8, FftDirection::Forward);
-        let r = ReplicatedTwiddles::new(&t, 4);
-        let idx: Vec<usize> = (0..4).map(|reader| r.flat_index(3, reader)).collect();
-        let mut sorted = idx.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(
-            sorted.len(),
-            4,
-            "replicas must be distinct addresses: {idx:?}"
-        );
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl ProgramBuilder {
         Self::default()
     }
 
-    /// Current instruction count (the index the next push will get).
-    pub fn here(&self) -> usize {
-        self.instrs.len()
-    }
-
     /// Allocate a fresh, unbound label.
     pub fn label(&mut self) -> Label {
         self.bound.push(None);

@@ -181,11 +181,6 @@ impl DramChannel {
         }
     }
 
-    /// The configuration used.
-    pub fn config(&self) -> DramConfig {
-        self.cfg
-    }
-
     /// Enable seeded SECDED fault injection on this channel.
     pub fn enable_ecc(&mut self, ecc: EccConfig) {
         self.ecc = Some(ecc);

@@ -79,16 +79,6 @@ impl AddressHash {
         }
     }
 
-    /// Number of memory modules.
-    pub fn modules(&self) -> usize {
-        self.modules
-    }
-
-    /// The `line_words` value.
-    pub fn line_words(&self) -> usize {
-        self.line_words
-    }
-
     /// Cache-line index of a word address.
     #[inline(always)]
     pub fn line_of(&self, addr: u32) -> u32 {
@@ -124,16 +114,6 @@ impl AddressHash {
             mask &= mask - 1;
         }
         mask.trailing_zeros() as usize
-    }
-
-    /// Number of modules currently accepting lines.
-    pub fn online_modules(&self) -> u32 {
-        self.online_count
-    }
-
-    /// True iff module `m` is online under this placement.
-    pub fn module_online(&self, m: usize) -> bool {
-        self.online_mask == u64::MAX || (self.online_mask >> m) & 1 == 1
     }
 
     /// Module-local line identifier (used as the cache index/tag key
@@ -244,7 +224,7 @@ mod tests {
     #[test]
     fn degraded_routes_around_offline_modules() {
         let h = AddressHash::degraded(16, 8, &[0, 5, 6, 7]);
-        assert_eq!(h.online_modules(), 12);
+        assert_eq!(h.online_count, 12);
         let mut seen = std::collections::HashSet::new();
         for line in 0..4096u32 {
             let m = h.module_of(line * 8);
@@ -252,7 +232,6 @@ mod tests {
             seen.insert(m);
         }
         assert_eq!(seen.len(), 12, "all survivors must take traffic");
-        assert!(h.module_online(1) && !h.module_online(5));
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl MemoryModule {
         }
     }
 
-    /// The `id` value.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// The `bank` value.
     pub fn bank(&self) -> &CacheBank {
         &self.bank

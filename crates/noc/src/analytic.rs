@@ -73,18 +73,6 @@ pub fn effective_throughput(topo: &Topology, class: TrafficClass) -> f64 {
     }
 }
 
-/// Aggregate sustainable flit rate (flits/cycle) across all ports.
-pub fn aggregate_flit_rate(topo: &Topology, class: TrafficClass) -> f64 {
-    topo.clusters as f64 * effective_throughput(topo, class)
-}
-
-/// Cycles needed to move `flits` through the network in steady state,
-/// including the pipeline fill latency.
-pub fn transfer_cycles(topo: &Topology, class: TrafficClass, flits: u64) -> f64 {
-    let rate = aggregate_flit_rate(topo, class);
-    topo.latency_cycles() as f64 + flits as f64 / rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,14 +138,5 @@ mod tests {
             (measured - predicted).abs() < 0.05,
             "measured {measured} vs predicted {predicted}"
         );
-    }
-
-    #[test]
-    fn transfer_cycles_includes_latency_floor() {
-        let t = Topology::pure_mot(16, 16);
-        let c = transfer_cycles(&t, TrafficClass::Hashed, 0);
-        assert_eq!(c, t.latency_cycles() as f64);
-        let c1 = transfer_cycles(&t, TrafficClass::Hashed, 1600);
-        assert!((c1 - (t.latency_cycles() as f64 + 100.0)).abs() < 1e-9);
     }
 }

@@ -29,7 +29,7 @@ pub mod net;
 pub mod topology;
 pub mod traffic;
 
-pub use analytic::{aggregate_flit_rate, effective_throughput, TrafficClass};
+pub use analytic::{effective_throughput, TrafficClass};
 pub use butterfly::ButterflyNetwork;
 pub use faulty::{fault_hash, probability_threshold, FaultyNetwork, LinkFaults};
 pub use mot::MotNetwork;

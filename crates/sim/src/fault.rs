@@ -79,27 +79,9 @@ impl FaultPlan {
         self
     }
 
-    /// Set the DRAM in-place retry budget per detected double flip.
-    pub fn dram_retry_limit(mut self, limit: u32) -> Self {
-        self.dram_retry_limit = limit;
-        self
-    }
-
     /// Set the NoC per-delivery corruption probability.
     pub fn noc_corrupt(mut self, p: f64) -> Self {
         self.noc_corrupt = p;
-        self
-    }
-
-    /// Set the NoC redelivery budget per flit.
-    pub fn noc_retry_limit(mut self, limit: u32) -> Self {
-        self.noc_retry_limit = limit;
-        self
-    }
-
-    /// Set the NoC exponential-backoff base (clamped to ≥ 1).
-    pub fn noc_backoff_base(mut self, base: u64) -> Self {
-        self.noc_backoff_base = base.max(1);
         self
     }
 

@@ -415,11 +415,6 @@ impl<P: Probe> Machine<P> {
         }
     }
 
-    /// Store a `u32` slice at word address `addr`.
-    pub fn write_u32s(&mut self, addr: usize, data: &[u32]) {
-        self.mem[addr..addr + data.len()].copy_from_slice(data);
-    }
-
     /// The attached probe (e.g. to pull [`crate::IntervalProbe::rows`]
     /// after a run).
     pub fn probe(&self) -> &P {
@@ -432,11 +427,6 @@ impl<P: Probe> Machine<P> {
     /// [`IntervalProbe::into_carried`](crate::IntervalProbe::into_carried)).
     pub fn into_probe(self) -> P {
         self.probe
-    }
-
-    /// The configuration used.
-    pub fn config(&self) -> &XmtConfig {
-        &self.cfg
     }
 
     /// Snapshot of the global registers (useful after a run).
@@ -755,15 +745,6 @@ impl<P: Probe> Machine<P> {
     /// journal) actually wants. Same quiescence requirement.
     pub fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, SimError> {
         Ok(self.checkpoint()?.to_bytes())
-    }
-
-    /// Per-spawn statistics accumulated so far. [`Machine::run`] moves
-    /// the log into its [`RunReport`] rather than cloning it, so after
-    /// a completed run the report owns the entries and this is empty;
-    /// it is useful when driving the machine manually via
-    /// [`Machine::step`].
-    pub fn spawn_log(&self) -> &[SpawnStats] {
-        &self.spawn_log
     }
 
     /// Trace-cache exercise counters of the block-compiled tier, or

@@ -183,12 +183,6 @@ impl RunOutcome {
         matches!(self.status, RunStatus::Completed)
     }
 
-    /// True when the run paused at a quiescent cycle (only
-    /// [`Machine::run_until`](crate::Machine::run_until) produces this).
-    pub fn is_paused(&self) -> bool {
-        matches!(self.status, RunStatus::Paused { .. })
-    }
-
     /// The typed error, when the run failed.
     pub fn error(&self) -> Option<&SimError> {
         match &self.status {

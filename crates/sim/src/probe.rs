@@ -570,11 +570,6 @@ impl RaceCheck {
     pub fn conflicts(&self) -> &[Conflict] {
         &self.conflicts
     }
-
-    /// Number of conflicts observed (at most one per word per spawn).
-    pub fn conflict_count(&self) -> usize {
-        self.conflicts.len()
-    }
 }
 
 impl Probe for RaceCheck {

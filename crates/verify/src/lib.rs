@@ -247,20 +247,6 @@ pub fn verify(prog: &Program) -> Report {
     verify_instrs(prog.instrs())
 }
 
-/// Verify a program *and* translation-validate its canonical micro-op
-/// lowering at the given unit latencies (the simulator exports its
-/// baked pair as `xmt_sim::UNIT_LAT`). A lowering failure is reported
-/// as a [`Kind::Transval`] error carrying the typed counterexample.
-pub fn verify_with_lowering(prog: &Program, lat: xmt_isa::UnitLat) -> Report {
-    let mut report = verify_instrs(prog.instrs());
-    if let Err(e) = transval::validate_program(prog.instrs(), lat) {
-        report
-            .diags
-            .push(Diag::error(Kind::Transval, e.pc, e.to_string()));
-    }
-    report
-}
-
 /// Verify a decoded binary ([`DecodedProgram`]) — the same checks, so
 /// a program round-tripped through the codec verifies identically.
 pub fn verify_decoded(prog: &DecodedProgram) -> Report {

@@ -2,7 +2,7 @@
 //!
 //! The constants below were captured from the simulator *before* the
 //! fast-forward / parallel-stepping engine rework (see
-//! `crates/bench/src/bin/golden_capture.rs` to regenerate). Every
+//! `crates/bench/src/bin/paper/golden_capture.rs` to regenerate). Every
 //! engine must reproduce them bit-for-bit: the optimized engines are
 //! only allowed to change how fast wall-clock time passes, never a
 //! single simulated statistic.
