@@ -112,6 +112,13 @@ stage "paper binary: every command, release" \
 stage "job server smoke: preemption, cache identity, worker kill" \
     cargo test --release -p xmt-integration --test server_jobs -q
 
+# The job table's memory (DESIGN.md §16), no benchmark needed: 40 000
+# in-process cache-hit jobs may grow VmRSS by at most 0.5 KiB each — a
+# finished job keeps its status and a share of the cached report bytes,
+# nothing else. Its own test binary; skips where /proc is absent.
+stage "job table memory: <= 0.5 KiB per finished job" \
+    cargo test --release -p xmt-server --test job_table_memory -q
+
 # The networked job service gate (DESIGN.md §18), three layers:
 #   wire_properties — proptest fuzz of every trust-boundary decoder
 #     (journal + TCP frames): arbitrary / truncated / bit-flipped bytes

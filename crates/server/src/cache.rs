@@ -11,6 +11,11 @@
 //! takes minutes, even if the big run is colder. Recency is only the
 //! tiebreak between equal scores.
 //!
+//! Values are shared, not copied: the memory tier holds each report as
+//! one `Arc<[u8]>` and [`ResultCache::get`] hands out a clone of it, so
+//! a cache hit, the job it resolves and that job's dedupe followers all
+//! point at the same allocation.
+//!
 //! When a persistence directory is configured, every insert also lands
 //! in `<key>.rep` on disk (cost header + payload) and a memory miss
 //! falls back to the file before declaring a true miss. Eviction only
@@ -19,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Hit/miss counters for the cache, split by tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +52,7 @@ xmt_sim::word_codec!(
 /// score inputs.
 #[derive(Debug)]
 struct Entry {
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
     /// Simulated cycles the producing run burned — the recompute cost.
     cycles: u64,
     /// Logical access clock at last touch (tiebreak only).
@@ -97,19 +103,21 @@ impl ResultCache {
 
     /// Look a key up, refreshing its recency tiebreak. Falls back to
     /// the persistence directory on a memory miss (re-admitting the
-    /// bytes to memory on success).
-    pub fn get(&mut self, key: u64) -> Option<Vec<u8>> {
+    /// bytes to memory on success). The bytes are the entry's own
+    /// allocation, shared.
+    pub fn get(&mut self, key: u64) -> Option<Arc<[u8]>> {
         self.clock += 1;
         let clock = self.clock;
         if let Some(e) = self.map.get_mut(&key) {
             e.touched = clock;
             self.stats.hits += 1;
-            return Some(e.bytes.clone());
+            return Some(Arc::clone(&e.bytes));
         }
         if let Some(path) = self.path_for(key) {
             if let Some((cycles, bytes)) = std::fs::read(&path).ok().and_then(split_disk_entry) {
                 self.stats.disk_hits += 1;
-                self.admit(key, bytes.clone(), cycles);
+                let bytes: Arc<[u8]> = bytes.into();
+                self.admit(key, Arc::clone(&bytes), cycles);
                 return Some(bytes);
             }
         }
@@ -120,7 +128,8 @@ impl ResultCache {
     /// Insert (or overwrite) an entry with the simulated cycles its
     /// run burned, persisting it when a directory is configured and
     /// evicting the lowest cost-per-byte memory entry past capacity.
-    pub fn insert(&mut self, key: u64, bytes: Vec<u8>, cycles: u64) {
+    pub fn insert(&mut self, key: u64, bytes: impl Into<Arc<[u8]>>, cycles: u64) {
+        let bytes = bytes.into();
         if let Some(path) = self.path_for(key) {
             let mut file = Vec::with_capacity(8 + bytes.len());
             file.extend_from_slice(&cycles.to_le_bytes());
@@ -131,7 +140,7 @@ impl ResultCache {
     }
 
     /// Memory-tier insert + cost-eviction bookkeeping (no disk write).
-    fn admit(&mut self, key: u64, bytes: Vec<u8>, cycles: u64) {
+    fn admit(&mut self, key: u64, bytes: Arc<[u8]>, cycles: u64) {
         self.clock += 1;
         self.map.insert(
             key,
@@ -223,14 +232,18 @@ mod tests {
         let mut c = ResultCache::new(1, Some(dir.clone()));
         c.insert(7, vec![7, 7], 500);
         c.insert(8, vec![8, 8], 900); // evicts 7 from memory only
-        assert_eq!(c.get(7), Some(vec![7, 7]), "disk fallback after eviction");
+        assert_eq!(
+            c.get(7).as_deref(),
+            Some(&[7, 7][..]),
+            "disk fallback after eviction"
+        );
         assert_eq!(c.stats().disk_hits, 1);
         drop(c);
         // A fresh cache over the same directory still hits, and the
         // cost header survives the round trip (re-eviction stays
         // cost-ordered).
         let mut c2 = ResultCache::new(4, Some(dir.clone()));
-        assert_eq!(c2.get(8), Some(vec![8, 8]));
+        assert_eq!(c2.get(8).as_deref(), Some(&[8, 8][..]));
         assert_eq!(c2.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

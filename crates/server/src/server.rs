@@ -31,7 +31,7 @@ mod worker;
 
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -203,13 +203,24 @@ pub(crate) struct Shared {
     journal: Mutex<Option<Journal>>,
 }
 
+/// Unwrap a `lock()` or condvar wait, recovering the guard when another
+/// thread panicked while holding the mutex. Every lock in the service
+/// goes through here: one panic must cost at most the request it
+/// happened in, not every later submit, poll, wait and stats call.
+/// Nothing under these locks writes a field in pieces, so what a panic
+/// can leave behind is at worst a transition half applied (say, a
+/// primary resolved before its followers), never a torn value.
+fn unpoison<G>(r: LockResult<G>) -> G {
+    r.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Append records to the journal, best-effort (a failed append only
 /// costs restart work — the in-memory result already stands, and
 /// replay re-executes anything not recorded), then wake whoever waits
 /// on the state they describe.
 fn publish(shared: &Shared, recs: &[Record]) {
     if !recs.is_empty() {
-        if let Some(j) = shared.journal.lock().unwrap().as_mut() {
+        if let Some(j) = unpoison(shared.journal.lock()).as_mut() {
             for r in recs {
                 if j.append(r).is_err() {
                     break;
@@ -350,7 +361,7 @@ impl Server {
     /// execution).
     fn admit(&self, sub: Submission, dedup_of: Option<JobId>) -> Result<JobHandle, JobError> {
         let digest = sub.req.digest();
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = unpoison(self.shared.state.lock());
         if st.shutdown {
             return Err(JobError::Shutdown);
         }
@@ -378,7 +389,7 @@ impl Server {
         // Durability before acknowledgement: the Submit record is
         // fsynced while we still hold the state lock (order: state →
         // journal), so an accepted handle implies a replayable job.
-        if let Some(j) = self.shared.journal.lock().unwrap().as_mut() {
+        if let Some(j) = unpoison(self.shared.journal.lock()).as_mut() {
             if j.append(&submit_record(id, &sub)).is_err() {
                 return Err(JobError::Journal);
             }
@@ -406,7 +417,7 @@ impl Server {
     /// A handle to an existing job by id (`None` for unknown ids) —
     /// how the network layer reattaches to journal-recovered jobs.
     pub fn handle(&self, id: JobId) -> Option<JobHandle> {
-        let known = self.shared.state.lock().unwrap().jobs.contains_key(&id);
+        let known = unpoison(self.shared.state.lock()).jobs.contains_key(&id);
         known.then(|| self.handle_to(id))
     }
 
@@ -416,30 +427,27 @@ impl Server {
     /// thread exits. A replacement worker is spawned immediately so
     /// the pool keeps its strength.
     pub fn kill_worker(&self) {
-        self.shared.state.lock().unwrap().kill_requests += 1;
+        unpoison(self.shared.state.lock()).kill_requests += 1;
         let sh = Arc::clone(&self.shared);
-        self.workers
-            .lock()
-            .unwrap()
-            .push(std::thread::spawn(move || worker::run(&sh)));
+        unpoison(self.workers.lock()).push(std::thread::spawn(move || worker::run(&sh)));
         self.shared.cv.notify_all();
     }
 
     /// Result-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.lock().unwrap().stats()
+        unpoison(self.shared.cache.lock()).stats()
     }
 
     /// Scheduler and admission counters.
     pub fn stats(&self) -> ServerStats {
         let mut s = {
-            let st = self.shared.state.lock().unwrap();
+            let st = unpoison(self.shared.state.lock());
             ServerStats {
                 queued: st.queued(),
                 ..st.stats
             }
         };
-        if let Some(j) = self.shared.journal.lock().unwrap().as_ref() {
+        if let Some(j) = unpoison(self.shared.journal.lock()).as_ref() {
             s.journal_bytes = j.len();
         }
         s
@@ -450,7 +458,7 @@ impl Server {
     /// in debt, paying it off in refill time.
     pub fn quota_level(&self, tenant: &str) -> Option<f64> {
         let quota = self.shared.quota?;
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = unpoison(self.shared.state.lock());
         let b = st.buckets.get_mut(tenant)?;
         b.refill(&quota);
         Some(b.level)
@@ -459,9 +467,9 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.state.lock().unwrap().shut_down();
+        unpoison(self.shared.state.lock()).shut_down();
         self.shared.cv.notify_all();
-        for h in self.workers.lock().unwrap().drain(..) {
+        for h in unpoison(self.workers.lock()).drain(..) {
             let _ = h.join();
         }
     }
@@ -476,7 +484,7 @@ impl JobHandle {
 
     /// A snapshot of the job's current state.
     pub fn poll(&self) -> JobStatus {
-        let st = self.shared.state.lock().unwrap();
+        let st = unpoison(self.shared.state.lock());
         st.jobs.get(&self.id).expect("job entry exists").status
     }
 
@@ -494,26 +502,31 @@ impl JobHandle {
         self.wait_until(Instant::now().checked_add(timeout))
     }
 
+    /// Waits under the lock for the terminal value, then builds the
+    /// public result from it — decoding a report — with the lock
+    /// released.
     fn wait_until(&self, deadline: Option<Instant>) -> Result<JobResult, JobError> {
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
+        let mut st = unpoison(self.shared.state.lock());
+        let terminal = loop {
             if let Some(r) = &st.jobs.get(&self.id).expect("job entry exists").result {
-                return r.clone();
+                break r.clone();
             }
             if st.shutdown {
                 return Err(JobError::Shutdown);
             }
             st = match deadline {
-                None => self.shared.cv.wait(st).unwrap(),
+                None => unpoison(self.shared.cv.wait(st)),
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return Err(JobError::Timeout);
                     }
-                    self.shared.cv.wait_timeout(st, deadline - now).unwrap().0
+                    unpoison(self.shared.cv.wait_timeout(st, deadline - now)).0
                 }
             };
-        }
+        };
+        drop(st);
+        terminal.into_result()
     }
 
     /// Ask the server to cancel the job. Queued jobs cancel
@@ -522,7 +535,7 @@ impl JobHandle {
     /// share one execution). A job that already finished keeps its
     /// result.
     pub fn cancel(&self) {
-        let recs = self.shared.state.lock().unwrap().cancel(self.id);
+        let recs = unpoison(self.shared.state.lock()).cancel(self.id);
         publish(&self.shared, &recs);
     }
 
@@ -531,13 +544,8 @@ impl JobHandle {
     /// slice as the job runs; the channel closes at the terminal
     /// state.
     pub fn take_stream(&mut self) -> Option<mpsc::Receiver<IntervalRow>> {
-        self.shared
-            .state
-            .lock()
-            .unwrap()
-            .jobs
-            .get_mut(&self.id)
-            .and_then(|e| e.stream_rx.take())
+        let mut st = unpoison(self.shared.state.lock());
+        st.jobs.get_mut(&self.id).and_then(|e| e.stream_rx.take())
     }
 }
 
@@ -954,6 +962,125 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// One panic under the state lock poisons the mutex; every later
+    /// call must recover the guard instead of panicking in turn.
+    #[test]
+    fn a_panic_under_the_state_lock_poisons_nothing() {
+        let srv = tiny_server(1, u64::MAX);
+        let shared = Arc::clone(&srv.shared);
+        let panicked = std::thread::spawn(move || {
+            let _held = shared.state.lock().unwrap();
+            panic!("injected panic while holding the state lock");
+        })
+        .join();
+        assert!(panicked.is_err() && srv.shared.state.is_poisoned());
+        let limit = Duration::from_secs(30);
+        let run = || {
+            let h = srv
+                .submit(SimRequest::golden("ps_tickets").unwrap())
+                .unwrap();
+            let r = h.wait_deadline(limit).unwrap();
+            assert_eq!(h.poll().state, JobState::Done);
+            r
+        };
+        let (cold, hit) = (run(), run());
+        assert!(!cold.from_cache && hit.from_cache);
+        assert_eq!(cold.bytes, hit.bytes);
+        let stats = srv.stats();
+        assert_eq!((stats.submitted, stats.completed), (2, 2), "{stats:?}");
+    }
+
+    /// The byte formats, pinned across commits: a fixed single-worker
+    /// scenario — a cold job sliced into four commits, a cache hit, a
+    /// batch follower, a cancel and a stuck-TCU failure — with a
+    /// journal and a persisted cache, hashed (FNV-1a) file by file and
+    /// result frame by result frame. The constants were captured by
+    /// running this test at the parent of the change that made results
+    /// shared bytes; every submission lands before the worker starts,
+    /// so the record order is the same on every run.
+    #[test]
+    fn journal_cache_and_result_bytes_are_pinned() {
+        use xmt_sim::simcfg::fnv1a;
+        let dir = scratch("pinned");
+        let cfg = ServerConfig {
+            workers: 1,
+            quantum: 2_500,
+            cache_dir: Some(dir.join("cache")),
+            journal: Some(dir.join("jobs.journal")),
+            ..ServerConfig::default()
+        };
+        let srv = Server::start_with(cfg, 0).unwrap();
+        let golden = |name| SimRequest::golden(name).unwrap();
+        let stuck = golden("fft_radix8_n512").with_sim(|s| {
+            s.faults(xmt_sim::FaultPlan::new(7).stuck_tcu(1, 3))
+                .watchdog(5_000)
+        });
+        let mut handles: Vec<JobHandle> = [
+            golden("fft_radix8_n512"),
+            golden("ps_tickets"),
+            golden("ps_tickets"),
+        ]
+        .into_iter()
+        .map(|r| srv.submit(r).unwrap())
+        .collect();
+        let batch = vec![golden("spawn_storm"), golden("spawn_storm")];
+        handles.extend(srv.submit_batch(batch).into_iter().map(Result::unwrap));
+        handles.push(srv.submit(golden("fpu_chain")).unwrap());
+        handles[5].cancel();
+        handles.push(srv.submit(stuck).unwrap());
+        let sh = Arc::clone(&srv.shared);
+        srv.workers
+            .lock()
+            .unwrap()
+            .push(std::thread::spawn(move || worker::run(&sh)));
+        let mut seen = Vec::new();
+        for h in &handles {
+            match h.wait_deadline(Duration::from_secs(120)) {
+                Ok(r) => seen.push((
+                    format!(
+                        "result {} slices {} cache {}",
+                        h.id(),
+                        r.slices,
+                        r.from_cache
+                    ),
+                    fnv1a(&crate::net::encode_result(&r)),
+                )),
+                Err(e) => seen.push((format!("result {} {e:?}", h.id()), 0)),
+            }
+        }
+        drop(srv);
+        seen.push((
+            "journal".into(),
+            fnv1a(&std::fs::read(dir.join("jobs.journal")).unwrap()),
+        ));
+        let mut reps: Vec<_> = std::fs::read_dir(dir.join("cache"))
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .collect();
+        reps.sort();
+        for rep in reps {
+            let name = rep.file_name().unwrap().to_string_lossy().into_owned();
+            seen.push((name, fnv1a(&std::fs::read(&rep).unwrap())));
+        }
+        let seen: Vec<(&str, u64)> = seen.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(seen, PINNED_BYTES);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    const PINNED_BYTES: [(&str, u64); 11] = [
+        ("result 0 slices 4 cache false", 0x9ff25554f07057cf),
+        ("result 1 slices 1 cache false", 0x3c8120d5f7ef8721),
+        ("result 2 slices 0 cache true", 0xd20ff95cf0e27bcf),
+        ("result 3 slices 1 cache false", 0x129268e302d3fb14),
+        ("result 4 slices 1 cache false", 0x129268e302d3fb14),
+        ("result 5 Cancelled", 0x0000000000000000),
+        ("result 6 slices 1 cache false", 0x2c589da292518f79),
+        ("journal", 0x566b66f2520574d2),
+        ("09d93dd34e0a4398.rep", 0xbb9aa90c58cb3da1),
+        ("64d7c9947dfe04cd.rep", 0x71227a1431ac04e6),
+        ("c80f9986e155b0d6.rep", 0x993cab7dc1503657),
+    ];
 
     /// Compaction is a fixpoint: recovery walks every job through the
     /// live transitions, so what it writes back is what it would read

@@ -1,9 +1,9 @@
 //! Crash recovery: the scheduler state rebuilt from a replayed journal
 //! ([`crate::journal`]), by the live transitions of [`super::state`].
 
-use super::state::{SliceState, State};
+use super::state::{SliceState, State, Terminal};
 use super::submit_record;
-use crate::job::{JobError, JobResult};
+use crate::job::JobError;
 use crate::journal::{Record, RecoveredJob};
 
 /// Rebuild scheduler state from journal replay by walking each job
@@ -30,10 +30,8 @@ pub(super) fn recover(st: &mut State, jobs: Vec<RecoveredJob>) -> Vec<Record> {
                 from_cache,
                 report,
                 ..
-            }) => JobResult::completed(report, from_cache, slices)
-                .ok()
-                .map(Ok),
-            Some(Record::Cancelled { .. }) => Some(Err(JobError::Cancelled)),
+            }) => Terminal::completed(report.into(), from_cache, slices),
+            Some(Record::Cancelled { .. }) => Some(Terminal::Err(JobError::Cancelled)),
             // A `Failed` record only marks that it happened: like an
             // unfinished job, the run is repeated.
             _ => None,

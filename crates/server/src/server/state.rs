@@ -10,13 +10,14 @@
 //! the state the live path would have left it in.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use super::{QuotaPolicy, ServerStats, Submission};
 use crate::job::{JobError, JobId, JobResult, JobState, JobStatus, Lane};
 use crate::journal::Record;
 use crate::request::SimRequest;
+use crate::wire;
 use xmt_sim::{IntervalProbe, IntervalRow};
 
 /// Consecutive `High`-lane pops a worker may take while `Normal` work
@@ -62,16 +63,29 @@ pub(super) struct SliceState {
     pub(super) rows_sent: u64,
 }
 
-/// Everything the server knows about one job.
+/// One row of the job table: what a reader can still ask for. A live
+/// job also holds its [`Live`] part; [`State::resolve`] drops that, so
+/// a finished job costs this row plus its share of the report bytes.
 pub(super) struct JobEntry {
-    pub(super) req: SimRequest,
-    pub(super) digest: u64,
-    pub(super) tenant: String,
-    pub(super) lane: Lane,
     /// What [`crate::JobHandle::poll`] reports. `deduped` marks a dedupe
     /// follower: the entry never executes, its result fans out from
     /// its batch primary.
     pub(super) status: JobStatus,
+    /// Everything only an unfinished job needs; `None` once resolved.
+    pub(super) live: Option<Box<Live>>,
+    /// Receiver end of the probe-row stream, parked here until a
+    /// subscriber takes it ([`crate::JobHandle::take_stream`]) — which
+    /// may be after the job finished.
+    pub(super) stream_rx: Option<mpsc::Receiver<IntervalRow>>,
+    pub(super) result: Option<Terminal>,
+}
+
+/// The part of a job only its execution reads.
+pub(super) struct Live {
+    pub(super) req: SimRequest,
+    pub(super) digest: u64,
+    pub(super) tenant: String,
+    pub(super) lane: Lane,
     /// Dedupe followers to resolve when this (primary) job resolves.
     pub(super) followers: Vec<JobId>,
     /// Where the next slice starts.
@@ -80,10 +94,57 @@ pub(super) struct JobEntry {
     /// Live end of the probe-row stream; dropped at terminal states so
     /// the receiver's iteration ends.
     pub(super) stream: Option<mpsc::Sender<IntervalRow>>,
-    /// Receiver end, parked here until a subscriber takes it
-    /// ([`crate::JobHandle::take_stream`]).
-    pub(super) stream_rx: Option<mpsc::Receiver<IntervalRow>>,
-    pub(super) result: Option<Result<JobResult, JobError>>,
+}
+
+/// A terminal result as the table holds it: what
+/// [`crate::JobHandle::wait`] turns into the public
+/// `Result<JobResult, JobError>`, outside the lock.
+#[derive(Clone)]
+pub(super) enum Terminal {
+    /// A completed run: its canonical report bytes — the same
+    /// allocation the result cache and the job's followers hold.
+    Done {
+        report: Arc<[u8]>,
+        at_cycle: u64,
+        slices: u32,
+        from_cache: bool,
+    },
+    /// A failed run: the typed error and its partial report.
+    Failed(Box<JobResult>),
+    /// Cancelled, or the server shut down first.
+    Err(JobError),
+}
+
+impl Terminal {
+    /// A completed result from canonical report bytes that did not come
+    /// from running — a cache hit, a journal-recovered `Done`. The bytes
+    /// are decoded once to validate them; `None` when they no longer
+    /// decode (a stale or corrupt blob): the caller runs the job instead.
+    pub(super) fn completed(report: Arc<[u8]>, from_cache: bool, slices: u32) -> Option<Terminal> {
+        let at_cycle = wire::decode_report(&report).ok()?.stats.cycles;
+        Some(Terminal::Done {
+            report,
+            at_cycle,
+            slices,
+            from_cache,
+        })
+    }
+
+    /// The public form. A completed report is decoded here, so callers
+    /// hold no lock while it runs.
+    pub(super) fn into_result(self) -> Result<JobResult, JobError> {
+        match self {
+            Terminal::Done {
+                report,
+                slices,
+                from_cache,
+                ..
+            } => Ok(JobResult::completed(report.to_vec(), from_cache, slices)
+                .expect("a stored report was encoded here or validated on the way in")),
+            Terminal::Failed(r) => Ok(*r),
+            Terminal::Err(e) => Err(e),
+        }
+    }
 }
 
 /// One popped unit of work: everything a worker needs to run a slice
@@ -143,10 +204,6 @@ impl State {
         self.jobs.insert(
             id,
             JobEntry {
-                req,
-                digest,
-                tenant,
-                lane,
                 status: JobStatus {
                     state: JobState::Queued,
                     at_cycle: 0,
@@ -154,10 +211,16 @@ impl State {
                     from_cache: false,
                     deduped: false,
                 },
-                followers: Vec::new(),
-                carry: SliceState::default(),
-                cancelled: false,
-                stream,
+                live: Some(Box::new(Live {
+                    req,
+                    digest,
+                    tenant,
+                    lane,
+                    followers: Vec::new(),
+                    carry: SliceState::default(),
+                    cancelled: false,
+                    stream,
+                })),
                 stream_rx,
                 result: None,
             },
@@ -166,9 +229,15 @@ impl State {
         self.stats.submitted += 1;
     }
 
+    /// The live part of an unfinished job.
+    pub(super) fn live(&mut self, id: JobId) -> &mut Live {
+        (self.jobs.get_mut(&id).and_then(|e| e.live.as_deref_mut()))
+            .expect("unfinished job entry exists")
+    }
+
     /// The job waits at the back of its lane.
     pub(super) fn enqueue(&mut self, id: JobId) {
-        let lane = self.jobs[&id].lane;
+        let lane = self.live(id).lane;
         self.queues[lane as usize].push_back(id);
     }
 
@@ -180,13 +249,12 @@ impl State {
         e.status.deduped = true;
         self.stats.deduped += 1;
         let p = self.jobs.get_mut(&primary).expect("primary entry exists");
-        match p.result.clone() {
-            Some(r) => self.resolve(id, r),
-            None => {
-                p.followers.push(id);
-                Vec::new()
-            }
+        if let Some(r) = p.result.clone() {
+            return self.resolve(id, r);
         }
+        let live = p.live.as_mut().expect("an unresolved job is live");
+        live.followers.push(id);
+        Vec::new()
     }
 
     /// Pop the next runnable id, `High` lane first with a bounded
@@ -215,11 +283,12 @@ impl State {
         let id = self.pop_id()?;
         let e = self.jobs.get_mut(&id).expect("queued job entry exists");
         e.status.state = JobState::Running;
+        let live = e.live.as_ref().expect("a queued job is live");
         Some(Popped {
             id,
-            req: e.req.clone(),
-            digest: e.digest,
-            from: e.carry.clone(),
+            req: live.req.clone(),
+            digest: live.digest,
+            from: live.carry.clone(),
         })
     }
 
@@ -227,7 +296,6 @@ impl State {
     /// (the caller requeues it). Returns the journal `Commit` — except
     /// for a probed job, which replay restarts from scratch anyway.
     pub(super) fn pause(&mut self, id: JobId, at_cycle: u64, carry: SliceState) -> Option<Record> {
-        let e = self.jobs.get_mut(&id).expect("paused job entry exists");
         let commit = match (&carry.probe, &carry.checkpoint) {
             (None, Some(cp)) => Some(Record::Commit {
                 id,
@@ -236,8 +304,9 @@ impl State {
             }),
             _ => None,
         };
+        self.live(id).carry = carry;
+        let e = self.jobs.get_mut(&id).expect("paused job entry exists");
         e.status.at_cycle = at_cycle;
-        e.carry = carry;
         e.status.state = JobState::Paused;
         commit
     }
@@ -247,19 +316,18 @@ impl State {
     /// arrived while it ran, resolves now.
     pub(super) fn rollback(&mut self, id: JobId) -> Vec<Record> {
         let e = self.jobs.get_mut(&id).expect("running job entry exists");
-        if e.result.is_some() {
+        let (None, Some(live)) = (&e.result, &e.live) else {
             return Vec::new();
+        };
+        if live.cancelled {
+            return self.resolve(id, Terminal::Err(JobError::Cancelled));
         }
-        if e.cancelled {
-            return self.resolve(id, Err(JobError::Cancelled));
-        }
-        e.status.state = if e.carry.checkpoint.is_some() {
+        e.status.state = if live.carry.checkpoint.is_some() {
             JobState::Paused
         } else {
             JobState::Queued
         };
-        let lane = e.lane;
-        self.queues[lane as usize].push_front(id);
+        self.queues[live.lane as usize].push_front(id);
         Vec::new()
     }
 
@@ -270,34 +338,39 @@ impl State {
         let Some(e) = self.jobs.get_mut(&id) else {
             return Vec::new();
         };
-        if e.result.is_some() {
+        let (None, Some(live)) = (&e.result, &mut e.live) else {
             return Vec::new();
-        }
-        e.cancelled = true;
+        };
+        live.cancelled = true;
         if e.status.state == JobState::Running {
             return Vec::new();
         }
         for q in &mut self.queues {
             q.retain(|&x| x != id);
         }
-        self.resolve(id, Err(JobError::Cancelled))
+        self.resolve(id, Terminal::Err(JobError::Cancelled))
     }
 
     /// Resolve a job to the terminal state its result names (`Done`
-    /// for a completed outcome, `Failed` for a failed one, `Cancelled`
-    /// for an error) and fan the result out to its dedupe followers.
+    /// for a completed run, `Failed` for a failed one, `Cancelled` for
+    /// an error), drop its live part, and fan the result out to its
+    /// dedupe followers — each holding the same report allocation.
     /// Returns the journal records to append (the caller appends them
     /// *after* dropping the state lock). Jobs that already resolved are
     /// left untouched.
-    pub(super) fn resolve(
-        &mut self,
-        id: JobId,
-        result: Result<JobResult, JobError>,
-    ) -> Vec<Record> {
-        let state = match &result {
-            Ok(r) if r.outcome.is_completed() => JobState::Done,
-            Ok(_) => JobState::Failed,
-            Err(_) => JobState::Cancelled,
+    pub(super) fn resolve(&mut self, id: JobId, result: Terminal) -> Vec<Record> {
+        let (state, marks) = match &result {
+            Terminal::Done {
+                at_cycle,
+                slices,
+                from_cache,
+                ..
+            } => (JobState::Done, Some((*at_cycle, *slices, *from_cache))),
+            Terminal::Failed(r) => (
+                JobState::Failed,
+                Some((r.outcome.at_cycle(), r.slices, r.from_cache)),
+            ),
+            Terminal::Err(_) => (JobState::Cancelled, None),
         };
         let mut recs = Vec::new();
         let mut pending = vec![id];
@@ -309,39 +382,44 @@ impl State {
                 continue;
             }
             e.status.state = state;
-            e.carry = SliceState::default();
-            e.stream = None;
-            if let Ok(r) = &result {
+            if let Some((at_cycle, slices, from_cache)) = marks {
                 // A job that never ran — a cache hit, a recovered
                 // result, a follower — takes its progress marks from
                 // the result; one that ran already has them.
-                e.status.at_cycle = e.status.at_cycle.max(r.outcome.at_cycle());
-                e.status.from_cache = r.from_cache;
+                e.status.at_cycle = e.status.at_cycle.max(at_cycle);
+                e.status.from_cache = from_cache;
                 if !e.status.deduped {
-                    e.status.slices = r.slices;
+                    e.status.slices = slices;
                 }
             }
             e.result = Some(result.clone());
-            pending.append(&mut e.followers);
-            match &result {
-                Ok(r) if state == JobState::Done => {
-                    self.stats.completed += 1;
-                    recs.push(Record::Done {
-                        id: jid,
-                        slices: r.slices,
-                        from_cache: r.from_cache,
-                        report: r.bytes.clone(),
-                    });
-                }
-                Ok(_) => {
-                    self.stats.failed += 1;
-                    recs.push(Record::Failed { id: jid });
-                }
-                Err(_) => {
-                    self.stats.cancelled += 1;
-                    recs.push(Record::Cancelled { id: jid });
-                }
+            if let Some(live) = e.live.take() {
+                pending.extend(live.followers);
             }
+            recs.push(match &result {
+                Terminal::Done {
+                    report,
+                    slices,
+                    from_cache,
+                    ..
+                } => {
+                    self.stats.completed += 1;
+                    Record::Done {
+                        id: jid,
+                        slices: *slices,
+                        from_cache: *from_cache,
+                        report: report.to_vec(),
+                    }
+                }
+                Terminal::Failed(_) => {
+                    self.stats.failed += 1;
+                    Record::Failed { id: jid }
+                }
+                Terminal::Err(_) => {
+                    self.stats.cancelled += 1;
+                    Record::Cancelled { id: jid }
+                }
+            });
         }
         recs
     }
@@ -350,6 +428,7 @@ impl State {
     /// unresolved handle reads `Shutdown`. No journal records: the jobs
     /// keep their `Submit` (and latest `Commit`), so a restart on the
     /// same journal resumes them — drop and crash recover identically.
+    /// A slice still running commits into the live part as usual.
     pub(super) fn shut_down(&mut self) {
         self.shutdown = true;
         for q in &mut self.queues {
@@ -357,8 +436,10 @@ impl State {
         }
         for e in self.jobs.values_mut() {
             if e.result.is_none() {
-                e.result = Some(Err(JobError::Shutdown));
-                e.stream = None;
+                e.result = Some(Terminal::Err(JobError::Shutdown));
+                if let Some(live) = &mut e.live {
+                    live.stream = None;
+                }
             }
         }
     }
@@ -380,5 +461,63 @@ impl State {
         if let (Some(q), true) = (quota, cycles > 0) {
             self.bucket(q, tenant).level -= cycles as f64;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{Server, ServerConfig};
+    use super::*;
+    use crate::JobHandle;
+
+    /// A finished job costs one small row: the live part is boxed and
+    /// gone, the report is a shared pointer.
+    #[test]
+    fn a_table_row_is_compact() {
+        let row = std::mem::size_of::<JobEntry>();
+        assert!(row <= 96, "JobEntry is {row} bytes");
+    }
+
+    /// One report allocation per result: the cache entry, the cold job
+    /// that inserted it, a later cache hit, and a batch primary and its
+    /// follower all hold the same bytes, not copies.
+    #[test]
+    fn cache_jobs_and_followers_share_one_report() {
+        let srv = Server::start(ServerConfig {
+            workers: 1,
+            quantum: u64::MAX,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let req = || SimRequest::golden("ps_tickets").unwrap();
+        let cold = srv.submit(req()).unwrap();
+        assert!(!cold.wait().unwrap().from_cache);
+        let hit = srv.submit(req()).unwrap();
+        assert!(hit.wait().unwrap().from_cache);
+        let batch: Vec<JobHandle> = srv
+            .submit_batch(vec![SimRequest::golden("spawn_storm").unwrap(); 2])
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        for h in &batch {
+            h.wait().unwrap();
+        }
+        let st = srv.shared.state.lock().unwrap();
+        let report = |h: &JobHandle| {
+            let e = &st.jobs[&h.id()];
+            assert!(e.live.is_none(), "a finished job keeps no live part");
+            match &e.result {
+                Some(Terminal::Done { report, .. }) => Arc::clone(report),
+                _ => panic!("job {} is not Done", h.id()),
+            }
+        };
+        let cached = srv.shared.cache.lock().unwrap().get(req().digest());
+        let cached = cached.expect("the cold run was cached");
+        assert!(Arc::ptr_eq(&report(&cold), &cached), "cold job vs cache");
+        assert!(Arc::ptr_eq(&report(&hit), &cached), "cache hit vs cache");
+        assert!(
+            Arc::ptr_eq(&report(&batch[1]), &report(&batch[0])),
+            "follower vs primary"
+        );
     }
 }

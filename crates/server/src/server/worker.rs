@@ -22,8 +22,10 @@
 //! from a deterministic checkpoint, the rerun is bit-identical — the
 //! contract the server smoke test pins.
 
-use super::state::{Popped, SliceState};
-use super::{publish, Shared};
+use std::sync::Arc;
+
+use super::state::{Popped, SliceState, Terminal};
+use super::{publish, unpoison, Shared};
 use crate::job::{JobError, JobResult};
 use crate::request::SimRequest;
 use crate::wire;
@@ -35,7 +37,7 @@ use xmt_sim::{
 /// Pop the next runnable job, blocking on the condvar. `None` = this
 /// worker should exit (shutdown).
 fn next_job(shared: &Shared) -> Option<Popped> {
-    let mut st = shared.state.lock().unwrap();
+    let mut st = unpoison(shared.state.lock());
     loop {
         if st.shutdown {
             return None;
@@ -43,7 +45,7 @@ fn next_job(shared: &Shared) -> Option<Popped> {
         if let Some(p) = st.start() {
             return Some(p);
         }
-        st = shared.cv.wait(st).unwrap();
+        st = unpoison(shared.cv.wait(st));
     }
 }
 
@@ -159,12 +161,13 @@ pub(super) fn run(shared: &Shared) {
         let cacheable = req.sim.probe_interval.is_none();
         // First slice of an unprobed run: try the content cache before
         // building anything. (Probed runs bypass the cache — their
-        // value is the stream.) Cache hits charge no quota; a corrupt
-        // cached blob falls through and recomputes.
+        // value is the stream.) Cache hits charge no quota and share the
+        // entry's bytes; a corrupt cached blob falls through and
+        // recomputes.
         if from.checkpoint.is_none() && cacheable {
-            let cached = shared.cache.lock().unwrap().get(digest);
-            if let Some(Ok(hit)) = cached.map(|bytes| JobResult::completed(bytes, true, 0)) {
-                let recs = shared.state.lock().unwrap().resolve(id, Ok(hit));
+            let cached = unpoison(shared.cache.lock()).get(digest);
+            if let Some(hit) = cached.and_then(|bytes| Terminal::completed(bytes, true, 0)) {
+                let recs = unpoison(shared.state.lock()).resolve(id, hit);
                 publish(shared, &recs);
                 continue;
             }
@@ -172,8 +175,8 @@ pub(super) fn run(shared: &Shared) {
 
         let slice = run_slice(&req, from, shared.quantum);
 
-        let mut cache_put: Option<(u64, Vec<u8>, u64)> = None;
-        let mut st = shared.state.lock().unwrap();
+        let mut cache_put: Option<(u64, Arc<[u8]>, u64)> = None;
+        let mut st = unpoison(shared.state.lock());
         // A pending kill consumes this slice instead of committing
         // it: roll the job back to its pre-slice state and die.
         if st.kill_requests > 0 {
@@ -184,8 +187,9 @@ pub(super) fn run(shared: &Shared) {
             return;
         }
         let e = st.jobs.get_mut(&id).expect("running job entry exists");
-        let recs = if e.cancelled {
-            st.resolve(id, Err(JobError::Cancelled))
+        let live = e.live.as_mut().expect("a running job is live");
+        let recs = if live.cancelled {
+            st.resolve(id, Terminal::Err(JobError::Cancelled))
         } else {
             e.status.slices += 1;
             let slices = e.status.slices;
@@ -199,7 +203,7 @@ pub(super) fn run(shared: &Shared) {
                     report: empty_report(),
                 }),
             });
-            if let Some(tx) = &e.stream {
+            if let Some(tx) = &live.stream {
                 for row in s.rows {
                     // A dropped receiver is fine — rows are
                     // best-effort observability, not results.
@@ -207,7 +211,7 @@ pub(super) fn run(shared: &Shared) {
                 }
             }
             let burned = s.at_cycle.saturating_sub(e.status.at_cycle);
-            let tenant = e.tenant.clone();
+            let tenant = live.tenant.clone();
             st.charge(&shared.quota, &tenant, burned);
             match s.end {
                 // Preempted: commit the checkpoint and the carried
@@ -217,24 +221,35 @@ pub(super) fn run(shared: &Shared) {
                     st.enqueue(id);
                     commit.into_iter().collect()
                 }
-                SliceEnd::Ended(outcome) => {
-                    let bytes = wire::encode_report(&outcome.report);
-                    if outcome.is_completed() && cacheable {
-                        cache_put = Some((digest, bytes.clone(), s.at_cycle));
+                // Completed: the report is encoded once, and the job,
+                // its followers and the cache entry share the bytes.
+                SliceEnd::Ended(outcome) if outcome.is_completed() => {
+                    let report: Arc<[u8]> = wire::encode_report(&outcome.report).into();
+                    if cacheable {
+                        cache_put = Some((digest, Arc::clone(&report), s.at_cycle));
                     }
-                    let result = JobResult {
+                    let done = Terminal::Done {
+                        report,
+                        at_cycle: outcome.at_cycle(),
+                        slices,
+                        from_cache: false,
+                    };
+                    st.resolve(id, done)
+                }
+                SliceEnd::Ended(outcome) => {
+                    let failed = JobResult {
+                        bytes: wire::encode_report(&outcome.report),
                         outcome,
-                        bytes,
                         from_cache: false,
                         slices,
                     };
-                    st.resolve(id, Ok(result))
+                    st.resolve(id, Terminal::Failed(Box::new(failed)))
                 }
             }
         };
         drop(st);
         if let Some((key, bytes, cycles)) = cache_put {
-            shared.cache.lock().unwrap().insert(key, bytes, cycles);
+            unpoison(shared.cache.lock()).insert(key, bytes, cycles);
         }
         publish(shared, &recs);
     }

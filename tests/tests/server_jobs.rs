@@ -91,10 +91,12 @@ fn long_job_takes_multiple_slices() {
 
 /// Streamed interval rows are identical whether the job runs in one
 /// slice or many: preemption resyncs the probe instead of perturbing
-/// or duplicating samples.
+/// or duplicating samples. A subscriber that takes the stream only
+/// after the job is `Done` still gets every row: a finished job keeps
+/// its parked receiver.
 #[test]
 fn probe_stream_is_identical_across_preemption() {
-    let probed = |quantum: u64| {
+    let probed = |quantum: u64, take_after_done: bool| {
         let srv = server(1, quantum);
         let mut h = srv
             .submit(
@@ -103,20 +105,29 @@ fn probe_stream_is_identical_across_preemption() {
                     .with_sim(|s| s.probed(64)),
             )
             .unwrap();
-        let rx = h.take_stream().expect("probed request streams");
-        let rows: Vec<_> = rx.iter().collect();
-        let r = finish(&h).unwrap();
+        let (rows, r): (Vec<_>, _) = if take_after_done {
+            let r = finish(&h).unwrap();
+            assert_eq!(h.poll().state, JobState::Done);
+            let rx = h.take_stream().expect("a finished job keeps its stream");
+            (rx.iter().collect(), r)
+        } else {
+            let rx = h.take_stream().expect("probed request streams");
+            (rx.iter().collect(), finish(&h).unwrap())
+        };
         assert!(r.outcome.is_completed());
         (rows, r.bytes)
     };
-    let (whole_rows, whole_bytes) = probed(u64::MAX);
-    let (sliced_rows, sliced_bytes) = probed(900);
+    let (whole_rows, whole_bytes) = probed(u64::MAX, false);
+    let (sliced_rows, sliced_bytes) = probed(900, false);
+    let (late_rows, late_bytes) = probed(900, true);
     assert!(!whole_rows.is_empty());
     assert_eq!(
         sliced_rows, whole_rows,
         "the sliced stream must be indistinguishable from the uninterrupted one"
     );
+    assert_eq!(late_rows, whole_rows, "rows taken after Done are all there");
     assert_eq!(sliced_bytes, whole_bytes);
+    assert_eq!(late_bytes, whole_bytes);
 }
 
 /// The content cache returns byte-identical results, ignores the
