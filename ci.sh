@@ -105,7 +105,7 @@ stage "paper binary: every command, release" \
 
 # The simulation-as-a-service gate (DESIGN.md §16): submits the five
 # paper configurations as one batch, kills a worker mid-job, and
-# asserts the preempted/resumed results are bit-identical to direct
+# asserts the preempted and rerun results are bit-identical to direct
 # runs; resubmitting the sweep must be served from the content cache
 # byte-equal, probe streams must be identical across preemption, and
 # concurrent submitters must observe identical bytes (proptest).
@@ -113,9 +113,11 @@ stage "job server smoke: preemption, cache identity, worker kill" \
     cargo test --release -p xmt-integration --test server_jobs -q
 
 # The job table's memory (DESIGN.md §16), no benchmark needed: 40 000
-# in-process cache-hit jobs may grow VmRSS by at most 0.5 KiB each — a
-# finished job keeps its status and a share of the cached report bytes,
-# nothing else. Its own test binary; skips where /proc is absent.
+# in-process cache-hit jobs, then 2 000 cold jobs of four or more slices,
+# may grow VmRSS by at most 0.5 KiB each beyond the report bytes they
+# keep — a finished job keeps its status and its report, nothing else
+# (no paused machine outlives its job). Its own test binary; skips
+# where /proc is absent.
 stage "job table memory: <= 0.5 KiB per finished job" \
     cargo test --release -p xmt-server --test job_table_memory -q
 

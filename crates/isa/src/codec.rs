@@ -1,73 +1,17 @@
 //! Binary instruction encoding.
 //!
 //! A fixed-width 8-byte format — `[opcode, a, b, c, imm₀..imm₃]` —
-//! suitable for storing compiled kernels or feeding a future RTL
-//! model. Programs serialize with a magic header and instruction
-//! count; decoding validates opcodes, register indices and control
-//! targets, so a corrupted image is rejected rather than misexecuted.
+//! behind a magic header and an instruction count. It is the canonical
+//! form of a program: `xmt_sim::simcfg::program_digest` hashes it, so
+//! distinct instructions must encode to distinct words.
 
 use crate::instr::{AluOp, BranchCond, FpuOp, Instr, MduOp};
 use crate::program::Program;
-use crate::reg::{fr, gr, ir, NUM_FREGS, NUM_GREGS, NUM_IREGS};
-use std::fmt;
 
 /// Bytes per encoded instruction.
 pub const INSTR_BYTES: usize = 8;
 /// Image magic: "XMT1".
 pub const MAGIC: [u8; 4] = *b"XMT1";
-
-/// Decoding errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// The image does not start with the `XMT1` magic.
-    BadMagic,
-    /// The image is shorter than its header claims.
-    Truncated,
-    /// An opcode byte matches no instruction.
-    UnknownOpcode {
-        /// Instruction index of the fault.
-        at: usize,
-        /// Operation selector.
-        op: u8,
-    },
-    /// A register field exceeds the register-file size.
-    BadRegister {
-        /// Instruction index of the fault.
-        at: usize,
-        /// Offending register index.
-        reg: u8,
-    },
-    /// A branch/jump/spawn target points outside the program.
-    BadTarget {
-        /// Instruction index of the fault.
-        at: usize,
-        /// Resolved branch target (instruction index).
-        target: usize,
-    },
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::BadMagic => write!(f, "bad image magic"),
-            CodecError::Truncated => write!(f, "truncated image"),
-            CodecError::UnknownOpcode { at, op } => {
-                write!(f, "unknown opcode {op:#04x} at instruction {at}")
-            }
-            CodecError::BadRegister { at, reg } => {
-                write!(f, "register index {reg} out of range at instruction {at}")
-            }
-            CodecError::BadTarget { at, target } => {
-                write!(
-                    f,
-                    "control target {target} out of range at instruction {at}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 mod op {
     pub const NOP: u8 = 0x00;
@@ -107,19 +51,6 @@ fn alu_index(o: AluOp) -> u8 {
         AluOp::Srl => 6,
         AluOp::Sltu => 7,
     }
-}
-
-fn alu_from(i: u8) -> AluOp {
-    [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Sll,
-        AluOp::Srl,
-        AluOp::Sltu,
-    ][i as usize]
 }
 
 fn mdu_index(o: MduOp) -> u8 {
@@ -246,146 +177,6 @@ pub fn encode_one(ins: &Instr) -> [u8; INSTR_BYTES] {
     w
 }
 
-fn check_i(at: usize, r: u8) -> Result<crate::reg::IReg, CodecError> {
-    if (r as usize) < NUM_IREGS {
-        Ok(ir(r as usize))
-    } else {
-        Err(CodecError::BadRegister { at, reg: r })
-    }
-}
-
-fn check_f(at: usize, r: u8) -> Result<crate::reg::FReg, CodecError> {
-    if (r as usize) < NUM_FREGS {
-        Ok(fr(r as usize))
-    } else {
-        Err(CodecError::BadRegister { at, reg: r })
-    }
-}
-
-fn check_g(at: usize, r: u8) -> Result<crate::reg::GReg, CodecError> {
-    if (r as usize) < NUM_GREGS {
-        Ok(gr(r as usize))
-    } else {
-        Err(CodecError::BadRegister { at, reg: r })
-    }
-}
-
-/// Decode one instruction (without target-range validation, which
-/// needs the program length — see [`decode_program`]).
-pub fn decode_one(at: usize, w: &[u8; INSTR_BYTES]) -> Result<Instr, CodecError> {
-    let (o, a, b2, c) = (w[0], w[1], w[2], w[3]);
-    let imm = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-    let ins = match o {
-        op::NOP => Instr::Nop,
-        op::HALT => Instr::Halt,
-        op::JOIN => Instr::Join,
-        op::LI => Instr::Li {
-            rd: check_i(at, a)?,
-            imm,
-        },
-        x if (op::ALU..op::ALU + 8).contains(&x) => Instr::Alu {
-            op: alu_from(x - op::ALU),
-            rd: check_i(at, a)?,
-            rs1: check_i(at, b2)?,
-            rs2: check_i(at, c)?,
-        },
-        x if (op::ALUI..op::ALUI + 8).contains(&x) => Instr::AluI {
-            op: alu_from(x - op::ALUI),
-            rd: check_i(at, a)?,
-            rs1: check_i(at, b2)?,
-            imm,
-        },
-        x if (op::MDU..op::MDU + 3).contains(&x) => Instr::Mdu {
-            op: [MduOp::Mul, MduOp::Divu, MduOp::Remu][(x - op::MDU) as usize],
-            rd: check_i(at, a)?,
-            rs1: check_i(at, b2)?,
-            rs2: check_i(at, c)?,
-        },
-        x if (op::FPU..op::FPU + 4).contains(&x) => Instr::Fpu {
-            op: [FpuOp::Add, FpuOp::Sub, FpuOp::Mul, FpuOp::Div][(x - op::FPU) as usize],
-            fd: check_f(at, a)?,
-            fs1: check_f(at, b2)?,
-            fs2: check_f(at, c)?,
-        },
-        op::FNEG => Instr::Fneg {
-            fd: check_f(at, a)?,
-            fs: check_f(at, b2)?,
-        },
-        op::FMOV => Instr::Fmov {
-            fd: check_f(at, a)?,
-            fs: check_f(at, b2)?,
-        },
-        op::FMVIF => Instr::Fmvif {
-            fd: check_f(at, a)?,
-            rs: check_i(at, b2)?,
-        },
-        op::FLI => Instr::Fli {
-            fd: check_f(at, a)?,
-            value: f32::from_bits(imm),
-        },
-        op::LW => Instr::Lw {
-            rd: check_i(at, a)?,
-            base: check_i(at, b2)?,
-            off: imm,
-        },
-        op::SW => Instr::Sw {
-            rs: check_i(at, a)?,
-            base: check_i(at, b2)?,
-            off: imm,
-        },
-        op::FLW => Instr::Flw {
-            fd: check_f(at, a)?,
-            base: check_i(at, b2)?,
-            off: imm,
-        },
-        op::FSW => Instr::Fsw {
-            fs: check_f(at, a)?,
-            base: check_i(at, b2)?,
-            off: imm,
-        },
-        x if (op::BRANCH..op::BRANCH + 4).contains(&x) => Instr::Branch {
-            cond: [
-                BranchCond::Eq,
-                BranchCond::Ne,
-                BranchCond::Ltu,
-                BranchCond::Geu,
-            ][(x - op::BRANCH) as usize],
-            rs1: check_i(at, a)?,
-            rs2: check_i(at, b2)?,
-            target: imm as usize,
-        },
-        op::JUMP => Instr::Jump {
-            target: imm as usize,
-        },
-        op::TID => Instr::Tid {
-            rd: check_i(at, a)?,
-        },
-        op::RDGR => Instr::ReadGr {
-            rd: check_i(at, a)?,
-            src: check_g(at, b2)?,
-        },
-        op::WRGR => Instr::WriteGr {
-            rs: check_i(at, a)?,
-            dst: check_g(at, b2)?,
-        },
-        op::PS => Instr::Ps {
-            rd: check_i(at, a)?,
-            inc: check_i(at, b2)?,
-            on: check_g(at, c)?,
-        },
-        op::SPAWN => Instr::Spawn {
-            count: check_i(at, a)?,
-            entry: imm as usize,
-        },
-        op::SSPAWN => Instr::Sspawn {
-            rd: check_i(at, a)?,
-            count: check_i(at, b2)?,
-        },
-        other => return Err(CodecError::UnknownOpcode { at, op: other }),
-    };
-    Ok(ins)
-}
-
 /// Serialize a program: magic, u32 instruction count, instructions.
 pub fn encode_program(p: &Program) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + p.len() * INSTR_BYTES);
@@ -395,38 +186,6 @@ pub fn encode_program(p: &Program) -> Vec<u8> {
         out.extend_from_slice(&encode_one(ins));
     }
     out
-}
-
-/// Deserialize and validate a program image.
-pub fn decode_program(bytes: &[u8]) -> Result<Program, CodecError> {
-    if bytes.len() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let count = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
-    if bytes.len() != 8 + count * INSTR_BYTES {
-        return Err(CodecError::Truncated);
-    }
-    let mut b = crate::program::ProgramBuilder::new();
-    for at in 0..count {
-        let start = 8 + at * INSTR_BYTES;
-        let mut w = [0u8; INSTR_BYTES];
-        w.copy_from_slice(&bytes[start..start + INSTR_BYTES]);
-        let ins = decode_one(at, &w)?;
-        // Validate control targets against the program size.
-        if let Instr::Branch { target, .. }
-        | Instr::Jump { target }
-        | Instr::Spawn { entry: target, .. } = ins
-        {
-            if target >= count {
-                return Err(CodecError::BadTarget { at, target });
-            }
-        }
-        b.push(ins);
-    }
-    b.build().map_err(|_| CodecError::Truncated)
 }
 
 #[cfg(test)]
@@ -479,93 +238,19 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Distinct instructions encode to distinct words, so programs
+    /// that differ have different digests. (The program's instructions
+    /// are pairwise distinct.)
     #[test]
-    fn roundtrip_every_instruction_kind() {
+    fn every_instruction_kind_encodes_distinctly() {
         let p = exhaustive_program();
-        let bytes = encode_program(&p);
-        let q = decode_program(&bytes).unwrap();
-        assert_eq!(p.instrs().len(), q.instrs().len());
-        for (i, (a, b)) in p.instrs().iter().zip(q.instrs()).enumerate() {
-            assert_eq!(a, b, "instruction {i} ({a}) did not roundtrip");
-        }
+        let words: std::collections::HashSet<_> = p.instrs().iter().map(encode_one).collect();
+        assert_eq!(words.len(), p.len(), "two instructions share a word");
     }
 
     #[test]
     fn image_size_formula() {
         let p = exhaustive_program();
         assert_eq!(encode_program(&p).len(), 8 + p.len() * INSTR_BYTES);
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_truncation() {
-        let p = exhaustive_program();
-        let mut bytes = encode_program(&p);
-        assert_eq!(decode_program(&bytes[..7]), Err(CodecError::Truncated));
-        bytes[0] = b'Y';
-        assert_eq!(decode_program(&bytes), Err(CodecError::BadMagic));
-        let good = encode_program(&p);
-        assert_eq!(
-            decode_program(&good[..good.len() - 1]),
-            Err(CodecError::Truncated)
-        );
-    }
-
-    #[test]
-    fn rejects_unknown_opcode_and_bad_register() {
-        let p = exhaustive_program();
-        let mut bytes = encode_program(&p);
-        bytes[8] = 0xFF; // first instruction's opcode
-        assert!(matches!(
-            decode_program(&bytes),
-            Err(CodecError::UnknownOpcode { at: 0, op: 0xFF })
-        ));
-        let mut bytes = encode_program(&p);
-        bytes[9] = 200; // register field of `li`
-        assert!(matches!(
-            decode_program(&bytes),
-            Err(CodecError::BadRegister { at: 0, reg: 200 })
-        ));
-    }
-
-    #[test]
-    fn rejects_out_of_range_target() {
-        let mut b = ProgramBuilder::new();
-        let l = b.label();
-        b.bind(l);
-        b.jump(l);
-        b.halt();
-        let p = b.build().unwrap();
-        let mut bytes = encode_program(&p);
-        // Patch the jump target to point past the end.
-        bytes[8 + 4..8 + 8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            decode_program(&bytes),
-            Err(CodecError::BadTarget { .. })
-        ));
-    }
-
-    #[test]
-    fn decoded_program_executes_identically() {
-        // Encode/decode a real kernel program and run both images.
-        let mut b = ProgramBuilder::new();
-        let par = b.label();
-        let after = b.label();
-        b.li(ir(1), 8);
-        b.spawn(ir(1), par);
-        b.jump(after);
-        b.bind(par);
-        b.tid(ir(2));
-        b.slli(ir(3), ir(2), 2);
-        b.sw(ir(3), ir(2), 0);
-        b.join();
-        b.bind(after);
-        b.halt();
-        let p = b.build().unwrap();
-        let q = decode_program(&encode_program(&p)).unwrap();
-        let mut m1 = crate::interp::Interp::new(32);
-        let mut m2 = crate::interp::Interp::new(32);
-        m1.run(&p).unwrap();
-        m2.run(&q).unwrap();
-        assert_eq!(m1.mem, m2.mem);
     }
 }

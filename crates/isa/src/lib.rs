@@ -32,7 +32,7 @@ pub mod reg;
 pub use block::{
     eval_branch_uop, exec_uop, lower_op, BlockMap, MicroOp, UnitLat, UopKind, UOP_ENDS_BLOCK,
 };
-pub use codec::{decode_program, encode_program, CodecError};
+pub use codec::encode_program;
 pub use decoded::{DecodedInstr, DecodedProgram, StepClass, NUM_STEP_CLASSES};
 pub use instr::{AluOp, BranchCond, FpuOp, Instr, MduOp, MemAccess, Unit};
 pub use interp::{ExecError, Interp, RunStats};

@@ -39,7 +39,11 @@ impl Delivered {
 /// injected this cycle or input buffering is full — backpressure), then
 /// call [`Network::step`] exactly once to advance the clock; `step`
 /// returns the flits delivered during that cycle.
-pub trait Network {
+///
+/// `Send`, so a machine holding its networks as trait objects is
+/// `Send` too: the job server keeps a paused machine between slices and
+/// whichever worker runs the next slice takes it.
+pub trait Network: Send {
     /// (source ports, destination ports).
     fn ports(&self) -> (usize, usize);
     /// Attempt to inject a flit at the current cycle.

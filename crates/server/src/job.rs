@@ -39,12 +39,13 @@ impl Lane {
 /// wire code ([`crate::net::state_code`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// In the run queue, never run.
+    /// In the run queue, to start at cycle 0: never run, or starting
+    /// over after a worker kill or a restart.
     Queued = 0,
     /// A worker is running a slice right now.
     Running = 1,
-    /// Preempted at a quiescent checkpoint; requeued for its next
-    /// slice.
+    /// Preempted at a quiescent point; requeued with its machine for
+    /// its next slice.
     Paused = 2,
     /// Completed; the result carries a full report.
     Done = 3,

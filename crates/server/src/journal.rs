@@ -1,16 +1,13 @@
 //! Write-ahead journal: crash durability for the job queue.
 //!
-//! The checkpoint layer already makes a *single job* resumable from
-//! quiescent-point bytes; the journal extends that guarantee to the
-//! whole queue. Every accepted submission is appended (and fsynced)
-//! before its handle is returned, every preemption commit appends the
-//! job's latest checkpoint bytes, and every terminal state appends the
-//! result. [`crate::Server::start`] with a journal path replays the
-//! file: finished jobs come back with their byte-identical results,
-//! in-flight jobs re-enter the run queue at their last quiescent
-//! checkpoint, and — because every slice is deterministic — the
-//! recovered run produces results byte-identical to an uninterrupted
-//! one.
+//! The journal records decisions, not machine state. Every accepted
+//! submission is appended (and fsynced) before its handle is returned,
+//! and every terminal state appends the result; preemption writes
+//! nothing. [`crate::Server::start`] with a journal path replays the
+//! file: finished jobs come back with their byte-identical results, and
+//! in-flight jobs re-enter the run queue to run again from cycle 0 —
+//! because every run is deterministic, the recovered run produces
+//! results (and probe rows) byte-identical to an uninterrupted one.
 //!
 //! Record framing is `[u32 len][u64 fnv1a(payload)][payload]`, payload
 //! = record tag byte + checkpoint-style LE body (see
@@ -18,20 +15,18 @@
 //! stops at the first truncated or checksum-failing frame and reports
 //! it, so a torn append costs exactly the unacknowledged record and
 //! nothing before it. On startup the server *compacts* the replayed
-//! journal — one `Submit` (plus latest `Commit`, or the terminal
-//! record) per live job — so repeated crash/restart cycles do not grow
-//! the file without bound. Ids are assigned and journaled under one
-//! lock, so `Submit` records arrive in id order and the fold finds a
-//! job by binary search: replay is linear in the file.
+//! journal — one `Submit` (plus the terminal record) per job — so
+//! repeated crash/restart cycles do not grow the file without bound.
+//! Ids are assigned and journaled under one lock, so `Submit` records
+//! arrive in id order and the fold finds a job by binary search: replay
+//! is linear in the file.
 //!
 //! Replay policy per record kind:
 //! - `Submit` — readmit the job (its id, tenant, lane and idempotency
 //!   token are restored verbatim; ids never recycle).
-//! - `Commit` — the job's latest checkpoint; earlier commits are
-//!   superseded. Probed (streaming) jobs discard their checkpoint and
-//!   restart from cycle zero instead: probe ring state is not
-//!   journaled, and a deterministic from-scratch run regenerates the
-//!   identical row stream for a reconnecting subscriber.
+//! - `Commit` — ignored. Servers that serialized paused machines wrote
+//!   one per preemption; such a journal still replays, and its
+//!   in-flight jobs run again from cycle 0 like any other.
 //! - `Done` — the terminal result; replay resolves the job immediately
 //!   with the recorded bytes.
 //! - `Cancelled` — replay resolves the job as cancelled.
@@ -49,8 +44,9 @@ use crate::server::Submission;
 use crate::wire;
 use xmt_sim::simcfg::fnv1a;
 
-/// Hard cap on one journal record (a checkpoint of a paper-scale
-/// memory image is megabytes; nothing legitimate approaches this).
+/// Hard cap on one journal record (a `Commit` from an older server
+/// carried a paper-scale memory image, megabytes; nothing legitimate
+/// approaches this).
 const MAX_RECORD: usize = 256 << 20;
 
 /// One durable event in the job queue's history.
@@ -69,7 +65,8 @@ pub enum Record {
         /// The request, encoded with [`wire::encode_request`].
         req: Vec<u8>,
     },
-    /// A preemption commit: the job's latest quiescent checkpoint.
+    /// A preemption commit: the job's quiescent checkpoint. No longer
+    /// written; decoded so older journals replay, and ignored there.
     Commit {
         /// The job.
         id: JobId,
@@ -199,17 +196,14 @@ impl Record {
     }
 }
 
-/// Everything replay recovered about one journaled job, Submit record
-/// folded together with its latest Commit and terminal record.
+/// Everything replay recovered about one journaled job: its Submit
+/// record folded together with its terminal record.
 #[derive(Debug, Clone)]
 pub struct RecoveredJob {
     /// Server-assigned id (restored verbatim).
     pub id: JobId,
     /// The submission as it was accepted, request decoded.
     pub sub: Submission,
-    /// Latest quiescent checkpoint `(at_cycle, bytes)`, if any slice
-    /// committed before the crash.
-    pub checkpoint: Option<(u64, Vec<u8>)>,
     /// How the job ended, if it did: its latest `Done`, `Failed` or
     /// `Cancelled` record.
     pub terminal: Option<Record>,
@@ -228,9 +222,9 @@ pub struct Replay {
 }
 
 /// An append-only journal file. The server holds it under a mutex and
-/// appends through [`Journal::append`]; every append is flushed and
-/// fsynced before the caller proceeds, so an acknowledged submission
-/// survives `SIGKILL`.
+/// appends through [`Journal::append`] and [`Journal::append_all`];
+/// every append is flushed and fsynced before the caller proceeds, so
+/// an acknowledged submission survives `SIGKILL`.
 #[derive(Debug)]
 pub struct Journal {
     file: File,
@@ -254,7 +248,15 @@ impl Journal {
 
     /// Append one record durably: frame, write, flush, `sync_data`.
     pub fn append(&mut self, rec: &Record) -> std::io::Result<()> {
-        self.file.write_all(&rec.frame())?;
+        self.append_all(std::slice::from_ref(rec))
+    }
+
+    /// Append a batch of records — a primary's `Done` and its
+    /// followers' — durably, with one `sync_data` for the lot.
+    pub fn append_all(&mut self, recs: &[Record]) -> std::io::Result<()> {
+        for rec in recs {
+            self.file.write_all(&rec.frame())?;
+        }
         self.file.sync_data()
     }
 
@@ -300,13 +302,11 @@ impl Journal {
     /// loops do not grow the file.
     pub fn rewrite(path: &Path, records: &[Record]) -> std::io::Result<Journal> {
         let tmp = path.with_extension("journal.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for rec in records {
-                f.write_all(&rec.frame())?;
-            }
-            f.sync_data()?;
+        Journal {
+            file: File::create(&tmp)?,
+            path: tmp.clone(),
         }
+        .append_all(records)?;
         std::fs::rename(&tmp, path)?;
         Journal::open(path)
     }
@@ -355,21 +355,12 @@ impl Replay {
                                 lane,
                                 token,
                             },
-                            checkpoint: None,
                             terminal: None,
                         },
                     );
                 }
             }
-            Record::Commit {
-                id,
-                at_cycle,
-                checkpoint,
-            } => {
-                if let Ok(at) = self.slot(id) {
-                    self.jobs[at].checkpoint = Some((at_cycle, checkpoint));
-                }
-            }
+            Record::Commit { .. } => {}
             Record::Done { id, .. } | Record::Failed { id } | Record::Cancelled { id } => {
                 if let Ok(at) = self.slot(id) {
                     self.jobs[at].terminal = Some(rec);
@@ -408,6 +399,8 @@ mod tests {
         }
     }
 
+    /// A journal written by an older server, `Commit`s included:
+    /// replay still folds it, and ignores the checkpoints.
     #[test]
     fn replay_folds_submit_commit_done() {
         let path = scratch("fold");
@@ -437,12 +430,7 @@ mod tests {
         assert!(!rep.torn_tail);
         assert_eq!(rep.skipped, 0);
         assert_eq!(rep.jobs.len(), 2);
-        assert_eq!(
-            rep.jobs[0].checkpoint,
-            Some((900, vec![4, 5])),
-            "latest commit wins"
-        );
-        assert!(rep.jobs[0].terminal.is_none());
+        assert!(rep.jobs[0].terminal.is_none(), "a commit ends nothing");
         assert!(matches!(
             rep.jobs[1].terminal,
             Some(Record::Done { ref report, .. }) if report == &vec![9; 16]
@@ -497,6 +485,52 @@ mod tests {
         let rep = Journal::replay(&path).unwrap();
         assert_eq!(rep.jobs.len(), 1);
         assert_eq!(rep.jobs[0].id, 3);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// The journal records decisions, not machine state: a job run in
+    /// four or more slices leaves its `Submit` and its `Done`, nothing
+    /// for its pauses, and well under 2 KiB of file.
+    #[test]
+    fn a_sliced_job_journals_only_its_submit_and_done() {
+        use crate::server::{Server, ServerConfig};
+        let path = scratch("sliced");
+        let srv = Server::start(ServerConfig {
+            workers: 1,
+            quantum: 2_400,
+            journal: Some(path.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let r = srv
+            .submit(SimRequest::golden("fft_radix8_n512").unwrap())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(
+            r.outcome.is_completed() && r.slices >= 4,
+            "{} slices",
+            r.slices
+        );
+        drop(srv);
+        let bytes = std::fs::read(&path).unwrap();
+        let mut tags = Vec::new();
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            tags.push(match Record::decode(&rest[12..12 + len]).unwrap() {
+                Record::Submit { .. } => "Submit",
+                Record::Done { .. } => "Done",
+                _ => "other",
+            });
+            rest = &rest[12 + len..];
+        }
+        assert_eq!(tags, ["Submit", "Done"]);
+        assert!(
+            bytes.len() < 2048,
+            "{} journal bytes for one job",
+            bytes.len()
+        );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -14,11 +14,11 @@
 //! - [`Server::submit`] queues the request and returns a [`JobHandle`]
 //!   to poll, wait on, stream probe rows from, or cancel.
 //! - A pool of host worker threads drains the queue. Long jobs are
-//!   **preempted at quiescent checkpoints** every `quantum` simulated
-//!   cycles: the worker serializes the machine to checkpoint bytes and
-//!   requeues the job at the back — round-robin fairness, so a
-//!   paper-scale FFT cannot starve the rest of a sweep. Machines never
-//!   cross threads; only checkpoint bytes do.
+//!   **preempted at quiescent points** every `quantum` simulated
+//!   cycles and requeued at the back with their machine — round-robin
+//!   fairness, so a paper-scale FFT cannot starve the rest of a sweep.
+//!   The next slice runs the same machine onward on whichever worker
+//!   pops the job; nothing is serialized between slices.
 //! - Completed unprobed runs are stored in a **content-addressed
 //!   result cache** (LRU in memory, optionally persisted to disk),
 //!   keyed by `(workload, program digest, SimConfig cache key)`.
@@ -27,10 +27,14 @@
 //!   still hits (engines are bit-identical by contract).
 //! - Probed requests stream their [`xmt_sim::IntervalRow`]s to the
 //!   handle incrementally, slice by slice; preemption is invisible in
-//!   the stream (the probe resyncs across resume).
-//! - A worker killed mid-job ([`Server::kill_worker`]) loses only its
-//!   in-flight slice: the job resumes from its last checkpoint on the
-//!   surviving workers and still produces bit-identical results.
+//!   the stream (the probe stays on the paused machine).
+//! - A worker killed mid-job ([`Server::kill_worker`]) loses its
+//!   in-flight slice and the machine: the job runs again from cycle 0
+//!   on the surviving workers and still produces bit-identical
+//!   results, sending no probe row and billing no cycle twice. A
+//!   restart on the write-ahead journal does the same for every job
+//!   that was in flight: the journal records decisions, not machine
+//!   state.
 //!   Failed simulations surface through the partial-report path of
 //!   [`xmt_sim::RunOutcome`] rather than poisoning the queue.
 //!

@@ -165,7 +165,7 @@ impl SimRequest {
     /// A [`MachineBuilder`] for this request: the workload's program
     /// and memory images loaded under the request value's knobs. The
     /// caller `build`s, `build_probed`s, or `resume`s it — this is how
-    /// every worker slice (fresh or resumed) reconstructs its machine.
+    /// a worker builds a job's machine for the run's first slice.
     pub fn builder(&self) -> MachineBuilder {
         match &self.workload {
             WorkloadSpec::Golden { name } => find_case(name)

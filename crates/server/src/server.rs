@@ -17,13 +17,13 @@
 //!
 //! Durability: with [`ServerConfig::journal`] set, every accepted
 //! submission is fsynced to the write-ahead journal *before* its
-//! handle is returned, preemption commits append the latest checkpoint
-//! bytes, and terminal states append the result.
-//! [`Server::start`] replays the journal (see [`crate::journal`]),
-//! requeues in-flight jobs at their last quiescent checkpoint, and
-//! compacts the file — so a `SIGKILL` mid-batch costs at most the
-//! torn tail record, and the restarted batch finishes with
-//! byte-identical results.
+//! handle is returned, and terminal states append the result;
+//! preemption writes nothing (a paused job keeps its machine in
+//! memory). [`Server::start`] replays the journal (see
+//! [`crate::journal`]), requeues in-flight jobs to run again from cycle
+//! 0, and compacts the file — so a `SIGKILL` mid-batch costs at most
+//! the torn tail record and the in-flight jobs' progress, and the
+//! restarted batch finishes with byte-identical results.
 
 mod recovery;
 mod state;
@@ -65,8 +65,9 @@ pub struct QuotaPolicy {
 pub struct ServerConfig {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Preemption quantum in *simulated* cycles: a job is checkpointed
-    /// and requeued after at most this many cycles per slice.
+    /// Preemption quantum in *simulated* cycles: a job is paused at
+    /// its next quiescent point past this many cycles per slice and
+    /// requeued.
     pub quantum: u64,
     /// Result-cache capacity (entries resident in memory).
     pub cache_entries: usize,
@@ -214,18 +215,14 @@ fn unpoison<G>(r: LockResult<G>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Append records to the journal, best-effort (a failed append only
-/// costs restart work — the in-memory result already stands, and
-/// replay re-executes anything not recorded), then wake whoever waits
-/// on the state they describe.
+/// Append records to the journal as one batch with one fsync,
+/// best-effort (a failed append only costs restart work — the
+/// in-memory result already stands, and replay re-executes anything
+/// not recorded), then wake whoever waits on the state they describe.
 fn publish(shared: &Shared, recs: &[Record]) {
     if !recs.is_empty() {
         if let Some(j) = unpoison(shared.journal.lock()).as_mut() {
-            for r in recs {
-                if j.append(r).is_err() {
-                    break;
-                }
-            }
+            let _ = j.append_all(recs);
         }
     }
     shared.cv.notify_all();
@@ -245,7 +242,7 @@ fn submit_record(id: JobId, sub: &Submission) -> Record {
 /// The batch job server. Dropping it shuts the pool down: pending jobs
 /// resolve to [`JobError::Shutdown`] and all workers are joined — but
 /// with a journal configured their submissions stay durable, so a
-/// restart on the same path resumes them.
+/// restart on the same path runs them again.
 pub struct Server {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -269,8 +266,8 @@ impl Server {
     /// Start a server with the given pool shape. With
     /// [`ServerConfig::journal`] set, replays the journal first:
     /// finished jobs come back resolved with their recorded bytes,
-    /// in-flight jobs re-enter the run queues at their last quiescent
-    /// checkpoint, and the journal file is compacted. The only error
+    /// in-flight jobs re-enter the run queues to run from cycle 0, and
+    /// the journal file is compacted. The only error
     /// source is journal I/O — a journal-less server cannot fail to
     /// start.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
@@ -300,16 +297,20 @@ impl Server {
             quota: cfg.quota,
             journal: Mutex::new(journal),
         });
-        let workers = (0..workers)
-            .map(|_| {
-                let sh = Arc::clone(&shared);
-                std::thread::spawn(move || worker::run(&sh))
-            })
-            .collect();
-        Ok(Server {
+        let srv = Server {
             shared,
-            workers: Mutex::new(workers),
-        })
+            workers: Mutex::new(Vec::new()),
+        };
+        for _ in 0..workers {
+            srv.spawn_worker();
+        }
+        Ok(srv)
+    }
+
+    /// One more worker thread in the pool.
+    fn spawn_worker(&self) {
+        let sh = Arc::clone(&self.shared);
+        unpoison(self.workers.lock()).push(std::thread::spawn(move || worker::run(&sh)));
     }
 
     /// Queue one request under the default tenant and lane; returns
@@ -423,13 +424,12 @@ impl Server {
 
     /// Kill one worker mid-job (failure-injection hook): the next
     /// slice to finish anywhere in the pool is discarded as if its
-    /// thread died, the job rolls back to its last checkpoint, and the
-    /// thread exits. A replacement worker is spawned immediately so
-    /// the pool keeps its strength.
+    /// thread died, the job starts over from cycle 0, and the thread
+    /// exits. A replacement worker is spawned immediately so the pool
+    /// keeps its strength.
     pub fn kill_worker(&self) {
         unpoison(self.shared.state.lock()).kill_requests += 1;
-        let sh = Arc::clone(&self.shared);
-        unpoison(self.workers.lock()).push(std::thread::spawn(move || worker::run(&sh)));
+        self.spawn_worker();
         self.shared.cv.notify_all();
     }
 
@@ -883,6 +883,71 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A killed worker takes the job's paused machine with it, and the
+    /// job starts over from cycle 0. The subscriber still gets the
+    /// uninterrupted row stream with each row once, the report is the
+    /// direct run's, and the tenant's bucket — which never refills —
+    /// ends where a run without the kill leaves it.
+    #[test]
+    fn a_killed_probed_job_starts_over_without_resending_or_rebilling() {
+        let req = SimRequest::golden("fft_radix8_n512")
+            .unwrap()
+            .with_sim(|s| s.probed(64));
+        let burst = 1_000_000;
+        let run = |quantum: u64, kill: bool| {
+            let srv = Server::start(ServerConfig {
+                workers: 1,
+                quantum,
+                quota: Some(QuotaPolicy {
+                    burst_cycles: burst,
+                    refill_cycles_per_sec: 0,
+                }),
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let mut h = srv
+                .submit_with(Submission::new(req.clone()).tenant("t"))
+                .unwrap();
+            let rx = h.take_stream().unwrap();
+            if kill {
+                // What `kill_worker` does, with the kill requested under
+                // the state lock once two slices have committed: it lands
+                // part-way through the job, never after its end, and the
+                // run that starts over passes a pause that was already
+                // streamed and billed before it reaches new cycles.
+                let mut st = unpoison(srv.shared.state.lock());
+                while st.jobs[&h.id()].status.slices < 2 {
+                    st = unpoison(srv.shared.cv.wait(st));
+                }
+                assert!(st.jobs[&h.id()].result.is_none(), "the job outran the kill");
+                st.kill_requests += 1;
+                drop(st);
+                srv.spawn_worker();
+            }
+            let r = h.wait_deadline(Duration::from_secs(120)).unwrap();
+            assert!(r.outcome.is_completed());
+            assert_eq!(unpoison(srv.shared.state.lock()).kill_requests, 0);
+            let rows: Vec<IntervalRow> = rx.iter().collect();
+            (rows, r.bytes, r.slices, srv.quota_level("t").unwrap())
+        };
+        let (whole_rows, _, _, _) = run(u64::MAX, false);
+        let (rows, bytes, slices, level) = run(900, false);
+        let (killed_rows, killed_bytes, killed_slices, killed_level) = run(900, true);
+        let direct = req.builder().build().run().report;
+        assert!(!whole_rows.is_empty());
+        assert_eq!(rows, whole_rows);
+        assert_eq!(killed_rows, whole_rows, "each row once, in order");
+        assert_eq!(bytes, wire::encode_report(&direct));
+        assert_eq!(killed_bytes, bytes);
+        assert!(
+            killed_slices > slices,
+            "the run started over after the kill"
+        );
+        assert_eq!(level, (burst - direct.stats.cycles) as f64);
+        assert_eq!(killed_level, level, "no cycle is billed twice");
+    }
+
     /// Both limits at `u64::MAX` are reachable through the request
     /// decoder; they mean "no limit", not an overflow that kills the
     /// worker (debug) or reports a healthy job `Stalled` (release).
@@ -992,13 +1057,13 @@ mod tests {
     }
 
     /// The byte formats, pinned across commits: a fixed single-worker
-    /// scenario — a cold job sliced into four commits, a cache hit, a
-    /// batch follower, a cancel and a stuck-TCU failure — with a
-    /// journal and a persisted cache, hashed (FNV-1a) file by file and
-    /// result frame by result frame. The constants were captured by
-    /// running this test at the parent of the change that made results
-    /// shared bytes; every submission lands before the worker starts,
-    /// so the record order is the same on every run.
+    /// scenario — a cold job run in four slices, a cache hit, a batch
+    /// follower, a cancel and a stuck-TCU failure — with a journal and
+    /// a persisted cache, hashed (FNV-1a) file by file and result frame
+    /// by result frame. The result-frame and `.rep` constants were
+    /// captured by running this test at the parent of the change that
+    /// made results shared bytes; every submission lands before the
+    /// worker starts, so the record order is the same on every run.
     #[test]
     fn journal_cache_and_result_bytes_are_pinned() {
         use xmt_sim::simcfg::fnv1a;
@@ -1029,11 +1094,7 @@ mod tests {
         handles.push(srv.submit(golden("fpu_chain")).unwrap());
         handles[5].cancel();
         handles.push(srv.submit(stuck).unwrap());
-        let sh = Arc::clone(&srv.shared);
-        srv.workers
-            .lock()
-            .unwrap()
-            .push(std::thread::spawn(move || worker::run(&sh)));
+        srv.spawn_worker();
         let mut seen = Vec::new();
         for h in &handles {
             match h.wait_deadline(Duration::from_secs(120)) {
@@ -1076,7 +1137,10 @@ mod tests {
         ("result 4 slices 1 cache false", 0x129268e302d3fb14),
         ("result 5 Cancelled", 0x0000000000000000),
         ("result 6 slices 1 cache false", 0x2c589da292518f79),
-        ("journal", 0x566b66f2520574d2),
+        // Re-captured when preemption stopped journaling `Commit`s: the
+        // file lost the cold job's three checkpoints and nothing else
+        // (it was 0x566b66f2520574d2).
+        ("journal", 0xf9ff54ae5a29af2b),
         ("09d93dd34e0a4398.rep", 0xbb9aa90c58cb3da1),
         ("64d7c9947dfe04cd.rep", 0x71227a1431ac04e6),
         ("c80f9986e155b0d6.rep", 0x993cab7dc1503657),
@@ -1102,9 +1166,9 @@ mod tests {
             let at = m.run_until(1_000).at_cycle();
             (at, m.checkpoint_bytes().unwrap())
         };
-        // A finished, a cancelled, a failed, a paused (its first
-        // commit superseded) and a probed job (whose commit replay
-        // ignores).
+        // A finished, a cancelled, a failed, a paused and a probed job.
+        // The last two have `Commit`s, as servers that serialized
+        // paused machines wrote them: replay ignores those.
         let reqs = [
             tickets,
             SimRequest::golden("spawn_storm").unwrap(),
@@ -1173,14 +1237,14 @@ mod tests {
                 (JobState::Done, 135),
                 (JobState::Cancelled, 0),
                 (JobState::Queued, 0),
-                (JobState::Paused, at_cycle),
+                (JobState::Queued, 0),
                 (JobState::Queued, 0),
             ]
         );
         assert_eq!(first.0[0].1, Ok(report));
-        // With workers the unfinished three run out as they would
-        // have: the failure repeats, the paused job continues from its
-        // checkpoint to the uninterrupted run's bytes.
+        // With workers the unfinished three run again from cycle 0:
+        // the failure repeats, and the job that was paused finishes
+        // with the uninterrupted run's bytes.
         let srv = Server::start(cfg()).unwrap();
         let wait = |id| {
             let h = srv.handle(id).unwrap();

@@ -1,7 +1,7 @@
 //! Crash recovery: the scheduler state rebuilt from a replayed journal
 //! ([`crate::journal`]), by the live transitions of [`super::state`].
 
-use super::state::{SliceState, State, Terminal};
+use super::state::{State, Terminal};
 use super::submit_record;
 use crate::job::JobError;
 use crate::journal::{Record, RecoveredJob};
@@ -17,7 +17,6 @@ use crate::journal::{Record, RecoveredJob};
 pub(super) fn recover(st: &mut State, jobs: Vec<RecoveredJob>) -> Vec<Record> {
     let mut compact = Vec::new();
     for r in jobs {
-        let probed = r.sub.req.sim.probe_interval.is_some();
         compact.push(submit_record(r.id, &r.sub));
         let digest = r.sub.req.digest();
         st.insert(r.id, r.sub, digest);
@@ -38,20 +37,9 @@ pub(super) fn recover(st: &mut State, jobs: Vec<RecoveredJob>) -> Vec<Record> {
         };
         match ended {
             Some(result) => compact.extend(st.resolve(r.id, result)),
-            None => {
-                // From the latest checkpoint when unprobed, from
-                // scratch when probed (the probe ring is not journaled;
-                // a deterministic rerun regenerates the identical row
-                // stream).
-                if let Some((at_cycle, cp)) = r.checkpoint.filter(|_| !probed) {
-                    let carry = SliceState {
-                        checkpoint: Some(cp),
-                        ..SliceState::default()
-                    };
-                    compact.extend(st.pause(r.id, at_cycle, carry));
-                }
-                st.enqueue(r.id);
-            }
+            // From cycle 0: runs are deterministic, so the rerun
+            // reproduces the report and every probe row.
+            None => st.enqueue(r.id),
         }
     }
     compact

@@ -2,8 +2,9 @@
 //! through the [`State`]
 //! transitions — `insert` (a new entry), `enqueue` / `follow` (it
 //! waits in its lane, or rides an identical batch row), `start` (a
-//! worker pops it), `pause` (checkpoint + carried probe → `Paused`),
-//! `rollback` (a killed worker's slice is discarded), `cancel`, and
+//! worker pops it and takes its machine), `pause` (the machine is kept
+//! → `Paused`), `rollback` (a killed worker's slice is discarded, and
+//! the job starts over from cycle 0), `cancel`, and
 //! `resolve` (terminal state, fan-out to followers, counters, journal
 //! record). Admission, the worker's slice commit and crash recovery
 //! ([`super::recovery`]) all go through them, so a recovered job is in exactly
@@ -18,7 +19,7 @@ use crate::job::{JobError, JobId, JobResult, JobState, JobStatus, Lane};
 use crate::journal::Record;
 use crate::request::SimRequest;
 use crate::wire;
-use xmt_sim::{IntervalProbe, IntervalRow};
+use xmt_sim::{IntervalProbe, IntervalRow, Machine};
 
 /// Consecutive `High`-lane pops a worker may take while `Normal` work
 /// waits, before the scheduler grants `Normal` one pop.
@@ -46,23 +47,6 @@ impl Bucket {
     }
 }
 
-/// What a job carries from one slice to the next: everything a worker
-/// needs, beside the request, to continue the run bit-identically.
-/// Empty before the first slice and after a terminal state.
-#[derive(Clone, Default)]
-pub(super) struct SliceState {
-    /// Serialized checkpoint to resume from (`None`: cycle zero).
-    pub(super) checkpoint: Option<Vec<u8>>,
-    /// The paused machine's probe, carried so the resumed sample
-    /// stream is bit-identical to an uninterrupted run's (see
-    /// [`IntervalProbe::into_carried`]). `None` for unprobed jobs.
-    pub(super) probe: Option<IntervalProbe>,
-    /// Probe samples already streamed to the subscriber — the carried
-    /// probe's ring holds the whole history, so each commit sends only
-    /// the rows past this watermark.
-    pub(super) rows_sent: u64,
-}
-
 /// One row of the job table: what a reader can still ask for. A live
 /// job also holds its [`Live`] part; [`State::resolve`] drops that, so
 /// a finished job costs this row plus its share of the report bytes.
@@ -88,8 +72,13 @@ pub(super) struct Live {
     pub(super) lane: Lane,
     /// Dedupe followers to resolve when this (primary) job resolves.
     pub(super) followers: Vec<JobId>,
-    /// Where the next slice starts.
-    pub(super) carry: SliceState,
+    /// The machine, paused where the last slice left it; `None` while
+    /// the run is to start at cycle 0, and while a worker holds it.
+    pub(super) machine: Option<Kept>,
+    /// Probe rows already streamed to the subscriber. A run that starts
+    /// over from cycle 0 (after a worker kill) sends only the rows past
+    /// this mark.
+    pub(super) rows_sent: u64,
     pub(super) cancelled: bool,
     /// Live end of the probe-row stream; dropped at terminal states so
     /// the receiver's iteration ends.
@@ -147,13 +136,23 @@ impl Terminal {
     }
 }
 
+/// A paused job's machine, kept between slices: the next slice runs it
+/// onward on whichever worker pops the job. The request fixes the
+/// variant — a probed request's machine carries its `IntervalProbe`.
+pub(super) enum Kept {
+    Plain(Box<Machine>),
+    Probed(Box<Machine<IntervalProbe>>),
+}
+
 /// One popped unit of work: everything a worker needs to run a slice
 /// without holding the lock.
 pub(super) struct Popped {
     pub(super) id: JobId,
     pub(super) req: SimRequest,
     pub(super) digest: u64,
-    pub(super) from: SliceState,
+    /// The paused machine (`None`: the run starts at cycle 0).
+    pub(super) machine: Option<Kept>,
+    pub(super) rows_sent: u64,
 }
 
 /// Scheduler state under the mutex.
@@ -217,7 +216,8 @@ impl State {
                     tenant,
                     lane,
                     followers: Vec::new(),
-                    carry: SliceState::default(),
+                    machine: None,
+                    rows_sent: 0,
                     cancelled: false,
                     stream,
                 })),
@@ -276,44 +276,37 @@ impl State {
     }
 
     /// A worker takes the next waiting job: it is `Running`, and the
-    /// worker gets copies of its request and slice state. Copies, not
-    /// the originals: if the slice is discarded by a worker kill, the
-    /// entry still holds the job's last committed state.
+    /// worker gets a copy of its request and takes its paused machine.
     pub(super) fn start(&mut self) -> Option<Popped> {
         let id = self.pop_id()?;
         let e = self.jobs.get_mut(&id).expect("queued job entry exists");
         e.status.state = JobState::Running;
-        let live = e.live.as_ref().expect("a queued job is live");
+        let live = e.live.as_mut().expect("a queued job is live");
         Some(Popped {
             id,
             req: live.req.clone(),
             digest: live.digest,
-            from: live.carry.clone(),
+            machine: live.machine.take(),
+            rows_sent: live.rows_sent,
         })
     }
 
-    /// Preemption: the job holds `carry` at `at_cycle` and is `Paused`
-    /// (the caller requeues it). Returns the journal `Commit` — except
-    /// for a probed job, which replay restarts from scratch anyway.
-    pub(super) fn pause(&mut self, id: JobId, at_cycle: u64, carry: SliceState) -> Option<Record> {
-        let commit = match (&carry.probe, &carry.checkpoint) {
-            (None, Some(cp)) => Some(Record::Commit {
-                id,
-                at_cycle,
-                checkpoint: cp.clone(),
-            }),
-            _ => None,
-        };
-        self.live(id).carry = carry;
+    /// Preemption: the job keeps `machine`, paused at `at_cycle`, and
+    /// is `Paused` (the caller requeues it). `at_cycle` only ever rises:
+    /// a run that started over does not move it back, so its tenant is
+    /// billed each cycle once.
+    pub(super) fn pause(&mut self, id: JobId, at_cycle: u64, machine: Kept, rows_sent: u64) {
+        let live = self.live(id);
+        live.machine = Some(machine);
+        live.rows_sent = rows_sent;
         let e = self.jobs.get_mut(&id).expect("paused job entry exists");
-        e.status.at_cycle = at_cycle;
+        e.status.at_cycle = e.status.at_cycle.max(at_cycle);
         e.status.state = JobState::Paused;
-        commit
     }
 
-    /// A killed worker's slice is discarded: the job goes back to the
-    /// head of its lane exactly as it was popped — or, when a cancel
-    /// arrived while it ran, resolves now.
+    /// A killed worker's slice is discarded, and the machine with it:
+    /// the job goes back to the head of its lane to start over from
+    /// cycle 0 — or, when a cancel arrived while it ran, resolves now.
     pub(super) fn rollback(&mut self, id: JobId) -> Vec<Record> {
         let e = self.jobs.get_mut(&id).expect("running job entry exists");
         let (None, Some(live)) = (&e.result, &e.live) else {
@@ -322,11 +315,7 @@ impl State {
         if live.cancelled {
             return self.resolve(id, Terminal::Err(JobError::Cancelled));
         }
-        e.status.state = if live.carry.checkpoint.is_some() {
-            JobState::Paused
-        } else {
-            JobState::Queued
-        };
+        e.status.state = JobState::Queued;
         self.queues[live.lane as usize].push_front(id);
         Vec::new()
     }
@@ -426,8 +415,8 @@ impl State {
 
     /// The pool is going down: nothing waits any more and every
     /// unresolved handle reads `Shutdown`. No journal records: the jobs
-    /// keep their `Submit` (and latest `Commit`), so a restart on the
-    /// same journal resumes them — drop and crash recover identically.
+    /// keep their `Submit`, so a restart on the same journal runs them
+    /// again — drop and crash recover identically.
     /// A slice still running commits into the live part as usual.
     pub(super) fn shut_down(&mut self) {
         self.shutdown = true;

@@ -8,8 +8,9 @@
 //!
 //! The kill is a real `SIGKILL` ([`std::process::Child::kill`]) taken
 //! while the first job is mid-run on a single worker — the journal's
-//! torn-tail handling and the checkpoint replay path both face a
-//! genuine half-written file, not a polite shutdown.
+//! torn-tail handling faces a genuine half-written file, not a polite
+//! shutdown. The journal holds decisions, not machine state: the jobs
+//! in flight at the kill run again from cycle 0 after the restart.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -110,8 +111,8 @@ fn sigkill_mid_batch_restart_is_byte_identical_and_exactly_once() {
                 .with_sim(|s| s.probed(64)),
         ))
         .unwrap();
-    // Wait for the first job to commit a slice (checkpoints are now in
-    // the journal), then kill without warning.
+    // Wait for the first job to commit a slice (its progress lives only
+    // in the killed process), then kill without warning.
     let t0 = Instant::now();
     loop {
         let st = c.poll(ids[0]).unwrap();
@@ -132,8 +133,8 @@ fn sigkill_mid_batch_restart_is_byte_identical_and_exactly_once() {
     child.kill().unwrap();
     child.wait().unwrap();
 
-    // Phase 2: restart on the same journal; jobs resume under their
-    // original ids.
+    // Phase 2: restart on the same journal; unfinished jobs run again
+    // from cycle 0 under their original ids.
     let (mut child2, addr2) = spawn_server(&journal);
     let mut c = Client::connect(&addr2, ClientConfig::default()).unwrap();
     // Stream first, then wait: the probed job restarted from scratch

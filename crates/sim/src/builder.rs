@@ -318,29 +318,7 @@ impl MachineBuilder {
     /// run finishes with the same final cycle count and spawn digest as
     /// the uninterrupted one under every engine.
     pub fn resume(self, cp: &Checkpoint) -> Result<Machine, SimError> {
-        self.resume_probed(cp, NoProbe)
-    }
-
-    /// [`MachineBuilder::resume`] with `probe` attached. The probe's
-    /// sampling clock is aligned to the *next* interval boundary after
-    /// the checkpoint cycle (no catch-up samples for the skipped
-    /// prefix), and [`Probe::resync`] is called once with the restored
-    /// cumulative state so interval deltas continue from the
-    /// checkpoint — a *fresh* [`crate::IntervalProbe`] resumes as the
-    /// tail of the uninterrupted run's stream, with the interval the
-    /// checkpoint split accounting only its post-checkpoint fraction.
-    /// Re-attaching the paused machine's own probe
-    /// ([`Machine::into_probe`] +
-    /// [`IntervalProbe::into_carried`](crate::IntervalProbe::into_carried))
-    /// strengthens that to full bit-identity: the split interval's row
-    /// comes out exactly as the uninterrupted run would have emitted
-    /// it.
-    pub fn resume_probed<P: Probe>(
-        self,
-        cp: &Checkpoint,
-        probe: P,
-    ) -> Result<Machine<P>, SimError> {
-        let mut m = self.try_build_probed(probe)?;
+        let mut m = self.try_build()?;
         let geometry_ok = cp.clusters as usize == m.cfg.clusters
             && cp.tcus_per_cluster as usize == m.cfg.tcus_per_cluster
             && cp.memory_modules as usize == m.cfg.memory_modules
@@ -400,7 +378,6 @@ impl MachineBuilder {
         // The restored clock counts as fresh progress.
         m.progress_cycle = cp.cycle;
         m.progress_mark = cp.stats.instructions + cp.stats.threads;
-        m.last_sample = cp.cycle;
         for (module, ms) in m.modules.iter_mut().zip(&cp.modules) {
             let bank = module.bank_mut();
             bank.restore_tags(&ms.tags);
@@ -412,15 +389,6 @@ impl MachineBuilder {
         }
         m.req_net.restore_stats(cp.req_stats);
         m.reply_net.restore_stats(cp.reply_stats);
-        if P::ENABLED {
-            // Jump the sampling clock past the restored prefix (else
-            // `poll_probe` would emit a catch-up sample for every
-            // boundary below `cp.cycle`) and re-prime the probe's
-            // delta baseline from the restored cumulative counters.
-            let iv = m.probe.interval().max(1);
-            m.next_sample = (cp.cycle / iv).saturating_add(1).saturating_mul(iv);
-            m.emit_sample_with(cp.cycle, true);
-        }
         Ok(m)
     }
 }

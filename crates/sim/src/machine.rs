@@ -423,14 +423,6 @@ impl<P: Probe> Machine<P> {
         &self.probe
     }
 
-    /// Consume the machine and hand back its probe — used when a
-    /// paused machine is torn down but its probe should continue on
-    /// the checkpoint-restored successor (see
-    /// [`IntervalProbe::into_carried`](crate::IntervalProbe::into_carried)).
-    pub fn into_probe(self) -> P {
-        self.probe
-    }
-
     /// Snapshot of the global registers (useful after a run).
     pub fn gregs_snapshot(&self) -> [u32; NUM_GREGS] {
         self.gregs
@@ -810,13 +802,6 @@ impl<P: Probe> Machine<P> {
     /// Build a [`SampleCtx`] from the live component state and hand it
     /// to the probe. Split borrows keep this allocation-free.
     fn emit_sample(&mut self, boundary: u64) {
-        self.emit_sample_with(boundary, false);
-    }
-
-    /// [`Machine::emit_sample`], or (with `resync`) the same context
-    /// handed to [`Probe::resync`] instead — used once after a
-    /// checkpoint restore to re-prime the probe's delta baseline.
-    fn emit_sample_with(&mut self, boundary: u64, resync: bool) {
         let Machine {
             probe,
             stats,
@@ -856,12 +841,8 @@ impl<P: Probe> Machine<P> {
             channels,
             modules,
         };
-        if resync {
-            probe.resync(&ctx);
-        } else {
-            probe.record(&ctx);
-            *last_sample = stats.cycles;
-        }
+        probe.record(&ctx);
+        *last_sample = stats.cycles;
     }
 
     /// Advance the machine one cycle with the reference issue loop:

@@ -174,17 +174,6 @@ pub trait Probe {
     /// engine advance loops.
     fn record(&mut self, ctx: &SampleCtx<'_>);
 
-    /// Re-prime the probe's delta baseline from restored cumulative
-    /// state, *without* recording a row. Called once by
-    /// [`MachineBuilder::resume_probed`](crate::MachineBuilder::resume_probed)
-    /// after a checkpoint restore, so the first post-resume interval
-    /// reports deltas relative to the checkpoint cycle rather than
-    /// cumulative-from-machine-zero. Default: no-op (stateless probes
-    /// need nothing).
-    fn resync(&mut self, ctx: &SampleCtx<'_>) {
-        let _ = ctx;
-    }
-
     /// Called for every memory transaction issued from a parallel
     /// section, at the moment the request reaches its home memory
     /// module — the point that defines the global memory order.
@@ -425,12 +414,6 @@ pub struct IntervalProbe {
     chan_queue: Vec<u64>,
     last: Snapshot,
     last_chan_busy: Vec<u64>,
-    /// Continuation mode ([`IntervalProbe::into_carried`]): the probe
-    /// was extracted from a paused machine and is being re-attached to
-    /// its checkpoint-restored successor, so `bind` preserves history
-    /// and `resync` leaves the delta baseline at the last *emitted*
-    /// boundary instead of re-priming it at the pause cycle.
-    carried: bool,
 }
 
 impl IntervalProbe {
@@ -449,26 +432,7 @@ impl IntervalProbe {
             chan_queue: Vec::new(),
             last: Snapshot::default(),
             last_chan_busy: Vec::new(),
-            carried: false,
         }
-    }
-
-    /// Mark this probe as a *continuation* of an interrupted run: when
-    /// re-attached via
-    /// [`MachineBuilder::resume_probed`](crate::MachineBuilder::resume_probed),
-    /// its ring, sample count and delta baseline survive `bind`, and
-    /// `resync` is a no-op — the checkpoint restores every cumulative
-    /// counter the baseline refers to, so the resumed sample stream is
-    /// *bit-identical* to an uninterrupted run's, including the
-    /// interval the pause split. (A fresh, non-carried probe resumed
-    /// from a checkpoint instead starts its first delta at the
-    /// checkpoint cycle.)
-    ///
-    /// Extract the probe from a paused machine with
-    /// [`Machine::into_probe`](crate::Machine::into_probe).
-    pub fn into_carried(mut self) -> Self {
-        self.carried = true;
-        self
     }
 
     /// Samples recorded over the whole run (including overwritten ones).
@@ -618,14 +582,6 @@ impl Probe for IntervalProbe {
     const ENABLED: bool = true;
 
     fn bind(&mut self, cfg: &XmtConfig) {
-        // A carried probe keeps its ring and baseline across the
-        // rebuild — unless the machine geometry changed under it, in
-        // which case continuation is meaningless and it re-initializes
-        // like a fresh probe.
-        if self.carried && self.nchan == cfg.dram_channels() && !self.ring.is_empty() {
-            return;
-        }
-        self.carried = false;
         self.nchan = cfg.dram_channels();
         self.ring = vec![(None, [0; ROW_WORDS]); self.capacity];
         self.chan_busy = vec![0; self.capacity * self.nchan];
@@ -681,25 +637,5 @@ impl Probe for IntervalProbe {
         }
         self.last = now;
         self.seq += 1;
-    }
-
-    fn resync(&mut self, ctx: &SampleCtx<'_>) {
-        // A carried probe's baseline already sits at the last *emitted*
-        // boundary, and the checkpoint restored the cumulative counters
-        // it refers to — re-priming at the pause cycle would drop the
-        // pre-pause fraction of the split interval from the next row.
-        if self.carried {
-            return;
-        }
-        // Only the baseline moves — no row is written and `seq` does
-        // not advance, so a resumed stream continues exactly where the
-        // paused one left off (per-interval deltas relative to the
-        // checkpoint).
-        self.last = Snapshot::of(ctx);
-        for (k, ch) in ctx.channels.iter().enumerate() {
-            if k < self.last_chan_busy.len() {
-                self.last_chan_busy[k] = ch.stats.busy_cycles;
-            }
-        }
     }
 }

@@ -517,9 +517,7 @@ mod tests {
             b.addi(ir(3), ir(2), 64);
             b.sw(ir(2), ir(3), 0);
         });
-        let bytes = xmt_isa::encode_program(&p);
-        let p2 = xmt_isa::decode_program(&bytes).unwrap();
-        let d = DecodedProgram::new(&p2);
+        let d = DecodedProgram::new(&p);
         let (a, b) = (verify(&p), verify_decoded(&d));
         assert_eq!(a.diags, b.diags);
     }

@@ -84,8 +84,8 @@ fn concurrent_tenants_survive_worker_kill_exactly_once() {
                 }
             });
         }
-        // Kill a worker while the sweep is in flight: jobs must resume
-        // from their checkpoints on the survivors.
+        // Kill a worker while the sweep is in flight: its job must run
+        // again from cycle 0 on the survivors.
         std::thread::sleep(Duration::from_millis(30));
         srv.kill_worker();
     });
@@ -232,7 +232,7 @@ fn deadlines_drops_and_torn_frames_dont_wedge_the_server() {
 /// A blocker job pins the single worker under an unbounded quantum so
 /// none of the interesting jobs can reach a terminal record before the
 /// snapshot: the crash point is deterministic. The mid-execution crash
-/// points (checkpointed slices, SIGKILL) are covered by the library's
+/// points (sliced jobs, SIGKILL) are covered by the library's
 /// journal test and the process-level crash test in
 /// `crates/server/tests/`.
 #[test]

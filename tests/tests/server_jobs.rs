@@ -1,19 +1,19 @@
 //! End-to-end contracts of the batch job server (`xmt-server`):
 //!
-//! - **Preemption equivalence** — a job sliced into checkpoint quanta
-//!   and resumed round-robin finishes with *byte-identical* report
-//!   bytes to an uninterrupted run, on every golden case.
+//! - **Preemption equivalence** — a job sliced into quanta, its machine
+//!   kept between slices round-robin, finishes with *byte-identical*
+//!   report bytes to an uninterrupted run, on every golden case.
 //! - **Stream continuity** — a probed job's streamed interval rows are
-//!   identical across preemption (the probe resyncs at each resume,
-//!   so slicing is invisible in the stream).
+//!   identical across preemption (the probe stays on the paused
+//!   machine, so slicing is invisible in the stream).
 //! - **Cache identity** — resubmitting a bit-identical request is
 //!   served from the content-addressed cache with byte-equal report
 //!   bytes, and changing only the advance engine still hits (engines
 //!   are bit-identical by contract). Persisted cache entries survive a
 //!   server restart.
-//! - **Worker-kill survival** — killing a worker mid-job discards only
-//!   the in-flight slice; the job resumes from its last checkpoint and
-//!   still produces byte-identical results (the CI smoke test).
+//! - **Worker-kill survival** — killing a worker mid-job discards the
+//!   in-flight slice and the machine; the job runs again from cycle 0
+//!   and still produces byte-identical results (the CI smoke test).
 //! - **Queue determinism** — concurrent submitters racing the same
 //!   requests through any pool shape all observe the same bytes
 //!   (property-based).
@@ -52,7 +52,7 @@ fn direct_bytes(name: &str) -> Vec<u8> {
     encode_report(&case.run())
 }
 
-/// Preempting at checkpoints and resuming round-robin must be
+/// Preempting at quiescent points and continuing round-robin must be
 /// invisible in the result: byte-identical to an uninterrupted run,
 /// for every golden case.
 #[test]
@@ -90,8 +90,8 @@ fn long_job_takes_multiple_slices() {
 }
 
 /// Streamed interval rows are identical whether the job runs in one
-/// slice or many: preemption resyncs the probe instead of perturbing
-/// or duplicating samples. A subscriber that takes the stream only
+/// slice or many: the probe stays on the paused machine, so preemption
+/// neither perturbs nor duplicates samples. A subscriber that takes the stream only
 /// after the job is `Done` still gets every row: a finished job keeps
 /// its parked receiver.
 #[test]
@@ -211,7 +211,7 @@ fn persisted_cache_survives_server_restart() {
 }
 
 /// The CI smoke test: submit a sweep, kill a worker mid-job, and
-/// verify the preempted/resumed results are bit-identical to direct
+/// verify the preempted and rerun results are bit-identical to direct
 /// runs and that resubmitting the sweep is served from cache with the
 /// same bytes.
 #[test]
@@ -223,8 +223,7 @@ fn killed_worker_job_resumes_bit_identically() {
         .map(|h| h.unwrap())
         .collect();
     // Kill the (only) worker while the batch is in flight; the
-    // replacement picks the rolled-back jobs up from their last
-    // checkpoints.
+    // replacement runs the rolled-back job again from cycle 0.
     srv.kill_worker();
     for (h, case) in handles.iter().zip(golden::cases()) {
         let r = finish(h).unwrap();
@@ -236,7 +235,7 @@ fn killed_worker_job_resumes_bit_identically() {
         assert_eq!(
             r.bytes,
             direct_bytes(case.name),
-            "{}: post-kill resume diverged",
+            "{}: post-kill rerun diverged",
             case.name
         );
         assert_eq!(h.poll().state, JobState::Done);
