@@ -69,8 +69,9 @@ stage "static analysis: front half + transval + traffic (xmt-lint)" \
 # case under every engine x tier — statistics and spawn digests equal
 # to the Reference/interpreter run, trace stats repeating — then each
 # case's simulated cycles, spawn digest and trace row against
-# BENCH_sim.json, and the host-time ledger accounting for >= 95 % of
-# Machine::run. The rates in BENCH_sim.json are informational and are
+# BENCH_sim.json (and each paper-scale case's exact host work counts:
+# cluster steps taken and parked), and the host-time ledger accounting
+# for >= 95 % of Machine::run. The rates in BENCH_sim.json are informational and are
 # not looked at; `bench_sim OUT.json` re-records the file.
 stage "simulator exact pass vs BENCH_sim.json" \
     cargo run --release -p xmt-bench --bin bench_sim -- --check BENCH_sim.json
@@ -124,7 +125,7 @@ stage "job table memory: <= 0.5 KiB per finished job" \
 # The simulated machine's memory (DESIGN.md §10), no benchmark needed:
 # building and running the 65 536-TCU fft_xmt64k_n8192 in-process may
 # grow VmRSS by at most 24 MiB — clusters no thread reaches hold 32-byte
-# issue records and no register files. Its own test binary; skips where
+# issue records and no register store. Its own test binary; skips where
 # /proc is absent.
 stage "machine memory: 64k machine <= 24 MiB" \
     cargo test --release -p xmt-integration --test machine_memory -q

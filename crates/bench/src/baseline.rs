@@ -4,17 +4,23 @@
 //! spawn_digest}`).
 //!
 //! A row has an *exact* part — simulated cycles, spawn digest, the
-//! trace-cache counters — which is a pure function of the code and is
-//! what [`compare`] holds a fresh run to, and an *informational* part —
-//! host seconds, cycles/s, the host-time `layers` ledger — which is one
-//! reading of a noisy host, recorded and never compared. A speed claim
-//! or regression is shown only by alternating `xmt-perfbench` pairs
-//! (benchmark/README.md).
+//! trace-cache counters and, in a scaling row, the host work counts
+//! [`WORK_FIELDS`] its `layers` ledger records — which is a pure
+//! function of the code and is what [`compare`] holds a fresh run to,
+//! and an *informational* part — host seconds, cycles/s, the rest of
+//! the `layers` ledger — which is one reading of a noisy host, recorded
+//! and never compared. A speed claim or regression is shown only by
+//! alternating `xmt-perfbench` pairs (benchmark/README.md).
 
 use std::fmt::Write as _;
 
 /// The two row arrays of the file, in file order.
 pub const SECTIONS: [&str; 2] = ["workloads", "scaling"];
+
+/// The host work counts of a scaling row's `layers` object that are
+/// exact: cluster steps taken, and cluster-cycles parked. They move
+/// only with a change to what the host does per simulated cycle.
+pub const WORK_FIELDS: [&str; 2] = ["cluster_steps", "parked_cluster_cycles"];
 
 /// The exact part of one row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +32,8 @@ pub struct ExactRow {
     pub spawn_digest: u64,
     /// The `trace` object's fields as written: key and number text.
     pub trace: Vec<(String, String)>,
+    /// [`WORK_FIELDS`] in order (scaling rows; empty elsewhere).
+    pub work: Vec<u64>,
 }
 
 /// The `trace` fields of a tier-on fast-forward run: superblocks,
@@ -53,7 +61,8 @@ pub fn trace_fields(blocks: u64, lowered: u64, uops: u64, entries: u64) -> Vec<(
 pub struct Recorded {
     pub exact: ExactRow,
     pub tcus: usize,
-    /// The host-time ledger, already a JSON object (scaling rows).
+    /// The host-time ledger, already a JSON object (scaling rows) that
+    /// holds `exact.work` under [`WORK_FIELDS`].
     pub layers: Option<String>,
     /// Best host seconds per engine; the first is the speedup base.
     pub engines: Vec<(&'static str, f64)>,
@@ -298,12 +307,24 @@ pub fn exact_rows(text: &str) -> Result<Vec<ExactRow>, String> {
                     _ => Err(format!("{name}: trace.{k} is not a number")),
                 })
                 .collect::<Result<_, _>>()?;
+            let work = match section {
+                "scaling" => WORK_FIELDS
+                    .iter()
+                    .map(|key| match item.get("layers").and_then(|l| l.get(key)) {
+                        Some(Json::Num(n)) => n.parse::<u64>().ok(),
+                        _ => None,
+                    })
+                    .map(|n| n.ok_or_else(|| format!("{name}: no layers work counts")))
+                    .collect::<Result<_, _>>()?,
+                _ => Vec::new(),
+            };
             rows.push(ExactRow {
                 section,
                 name: name.clone(),
                 simulated_cycles,
                 spawn_digest,
                 trace,
+                work,
             });
         }
     }
@@ -339,6 +360,12 @@ pub fn compare(fresh: &[ExactRow], baseline: &[ExactRow]) -> Vec<String> {
                 f.name, f.trace, b.trace
             ));
         }
+        if f.work != b.work {
+            failures.push(format!(
+                "{}: {WORK_FIELDS:?} {:?} != baseline {:?}",
+                f.name, f.work, b.work
+            ));
+        }
     }
     for b in baseline {
         if !fresh.iter().any(|f| same_row(f, b)) {
@@ -354,6 +381,18 @@ mod tests {
     use xmt_fft::golden;
 
     fn row(section: &'static str, name: &str, cycles: u64) -> Recorded {
+        let scaling = section == "scaling";
+        let work = if scaling {
+            vec![6490266, 8453769]
+        } else {
+            vec![]
+        };
+        let layers = scaling.then(|| {
+            format!(
+                "{{ \"run_ns\": 5, \"cluster_steps\": {}, \"parked_cluster_cycles\": {} }}",
+                work[0], work[1]
+            )
+        });
         Recorded {
             exact: ExactRow {
                 section,
@@ -361,9 +400,10 @@ mod tests {
                 simulated_cycles: cycles,
                 spawn_digest: 0x9795_eb3c_0559_c08a,
                 trace: trace_fields(11, 5, 916, 20480),
+                work,
             },
             tcus: 4096,
-            layers: (section == "scaling").then(|| "{ \"run_ns\": 5 }".to_string()),
+            layers,
             engines: vec![("reference", 0.5), ("fast_forward", 0.25)],
         }
     }
@@ -408,7 +448,10 @@ mod tests {
         let mut other_host = sample();
         for r in &mut other_host {
             r.engines = vec![("reference", 9.0), ("fast_forward", 7.0)];
-            r.layers = None;
+            r.layers = r
+                .layers
+                .as_ref()
+                .map(|l| l.replace("\"run_ns\": 5", "\"run_ns\": 9"));
             r.tcus = 1;
         }
         let baseline = exact_rows(&render(64, &other_host)).unwrap();
@@ -433,6 +476,11 @@ mod tests {
             let f = differs(&|r| r.trace[field].1.push('1'));
             assert_eq!(f.len(), 1);
             assert!(f[0].starts_with("big: trace"), "{f:?}");
+        }
+        for field in 0..WORK_FIELDS.len() {
+            let f = differs(&|r| r.work[field] += 1);
+            assert_eq!(f.len(), 1);
+            assert!(f[0].starts_with("big: [\"cluster_steps\""), "{f:?}");
         }
     }
 
@@ -460,6 +508,11 @@ mod tests {
         for key in ["simulated_cycles", "spawn_digest", "trace"] {
             let e = exact_rows(&text.replace(key, "renamed")).unwrap_err();
             assert!(e.starts_with("small: no "), "{e}");
+        }
+        // Only scaling rows carry work counts.
+        for key in WORK_FIELDS.into_iter().chain(["layers"]) {
+            let e = exact_rows(&text.replace(key, "renamed")).unwrap_err();
+            assert_eq!(e, "big: no layers work counts");
         }
     }
 

@@ -29,10 +29,12 @@
 //!
 //! *Check* (`--check BASELINE.json`) writes nothing and times nothing:
 //! it compares every case's simulated cycles, spawn digest and trace
-//! row with the baseline's (`baseline::compare`), and fails on a case
-//! the baseline lacks. Whether the code got faster or slower is not
-//! this binary's question — that is shown only by alternating
-//! parent/change pairs of `xmt-perfbench` (benchmark/README.md).
+//! row, and every paper-scale case's ledger work counts (cluster steps
+//! taken and parked), with the baseline's (`baseline::compare`), and
+//! fails on a case the baseline lacks. Whether the code got faster or
+//! slower is not this binary's question — that is shown only by
+//! alternating parent/change pairs of `xmt-perfbench`
+//! (benchmark/README.md).
 
 use std::time::Instant;
 use xmt_bench::baseline::{self, ExactRow, Recorded};
@@ -176,15 +178,16 @@ fn exact_pass(
             ts.uops,
             ts.entries + cell.stats.threads,
         ),
+        work: Vec::new(),
     }
 }
 
 /// One fast-forward run with the host-time ledger attached: the
 /// `layers` JSON object (host ns and share of `Machine::run` per
-/// [`HostLayer`], and the cluster steps taken and parked). The ledger's
-/// clock reads cost host time, so no rate in the file is measured with
-/// it attached.
-fn ledger(case: &GoldenCase, want: &ExactRow, failures: &mut Vec<String>) -> String {
+/// [`HostLayer`], and the cluster steps taken and parked, which also go
+/// into `want.work`). The ledger's clock reads cost host time, so no
+/// rate in the file is measured with it attached.
+fn ledger(case: &GoldenCase, want: &mut ExactRow, failures: &mut Vec<String>) -> String {
     let sim = case.sim_config().engine(Engine::FastForward);
     let mut m = case.builder_cfg(&sim).build_probed(HostLayers::new());
     let t0 = Instant::now();
@@ -208,12 +211,14 @@ fn ledger(case: &GoldenCase, want: &ExactRow, failures: &mut Vec<String>) -> Str
         ));
     }
     // Two counts beside the nanoseconds, exact where those are one
-    // host's reading: an engine that parks nobody steps their sum.
+    // host's reading (`--check` holds them): an engine that parks
+    // nobody steps their sum.
     let (steps, parked) = (ledger.cluster_steps(), ledger.parked_cluster_cycles());
-    let mut json = format!(
-        "{{ \"run_ns\": {run_ns}, \"accounted\": {accounted:.4}, \
-         \"cluster_steps\": {steps}, \"parked_cluster_cycles\": {parked}"
-    );
+    want.work = vec![steps, parked];
+    let mut json = format!("{{ \"run_ns\": {run_ns}, \"accounted\": {accounted:.4}");
+    for (key, n) in baseline::WORK_FIELDS.iter().zip(&want.work) {
+        json.push_str(&format!(", \"{key}\": {n}"));
+    }
     eprint!(
         "{:18} {:>8.1} ms  {steps} cluster steps, {parked} parked ",
         case.name,
@@ -289,8 +294,8 @@ fn main() {
     ];
     for (section, cases, plans, with_ledger) in sections {
         for case in cases {
-            let exact = exact_pass(&case, section, plans, &mut failures);
-            let layers = with_ledger.then(|| ledger(&case, &exact, &mut failures));
+            let mut exact = exact_pass(&case, section, plans, &mut failures);
+            let layers = with_ledger.then(|| ledger(&case, &mut exact, &mut failures));
             let mut engines = Vec::new();
             if !check {
                 for (name, engine) in &ENGINES[..2] {

@@ -492,6 +492,37 @@ mod tests {
         assert_eq!(p8.num_stages(), 2);
     }
 
+    /// The simulator sizes each TCU's registers to the registers a
+    /// program names (`xmt_sim::RegLayout`). Every plan on the default
+    /// radix schedule names `r0`–`r12` and `f0`–`f18` — the radix-8
+    /// codelet holds its eight complex points and scratch in 19 of
+    /// Section IV-A's 32 FP registers — so it gets 32 rows: the thread
+    /// id, `r1`–`r12` and `f0`–`f18`. The radix ablation's forced
+    /// radix-2 and radix-4 plans need fewer.
+    #[test]
+    fn every_fft_plan_gets_32_register_rows() {
+        let rows = |plan: XmtFftPlan| {
+            let decoded = xmt_isa::DecodedProgram::new(&plan.program);
+            xmt_sim::RegLayout::of(&decoded).rows()
+        };
+        let plans = [
+            XmtFftPlan::new_1d(64, 2),
+            XmtFftPlan::new_1d(512, 4),
+            XmtFftPlan::new_1d(1024, 2),
+            XmtFftPlan::new_1d(65536, 1),
+            XmtFftPlan::new_2d(16, 64, 2),
+            XmtFftPlan::new_3d((16, 16, 16), 2),
+            XmtFftPlan::build_inverse(&[512], 4),
+            XmtFftPlan::build_with(&[16, 64], 2, None, false),
+        ];
+        for plan in plans {
+            let dims = plan.dims.clone();
+            assert_eq!(rows(plan), 32, "{dims:?}");
+        }
+        assert_eq!(rows(XmtFftPlan::build_with(&[64], 2, Some(2), true)), 19);
+        assert_eq!(rows(XmtFftPlan::build_with(&[64], 2, Some(4), true)), 23);
+    }
+
     #[test]
     #[should_panic(expected = "power of the forced radix")]
     fn forced_radix_must_divide() {

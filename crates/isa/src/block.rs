@@ -24,7 +24,7 @@
 use crate::decoded::{DecodedInstr, DecodedProgram, StepClass};
 use crate::instr::{eval_alu, eval_branch, AluOp, BranchCond, FpuOp, Instr, MduOp};
 use crate::interp::exec_compute;
-use crate::reg::{RegFile, NUM_GREGS};
+use crate::reg::{Regs, NUM_GREGS};
 
 /// Dense micro-op selector. Compute kinds are handled by [`exec_uop`];
 /// branch kinds by [`eval_branch_uop`]; memory kinds carry their
@@ -305,37 +305,40 @@ pub fn lower_op(d: &DecodedInstr, lat: UnitLat, ends: bool) -> MicroOp {
     u
 }
 
-/// Execute a compute-class micro-op against a register file. Returns
-/// `false` for kinds that are not straight-line compute (memory,
-/// branch, boundary, cold) — the caller falls back to its
+/// Execute a compute-class micro-op against a thread's registers.
+/// Returns `false` for kinds that are not straight-line compute
+/// (memory, branch, boundary, cold) — the caller falls back to its
 /// per-instruction path. Semantics are exactly
 /// [`exec_compute`](crate::interp::exec_compute): both dispatch into
 /// the same pure `eval_*` kernels.
 #[inline(always)]
-pub fn exec_uop(u: &MicroOp, rf: &mut RegFile, gregs: &[u32; NUM_GREGS]) -> bool {
+pub fn exec_uop<R: Regs>(u: &MicroOp, rf: &mut R, gregs: &[u32; NUM_GREGS]) -> bool {
     #[inline(always)]
-    fn rr(u: &MicroOp, rf: &mut RegFile, op: AluOp) {
+    fn rr<R: Regs>(u: &MicroOp, rf: &mut R, op: AluOp) {
         let v = eval_alu(op, rf.read_i_raw(u.b), rf.read_i_raw(u.c));
         rf.write_i_raw(u.a, v);
     }
     #[inline(always)]
-    fn ri(u: &MicroOp, rf: &mut RegFile, op: AluOp) {
+    fn ri<R: Regs>(u: &MicroOp, rf: &mut R, op: AluOp) {
         let v = eval_alu(op, rf.read_i_raw(u.b), u.imm);
         rf.write_i_raw(u.a, v);
     }
     #[inline(always)]
-    fn fp(u: &MicroOp, rf: &mut RegFile, op: FpuOp) {
+    fn fp<R: Regs>(u: &MicroOp, rf: &mut R, op: FpuOp) {
         let v = crate::instr::eval_fpu(op, rf.read_f_raw(u.b), rf.read_f_raw(u.c));
         rf.write_f_raw(u.a, v);
     }
     #[inline(always)]
-    fn md(u: &MicroOp, rf: &mut RegFile, op: MduOp) {
+    fn md<R: Regs>(u: &MicroOp, rf: &mut R, op: MduOp) {
         let v = crate::instr::eval_mdu(op, rf.read_i_raw(u.b), rf.read_i_raw(u.c));
         rf.write_i_raw(u.a, v);
     }
     match u.kind {
         UopKind::Li => rf.write_i_raw(u.a, u.imm),
-        UopKind::Tid => rf.write_i_raw(u.a, rf.tid),
+        UopKind::Tid => {
+            let tid = rf.tid();
+            rf.write_i_raw(u.a, tid);
+        }
         UopKind::ReadGr => rf.write_i_raw(u.a, gregs[(u.b as usize) % NUM_GREGS]),
         UopKind::Fli => rf.write_f_raw(u.a, f32::from_bits(u.imm)),
         UopKind::Fmov => {
@@ -395,7 +398,7 @@ pub fn exec_uop(u: &MicroOp, rf: &mut RegFile, gregs: &[u32; NUM_GREGS]) -> bool
 /// have excluded [`UopKind::Cold`] first (kinds outside the branch
 /// class report "untaken", which would be wrong for a cold slot).
 #[inline(always)]
-pub fn eval_branch_uop(u: &MicroOp, rf: &RegFile) -> Option<usize> {
+pub fn eval_branch_uop<R: Regs>(u: &MicroOp, rf: &R) -> Option<usize> {
     debug_assert_ne!(u.kind, UopKind::Cold);
     let taken = match u.kind {
         UopKind::Jump => true,
@@ -412,7 +415,7 @@ pub fn eval_branch_uop(u: &MicroOp, rf: &RegFile) -> Option<usize> {
 /// testing: run the *interpreter* core on the decoded instruction the
 /// micro-op was lowered from. Used by tests to pin `exec_uop` ==
 /// `exec_compute` on every compute instruction.
-pub fn exec_interp(d: &DecodedInstr, rf: &mut RegFile, gregs: &[u32; NUM_GREGS]) -> bool {
+pub fn exec_interp<R: Regs>(d: &DecodedInstr, rf: &mut R, gregs: &[u32; NUM_GREGS]) -> bool {
     exec_compute(&d.instr, rf, gregs)
 }
 
@@ -513,7 +516,7 @@ impl BlockMap {
 mod tests {
     use super::*;
     use crate::program::ProgramBuilder;
-    use crate::reg::{fr, gr, ir};
+    use crate::reg::{fr, gr, ir, RegFile};
 
     const LAT: UnitLat = UnitLat { fpu: 4, mdu: 8 };
 

@@ -10,7 +10,7 @@
 
 use crate::instr::{eval_alu, eval_branch, eval_fpu, eval_mdu, Instr};
 use crate::program::Program;
-use crate::reg::{RegFile, NUM_GREGS};
+use crate::reg::{RegFile, Regs, NUM_GREGS};
 use std::fmt;
 
 /// Execution statistics gathered by a run.
@@ -102,7 +102,7 @@ impl std::error::Error for ExecError {}
 /// effects) against a register file. Returns `true` if the instruction
 /// was handled. Shared by this interpreter and the cycle simulator.
 #[inline]
-pub fn exec_compute(ins: &Instr, rf: &mut RegFile, gregs: &[u32; NUM_GREGS]) -> bool {
+pub fn exec_compute<R: Regs>(ins: &Instr, rf: &mut R, gregs: &[u32; NUM_GREGS]) -> bool {
     match *ins {
         Instr::Li { rd, imm } => rf.write_i(rd, imm),
         Instr::Alu { op, rd, rs1, rs2 } => {
@@ -134,7 +134,7 @@ pub fn exec_compute(ins: &Instr, rf: &mut RegFile, gregs: &[u32; NUM_GREGS]) -> 
             let v = f32::from_bits(rf.read_i(rs));
             rf.write_f(fd, v);
         }
-        Instr::Tid { rd } => rf.write_i(rd, rf.tid),
+        Instr::Tid { rd } => rf.write_i(rd, rf.tid()),
         Instr::ReadGr { rd, src } => rf.write_i(rd, gregs[src.index()]),
         Instr::Nop => {}
         _ => return false,

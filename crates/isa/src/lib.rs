@@ -37,4 +37,4 @@ pub use decoded::{DecodedInstr, DecodedProgram, StepClass, NUM_STEP_CLASSES};
 pub use instr::{AluOp, BranchCond, FpuOp, Instr, MduOp, MemAccess, Unit};
 pub use interp::{ExecError, Interp, RunStats};
 pub use program::{BuildError, Label, Program, ProgramBuilder};
-pub use reg::{fr, gr, ir, FReg, GReg, IReg, RegFile, NUM_FREGS, NUM_GREGS, NUM_IREGS};
+pub use reg::{fr, gr, ir, FReg, GReg, IReg, RegFile, Regs, NUM_FREGS, NUM_GREGS, NUM_IREGS};

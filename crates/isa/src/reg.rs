@@ -95,7 +95,54 @@ impl fmt::Display for GReg {
     }
 }
 
-/// A thread-private register file (integer + FP), plus the thread id.
+/// One thread context's registers as the execution kernels
+/// ([`exec_compute`](crate::interp::exec_compute),
+/// [`exec_uop`](crate::block::exec_uop),
+/// [`eval_branch_uop`](crate::block::eval_branch_uop)) see them: raw
+/// register indices as micro-ops carry them, `r0` reading zero and
+/// discarding writes, and the thread id. Each kernel is written once,
+/// generic over this trait, and monomorphised per storage: the
+/// [`RegFile`] here, and the cycle simulator's view of one TCU's column
+/// in its cluster's register store.
+pub trait Regs {
+    /// Integer register `r` (`r0` reads zero).
+    fn read_i_raw(&self, r: u8) -> u32;
+    /// Write integer register `r` (writes to `r0` are discarded).
+    fn write_i_raw(&mut self, r: u8, v: u32);
+    /// FP register `r`.
+    fn read_f_raw(&self, r: u8) -> f32;
+    /// Write FP register `r`.
+    fn write_f_raw(&mut self, r: u8, v: f32);
+    /// Virtual thread id (the XMTC `$`).
+    fn tid(&self) -> u32;
+
+    /// Typed [`Regs::read_i_raw`].
+    #[inline(always)]
+    fn read_i(&self, r: IReg) -> u32 {
+        self.read_i_raw(r.0)
+    }
+    /// Typed [`Regs::write_i_raw`].
+    #[inline(always)]
+    fn write_i(&mut self, r: IReg, v: u32) {
+        self.write_i_raw(r.0, v)
+    }
+    /// Typed [`Regs::read_f_raw`].
+    #[inline(always)]
+    fn read_f(&self, r: FReg) -> f32 {
+        self.read_f_raw(r.0)
+    }
+    /// Typed [`Regs::write_f_raw`].
+    #[inline(always)]
+    fn write_f(&mut self, r: FReg, v: f32) {
+        self.write_f_raw(r.0, v)
+    }
+}
+
+/// A thread-private register file in the ISA's full shape — 32 integer
+/// and 32 FP registers plus the thread id — whatever the program names.
+/// The MTCU's registers and the untimed [`Interp`](crate::Interp)'s
+/// threads use it; the cycle simulator's TCUs do not (their registers
+/// live in a per-cluster store sized to the program).
 #[derive(Debug, Clone)]
 pub struct RegFile {
     iregs: [u32; NUM_IREGS],
@@ -113,42 +160,13 @@ impl RegFile {
             tid,
         }
     }
+}
 
+/// Indices are masked to range, matching the typed accessors for every
+/// index an [`IReg`] or [`FReg`] can hold.
+impl Regs for RegFile {
     #[inline(always)]
-    /// The `read_i` value.
-    pub fn read_i(&self, r: IReg) -> u32 {
-        if r.0 == 0 {
-            0
-        } else {
-            self.iregs[r.index()]
-        }
-    }
-
-    #[inline(always)]
-    /// The `write_i` value.
-    pub fn write_i(&mut self, r: IReg, v: u32) {
-        if r.0 != 0 {
-            self.iregs[r.index()] = v;
-        }
-    }
-
-    #[inline(always)]
-    /// The `read_f` value.
-    pub fn read_f(&self, r: FReg) -> f32 {
-        self.fregs[r.index()]
-    }
-
-    #[inline(always)]
-    /// The `write_f` value.
-    pub fn write_f(&mut self, r: FReg, v: f32) {
-        self.fregs[r.index()] = v;
-    }
-
-    /// Raw-index integer read for pre-extracted micro-op operands
-    /// (`r0` hardwired to zero; indices are masked to range, matching
-    /// the typed accessors for every index a [`IReg`] can hold).
-    #[inline(always)]
-    pub fn read_i_raw(&self, r: u8) -> u32 {
+    fn read_i_raw(&self, r: u8) -> u32 {
         if r == 0 {
             0
         } else {
@@ -156,24 +174,26 @@ impl RegFile {
         }
     }
 
-    /// Raw-index integer write (writes to `r0` are discarded).
     #[inline(always)]
-    pub fn write_i_raw(&mut self, r: u8, v: u32) {
+    fn write_i_raw(&mut self, r: u8, v: u32) {
         if r != 0 {
             self.iregs[(r & 31) as usize] = v;
         }
     }
 
-    /// Raw-index FP read for pre-extracted micro-op operands.
     #[inline(always)]
-    pub fn read_f_raw(&self, r: u8) -> f32 {
+    fn read_f_raw(&self, r: u8) -> f32 {
         self.fregs[(r & 31) as usize]
     }
 
-    /// Raw-index FP write.
     #[inline(always)]
-    pub fn write_f_raw(&mut self, r: u8, v: f32) {
+    fn write_f_raw(&mut self, r: u8, v: f32) {
         self.fregs[(r & 31) as usize] = v;
+    }
+
+    #[inline(always)]
+    fn tid(&self) -> u32 {
+        self.tid
     }
 }
 

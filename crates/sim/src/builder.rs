@@ -236,6 +236,7 @@ impl MachineBuilder {
             reply_net = Box::new(FaultyNetwork::new(reply_net, lf));
         }
         let decoded = DecodedProgram::new(&prog);
+        let layout = RegLayout::of(&decoded);
         let trace = (tier == TranslationTier::Block)
             .then(|| Box::new(TraceCache::new(&decoded, FPU_LATENCY, MDU_LATENCY)));
         let has_global_ops = (0..prog.len())
@@ -253,7 +254,7 @@ impl MachineBuilder {
             next_tid: 0,
             spawn_count: 0,
             spawn_entry: 0,
-            clusters: vec![ClusterTcus::new(cfg.tcus_per_cluster); cfg.clusters],
+            clusters: vec![ClusterTcus::new(cfg.tcus_per_cluster, layout); cfg.clusters],
             rr: 0,
             cluster_instr: vec![0; cfg.clusters],
             req_net,

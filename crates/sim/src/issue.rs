@@ -28,7 +28,7 @@ use xmt_isa::block::{eval_branch_uop, exec_uop, MicroOp};
 use xmt_isa::decoded::{DecodedProgram, NUM_STEP_CLASSES};
 use xmt_isa::instr::{eval_branch, Instr};
 use xmt_isa::interp::exec_compute;
-use xmt_isa::reg::{FReg, IReg, RegFile, NUM_GREGS};
+use xmt_isa::reg::{FReg, IReg, Regs, NUM_GREGS};
 use xmt_mem::AddressHash;
 
 /// FPU result latency in cycles.
@@ -51,7 +51,7 @@ pub(super) enum TxnKind {
 /// reads, in 32 bytes, so a 32-TCU cluster's records fill 1 KiB.
 /// Whether the TCU is running a thread, disabled or stuck is not here:
 /// those flags live in the cluster's [`ClusterMasks`] only. Nor are its
-/// registers: they live in [`ClusterTcus::rf`], reached only when the
+/// registers: they live in [`ClusterTcus::regs`], reached only when the
 /// TCU executes.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Tcu {
@@ -83,25 +83,166 @@ impl Tcu {
     };
 }
 
+/// Which row of a cluster's register store holds each register, sized
+/// to the program: row 0 holds the thread id (`r0` is hardwired to
+/// zero, so it needs no row), rows `1..fbase` hold `r1` up to the
+/// highest integer register the program names, and the rows from
+/// `fbase` on hold `f0` up to the highest FP register it names.
+/// Computed once per machine from the union of the decoded program's
+/// hazard masks, which cover every register each instruction reads or
+/// writes. The radix-8 FFT kernels name `r0`–`r12` and `f0`–`f18`:
+/// 32 rows, 128 bytes per TCU. No program gets more than 64.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegLayout {
+    /// Row of `f0`: one past the highest integer register named.
+    fbase: u8,
+    /// Rows in all.
+    rows: u8,
+}
+
+impl RegLayout {
+    /// The layout of `decoded`'s registers.
+    pub fn of(decoded: &DecodedProgram) -> Self {
+        let (imask, fmask) = decoded
+            .instrs()
+            .iter()
+            .fold((0u32, 0u32), |(i, f), d| (i | d.imask, f | d.fmask));
+        // Rows to hold every set bit of `mask`: its highest index + 1.
+        let span = |mask: u32| (u32::BITS - mask.leading_zeros()) as u8;
+        let fbase = span(imask).max(1);
+        Self {
+            fbase,
+            rows: fbase + span(fmask),
+        }
+    }
+
+    /// Rows per TCU (words of the store per TCU).
+    pub fn rows(self) -> usize {
+        usize::from(self.rows)
+    }
+}
+
 /// One cluster's TCUs: the issue records the kernel reads on every
-/// visit, and beside them the register files. `rf` stays empty until
-/// the cluster's first thread; that activation gives every TCU of the
-/// cluster its file at once — the only place a register file is born —
-/// and the files then live for the run. A cluster no thread reaches
-/// (most of them, on a machine with far more TCUs than threads) holds
-/// no register file at all.
+/// visit, and beside them one register store for all of them.
+///
+/// The store is register-major: TCU `t`'s copy of layout row `r` is
+/// word `r * ntcus + t`, so a row of the store is one register across
+/// the cluster. The TCUs that win the shared FPU and LSU ports on
+/// consecutive cycles are neighbours at the same pc, naming the same
+/// registers, so their operands share host cache lines; a TCU-major
+/// store would give each TCU its own lines.
+///
+/// `regs` stays empty until the cluster's first thread; that activation
+/// bears the whole store at once — `layout.rows() × ntcus` words, the
+/// only place one is born — and it then lives for the run. A cluster no
+/// thread reaches (most of them, on a machine with far more TCUs than
+/// threads) holds no register store at all.
 #[derive(Debug, Clone)]
 pub(super) struct ClusterTcus {
     pub(super) hot: Vec<Tcu>,
-    pub(super) rf: Vec<RegFile>,
+    pub(super) regs: Vec<u32>,
+    pub(super) layout: RegLayout,
 }
 
 impl ClusterTcus {
-    pub(super) fn new(ntcus: usize) -> Self {
+    pub(super) fn new(ntcus: usize, layout: RegLayout) -> Self {
         Self {
             hot: vec![Tcu::IDLE; ntcus],
-            rf: Vec::new(),
+            regs: Vec::new(),
+            layout,
         }
+    }
+
+    /// TCU `t` takes thread `tid`: zeroed registers, `tid` in row 0.
+    /// The cluster's first thread bears the store.
+    #[inline(always)]
+    fn start_thread(&mut self, t: usize, tid: u32) {
+        let ntcus = self.hot.len();
+        if self.regs.is_empty() {
+            self.regs = vec![0; self.layout.rows() * ntcus];
+        }
+        for w in self.regs[t..].iter_mut().step_by(ntcus) {
+            *w = 0;
+        }
+        self.regs[t] = tid;
+    }
+
+    /// The thread id TCU `t` runs (or last ran): row 0. The store must
+    /// be born.
+    #[inline(always)]
+    pub(super) fn tid(&self, t: usize) -> u32 {
+        self.regs[t]
+    }
+
+    /// TCU `t`'s issue record and its registers. The store must be
+    /// born.
+    #[inline(always)]
+    pub(super) fn split(&mut self, t: usize) -> (&mut Tcu, TcuRegs<'_>) {
+        let stride = self.hot.len();
+        let regs = TcuRegs {
+            words: &mut self.regs[t..],
+            stride,
+            fbase: usize::from(self.layout.fbase),
+        };
+        (&mut self.hot[t], regs)
+    }
+}
+
+/// One TCU's registers in its cluster's store: the column starting at
+/// its row-0 word, one `stride` (the cluster width) per row.
+pub(super) struct TcuRegs<'a> {
+    words: &'a mut [u32],
+    stride: usize,
+    fbase: usize,
+}
+
+impl TcuRegs<'_> {
+    /// The word of integer register `r` (`r ≥ 1`).
+    #[inline(always)]
+    fn int(&self, r: u8) -> usize {
+        debug_assert!(usize::from(r) < self.fbase, "r{r} is outside the layout");
+        usize::from(r) * self.stride
+    }
+
+    /// The word of FP register `r`.
+    #[inline(always)]
+    fn fp(&self, r: u8) -> usize {
+        (self.fbase + usize::from(r)) * self.stride
+    }
+}
+
+impl Regs for TcuRegs<'_> {
+    #[inline(always)]
+    fn read_i_raw(&self, r: u8) -> u32 {
+        if r == 0 {
+            0
+        } else {
+            self.words[self.int(r)]
+        }
+    }
+
+    #[inline(always)]
+    fn write_i_raw(&mut self, r: u8, v: u32) {
+        if r != 0 {
+            let w = self.int(r);
+            self.words[w] = v;
+        }
+    }
+
+    #[inline(always)]
+    fn read_f_raw(&self, r: u8) -> f32 {
+        f32::from_bits(self.words[self.fp(r)])
+    }
+
+    #[inline(always)]
+    fn write_f_raw(&mut self, r: u8, v: f32) {
+        let w = self.fp(r);
+        self.words[w] = v.to_bits();
+    }
+
+    #[inline(always)]
+    fn tid(&self) -> u32 {
+        self.words[0]
     }
 }
 
@@ -406,10 +547,11 @@ pub(super) fn addr_of(pc: usize, base: u32, off: u32, mem_len: usize) -> Result<
 }
 
 /// Write a matured memory reply back into TCU `t` of `tcus`: the loaded
-/// value into its register file (born: the TCU issued the request), the
-/// scoreboard bit, the outstanding count and the masks mirroring them.
-/// A cleared scoreboard bit can only unblock, and no other class
-/// depends on replies, so only `Scoreboard` TCUs reclassify.
+/// value into its registers (the store is born: the TCU issued the
+/// request), the scoreboard bit, the outstanding count and the masks
+/// mirroring them. A cleared scoreboard bit can only unblock, and no
+/// other class depends on replies, so only `Scoreboard` TCUs
+/// reclassify.
 #[inline(always)]
 pub(super) fn apply_reply(
     tcus: &mut ClusterTcus,
@@ -419,14 +561,14 @@ pub(super) fn apply_reply(
     value: u32,
     decoded: &DecodedProgram,
 ) {
-    let tcu = &mut tcus.hot[t];
+    let (tcu, mut regs) = tcus.split(t);
     match kind {
         TxnKind::LoadI(rd) => {
-            tcus.rf[t].write_i(rd, value);
+            regs.write_i(rd, value);
             tcu.pend_i &= !(1u32 << rd.index());
         }
         TxnKind::LoadF(fd) => {
-            tcus.rf[t].write_f(fd, f32::from_bits(value));
+            regs.write_f(fd, f32::from_bits(value));
             tcu.pend_f &= !(1u32 << fd.index());
         }
         TxnKind::Store => {}
@@ -479,7 +621,7 @@ pub(super) trait IssueSink {
     /// The global registers compute instructions read.
     fn gregs(&self) -> &[u32; NUM_GREGS];
     /// Apply a `ps`/`sspawn` on behalf of the TCU owning `rf`.
-    fn global_op(&mut self, ins: &Instr, rf: &mut RegFile);
+    fn global_op(&mut self, ins: &Instr, rf: &mut TcuRegs<'_>);
 }
 
 /// The shared FPU and MDU ports: same arbitration, different latency,
@@ -500,17 +642,12 @@ struct Cx<'a, S> {
 }
 
 impl<S: IssueSink> Cx<'_, S> {
-    /// Idle TCU takes thread `tid`: fresh register file at the section
-    /// entry. The cluster's first thread gives every TCU of the cluster
-    /// its register file.
+    /// Idle TCU takes thread `tid`: fresh registers at the section
+    /// entry. The cluster's first thread bears its register store.
     #[inline(always)]
     fn activate(&mut self, t: usize, tid: u32) {
-        let ClusterTcus { hot, rf } = &mut *self.tcus;
-        if rf.is_empty() {
-            *rf = vec![RegFile::new(0); hot.len()];
-        }
-        rf[t] = RegFile::new(tid);
-        let tcu = &mut hot[t];
+        self.tcus.start_thread(t, tid);
+        let tcu = &mut self.tcus.hot[t];
         self.m.active |= 1u64 << t;
         tcu.pc = self.env.entry;
         tcu.busy_until = 0;
@@ -525,13 +662,13 @@ impl<S: IssueSink> Cx<'_, S> {
     #[inline(always)]
     fn compute(&mut self, t: usize, lat: u64) {
         let decoded = self.env.decoded;
-        let (tcu, rf) = (&mut self.tcus.hot[t], &mut self.tcus.rf[t]);
+        let (tcu, mut rf) = self.tcus.split(t);
         let ok = match self.sink.fetch(decoded, tcu.pc) {
             Some(u) => {
                 debug_assert_eq!(u64::from(u.lat), lat);
-                exec_uop(&u, rf, self.sink.gregs())
+                exec_uop(&u, &mut rf, self.sink.gregs())
             }
-            None => exec_compute(&decoded.fetch(tcu.pc).instr, rf, self.sink.gregs()),
+            None => exec_compute(&decoded.fetch(tcu.pc).instr, &mut rf, self.sink.gregs()),
         };
         debug_assert!(ok, "compute-class instruction must be compute-executable");
         if lat > 0 {
@@ -586,10 +723,10 @@ impl<S: IssueSink> Cx<'_, S> {
     #[inline(always)]
     fn branch(&mut self, t: usize) {
         let decoded = self.env.decoded;
-        let (tcu, rf) = (&mut self.tcus.hot[t], &self.tcus.rf[t]);
+        let (tcu, rf) = self.tcus.split(t);
         let pc = tcu.pc;
         if let Some(u) = self.sink.fetch(decoded, pc) {
-            tcu.pc = eval_branch_uop(&u, rf).unwrap_or(pc + 1);
+            tcu.pc = eval_branch_uop(&u, &rf).unwrap_or(pc + 1);
             self.sink.note_entry();
         } else {
             match decoded.fetch(pc).instr {
@@ -623,7 +760,7 @@ impl<S: IssueSink> Cx<'_, S> {
             return Ok(());
         }
         let env = self.env;
-        let (tcu, rf) = (&mut self.tcus.hot[t], &self.tcus.rf[t]);
+        let (tcu, rf) = self.tcus.split(t);
         let pc = tcu.pc;
         let base_off = |base, off| addr_of(pc, rf.read_i(base), off, env.mem_len);
         let (addr, kind, value) = match env.decoded.fetch(pc).instr {
@@ -671,8 +808,8 @@ impl<S: IssueSink> Cx<'_, S> {
     #[inline(always)]
     fn global(&mut self, t: usize) {
         let decoded = self.env.decoded;
-        let (tcu, rf) = (&mut self.tcus.hot[t], &mut self.tcus.rf[t]);
-        self.sink.global_op(&decoded.fetch(tcu.pc).instr, rf);
+        let (tcu, mut rf) = self.tcus.split(t);
+        self.sink.global_op(&decoded.fetch(tcu.pc).instr, &mut rf);
         tcu.pc += 1;
         reclassify_masked(tcu, self.m, t, decoded);
         self.stats.instructions += 1;
@@ -1020,19 +1157,22 @@ mod tests {
         fn gregs(&self) -> &[u32; NUM_GREGS] {
             &self.gregs
         }
-        fn global_op(&mut self, _ins: &Instr, _rf: &mut RegFile) {
+        fn global_op(&mut self, _ins: &Instr, _rf: &mut TcuRegs<'_>) {
             unreachable!("bulk-eligible states hold no ready ps/sspawn")
         }
     }
 
     /// Everything observable about TCU `t`, comparably: its issue
-    /// record and, once born, every register of its file.
+    /// record and, once the store is born, every row of its column.
     fn tcu_view(c: &ClusterTcus, t: usize) -> impl PartialEq + std::fmt::Debug {
         let h = &c.hot[t];
-        let regs = c.rf.get(t).map(|rf| {
-            let iregs: Vec<u32> = (0..32).map(|i| rf.read_i(ir(i))).collect();
-            let fregs: Vec<u32> = (0..32).map(|i| rf.read_f(fr(i)).to_bits()).collect();
-            (rf.tid, iregs, fregs)
+        let ntcus = c.hot.len();
+        let rows = c.layout.rows();
+        assert!(c.regs.is_empty() || c.regs.len() == rows * ntcus);
+        let regs = (!c.regs.is_empty()).then(|| {
+            (0..rows)
+                .map(|r| c.regs[r * ntcus + t])
+                .collect::<Vec<u32>>()
         });
         (
             (h.busy_until, h.pc, h.pend_i, h.pend_f),
@@ -1077,7 +1217,7 @@ mod tests {
     /// of the three states that wait for a memory reply. Without it,
     /// while thread IDs remain, one cluster in four has not taken a
     /// thread yet: every TCU idle, some disabled or stuck, and no
-    /// register file born.
+    /// register store born.
     fn gen_cluster(
         rng: &mut proptest::TestRng,
         decoded: &DecodedProgram,
@@ -1086,7 +1226,8 @@ mod tests {
         tids_remain: bool,
         quiet: bool,
     ) -> (ClusterTcus, ClusterMasks) {
-        let mut tcus = ClusterTcus::new(ntcus);
+        let layout = RegLayout::of(decoded);
+        let mut tcus = ClusterTcus::new(ntcus, layout);
         let mut m = ClusterMasks::new(ntcus);
         if tids_remain && !quiet && rng.below(4) == 0 {
             for t in 0..ntcus {
@@ -1098,6 +1239,8 @@ mod tests {
             }
             return (tcus, m);
         }
+        tcus.regs = vec![0; layout.rows() * ntcus];
+        let (int_rows, fp_rows) = (layout.fbase, layout.rows - layout.fbase);
         m.cls = [0; NUM_ISSUE_CLASSES];
         for t in 0..ntcus {
             let bit = 1u64 << t;
@@ -1115,15 +1258,18 @@ mod tests {
             // Order-sensitive classes only where they are not ready.
             let unready = !active || stuck || tcu.busy_until > cycle;
             tcu.pc = rng.below(if unready { 12 } else { 10 }) as usize;
-            let mut rf = RegFile::new(t as u32);
-            for r in 1..8 {
-                rf.write_i(ir(r), rng.below(1000) as u32);
-                rf.write_f(fr(r), rng.unit_f64() as f32);
+            let (_, mut regs) = tcus.split(t);
+            regs.words[0] = t as u32;
+            for r in 1..int_rows {
+                regs.write_i_raw(r, rng.below(1000) as u32);
             }
-            tcus.rf.push(rf);
+            for r in 0..fp_rows {
+                regs.write_f_raw(r, rng.unit_f64() as f32);
+            }
+            // Pending loads target registers the program names.
             if rng.below(4) == 0 {
-                tcu.pend_i = 1 << rng.below(6);
-                tcu.pend_f = 1 << rng.below(6);
+                tcu.pend_i = 1 << rng.below(int_rows.into());
+                tcu.pend_f = 1 << rng.below(fp_rows.into());
             }
             tcu.outstanding = rng.below(u64::from(MAX_OUTSTANDING) + 1) as u8;
             tcu.cls = classify(decoded, tcu.pc, tcu.pend_i, tcu.pend_f);
@@ -1168,11 +1314,104 @@ mod tests {
         (tcus, m)
     }
 
-    /// A visit reads one 32-byte record; the register file is not in
-    /// it.
+    /// A visit reads one 32-byte record; the registers are not in it.
     #[test]
     fn the_issue_record_is_32_bytes() {
         assert!(std::mem::size_of::<Tcu>() <= 32);
+    }
+
+    /// Every register an instruction of `class_program` names, read or
+    /// written, has a row of its own in every TCU's column: written
+    /// through each TCU's view with a value naming TCU and register,
+    /// each reads back its own (`r0` zero), beside the thread id.
+    #[test]
+    fn the_layout_covers_every_register_the_program_names() {
+        let decoded = class_program();
+        let layout = RegLayout::of(&decoded);
+        assert_eq!(layout.rows(), 9, "the tid, r1-r4 and f0-f3");
+        let mut named: Vec<(bool, u8)> = Vec::new();
+        for d in decoded.instrs() {
+            let ins = d.instr;
+            let ints = ins.iregs_read().into_iter().flatten();
+            let fps = ins.fregs_read().into_iter().flatten();
+            named.extend(
+                ints.chain(ins.ireg_written())
+                    .map(|r| (false, r.index() as u8)),
+            );
+            named.extend(
+                fps.chain(ins.freg_written())
+                    .map(|f| (true, f.index() as u8)),
+            );
+        }
+        named.sort_unstable();
+        named.dedup();
+        let ntcus = 5;
+        let value =
+            |t: usize, (fp, r): (bool, u8)| (t as u32) << 16 | u32::from(fp) << 8 | u32::from(r);
+        let mut tcus = ClusterTcus::new(ntcus, layout);
+        for t in 0..ntcus {
+            tcus.start_thread(t, 1000 + t as u32);
+            let (_, mut regs) = tcus.split(t);
+            for &(fp, r) in &named {
+                match fp {
+                    false => regs.write_i_raw(r, value(t, (fp, r))),
+                    true => regs.write_f_raw(r, f32::from_bits(value(t, (fp, r)))),
+                }
+            }
+        }
+        assert_eq!(tcus.regs.len(), layout.rows() * ntcus);
+        for t in 0..ntcus {
+            let (_, regs) = tcus.split(t);
+            assert_eq!(regs.tid(), 1000 + t as u32);
+            for &(fp, r) in &named {
+                let (got, want) = match fp {
+                    false => (
+                        regs.read_i_raw(r),
+                        if r == 0 { 0 } else { value(t, (fp, r)) },
+                    ),
+                    true => (regs.read_f_raw(r).to_bits(), value(t, (fp, r))),
+                };
+                assert_eq!(got, want, "TCU {t}, {} {r}", if fp { "f" } else { "r" });
+            }
+        }
+    }
+
+    /// Rows run to the highest register named, not to the number named:
+    /// the tid row, then `r1`..the highest integer register, then
+    /// `f0`..the highest FP one.
+    #[test]
+    fn a_layout_spans_the_highest_registers_named() {
+        let rows = |build: &dyn Fn(&mut ProgramBuilder)| {
+            let mut b = ProgramBuilder::new();
+            build(&mut b);
+            b.halt();
+            RegLayout::of(&DecodedProgram::new(&b.build().unwrap())).rows()
+        };
+        assert_eq!(rows(&|_| {}), 1);
+        assert_eq!(
+            rows(&|b| {
+                b.li(ir(1), 7).fli(fr(0), 1.0);
+            }),
+            3
+        );
+        assert_eq!(
+            rows(&|b| {
+                b.li(ir(0), 7).fli(fr(2), 1.0);
+            }),
+            4
+        );
+        assert_eq!(
+            rows(&|b| {
+                b.li(ir(9), 7);
+            }),
+            10
+        );
+        assert_eq!(
+            rows(&|b| {
+                b.li(ir(31), 7).fli(fr(31), 1.0);
+            }),
+            64
+        );
     }
 
     proptest! {
@@ -1188,10 +1427,10 @@ mod tests {
         /// scanned cycle, stuck, disabled and at the outstanding cap —
         /// the mask-driven quiet scan equals the per-TCU walk. Where
         /// bulk is not legal — a cluster that has not taken a thread
-        /// yet, with IDs left — the walk that gives the cluster its
-        /// register files equals the walk over files born idle
-        /// beforehand. Either way the files exist afterwards exactly
-        /// when they did before or a thread was granted.
+        /// yet, with IDs left — the walk that bears the cluster's
+        /// register store equals the walk over a store born idle
+        /// beforehand. Either way the store exists afterwards exactly
+        /// when it did before or a thread was granted.
         #[test]
         fn bulk_and_walk_agree_wherever_bulk_is_legal(seed in any::<u64>()) {
             let mut rng = proptest::TestRng::new(seed);
@@ -1222,15 +1461,15 @@ mod tests {
             let ready = m.active & !m.busy & !m.stuck;
             let activations = tids_remain && !m.active & !m.disabled & ones(ntcus) != 0;
             prop_assert_eq!(order_observable(&m, ready, activations), activations);
-            prop_assert!(!activations || tcus.rf.is_empty());
+            prop_assert!(!activations || tcus.regs.is_empty());
             prop_assert_eq!(m.quiet_scan(cycle + 1), scan_by_walk(&tcus.hot, &m, cycle + 1));
 
             let run = |bulk: bool, born: bool| {
                 let (mut tcus, mut m) = (tcus.clone(), m.clone());
-                if born && tcus.rf.is_empty() {
-                    tcus.rf = vec![RegFile::new(0); ntcus];
+                if born && tcus.regs.is_empty() {
+                    tcus.regs = vec![0; tcus.layout.rows() * ntcus];
                 }
-                let unborn = tcus.rf.is_empty();
+                let unborn = tcus.regs.is_empty();
                 let mut stats = MachineStats::default();
                 let mut sink = Recording::new(0..tids, budget, &decoded);
                 let mut cx = Cx {
@@ -1252,7 +1491,7 @@ mod tests {
                     .map(|u| u.kind != UopKind::Cold)
                     .collect();
                 assert_eq!(m.quiet_scan(cycle + 1), scan_by_walk(&tcus.hot, &m, cycle + 1));
-                assert_eq!(tcus.rf.is_empty(), unborn && sink.granted.is_empty());
+                assert_eq!(tcus.regs.is_empty(), unborn && sink.granted.is_empty());
                 let tcus: Vec<_> = (0..ntcus).map(|t| tcu_view(&tcus, t)).collect();
                 let effects = (sink.granted, sink.injections, sink.entries);
                 (tcus, m, stats, effects, lowered)

@@ -51,8 +51,8 @@ pub use config::XmtConfig;
 pub use energy::{gflops_per_watt, phase_energy, EnergyBreakdown, EnergyModel};
 pub use fault::{FaultPlan, TcuId};
 pub use machine::{
-    Engine, Machine, MachineBuilder, MachineStats, RunOutcome, RunReport, RunStatus, SimError,
-    SpawnStats, UtilizationReport, UNIT_LAT,
+    Engine, Machine, MachineBuilder, MachineStats, RegLayout, RunOutcome, RunReport, RunStatus,
+    SimError, SpawnStats, UtilizationReport, UNIT_LAT,
 };
 pub use perfmodel::{phase_time, run_phases, Bottleneck, PhaseDemand, PhaseTime};
 pub use physical::{summarize, PhysicalSummary};

@@ -35,7 +35,7 @@ use xmt_isa::block::MicroOp;
 use xmt_isa::decoded::DecodedProgram;
 use xmt_isa::instr::{eval_branch, Instr, Unit};
 use xmt_isa::interp::exec_compute;
-use xmt_isa::reg::{fr, ir, RegFile, NUM_GREGS};
+use xmt_isa::reg::{fr, ir, RegFile, Regs, NUM_GREGS};
 use xmt_isa::Program;
 use xmt_mem::{AddressHash, ChannelRequest, DramChannel, DramReq, MemReq, MemResp, MemoryModule};
 use xmt_noc::{Delivered, FaultyNetwork, Flit, Network, Topology};
@@ -59,8 +59,9 @@ pub use outcome::{
     MachineStats, RunOutcome, RunReport, RunStatus, SimError, SpawnStats, UtilizationReport,
 };
 
+pub use issue::RegLayout;
 use issue::{
-    addr_of, ones, ClusterMasks, ClusterTcus, IssueClass, IssueEnv, IssueSink, TxnKind,
+    addr_of, ones, ClusterMasks, ClusterTcus, IssueClass, IssueEnv, IssueSink, TcuRegs, TxnKind,
     FPU_LATENCY, MDU_LATENCY,
 };
 
@@ -177,7 +178,7 @@ impl IssueSink for Direct<'_> {
     }
 
     #[inline(always)]
-    fn global_op(&mut self, ins: &Instr, rf: &mut RegFile) {
+    fn global_op(&mut self, ins: &Instr, rf: &mut TcuRegs<'_>) {
         match *ins {
             Instr::Ps { rd, inc, on } => {
                 let old = self.gregs[on.index()];
@@ -267,7 +268,7 @@ pub struct Machine<P: Probe = NoProbe> {
     spawn_count: u32,
     spawn_entry: usize,
     /// Per cluster, its TCUs' issue records and (once it has taken a
-    /// thread) their register files.
+    /// thread) their register store.
     clusters: Vec<ClusterTcus>,
     /// Round-robin position of the shared-port arbiters: the TCU each
     /// cluster visits first this parallel cycle. One counter for the
@@ -1768,10 +1769,11 @@ mod tests {
         }
     }
 
-    /// Register files are born only in clusters that take a thread. 40
+    /// Register stores are born only in clusters that take a thread. 40
     /// threads fill cluster 0 and put 8 in cluster 1; under every engine
-    /// those two end the run with a file per TCU, holding the thread IDs
-    /// they ran, clusters 2 and 3 end it with none, and the runs agree.
+    /// those two end the run with a store of 4 rows (the tid, r1–r3)
+    /// per TCU, whose row 0 holds the thread IDs they ran, clusters 2
+    /// and 3 end it with none, and the runs agree.
     #[test]
     fn only_clusters_that_take_a_thread_hold_register_files() {
         let run = |engine| {
@@ -1780,13 +1782,13 @@ mod tests {
                 .engine(engine)
                 .build();
             let report = m.run().unwrap();
-            let files: Vec<usize> = m.clusters.iter().map(|c| c.rf.len()).collect();
-            assert_eq!(files, [32, 32, 0, 0], "{engine:?}");
+            let words: Vec<usize> = m.clusters.iter().map(|c| c.regs.len()).collect();
+            assert_eq!(words, [4 * 32, 4 * 32, 0, 0], "{engine:?}");
             let mut tids: Vec<u32> = m
                 .clusters
                 .iter()
-                .flat_map(|c| &c.rf)
-                .map(|rf| rf.tid)
+                .filter(|c| !c.regs.is_empty())
+                .flat_map(|c| (0..32).map(|t| c.tid(t)))
                 .collect();
             tids.sort_unstable();
             let want: Vec<u32> = std::iter::repeat_n(0, 24).chain(0..40).collect();

@@ -520,7 +520,7 @@ impl IssueSink for Shard<'_> {
         self.gregs
     }
 
-    fn global_op(&mut self, _ins: &Instr, _rf: &mut RegFile) {
+    fn global_op(&mut self, _ins: &Instr, _rf: &mut TcuRegs<'_>) {
         // `Machine::run` routes ps/sspawn programs to the fast-forward
         // engine; they cannot reach a shard.
         unreachable!("global-state op in threaded shard")

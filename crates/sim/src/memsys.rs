@@ -171,7 +171,7 @@ impl<P: Probe> Machine<P> {
                 // tid: a virtual thread only retires at `join` once
                 // its outstanding count drains to zero.
                 let (cluster, tcu) = (txn.cluster, txn.tcu);
-                let tid = self.clusters[cluster].rf[tcu].tid;
+                let tid = self.clusters[cluster].tid(tcu);
                 let spawn = self.tracker.as_ref().map(|t| t.index as u64);
                 self.probe.mem_access(spawn, tid, addr, is_write);
             }

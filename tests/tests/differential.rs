@@ -68,14 +68,24 @@ enum GenOp {
     },
 }
 
-fn reg_strategy() -> impl Strategy<Value = u8> {
-    1u8..16
+/// Integer operands: every register but `r0` and the four `build` and
+/// `emit` reserve (r19 tid, r20 private base, r21 scratch, r22 count).
+/// FP operands: all 32. The highest registers a program names set how
+/// many rows the simulator's per-cluster register store gets, so the
+/// generated programs check that store against the interpreter's full
+/// register files at every width from 23 rows to 64.
+fn ireg_strategy() -> impl Strategy<Value = u8> {
+    prop_oneof![1u8..19, 23u8..32]
+}
+
+fn freg_strategy() -> impl Strategy<Value = u8> {
+    0u8..32
 }
 
 fn op_strategy() -> impl Strategy<Value = GenOp> {
     prop_oneof![
-        (reg_strategy(), any::<u32>()).prop_map(|(rd, imm)| GenOp::Li { rd, imm }),
-        (0u8..8, reg_strategy(), reg_strategy(), reg_strategy()).prop_map(
+        (ireg_strategy(), any::<u32>()).prop_map(|(rd, imm)| GenOp::Li { rd, imm }),
+        (0u8..8, ireg_strategy(), ireg_strategy(), ireg_strategy()).prop_map(
             |(which, rd, rs1, rs2)| GenOp::Alu {
                 which,
                 rd,
@@ -83,15 +93,17 @@ fn op_strategy() -> impl Strategy<Value = GenOp> {
                 rs2
             }
         ),
-        (0u8..8, reg_strategy(), reg_strategy(), any::<u16>()).prop_map(|(which, rd, rs1, imm)| {
-            GenOp::AluI {
-                which,
-                rd,
-                rs1,
-                imm,
+        (0u8..8, ireg_strategy(), ireg_strategy(), any::<u16>()).prop_map(
+            |(which, rd, rs1, imm)| {
+                GenOp::AluI {
+                    which,
+                    rd,
+                    rs1,
+                    imm,
+                }
             }
-        }),
-        (0u8..3, reg_strategy(), reg_strategy(), reg_strategy()).prop_map(
+        ),
+        (0u8..3, ireg_strategy(), ireg_strategy(), ireg_strategy()).prop_map(
             |(which, rd, rs1, rs2)| GenOp::Mdu {
                 which,
                 rd,
@@ -99,8 +111,8 @@ fn op_strategy() -> impl Strategy<Value = GenOp> {
                 rs2
             }
         ),
-        (reg_strategy(), any::<i16>()).prop_map(|(fd, v)| GenOp::Fli { fd, v }),
-        (0u8..4, reg_strategy(), reg_strategy(), reg_strategy()).prop_map(
+        (freg_strategy(), any::<i16>()).prop_map(|(fd, v)| GenOp::Fli { fd, v }),
+        (0u8..4, freg_strategy(), freg_strategy(), freg_strategy()).prop_map(
             |(which, fd, fs1, fs2)| GenOp::Fpu {
                 which,
                 fd,
@@ -108,9 +120,9 @@ fn op_strategy() -> impl Strategy<Value = GenOp> {
                 fs2
             }
         ),
-        (reg_strategy(), 0u8..64).prop_map(|(rd, addr)| GenOp::LoadRo { rd, addr }),
-        (reg_strategy(), 0u8..8).prop_map(|(rs, slot)| GenOp::StorePriv { rs, slot }),
-        (reg_strategy(), 0u8..8).prop_map(|(fs, slot)| GenOp::FStorePriv { fs, slot }),
+        (ireg_strategy(), 0u8..64).prop_map(|(rd, addr)| GenOp::LoadRo { rd, addr }),
+        (ireg_strategy(), 0u8..8).prop_map(|(rs, slot)| GenOp::StorePriv { rs, slot }),
+        (freg_strategy(), 0u8..8).prop_map(|(fs, slot)| GenOp::FStorePriv { fs, slot }),
         (0u8..8).prop_map(|slot| GenOp::Ps { slot }),
     ]
 }

@@ -2,8 +2,8 @@
 //! 65 536-TCU `fft_xmt64k_n8192` machine and run it to completion. Its
 //! 8 192 threads only ever reach 256 of the 2 048 clusters, so the
 //! other clusters must cost their 32-byte issue records and no register
-//! files; this gate holds what building and running add to VmRSS to
-//! 24 MiB (a register file in every TCU puts it near 32).
+//! store; this gate holds what building and running add to VmRSS to
+//! 24 MiB (a full register file in every TCU puts it near 32).
 //!
 //! Its own test binary, so no other test allocates in the process while
 //! VmRSS is read.
