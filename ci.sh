@@ -86,6 +86,13 @@ stage "paper-scale golden constants + park boundary (release profile)" \
     cargo test --release -p xmt-integration --test golden_scaling --test park_boundary -q \
     -- --include-ignored
 
+# The substrates alone under release codegen: every component pin
+# (MoT, butterfly, module + channel) and property test again, plus the
+# release-only recomputation of EXPERIMENTS.md's "Interconnect
+# saturation" table — its five rows at the three decimals printed there.
+stage "substrate pins + saturation table (release profile)" \
+    cargo test --release -p xmt-integration --test substrate_properties -q -- --include-ignored
+
 # `paper fault_sweep` validates the golden FFT under escalating soft-fault
 # rates, degraded topologies and a watchdog-tripping stuck TCU; the
 # fault_resilience suite (rerun explicitly here as the resilience gate)

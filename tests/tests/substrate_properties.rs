@@ -197,6 +197,38 @@ fn build_network_polymorphism() {
     }
 }
 
+/// EXPERIMENTS.md's "Interconnect saturation" table, recomputed the way
+/// `cargo run --release -p xmt-noc --example saturation_probe` measures
+/// it: saturation throughput of the blocking butterfly under hashed
+/// (uniform) and transpose traffic, at the three decimals printed
+/// there. Release only (`--include-ignored`): 2048 ports for 1200
+/// cycles is slow unoptimised.
+#[test]
+#[ignore]
+fn experiments_saturation_table_is_reproduced() {
+    let rows = [
+        (128usize, 3, "0.682", "0.125"),
+        (128, 7, "0.639", "0.106"),
+        (1024, 7, "0.637", "0.031"),
+        (2048, 7, "0.635", "0.027"),
+        (2048, 9, "0.622", "0.027"),
+    ];
+    for (ports, b, hashed, transpose) in rows {
+        let bits = ports.trailing_zeros();
+        let topo = Topology::hybrid(ports, ports, 2 * bits - b, b);
+        let measure = |pattern| {
+            let mut net = ButterflyNetwork::new(topo);
+            let s = measure_saturation(&mut net, pattern, 300, 900);
+            format!("{:.3}", s.throughput)
+        };
+        assert_eq!(
+            (measure(Pattern::Uniform), measure(Pattern::Transpose)),
+            (hashed.to_string(), transpose.to_string()),
+            "ports={ports} b={b}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Component pins. The NoC and memory-module models are otherwise
 // bit-pinned only through whole-machine goldens; these drive each one
@@ -256,10 +288,17 @@ fn drain_by_events(net: &mut dyn Network, h: &mut Fnv, tail: u64) {
 /// Seeded schedule: saturating bursts (optionally three quarters of
 /// them at one hot destination, every source also trying a second,
 /// always-refused injection), sparse traffic, then event-driven drains
-/// with an odd and an even idle tail. Returns the delivery hash, the
-/// final stats and how many first injections backpressure refused.
-fn pin_network(net: &mut dyn Network, seed: u64, hot: Option<usize>) -> (u64, NetStats, u64) {
-    let (srcs, dsts) = net.ports();
+/// with an odd and an even idle tail. Destinations other than `hot`
+/// are drawn from ports `0..dsts`. Returns the delivery hash, the final
+/// stats and how many first injections backpressure refused.
+fn pin_network(
+    net: &mut dyn Network,
+    seed: u64,
+    hot: Option<usize>,
+    dsts: usize,
+) -> (u64, NetStats, u64) {
+    let srcs = net.ports().0;
+    assert!(dsts <= net.ports().1);
     let mut h = Fnv::new();
     let mut refused = 0u64;
     let mut rng = seed | 1;
@@ -323,7 +362,7 @@ fn net_stats(
 #[test]
 fn mot_16_is_pinned() {
     let mut net = MotNetwork::new(Topology::pure_mot(16, 16));
-    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0001, None);
+    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0001, None, 16);
     assert_eq!(refused, 0, "a MoT source port is never backpressured");
     assert_eq!(
         (hash, stats),
@@ -334,7 +373,7 @@ fn mot_16_is_pinned() {
 #[test]
 fn mot_256_hot_destination_is_pinned() {
     let mut net = MotNetwork::new(Topology::pure_mot(256, 256));
-    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0002, Some(77));
+    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0002, Some(77), 256);
     assert_eq!(refused, 0, "a MoT source port is never backpressured");
     assert_eq!(
         (hash, stats),
@@ -348,7 +387,7 @@ fn mot_256_hot_destination_is_pinned() {
 #[test]
 fn butterfly_64_is_pinned() {
     let mut net = ButterflyNetwork::new(Topology::hybrid(64, 64, 2, 4));
-    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0003, Some(5));
+    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0003, Some(5), 64);
     assert!(refused > 0, "qcap never reached");
     assert_eq!(
         (hash, stats, net.stalls),
@@ -363,7 +402,7 @@ fn butterfly_64_is_pinned() {
 #[test]
 fn butterfly_2048_is_pinned() {
     let mut net = ButterflyNetwork::new(Topology::hybrid(2048, 2048, 8, 7));
-    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0004, None);
+    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0004, None, 2048);
     assert!(refused > 0, "qcap never reached");
     assert_eq!(
         (hash, stats, net.stalls),
@@ -371,6 +410,25 @@ fn butterfly_2048_is_pinned() {
             15277082539148432691,
             net_stats(436118, 436118, 12848809, 51529, 393542),
             715715
+        )
+    );
+}
+
+/// The reply network of `fft_xmt64k_n8192`: its 8 192 threads fill
+/// clusters 0-255, so every module answers toward the low eighth of
+/// the ports: all flits take the same output through the first three
+/// stages, and contend there.
+#[test]
+fn butterfly_2048_confined_is_pinned() {
+    let mut net = ButterflyNetwork::new(Topology::hybrid(2048, 2048, 8, 7));
+    let (hash, stats, refused) = pin_network(&mut net, 0x5eed_0006, None, 256);
+    assert_eq!(
+        (hash, stats, net.stalls, refused),
+        (
+            7521874701086861547,
+            net_stats(233282, 233282, 28211695, 34137, 436550),
+            2516874,
+            178221
         )
     );
 }
