@@ -36,6 +36,11 @@ stage "rustfmt" cargo fmt --all --check
 
 stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
+# The API docs build with every rustdoc lint an error: each intra-doc
+# link resolves, and none points at an item the docs do not show.
+stage "rustdoc (warnings denied)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Informational, exact, read-only: the non-test line ledger CHANGES.md
 # quotes — per crate, the lines of every .rs file under src/ before its
 # first `#[cfg(test)]`, then the same count over all of crates/. It

@@ -92,7 +92,7 @@ fn run_cell(case: &GoldenCase, engine: Engine, tier: TranslationTier, plan: Plan
                 .noc_corrupt(0.01),
         ),
     };
-    let mut m = case.builder_cfg(&sim).build();
+    let mut m = case.builder(&sim).build();
     let rep = m.run().expect("golden case must complete");
     Cell {
         stats: rep.stats,
@@ -189,7 +189,7 @@ fn exact_pass(
 /// rate in the file is measured with it attached.
 fn ledger(case: &GoldenCase, want: &mut ExactRow, failures: &mut Vec<String>) -> String {
     let sim = case.sim_config().engine(Engine::FastForward);
-    let mut m = case.builder_cfg(&sim).build_probed(HostLayers::new());
+    let mut m = case.builder(&sim).build_probed(HostLayers::new());
     let t0 = Instant::now();
     let rep = m.run().expect("golden case must complete");
     let run_ns = t0.elapsed().as_nanos() as u64;
@@ -249,7 +249,7 @@ const MAX_REPS: usize = 1000;
 fn measure(case: &GoldenCase, engine: Engine) -> f64 {
     let sim = case.sim_config().engine(engine);
     let run_once = || {
-        let mut m = case.builder_cfg(&sim).build();
+        let mut m = case.builder(&sim).build();
         let t0 = Instant::now();
         m.run().expect("golden case must complete");
         t0.elapsed().as_secs_f64()
@@ -307,7 +307,7 @@ fn main() {
             }
             rows.push(Recorded {
                 exact,
-                tcus: case.config().tcus,
+                tcus: case.config().tcus(),
                 layers,
                 engines,
             });

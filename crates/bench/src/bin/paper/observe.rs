@@ -33,7 +33,7 @@
 use std::path::PathBuf;
 
 use xmt_fft::golden;
-use xmt_sim::{chrome_trace, phase_table, IntervalProbe};
+use xmt_sim::{chrome_trace, phase_table, IntervalProbe, SimConfig};
 
 pub fn run(args: &crate::Args) {
     let workload = args.get("workload").unwrap_or("fft_radix8_n512");
@@ -75,7 +75,7 @@ pub fn run(args: &crate::Args) {
         );
     }
     let mut m = case
-        .builder_on(&cfg)
+        .builder(&SimConfig::new(&cfg))
         .build_probed(IntervalProbe::new(interval, 1 << 16));
     let report = m.run().expect("workload must complete");
     let probe = m.probe();

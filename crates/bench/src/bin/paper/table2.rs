@@ -9,7 +9,7 @@ use xmt_sim::XmtConfig;
 pub fn run(_: &crate::Args) {
     let cfgs = XmtConfig::paper_configs();
     let mut t = ColumnTable::new("", cfgs.iter().map(|c| c.name));
-    t.row("TCUs", cfgs.iter().map(|c| c.tcus))
+    t.row("TCUs", cfgs.iter().map(XmtConfig::tcus))
         .row("Clusters", cfgs.iter().map(|c| c.clusters))
         .row("Memory Modules", cfgs.iter().map(|c| c.memory_modules))
         .row("NoC MoT Levels", cfgs.iter().map(|c| c.mot_levels))

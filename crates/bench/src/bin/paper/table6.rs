@@ -27,7 +27,7 @@ pub fn run(_: &crate::Args) {
         "# processing elements",
         [
             format!("{} cores", edison.cores()),
-            format!("{} TCUs", xmt.tcus),
+            format!("{} TCUs", xmt.tcus()),
         ],
     )
     .row(

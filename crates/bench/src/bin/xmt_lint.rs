@@ -131,7 +131,7 @@ fn in_range(v: u64, (lo, hi): (u64, u64)) -> bool {
 /// containment of every counter plus the replayed-trace-cache audit.
 fn crosscheck(case: &GoldenCase, prog: &Program, report: &TrafficReport, o: &mut Outcome) {
     let probe = IntervalProbe::new(1, 400_000);
-    let mut m = case.builder().build_probed(probe);
+    let mut m = case.builder(&case.sim_config()).build_probed(probe);
     let outcome = m.run();
     if let Some(e) = outcome.error() {
         o.findings.push(format!("probed run failed: {e}"));

@@ -6,8 +6,8 @@
 
 use parafft::Complex32;
 use xmt_fft::plan::XmtFftPlan;
-use xmt_fft::run::{host_reference, plan_builder, read_result, rel_error, MachineRun};
-use xmt_sim::XmtConfig;
+use xmt_fft::run::{host_reference, plan_builder_cfg, read_result, rel_error, MachineRun};
+use xmt_sim::{SimConfig, XmtConfig};
 
 /// Deterministic complex test wave: `(sin(i·fa), cos(i·fb))`.
 pub fn sample_wave(n: usize, fa: f32, fb: f32) -> Vec<Complex32> {
@@ -27,7 +27,7 @@ pub fn run_plan_validated(
     input: &[Complex32],
     what: &str,
 ) -> MachineRun {
-    let mut m = plan_builder(plan, cfg, input).build();
+    let mut m = plan_builder_cfg(plan, &SimConfig::new(cfg), input).build();
     let report = m.run().expect(what);
     let output = read_result(plan, &m);
     let err = rel_error(&host_reference(plan, input), &output);

@@ -34,28 +34,6 @@ pub struct GoldenCase {
 }
 
 impl GoldenCase {
-    /// A [`MachineBuilder`] for this case with program and memory image
-    /// loaded — attach an engine or probe, then `build`.
-    pub fn builder(&self) -> MachineBuilder {
-        let (cfg, _, _, _) = (self.build)();
-        self.builder_on(&cfg)
-    }
-
-    /// Like [`GoldenCase::builder`], but on a caller-modified
-    /// configuration (what-if analysis: shrink the cache, change DRAM
-    /// latency, …). The program and memory image are the case's own,
-    /// so `memory_modules` must stay the value the program was
-    /// generated for; timing under a modified config is *not* covered
-    /// by the golden cycle counts.
-    pub fn builder_on(&self, cfg: &XmtConfig) -> MachineBuilder {
-        let (_, prog, mem_words, images) = (self.build)();
-        let mut b = MachineBuilder::new(cfg, prog).mem_words(mem_words);
-        for (base, flat) in &images {
-            b = b.write_f32s(*base, flat);
-        }
-        b
-    }
-
     /// The machine configuration this case runs on (for reporting,
     /// e.g. the TCU count axis of the scaling curve).
     pub fn config(&self) -> XmtConfig {
@@ -65,18 +43,20 @@ impl GoldenCase {
 
     /// This case as a [`SimConfig`] request value: its architecture and
     /// memory size with every other knob at the default. Shape it
-    /// (engine, tier, faults, probe) and hand it back to
-    /// [`GoldenCase::builder_cfg`] — or submit it to the job server.
+    /// (engine, tier, faults, probe) and hand it to
+    /// [`GoldenCase::builder`] — or submit it to the job server.
     pub fn sim_config(&self) -> SimConfig {
         let (cfg, _, mem_words, _) = (self.build)();
         SimConfig::new(&cfg).mem_words(mem_words)
     }
 
-    /// A [`MachineBuilder`] for this case lowered from a request value:
-    /// `sim` supplies every knob, the case supplies program and memory
-    /// images. `sim.arch` must keep the geometry the case's program was
-    /// generated for (start from [`GoldenCase::sim_config`]).
-    pub fn builder_cfg(&self, sim: &SimConfig) -> MachineBuilder {
+    /// A [`MachineBuilder`] for this case: `sim` supplies every knob,
+    /// the case supplies program and memory images. Start from
+    /// [`GoldenCase::sim_config`]; a modified `sim.arch` (what-if
+    /// analysis: shrink the cache, change DRAM latency, …) must keep
+    /// the `memory_modules` the program was generated for, and its
+    /// timing is *not* covered by the golden cycle counts.
+    pub fn builder(&self, sim: &SimConfig) -> MachineBuilder {
         let (_, prog, mem_words, images) = (self.build)();
         let mut b = sim.builder(prog).mem_words(mem_words);
         for (base, flat) in &images {
@@ -94,7 +74,7 @@ impl GoldenCase {
 
     /// Construct the machine for this case, ready to run.
     pub fn machine(&self) -> Machine {
-        self.builder().build()
+        self.builder(&self.sim_config()).build()
     }
 
     /// Run the case to completion and return its report.

@@ -43,22 +43,10 @@ pub fn run_on_interp(plan: &XmtFftPlan, input: &[Complex32]) -> Result<InterpRun
     })
 }
 
-/// A [`MachineBuilder`] loaded with the plan's program, twiddle tables
-/// and packed input — attach an engine or probe, then build and run.
-pub fn plan_builder(plan: &XmtFftPlan, cfg: &XmtConfig, input: &[Complex32]) -> MachineBuilder {
-    let mut b = MachineBuilder::new(cfg, plan.program.clone())
-        .mem_words(plan.mem_words)
-        .write_f32s(plan.a_base as usize, &plan.input_image(input));
-    for (_, layout, flat) in &plan.twiddles {
-        b = b.write_f32s(layout.base as usize, flat);
-    }
-    b
-}
-
-/// [`plan_builder`] for a [`SimConfig`] request value: lowers the
-/// config (engine, tier, faults, watchdog, limits) onto a builder and
-/// loads the plan's program, twiddles and packed input on top. The
-/// single seam through which request values become FFT machines.
+/// A [`MachineBuilder`] for `sim` loaded with the plan's program,
+/// twiddle tables and packed input, the memory image grown to the
+/// plan's size — attach a probe, then build and run. The single seam
+/// through which request values become FFT machines.
 pub fn plan_builder_cfg(plan: &XmtFftPlan, sim: &SimConfig, input: &[Complex32]) -> MachineBuilder {
     let mut b = sim
         .builder(plan.program.clone())
@@ -86,7 +74,7 @@ pub fn run_on_machine(
     cfg: &XmtConfig,
     input: &[Complex32],
 ) -> Result<MachineRun, SimError> {
-    let mut m = plan_builder(plan, cfg, input).build();
+    let mut m = plan_builder_cfg(plan, &SimConfig::new(cfg), input).build();
     let report = m.run().into_result()?;
     Ok(MachineRun {
         output: read_result(plan, &m),

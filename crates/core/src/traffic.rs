@@ -9,18 +9,9 @@
 //! `IntervalProbe` measurements are comparable on the same machine.
 
 use xmt_noc::{effective_throughput, TrafficClass};
+use xmt_sim::perfmodel::{COMPUTE_EFFICIENCY, DRAM_EFFICIENCY, ICN_EFFICIENCY};
 use xmt_sim::XmtConfig;
 use xmt_verify::traffic::TrafficParams;
-
-/// Derating applied to peak issue/FPU rates (mirrors
-/// `xmt_sim::perfmodel::COMPUTE_EFFICIENCY`).
-pub const COMPUTE_EFFICIENCY: f64 = 0.90;
-/// Sustainable fraction of peak DRAM bandwidth (mirrors
-/// `xmt_sim::perfmodel::DRAM_EFFICIENCY`).
-pub const DRAM_EFFICIENCY: f64 = 0.80;
-/// Sustainable fraction of per-port NoC bandwidth (mirrors
-/// `xmt_sim::perfmodel::ICN_EFFICIENCY`).
-pub const ICN_EFFICIENCY: f64 = 0.90;
 
 /// Build the static analyzer's machine parameters for `cfg`, assuming
 /// hashed (address-interleaved) NoC traffic — the class every memory

@@ -309,7 +309,7 @@ pub fn lower_op(d: &DecodedInstr, lat: UnitLat, ends: bool) -> MicroOp {
 /// Returns `false` for kinds that are not straight-line compute
 /// (memory, branch, boundary, cold) — the caller falls back to its
 /// per-instruction path. Semantics are exactly
-/// [`exec_compute`](crate::interp::exec_compute): both dispatch into
+/// [`crate::interp::exec_compute`]: both dispatch into
 /// the same pure `eval_*` kernels.
 #[inline(always)]
 pub fn exec_uop<R: Regs>(u: &MicroOp, rf: &mut R, gregs: &[u32; NUM_GREGS]) -> bool {

@@ -170,7 +170,7 @@ impl SimRequest {
         match &self.workload {
             WorkloadSpec::Golden { name } => find_case(name)
                 .expect("validated at construction")
-                .builder_cfg(&self.sim),
+                .builder(&self.sim),
             WorkloadSpec::Fft {
                 dims,
                 copies,

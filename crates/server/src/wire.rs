@@ -257,7 +257,7 @@ fn put_sim_config(b: &mut Vec<u8>, s: &SimConfig) {
 fn put_xmt_config(b: &mut Vec<u8>, a: &XmtConfig) {
     put_str(b, a.name);
     for v in [
-        a.tcus as u64,
+        a.tcus() as u64,
         a.clusters as u64,
         a.tcus_per_cluster as u64,
         a.memory_modules as u64,
@@ -337,6 +337,16 @@ fn bounded_usize(r: &mut Reader<'_>, max: u64, what: &'static str) -> Result<usi
     Ok(v as usize)
 }
 
+/// A `u32` carried in a `u64` word: checked against `max` (at most
+/// `u32::MAX`) before the narrowing, so no high bit is dropped.
+fn bounded_u32(r: &mut Reader<'_>, max: u32, what: &'static str) -> Result<u32, &'static str> {
+    let v = r.u64()?;
+    if v > u64::from(max) {
+        return Err(what);
+    }
+    Ok(v as u32)
+}
+
 fn sim_config(r: &mut Reader<'_>) -> Result<SimConfig, &'static str> {
     let arch = xmt_config(r)?;
     let engine = match r.u8()? {
@@ -389,30 +399,32 @@ fn xmt_config(r: &mut Reader<'_>) -> Result<XmtConfig, &'static str> {
         .into_iter()
         .find(|c| c.name == name)
         .ok_or("unknown architecture name")?;
-    cfg.tcus = bounded_usize(r, 1 << 20, "tcus exceeds bound")?;
+    // The total is `clusters × tcus_per_cluster`; the word is kept so
+    // request bytes stay the same, and must agree.
+    let tcus = r.u64()?;
     cfg.clusters = bounded_usize(r, 1 << 14, "clusters exceeds bound")?;
     cfg.tcus_per_cluster = bounded_usize(r, 1 << 10, "tcus/cluster exceeds bound")?;
+    if tcus != cfg.tcus() as u64 {
+        return Err("tcus disagrees with clusters x tcus/cluster");
+    }
     cfg.memory_modules = bounded_usize(r, 1 << 14, "memory modules exceed bound")?;
     cfg.mm_per_dram_ctrl = bounded_usize(r, 1 << 14, "mm/ctrl exceeds bound")?;
     cfg.fpus_per_cluster = bounded_usize(r, 1 << 10, "fpus/cluster exceeds bound")?;
     cfg.alus_per_cluster = bounded_usize(r, 1 << 10, "alus/cluster exceeds bound")?;
     cfg.mdus_per_cluster = bounded_usize(r, 1 << 10, "mdus/cluster exceeds bound")?;
     cfg.lsus_per_cluster = bounded_usize(r, 1 << 10, "lsus/cluster exceeds bound")?;
-    cfg.mot_levels = r.u64()? as u32;
-    cfg.butterfly_levels = r.u64()? as u32;
-    if cfg.mot_levels > 32 || cfg.butterfly_levels > 32 {
-        return Err("noc levels exceed bound");
-    }
+    cfg.mot_levels = bounded_u32(r, 32, "noc levels exceed bound")?;
+    cfg.butterfly_levels = bounded_u32(r, 32, "noc levels exceed bound")?;
     cfg.clock_ghz = f64::from_bits(r.u64()?);
-    cfg.tech_nm = r.u64()? as u32;
-    cfg.si_layers = r.u64()? as u32;
+    cfg.tech_nm = bounded_u32(r, u32::MAX, "tech node exceeds u32")?;
+    cfg.si_layers = bounded_u32(r, u32::MAX, "si layers exceed u32")?;
     cfg.cache.lines = bounded_usize(r, 1 << 20, "cache lines exceed bound")?;
     cfg.cache.ways = bounded_usize(r, 1 << 8, "cache ways exceed bound")?;
     cfg.cache.line_words = bounded_usize(r, 1 << 8, "cache line words exceed bound")?;
-    cfg.cache.hit_latency = r.u64()? as u32;
+    cfg.cache.hit_latency = bounded_u32(r, u32::MAX, "hit latency exceeds u32")?;
     cfg.dram.bytes_per_cycle = f64::from_bits(r.u64()?);
-    cfg.dram.access_latency = r.u64()? as u32;
-    cfg.dram.line_bytes = r.u64()? as u32;
+    cfg.dram.access_latency = bounded_u32(r, u32::MAX, "dram latency exceeds u32")?;
+    cfg.dram.line_bytes = bounded_u32(r, u32::MAX, "dram line bytes exceed u32")?;
     cfg.validate()?;
     Ok(cfg)
 }
@@ -555,6 +567,35 @@ mod tests {
             assert_eq!(back.digest(), req.digest(), "content address survives");
             assert_eq!(encode_request(&back), bytes, "canonical re-encode");
         }
+    }
+
+    /// Request and journal bytes must not move: every [`SimConfig`]
+    /// field off its default, encoded, digest captured once.
+    #[test]
+    fn request_bytes_are_pinned() {
+        let arch = XmtConfig::xmt_4k().scaled_to(16);
+        let req = SimRequest::fft(&[256], 1, 7, &arch).with_sim(|s| {
+            s.engine(Engine::Reference)
+                .tier(TranslationTier::Interpreter)
+                .faults(
+                    FaultPlan::new(0x5EED)
+                        .dram_flips(1e-6, 1e-9)
+                        .noc_corrupt(1e-5)
+                        .dead_cluster(3)
+                        .dead_tcu(1, 4)
+                        .stuck_tcu(2, 5)
+                        .dead_channel(1),
+                )
+                .watchdog(10_000)
+                .max_cycles(1 << 20)
+                .probed(128)
+                .probe_capacity(64)
+                .mem_words(4096)
+        });
+        let bytes = encode_request(&req);
+        assert_eq!(bytes.len(), 364);
+        assert_eq!(xmt_sim::simcfg::fnv1a(&bytes), 0xa50c_9cab_2918_96b6);
+        assert_eq!(decode_request(&bytes).unwrap(), req);
     }
 
     #[test]

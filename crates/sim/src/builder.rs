@@ -1,7 +1,8 @@
-//! Construction of a [`Machine`]: the [`MachineBuilder`] setters, fault
-//! plan validation, assembly of the components, and restoring a
-//! [`Checkpoint`] into a freshly built machine. (The builder struct
-//! itself is declared beside [`Machine`] in `machine.rs`.)
+//! Construction of a [`Machine`]: the [`MachineBuilder`]'s memory
+//! image, fault plan validation, assembly of the components, and
+//! restoring a [`Checkpoint`] into a freshly built machine. (The
+//! builder struct itself is declared beside [`Machine`] in
+//! `machine.rs`; every other knob is a [`SimConfig`] field.)
 
 use super::*;
 
@@ -12,78 +13,10 @@ use super::*;
 const DEFAULT_WATCHDOG: u64 = 2_000_000;
 
 impl MachineBuilder {
-    /// Start building a machine for `cfg` running `prog`. The memory
-    /// image starts empty; size it with [`MachineBuilder::mem_words`]
-    /// or implicitly via the `write_*` methods.
-    pub fn new(cfg: &XmtConfig, prog: Program) -> Self {
-        Self {
-            cfg: *cfg,
-            prog,
-            mem: Vec::new(),
-            engine: Engine::default(),
-            max_cycles: None,
-            faults: FaultPlan::default(),
-            watchdog: None,
-            tier: TranslationTier::default(),
-        }
-    }
-
     /// Grow the memory image to at least `words` zeroed words.
     pub fn mem_words(mut self, words: usize) -> Self {
         if self.mem.len() < words {
             self.mem.resize(words, 0);
-        }
-        self
-    }
-
-    /// Select the advance engine (default [`Engine::FastForward`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Select the execution tier (default [`TranslationTier::Block`],
-    /// the trace-cache replay path). [`TranslationTier::Interpreter`]
-    /// restores per-instruction dispatch; the two are bit-identical in
-    /// every architectural and statistical output, differing only in
-    /// host-side speed.
-    pub fn tier(mut self, tier: TranslationTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Override the runaway/deadlock cycle limit.
-    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
-        self.max_cycles = Some(max_cycles);
-        self
-    }
-
-    /// Override the watchdog no-progress horizon (default two million
-    /// cycles; see [`SimError::Stalled`]).
-    pub fn watchdog(mut self, horizon: u64) -> Self {
-        self.watchdog = Some(horizon);
-        self
-    }
-
-    /// Attach a deterministic [`FaultPlan`]. A benign plan (the
-    /// default) interposes nothing: the machine is bit-identical to one
-    /// built without faults.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Graceful-degradation shorthand: take whole clusters and DRAM
-    /// channels offline. Spawned threads remap around the dead clusters
-    /// and the address hash spreads lines over the surviving module
-    /// groups, so a correct program still produces correct output at
-    /// reduced throughput. Merges into the current fault plan.
-    pub fn degraded(mut self, dead_clusters: &[usize], dead_channels: &[usize]) -> Self {
-        for &c in dead_clusters {
-            self.faults.dead_clusters.push(c);
-        }
-        for &ch in dead_channels {
-            self.faults.dead_channels.push(ch);
         }
         self
     }
@@ -130,22 +63,19 @@ impl MachineBuilder {
 
     /// Validate the fault plan against the configuration.
     fn validate_faults(&self) -> Result<(), SimError> {
-        let f = &self.faults;
+        let (f, cfg) = (&self.sim.faults, &self.sim.arch);
         let err = |what| Err(SimError::InvalidConfig { what });
-        if f.dead_clusters.iter().any(|&c| c >= self.cfg.clusters) {
+        if f.dead_clusters.iter().any(|&c| c >= cfg.clusters) {
             return err("dead cluster index out of range");
         }
         if f.dead_tcus
             .iter()
             .chain(&f.stuck_tcus)
-            .any(|id| id.cluster >= self.cfg.clusters || id.tcu >= self.cfg.tcus_per_cluster)
+            .any(|id| id.cluster >= cfg.clusters || id.tcu >= cfg.tcus_per_cluster)
         {
             return err("faulted TCU index out of range");
         }
-        if f.dead_channels
-            .iter()
-            .any(|&ch| ch >= self.cfg.dram_channels())
-        {
+        if f.dead_channels.iter().any(|&ch| ch >= cfg.dram_channels()) {
             return err("dead DRAM channel index out of range");
         }
         let p_ok = |p: f64| (0.0..=1.0).contains(&p);
@@ -153,13 +83,13 @@ impl MachineBuilder {
             return err("fault probability out of [0, 1]");
         }
         if !f.dead_channels.is_empty() {
-            if self.cfg.memory_modules > 64 {
+            if cfg.memory_modules > 64 {
                 return err("degraded placement requires \u{2264} 64 memory modules");
             }
             let mut dead = f.dead_channels.clone();
             dead.sort_unstable();
             dead.dedup();
-            if dead.len() >= self.cfg.dram_channels() {
+            if dead.len() >= cfg.dram_channels() {
                 return err("at least one DRAM channel must stay online");
             }
         }
@@ -173,20 +103,21 @@ impl MachineBuilder {
     /// the pre-fault-injection simulator: no fault layer is interposed
     /// anywhere.
     pub fn try_build_probed<P: Probe>(self, mut probe: P) -> Result<Machine<P>, SimError> {
-        self.cfg
+        self.sim
+            .arch
             .validate()
             .map_err(|what| SimError::InvalidConfig { what })?;
         self.validate_faults()?;
-        let MachineBuilder {
-            cfg,
-            prog,
-            mem,
+        let MachineBuilder { sim, prog, mem } = self;
+        let SimConfig {
+            arch: cfg,
             engine,
-            max_cycles,
+            tier,
             faults,
             watchdog,
-            tier,
-        } = self;
+            max_cycles,
+            ..
+        } = sim;
         probe.bind(&cfg);
         let next_sample = if P::ENABLED {
             probe.interval().max(1)

@@ -10,8 +10,6 @@ use xmt_noc::Topology;
 pub struct XmtConfig {
     /// Human-readable name ("4k", "8k", "64k", "128k x2", "128k x4").
     pub name: &'static str,
-    /// The `tcus` value.
-    pub tcus: usize,
     /// The `clusters` value.
     pub clusters: usize,
     /// The `tcus_per_cluster` value.
@@ -45,6 +43,11 @@ pub struct XmtConfig {
 }
 
 impl XmtConfig {
+    /// Total TCUs: `clusters × tcus_per_cluster` (Table II's first row).
+    pub fn tcus(&self) -> usize {
+        self.clusters * self.tcus_per_cluster
+    }
+
     /// Number of DRAM channels.
     pub fn dram_channels(&self) -> usize {
         self.memory_modules / self.mm_per_dram_ctrl
@@ -134,7 +137,6 @@ impl XmtConfig {
     pub fn xmt_4k() -> Self {
         Self {
             name: "4k",
-            tcus: 4096,
             clusters: 128,
             tcus_per_cluster: 32,
             memory_modules: 128,
@@ -157,7 +159,6 @@ impl XmtConfig {
     pub fn xmt_8k() -> Self {
         Self {
             name: "8k",
-            tcus: 8192,
             clusters: 256,
             memory_modules: 256,
             mot_levels: 16,
@@ -171,7 +172,6 @@ impl XmtConfig {
     pub fn xmt_64k() -> Self {
         Self {
             name: "64k",
-            tcus: 65536,
             clusters: 2048,
             memory_modules: 2048,
             mot_levels: 8,
@@ -186,7 +186,6 @@ impl XmtConfig {
     pub fn xmt_128k_x2() -> Self {
         Self {
             name: "128k x2",
-            tcus: 131072,
             clusters: 4096,
             memory_modules: 4096,
             mm_per_dram_ctrl: 4,
@@ -240,7 +239,6 @@ impl XmtConfig {
             .min(clusters.trailing_zeros());
         let mut c = *self;
         c.clusters = clusters;
-        c.tcus = clusters * self.tcus_per_cluster;
         c.memory_modules = modules;
         c.butterfly_levels = bfly;
         c.mot_levels = bits - bfly;
@@ -260,7 +258,7 @@ mod tests {
     #[test]
     fn table2_rows_match_paper() {
         let cfgs = XmtConfig::paper_configs();
-        let tcus: Vec<usize> = cfgs.iter().map(|c| c.tcus).collect();
+        let tcus: Vec<usize> = cfgs.iter().map(XmtConfig::tcus).collect();
         assert_eq!(tcus, vec![4096, 8192, 65536, 131072, 131072]);
         let clusters: Vec<usize> = cfgs.iter().map(|c| c.clusters).collect();
         assert_eq!(clusters, vec![128, 256, 2048, 4096, 4096]);
@@ -273,7 +271,6 @@ mod tests {
         let fpus: Vec<usize> = cfgs.iter().map(|c| c.fpus_per_cluster).collect();
         assert_eq!(fpus, vec![1, 1, 1, 2, 4]);
         for c in &cfgs {
-            assert_eq!(c.tcus, c.clusters * c.tcus_per_cluster);
             assert_eq!(c.tcus_per_cluster, 32);
             assert_eq!(c.alus_per_cluster, 32);
             assert_eq!(c.mdus_per_cluster, 1);
@@ -328,7 +325,7 @@ mod tests {
         let s = XmtConfig::xmt_64k().scaled_to(16);
         assert_eq!(s.clusters, 16);
         assert_eq!(s.memory_modules, 16);
-        assert_eq!(s.tcus, 512);
+        assert_eq!(s.tcus(), 512);
         assert_eq!(s.fpus_per_cluster, 1);
         assert!(s.butterfly_levels > 0, "keeps blocking character");
         let t = s.topology();

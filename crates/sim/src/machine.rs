@@ -26,8 +26,8 @@
 
 use crate::checkpoint::{ChannelState, Checkpoint, ModuleState};
 use crate::config::XmtConfig;
-use crate::fault::FaultPlan;
 use crate::probe::{BlockedTcus, HostLayer, NoProbe, Probe, SampleCtx};
+use crate::simcfg::SimConfig;
 use crate::tier::{TraceCache, TraceStats, TranslationTier};
 use crate::txn_slab::TxnSlab;
 use std::collections::VecDeque;
@@ -289,12 +289,12 @@ pub struct Machine<P: Probe = NoProbe> {
     /// allocates and frees them in the same order, so the tag stream —
     /// and with it every stat — stays bit-identical across engines.
     txns: TxnSlab<Txn>,
-    /// The `max_cycles` value.
-    pub max_cycles: u64,
+    /// Runaway/deadlock cycle limit ([`SimError::CycleLimit`]).
+    max_cycles: u64,
     /// Watchdog no-progress horizon: if no instruction retires and no
     /// thread starts for this many cycles, the run fails with
     /// [`SimError::Stalled`] instead of burning the whole cycle budget.
-    pub watchdog: u64,
+    watchdog: u64,
     /// Cycle on which the progress fingerprint last advanced.
     progress_cycle: u64,
     /// Progress fingerprint (instructions retired + threads started).
@@ -304,7 +304,7 @@ pub struct Machine<P: Probe = NoProbe> {
     spawn_log: Vec<SpawnStats>,
     tracker: Option<SpawnTracker>,
     /// Advance-loop selection for [`Machine::run`].
-    pub engine: Engine,
+    engine: Engine,
     /// Predecoded instruction stream: unit, hazard masks and flop flag
     /// resolved once at construction so the issue loop does one
     /// contiguous fetch per TCU instead of a program fetch plus a
@@ -362,34 +362,31 @@ pub struct Machine<P: Probe = NoProbe> {
     parked: Parked,
 }
 
-/// Staged construction of a [`Machine`]: configuration, program,
-/// initial memory image, engine selection and probe registration in
-/// one chainable value, replacing the old `Machine::new(cfg, prog,
-/// mem_words)` plus post-hoc field pokes and write calls.
+/// A [`Machine`] on its way to being built: the [`SimConfig`] that
+/// says what to build, the program, and the initial memory image. It
+/// is made only by [`SimConfig::builder`]; every knob (engine, tier,
+/// faults, watchdog, cycle limit) is set on the `SimConfig`, and the
+/// builder only loads memory.
 ///
 /// ```
-/// # use xmt_sim::{Engine, MachineBuilder, XmtConfig};
+/// # use xmt_sim::{Engine, SimConfig, XmtConfig};
 /// # use xmt_isa::ProgramBuilder;
 /// # let mut b = ProgramBuilder::new();
 /// # b.halt();
 /// # let prog = b.build().unwrap();
-/// let mut m = MachineBuilder::new(&XmtConfig::xmt_4k().scaled_to(4), prog)
-///     .mem_words(1024)
-///     .write_f32s(16, &[1.0, 2.0])
+/// let mut m = SimConfig::new(&XmtConfig::xmt_4k().scaled_to(4))
 ///     .engine(Engine::FastForward)
+///     .mem_words(1024)
+///     .builder(prog)
+///     .write_f32s(16, &[1.0, 2.0])
 ///     .build();
 /// m.run().unwrap();
 /// ```
 #[derive(Debug, Clone)]
 pub struct MachineBuilder {
-    cfg: XmtConfig,
-    prog: Program,
-    mem: Vec<u32>,
-    engine: Engine,
-    max_cycles: Option<u64>,
-    faults: FaultPlan,
-    watchdog: Option<u64>,
-    tier: TranslationTier,
+    pub(crate) sim: SimConfig,
+    pub(crate) prog: Program,
+    pub(crate) mem: Vec<u32>,
 }
 
 impl<P: Probe> Machine<P> {
@@ -485,9 +482,8 @@ impl<P: Probe> Machine<P> {
 
     /// Run to `halt` with the selected [`Engine`]. The [`RunOutcome`]
     /// always carries a [`RunReport`]: complete on
-    /// [`RunStatus::Completed`] (the spawn log is moved into it — use
-    /// [`Machine::spawn_log`] for any later inspection), partial up to
-    /// the failure cycle on [`RunStatus::Failed`].
+    /// [`RunStatus::Completed`] (the spawn log is moved into it),
+    /// partial up to the failure cycle on [`RunStatus::Failed`].
     pub fn run(&mut self) -> RunOutcome {
         match self.run_inner() {
             Ok(report) => RunOutcome {
@@ -1232,6 +1228,7 @@ impl<P: Probe> Machine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use xmt_isa::reg::{fr, gr, ir};
     use xmt_isa::ProgramBuilder;
 
@@ -1322,7 +1319,8 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.li(ir(1), 6).li(ir(2), 7).mul(ir(3), ir(1), ir(2));
         b.li(ir(4), 10).sw(ir(3), ir(4), 0).halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(64)
             .build();
         let s = m.run().unwrap();
@@ -1335,7 +1333,8 @@ mod tests {
     #[test]
     fn parallel_section_matches_interpreter() {
         let prog = spawn_store_tids(64);
-        let mut m = MachineBuilder::new(&tiny_config(), prog.clone())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(prog.clone())
             .mem_words(256)
             .build();
         let s = m.run().unwrap();
@@ -1369,7 +1368,8 @@ mod tests {
         b.join();
         b.bind(after);
         b.halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(256)
             .build();
         for t in 0..32u32 {
@@ -1401,7 +1401,8 @@ mod tests {
         b.join();
         b.bind(after);
         b.halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(64)
             .build();
         let inputs: Vec<f32> = (0..8).map(|i| i as f32 + 0.5).collect();
@@ -1430,7 +1431,8 @@ mod tests {
         b.join();
         b.bind(after);
         b.halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(64)
             .build();
         m.run().unwrap();
@@ -1442,9 +1444,10 @@ mod tests {
     #[test]
     fn more_threads_than_tcus_reuses_tcus() {
         let cfg = tiny_config();
-        let total_tcus = cfg.tcus as u32;
+        let total_tcus = cfg.tcus() as u32;
         let prog = spawn_store_tids(total_tcus * 4);
-        let mut m = MachineBuilder::new(&cfg, prog)
+        let mut m = SimConfig::new(&cfg)
+            .builder(prog)
             .mem_words((total_tcus * 8) as usize)
             .build();
         let s = m.run().unwrap();
@@ -1460,10 +1463,11 @@ mod tests {
         let top = b.label();
         b.bind(top);
         b.jump(top);
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .max_cycles(10_000)
+            .builder(b.build().unwrap())
             .mem_words(16)
             .build();
-        m.max_cycles = 10_000;
         assert!(matches!(
             m.run().status,
             RunStatus::Failed(SimError::CycleLimit { .. })
@@ -1483,7 +1487,8 @@ mod tests {
         b.join();
         b.bind(after);
         b.halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(16)
             .build();
         assert!(matches!(
@@ -1496,7 +1501,8 @@ mod tests {
     fn out_of_bounds_reported() {
         let mut b = ProgramBuilder::new();
         b.li(ir(1), 9999).lw(ir(2), ir(1), 0).halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(16)
             .build();
         assert!(matches!(
@@ -1510,7 +1516,8 @@ mod tests {
         // After the spawn returns, all stores must be visible without
         // any further simulation.
         let prog = spawn_store_tids(128);
-        let mut m = MachineBuilder::new(&tiny_config(), prog)
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(prog)
             .mem_words(512)
             .build();
         m.run().unwrap();
@@ -1543,7 +1550,8 @@ mod tests {
         b.halt();
         let prog = b.build().unwrap();
 
-        let mut m = MachineBuilder::new(&tiny_config(), prog.clone())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(prog.clone())
             .mem_words(64)
             .build();
         let s = m.run().unwrap();
@@ -1562,7 +1570,8 @@ mod tests {
     fn sspawn_in_serial_is_error() {
         let mut b = ProgramBuilder::new();
         b.li(ir(1), 2).sspawn(ir(2), ir(1)).halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(16)
             .build();
         assert!(matches!(
@@ -1574,7 +1583,8 @@ mod tests {
     #[test]
     fn utilization_report_is_balanced_for_uniform_work() {
         let prog = spawn_store_tids(512);
-        let mut m = MachineBuilder::new(&tiny_config(), prog)
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(prog)
             .mem_words(2048)
             .build();
         let u = m.run().unwrap().utilization;
@@ -1621,7 +1631,8 @@ mod tests {
         b.jump(after2);
         b.bind(after2);
         b.halt();
-        let mut m = MachineBuilder::new(&tiny_config(), b.build().unwrap())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(b.build().unwrap())
             .mem_words(64)
             .build();
         let s = m.run().unwrap();
@@ -1636,13 +1647,15 @@ mod tests {
     #[test]
     fn benign_fault_plan_is_bit_identical() {
         let prog = spawn_store_tids(64);
-        let mut base = MachineBuilder::new(&tiny_config(), prog.clone())
+        let mut base = SimConfig::new(&tiny_config())
+            .builder(prog.clone())
             .mem_words(256)
             .build();
         let sb = base.run().unwrap();
-        let mut planned = MachineBuilder::new(&tiny_config(), prog)
-            .mem_words(256)
+        let mut planned = SimConfig::new(&tiny_config())
             .faults(FaultPlan::new(0xDEAD_BEEF))
+            .builder(prog)
+            .mem_words(256)
             .build();
         let sp = planned.run().unwrap();
         assert_eq!(sb.stats, sp.stats);
@@ -1660,12 +1673,13 @@ mod tests {
             Engine::FastForward,
             Engine::Threaded { threads: 2 },
         ] {
-            let mut m = MachineBuilder::new(&tiny_config(), spawn_store_tids(64))
-                .mem_words(256)
+            let mut m = SimConfig::new(&tiny_config())
+                .engine(engine)
                 .faults(FaultPlan::new(1).stuck_tcu(1, 3))
                 .watchdog(5_000)
+                .builder(spawn_store_tids(64))
+                .mem_words(256)
                 .build();
-            m.engine = engine;
             let outcome = m.run();
             match outcome.status {
                 RunStatus::Failed(SimError::Stalled { at_cycle, .. }) => {
@@ -1722,9 +1736,10 @@ mod tests {
             b.halt();
             let prog = b.build().unwrap();
             let run = |engine| {
-                let mut m = MachineBuilder::new(&tiny_config(), prog.clone())
-                    .mem_words(256)
+                let mut m = SimConfig::new(&tiny_config())
                     .engine(engine)
+                    .builder(prog.clone())
+                    .mem_words(256)
                     .build();
                 let outcome = m.run();
                 assert!(
@@ -1751,16 +1766,18 @@ mod tests {
             Engine::FastForward,
             Engine::Threaded { threads: 2 },
         ] {
-            let mut healthy = MachineBuilder::new(&tiny_config(), spawn_store_tids(64))
+            let mut healthy = SimConfig::new(&tiny_config())
+                .engine(engine)
+                .builder(spawn_store_tids(64))
                 .mem_words(256)
                 .build();
-            healthy.engine = engine;
             let sh = healthy.run().unwrap();
-            let mut degraded = MachineBuilder::new(&tiny_config(), spawn_store_tids(64))
-                .mem_words(256)
+            let mut degraded = SimConfig::new(&tiny_config())
+                .engine(engine)
                 .faults(FaultPlan::new(1).dead_cluster(2).dead_tcu(0, 1))
+                .builder(spawn_store_tids(64))
+                .mem_words(256)
                 .build();
-            degraded.engine = engine;
             let sd = degraded.run().unwrap();
             assert_eq!(healthy.mem, degraded.mem, "engine {engine:?}");
             assert_eq!(sd.stats.threads, 64);
@@ -1777,9 +1794,10 @@ mod tests {
     #[test]
     fn only_clusters_that_take_a_thread_hold_register_files() {
         let run = |engine| {
-            let mut m = MachineBuilder::new(&tiny_config(), spawn_store_tids(40))
-                .mem_words(256)
+            let mut m = SimConfig::new(&tiny_config())
                 .engine(engine)
+                .builder(spawn_store_tids(40))
+                .mem_words(256)
                 .build();
             let report = m.run().unwrap();
             let words: Vec<usize> = m.clusters.iter().map(|c| c.regs.len()).collect();
@@ -1806,9 +1824,10 @@ mod tests {
     fn degraded_channel_routes_around() {
         let cfg = XmtConfig::xmt_4k().scaled_to(16);
         assert!(cfg.dram_channels() >= 2, "need two channels to kill one");
-        let mut m = MachineBuilder::new(&cfg, spawn_store_tids(64))
-            .mem_words(256)
+        let mut m = SimConfig::new(&cfg)
             .degraded(&[], &[1])
+            .builder(spawn_store_tids(64))
+            .mem_words(256)
             .build();
         m.run().unwrap();
         for t in 0..64u32 {
@@ -1835,9 +1854,10 @@ mod tests {
             FaultPlan::new(0).noc_corrupt(-0.1),
         ];
         for plan in bad {
-            let r = MachineBuilder::new(&cfg, prog.clone())
-                .mem_words(64)
+            let r = SimConfig::new(&cfg)
                 .faults(plan.clone())
+                .builder(prog.clone())
+                .mem_words(64)
                 .try_build();
             assert!(
                 matches!(r, Err(SimError::InvalidConfig { .. })),
@@ -1860,11 +1880,12 @@ mod tests {
             Engine::FastForward,
             Engine::Threaded { threads: 2 },
         ] {
-            let mut m = MachineBuilder::new(&tiny_config(), spawn_store_tids(64))
-                .mem_words(256)
+            let mut m = SimConfig::new(&tiny_config())
+                .engine(engine)
                 .faults(plan.clone())
+                .builder(spawn_store_tids(64))
+                .mem_words(256)
                 .build();
-            m.engine = engine;
             let s = m.run().unwrap();
             for t in 0..64u32 {
                 assert_eq!(m.mem[t as usize], t * 2, "tid {t} under {engine:?}");
@@ -1919,7 +1940,7 @@ mod tests {
         ];
         let mut odd_mem_clocks = 0;
         for (cfg, prog, pause) in cases {
-            let build = || MachineBuilder::new(&cfg, prog.clone()).mem_words(1024);
+            let build = || SimConfig::new(&cfg).builder(prog.clone()).mem_words(1024);
             let mut straight = build().build();
             let ss = straight.run().unwrap();
 
@@ -1974,7 +1995,7 @@ mod tests {
         b.bind(after);
         b.halt();
         let prog = b.build().unwrap();
-        let build = || MachineBuilder::new(&cfg, prog.clone()).mem_words(1024);
+        let build = || SimConfig::new(&cfg).builder(prog.clone()).mem_words(1024);
         let mut straight = build().build();
         let ss = straight.run().unwrap();
 
@@ -1995,7 +2016,8 @@ mod tests {
     #[test]
     fn checkpoint_guards_protocol_and_geometry() {
         let prog = spawn_store_tids(64);
-        let mut m = MachineBuilder::new(&tiny_config(), prog.clone())
+        let mut m = SimConfig::new(&tiny_config())
+            .builder(prog.clone())
             .mem_words(256)
             .build();
         // Step into the parallel section: work is in flight.
@@ -2008,13 +2030,15 @@ mod tests {
         while !matches!(m.mode, Mode::Finished) {
             m.step().unwrap();
         }
-        let mut m2 = MachineBuilder::new(&tiny_config(), prog.clone())
+        let mut m2 = SimConfig::new(&tiny_config())
+            .builder(prog.clone())
             .mem_words(256)
             .build();
         let st = m2.run_until(10);
         assert!(matches!(st.status, RunStatus::Paused { .. }));
         let cp = m2.checkpoint().unwrap();
-        let r = MachineBuilder::new(&XmtConfig::xmt_4k().scaled_to(8), prog.clone())
+        let r = SimConfig::new(&XmtConfig::xmt_4k().scaled_to(8))
+            .builder(prog.clone())
             .mem_words(256)
             .resume(&cp);
         assert!(matches!(r, Err(SimError::InvalidConfig { .. })));
@@ -2028,7 +2052,8 @@ mod tests {
             let mut bad = cp.clone();
             bad.cluster_rr = rr;
             let bad = Checkpoint::from_bytes(&bad.to_bytes()).unwrap();
-            let r = MachineBuilder::new(&tiny_config(), prog.clone())
+            let r = SimConfig::new(&tiny_config())
+                .builder(prog.clone())
                 .mem_words(256)
                 .resume(&bad);
             assert!(matches!(r, Err(SimError::InvalidConfig { .. })));
@@ -2040,11 +2065,13 @@ mod tests {
     #[test]
     fn run_until_past_end_is_done() {
         let prog = spawn_store_tids(16);
-        let mut a = MachineBuilder::new(&tiny_config(), prog.clone())
+        let mut a = SimConfig::new(&tiny_config())
+            .builder(prog.clone())
             .mem_words(64)
             .build();
         let sa = a.run().unwrap();
-        let mut b = MachineBuilder::new(&tiny_config(), prog)
+        let mut b = SimConfig::new(&tiny_config())
+            .builder(prog)
             .mem_words(64)
             .build();
         let ob = b.run_until(u64::MAX);

@@ -6,7 +6,7 @@
 /// Simulator errors. Every variant carries the program counter of the
 /// fault (where one exists) and the machine cycle it surfaced on:
 /// deep construction sites that cannot see the clock leave `at_cycle`
-/// at 0 and the step boundary stamps it via [`SimError::stamped`].
+/// at 0 and the step boundary stamps it with the cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// Memory access outside the configured memory image.
@@ -374,7 +374,7 @@ impl SpawnStats {
     }
 }
 
-/// Post-run utilization snapshot (see [`Machine::utilization`](crate::Machine::utilization)).
+/// Post-run utilization snapshot, carried in [`RunReport::utilization`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilizationReport {
     /// Instructions issued by each cluster.

@@ -1,23 +1,23 @@
 //! [`SimConfig`] — a simulation request as a plain value.
 //!
-//! `MachineBuilder` grew one chainable knob per PR (engine, tier,
-//! faults, degradation, watchdog, probe interval, …); composing a run
-//! therefore meant threading a closure that "shapes" a builder, and
-//! every bench bin re-derived the same wiring. [`SimConfig`] replaces
-//! that: every knob is a field, the whole value is `Clone + PartialEq`,
-//! and it lowers onto a builder in exactly one place
-//! ([`SimConfig::builder`]).
+//! Every knob a machine has — architecture, engine, tier, faults,
+//! degradation, watchdog, cycle limit, starting memory size, probe
+//! interval — is a field of [`SimConfig`], and only there: the whole
+//! value is `Clone + PartialEq`, and [`SimConfig::builder`] is the one
+//! way to a [`MachineBuilder`], which adds nothing but the program and
+//! its memory image.
 //!
 //! Because the workspace is vendored-offline (no serde), the value
-//! carries its own canonical encoding: [`SimConfig::canon`] renders
-//! every field — floats bit-exactly via `to_bits` — into a stable
-//! `key=value` text, and [`SimConfig::digest`] folds that text together
-//! with a program digest into the content address the result cache and
-//! job queue key on. The cache key deliberately **excludes the engine
-//! and the probe interval**: all three engines are bit-identical (so an
-//! engine change must *hit* the cache), and probed/streaming runs
-//! bypass the cache entirely; it **includes the tier**, matching the
-//! service contract in DESIGN.md §16.
+//! carries its own canonical encoding: [`SimConfig::cache_canon`]
+//! renders every field that can change a run's results — floats
+//! bit-exactly via `to_bits` — into a stable `key=value` text, and
+//! [`SimConfig::digest`] folds that text together with a program
+//! digest into the content address the result cache and job queue key
+//! on. The cache key deliberately **excludes the engine and the probe
+//! interval**: all three engines are bit-identical (so an engine
+//! change must *hit* the cache), and probed/streaming runs bypass the
+//! cache entirely; it **includes the tier**, matching the service
+//! contract in DESIGN.md §16.
 
 use crate::config::XmtConfig;
 use crate::fault::FaultPlan;
@@ -47,7 +47,7 @@ pub fn program_digest(prog: &Program) -> u64 {
 
 /// A complete, self-contained description of one simulation run.
 ///
-/// Everything [`MachineBuilder`] can be told, as data: architecture,
+/// Everything a machine can be told, as data: architecture,
 /// engine, execution tier, fault plan (including degradation), watchdog
 /// and cycle-limit overrides, memory-image size, and an optional probe
 /// interval for streaming runs. A `SimConfig` plus a program is a
@@ -102,34 +102,44 @@ impl SimConfig {
         self
     }
 
-    /// Select the execution tier.
+    /// Select the execution tier (default [`TranslationTier::Block`],
+    /// the trace-cache replay path). [`TranslationTier::Interpreter`]
+    /// restores per-instruction dispatch; the two are bit-identical in
+    /// every architectural and statistical output, differing only in
+    /// host-side speed.
     pub fn tier(mut self, tier: TranslationTier) -> Self {
         self.tier = tier;
         self
     }
 
-    /// Attach a fault plan.
+    /// Attach a deterministic [`FaultPlan`]. A benign plan (the
+    /// default) interposes nothing: the machine is bit-identical to one
+    /// built without faults.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
     }
 
-    /// Graceful-degradation shorthand: merge dead clusters and DRAM
-    /// channels into the fault plan (mirrors
-    /// [`MachineBuilder::degraded`]).
+    /// Graceful-degradation shorthand: take whole clusters and DRAM
+    /// channels offline by merging them into the fault plan. Spawned
+    /// threads remap around the dead clusters and the address hash
+    /// spreads lines over the surviving module groups, so a correct
+    /// program still produces correct output at reduced throughput.
     pub fn degraded(mut self, dead_clusters: &[usize], dead_channels: &[usize]) -> Self {
         self.faults.dead_clusters.extend_from_slice(dead_clusters);
         self.faults.dead_channels.extend_from_slice(dead_channels);
         self
     }
 
-    /// Override the watchdog horizon.
+    /// Override the watchdog no-progress horizon (default two million
+    /// cycles; see [`crate::SimError::Stalled`]).
     pub fn watchdog(mut self, horizon: u64) -> Self {
         self.watchdog = Some(horizon);
         self
     }
 
-    /// Override the runaway cycle limit.
+    /// Override the runaway cycle limit (default 200 million cycles;
+    /// see [`crate::SimError::CycleLimit`]).
     pub fn max_cycles(mut self, max: u64) -> Self {
         self.max_cycles = Some(max);
         self
@@ -153,23 +163,16 @@ impl SimConfig {
         self
     }
 
-    /// Lower this config onto a [`MachineBuilder`] for `prog` — the
-    /// single place request values become machines. Workloads write
-    /// their inputs on the returned builder and `build`/`resume` as
-    /// usual.
+    /// A [`MachineBuilder`] for `prog` on this config, with
+    /// [`SimConfig::mem_words`] zeroed words of memory — the one way
+    /// to build a machine. Workloads write their inputs on the returned
+    /// builder and `build`/`resume` as usual.
     pub fn builder(&self, prog: Program) -> MachineBuilder {
-        let mut b = MachineBuilder::new(&self.arch, prog)
-            .engine(self.engine)
-            .tier(self.tier)
-            .faults(self.faults.clone())
-            .mem_words(self.mem_words);
-        if let Some(w) = self.watchdog {
-            b = b.watchdog(w);
+        MachineBuilder {
+            sim: self.clone(),
+            prog,
+            mem: vec![0; self.mem_words],
         }
-        if let Some(c) = self.max_cycles {
-            b = b.max_cycles(c);
-        }
-        b
     }
 
     /// The interval probe this config asks for, or `None` for an
@@ -179,25 +182,11 @@ impl SimConfig {
             .map(|iv| IntervalProbe::new(iv, self.probe_capacity.max(1)))
     }
 
-    /// Canonical text encoding of the *whole* config (including the
-    /// engine and probe settings): stable across runs and platforms,
-    /// floats rendered bit-exactly. Suitable for logs, golden files
-    /// and wire framing.
-    pub fn canon(&self) -> String {
-        let mut s = self.cache_canon();
-        s.push_str(&format!("engine={}\n", engine_canon(&self.engine)));
-        s.push_str(&format!(
-            "probe_interval={}\n",
-            self.probe_interval.map_or(0, |v| v)
-        ));
-        s.push_str(&format!("probe_capacity={}\n", self.probe_capacity));
-        s
-    }
-
-    /// The cache-key portion of the canonical encoding: everything
-    /// that can change the run's *results* — architecture, tier, fault
-    /// plan (seed included), watchdog, cycle limit, memory size — and
-    /// nothing that cannot (engine, probe settings).
+    /// The canonical text of everything that can change the run's
+    /// *results* — architecture, tier, fault plan (seed included),
+    /// watchdog, cycle limit, memory size — and nothing that cannot
+    /// (engine, probe settings). Stable across runs and platforms,
+    /// floats rendered bit-exactly.
     pub fn cache_canon(&self) -> String {
         let a = &self.arch;
         let f = &self.faults;
@@ -276,14 +265,6 @@ impl SimConfig {
     }
 }
 
-fn engine_canon(e: &Engine) -> String {
-    match e {
-        Engine::Reference => "reference".into(),
-        Engine::FastForward => "fastforward".into(),
-        Engine::Threaded { threads } => format!("threaded:{threads}"),
-    }
-}
-
 fn tier_canon(t: &TranslationTier) -> &'static str {
     match t {
         TranslationTier::Interpreter => "interpreter",
@@ -348,34 +329,56 @@ mod tests {
             .max_cycles(1 << 20)
             .probed(128)
             .mem_words(4096);
-        assert_eq!(c.canon(), c.clone().canon(), "encoding is deterministic");
+        let canon = c.cache_canon();
+        assert_eq!(canon, c.clone().cache_canon(), "encoding is deterministic");
         for needle in [
             "tier=interpreter",
-            "engine=threaded:3",
             "seed=9",
             "stuck_tcus=[(1, 2)]",
             "dead_clusters=[3]",
+            "dead_channels=[0]",
             "watchdog=10000",
-            "probe_interval=128",
+            "max_cycles=1048576",
             "mem_words=4096",
         ] {
-            assert!(c.canon().contains(needle), "canon missing {needle}");
+            assert!(canon.contains(needle), "canon missing {needle}");
         }
     }
 
+    /// The pinned `.rep` file names are digests of this text, so it
+    /// must not move: every field off its default, captured once.
     #[test]
-    fn builder_lowering_matches_hand_wiring() {
-        let arch = XmtConfig::xmt_4k().scaled_to(4);
-        let cfg = SimConfig::new(&arch)
+    fn cache_canon_text_is_pinned() {
+        let c = SimConfig::new(&XmtConfig::xmt_4k().scaled_to(16))
             .engine(Engine::Reference)
-            .mem_words(64);
-        let a = cfg.builder(prog()).build().run().unwrap();
-        let b = MachineBuilder::new(&arch, prog())
-            .engine(Engine::Reference)
-            .mem_words(64)
-            .build()
-            .run()
-            .unwrap();
-        assert_eq!(a.stats, b.stats);
+            .tier(TranslationTier::Interpreter)
+            .faults(
+                FaultPlan::new(0x5EED)
+                    .dram_flips(1e-6, 1e-9)
+                    .noc_corrupt(1e-5)
+                    .dead_cluster(3)
+                    .dead_tcu(1, 4)
+                    .stuck_tcu(2, 5)
+                    .dead_channel(1),
+            )
+            .watchdog(10_000)
+            .max_cycles(1 << 20)
+            .probed(128)
+            .probe_capacity(64)
+            .mem_words(4096);
+        assert_eq!(
+            c.cache_canon(),
+            concat!(
+                "arch=4k clusters=16 tpc=32 mm=16 mmpc=8 fpus=1 alus=32 mdus=1 lsus=1 ",
+                "mot=8 bfly=0 clock=400a666666666666 nm=22 layers=1\n",
+                "cache_lines=1024 cache_ways=8 cache_lw=8 cache_hit=2\n",
+                "dram_bpc=4020000000000000 dram_lat=60 dram_lb=32\n",
+                "tier=interpreter\n",
+                "seed=24301 dram_single=3eb0c6f7a0b5ed8d dram_double=3e112e0be826d695 ",
+                "dram_retry=2 noc_corrupt=3ee4f8b588e368f1 noc_retry=4 noc_backoff=2\n",
+                "dead_clusters=[3] dead_tcus=[(1, 4)] stuck_tcus=[(2, 5)] dead_channels=[1]\n",
+                "watchdog=10000 max_cycles=1048576 mem_words=4096\n",
+            )
+        );
     }
 }

@@ -28,7 +28,7 @@
 //! On top of semantic equivalence the validator pins the tier's full
 //! deterministic contract: the superblock *partition* must match
 //! [`BlockMap::from_instrs`], and every record's issue class, baked
-//! unit latency, terminator seam (the [`UOP_ENDS_BLOCK`] flag) and
+//! unit latency, terminator seam (the [`xmt_isa::UOP_ENDS_BLOCK`] flag) and
 //! remaining fields must equal the canonical [`lower_op`] output.
 //! Semantic equivalence is the real theorem (it would also accept a
 //! smarter backend's alternative encodings); canonical equality is the

@@ -101,7 +101,8 @@ mod tests {
         )
         .unwrap();
         let cfg = xmt_sim::XmtConfig::xmt_4k().scaled_to(2);
-        let mut m = xmt_sim::MachineBuilder::new(&cfg, prog.clone())
+        let mut m = xmt_sim::SimConfig::new(&cfg)
+            .builder(prog.clone())
             .mem_words(64)
             .build();
         let summary = m.run().unwrap();

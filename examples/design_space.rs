@@ -65,7 +65,6 @@ fn main() {
         let clusters = 128usize << shift;
         let mut cfg = XmtConfig::xmt_4k();
         cfg.clusters = clusters;
-        cfg.tcus = clusters * cfg.tcus_per_cluster;
         cfg.memory_modules = clusters;
         // Keep the pure MoT while it fits, then go hybrid like the paper.
         if clusters > 256 {
@@ -86,7 +85,7 @@ fn main() {
         println!(
             "{:<10} {:>8} {:>12.0} {:>16}",
             clusters,
-            cfg.tcus,
+            cfg.tcus(),
             p.gflops_convention,
             format!("{:?}", worst.bound)
         );

@@ -11,7 +11,7 @@
 //! cargo run --release --example xmtc_kernel
 //! ```
 
-use xmt_sim::{MachineBuilder, XmtConfig};
+use xmt_sim::{SimConfig, XmtConfig};
 
 const SRC: &str = r#"
 // Compact non-zero elements of mem[0..n) into mem[1000..], in parallel.
@@ -43,7 +43,7 @@ fn main() {
     println!("compiled to {} XMT instructions\n", prog.len());
 
     let cfg = XmtConfig::xmt_4k().scaled_to(4);
-    let mut m = MachineBuilder::new(&cfg, prog).mem_words(4096).build();
+    let mut m = SimConfig::new(&cfg).builder(prog).mem_words(4096).build();
     // Input: every third slot holds a value, the rest are zero.
     let mut expected = Vec::new();
     for i in 0..256u32 {

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use xmt_isa::reg::{fr, gr, ir};
 use xmt_isa::{Interp, Program, ProgramBuilder};
-use xmt_sim::{MachineBuilder, XmtConfig};
+use xmt_sim::{SimConfig, XmtConfig};
 
 /// One generated instruction in a restricted, always-terminating form.
 #[derive(Debug, Clone)]
@@ -316,7 +316,8 @@ proptest! {
         interp.run(&prog).unwrap();
 
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
-        let mut mach = MachineBuilder::new(&cfg, prog)
+        let mut mach = SimConfig::new(&cfg)
+            .builder(prog)
             .mem_words(mem_words)
             .write_u32s(0, &ro)
             .build();

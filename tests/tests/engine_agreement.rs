@@ -18,7 +18,7 @@ use xmt_integration::genprog::{
 use xmt_isa::reg::ir;
 use xmt_isa::{Program, ProgramBuilder};
 use xmt_sim::{
-    Engine, IntervalProbe, IntervalRow, MachineBuilder, RunReport, TranslationTier, XmtConfig,
+    Engine, IntervalProbe, IntervalRow, RunReport, SimConfig, TranslationTier, XmtConfig,
 };
 
 /// The shared read-only region `[0, 64)` the generated loads read.
@@ -43,9 +43,10 @@ fn run_engine(
     mem_words: usize,
     engine: Engine,
 ) -> (RunReport, Vec<IntervalRow>, Vec<u32>, [u32; 16]) {
-    let mut m = MachineBuilder::new(cfg, prog.clone())
-        .mem_words(mem_words)
+    let mut m = SimConfig::new(cfg)
         .engine(engine)
+        .builder(prog.clone())
+        .mem_words(mem_words)
         .write_u32s(0, ro)
         .build_probed(IntervalProbe::new(32, 1 << 12));
     let report = m.run().expect("generated program must complete");
@@ -106,9 +107,10 @@ fn run_engine_unprobed(
     mem_words: usize,
     engine: Engine,
 ) -> (RunReport, Vec<u32>, [u32; 16]) {
-    let mut m = MachineBuilder::new(cfg, prog.clone())
-        .mem_words(mem_words)
+    let mut m = SimConfig::new(cfg)
         .engine(engine)
+        .builder(prog.clone())
+        .mem_words(mem_words)
         .write_u32s(0, ro)
         .build();
     let report = m.run().expect("generated program must complete");
@@ -161,10 +163,11 @@ fn run_engine_tiered(
     engine: Engine,
     tier: TranslationTier,
 ) -> (RunReport, Vec<u32>, [u32; 16]) {
-    let mut m = MachineBuilder::new(cfg, prog.clone())
-        .mem_words(mem_words)
+    let mut m = SimConfig::new(cfg)
         .engine(engine)
         .tier(tier)
+        .builder(prog.clone())
+        .mem_words(mem_words)
         .write_u32s(0, ro)
         .build();
     let report = m.run().expect("generated program must complete");
@@ -358,9 +361,10 @@ proptest! {
         let ro = ro_words(ro_seed);
         let cfg = XmtConfig::xmt_4k().scaled_to(4);
         let run = |engine: Engine| {
-            let mut m = MachineBuilder::new(&cfg, prog.clone())
-                .mem_words(mem_words)
+            let mut m = SimConfig::new(&cfg)
                 .engine(engine)
+                .builder(prog.clone())
+                .mem_words(mem_words)
                 .write_u32s(0, &ro)
                 .build_probed(IntervalProbe::new(1, 1 << 12));
             let report = m.run().expect("generated program must complete");

@@ -131,7 +131,8 @@ fn zero_thread_spawn_is_a_clean_noop() {
     b.li(ir(3), 1).sw(ir(3), ir(0), 8);
     b.halt();
     let prog = b.build().unwrap();
-    let mut m = xmt_sim::MachineBuilder::new(&XmtConfig::xmt_4k().scaled_to(2), prog)
+    let mut m = xmt_sim::SimConfig::new(&XmtConfig::xmt_4k().scaled_to(2))
+        .builder(prog)
         .mem_words(16)
         .build();
     let s = m.run().unwrap();

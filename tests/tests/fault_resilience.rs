@@ -10,12 +10,12 @@
 use proptest::prelude::*;
 use xmt_fft::golden;
 use xmt_fft::plan::XmtFftPlan;
-use xmt_fft::run::{host_reference, plan_builder, read_result, rel_error};
+use xmt_fft::run::{host_reference, plan_builder_cfg, read_result, rel_error};
 use xmt_integration::genprog::{build, op_strategy};
 use xmt_integration::sample32;
 use xmt_isa::Program;
 use xmt_sim::{
-    Checkpoint, Engine, FaultPlan, MachineBuilder, RunReport, RunStatus, TranslationTier, XmtConfig,
+    Checkpoint, Engine, FaultPlan, RunReport, RunStatus, SimConfig, TranslationTier, XmtConfig,
 };
 
 /// Soft-fault plan exercised by most tests: DRAM single/double bit
@@ -37,10 +37,11 @@ fn run_faulted(
     engine: Engine,
     plan: FaultPlan,
 ) -> Result<(RunReport, Vec<u32>, [u32; 16]), String> {
-    let mut m = MachineBuilder::new(cfg, prog.clone())
-        .mem_words(mem_words)
+    let mut m = SimConfig::new(cfg)
         .engine(engine)
         .faults(plan)
+        .builder(prog.clone())
+        .mem_words(mem_words)
         .write_u32s(0, ro)
         .build();
     let outcome = m.run();
@@ -114,13 +115,12 @@ fn soft_faulted_fft_validates_against_host() {
     let plan = XmtFftPlan::new_1d(n, 4);
     let x = sample32(n, 9);
     let cfg = golden::golden_config();
-    let mut healthy = plan_builder(&plan, &cfg, &x).build();
+    let mut healthy = plan_builder_cfg(&plan, &SimConfig::new(&cfg), &x).build();
     healthy.run().unwrap();
     let want = read_result(&plan, &healthy);
     for seed in [1u64, 0xDEAD, 0x0FA5_7FF7] {
-        let mut m = plan_builder(&plan, &cfg, &x)
-            .faults(soft_plan(seed))
-            .build();
+        let sim = SimConfig::new(&cfg).faults(soft_plan(seed));
+        let mut m = plan_builder_cfg(&plan, &sim, &x).build();
         m.run().expect(&format!("seed {seed:#x}"));
         let got = read_result(&plan, &m);
         assert!(rel_error(&host_reference(&plan, &x), &got) < 1e-3);
@@ -151,10 +151,10 @@ fn degraded_fft_validates_on_every_engine() {
             Engine::FastForward,
             Engine::Threaded { threads: 0 },
         ] {
-            let mut m = plan_builder(&plan, &cfg, &x)
+            let sim = SimConfig::new(&cfg)
                 .engine(engine)
-                .degraded(clusters, channels)
-                .build();
+                .degraded(clusters, channels);
+            let mut m = plan_builder_cfg(&plan, &sim, &x).build();
             m.run().expect(&format!("{clusters:?}/{channels:?}"));
             outs.push(read_result(&plan, &m));
         }
@@ -205,7 +205,7 @@ fn check_sliced(case: &golden::GoldenCase, pauses_for: impl Fn(u64) -> Vec<u64>)
         let bytes = m.checkpoint_bytes().unwrap();
         let restored = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(restored.cycle(), now, "{what}");
-        m = case.builder().resume(&restored).unwrap();
+        m = case.builder(&case.sim_config()).resume(&restored).unwrap();
     }
     let rep = m.run().expect(&what);
     assert_eq!(rep.stats, uninterrupted.stats, "{what}");
@@ -282,7 +282,7 @@ fn checkpoint_mid_trace_resumes_bit_identically_across_tiers() {
     for pause in [500u64, 3000, 7000] {
         let mut snaps = Vec::new();
         for tier in [TranslationTier::Block, TranslationTier::Interpreter] {
-            let mut m = case.builder().tier(tier).build();
+            let mut m = case.builder(&case.sim_config().tier(tier)).build();
             match m.run_until(pause).status {
                 RunStatus::Paused { at_cycle } => assert!(at_cycle >= pause),
                 other => panic!("expected pause at {pause}, got {other:?}"),
@@ -296,7 +296,10 @@ fn checkpoint_mid_trace_resumes_bit_identically_across_tiers() {
 
         let restored = Checkpoint::from_bytes(&snaps[0]).unwrap();
         for tier in [TranslationTier::Block, TranslationTier::Interpreter] {
-            let mut resumed = case.builder().tier(tier).resume(&restored).unwrap();
+            let mut resumed = case
+                .builder(&case.sim_config().tier(tier))
+                .resume(&restored)
+                .unwrap();
             let rep = resumed.run().expect(&format!("resume@{pause}/{tier:?}"));
             assert_eq!(rep.stats, uninterrupted.stats, "pause {pause} {tier:?}");
             assert_eq!(
@@ -319,17 +322,17 @@ fn faulted_checkpoint_resume_is_bit_identical() {
         .into_iter()
         .find(|c| c.name == "fft_radix8_n512")
         .unwrap();
-    let plan = || soft_plan(0xC0FFEE);
-    let mut full = case.builder().faults(plan()).build();
+    let sim = case.sim_config().faults(soft_plan(0xC0FFEE));
+    let mut full = case.builder(&sim).build();
     let uninterrupted = full.run().unwrap();
 
-    let mut m = case.builder().faults(plan()).build();
+    let mut m = case.builder(&sim).build();
     let cp = match m.run_until(uninterrupted.stats.cycles / 3).status {
         RunStatus::Paused { .. } => m.checkpoint().unwrap(),
         other => panic!("expected pause, got {other:?}"),
     };
     let restored = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
-    let mut resumed = case.builder().faults(plan()).resume(&restored).unwrap();
+    let mut resumed = case.builder(&sim).resume(&restored).unwrap();
     let rep = resumed.run().unwrap();
     assert_eq!(rep.stats, uninterrupted.stats);
     assert_eq!(

@@ -21,7 +21,7 @@
 
 use xmt_isa::reg::{fr, ir};
 use xmt_isa::{AluOp, FpuOp, Instr, MduOp, Program, ProgramBuilder};
-use xmt_sim::{Engine, MachineBuilder, XmtConfig};
+use xmt_sim::{Engine, SimConfig, XmtConfig};
 
 fn program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -110,9 +110,10 @@ fn skip_boundary_wake_preserves_scoreboard_stalls() {
         .collect();
     let cfg = XmtConfig::xmt_4k().scaled_to(4);
     let run = |engine: Engine| {
-        let mut m = MachineBuilder::new(&cfg, prog.clone())
-            .mem_words(mem_words)
+        let mut m = SimConfig::new(&cfg)
             .engine(engine)
+            .builder(prog.clone())
+            .mem_words(mem_words)
             .write_u32s(0, &ro)
             .build();
         m.run().expect("must complete")

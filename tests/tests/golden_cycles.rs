@@ -123,8 +123,7 @@ fn check_all(engine: xmt_sim::Engine) {
             .find(|(n, _)| *n == case.name)
             .unwrap_or_else(|| panic!("no golden entry for case {}", case.name))
             .1;
-        let mut m = case.machine();
-        m.engine = engine;
+        let mut m = case.builder(&case.sim_config().engine(engine)).build();
         let s = m.run().expect("golden case must complete");
         let got = Golden {
             cycles: s.stats.cycles,
@@ -185,13 +184,12 @@ fn unbounded_watchdog_and_cycle_limit_do_not_overflow() {
         xmt_sim::Engine::FastForward,
         xmt_sim::Engine::Threaded { threads: 2 },
     ] {
-        let out = case
-            .builder()
+        let sim = case
+            .sim_config()
             .engine(engine)
             .watchdog(u64::MAX)
-            .max_cycles(u64::MAX)
-            .build()
-            .run();
+            .max_cycles(u64::MAX);
+        let out = case.builder(&sim).build().run();
         assert!(out.is_completed(), "{engine:?}: {:?}", out.status);
         assert_eq!(out.report.stats.cycles, 135, "{engine:?}");
     }

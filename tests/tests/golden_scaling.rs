@@ -86,8 +86,7 @@ fn check(engine: xmt_sim::Engine, include_expensive: bool) {
             .find(|(n, _)| *n == case.name)
             .unwrap_or_else(|| panic!("no golden entry for case {}", case.name))
             .1;
-        let mut m = case.machine();
-        m.engine = engine;
+        let mut m = case.builder(&case.sim_config().engine(engine)).build();
         let s = m.run().expect("scaling case must complete");
         let got = Golden {
             cycles: s.stats.cycles,

@@ -25,7 +25,7 @@
 
 use xmt_isa::reg::{fr, ir};
 use xmt_isa::{FpuOp, Instr, MduOp, Program, ProgramBuilder};
-use xmt_sim::{Engine, IntervalProbe, MachineBuilder, TranslationTier, XmtConfig};
+use xmt_sim::{Engine, IntervalProbe, SimConfig, TranslationTier, XmtConfig};
 
 fn program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -62,10 +62,11 @@ fn park_boundary_wake_preserves_scoreboard_stalls() {
     let ro: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
     let cfg = XmtConfig::xmt_4k().scaled_to(4);
     let build = |engine: Engine, tier: TranslationTier| {
-        MachineBuilder::new(&cfg, prog.clone())
-            .mem_words(128)
+        SimConfig::new(&cfg)
             .engine(engine)
             .tier(tier)
+            .builder(prog.clone())
+            .mem_words(128)
             .write_u32s(0, &ro)
     };
     // Unprobed for the statistics: a sample settles the parked

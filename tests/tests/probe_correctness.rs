@@ -19,8 +19,8 @@
 use xmt_fft::golden;
 use xmt_isa::{ir, ProgramBuilder};
 use xmt_sim::{
-    Engine, HostLayer, HostLayers, IntervalProbe, IntervalRow, MachineBuilder, MachineStats,
-    RaceCheck, RunReport,
+    Engine, HostLayer, HostLayers, IntervalProbe, IntervalRow, MachineStats, RaceCheck, RunReport,
+    SimConfig,
 };
 
 const ENGINES: [Engine; 3] = [
@@ -37,8 +37,7 @@ fn run_probed(
     interval: u64,
 ) -> (RunReport, MachineStats, Vec<IntervalRow>) {
     let mut m = case
-        .builder()
-        .engine(engine)
+        .builder(&case.sim_config().engine(engine))
         .build_probed(IntervalProbe::new(interval, 1 << 14));
     let report = m.run().expect("golden case must complete");
     let totals = m.probe().totals();
@@ -157,7 +156,7 @@ fn sample_stream_bit_identical_across_engines() {
 #[test]
 fn probing_does_not_change_cycle_counts() {
     for case in golden::cases() {
-        let unprobed = case.builder().build().run().unwrap();
+        let unprobed = case.machine().run().unwrap();
         for interval in [1, 7, 64, 1 << 20] {
             let (report, _, _) = run_probed(&case, Engine::FastForward, interval);
             assert_eq!(
@@ -176,7 +175,9 @@ fn race_oracle_is_silent_on_all_golden_cases() {
     // agree on the executions themselves, under every engine.
     for case in golden::cases() {
         for engine in ENGINES {
-            let mut m = case.builder().engine(engine).build_probed(RaceCheck::new());
+            let mut m = case
+                .builder(&case.sim_config().engine(engine))
+                .build_probed(RaceCheck::new());
             m.run().expect("golden case must complete");
             assert_eq!(
                 m.probe().conflicts(),
@@ -220,9 +221,10 @@ fn race_oracle_and_static_verdict_agree_on_a_seeded_race() {
     // every engine, on the contested word.
     let cfg = golden::golden_config();
     for engine in ENGINES {
-        let mut m = MachineBuilder::new(&cfg, prog.clone())
-            .mem_words(1024)
+        let mut m = SimConfig::new(&cfg)
             .engine(engine)
+            .builder(prog.clone())
+            .mem_words(1024)
             .build_probed(RaceCheck::new());
         m.run().expect("racy program still completes");
         let conflicts = m.probe().conflicts();
@@ -244,7 +246,9 @@ fn ring_overwrite_keeps_totals_and_reports_drops() {
     // A tiny ring on a long workload: rows are dropped, totals are not.
     let cases = golden::cases();
     let case = &cases[0];
-    let mut m = case.builder().build_probed(IntervalProbe::new(16, 8));
+    let mut m = case
+        .builder(&case.sim_config())
+        .build_probed(IntervalProbe::new(16, 8));
     let report = m.run().unwrap();
     let probe = m.probe();
     assert!(probe.dropped() > 0, "expected ring overwrite");
@@ -255,11 +259,10 @@ fn ring_overwrite_keeps_totals_and_reports_drops() {
 #[test]
 fn host_ledger_changes_nothing_and_accounts_for_the_run() {
     for case in golden::cases() {
-        let plain = case.builder().build().run().expect("golden case");
+        let plain = case.machine().run().expect("golden case");
         for engine in ENGINES {
             let mut m = case
-                .builder()
-                .engine(engine)
+                .builder(&case.sim_config().engine(engine))
                 .build_probed(HostLayers::new());
             let t0 = std::time::Instant::now();
             let report = m.run().expect("golden case must complete");

@@ -17,7 +17,7 @@ use xmt_verify::transval::validate_cache;
 fn replayed_trace_caches_validate_against_reference_semantics() {
     for case in cases() {
         let prog = case.program();
-        let mut m = case.builder().build();
+        let mut m = case.machine();
         let outcome = m.run();
         assert!(outcome.is_completed(), "{} did not complete", case.name);
         let tc = m
@@ -41,7 +41,9 @@ fn measured_traffic_falls_inside_static_bounds() {
             analyze(prog.instrs(), &params).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         assert!(report.phase_order_exact, "{}", case.name);
 
-        let mut m = case.builder().build_probed(IntervalProbe::new(1, 400_000));
+        let mut m = case
+            .builder(&case.sim_config())
+            .build_probed(IntervalProbe::new(1, 400_000));
         let outcome = m.run();
         assert!(outcome.is_completed(), "{} did not complete", case.name);
         let rep = &outcome.report;

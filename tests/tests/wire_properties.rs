@@ -120,8 +120,7 @@ const BAD_GEOMETRY: [fn(&mut XmtConfig); 13] = [
 
 /// Single-field changes a machine can be built from (whatever it then
 /// computes): the decoder must keep accepting them.
-const ODD_GEOMETRY: [fn(&mut XmtConfig); 7] = [
-    |a| a.tcus = 1,
+const ODD_GEOMETRY: [fn(&mut XmtConfig); 6] = [
     |a| a.tcus_per_cluster = 1,
     |a| a.fpus_per_cluster = 0,
     |a| a.lsus_per_cluster = 0,
@@ -164,6 +163,45 @@ fn bad_geometry_is_a_typed_error_at_both_doors() {
             .unwrap_or_else(|e| panic!("odd geometry {i} does not build: {e}"));
         let _ = m.run();
     }
+}
+
+/// Where `change` moves the encoding of `req`: the first byte that
+/// differs, i.e. the low byte of the first word the change touches.
+fn word_at(req: &SimRequest, change: fn(&mut XmtConfig)) -> usize {
+    let mut moved = req.clone();
+    change(&mut moved.sim.arch);
+    let (good, moved) = (encode_request(req), encode_request(&moved));
+    (0..good.len())
+        .find(|&k| good[k] != moved[k])
+        .expect("the word is encoded")
+}
+
+/// A `u32` architecture word arrives as a `u64`: one whose high half is
+/// set is an error, not the low half (2^32 + 64 is not 64, and 2^32 + 3
+/// NoC levels are not 3).
+#[test]
+fn u32_architecture_words_are_not_truncated() {
+    let base = SimRequest::golden("ps_tickets").unwrap();
+    let good = encode_request(&base);
+    assert!(decode_request(&good).is_ok());
+    let changes: [fn(&mut XmtConfig); 2] = [|a| a.dram.line_bytes ^= 1 << 7, |a| a.mot_levels ^= 1];
+    for (i, change) in changes.into_iter().enumerate() {
+        let mut bad = good.clone();
+        bad[word_at(&base, change) + 4] = 1;
+        assert!(decode_request(&bad).is_err(), "word {i}: high half dropped");
+    }
+}
+
+/// The wire still carries the TCU total, which is
+/// `clusters × tcus_per_cluster`; a word that disagrees is an error.
+#[test]
+fn tcus_word_must_agree_with_the_geometry() {
+    let base = SimRequest::golden("ps_tickets").unwrap();
+    // The words run tcus, clusters, tcus/cluster, memory modules.
+    let at = word_at(&base, |a| a.memory_modules *= 2) - 3 * 8;
+    let mut bad = encode_request(&base);
+    bad[at] ^= 1;
+    assert!(decode_request(&bad).is_err());
 }
 
 proptest! {

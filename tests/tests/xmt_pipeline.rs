@@ -131,8 +131,7 @@ fn engines_agree_bitwise_on_spawn_heavy_programs() {
     for case in golden::cases() {
         let mut runs = Vec::new();
         for engine in engines {
-            let mut m = case.machine();
-            m.engine = engine;
+            let mut m = case.builder(&case.sim_config().engine(engine)).build();
             let summary = m.run().unwrap();
             let mem: Vec<u32> = m.read_f32s(0, 256).iter().map(|v| v.to_bits()).collect();
             runs.push((engine, summary, mem, m.gregs_snapshot()));

@@ -11,7 +11,7 @@
 
 use parafft::{Complex32, FftDirection, TwiddleTable};
 use xmt_isa::Interp;
-use xmt_sim::{MachineBuilder, XmtConfig};
+use xmt_sim::{SimConfig, XmtConfig};
 
 use xmtc::samples::FFT_RADIX2 as FFT_XMTC;
 
@@ -74,7 +74,8 @@ fn xmtc_fft_runs_on_the_cycle_simulator() {
     let n = 256usize;
     let (prog, tw_flat, input) = setup(n);
     let cfg = XmtConfig::xmt_4k().scaled_to(4);
-    let m = MachineBuilder::new(&cfg, prog)
+    let m = SimConfig::new(&cfg)
+        .builder(prog)
         .mem_words(4 * n + 2 * n + 16)
         .build();
     {
@@ -96,7 +97,8 @@ fn xmtc_fft_runs_on_the_cycle_simulator() {
     let full_src = format!("{prologue}\n{FFT_XMTC}");
     let prog = xmtc::compile(&full_src).unwrap();
     let flat: Vec<f32> = input.iter().flat_map(|c| [c.re, c.im]).collect();
-    let mut m = MachineBuilder::new(&cfg, prog)
+    let mut m = SimConfig::new(&cfg)
+        .builder(prog)
         .mem_words(4 * n + 2 * n + 16)
         .write_f32s(0, &flat)
         .write_f32s(4 * n, &tw_flat)

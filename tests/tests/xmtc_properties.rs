@@ -153,7 +153,7 @@ proptest! {
         interp.run(&prog).unwrap();
 
         let cfg = xmt_sim::XmtConfig::xmt_4k().scaled_to(2);
-        let mut mach = xmt_sim::MachineBuilder::new(&cfg, prog).mem_words(8).build();
+        let mut mach = xmt_sim::SimConfig::new(&cfg).builder(prog).mem_words(8).build();
         mach.run().unwrap();
         prop_assert_eq!(interp.mem[0], mach.mem[0]);
         prop_assert_eq!(interp.mem[1], mach.mem[1]);
@@ -187,7 +187,7 @@ proptest! {
         let mut interp = xmt_isa::Interp::new(64);
         interp.run(&prog).unwrap();
         let cfg = xmt_sim::XmtConfig::xmt_4k().scaled_to(2);
-        let mut mach = xmt_sim::MachineBuilder::new(&cfg, prog).mem_words(64).build();
+        let mut mach = xmt_sim::SimConfig::new(&cfg).builder(prog).mem_words(64).build();
         mach.run().unwrap();
         for t in 0..threads {
             prop_assert_eq!(interp.mem[t as usize], eval(&e, t, 7));
