@@ -10,7 +10,7 @@
 
 use xmt_bench::{render_table, run_plan_validated, sample_wave};
 use xmt_fft::plan::XmtFftPlan;
-use xmt_sim::XmtConfig;
+use xmt_sim::{perfmodel::gflops, XmtConfig};
 
 pub fn run(_: &crate::Args) {
     let n = 4096usize; // 2^12 = 8^4 = 4^6 = 2^12: all three radices apply
@@ -34,7 +34,7 @@ pub fn run(_: &crate::Args) {
             s.mem_reads.to_string(),
             s.mem_writes.to_string(),
             s.flops.to_string(),
-            format!("{:.1}", s.flops as f64 * cfg.clock_ghz / s.cycles as f64),
+            format!("{:.1}", gflops(s.flops as f64, s.cycles as f64)),
         ]);
     }
     println!(

@@ -15,13 +15,13 @@ pub fn run(_: &crate::Args) {
         let demands = stage_demands(&[512, 512, 512], cfg);
         let e = phase_energy(cfg, &demands);
         let flops: f64 = demands.iter().map(|d| d.flops).sum();
-        let seconds = proj.total_cycles / (cfg.clock_ghz * 1e9);
+        let seconds = proj.total_cycles / (XmtConfig::CLOCK_GHZ * 1e9);
         rows.push(vec![
             cfg.name.to_string(),
             format!("{:.2}", e.total_j()),
             format!("{:.0}%", 100.0 * e.data_movement_fraction()),
             format!("{:.1}", e.total_j() / seconds),
-            format!("{:.1}", gflops_per_watt(cfg, flops, &e, proj.total_cycles)),
+            format!("{:.1}", gflops_per_watt(flops, &e, proj.total_cycles)),
             format!("{:.1}", seconds * 1e3),
         ]);
     }
@@ -56,7 +56,7 @@ pub fn run(_: &crate::Args) {
     let ex = phase_energy(&xmt, &demands);
     let flops: f64 = demands.iter().map(|d| d.flops).sum();
     let proj = xmt_fft::project(&xmt, &[512, 512, 512]);
-    let x_gfw = gflops_per_watt(&xmt, flops, &ex, proj.total_cycles);
+    let x_gfw = gflops_per_watt(flops, &ex, proj.total_cycles);
     println!(
         "XMT 128k x4: {x_gfw:.1} GFLOPS/W — {:.0}x the cluster's FFT energy efficiency.",
         x_gfw / e_gfw

@@ -126,7 +126,9 @@ pub fn run(args: &crate::Args) {
         ("cluster 3 + channel 1", &[3], &[1]),
     ];
     for &(label, clusters, channels) in shapes {
-        let sim = SimConfig::new(&big).degraded(clusters, channels).probed(64);
+        let mut sim = SimConfig::new(&big).probed(64);
+        sim.faults.dead_clusters = clusters.to_vec();
+        sim.faults.dead_channels = channels.to_vec();
         match run_fft(&sim, &big_input) {
             Ok((cycles, _, err)) => {
                 if base == 0 {

@@ -24,7 +24,10 @@ pub fn run(_: &crate::Args) {
         .row("DRAM Channels", cfgs.iter().map(|c| c.dram_channels()))
         .row("FPUs per Cluster", cfgs.iter().map(|c| c.fpus_per_cluster))
         .row("TCUs per Cluster", cfgs.iter().map(|c| c.tcus_per_cluster))
-        .row("ALUs per Cluster", cfgs.iter().map(|c| c.alus_per_cluster))
+        .row(
+            "ALUs per Cluster",
+            cfgs.iter().map(|c| c.alus_per_cluster()),
+        )
         .row("MDUs per Cluster", cfgs.iter().map(|c| c.mdus_per_cluster))
         .row("LSUs per Cluster", cfgs.iter().map(|c| c.lsus_per_cluster))
         .row(

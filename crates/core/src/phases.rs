@@ -194,8 +194,8 @@ pub fn project(cfg: &XmtConfig, dims: &[usize]) -> FftProjection {
     FftProjection {
         config_name: cfg.name,
         dims: dims.to_vec(),
-        gflops_convention: gflops(cfg, conv, total_cycles),
-        gflops_actual: gflops(cfg, actual, total_cycles),
+        gflops_convention: gflops(conv, total_cycles),
+        gflops_actual: gflops(actual, total_cycles),
         total_cycles,
         phases,
         demands,

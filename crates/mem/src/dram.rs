@@ -44,14 +44,15 @@ pub struct EccConfig {
     /// uncorrectable flip iff the *low* 32 bits fall below this.
     /// A double flip takes precedence over a single on the same index.
     pub p_double: u32,
-    /// Re-reads attempted for a double-bit error before the transfer
-    /// is completed anyway and counted unrecoverable.
-    pub retry_limit: u32,
 }
 
 impl EccConfig {
+    /// Re-reads attempted for a double-bit error before the transfer
+    /// is completed anyway and counted unrecoverable.
+    pub const RETRY_LIMIT: u32 = 2;
+
     /// ECC injection with the given per-transfer single/double flip
-    /// probabilities and a default retry budget of 2 re-reads.
+    /// probabilities.
     pub fn new(seed: u64, p_single: f64, p_double: f64) -> Self {
         let th = |p: f64| {
             assert!((0.0..=1.0).contains(&p), "probability out of [0,1]: {p}");
@@ -61,14 +62,7 @@ impl EccConfig {
             seed,
             p_single: th(p_single),
             p_double: th(p_double),
-            retry_limit: 2,
         }
-    }
-
-    /// Override the double-bit retry budget.
-    pub fn retry_limit(mut self, limit: u32) -> Self {
-        self.retry_limit = limit;
-        self
     }
 }
 
@@ -271,7 +265,7 @@ impl DramChannel {
                     let single = ((h >> 32) as u32) < ecc.p_single;
                     if double {
                         self.stats.ecc_detected += 1;
-                        if self.current_retries < ecc.retry_limit {
+                        if self.current_retries < EccConfig::RETRY_LIMIT {
                             // Detected double-bit error: re-read the
                             // line. The row is still open, so the
                             // retry pays the burst only.
@@ -487,7 +481,7 @@ mod tests {
     fn ecc_double_bit_retries_then_gives_up() {
         let mut clean = chan(10);
         let mut faulty = chan(10);
-        faulty.enable_ecc(EccConfig::new(2, 0.0, 1.0).retry_limit(3));
+        faulty.enable_ecc(EccConfig::new(2, 0.0, 1.0));
         for c in [&mut clean, &mut faulty] {
             c.enqueue(DramReq {
                 line: 9,
@@ -497,11 +491,11 @@ mod tests {
         }
         let a = run_to_done(&mut clean);
         let b = run_to_done(&mut faulty);
-        // Three re-reads, each one burst (4 cycles) with the row open.
-        assert_eq!(b.finished_at, a.finished_at + 3 * 4);
+        // Two re-reads, each one burst (4 cycles) with the row open.
+        assert_eq!(b.finished_at, a.finished_at + 2 * 4);
         assert_eq!(b.req, a.req);
-        assert_eq!(faulty.stats.ecc_detected, 4);
-        assert_eq!(faulty.stats.ecc_retries, 3);
+        assert_eq!(faulty.stats.ecc_detected, 3);
+        assert_eq!(faulty.stats.ecc_retries, 2);
         assert_eq!(faulty.stats.ecc_unrecoverable, 1);
         assert_eq!(faulty.stats.reads, 1, "the transfer still completes once");
     }

@@ -54,34 +54,21 @@ pub struct LinkFaults {
     /// Corruption threshold: delivery `k` is corrupted iff the low 32
     /// bits of `fault_hash(seed, k)` are below this value.
     pub p_corrupt: u32,
-    /// Redelivery attempts before a corrupted flit is delivered anyway.
-    pub retry_limit: u32,
-    /// Base backoff in cycles; attempt `a` waits `backoff_base << a`.
-    pub backoff_base: u64,
 }
 
 impl LinkFaults {
+    /// Redelivery attempts before a corrupted flit is delivered anyway.
+    pub const RETRY_LIMIT: u32 = 4;
+    /// Base backoff in cycles; attempt `a` waits `BACKOFF_BASE << a`.
+    pub const BACKOFF_BASE: u64 = 2;
+
     /// Link faults with corruption probability `p_corrupt` per
-    /// delivery and default retry policy (4 attempts, base backoff 2).
+    /// delivery.
     pub fn new(seed: u64, p_corrupt: f64) -> Self {
         LinkFaults {
             seed,
             p_corrupt: probability_threshold(p_corrupt),
-            retry_limit: 4,
-            backoff_base: 2,
         }
-    }
-
-    /// Override the retry budget.
-    pub fn retry_limit(mut self, limit: u32) -> Self {
-        self.retry_limit = limit;
-        self
-    }
-
-    /// Override the base backoff (cycles before the first retry).
-    pub fn backoff_base(mut self, base: u64) -> Self {
-        self.backoff_base = base.max(1);
-        self
     }
 }
 
@@ -167,10 +154,10 @@ impl FaultyNetwork {
         let k = self.deliveries;
         self.deliveries += 1;
         let corrupt = self.corrupts(k);
-        if corrupt && attempt < self.faults.retry_limit {
+        if corrupt && attempt < LinkFaults::RETRY_LIMIT {
             self.corrupted += 1;
             self.retried += 1;
-            let ready_at = now + (self.faults.backoff_base << attempt);
+            let ready_at = now + (LinkFaults::BACKOFF_BASE << attempt);
             let seq = self.seq;
             self.seq += 1;
             self.retries.push(Reverse(Retry {

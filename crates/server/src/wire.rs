@@ -13,14 +13,18 @@
 //! Every decoder is total: arbitrary, truncated or bit-flipped input
 //! returns a typed error — never a panic, never an over-read, never an
 //! attacker-sized allocation (length prefixes are bounded by the
-//! remaining payload, request fields carry explicit sanity bounds, and
-//! the architecture must pass [`XmtConfig::validate`], so no request
-//! that decodes can panic a machine constructor).
+//! remaining payload, each architecture word is checked against its
+//! row of [`xmt_sim::config::ARCH_WORDS`] — a field's bound before the
+//! word is narrowed, a derived or constant value's equality — the
+//! retry-policy words must equal [`FaultPlan::RETRY_POLICY`], and the
+//! architecture must pass [`XmtConfig::validate`], so no request that
+//! decodes can panic a machine constructor or a run).
 //! `tests/tests/wire_properties.rs` fuzzes this contract.
 
 use crate::request::{SimRequest, WorkloadSpec};
 use xmt_sim::bytes::put_u64s;
 pub(crate) use xmt_sim::bytes::{put_str, put_u32, put_u64, put_words, Reader};
+use xmt_sim::config::ARCH_WORDS;
 use xmt_sim::{
     Engine, FaultPlan, IntervalRow, MachineStats, RunReport, SimConfig, SpawnStats,
     TranslationTier, UtilizationReport, XmtConfig,
@@ -256,41 +260,20 @@ fn put_sim_config(b: &mut Vec<u8>, s: &SimConfig) {
 
 fn put_xmt_config(b: &mut Vec<u8>, a: &XmtConfig) {
     put_str(b, a.name);
-    for v in [
-        a.tcus() as u64,
-        a.clusters as u64,
-        a.tcus_per_cluster as u64,
-        a.memory_modules as u64,
-        a.mm_per_dram_ctrl as u64,
-        a.fpus_per_cluster as u64,
-        a.alus_per_cluster as u64,
-        a.mdus_per_cluster as u64,
-        a.lsus_per_cluster as u64,
-        u64::from(a.mot_levels),
-        u64::from(a.butterfly_levels),
-        a.clock_ghz.to_bits(),
-        u64::from(a.tech_nm),
-        u64::from(a.si_layers),
-        a.cache.lines as u64,
-        a.cache.ways as u64,
-        a.cache.line_words as u64,
-        u64::from(a.cache.hit_latency),
-        a.dram.bytes_per_cycle.to_bits(),
-        u64::from(a.dram.access_latency),
-        u64::from(a.dram.line_bytes),
-    ] {
-        put_u64(b, v);
+    for w in &ARCH_WORDS {
+        put_u64(b, (w.get)(a));
     }
 }
 
 fn put_fault_plan(b: &mut Vec<u8>, f: &FaultPlan) {
+    let (dram_retry, noc_retry, noc_backoff) = FaultPlan::RETRY_POLICY;
     put_u64(b, f.seed);
     put_u64(b, f.dram_single.to_bits());
     put_u64(b, f.dram_double.to_bits());
-    put_u32(b, f.dram_retry_limit);
+    put_u32(b, dram_retry);
     put_u64(b, f.noc_corrupt.to_bits());
-    put_u32(b, f.noc_retry_limit);
-    put_u64(b, f.noc_backoff_base);
+    put_u32(b, noc_retry);
+    put_u64(b, noc_backoff);
     put_usizes(b, f.dead_clusters.iter().copied());
     put_usizes(b, f.dead_tcus.iter().flat_map(|t| [t.cluster, t.tcu]));
     put_usizes(b, f.stuck_tcus.iter().flat_map(|t| [t.cluster, t.tcu]));
@@ -335,16 +318,6 @@ fn bounded_usize(r: &mut Reader<'_>, max: u64, what: &'static str) -> Result<usi
         return Err(what);
     }
     Ok(v as usize)
-}
-
-/// A `u32` carried in a `u64` word: checked against `max` (at most
-/// `u32::MAX`) before the narrowing, so no high bit is dropped.
-fn bounded_u32(r: &mut Reader<'_>, max: u32, what: &'static str) -> Result<u32, &'static str> {
-    let v = r.u64()?;
-    if v > u64::from(max) {
-        return Err(what);
-    }
-    Ok(v as u32)
 }
 
 fn sim_config(r: &mut Reader<'_>) -> Result<SimConfig, &'static str> {
@@ -399,32 +372,22 @@ fn xmt_config(r: &mut Reader<'_>) -> Result<XmtConfig, &'static str> {
         .into_iter()
         .find(|c| c.name == name)
         .ok_or("unknown architecture name")?;
-    // The total is `clusters × tcus_per_cluster`; the word is kept so
-    // request bytes stay the same, and must agree.
-    let tcus = r.u64()?;
-    cfg.clusters = bounded_usize(r, 1 << 14, "clusters exceeds bound")?;
-    cfg.tcus_per_cluster = bounded_usize(r, 1 << 10, "tcus/cluster exceeds bound")?;
-    if tcus != cfg.tcus() as u64 {
-        return Err("tcus disagrees with clusters x tcus/cluster");
+    let mut words = [0; ARCH_WORDS.len()];
+    for (word, w) in words.iter_mut().zip(&ARCH_WORDS) {
+        *word = r.u64()?;
+        if *word > w.max {
+            return Err("architecture word exceeds its bound");
+        }
+        if let Some(set) = w.set {
+            set(&mut cfg, *word);
+        }
     }
-    cfg.memory_modules = bounded_usize(r, 1 << 14, "memory modules exceed bound")?;
-    cfg.mm_per_dram_ctrl = bounded_usize(r, 1 << 14, "mm/ctrl exceeds bound")?;
-    cfg.fpus_per_cluster = bounded_usize(r, 1 << 10, "fpus/cluster exceeds bound")?;
-    cfg.alus_per_cluster = bounded_usize(r, 1 << 10, "alus/cluster exceeds bound")?;
-    cfg.mdus_per_cluster = bounded_usize(r, 1 << 10, "mdus/cluster exceeds bound")?;
-    cfg.lsus_per_cluster = bounded_usize(r, 1 << 10, "lsus/cluster exceeds bound")?;
-    cfg.mot_levels = bounded_u32(r, 32, "noc levels exceed bound")?;
-    cfg.butterfly_levels = bounded_u32(r, 32, "noc levels exceed bound")?;
-    cfg.clock_ghz = f64::from_bits(r.u64()?);
-    cfg.tech_nm = bounded_u32(r, u32::MAX, "tech node exceeds u32")?;
-    cfg.si_layers = bounded_u32(r, u32::MAX, "si layers exceed u32")?;
-    cfg.cache.lines = bounded_usize(r, 1 << 20, "cache lines exceed bound")?;
-    cfg.cache.ways = bounded_usize(r, 1 << 8, "cache ways exceed bound")?;
-    cfg.cache.line_words = bounded_usize(r, 1 << 8, "cache line words exceed bound")?;
-    cfg.cache.hit_latency = bounded_u32(r, u32::MAX, "hit latency exceeds u32")?;
-    cfg.dram.bytes_per_cycle = f64::from_bits(r.u64()?);
-    cfg.dram.access_latency = bounded_u32(r, u32::MAX, "dram latency exceeds u32")?;
-    cfg.dram.line_bytes = bounded_u32(r, u32::MAX, "dram line bytes exceed u32")?;
+    // A derived word can be checked only once every field is read.
+    for (&word, w) in words.iter().zip(&ARCH_WORDS) {
+        if w.set.is_none() && word != (w.get)(&cfg) {
+            return Err("architecture word disagrees with its fixed or derived value");
+        }
+    }
     cfg.validate()?;
     Ok(cfg)
 }
@@ -433,10 +396,11 @@ fn fault_plan(r: &mut Reader<'_>) -> Result<FaultPlan, &'static str> {
     let mut f = FaultPlan::new(r.u64()?);
     f.dram_single = f64::from_bits(r.u64()?);
     f.dram_double = f64::from_bits(r.u64()?);
-    f.dram_retry_limit = r.u32()?;
+    let dram_retry = r.u32()?;
     f.noc_corrupt = f64::from_bits(r.u64()?);
-    f.noc_retry_limit = r.u32()?;
-    f.noc_backoff_base = r.u64()?;
+    if (dram_retry, r.u32()?, r.u64()?) != FaultPlan::RETRY_POLICY {
+        return Err("retry policy words disagree with the fixed policy");
+    }
     f.dead_clusters = component_list(r)?;
     f.dead_tcus = tcu_list(r)?;
     f.stuck_tcus = tcu_list(r)?;

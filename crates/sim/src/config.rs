@@ -1,11 +1,13 @@
 //! XMT architecture configurations (Table II of the paper) and scaled
-//! variants for tractable cycle simulation.
+//! variants for tractable cycle simulation, and [`ARCH_WORDS`], the one
+//! list of their numeric values requests and cache keys are made from.
 
 use xmt_mem::{CacheConfig, DramConfig};
 use xmt_noc::Topology;
 
 /// One architecture configuration: the machine-organization row set of
-/// Table II plus clocking and memory parameters.
+/// Table II plus technology and memory parameters. A field added here
+/// needs a row in [`ARCH_WORDS`], or requests and cache keys miss it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct XmtConfig {
     /// Human-readable name ("4k", "8k", "64k", "128k x2", "128k x4").
@@ -20,8 +22,6 @@ pub struct XmtConfig {
     pub mm_per_dram_ctrl: usize,
     /// The `fpus_per_cluster` value.
     pub fpus_per_cluster: usize,
-    /// ALUs per cluster (one per TCU in every paper configuration).
-    pub alus_per_cluster: usize,
     /// The `mdus_per_cluster` value.
     pub mdus_per_cluster: usize,
     /// The `lsus_per_cluster` value.
@@ -30,8 +30,6 @@ pub struct XmtConfig {
     pub mot_levels: u32,
     /// The `butterfly_levels` value.
     pub butterfly_levels: u32,
-    /// Core clock in GHz (the paper assumes 3.3 GHz throughout).
-    pub clock_ghz: f64,
     /// Technology node in nm (Table III).
     pub tech_nm: u32,
     /// 3D-VLSI silicon layers (Table III).
@@ -43,6 +41,14 @@ pub struct XmtConfig {
 }
 
 impl XmtConfig {
+    /// Core clock in GHz: the paper assumes 3.3 GHz throughout.
+    pub const CLOCK_GHZ: f64 = 3.3;
+
+    /// ALUs per cluster: one per TCU in every paper configuration.
+    pub fn alus_per_cluster(&self) -> usize {
+        self.tcus_per_cluster
+    }
+
     /// Total TCUs: `clusters × tcus_per_cluster` (Table II's first row).
     pub fn tcus(&self) -> usize {
         self.clusters * self.tcus_per_cluster
@@ -94,6 +100,11 @@ impl XmtConfig {
         if !cache.line_words.is_power_of_two() || cache.line_words < 4 {
             return Err("cache line must be a power of two of at least 4 words");
         }
+        // A channel bills `line_bytes` per fill; the traffic model
+        // predicts a cache line's bytes.
+        if cache.line_words.checked_mul(4) != Some(self.dram.line_bytes as usize) {
+            return Err("DRAM line bytes must equal the cache line's (4 per word)");
+        }
         // A line's burst must be a cycle count the clock can add.
         let rate = self.dram.bytes_per_cycle;
         if rate.is_nan() || rate <= 0.0 || self.dram.burst_cycles() > 1 << 32 {
@@ -119,12 +130,12 @@ impl XmtConfig {
 
     /// Peak floating-point rate in GFLOPS (one FLOP per FPU per cycle).
     pub fn peak_gflops(&self) -> f64 {
-        (self.clusters * self.fpus_per_cluster) as f64 * self.clock_ghz
+        (self.clusters * self.fpus_per_cluster) as f64 * Self::CLOCK_GHZ
     }
 
     /// Peak off-chip bandwidth in GB/s.
     pub fn peak_dram_gbs(&self) -> f64 {
-        self.dram_channels() as f64 * self.dram.bytes_per_cycle * self.clock_ghz
+        self.dram_channels() as f64 * self.dram.bytes_per_cycle * Self::CLOCK_GHZ
     }
 
     /// Total on-chip cache in MiB.
@@ -142,12 +153,10 @@ impl XmtConfig {
             memory_modules: 128,
             mm_per_dram_ctrl: 8,
             fpus_per_cluster: 1,
-            alus_per_cluster: 32,
             mdus_per_cluster: 1,
             lsus_per_cluster: 1,
             mot_levels: 14,
             butterfly_levels: 0,
-            clock_ghz: 3.3,
             tech_nm: 22,
             si_layers: 1,
             cache: CacheConfig::default_module(),
@@ -251,6 +260,83 @@ impl XmtConfig {
     }
 }
 
+/// One numeric value of an [`XmtConfig`]: a `u64` word in a request,
+/// `key=value` in a cache key.
+pub struct ArchWord {
+    /// Its [`crate::SimConfig::cache_canon`] key; empty if left out.
+    pub key: &'static str,
+    /// The `cache_canon` line: 0 machine, 1 cache, 2 DRAM.
+    pub line: u8,
+    /// The word is an `f64`'s bits, printed as 16 hex digits.
+    pub float: bool,
+    /// The word, read from a configuration.
+    pub get: fn(&XmtConfig) -> u64,
+    /// Store a decoded word; `None` for a derived or constant value,
+    /// which the word must equal.
+    pub set: Option<fn(&mut XmtConfig, u64)>,
+    /// The largest word a decoder accepts, checked before `set` narrows.
+    pub max: u64,
+}
+
+/// A row of [`ARCH_WORDS`]: a derived or constant value read by
+/// `$get`, or a settable field at `$($f).+` bounded by `$max`.
+macro_rules! word {
+    (fixed $key:literal, $line:literal, $float:literal, $get:expr) => {
+        ArchWord {
+            key: $key,
+            line: $line,
+            float: $float,
+            get: $get,
+            set: None,
+            max: u64::MAX,
+        }
+    };
+    ($key:literal, $line:literal, $($f:ident).+, $max:expr) => {
+        ArchWord {
+            key: $key,
+            line: $line,
+            float: false,
+            get: |a| a.$($f).+ as u64,
+            set: Some(|a, w| a.$($f).+ = w as _),
+            max: $max,
+        }
+    };
+}
+
+/// Every numeric value of an [`XmtConfig`], in request order. The
+/// request codec and [`crate::SimConfig::cache_canon`] iterate it and
+/// name no field themselves.
+pub const ARCH_WORDS: [ArchWord; 21] = [
+    word!(fixed "", 0, false, |a| a.tcus() as u64),
+    word!("clusters", 0, clusters, 1 << 14),
+    word!("tpc", 0, tcus_per_cluster, 1 << 10),
+    word!("mm", 0, memory_modules, 1 << 14),
+    word!("mmpc", 0, mm_per_dram_ctrl, 1 << 14),
+    word!("fpus", 0, fpus_per_cluster, 1 << 10),
+    word!(fixed "alus", 0, false, |a| a.alus_per_cluster() as u64),
+    word!("mdus", 0, mdus_per_cluster, 1 << 10),
+    word!("lsus", 0, lsus_per_cluster, 1 << 10),
+    word!("mot", 0, mot_levels, 32),
+    word!("bfly", 0, butterfly_levels, 32),
+    word!(fixed "clock", 0, true, |_| XmtConfig::CLOCK_GHZ.to_bits()),
+    word!("nm", 0, tech_nm, u32::MAX as u64),
+    word!("layers", 0, si_layers, u32::MAX as u64),
+    word!("cache_lines", 1, cache.lines, 1 << 20),
+    word!("cache_ways", 1, cache.ways, 1 << 8),
+    word!("cache_lw", 1, cache.line_words, 1 << 8),
+    word!("cache_hit", 1, cache.hit_latency, u32::MAX as u64),
+    ArchWord {
+        key: "dram_bpc",
+        line: 2,
+        float: true,
+        get: |a| a.dram.bytes_per_cycle.to_bits(),
+        set: Some(|a, w| a.dram.bytes_per_cycle = f64::from_bits(w)),
+        max: u64::MAX,
+    },
+    word!("dram_lat", 2, dram.access_latency, u32::MAX as u64),
+    word!("dram_lb", 2, dram.line_bytes, u32::MAX as u64),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +358,7 @@ mod tests {
         assert_eq!(fpus, vec![1, 1, 1, 2, 4]);
         for c in &cfgs {
             assert_eq!(c.tcus_per_cluster, 32);
-            assert_eq!(c.alus_per_cluster, 32);
+            assert_eq!(c.alus_per_cluster(), 32);
             assert_eq!(c.mdus_per_cluster, 1);
             assert_eq!(c.lsus_per_cluster, 1);
         }

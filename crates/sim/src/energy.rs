@@ -105,9 +105,9 @@ pub fn phase_energy(cfg: &XmtConfig, demands: &[PhaseDemand]) -> EnergyBreakdown
 }
 
 /// Energy efficiency in GFLOPS per watt given a flop count, energy and
-/// elapsed cycles at the configuration clock.
-pub fn gflops_per_watt(cfg: &XmtConfig, flops: f64, energy: &EnergyBreakdown, cycles: f64) -> f64 {
-    let seconds = cycles / (cfg.clock_ghz * 1e9);
+/// elapsed cycles at [`XmtConfig::CLOCK_GHZ`].
+pub fn gflops_per_watt(flops: f64, energy: &EnergyBreakdown, cycles: f64) -> f64 {
+    let seconds = cycles / (XmtConfig::CLOCK_GHZ * 1e9);
     let watts = energy.total_j() / seconds;
     (flops / seconds / 1e9) / watts
 }
@@ -173,7 +173,7 @@ mod tests {
         for cfg in XmtConfig::paper_configs() {
             let proj = crate_project(&cfg);
             let e = phase_energy(&cfg, &proj.0);
-            let seconds = proj.1 / (cfg.clock_ghz * 1e9);
+            let seconds = proj.1 / (XmtConfig::CLOCK_GHZ * 1e9);
             let avg_w = e.total_j() / seconds;
             let peak_w = crate::physical::summarize(&cfg).peak_power_w;
             assert!(
@@ -217,13 +217,13 @@ mod tests {
         let (d4, c4) = crate_project(&XmtConfig::xmt_4k());
         let e4 = phase_energy(&XmtConfig::xmt_4k(), &d4);
         let f4 = d4.iter().map(|d| d.flops).sum::<f64>();
-        let eff4 = gflops_per_watt(&XmtConfig::xmt_4k(), f4, &e4, c4);
+        let eff4 = gflops_per_watt(f4, &e4, c4);
 
         let cfg = XmtConfig::xmt_128k_x4();
         let (dx, cx) = crate_project(&cfg);
         let ex = phase_energy(&cfg, &dx);
         let fx = dx.iter().map(|d| d.flops).sum::<f64>();
-        let effx = gflops_per_watt(&cfg, fx, &ex, cx);
+        let effx = gflops_per_watt(fx, &ex, cx);
         assert!(
             effx > eff4,
             "photonic 14 nm config must be more efficient: {effx:.1} vs {eff4:.1} GF/W"

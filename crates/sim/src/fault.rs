@@ -34,14 +34,8 @@ pub struct FaultPlan {
     pub dram_single: f64,
     /// Per-read probability of a detectable double-bit DRAM flip.
     pub dram_double: f64,
-    /// Bounded in-place retries after a detected double-bit flip.
-    pub dram_retry_limit: u32,
     /// Per-delivery probability of NoC flit corruption.
     pub noc_corrupt: f64,
-    /// Bounded redeliveries after a corrupted flit.
-    pub noc_retry_limit: u32,
-    /// Exponential backoff base for NoC redelivery (cycles).
-    pub noc_backoff_base: u64,
     /// Clusters whose TCUs never activate (threads remap around them).
     pub dead_clusters: Vec<usize>,
     /// Individual TCUs that never activate.
@@ -55,16 +49,22 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The fault layers' fixed retry policy — DRAM re-reads, NoC
+    /// redeliveries, NoC backoff base in cycles — as the three words
+    /// requests and cache keys carry.
+    pub const RETRY_POLICY: (u32, u32, u64) = (
+        EccConfig::RETRY_LIMIT,
+        LinkFaults::RETRY_LIMIT,
+        LinkFaults::BACKOFF_BASE,
+    );
+
     /// A plan with the given master seed and no faults.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             dram_single: 0.0,
             dram_double: 0.0,
-            dram_retry_limit: 2,
             noc_corrupt: 0.0,
-            noc_retry_limit: 4,
-            noc_backoff_base: 2,
             dead_clusters: Vec::new(),
             dead_tcus: Vec::new(),
             stuck_tcus: Vec::new(),
@@ -134,14 +134,11 @@ impl FaultPlan {
         if self.dram_single == 0.0 && self.dram_double == 0.0 {
             return None;
         }
-        Some(
-            EccConfig::new(
-                self.stream(0x1000 + ch as u64),
-                self.dram_single,
-                self.dram_double,
-            )
-            .retry_limit(self.dram_retry_limit),
-        )
+        Some(EccConfig::new(
+            self.stream(0x1000 + ch as u64),
+            self.dram_single,
+            self.dram_double,
+        ))
     }
 
     /// Link-fault configuration for the request NoC, or `None` when the
@@ -160,11 +157,7 @@ impl FaultPlan {
         if self.noc_corrupt == 0.0 {
             return None;
         }
-        Some(
-            LinkFaults::new(self.stream(domain), self.noc_corrupt)
-                .retry_limit(self.noc_retry_limit)
-                .backoff_base(self.noc_backoff_base),
-        )
+        Some(LinkFaults::new(self.stream(domain), self.noc_corrupt))
     }
 }
 

@@ -1825,7 +1825,7 @@ mod tests {
         let cfg = XmtConfig::xmt_4k().scaled_to(16);
         assert!(cfg.dram_channels() >= 2, "need two channels to kill one");
         let mut m = SimConfig::new(&cfg)
-            .degraded(&[], &[1])
+            .faults(FaultPlan::new(0).dead_channel(1))
             .builder(spawn_store_tids(64))
             .mem_words(256)
             .build();

@@ -357,12 +357,10 @@ word_codec!(
 );
 
 impl SpawnStats {
-    /// Achieved GFLOPS (actual FLOP count) at `clock_ghz`.
-    pub fn gflops(&self, clock_ghz: f64) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.flops as f64 * clock_ghz / self.cycles as f64
+    /// Achieved GFLOPS (actual FLOP count) at
+    /// [`crate::XmtConfig::CLOCK_GHZ`].
+    pub fn gflops(&self) -> f64 {
+        crate::perfmodel::gflops(self.flops as f64, self.cycles as f64)
     }
 
     /// Operational intensity in FLOPs per DRAM byte.

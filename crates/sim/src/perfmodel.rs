@@ -128,13 +128,13 @@ pub fn run_phases(cfg: &XmtConfig, demands: &[PhaseDemand]) -> (Vec<PhaseTime>, 
     (times, total)
 }
 
-/// GFLOPS achieved by `flops` (any convention) over `cycles` at the
-/// configuration's clock.
-pub fn gflops(cfg: &XmtConfig, flops: f64, cycles: f64) -> f64 {
+/// GFLOPS achieved by `flops` (any convention) over `cycles` at
+/// [`XmtConfig::CLOCK_GHZ`].
+pub fn gflops(flops: f64, cycles: f64) -> f64 {
     if cycles <= 0.0 {
         return 0.0;
     }
-    flops * cfg.clock_ghz / cycles
+    flops * XmtConfig::CLOCK_GHZ / cycles
 }
 
 #[cfg(test)]
@@ -209,8 +209,7 @@ mod tests {
 
     #[test]
     fn gflops_at_clock() {
-        let cfg = XmtConfig::xmt_4k();
         // 3.3e9 flops in 1e9 cycles at 3.3 GHz = 10.89 GFLOPS.
-        assert!((gflops(&cfg, 3.3e9, 1e9) - 10.89).abs() < 1e-9);
+        assert!((gflops(3.3e9, 1e9) - 10.89).abs() < 1e-9);
     }
 }

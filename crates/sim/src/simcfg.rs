@@ -1,16 +1,17 @@
 //! [`SimConfig`] — a simulation request as a plain value.
 //!
-//! Every knob a machine has — architecture, engine, tier, faults,
-//! degradation, watchdog, cycle limit, starting memory size, probe
-//! interval — is a field of [`SimConfig`], and only there: the whole
-//! value is `Clone + PartialEq`, and [`SimConfig::builder`] is the one
-//! way to a [`MachineBuilder`], which adds nothing but the program and
-//! its memory image.
+//! Every knob a machine has — architecture, engine, tier, fault plan
+//! (dead components included), watchdog, cycle limit, starting memory
+//! size, probe interval — is a field of [`SimConfig`], and only there:
+//! the whole value is `Clone + PartialEq`, and [`SimConfig::builder`]
+//! is the one way to a [`MachineBuilder`], which adds nothing but the
+//! program and its memory image.
 //!
 //! Because the workspace is vendored-offline (no serde), the value
 //! carries its own canonical encoding: [`SimConfig::cache_canon`]
 //! renders every field that can change a run's results — floats
-//! bit-exactly via `to_bits` — into a stable `key=value` text, and
+//! bit-exactly via `to_bits`, the architecture from
+//! [`crate::config::ARCH_WORDS`] — into a stable `key=value` text, and
 //! [`SimConfig::digest`] folds that text together with a program
 //! digest into the content address the result cache and job queue key
 //! on. The cache key deliberately **excludes the engine and the probe
@@ -19,11 +20,12 @@
 //! cache entirely; it **includes the tier**, matching the service
 //! contract in DESIGN.md §16.
 
-use crate::config::XmtConfig;
+use crate::config::{XmtConfig, ARCH_WORDS};
 use crate::fault::FaultPlan;
 use crate::machine::{Engine, MachineBuilder};
 use crate::probe::IntervalProbe;
 use crate::tier::TranslationTier;
+use std::fmt::Write as _;
 use xmt_isa::codec::encode_program;
 use xmt_isa::Program;
 
@@ -120,17 +122,6 @@ impl SimConfig {
         self
     }
 
-    /// Graceful-degradation shorthand: take whole clusters and DRAM
-    /// channels offline by merging them into the fault plan. Spawned
-    /// threads remap around the dead clusters and the address hash
-    /// spreads lines over the surviving module groups, so a correct
-    /// program still produces correct output at reduced throughput.
-    pub fn degraded(mut self, dead_clusters: &[usize], dead_channels: &[usize]) -> Self {
-        self.faults.dead_clusters.extend_from_slice(dead_clusters);
-        self.faults.dead_channels.extend_from_slice(dead_channels);
-        self
-    }
-
     /// Override the watchdog no-progress horizon (default two million
     /// cycles; see [`crate::SimError::Stalled`]).
     pub fn watchdog(mut self, horizon: u64) -> Self {
@@ -186,50 +177,34 @@ impl SimConfig {
     /// *results* — architecture, tier, fault plan (seed included),
     /// watchdog, cycle limit, memory size — and nothing that cannot
     /// (engine, probe settings). Stable across runs and platforms,
-    /// floats rendered bit-exactly.
+    /// floats rendered bit-exactly. The architecture is printed from
+    /// [`ARCH_WORDS`], a line per group.
     pub fn cache_canon(&self) -> String {
-        let a = &self.arch;
         let f = &self.faults;
         let mut s = String::with_capacity(512);
-        s.push_str(&format!(
-            "arch={} clusters={} tpc={} mm={} mmpc={} fpus={} alus={} mdus={} lsus={} \
-             mot={} bfly={} clock={:016x} nm={} layers={}\n",
-            a.name,
-            a.clusters,
-            a.tcus_per_cluster,
-            a.memory_modules,
-            a.mm_per_dram_ctrl,
-            a.fpus_per_cluster,
-            a.alus_per_cluster,
-            a.mdus_per_cluster,
-            a.lsus_per_cluster,
-            a.mot_levels,
-            a.butterfly_levels,
-            a.clock_ghz.to_bits(),
-            a.tech_nm,
-            a.si_layers,
-        ));
-        s.push_str(&format!(
-            "cache_lines={} cache_ways={} cache_lw={} cache_hit={}\n",
-            a.cache.lines, a.cache.ways, a.cache.line_words, a.cache.hit_latency,
-        ));
-        s.push_str(&format!(
-            "dram_bpc={:016x} dram_lat={} dram_lb={}\n",
-            a.dram.bytes_per_cycle.to_bits(),
-            a.dram.access_latency,
-            a.dram.line_bytes,
-        ));
+        s.push_str("arch=");
+        s.push_str(self.arch.name);
+        let mut line = 0;
+        for w in ARCH_WORDS.iter().filter(|w| !w.key.is_empty()) {
+            s.push(if w.line == line { ' ' } else { '\n' });
+            line = w.line;
+            let v = (w.get)(&self.arch);
+            let _ = if w.float {
+                write!(s, "{}={v:016x}", w.key)
+            } else {
+                write!(s, "{}={v}", w.key)
+            };
+        }
+        s.push('\n');
         s.push_str(&format!("tier={}\n", tier_canon(&self.tier)));
+        let (dram_retry, noc_retry, noc_backoff) = FaultPlan::RETRY_POLICY;
         s.push_str(&format!(
-            "seed={} dram_single={:016x} dram_double={:016x} dram_retry={} \
-             noc_corrupt={:016x} noc_retry={} noc_backoff={}\n",
+            "seed={} dram_single={:016x} dram_double={:016x} dram_retry={dram_retry} \
+             noc_corrupt={:016x} noc_retry={noc_retry} noc_backoff={noc_backoff}\n",
             f.seed,
             f.dram_single.to_bits(),
             f.dram_double.to_bits(),
-            f.dram_retry_limit,
             f.noc_corrupt.to_bits(),
-            f.noc_retry_limit,
-            f.noc_backoff_base,
         ));
         s.push_str(&format!(
             "dead_clusters={:?} dead_tcus={:?} stuck_tcus={:?} dead_channels={:?}\n",
@@ -323,8 +298,13 @@ mod tests {
         let c = SimConfig::new(&arch)
             .engine(Engine::Threaded { threads: 3 })
             .tier(TranslationTier::Interpreter)
-            .faults(FaultPlan::new(9).dram_flips(1e-6, 1e-9).stuck_tcu(1, 2))
-            .degraded(&[3], &[0])
+            .faults(
+                FaultPlan::new(9)
+                    .dram_flips(1e-6, 1e-9)
+                    .stuck_tcu(1, 2)
+                    .dead_cluster(3)
+                    .dead_channel(0),
+            )
             .watchdog(10_000)
             .max_cycles(1 << 20)
             .probed(128)

@@ -18,11 +18,9 @@ use crate::probe::IntervalRow;
 use roofline::Platform;
 use std::fmt::Write as _;
 
-/// Microseconds per cycle at `clock_ghz` (trace_event timestamps are
-/// in microseconds).
-fn us_per_cycle(cfg: &XmtConfig) -> f64 {
-    1.0 / (cfg.clock_ghz * 1000.0)
-}
+/// Microseconds per cycle at the clock (trace_event timestamps are in
+/// microseconds).
+const US_PER_CYCLE: f64 = 1.0 / (XmtConfig::CLOCK_GHZ * 1000.0);
 
 fn counter(out: &mut String, name: &str, ts: f64, args: &[(&str, u64)]) {
     let _ = write!(
@@ -48,7 +46,6 @@ fn counter(out: &mut String, name: &str, ts: f64, args: &[(&str, u64)]) {
 /// becomes a `ph:"X"` duration event on its own track. Timestamps are
 /// microseconds of simulated time at the configuration's clock.
 pub fn chrome_trace(rows: &[IntervalRow], report: &RunReport, cfg: &XmtConfig) -> String {
-    let upc = us_per_cycle(cfg);
     let mut out = String::with_capacity(rows.len() * 256 + 4096);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let _ = writeln!(
@@ -57,7 +54,7 @@ pub fn chrome_trace(rows: &[IntervalRow], report: &RunReport, cfg: &XmtConfig) -
         cfg.name
     );
     for r in rows {
-        let ts = r.boundary as f64 * upc;
+        let ts = r.boundary as f64 * US_PER_CYCLE;
         counter(
             &mut out,
             "issue",
@@ -128,8 +125,8 @@ pub fn chrome_trace(rows: &[IntervalRow], report: &RunReport, cfg: &XmtConfig) -
              \"flops\":{},\"dram_bytes\":{}}}}},",
             s.index,
             s.threads,
-            s.start_cycle as f64 * upc,
-            s.cycles as f64 * upc,
+            s.start_cycle as f64 * US_PER_CYCLE,
+            s.cycles as f64 * US_PER_CYCLE,
             s.threads,
             s.cycles,
             s.flops,
@@ -189,7 +186,7 @@ pub fn phase_table(report: &RunReport, cfg: &XmtConfig) -> String {
         "spawn", "threads", "cycles", "GFLOPS", "FLOP/B", "%roof", "bound"
     );
     for s in &report.spawns {
-        let gf = s.gflops(cfg.clock_ghz);
+        let gf = s.gflops();
         let oi = s.intensity();
         let attain = plat.attainable(oi);
         let pct = if attain > 0.0 {

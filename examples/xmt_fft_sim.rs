@@ -63,7 +63,7 @@ fn main() {
             s.instructions,
             s.flops,
             s.dram_bytes,
-            s.gflops(cfg.clock_ghz)
+            s.gflops()
         );
     }
 
@@ -91,7 +91,7 @@ fn main() {
     let plat = Platform::new("scaled 4k", cfg.peak_gflops(), cfg.peak_dram_gbs());
     let dram_bytes: u64 = run.report.spawns.iter().map(|s| s.dram_bytes).sum();
     let oi = st.flops as f64 / dram_bytes.max(1) as f64;
-    let gf = st.flops as f64 * cfg.clock_ghz / st.cycles as f64;
+    let gf = st.flops as f64 * XmtConfig::CLOCK_GHZ / st.cycles as f64;
     println!(
         "\nroofline: intensity {:.2} FLOPs/byte, achieved {:.1} GFLOPS, attainable {:.1} ({:.0}% of roof)",
         oi,

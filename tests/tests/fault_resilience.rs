@@ -151,9 +151,11 @@ fn degraded_fft_validates_on_every_engine() {
             Engine::FastForward,
             Engine::Threaded { threads: 0 },
         ] {
-            let sim = SimConfig::new(&cfg)
-                .engine(engine)
-                .degraded(clusters, channels);
+            let sim = SimConfig::new(&cfg).engine(engine).faults(FaultPlan {
+                dead_clusters: clusters.to_vec(),
+                dead_channels: channels.to_vec(),
+                ..FaultPlan::default()
+            });
             let mut m = plan_builder_cfg(&plan, &sim, &x).build();
             m.run().expect(&format!("{clusters:?}/{channels:?}"));
             outs.push(read_result(&plan, &m));

@@ -13,10 +13,12 @@
 //! values stay exact under the same generators.
 
 use proptest::prelude::*;
+use xmt_mem::{CacheConfig, DramConfig};
 use xmt_server::journal::Record;
 use xmt_server::net::{self, Request};
 use xmt_server::{decode_report, decode_request, decode_row, encode_request, Journal, SimRequest};
-use xmt_sim::{Checkpoint, SimError, XmtConfig};
+use xmt_sim::config::ARCH_WORDS;
+use xmt_sim::{Checkpoint, FaultPlan, SimError, XmtConfig};
 
 /// All the golden names the request codec can carry.
 const NAMES: [&str; 3] = ["ps_tickets", "fft_radix8_n512", "spawn_storm"];
@@ -102,7 +104,7 @@ fn valid_frame(name: &str, lane_high: bool, token: u64) -> (u8, Vec<u8>) {
 /// Single-field changes to a request's machine geometry, each of which
 /// used to decode, be admitted, and then panic a machine constructor
 /// (or, for the DRAM rate, the first burst) on the worker thread.
-const BAD_GEOMETRY: [fn(&mut XmtConfig); 13] = [
+const BAD_GEOMETRY: [fn(&mut XmtConfig); 14] = [
     |a| a.tcus_per_cluster = 65,
     |a| a.clusters = 3,
     |a| a.memory_modules = 0,
@@ -116,6 +118,7 @@ const BAD_GEOMETRY: [fn(&mut XmtConfig); 13] = [
     |a| a.cache.line_words = 3,
     |a| a.dram.bytes_per_cycle = 0.0,
     |a| a.butterfly_levels = 31,
+    |a| a.dram.line_bytes = 64,
 ];
 
 /// Single-field changes a machine can be built from (whatever it then
@@ -192,16 +195,140 @@ fn u32_architecture_words_are_not_truncated() {
     }
 }
 
-/// The wire still carries the TCU total, which is
-/// `clusters × tcus_per_cluster`; a word that disagrees is an error.
+/// The wire still carries the TCU total (`clusters × tcus_per_cluster`),
+/// the ALUs per cluster (= TCUs per cluster) and the clock, which are
+/// derived or constant; a word that disagrees is an error.
 #[test]
 fn tcus_word_must_agree_with_the_geometry() {
     let base = SimRequest::golden("ps_tickets").unwrap();
+    let good = encode_request(&base);
     // The words run tcus, clusters, tcus/cluster, memory modules.
-    let at = word_at(&base, |a| a.memory_modules *= 2) - 3 * 8;
-    let mut bad = encode_request(&base);
-    bad[at] ^= 1;
-    assert!(decode_request(&bad).is_err());
+    let start = word_at(&base, |a| a.memory_modules *= 2) - 3 * 8;
+    for (i, w) in ARCH_WORDS.iter().enumerate() {
+        if w.set.is_none() {
+            let mut bad = good.clone();
+            bad[start + 8 * i] ^= 1;
+            assert!(decode_request(&bad).is_err(), "word {i} {}", w.key);
+        }
+    }
+}
+
+/// The NoC retry budget and backoff are fixed
+/// (`FaultPlan::RETRY_POLICY`); the words a request still carries for
+/// them must equal it. A backoff of `u64::MAX` used to decode and then
+/// overflow the NoC's retry clock, and 65 retries shift it by 64.
+#[test]
+fn retry_policy_words_must_match_the_fixed_policy() {
+    let req = SimRequest::golden("ps_tickets")
+        .unwrap()
+        .with_sim(|s| s.faults(FaultPlan::new(1).noc_corrupt(1.0)));
+    let good = encode_request(&req);
+    assert_eq!(decode_request(&good), Ok(req));
+    // The NoC retry word (u32) and backoff word (u64) follow the
+    // corruption rate's.
+    let rate = 1.0f64.to_bits().to_le_bytes();
+    let at = good.windows(8).position(|w| w == rate).unwrap() + 8;
+    let mut backoff = good.clone();
+    backoff[at + 4..at + 12].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(
+        decode_request(&backoff).is_err(),
+        "backoff u64::MAX decodes"
+    );
+    let mut retries = good;
+    retries[at..at + 4].copy_from_slice(&65u32.to_le_bytes());
+    assert!(decode_request(&retries).is_err(), "65 NoC retries decode");
+}
+
+/// Every numeric field of `XmtConfig` is a row of `ARCH_WORDS`. The
+/// destructuring names every field, so a field added to the struct
+/// fails to compile here until it is listed, with a change below.
+/// Changing one field alone moves exactly its row, the request bytes
+/// and the cache key, and the request round-trips, except that neither
+/// line size can change alone.
+#[test]
+fn every_architecture_field_is_carried_and_keyed() {
+    let mut base = SimRequest::golden("ps_tickets").unwrap();
+    // One MoT level short of the port bits, so a butterfly level fits.
+    base.sim.arch.mot_levels -= 1;
+    let arch = base.sim.arch;
+    let XmtConfig {
+        name: _,
+        clusters: _,
+        tcus_per_cluster: _,
+        memory_modules: _,
+        mm_per_dram_ctrl: _,
+        fpus_per_cluster: _,
+        mdus_per_cluster: _,
+        lsus_per_cluster: _,
+        mot_levels: _,
+        butterfly_levels: _,
+        tech_nm: _,
+        si_layers: _,
+        cache:
+            CacheConfig {
+                lines: _,
+                ways: _,
+                line_words: _,
+                hit_latency: _,
+            },
+        dram:
+            DramConfig {
+                bytes_per_cycle: _,
+                access_latency: _,
+                line_bytes: _,
+            },
+    } = arch;
+    type Change = fn(&mut XmtConfig);
+    let changes: [(&str, Change); 18] = [
+        ("clusters", |a| a.clusters *= 2),
+        ("tpc", |a| a.tcus_per_cluster /= 2),
+        ("mm", |a| a.memory_modules *= 2),
+        ("mmpc", |a| a.mm_per_dram_ctrl /= 2),
+        ("fpus", |a| a.fpus_per_cluster += 1),
+        ("mdus", |a| a.mdus_per_cluster += 1),
+        ("lsus", |a| a.lsus_per_cluster += 1),
+        ("mot", |a| a.mot_levels -= 1),
+        ("bfly", |a| a.butterfly_levels += 1),
+        ("nm", |a| a.tech_nm = 14),
+        ("layers", |a| a.si_layers += 1),
+        ("cache_lines", |a| a.cache.lines *= 2),
+        ("cache_ways", |a| a.cache.ways /= 2),
+        ("cache_lw", |a| a.cache.line_words *= 2),
+        ("cache_hit", |a| a.cache.hit_latency += 1),
+        ("dram_bpc", |a| a.dram.bytes_per_cycle *= 2.0),
+        ("dram_lat", |a| a.dram.access_latency += 1),
+        ("dram_lb", |a| a.dram.line_bytes *= 2),
+    ];
+    let fields = || ARCH_WORDS.iter().filter(|w| w.set.is_some());
+    let keys: Vec<&str> = fields().map(|w| w.key).collect();
+    assert_eq!(
+        changes.map(|(key, _)| key).to_vec(),
+        keys,
+        "one change per field row"
+    );
+    let (bytes, canon) = (encode_request(&base), base.sim.cache_canon());
+    let mut rejected = Vec::new();
+    for (key, change) in changes {
+        let mut req = base.clone();
+        change(&mut req.sim.arch);
+        let rows: Vec<&str> = fields()
+            .filter(|w| (w.get)(&req.sim.arch) != (w.get)(&arch))
+            .map(|w| w.key)
+            .collect();
+        assert_eq!(rows, [key], "{key}: the change moves its row alone");
+        let enc = encode_request(&req);
+        assert_ne!(enc, bytes, "{key}: request bytes");
+        assert_ne!(req.sim.cache_canon(), canon, "{key}: cache key");
+        match decode_request(&enc) {
+            Ok(back) => assert_eq!(back, req, "{key}: round trip"),
+            Err(_) => rejected.push(key),
+        }
+    }
+    assert_eq!(rejected, ["cache_lw", "dram_lb"]);
+    let mut both = base;
+    both.sim.arch.cache.line_words *= 2;
+    both.sim.arch.dram.line_bytes *= 2;
+    assert_eq!(decode_request(&encode_request(&both)), Ok(both));
 }
 
 proptest! {
