@@ -137,10 +137,12 @@ stage "job table memory: <= 0.5 KiB per finished job" \
 # The simulated machine's memory (DESIGN.md §10), no benchmark needed:
 # building and running the 65 536-TCU fft_xmt64k_n8192 in-process may
 # grow VmRSS by at most 24 MiB — clusters no thread reaches hold 32-byte
-# issue records and no register store. Its own test binary; skips where
-# /proc is absent.
-stage "machine memory: 64k machine <= 24 MiB" \
-    cargo test --release -p xmt-integration --test machine_memory -q
+# issue records and no register store — and the dense fft_xmt8k_n65536
+# (#[ignore]d out of the debug suite) by at most 13.5 MiB — its
+# transactions travel as their own tags. Each measures in a process of
+# its own; skips where /proc is absent.
+stage "machine memory: 64k machine <= 24 MiB, dense 8k <= 13.5 MiB" \
+    cargo test --release -p xmt-integration --test machine_memory -q -- --include-ignored
 
 # The networked job service gate (DESIGN.md §18), three layers:
 #   wire_properties — proptest fuzz of every trust-boundary decoder

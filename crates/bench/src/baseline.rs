@@ -18,9 +18,10 @@ use std::fmt::Write as _;
 pub const SECTIONS: [&str; 2] = ["workloads", "scaling"];
 
 /// The host work counts of a scaling row's `layers` object that are
-/// exact: cluster steps taken, and cluster-cycles parked. They move
-/// only with a change to what the host does per simulated cycle.
-pub const WORK_FIELDS: [&str; 2] = ["cluster_steps", "parked_cluster_cycles"];
+/// exact: cluster steps taken, cluster-cycles parked, and memory-module
+/// steps taken. They move only with a change to what the host does per
+/// simulated cycle.
+pub const WORK_FIELDS: [&str; 3] = ["cluster_steps", "parked_cluster_cycles", "modules_stepped"];
 
 /// The exact part of one row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -383,14 +384,15 @@ mod tests {
     fn row(section: &'static str, name: &str, cycles: u64) -> Recorded {
         let scaling = section == "scaling";
         let work = if scaling {
-            vec![6490266, 8453769]
+            vec![6490266, 8453769, 2639958]
         } else {
             vec![]
         };
         let layers = scaling.then(|| {
             format!(
-                "{{ \"run_ns\": 5, \"cluster_steps\": {}, \"parked_cluster_cycles\": {} }}",
-                work[0], work[1]
+                "{{ \"run_ns\": 5, \"cluster_steps\": {}, \"parked_cluster_cycles\": {}, \
+                 \"modules_stepped\": {}, \"module_steps\": {{ \"ns\": 7, \"share\": 0.1 }} }}",
+                work[0], work[1], work[2]
             )
         });
         Recorded {

@@ -184,9 +184,10 @@ fn exact_pass(
 
 /// One fast-forward run with the host-time ledger attached: the
 /// `layers` JSON object (host ns and share of `Machine::run` per
-/// [`HostLayer`], and the cluster steps taken and parked, which also go
-/// into `want.work`). The ledger's clock reads cost host time, so no
-/// rate in the file is measured with it attached.
+/// [`HostLayer`], and the cluster steps taken and parked and the module
+/// steps taken, which also go into `want.work`). The ledger's clock
+/// reads cost host time, so no rate in the file is measured with it
+/// attached.
 fn ledger(case: &GoldenCase, want: &mut ExactRow, failures: &mut Vec<String>) -> String {
     let sim = case.sim_config().engine(Engine::FastForward);
     let mut m = case.builder(&sim).build_probed(HostLayers::new());
@@ -210,17 +211,18 @@ fn ledger(case: &GoldenCase, want: &mut ExactRow, failures: &mut Vec<String>) ->
             LEDGER_FLOOR * 100.0
         ));
     }
-    // Two counts beside the nanoseconds, exact where those are one
+    // Three counts beside the nanoseconds, exact where those are one
     // host's reading (`--check` holds them): an engine that parks
-    // nobody steps their sum.
-    let (steps, parked) = (ledger.cluster_steps(), ledger.parked_cluster_cycles());
-    want.work = vec![steps, parked];
+    // nobody steps the first two's sum, and the third is the memory
+    // side's module steps.
+    let [steps, parked, modules] = ledger.work();
+    want.work = vec![steps, parked, modules];
     let mut json = format!("{{ \"run_ns\": {run_ns}, \"accounted\": {accounted:.4}");
     for (key, n) in baseline::WORK_FIELDS.iter().zip(&want.work) {
         json.push_str(&format!(", \"{key}\": {n}"));
     }
     eprint!(
-        "{:18} {:>8.1} ms  {steps} cluster steps, {parked} parked ",
+        "{:18} {:>8.1} ms  {steps} cluster steps, {parked} parked, {modules} module steps ",
         case.name,
         run_ns as f64 / 1e6
     );

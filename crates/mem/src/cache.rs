@@ -19,7 +19,7 @@ pub struct MemReq {
     pub addr: u32,
     /// True for a write/write-back.
     pub is_write: bool,
-    /// Opaque caller token (transaction id).
+    /// Opaque caller token (the simulator's reply token).
     pub tag: u64,
 }
 

@@ -15,9 +15,10 @@
 //! A flit whose retry budget is exhausted is **delivered anyway** and
 //! counted in [`NetStats::retry_exhausted`]: the link layer models
 //! bounded retry, and residual errors are left to end-to-end recovery.
-//! Dropping the flit instead would wedge the simulated machine's
-//! transaction slab forever, turning a fault model into a liveness
-//! bug; the simulator's watchdog exists for *genuine* stalls (stuck
+//! Dropping the flit instead would lose the memory transaction it
+//! carries (the simulator's transactions travel as their flits' tags)
+//! and wedge the simulated machine forever, turning a fault model into
+//! a liveness bug; the simulator's watchdog exists for *genuine* stalls (stuck
 //! TCUs), not for ones the fault layer manufactures.
 
 use std::cmp::Reverse;

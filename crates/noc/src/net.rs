@@ -3,7 +3,7 @@
 
 /// One network flit: a request or reply travelling from a source port
 /// to a destination port. `tag` is an opaque caller token (the
-/// simulator stores transaction ids in it).
+/// simulator's memory transactions travel in it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Source.

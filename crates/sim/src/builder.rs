@@ -194,7 +194,7 @@ impl MachineBuilder {
             channels,
             module_outbox: vec![VecDeque::new(); cfg.memory_modules],
             hash,
-            txns: TxnSlab::new(),
+            txns: Txns::new(cfg.clusters, cfg.tcus_per_cluster),
             max_cycles: max_cycles.unwrap_or(200_000_000),
             watchdog: watchdog.unwrap_or(DEFAULT_WATCHDOG),
             progress_cycle: 0,

@@ -73,6 +73,10 @@ impl XmtConfig {
         if !self.clusters.is_power_of_two() || !self.memory_modules.is_power_of_two() {
             return Err("cluster and memory-module counts must be powers of two");
         }
+        // A reply token names its cluster in a 19-bit field.
+        if self.clusters > crate::txn::MAX_CLUSTERS {
+            return Err("more clusters than a reply token can name (2^19)");
+        }
         // Module `m` belongs to channel `m / mm_per_dram_ctrl`.
         if !self.memory_modules.is_multiple_of(self.mm_per_dram_ctrl) {
             return Err("memory modules per DRAM controller must divide the module count");
@@ -362,6 +366,21 @@ mod tests {
             assert_eq!(c.mdus_per_cluster, 1);
             assert_eq!(c.lsus_per_cluster, 1);
         }
+    }
+
+    /// A reply token's 19-bit field bounds the cluster count; the wire
+    /// caps clusters lower, an in-process config only here. Validated,
+    /// never built.
+    #[test]
+    fn cluster_count_must_fit_a_reply_token() {
+        let mut c = XmtConfig::xmt_8k();
+        c.clusters = 1 << 19;
+        assert_eq!(c.validate(), Ok(()));
+        c.clusters = 1 << 20;
+        assert_eq!(
+            c.validate(),
+            Err("more clusters than a reply token can name (2^19)")
+        );
     }
 
     #[test]

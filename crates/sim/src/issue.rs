@@ -24,28 +24,18 @@
 
 use super::{MachineStats, SimError};
 use crate::config::XmtConfig;
+use crate::txn::{Request, TxnKind, MAX_OUTSTANDING};
 use xmt_isa::block::{eval_branch_uop, exec_uop, MicroOp};
 use xmt_isa::decoded::{DecodedProgram, NUM_STEP_CLASSES};
 use xmt_isa::instr::{eval_branch, Instr};
 use xmt_isa::interp::exec_compute;
-use xmt_isa::reg::{FReg, IReg, Regs, NUM_GREGS};
+use xmt_isa::reg::{Regs, NUM_GREGS};
 use xmt_mem::AddressHash;
 
 /// FPU result latency in cycles.
 pub(super) const FPU_LATENCY: u64 = 4;
 /// MDU (multiply/divide) latency in cycles.
 pub(super) const MDU_LATENCY: u64 = 8;
-/// Maximum outstanding memory operations per TCU (models the XMT
-/// prefetch/decoupling capability).
-const MAX_OUTSTANDING: u8 = 8;
-
-/// What a memory transaction will do when its reply arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum TxnKind {
-    LoadI(IReg),
-    LoadF(FReg),
-    Store,
-}
 
 /// One TCU's issue record: every field a visit of the issue kernel
 /// reads, in 32 bytes, so a 32-TCU cluster's records fill 1 KiB.
@@ -609,10 +599,11 @@ pub(super) trait IssueSink {
     fn tids_remain(&self) -> bool;
     /// Hand out the next thread ID, if any remain.
     fn next_tid(&mut self) -> Option<u32>;
-    /// Offer one memory request from TCU `tcu` to the request NoC;
-    /// false means the network refused it this cycle. A refusal must
-    /// leave the transaction-tag stream untouched.
-    fn inject(&mut self, tcu: usize, addr: u32, kind: TxnKind, value: u32, module: usize) -> bool;
+    /// Offer one memory request (a store's value beside it) to the
+    /// request NoC, bound for `module`; false means the network refused
+    /// it this cycle. A refusal must leave the TCU's store slots and the
+    /// in-flight count untouched.
+    fn inject(&mut self, request: Request, value: u32, module: usize) -> bool;
     /// The lowered micro-op at `pc`, or `None` to take the
     /// per-instruction interpreter path (tier off, or a cold slot).
     fn fetch(&mut self, decoded: &DecodedProgram, pc: usize) -> Option<MicroOp>;
@@ -776,7 +767,13 @@ impl<S: IssueSink> Cx<'_, S> {
         };
         let module = env.hash.module_of(addr as u32);
         *budget -= 1;
-        if !self.sink.inject(t, addr as u32, kind, value, module) {
+        let request = Request {
+            addr: addr as u32,
+            tcu: t,
+            kind,
+            slot: 0,
+        };
+        if !self.sink.inject(request, value, module) {
             self.stats.stall_lsu += 1;
             return Ok(());
         }
@@ -1105,7 +1102,7 @@ mod tests {
         tids: Range<u32>,
         budget: usize,
         granted: Vec<u32>,
-        injections: Vec<(usize, u32, TxnKind, u32, usize, bool)>,
+        injections: Vec<(Request, u32, usize, bool)>,
         entries: u64,
         trace: TraceCache,
         gregs: [u32; NUM_GREGS],
@@ -1134,18 +1131,10 @@ mod tests {
             self.granted.push(tid);
             Some(tid)
         }
-        fn inject(
-            &mut self,
-            tcu: usize,
-            addr: u32,
-            kind: TxnKind,
-            value: u32,
-            module: usize,
-        ) -> bool {
+        fn inject(&mut self, request: Request, value: u32, module: usize) -> bool {
             let accepted = self.budget > 0;
             self.budget -= usize::from(accepted);
-            self.injections
-                .push((tcu, addr, kind, value, module, accepted));
+            self.injections.push((request, value, module, accepted));
             accepted
         }
         fn fetch(&mut self, decoded: &DecodedProgram, pc: usize) -> Option<MicroOp> {

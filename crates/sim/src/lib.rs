@@ -44,7 +44,7 @@ pub mod probe;
 pub mod simcfg;
 pub mod tier;
 pub mod trace;
-mod txn_slab;
+mod txn;
 
 pub use checkpoint::Checkpoint;
 pub use config::XmtConfig;

@@ -29,7 +29,7 @@ use crate::config::XmtConfig;
 use crate::probe::{BlockedTcus, HostLayer, NoProbe, Probe, SampleCtx};
 use crate::simcfg::SimConfig;
 use crate::tier::{TraceCache, TraceStats, TranslationTier};
-use crate::txn_slab::TxnSlab;
+use crate::txn::{Reply, Request, TxnKind, Txns};
 use std::collections::VecDeque;
 use xmt_isa::block::MicroOp;
 use xmt_isa::decoded::DecodedProgram;
@@ -54,14 +54,14 @@ mod outcome;
 mod threaded;
 
 use ff::Parked;
-use memsys::{ActiveSet, ReplyDelivery};
+use memsys::ActiveSet;
 pub use outcome::{
     MachineStats, RunOutcome, RunReport, RunStatus, SimError, SpawnStats, UtilizationReport,
 };
 
 pub use issue::RegLayout;
 use issue::{
-    addr_of, ones, ClusterMasks, ClusterTcus, IssueClass, IssueEnv, IssueSink, TcuRegs, TxnKind,
+    addr_of, ones, ClusterMasks, ClusterTcus, IssueClass, IssueEnv, IssueSink, TcuRegs,
     FPU_LATENCY, MDU_LATENCY,
 };
 
@@ -75,44 +75,6 @@ pub const UNIT_LAT: xmt_isa::UnitLat = xmt_isa::UnitLat {
 };
 /// MTCU private-cache access latency for serial-mode memory ops.
 const SERIAL_MEM_LATENCY: u64 = 4;
-#[derive(Debug, Clone, Copy)]
-struct Txn {
-    cluster: usize,
-    tcu: usize,
-    addr: u32,
-    kind: TxnKind,
-    /// Store data (set at issue) or load data (captured when the
-    /// request reaches its home module, preserving module order).
-    value: u32,
-}
-
-/// Offer `txn` to the request network, bound for `module`; false if
-/// the network refused it this cycle.
-///
-/// Tag protocol: the slab's next tag is *peeked* and stamped into the
-/// flit first; the transaction is only committed on a successful
-/// injection, so a refused attempt leaves the tag stream untouched —
-/// the same allocation order every engine observes.
-#[inline(always)]
-fn inject_request(
-    req_net: &mut dyn Network,
-    txns: &mut TxnSlab<Txn>,
-    module: usize,
-    txn: Txn,
-) -> bool {
-    let tag = txns.peek_tag();
-    if !req_net.try_inject(Flit {
-        src: txn.cluster,
-        dst: module,
-        tag,
-    }) {
-        return false;
-    }
-    let committed = txns.insert(txn);
-    debug_assert_eq!(committed, tag);
-    true
-}
-
 /// [`IssueSink`] of the serial engines (reference and fast-forward):
 /// thread IDs come off the shared PS counter, requests go straight
 /// into the request NoC, micro-ops lower lazily on first fetch, and
@@ -124,7 +86,7 @@ struct Direct<'a> {
     spawn_count: &'a mut u32,
     gregs: &'a mut [u32; NUM_GREGS],
     req_net: &'a mut dyn Network,
-    txns: &'a mut TxnSlab<Txn>,
+    txns: &'a mut Txns,
     trace: Option<&'a mut TraceCache>,
 }
 
@@ -147,15 +109,9 @@ impl IssueSink for Direct<'_> {
     }
 
     #[inline(always)]
-    fn inject(&mut self, tcu: usize, addr: u32, kind: TxnKind, value: u32, module: usize) -> bool {
-        let txn = Txn {
-            cluster: self.c,
-            tcu,
-            addr,
-            kind,
-            value,
-        };
-        inject_request(self.req_net, self.txns, module, txn)
+    fn inject(&mut self, request: Request, value: u32, module: usize) -> bool {
+        self.txns
+            .inject(self.req_net, self.c, module, request, value)
     }
 
     #[inline(always)]
@@ -238,8 +194,8 @@ pub enum Engine {
     /// Two-phase parallel cluster stepping on worker threads: each
     /// cycle the clusters compute locally in parallel, then the main
     /// thread replays their memory-injection attempts in cluster order
-    /// so NoC arbitration and transaction tags match the serial
-    /// engines exactly. Includes the fast-forward optimization. Falls
+    /// so NoC arbitration and store slots match the serial engines
+    /// exactly. Includes the fast-forward optimization. Falls
     /// back to [`Engine::FastForward`] for programs that mutate global
     /// state from parallel mode (`ps`/`sspawn`).
     Threaded {
@@ -283,12 +239,10 @@ pub struct Machine<P: Probe = NoProbe> {
     channels: Vec<DramChannel>,
     module_outbox: Vec<VecDeque<u64>>,
     hash: AddressHash,
-    /// In-flight memory transactions, keyed by the dense generational
-    /// tags the slab hands out. Tags travel through NoC flits, module
-    /// queues and DRAM requests exactly as before; every engine
-    /// allocates and frees them in the same order, so the tag stream —
-    /// and with it every stat — stays bit-identical across engines.
-    txns: TxnSlab<Txn>,
+    /// Memory transactions in flight: their count, and the values of
+    /// stores on their way to their home module. Each transaction
+    /// travels as its own tag (see [`crate::txn`]).
+    txns: Txns,
     /// Runaway/deadlock cycle limit ([`SimError::CycleLimit`]).
     max_cycles: u64,
     /// Watchdog no-progress horizon: if no instruction retires and no
@@ -330,7 +284,7 @@ pub struct Machine<P: Probe = NoProbe> {
     /// TCUs without touching their cache lines.
     masks: Vec<ClusterMasks>,
     /// Reusable per-cycle scratch: matured replies awaiting write-back.
-    scratch_replies: Vec<ReplyDelivery>,
+    scratch_replies: Vec<Reply>,
     /// Reusable per-cycle scratch: NoC deliveries (request and reply
     /// nets alternate on the same buffer within a cycle).
     scratch_deliveries: Vec<Delivered>,
@@ -642,7 +596,7 @@ impl<P: Probe> Machine<P> {
     /// architectural registers plus the component counters.
     fn quiescent(&self) -> bool {
         matches!(self.mode, Mode::Serial { .. })
-            && self.txns.is_empty()
+            && self.txns.in_flight == 0
             && self.active_modules.is_empty()
             && self.active_channels.is_empty()
             && self.active_outboxes.is_empty()
@@ -833,7 +787,7 @@ impl<P: Probe> Machine<P> {
             req_net: req_net.stats(),
             reply_net: reply_net.stats(),
             noc_in_flight: (req_net.in_flight() + reply_net.in_flight()) as u64,
-            txns_in_flight: txns.len() as u64,
+            txns_in_flight: txns.in_flight as u64,
             blocked,
             channels,
             modules,
@@ -869,13 +823,13 @@ impl<P: Probe> Machine<P> {
                 // Serial mode still drains the memory system (posted
                 // writes from the previous section are already done by
                 // the barrier, but channels may be finishing refills).
-                self.step_memory_system()?;
+                self.step_memory_system();
             }
             Mode::Parallel { return_pc } => {
                 self.step_clusters(fast)?;
                 self.advance_rr(1);
                 self.lap(Some(HostLayer::ClusterIssue));
-                self.step_memory_system()?;
+                self.step_memory_system();
                 self.maybe_finish_spawn(return_pc);
             }
             Mode::Finished => {}
@@ -1000,7 +954,7 @@ impl<P: Probe> Machine<P> {
             c += 1;
         }
         if P::HOST_TIMING {
-            probe.host_steps(steps, sat_out);
+            probe.host_work([steps, sat_out, 0]);
         }
         Ok(())
     }
@@ -1183,18 +1137,19 @@ impl<P: Probe> Machine<P> {
     }
 
     /// Barrier tail shared with the threaded engine (which knows TCU
-    /// activity from its workers' scans): `txns` covers every request
-    /// or reply in a NoC or outbox; the active lists cover modules with
-    /// queued/maturing work and channels with fills or write-backs in
-    /// flight. A module waiting only on a DRAM fill is inactive, but
-    /// its channel stays active until the fill completes and `on_fill`
-    /// reactivates the module — so empty lists plus empty `txns` is
-    /// exactly the reference engine's full drain scan.
+    /// activity from its workers' scans): the in-flight count covers
+    /// every request or reply in a NoC, module queue or outbox; the
+    /// active lists cover modules with queued/maturing work and channels
+    /// with fills or write-backs in flight. A module waiting only on a
+    /// DRAM fill is inactive, but its channel stays active until the
+    /// fill completes and `on_fill` reactivates the module — so empty
+    /// lists and nothing in flight is exactly the reference engine's
+    /// full drain scan.
     fn maybe_finish_spawn_drained(&mut self, return_pc: usize) {
         if self.next_tid < self.spawn_count {
             return;
         }
-        if !self.txns.is_empty()
+        if self.txns.in_flight != 0
             || !self.active_modules.is_empty()
             || !self.active_channels.is_empty()
         {
@@ -1521,9 +1476,56 @@ mod tests {
             .mem_words(512)
             .build();
         m.run().unwrap();
-        assert!(m.txns.is_empty());
+        assert_eq!(m.txns.in_flight, 0);
         for t in 0..128u32 {
             assert_eq!(m.mem[t as usize], t * 2);
+        }
+    }
+
+    /// A refused injection takes no store slot. With two LSUs per
+    /// cluster the MoT, which takes one flit per source per cycle,
+    /// refuses the second LSU winner of every cycle; each thread stores
+    /// twelve values, more than a TCU has slots, so slots are reused.
+    #[test]
+    fn refused_injections_leave_store_slots_untouched() {
+        const STORES: u32 = 12;
+        let mut b = ProgramBuilder::new();
+        let par = b.label();
+        let after = b.label();
+        b.li(ir(1), 64);
+        b.spawn(ir(1), par);
+        b.jump(after);
+        b.bind(par);
+        b.tid(ir(2));
+        b.slli(ir(3), ir(2), 4);
+        for k in 0..STORES {
+            b.addi(ir(4), ir(3), 1000 + k);
+            b.sw(ir(4), ir(3), k);
+        }
+        b.join();
+        b.bind(after);
+        b.halt();
+        let prog = b.build().unwrap();
+        let mut interp = xmt_isa::Interp::new(1024);
+        interp.run(&prog).unwrap();
+        let mut cfg = tiny_config();
+        cfg.lsus_per_cluster = 2;
+        for engine in [
+            Engine::Reference,
+            Engine::FastForward,
+            Engine::Threaded { threads: 2 },
+        ] {
+            let mut m = SimConfig::new(&cfg)
+                .engine(engine)
+                .builder(prog.clone())
+                .mem_words(1024)
+                .build();
+            let s = m.run().unwrap();
+            assert_eq!(s.stats.mem_writes, 64 * u64::from(STORES));
+            assert!(m.req_net.stats().inject_rejections > 0, "{engine:?}");
+            assert_eq!(m.mem, interp.mem, "{engine:?}");
+            assert_eq!(m.txns.in_flight, 0, "{engine:?}");
+            assert_eq!(m.txns.taken_slots(), 0, "{engine:?}");
         }
     }
 

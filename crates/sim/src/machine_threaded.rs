@@ -31,10 +31,11 @@
 //! coordinator: thread-ID grants are sized in global cluster order
 //! before each cycle, memory-injection attempts are recorded per shard
 //! and replayed into the request NoC in cluster order (through the
-//! same `inject_request` the serial engines call, so transaction tags
-//! only advance on accepted injections), and module steps —
-//! independent per module — are merged back in module order before
-//! DRAM channels and reply routing run serially.
+//! same `Txns::inject` the serial engines call, so a store takes its
+//! slot and a transaction counts as in flight only on an accepted
+//! injection), and module steps — independent per module — are merged
+//! back in module order before DRAM channels and reply routing run
+//! serially.
 //!
 //! Programs that mutate global state from parallel mode
 //! (`ps`/`sspawn`) and probed machines never reach this module —
@@ -66,9 +67,7 @@ const MEM_PAR_MIN: usize = 8;
 /// coordinator in cluster order. `accepted` is the shard's prediction
 /// (the port had budget); the replay asserts the real NoC agrees.
 struct Attempt {
-    tcu: usize,
-    addr: u32,
-    kind: TxnKind,
+    request: Request,
     value: u32,
     module: usize,
     accepted: bool,
@@ -94,7 +93,7 @@ struct ClusterShard {
     /// Matured replies to apply before the next cycle's issue
     /// (equivalent to the serial engines applying them at the end of
     /// the previous one: no issue logic runs in between).
-    deliveries: Vec<ReplyDelivery>,
+    deliveries: Vec<Reply>,
     /// Injection attempts recorded this cycle.
     attempts: Vec<Attempt>,
     /// First error this shard hit this cycle.
@@ -485,15 +484,13 @@ impl IssueSink for Shard<'_> {
     }
 
     #[inline(always)]
-    fn inject(&mut self, tcu: usize, addr: u32, kind: TxnKind, value: u32, module: usize) -> bool {
+    fn inject(&mut self, request: Request, value: u32, module: usize) -> bool {
         let accepted = *self.budget > 0;
         if accepted {
             *self.budget -= 1;
         }
         self.attempts.push(Attempt {
-            tcu,
-            addr,
-            kind,
+            request,
             value,
             module,
             accepted,
@@ -592,7 +589,7 @@ fn main_loop<P: Probe>(
     // idle.
     let mut idle: Vec<u64> = healthy.to_vec();
     let mut sum_idle: u64 = healthy_total;
-    let mut replies_buf: Vec<ReplyDelivery> = Vec::new();
+    let mut replies_buf: Vec<Reply> = Vec::new();
     // Coordinator-side copy of the active-cluster list: `sh.work` is
     // repurposed for module indices during Modules epochs, so the
     // merge and skip phases read this one.
@@ -679,7 +676,7 @@ fn main_loop<P: Probe>(
                     add_stats(&mut m.stats, unsafe { &*d.0.get() });
                 }
                 // Phase 2 (merge): replay attempts in cluster order so
-                // tags and NoC arbitration match the serial engines
+                // store slots and NoC arbitration match the serial engines
                 // bit for bit, and take the new idle counts.
                 let mut first_err: Option<SimError> = None;
                 for &c in &active {
@@ -688,15 +685,9 @@ fn main_loop<P: Probe>(
                     let shard = unsafe { &mut *sh.clusters[c].0.get() };
                     if first_err.is_none() {
                         for a in shard.attempts.drain(..) {
-                            let txn = Txn {
-                                cluster: c,
-                                tcu: a.tcu,
-                                addr: a.addr,
-                                kind: a.kind,
-                                value: a.value,
-                            };
                             let accepted =
-                                inject_request(m.req_net.as_mut(), &mut m.txns, a.module, txn);
+                                m.txns
+                                    .inject(m.req_net.as_mut(), c, a.module, a.request, a.value);
                             debug_assert_eq!(
                                 accepted, a.accepted,
                                 "shard mispredicted NoC acceptance"
@@ -721,7 +712,7 @@ fn main_loop<P: Probe>(
                 // global order (request routing, DRAM channels, reply
                 // injection) stays on the coordinator.
                 replies_buf.clear();
-                m.mem_route_requests()?;
+                m.mem_route_requests();
                 if !pool.worker_threads.is_empty() && m.active_modules.len() >= MEM_PAR_MIN {
                     {
                         // SAFETY: no epoch in flight.
@@ -733,6 +724,9 @@ fn main_loop<P: Probe>(
                     // epoch; the coordinator leaves `m.modules` alone
                     // until `wait()` returns.
                     unsafe { *sh.modules_ptr.get() = m.modules.as_mut_ptr() };
+                    if P::HOST_TIMING {
+                        m.probe.host_work([0, 0, m.active_modules.len() as u64]);
+                    }
                     pool.dispatch(EpochCmd::Modules, &mut main_delta);
                     pool.wait()?;
                     // Merge in module order: responses to outboxes,
@@ -753,7 +747,7 @@ fn main_loop<P: Probe>(
                 } else {
                     m.mem_step_modules();
                 }
-                m.mem_drain_collect(&mut replies_buf)?;
+                m.mem_drain_collect(&mut replies_buf);
                 // Matured replies land in the owning shard for the
                 // next cycle.
                 let pending_count = replies_buf.len();

@@ -4,14 +4,6 @@
 
 use super::*;
 
-/// A matured reply headed for a TCU (cluster, tcu, kind, value).
-pub(super) struct ReplyDelivery {
-    pub(super) cluster: usize,
-    pub(super) tcu: usize,
-    pub(super) kind: TxnKind,
-    pub(super) value: u32,
-}
-
 /// The components of one kind (modules, channels, outboxes, clusters)
 /// that have work, as a bitset: joining and leaving are O(1), and
 /// members are visited by `trailing_zeros` in ascending index order —
@@ -97,10 +89,15 @@ impl<P: Probe> Machine<P> {
         self.mem_clock += n;
     }
 
-    /// Advance the NoC, memory modules, DRAM channels and replies.
-    pub(super) fn step_memory_system(&mut self) -> Result<(), SimError> {
+    /// Advance the NoC, memory modules, DRAM channels and replies, and
+    /// write the matured replies back to their TCUs. Only *active*
+    /// modules, channels and outboxes are visited; idle components are
+    /// clock-synced lazily when something arrives for them.
+    pub(super) fn step_memory_system(&mut self) {
         let mut replies = std::mem::take(&mut self.scratch_replies);
-        self.step_memory_system_collect(&mut replies)?;
+        self.mem_route_requests();
+        self.mem_step_modules();
+        self.mem_drain_collect(&mut replies);
         let Machine {
             clusters,
             masks,
@@ -121,73 +118,49 @@ impl<P: Probe> Machine<P> {
         }
         self.scratch_replies = replies;
         self.lap(Some(HostLayer::ReplyApply));
-        Ok(())
-    }
-
-    /// One memory-system cycle with matured replies pushed to `out`
-    /// instead of applied (the threaded engine routes them to the
-    /// worker that owns the target cluster). Only *active* modules,
-    /// channels and outboxes are visited; idle components are clock-
-    /// synced lazily when something arrives for them.
-    ///
-    /// Every NoC delivery must map to a live transaction; a dangling
-    /// tag (e.g. a fault layer exhausting its retry budget and
-    /// dropping a flit) is a broken protocol invariant and surfaces as
-    /// [`SimError::Protocol`] rather than a panic.
-    fn step_memory_system_collect(&mut self, out: &mut Vec<ReplyDelivery>) -> Result<(), SimError> {
-        self.mem_route_requests()?;
-        self.mem_step_modules();
-        self.mem_drain_collect(out)
     }
 
     /// Memory-cycle stage 1: request network → modules. The functional
     /// effect happens here (arrival order at the home module defines
     /// the memory order; kernels separate read and write sets between
-    /// barriers).
-    pub(super) fn mem_route_requests(&mut self) -> Result<(), SimError> {
+    /// barriers), and the request tag becomes the reply token that
+    /// rides the module queue, the outbox and the reply network.
+    pub(super) fn mem_route_requests(&mut self) {
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         self.req_net.step_into(&mut deliveries);
         self.lap(Some(HostLayer::ReqNetStep));
         for d in deliveries.drain(..) {
-            let Some(txn) = self.txns.get_mut(d.flit.tag) else {
-                return Err(SimError::Protocol {
-                    what: "request delivery for a dead transaction",
-                    at_cycle: 0,
-                });
+            let (cluster, req) = (d.flit.src, Request::of(d.flit.tag));
+            let addr = req.addr as usize;
+            let is_write = req.kind == TxnKind::Store;
+            let value = if is_write {
+                let value = self.txns.take_store(cluster, req);
+                self.mem[addr] = value;
+                value
+            } else {
+                self.mem[addr]
             };
-            match txn.kind {
-                TxnKind::LoadI(_) | TxnKind::LoadF(_) => {
-                    txn.value = self.mem[txn.addr as usize];
-                }
-                TxnKind::Store => {
-                    self.mem[txn.addr as usize] = txn.value;
-                }
-            }
-            let addr = txn.addr;
-            let is_write = matches!(txn.kind, TxnKind::Store);
             if P::ENABLED {
                 // Oracle hook at the exact point that defines memory
                 // order. The issuing TCU still carries the thread's
                 // tid: a virtual thread only retires at `join` once
                 // its outstanding count drains to zero.
-                let (cluster, tcu) = (txn.cluster, txn.tcu);
-                let tid = self.clusters[cluster].tid(tcu);
+                let tid = self.clusters[cluster].tid(req.tcu);
                 let spawn = self.tracker.as_ref().map(|t| t.index as u64);
-                self.probe.mem_access(spawn, tid, addr, is_write);
+                self.probe.mem_access(spawn, tid, req.addr, is_write);
             }
             // The module is about to take its step for this memory
             // cycle, so align it to the *previous* one.
             self.modules[d.flit.dst].sync_to(self.mem_clock);
             self.modules[d.flit.dst].enqueue(MemReq {
-                addr,
+                addr: req.addr,
                 is_write,
-                tag: d.flit.tag,
+                tag: Reply::token(d.flit.tag, value, cluster),
             });
             self.active_modules.insert(d.flit.dst);
         }
         self.scratch_deliveries = deliveries;
         self.lap(Some(HostLayer::ReqDelivery));
-        Ok(())
     }
 
     /// Memory-cycle stage 2: active modules service their queues and
@@ -201,6 +174,10 @@ impl<P: Probe> Machine<P> {
     pub(super) fn mem_step_modules(&mut self) {
         let mut creqs = std::mem::take(&mut self.scratch_creqs);
         let mut resps = std::mem::take(&mut self.scratch_resps);
+        if P::HOST_TIMING {
+            self.probe
+                .host_work([0, 0, self.active_modules.len() as u64]);
+        }
         for m in self.active_modules.iter() {
             self.modules[m].step(&mut creqs, &mut resps);
             for resp in resps.drain(..) {
@@ -224,10 +201,7 @@ impl<P: Probe> Machine<P> {
     /// Memory-cycle stage 3: DRAM channels, module fills, reply
     /// injection and reply delivery. Consumes the channel requests
     /// stage 2 left in `scratch_creqs`.
-    pub(super) fn mem_drain_collect(
-        &mut self,
-        out: &mut Vec<ReplyDelivery>,
-    ) -> Result<(), SimError> {
+    pub(super) fn mem_drain_collect(&mut self, out: &mut Vec<Reply>) {
         let mut creqs = std::mem::take(&mut self.scratch_creqs);
         for cr in creqs.drain(..) {
             let ch = cr.module / self.cfg.mm_per_dram_ctrl;
@@ -260,52 +234,26 @@ impl<P: Probe> Machine<P> {
         // port per cycle).
         let module_outbox = &mut self.module_outbox;
         let reply_net = &mut self.reply_net;
-        let txns = &self.txns;
-        let mut dead_tag = false;
         self.active_outboxes.retain(|m| {
-            if let Some(&tag) = module_outbox[m].front() {
-                match txns.get(tag) {
-                    Some(txn) => {
-                        if reply_net.try_inject(Flit {
-                            src: m,
-                            dst: txn.cluster,
-                            tag,
-                        }) {
-                            module_outbox[m].pop_front();
-                        }
-                    }
-                    None => dead_tag = true,
+            if let Some(&token) = module_outbox[m].front() {
+                if reply_net.try_inject(Flit {
+                    src: m,
+                    dst: Reply::of(token).cluster,
+                    tag: token,
+                }) {
+                    module_outbox[m].pop_front();
                 }
             }
             !module_outbox[m].is_empty()
         });
         self.lap(Some(HostLayer::OutboxInjection));
-        if dead_tag {
-            return Err(SimError::Protocol {
-                what: "module reply for a dead transaction",
-                at_cycle: 0,
-            });
-        }
         // Reply network → TCUs.
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         self.reply_net.step_into(&mut deliveries);
         self.lap(Some(HostLayer::ReplyNetStep));
-        for d in deliveries.drain(..) {
-            let Some(txn) = self.txns.remove(d.flit.tag) else {
-                return Err(SimError::Protocol {
-                    what: "reply delivery for a dead transaction",
-                    at_cycle: 0,
-                });
-            };
-            out.push(ReplyDelivery {
-                cluster: txn.cluster,
-                tcu: txn.tcu,
-                kind: txn.kind,
-                value: txn.value,
-            });
-        }
+        self.txns.in_flight -= deliveries.len();
+        out.extend(deliveries.drain(..).map(|d| Reply::of(d.flit.tag)));
         self.scratch_deliveries = deliveries;
         self.lap(Some(HostLayer::ReplyDelivery));
-        Ok(())
     }
 }

@@ -49,10 +49,10 @@ pub enum SimError {
         /// Instructions retired when progress last advanced.
         last_retired: u64,
     },
-    /// An internal protocol invariant broke (e.g. a NoC delivery whose
-    /// transaction tag is unknown). Always a simulator bug, surfaced as
-    /// a typed error instead of a panic so long sweeps keep their
-    /// partial results.
+    /// An internal protocol invariant broke (e.g. a checkpoint asked of
+    /// a machine with work in flight, or a threaded-engine worker that
+    /// panicked). Surfaced as a typed error instead of a panic so long
+    /// sweeps keep their partial results.
     Protocol {
         /// Which invariant broke.
         what: &'static str,

@@ -107,7 +107,7 @@ pub enum HostLayer {
     OutboxInjection,
     /// `reply_net.step_into`.
     ReplyNetStep,
-    /// Reply deliveries: transaction retirement.
+    /// Reply deliveries: each reply token decoded for its TCU.
     ReplyDelivery,
     /// Replies written back to their TCUs.
     ReplyApply,
@@ -150,12 +150,14 @@ pub trait Probe {
         let _ = layer;
     }
 
-    /// One parallel cycle's cluster work under the serial engines:
-    /// `stepped` clusters went through the issue kernel, `parked` sat
-    /// the cycle out with their stalls paid by addition (fast-forward
-    /// only). Only called when [`Probe::HOST_TIMING`] is set.
-    fn host_steps(&mut self, stepped: u64, parked: u64) {
-        let _ = (stepped, parked);
+    /// Host work one stage of a cycle did, as `[clusters stepped,
+    /// clusters parked, modules stepped]`: clusters that went through
+    /// the issue kernel (serial engines) and that sat the cycle out with
+    /// their stalls paid by addition (fast-forward only), and active
+    /// memory modules stepped. Only called when [`Probe::HOST_TIMING`]
+    /// is set.
+    fn host_work(&mut self, work: [u64; 3]) {
+        let _ = work;
     }
 
     /// Called once, before the first cycle, with the machine
@@ -212,8 +214,7 @@ impl Probe for NoProbe {
 pub struct HostLayers {
     last: Option<std::time::Instant>,
     ns: [u64; HostLayer::ALL.len()],
-    cluster_steps: u64,
-    parked_cluster_cycles: u64,
+    work: [u64; 3],
 }
 
 impl HostLayers {
@@ -232,17 +233,14 @@ impl HostLayers {
         self.ns.iter().sum()
     }
 
-    /// Cluster steps taken so far: calls of the issue kernel. Unlike
-    /// the nanoseconds, a count that repeats exactly.
-    pub fn cluster_steps(&self) -> u64 {
-        self.cluster_steps
-    }
-
-    /// Cluster steps *not* taken so far because the cluster was parked
-    /// on a cycle the machine stepped — with the steps taken, what an
-    /// engine that parks nobody would have stepped. Exact likewise.
-    pub fn parked_cluster_cycles(&self) -> u64 {
-        self.parked_cluster_cycles
+    /// Host work so far — unlike the nanoseconds, counts that repeat
+    /// exactly: cluster steps taken (calls of the issue kernel), cluster
+    /// steps *not* taken because the cluster was parked on a cycle the
+    /// machine stepped (with the first, what an engine that parks
+    /// nobody steps), and memory-module steps taken (one per active
+    /// module per memory cycle).
+    pub fn work(&self) -> [u64; 3] {
+        self.work
     }
 }
 
@@ -260,9 +258,10 @@ impl Probe for HostLayers {
         self.last = Some(now);
     }
 
-    fn host_steps(&mut self, stepped: u64, parked: u64) {
-        self.cluster_steps += stepped;
-        self.parked_cluster_cycles += parked;
+    fn host_work(&mut self, work: [u64; 3]) {
+        for (count, n) in self.work.iter_mut().zip(work) {
+            *count += n;
+        }
     }
 }
 
