@@ -69,26 +69,30 @@ stage "static analysis: front half + transval + traffic (xmt-lint)" \
     cargo run --release -p xmt-bench --bin xmt_lint -- --artifact target/xmt-lint.json
 
 # The exact pass against the committed baseline, read-only (DESIGN.md
-# §10): every golden workload under every engine x translation tier x
-# {healthy, benign fault plan, seeded soft faults}, every paper-scale
-# case under every engine x tier — statistics and spawn digests equal
-# to the Reference/interpreter run, trace stats repeating — then each
-# case's simulated cycles, spawn digest and trace row against
-# BENCH_sim.json (and each paper-scale case's exact host work counts:
-# cluster steps taken and parked), and the host-time ledger accounting
-# for >= 95 % of Machine::run. The rates in BENCH_sim.json are informational and are
+# §10): through the determinism matrix (xmt_bench::matrix), every
+# golden workload under every engine x translation tier x {healthy,
+# benign fault plan, seeded soft faults}, every paper-scale case under
+# every engine x tier — statistics, spawn log, memory and global
+# registers equal to the Reference/interpreter run, trace stats
+# repeating — then each case's simulated cycles, spawn digest,
+# statistics and trace row against BENCH_sim.json (and each
+# paper-scale case's exact host work counts: cluster steps taken and
+# parked), and the host-time ledger accounting for >= 95 % of
+# Machine::run. The rates in BENCH_sim.json are informational and are
 # not looked at; `bench_sim OUT.json` re-records the file.
 stage "simulator exact pass vs BENCH_sim.json" \
     cargo run --release -p xmt-bench --bin bench_sim -- --check BENCH_sim.json
 
-# The debug-profile workspace run covers the threaded engine on the
-# cheap scaling cases; the release-only (#[ignore]) tests pin the
-# reference/fast-forward engines and the dense 65536-point case too.
-# park_boundary rides along (--include-ignored runs its one plain test):
-# the wakes a parked cluster replays when it leaves, checked under the
-# codegen the benchmark times.
-stage "paper-scale golden constants + park boundary (release profile)" \
-    cargo test --release -p xmt-integration --test golden_scaling --test park_boundary -q \
+# The determinism matrix's release-only cells (#[ignore]d out of the
+# debug suite): the dense 65536-point case's default cell and its chain
+# of eight checkpoint slices, held to the Reference/interpreter oracle
+# and to its BENCH_sim.json row (`bench_sim --check` above already runs
+# every paper-scale case under every engine and tier). park_boundary
+# rides along (--include-ignored runs its one plain test): the wakes a
+# parked cluster replays when it leaves, checked under the codegen the
+# benchmark times.
+stage "determinism matrix, release-only cells + park boundary (release profile)" \
+    cargo test --release -p xmt-integration --test determinism --test park_boundary -q \
     -- --include-ignored
 
 # The substrates alone under release codegen: every component pin
@@ -102,15 +106,16 @@ stage "substrate pins + saturation table (release profile)" \
 # rates, degraded topologies and a watchdog-tripping stuck TCU; the
 # fault_resilience suite (rerun explicitly here as the resilience gate)
 # covers seeded replay on generated programs and checkpoint/restore
-# equivalence on every golden case — and, sliced eight ways, on every
-# paper-scale case (the dense one is #[ignore]d out of the debug suite).
+# equivalence on every golden case, mid-trace on both tiers and under
+# soft faults (the paper-scale slices are the determinism matrix's,
+# above).
 stage "fault smoke: sweep" cargo run --release -p xmt-bench --bin paper -- fault_sweep
 stage "fault smoke: checkpoint round-trip" \
     cargo test --release -p xmt-integration --test fault_resilience -q -- --include-ignored
 
 # The paper's evaluation, executed: every `paper` command spawned as a
 # process — tier-1 already ran the quick ones unoptimised; this adds the
-# full table4/table5, the three ablations and the paper-scale capture —
+# full table4/table5 and the three ablations —
 # plus fig3.svg, the Table IV model row and the docs' command names held
 # to what the binary does.
 stage "paper binary: every command, release" \

@@ -4,7 +4,8 @@
 //! spawn_digest}`).
 //!
 //! A row has an *exact* part — simulated cycles, spawn digest, the
-//! trace-cache counters and, in a scaling row, the host work counts
+//! run's statistics ([`STATS_FIELDS`]), the trace-cache counters and,
+//! in a scaling row, the host work counts
 //! [`WORK_FIELDS`] its `layers` ledger records — which is a pure
 //! function of the code and is what [`compare`] holds a fresh run to,
 //! and an *informational* part — host seconds, cycles/s, the rest of
@@ -13,6 +14,7 @@
 //! alternating `xmt-perfbench` pairs (benchmark/README.md).
 
 use std::fmt::Write as _;
+use xmt_sim::MachineStats;
 
 /// The two row arrays of the file, in file order.
 pub const SECTIONS: [&str; 2] = ["workloads", "scaling"];
@@ -23,6 +25,22 @@ pub const SECTIONS: [&str; 2] = ["workloads", "scaling"];
 /// simulated cycle.
 pub const WORK_FIELDS: [&str; 3] = ["cluster_steps", "parked_cluster_cycles", "modules_stepped"];
 
+/// The `stats` object's keys: the [`MachineStats`] fields in
+/// `MachineStats::to_words` order.
+pub const STATS_FIELDS: [&str; 11] = [
+    "cycles",
+    "instructions",
+    "flops",
+    "mem_reads",
+    "mem_writes",
+    "threads",
+    "spawns",
+    "stall_scoreboard",
+    "stall_fpu",
+    "stall_mdu",
+    "stall_lsu",
+];
+
 /// The exact part of one row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactRow {
@@ -31,6 +49,8 @@ pub struct ExactRow {
     pub name: String,
     pub simulated_cycles: u64,
     pub spawn_digest: u64,
+    /// The oracle run's statistics (`stats`).
+    pub stats: MachineStats,
     /// The `trace` object's fields as written: key and number text.
     pub trace: Vec<(String, String)>,
     /// [`WORK_FIELDS`] in order (scaling rows; empty elsewhere).
@@ -102,6 +122,12 @@ fn render_row(row: &Recorded) -> String {
         e.spawn_digest
     )
     .unwrap();
+    let stats: Vec<String> = STATS_FIELDS
+        .iter()
+        .zip(e.stats.to_words())
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    writeln!(json, "      \"stats\": {{ {} }},", stats.join(", ")).unwrap();
     let trace: Vec<String> = e
         .trace
         .iter()
@@ -298,6 +324,16 @@ pub fn exact_rows(text: &str) -> Result<Vec<ExactRow>, String> {
                 _ => None,
             }
             .ok_or_else(|| format!("{name}: no hex spawn_digest"))?;
+            let stats = STATS_FIELDS
+                .iter()
+                .map(|key| match item.get("stats").and_then(|s| s.get(key)) {
+                    Some(Json::Num(n)) => n.parse::<u64>().ok(),
+                    _ => None,
+                })
+                .collect::<Option<Vec<u64>>>()
+                .and_then(|words| words.try_into().ok())
+                .map(MachineStats::from_words)
+                .ok_or_else(|| format!("{name}: no stats"))?;
             let Some(Json::Obj(fields)) = item.get("trace") else {
                 return Err(format!("{name}: no trace row"));
             };
@@ -324,6 +360,7 @@ pub fn exact_rows(text: &str) -> Result<Vec<ExactRow>, String> {
                 name: name.clone(),
                 simulated_cycles,
                 spawn_digest,
+                stats,
                 trace,
                 work,
             });
@@ -353,6 +390,12 @@ pub fn compare(fresh: &[ExactRow], baseline: &[ExactRow]) -> Vec<String> {
             failures.push(format!(
                 "{}: spawn_digest {:#018x} != baseline {:#018x}",
                 f.name, f.spawn_digest, b.spawn_digest
+            ));
+        }
+        if f.stats != b.stats {
+            failures.push(format!(
+                "{}: stats {:?} != baseline {:?}",
+                f.name, f.stats, b.stats
             ));
         }
         if f.trace != b.trace {
@@ -401,6 +444,7 @@ mod tests {
                 name: name.to_string(),
                 simulated_cycles: cycles,
                 spawn_digest: 0x9795_eb3c_0559_c08a,
+                stats: MachineStats::from_words(std::array::from_fn(|i| cycles + i as u64)),
                 trace: trace_fields(11, 5, 916, 20480),
                 work,
             },
@@ -474,6 +518,15 @@ mod tests {
         let f = differs(&|r| r.spawn_digest ^= 1);
         assert_eq!(f.len(), 1);
         assert!(f[0].starts_with("big: spawn_digest"), "{f:?}");
+        for field in 0..STATS_FIELDS.len() {
+            let f = differs(&|r| {
+                let mut words = r.stats.to_words();
+                words[field] += 1;
+                r.stats = MachineStats::from_words(words);
+            });
+            assert_eq!(f.len(), 1);
+            assert!(f[0].starts_with("big: stats"), "{f:?}");
+        }
         for field in 0..5 {
             let f = differs(&|r| r.trace[field].1.push('1'));
             assert_eq!(f.len(), 1);
@@ -507,7 +560,7 @@ mod tests {
         assert!(exact_rows("{ \"workloads\": [").is_err());
         assert!(exact_rows("{} x").is_err());
         let text = render(2, &sample());
-        for key in ["simulated_cycles", "spawn_digest", "trace"] {
+        for key in ["simulated_cycles", "spawn_digest", "stats", "trace"] {
             let e = exact_rows(&text.replace(key, "renamed")).unwrap_err();
             assert!(e.starts_with("small: no "), "{e}");
         }
@@ -516,6 +569,17 @@ mod tests {
             let e = exact_rows(&text.replace(key, "renamed")).unwrap_err();
             assert_eq!(e, "big: no layers work counts");
         }
+    }
+
+    /// The `stats` keys name the fields `to_words` writes, in order.
+    #[test]
+    fn stats_fields_follow_the_word_codec() {
+        let stats = MachineStats::from_words(std::array::from_fn(|i| i as u64));
+        let named: Vec<String> = (STATS_FIELDS.iter().enumerate())
+            .map(|(i, k)| format!("{k}: {i}"))
+            .collect();
+        let debug = format!("MachineStats {{ {} }}", named.join(", "));
+        assert_eq!(format!("{stats:?}"), debug);
     }
 
     /// The committed file is in the shape this module writes and holds

@@ -5,21 +5,22 @@
 //! cargo run --release -p xmt-bench --bin bench_sim -- --check BENCH_sim.json
 //! ```
 //!
-//! Both verbs first run the *exact pass*: every golden workload under
-//! every engine × translation tier × fault plan of [`ENGINES`] ×
-//! [`TIERS`] × [`PLANS`], and every paper-scale case
+//! Both verbs first run the *exact pass* through the determinism
+//! matrix (`xmt_bench::matrix::agree`): every golden workload under
+//! every engine × translation tier × fault plan of `matrix::ENGINES` ×
+//! `matrix::TIERS` × [`PLANS`], and every paper-scale case
 //! (`golden::scaling_cases`) under every engine × tier, healthy. Each
-//! cell's full statistics and spawn digest must equal those of the
-//! Reference engine on the interpreter tier — for a benign fault plan
-//! (seeded, all rates zero) those of the *healthy* oracle, for the
-//! seeded soft-fault plan those of the oracle under the same plan — and
-//! a block-tier cell's trace-cache counters must repeat between its
-//! healthy and benign runs. Then each paper-scale case runs once more
-//! under fast-forward with the [`HostLayers`] ledger attached; the
-//! layers must account for [`LEDGER_FLOOR`] of `Machine::run`'s wall
-//! time (a share within one run, not a comparison between runs). Any
-//! failure is listed and the exit status is 1 (2: it could not run —
-//! bad arguments, an unreadable or malformed baseline).
+//! cell's statistics, spawn log, memory image and global registers must
+//! equal those of the Reference engine on the interpreter tier — for a
+//! benign fault plan (seeded, all rates zero) those of the *healthy*
+//! oracle, for the seeded soft-fault plan those of the oracle under the
+//! same plan — and a block-tier cell's trace-cache counters must repeat
+//! between its healthy and benign runs. Then each paper-scale case runs
+//! once more under fast-forward with the [`HostLayers`] ledger
+//! attached; the layers must account for [`LEDGER_FLOOR`] of
+//! `Machine::run`'s wall time (a share within one run, not a comparison
+//! between runs). Any failure is listed and the exit status is 1 (2: it
+//! could not run — bad arguments, an unreadable or malformed baseline).
 //!
 //! *Record* (`OUT.json`) then times Reference and FastForward on every
 //! case — one warm-up, then the minimum of repeated runs, see
@@ -28,8 +29,8 @@
 //! by nothing. Nothing is written if the exact pass failed.
 //!
 //! *Check* (`--check BASELINE.json`) writes nothing and times nothing:
-//! it compares every case's simulated cycles, spawn digest and trace
-//! row, and every paper-scale case's ledger work counts (cluster steps
+//! it compares every case's simulated cycles, spawn digest, statistics
+//! and trace row, and every paper-scale case's ledger work counts (cluster steps
 //! taken and parked), with the baseline's (`baseline::compare`), and
 //! fails on a case the baseline lacks. Whether the code got faster or
 //! slower is not this binary's question — that is shown only by
@@ -38,148 +39,36 @@
 
 use std::time::Instant;
 use xmt_bench::baseline::{self, ExactRow, Recorded};
+use xmt_bench::matrix::{self, Plan, Subject, PLANS};
 use xmt_fft::golden::{self, GoldenCase};
-use xmt_sim::{
-    Engine, FaultPlan, HostLayer, HostLayers, MachineStats, TraceStats, TranslationTier,
-};
-
-/// The first engine and tier are the oracle every other cell is held to.
-const ENGINES: [(&str, Engine); 3] = [
-    ("reference", Engine::Reference),
-    ("fast_forward", Engine::FastForward),
-    ("threaded", Engine::Threaded { threads: 0 }),
-];
-const TIERS: [(&str, TranslationTier); 2] = [
-    ("interpreter", TranslationTier::Interpreter),
-    ("block", TranslationTier::Block),
-];
-
-#[derive(Clone, Copy, PartialEq)]
-enum Plan {
-    Healthy,
-    /// A seeded [`FaultPlan`] with every rate zero: must change nothing.
-    Benign,
-    /// Fixed-seed DRAM bit flips + NoC corruption: changes the run, the
-    /// same way under every engine and tier.
-    Soft,
-}
-/// Paper-scale cases run only the first (healthy) plan.
-const PLANS: [(&str, Plan); 3] = [
-    ("healthy", Plan::Healthy),
-    ("benign", Plan::Benign),
-    ("soft", Plan::Soft),
-];
+use xmt_sim::{Engine, HostLayer, HostLayers};
 
 /// The ledger must account for this share of `Machine::run`.
 const LEDGER_FLOOR: f64 = 0.95;
 
-/// What one run is judged by.
-#[derive(Clone, Copy, PartialEq)]
-struct Cell {
-    stats: MachineStats,
-    digest: u64,
-    trace: Option<TraceStats>,
-}
-
-fn run_cell(case: &GoldenCase, engine: Engine, tier: TranslationTier, plan: Plan) -> Cell {
-    let mut sim = case.sim_config().engine(engine).tier(tier);
-    sim = match plan {
-        Plan::Healthy => sim,
-        Plan::Benign => sim.faults(FaultPlan::new(0xB1A5)),
-        Plan::Soft => sim.faults(
-            FaultPlan::new(0xFEED_5EED)
-                .dram_flips(0.02, 0.002)
-                .noc_corrupt(0.01),
-        ),
-    };
-    let mut m = case.builder(&sim).build();
-    let rep = m.run().expect("golden case must complete");
-    Cell {
-        stats: rep.stats,
-        digest: golden::spawn_digest(&rep),
-        trace: m.trace_stats(),
-    }
-}
-
-/// The exact pass over one case (module docs): failures are appended,
-/// the returned row is what the default configuration produced.
+/// The exact pass over one case (module docs): its row, or `None`
+/// with the divergences appended to `failures`.
 fn exact_pass(
     case: &GoldenCase,
     section: &'static str,
-    plans: &[(&str, Plan)],
+    plans: &[Plan],
     failures: &mut Vec<String>,
-) -> ExactRow {
-    let failed_before = failures.len();
-    let mut healthy: Vec<Cell> = Vec::new();
-    let mut default_cell = None;
-    for &(pname, plan) in plans {
-        let mut cells: Vec<Cell> = Vec::new();
-        for (ename, engine) in ENGINES {
-            for (tname, tier) in TIERS {
-                let cell = run_cell(case, engine, tier, plan);
-                let at = format!("{}/{ename}/{tname}/{pname}", case.name);
-                // A benign plan is held to the healthy oracle.
-                let want = match plan {
-                    Plan::Benign => healthy[0],
-                    _ => *cells.first().unwrap_or(&cell),
-                };
-                if cell.stats != want.stats {
-                    failures.push(format!(
-                        "{at}: stats {:?} != reference/interpreter {:?}",
-                        cell.stats, want.stats
-                    ));
-                }
-                if cell.digest != want.digest {
-                    failures.push(format!(
-                        "{at}: spawn digest {:#018x} != reference/interpreter {:#018x}",
-                        cell.digest, want.digest
-                    ));
-                }
-                // Same engine, same tier, one run earlier.
-                if plan == Plan::Benign && cell.trace != healthy[cells.len()].trace {
-                    failures.push(format!(
-                        "{at}: trace stats {:?} do not repeat the healthy run's {:?}",
-                        cell.trace,
-                        healthy[cells.len()].trace
-                    ));
-                }
-                if (ename, tname, plan) == ("fast_forward", "block", Plan::Healthy) {
-                    default_cell = Some(cell);
-                }
-                cells.push(cell);
-            }
-        }
-        if plan == Plan::Healthy {
-            healthy = cells;
-        }
-    }
-    let cell = default_cell.expect("the matrix holds fast_forward/block/healthy");
-    let ts = cell.trace.expect("the block tier exposes trace stats");
+) -> Option<ExactRow> {
+    let cells = matrix::exact_cells(plans);
+    let agreed = matrix::agree(&Subject::golden(case), &cells);
+    let row = agreed.as_ref().ok().map(|a| a.row(section, case.name));
     eprintln!(
         "{:18} {:>9} cycles  digest {:#018x}  {} cells {}",
         case.name,
-        cell.stats.cycles,
-        cell.digest,
-        plans.len() * ENGINES.len() * TIERS.len(),
-        if failures.len() == failed_before {
-            "agree"
-        } else {
-            "DIFFER"
-        }
+        row.as_ref().map_or(0, |r| r.simulated_cycles),
+        row.as_ref().map_or(0, |r| r.spawn_digest),
+        cells.len(),
+        if row.is_some() { "agree" } else { "DIFFER" }
     );
-    ExactRow {
-        section,
-        name: case.name.to_string(),
-        simulated_cycles: cell.stats.cycles,
-        spawn_digest: cell.digest,
-        trace: baseline::trace_fields(
-            ts.blocks,
-            ts.lowered,
-            ts.uops,
-            ts.entries + cell.stats.threads,
-        ),
-        work: Vec::new(),
+    if let Err(d) = agreed {
+        failures.extend(d.0);
     }
+    row
 }
 
 /// One fast-forward run with the host-time ledger attached: the
@@ -296,15 +185,20 @@ fn main() {
     ];
     for (section, cases, plans, with_ledger) in sections {
         for case in cases {
-            let mut exact = exact_pass(&case, section, plans, &mut failures);
+            let Some(mut exact) = exact_pass(&case, section, plans, &mut failures) else {
+                continue;
+            };
             let layers = with_ledger.then(|| ledger(&case, &mut exact, &mut failures));
             let mut engines = Vec::new();
             if !check {
-                for (name, engine) in &ENGINES[..2] {
-                    let secs = measure(&case, *engine);
+                for (name, engine) in [
+                    ("reference", Engine::Reference),
+                    ("fast_forward", Engine::FastForward),
+                ] {
+                    let secs = measure(&case, engine);
                     let rate = exact.simulated_cycles as f64 / secs;
                     eprintln!("{:18} {name:13} {rate:>10.0} cycles/s", case.name);
-                    engines.push((*name, secs));
+                    engines.push((name, secs));
                 }
             }
             rows.push(Recorded {

@@ -1,5 +1,5 @@
 //! `paper <command> [flags]` — every table, figure, ablation and
-//! capture tool of the reproduction behind one binary (DESIGN.md §5
+//! tool of the reproduction behind one binary (DESIGN.md §5
 //! has the index, EXPERIMENTS.md the recorded output).
 //!
 //! ```text
@@ -20,7 +20,6 @@ mod calibrate;
 mod energy_table;
 mod fault_sweep;
 mod fig3;
-mod golden_capture;
 mod observe;
 mod prior_work;
 mod scaling;
@@ -148,12 +147,6 @@ const COMMANDS: &[Command] = &[
         accepts: &[Count("--seed")],
         help: "golden FFT under soft faults, degraded topologies and a stuck TCU",
         run: fault_sweep::run,
-    },
-    Command {
-        name: "golden_capture",
-        accepts: &[Switch("--scaling")],
-        help: "re-capture the golden cycle constants; --scaling for the paper-scale set",
-        run: golden_capture::run,
     },
 ];
 

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 
 pub mod baseline;
 pub mod fmt;
+pub mod matrix;
 pub mod runner;
 
 pub use fmt::render_table;

@@ -73,7 +73,6 @@ const QUICK: &[Run] = &[
     (&["observe"], "4k: peak 13.2 GFLOPS"),
     (&["fault_sweep"], "fault sweep: 512-point radix-8 FFT"),
     (&["fault_sweep", "--seed", "7"], "(seed 0x7)"),
-    (&["golden_capture"], "(\"fft_radix8_n512\", Golden {"),
 ];
 
 /// Paper-scale simulation or host measurement: release only.
@@ -86,10 +85,6 @@ const SLOW: &[Run] = &[
         "Ablation — fused vs separate rotation",
     ),
     (&["ablation_twiddle"], "Ablation — twiddle replication"),
-    (
-        &["golden_capture", "--scaling"],
-        "(\"fft_xmt4k_n32768\", Golden {",
-    ),
 ];
 
 fn run_all(dir: &Path, runs: &[Run]) {
@@ -168,7 +163,7 @@ fn bad_arguments_are_usage_errors_naming_the_command() {
     let cases: &[&[&str]] = &[
         &["table4", "--quik"],
         &["table5", "--quick", "extra"],
-        &["golden_capture", "--scalng"],
+        &["observe", "--strem"],
         &["observe", "--interval"],
         &["observe", "--interval", "often"],
         &["observe", "--out"],

@@ -1,9 +1,10 @@
 //! Canonical golden workloads for simulator regression testing.
 //!
 //! Every timing-visible refactor of `xmt-sim` must leave these runs
-//! bit-identical: `tests/tests/golden_cycles.rs` asserts their exact
-//! `RunSummary` statistics, and `crates/bench` reuses the same
-//! workloads for throughput measurement, so the numbers being
+//! bit-identical: `BENCH_sim.json` records their exact statistics,
+//! `bench_sim --check` and `tests/tests/determinism.rs` hold every
+//! engine, tier and fault plan to them, and `crates/bench` reuses the
+//! same workloads for throughput measurement, so the numbers being
 //! benchmarked are the numbers being verified.
 //!
 //! The set covers the scheduling regimes the simulator distinguishes:
@@ -269,9 +270,10 @@ pub fn cases() -> Vec<GoldenCase> {
 /// long) and a *sparse* one (thread count well under the TCU count, so
 /// most clusters sit idle — the regime where the threaded engine's
 /// active-cluster work list pays off most). Not part of [`cases`] (the
-/// per-commit golden suite stays cheap); `tests/tests/golden_scaling.rs`
-/// pins their cycle counts and spawn digests across engines, and
-/// `bench_sim` records them in `BENCH_sim.json` and checks them there.
+/// per-commit golden suite stays cheap); `bench_sim` records them in
+/// `BENCH_sim.json` and checks every engine and tier against them, and
+/// `tests/tests/determinism.rs` holds the default cell and sliced runs
+/// to the same rows.
 pub fn scaling_cases() -> Vec<GoldenCase> {
     vec![
         GoldenCase {
@@ -291,34 +293,6 @@ pub fn scaling_cases() -> Vec<GoldenCase> {
             build: || fft_build_on(XmtConfig::xmt_64k(), 8192),
         },
     ]
-}
-
-/// Render a report as the Rust constant block the golden test embeds.
-pub fn render_const(name: &str, s: &RunReport) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let st = &s.stats;
-    writeln!(
-        out,
-        "    (\"{name}\", Golden {{\n        cycles: {},\n        instructions: {},\n        \
-         flops: {},\n        mem_reads: {},\n        mem_writes: {},\n        threads: {},\n        \
-         spawns: {},\n        stall_scoreboard: {},\n        stall_fpu: {},\n        \
-         stall_mdu: {},\n        stall_lsu: {},\n        spawn_digest: {:#018x},\n    }}),",
-        st.cycles,
-        st.instructions,
-        st.flops,
-        st.mem_reads,
-        st.mem_writes,
-        st.threads,
-        st.spawns,
-        st.stall_scoreboard,
-        st.stall_fpu,
-        st.stall_mdu,
-        st.stall_lsu,
-        spawn_digest(s),
-    )
-    .unwrap();
-    out
 }
 
 /// Order-sensitive digest of the original `SpawnStats` fields, so

@@ -685,9 +685,9 @@ impl<P: Probe> Machine<P> {
     }
 
     /// [`Machine::checkpoint`] straight to serialized bytes — the form
-    /// every consumer that moves checkpoints across threads, files or
-    /// sockets (the job server's slice commit, its write-ahead
-    /// journal) actually wants. Same quiescence requirement.
+    /// a checkpoint takes to cross a thread, file or socket, or to be
+    /// resumed into a fresh machine (`xmt_bench::matrix`'s sliced
+    /// cells do exactly that). Same quiescence requirement.
     pub fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, SimError> {
         Ok(self.checkpoint()?.to_bytes())
     }

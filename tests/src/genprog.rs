@@ -16,8 +16,10 @@
 //! rather than falling back to fast-forward.
 
 use proptest::prelude::*;
+use xmt_bench::matrix::Subject;
 use xmt_isa::reg::{fr, ir};
 use xmt_isa::{AluOp, FpuOp, Instr, MduOp, Program, ProgramBuilder};
+use xmt_sim::{SimConfig, XmtConfig};
 
 /// One generated instruction in a restricted, always-terminating form.
 #[derive(Debug, Clone)]
@@ -413,4 +415,26 @@ pub fn build_with_init(
     }
     b.halt();
     b.build().unwrap()
+}
+
+/// The shared read-only region `[0, 64)` the generated loads read,
+/// hashed from `seed`.
+pub fn ro_words(seed: u64) -> Vec<u32> {
+    (0..64u64)
+        .map(|i| {
+            let mut z = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z ^= z >> 31;
+            z as u32
+        })
+        .collect()
+}
+
+/// `prog` on `cfg` with `mem_words` words of memory, `ro` written at
+/// word 0: a subject for the determinism matrix.
+pub fn subject(prog: Program, cfg: &XmtConfig, mem_words: usize, ro: Vec<u32>) -> Subject<'static> {
+    Subject::new("generated", SimConfig::new(cfg), move |sim| {
+        sim.builder(prog.clone())
+            .mem_words(mem_words)
+            .write_u32s(0, &ro)
+    })
 }

@@ -1,7 +1,9 @@
 //! Cross-engine agreement: on randomly generated programs, the
 //! reference, fast-forward and threaded advance loops must produce
 //! bitwise-identical run statistics, spawn logs, memory images and
-//! global registers. The generator (`xmt_integration::genprog`) avoids
+//! global registers — each a set of cells of the determinism matrix
+//! (`xmt_bench::matrix`), held to the Reference/interpreter oracle.
+//! The generator (`xmt_integration::genprog`) avoids
 //! `ps`/`sspawn` so the threaded engine genuinely partitions clusters
 //! across workers instead of falling back to fast-forward, and uses
 //! ≥ 2 clusters for the same reason.
@@ -12,53 +14,26 @@
 //! optimizations with no observable effect.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use xmt_bench::matrix::{self, Agreed, Cell, Subject, TIERS};
 use xmt_integration::genprog::{
-    branchy_op_strategy, build, build_multi_spawn, emit, op_strategy, GenOp,
+    branchy_op_strategy, build, build_multi_spawn, emit, op_strategy, ro_words, subject, GenOp,
 };
 use xmt_isa::reg::ir;
 use xmt_isa::{Program, ProgramBuilder};
-use xmt_sim::{
-    Engine, IntervalProbe, IntervalRow, RunReport, SimConfig, TranslationTier, XmtConfig,
-};
+use xmt_sim::{Engine, TranslationTier, XmtConfig};
 
-/// The shared read-only region `[0, 64)` the generated loads read.
-fn ro_words(seed: u64) -> Vec<u32> {
-    (0..64u64)
-        .map(|i| {
-            let mut z = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z ^= z >> 31;
-            z as u32
-        })
-        .collect()
-}
-
-/// Run `prog` under `engine` with an [`IntervalProbe`] attached,
-/// returning the report, probe sample stream and final state. The
-/// probe stream is part of the cross-engine contract: every engine
-/// must emit bit-identical interval rows, not just matching totals.
-fn run_engine(
-    prog: &Program,
-    cfg: &XmtConfig,
-    ro: &[u32],
-    mem_words: usize,
-    engine: Engine,
-) -> (RunReport, Vec<IntervalRow>, Vec<u32>, [u32; 16]) {
-    let mut m = SimConfig::new(cfg)
-        .engine(engine)
-        .builder(prog.clone())
-        .mem_words(mem_words)
-        .write_u32s(0, ro)
-        .build_probed(IntervalProbe::new(32, 1 << 12));
-    let report = m.run().expect("generated program must complete");
-    let rows = m.probe().rows();
-    let mem = m.mem.clone();
-    let gregs = m.gregs_snapshot();
-    (report, rows, mem, gregs)
+/// `agree`, failing the proptest case with every divergence.
+fn agree(subject: &Subject, cells: &[Cell]) -> Result<Agreed, TestCaseError> {
+    matrix::agree(subject, cells).map_err(|d| TestCaseError::fail(format!("{d:?}")))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Reference and fast-forward probed (the interval rows are part of
+    /// the contract, not just matching totals), threaded unprobed so it
+    /// really shards.
     #[test]
     fn all_engines_agree_bitwise(
         serial in proptest::collection::vec(op_strategy(), 0..10),
@@ -69,54 +44,15 @@ proptest! {
         ro_seed in any::<u64>(),
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
-        let mem_words = 128 + 24 * 8 + 16;
-        let ro = ro_words(ro_seed);
-
         // clusters ≥ 2 so the threaded engine actually partitions.
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
-        let (s_ref, rows_ref, mem_ref, gr_ref) =
-            run_engine(&prog, &cfg, &ro, mem_words, Engine::Reference);
-        let (s_ff, rows_ff, mem_ff, gr_ff) =
-            run_engine(&prog, &cfg, &ro, mem_words, Engine::FastForward);
-        let (s_thr, rows_thr, mem_thr, gr_thr) =
-            run_engine(&prog, &cfg, &ro, mem_words, Engine::Threaded { threads: 2 });
-
-        prop_assert_eq!(s_ref.stats, s_ff.stats, "fast-forward stats diverge");
-        prop_assert_eq!(s_ref.stats, s_thr.stats, "threaded stats diverge");
-        prop_assert_eq!(&s_ref.spawns, &s_ff.spawns, "fast-forward spawn log diverges");
-        prop_assert_eq!(&s_ref.spawns, &s_thr.spawns, "threaded spawn log diverges");
-        prop_assert_eq!(&mem_ref, &mem_ff, "fast-forward memory diverges");
-        prop_assert_eq!(&mem_ref, &mem_thr, "threaded memory diverges");
-        prop_assert_eq!(gr_ref, gr_ff, "fast-forward gregs diverge");
-        prop_assert_eq!(gr_ref, gr_thr, "threaded gregs diverge");
-        prop_assert_eq!(&rows_ref, &rows_ff, "fast-forward probe stream diverges");
-        prop_assert_eq!(&rows_ref, &rows_thr, "threaded probe stream diverges");
+        let subject = subject(prog, &cfg, 128 + 24 * 8 + 16, ro_words(ro_seed));
+        agree(&subject, &[
+            Cell::on(Engine::Reference, TranslationTier::Block).probed(32),
+            Cell::on(Engine::FastForward, TranslationTier::Block).probed(32),
+            Cell::on(Engine::Threaded { threads: 2 }, TranslationTier::Block),
+        ])?;
     }
-}
-
-/// Unprobed variant of [`run_engine`]: a probed machine never reaches
-/// the threaded engine's sharded path (it falls back to fast-forward —
-/// see `Machine::run_inner`), so the tests below that exist to exercise
-/// sharding must run without a probe. The probe stream's cross-engine
-/// identity is already pinned by `all_engines_agree_bitwise` and the
-/// ci.sh probe gate.
-fn run_engine_unprobed(
-    prog: &Program,
-    cfg: &XmtConfig,
-    ro: &[u32],
-    mem_words: usize,
-    engine: Engine,
-) -> (RunReport, Vec<u32>, [u32; 16]) {
-    let mut m = SimConfig::new(cfg)
-        .engine(engine)
-        .builder(prog.clone())
-        .mem_words(mem_words)
-        .write_u32s(0, ro)
-        .build();
-    let report = m.run().expect("generated program must complete");
-    let mem = m.mem.clone();
-    let gregs = m.gregs_snapshot();
-    (report, mem, gregs)
 }
 
 proptest! {
@@ -137,43 +73,9 @@ proptest! {
         ro_seed in any::<u64>(),
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
-        let mem_words = 128 + 256 * 8 + 16;
-        let ro = ro_words(ro_seed);
-
-        let cfg = XmtConfig::xmt_4k();
-        let (s_ref, mem_ref, gr_ref) =
-            run_engine_unprobed(&prog, &cfg, &ro, mem_words, Engine::Reference);
-        let (s_thr, mem_thr, gr_thr) =
-            run_engine_unprobed(&prog, &cfg, &ro, mem_words, Engine::Threaded { threads: 2 });
-
-        prop_assert_eq!(s_ref.stats, s_thr.stats, "threaded stats diverge on xmt_4k");
-        prop_assert_eq!(&s_ref.spawns, &s_thr.spawns, "threaded spawn log diverges on xmt_4k");
-        prop_assert_eq!(&mem_ref, &mem_thr, "threaded memory diverges on xmt_4k");
-        prop_assert_eq!(gr_ref, gr_thr, "threaded gregs diverge on xmt_4k");
+        let subject = subject(prog, &XmtConfig::xmt_4k(), 128 + 256 * 8 + 16, ro_words(ro_seed));
+        agree(&subject, &[Cell::on(Engine::Threaded { threads: 2 }, TranslationTier::Block)])?;
     }
-}
-
-/// Variant of [`run_engine_unprobed`] that also pins the translation
-/// tier.
-fn run_engine_tiered(
-    prog: &Program,
-    cfg: &XmtConfig,
-    ro: &[u32],
-    mem_words: usize,
-    engine: Engine,
-    tier: TranslationTier,
-) -> (RunReport, Vec<u32>, [u32; 16]) {
-    let mut m = SimConfig::new(cfg)
-        .engine(engine)
-        .tier(tier)
-        .builder(prog.clone())
-        .mem_words(mem_words)
-        .write_u32s(0, ro)
-        .build();
-    let report = m.run().expect("generated program must complete");
-    let mem = m.mem.clone();
-    let gregs = m.gregs_snapshot();
-    (report, mem, gregs)
 }
 
 proptest! {
@@ -183,9 +85,7 @@ proptest! {
     /// single instruction and 1–4-iteration countdown loops — are the
     /// worst case for the block-compiled tier: superblocks degenerate
     /// to one or two micro-ops and every branch resolution crosses a
-    /// fallback seam. Tier-on and tier-off runs must be bitwise
-    /// identical (stats, spawn log, memory image, global registers)
-    /// under all three engines.
+    /// fallback seam. Every engine on either tier must agree.
     #[test]
     fn tier_agrees_on_branch_dense_programs(
         serial in proptest::collection::vec(branchy_op_strategy(), 0..8),
@@ -196,38 +96,13 @@ proptest! {
         ro_seed in any::<u64>(),
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
-        let mem_words = 128 + 24 * 8 + 16;
-        let ro = ro_words(ro_seed);
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
-
-        let (s_base, mem_base, gr_base) = run_engine_tiered(
-            &prog, &cfg, &ro, mem_words, Engine::Reference, TranslationTier::Interpreter,
-        );
-        for engine in [
-            Engine::Reference,
-            Engine::FastForward,
-            Engine::Threaded { threads: 2 },
-        ] {
-            for tier in [TranslationTier::Interpreter, TranslationTier::Block] {
-                let (s, mem, gr) = run_engine_tiered(&prog, &cfg, &ro, mem_words, engine, tier);
-                prop_assert_eq!(
-                    &s_base.stats, &s.stats,
-                    "stats diverge under {:?}/{:?}", engine, tier
-                );
-                prop_assert_eq!(
-                    &s_base.spawns, &s.spawns,
-                    "spawn log diverges under {:?}/{:?}", engine, tier
-                );
-                prop_assert_eq!(
-                    &mem_base, &mem,
-                    "memory diverges under {:?}/{:?}", engine, tier
-                );
-                prop_assert_eq!(
-                    gr_base, gr,
-                    "gregs diverge under {:?}/{:?}", engine, tier
-                );
-            }
+        let subject = subject(prog, &cfg, 128 + 24 * 8 + 16, ro_words(ro_seed));
+        let mut cells = Vec::new();
+        for engine in [Engine::Reference, Engine::FastForward, Engine::Threaded { threads: 2 }] {
+            cells.extend(TIERS.map(|tier| Cell::on(engine, tier)));
         }
+        agree(&subject, &cells)?;
     }
 }
 
@@ -239,7 +114,6 @@ proptest! {
 /// spawn's tenancy) shows up here as a stats or memory divergence.
 #[test]
 fn shard_churn_across_spawn_widths() {
-    use xmt_integration::genprog::GenOp;
     let par_ops = [
         GenOp::LoadRo { rd: 3, addr: 17 },
         GenOp::Alu {
@@ -263,37 +137,13 @@ fn shard_churn_across_spawn_widths() {
     // active-cluster partition.
     let widths = [500u32, 96, 3000, 40, 1024];
     let prog = build_multi_spawn(&[], &par_ops, &widths, &[]);
-    let mem_words = 128 + 3000 * 8 + 16;
     let ro: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-    let cfg = XmtConfig::xmt_4k();
-
-    let (s_ref, mem_ref, gr_ref) =
-        run_engine_unprobed(&prog, &cfg, &ro, mem_words, Engine::Reference);
-    for threads in [0usize, 2, 3] {
-        let (s_thr, mem_thr, gr_thr) =
-            run_engine_unprobed(&prog, &cfg, &ro, mem_words, Engine::Threaded { threads });
-        assert_eq!(
-            s_ref.stats, s_thr.stats,
-            "threaded({threads}) stats diverge under shard churn"
-        );
-        assert_eq!(
-            s_ref.spawns, s_thr.spawns,
-            "threaded({threads}) spawn log diverges under shard churn"
-        );
-        assert_eq!(
-            mem_ref, mem_thr,
-            "threaded({threads}) memory diverges under shard churn"
-        );
-        assert_eq!(
-            gr_ref, gr_thr,
-            "threaded({threads}) gregs diverge under shard churn"
-        );
-    }
-    let (s_ff, mem_ff, gr_ff) =
-        run_engine_unprobed(&prog, &cfg, &ro, mem_words, Engine::FastForward);
-    assert_eq!(s_ref.stats, s_ff.stats);
-    assert_eq!(mem_ref, mem_ff);
-    assert_eq!(gr_ref, gr_ff);
+    let subject = subject(prog, &XmtConfig::xmt_4k(), 128 + 3000 * 8 + 16, ro);
+    let mut cells = [0usize, 2, 3]
+        .map(|threads| Cell::on(Engine::Threaded { threads }, TranslationTier::Block))
+        .to_vec();
+    cells.push(Cell::DEFAULT);
+    matrix::agree(&subject, &cells).unwrap();
 }
 
 /// A section in which thread `minter`, after `delay` dependent loads,
@@ -357,25 +207,13 @@ proptest! {
         ro_seed in any::<u64>(),
     ) {
         let prog = sspawn_program(&par_ops, threads, minter % threads, delay, extra);
-        let mem_words = 128 + 160 * 8 + 16;
-        let ro = ro_words(ro_seed);
         let cfg = XmtConfig::xmt_4k().scaled_to(4);
-        let run = |engine: Engine| {
-            let mut m = SimConfig::new(&cfg)
-                .engine(engine)
-                .builder(prog.clone())
-                .mem_words(mem_words)
-                .write_u32s(0, &ro)
-                .build_probed(IntervalProbe::new(1, 1 << 12));
-            let report = m.run().expect("generated program must complete");
-            (report, m.probe().rows(), m.mem.clone())
-        };
-        let (s_ref, rows_ref, mem_ref) = run(Engine::Reference);
-        let (s_ff, rows_ff, mem_ff) = run(Engine::FastForward);
-        prop_assert_eq!(s_ref.stats.threads, u64::from(threads) + u64::from(extra));
-        prop_assert_eq!(s_ref.stats, s_ff.stats, "fast-forward stats diverge");
-        prop_assert_eq!(&s_ref.spawns, &s_ff.spawns, "fast-forward spawn log diverges");
-        prop_assert_eq!(&mem_ref, &mem_ff, "fast-forward memory diverges");
-        prop_assert_eq!(&rows_ref, &rows_ff, "fast-forward probe stream diverges");
+        let subject = subject(prog, &cfg, 128 + 160 * 8 + 16, ro_words(ro_seed));
+        let agreed = agree(&subject, &[
+            Cell::on(Engine::Reference, TranslationTier::Block).probed(1),
+            Cell::on(Engine::FastForward, TranslationTier::Block).probed(1),
+        ])?;
+        let minted = agreed.oracle.report.stats.threads;
+        prop_assert_eq!(minted, u64::from(threads) + u64::from(extra));
     }
 }

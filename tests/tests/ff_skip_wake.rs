@@ -19,9 +19,11 @@
 //! boundaries. The buggy engine under-counted `stall_scoreboard` by 30
 //! with all other fields bit-identical.
 
+use xmt_bench::matrix::{self, Cell};
+use xmt_integration::genprog::{ro_words, subject};
 use xmt_isa::reg::{fr, ir};
 use xmt_isa::{AluOp, FpuOp, Instr, MduOp, Program, ProgramBuilder};
-use xmt_sim::{Engine, SimConfig, XmtConfig};
+use xmt_sim::XmtConfig;
 
 fn program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -97,29 +99,8 @@ fn program() -> Program {
 
 #[test]
 fn skip_boundary_wake_preserves_scoreboard_stalls() {
-    let prog = program();
-    let mem_words = 128 + 24 * 8 + 16;
-    let ro: Vec<u32> = (0..64u64)
-        .map(|i| {
-            let mut z = 3709237838518513374u64
-                .wrapping_add(i)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z ^= z >> 31;
-            z as u32
-        })
-        .collect();
     let cfg = XmtConfig::xmt_4k().scaled_to(4);
-    let run = |engine: Engine| {
-        let mut m = SimConfig::new(&cfg)
-            .engine(engine)
-            .builder(prog.clone())
-            .mem_words(mem_words)
-            .write_u32s(0, &ro)
-            .build();
-        m.run().expect("must complete")
-    };
-    let s_ref = run(Engine::Reference);
-    let s_ff = run(Engine::FastForward);
-    assert_eq!(s_ref.stats, s_ff.stats, "fast-forward stats diverge");
-    assert_eq!(s_ref.spawns, s_ff.spawns, "fast-forward spawn log diverges");
+    let ro = ro_words(3709237838518513374);
+    let subject = subject(program(), &cfg, 128 + 24 * 8 + 16, ro);
+    matrix::agree(&subject, &[Cell::DEFAULT]).unwrap();
 }

@@ -20,12 +20,14 @@
 //! pending `r11`. The latencies expire inside parked stretches of one
 //! cluster while the other is still issuing; the broken engine
 //! under-counted `stall_scoreboard` by 96 with all other fields
-//! bit-identical. It runs with the release-profile goldens in `ci.sh`,
-//! under the codegen the benchmark times.
+//! bit-identical. It runs again in `ci.sh` beside the determinism
+//! matrix's release-only cells, under the codegen the benchmark times.
 
+use xmt_bench::matrix::{self, Cell, TIERS};
+use xmt_integration::genprog::subject;
 use xmt_isa::reg::{fr, ir};
 use xmt_isa::{FpuOp, Instr, MduOp, Program, ProgramBuilder};
-use xmt_sim::{Engine, IntervalProbe, SimConfig, TranslationTier, XmtConfig};
+use xmt_sim::{Engine, TranslationTier, XmtConfig};
 
 fn program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -58,41 +60,21 @@ fn program() -> Program {
 
 #[test]
 fn park_boundary_wake_preserves_scoreboard_stalls() {
-    let prog = program();
     let ro: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
     let cfg = XmtConfig::xmt_4k().scaled_to(4);
-    let build = |engine: Engine, tier: TranslationTier| {
-        SimConfig::new(&cfg)
-            .engine(engine)
-            .tier(tier)
-            .builder(prog.clone())
-            .mem_words(128)
-            .write_u32s(0, &ro)
-    };
+    let subject = subject(program(), &cfg, 128, ro);
     // Unprobed for the statistics: a sample settles the parked
-    // clusters' wakes itself, which would hide a missing replay.
-    let run = |engine, tier| build(engine, tier).build().run().expect("must complete");
-    // And sampled every cycle, so samples land inside parked stretches
-    // and read the `busy` masks there.
-    let rows = |engine, tier| {
-        let mut m = build(engine, tier).build_probed(IntervalProbe::new(1, 1 << 10));
-        m.run().expect("must complete");
-        m.probe().rows()
-    };
-    let s_ref = run(Engine::Reference, TranslationTier::Interpreter);
-    let rows_ref = rows(Engine::Reference, TranslationTier::Interpreter);
-    assert!(s_ref.stats.stall_scoreboard > 0, "nothing blocked");
-    for tier in [TranslationTier::Interpreter, TranslationTier::Block] {
-        let s_ff = run(Engine::FastForward, tier);
-        assert_eq!(
-            s_ref.stats, s_ff.stats,
-            "fast-forward stats diverge ({tier:?})"
-        );
-        assert_eq!(s_ref.spawns, s_ff.spawns, "spawn log diverges ({tier:?})");
-        assert_eq!(
-            rows_ref,
-            rows(Engine::FastForward, tier),
-            "fast-forward probe stream diverges ({tier:?})"
-        );
+    // clusters' wakes itself, which would hide a missing replay. And
+    // sampled every cycle, so samples land inside parked stretches and
+    // read the `busy` masks there.
+    let mut cells = vec![Cell::on(Engine::Reference, TranslationTier::Interpreter).probed(1)];
+    for tier in TIERS {
+        let cell = Cell::on(Engine::FastForward, tier);
+        cells.extend([cell, cell.probed(1)]);
     }
+    let agreed = matrix::agree(&subject, &cells).unwrap();
+    assert!(
+        agreed.oracle.report.stats.stall_scoreboard > 0,
+        "nothing blocked"
+    );
 }

@@ -6,9 +6,9 @@
 //!   engine.
 //! * Summing the retained interval rows reconstructs the same totals
 //!   when the ring did not overwrite (capacity ≥ samples).
-//! * The sample stream is bit-identical across engines — the same
-//!   contract the engines already honour for stats/spawns/memory.
-//! * Attaching a probe never changes the simulated cycle count.
+//! * The sample stream is bit-identical across engines, and attaching a
+//!   probe changes no result — probed cells of the determinism matrix
+//!   (`xmt_bench::matrix::probe_cells`).
 //! * The [`HostLayers`] host-time ledger changes no simulated result and
 //!   attributes (nearly) all of the run's wall time, never more.
 //! * The [`RaceCheck`] oracle agrees with the static verdict of
@@ -16,40 +16,36 @@
 //!   race-free) golden workload, and at least one on a seeded racy
 //!   program that the static analysis also rejects.
 
+use xmt_bench::matrix::{self, Cell, Subject, PROBE_INTERVALS};
 use xmt_fft::golden;
 use xmt_isa::{ir, ProgramBuilder};
 use xmt_sim::{
-    Engine, HostLayer, HostLayers, IntervalProbe, IntervalRow, MachineStats, RaceCheck, RunReport,
+    Engine, HostLayer, HostLayers, IntervalProbe, IntervalRow, Machine, RaceCheck, RunReport,
     SimConfig,
 };
 
-const ENGINES: [Engine; 3] = [
-    Engine::Reference,
-    Engine::FastForward,
-    Engine::Threaded { threads: 2 },
-];
+/// A probed Threaded run is a fast-forward run (`Machine::run_inner`).
+const ENGINES: [Engine; 2] = [Engine::Reference, Engine::FastForward];
 
-/// Run one golden case probed, returning the report, the probe's
-/// cumulative totals and the retained sample rows.
-fn run_probed(
+/// One golden case run to completion with an interval probe attached.
+fn sampled(
     case: &golden::GoldenCase,
     engine: Engine,
     interval: u64,
-) -> (RunReport, MachineStats, Vec<IntervalRow>) {
+) -> (RunReport, Machine<IntervalProbe>) {
     let mut m = case
         .builder(&case.sim_config().engine(engine))
         .build_probed(IntervalProbe::new(interval, 1 << 14));
     let report = m.run().expect("golden case must complete");
-    let totals = m.probe().totals();
-    let rows = m.probe().rows();
-    (report, totals, rows)
+    (report, m)
 }
 
 #[test]
 fn probe_totals_equal_run_aggregates_on_all_engines() {
     for case in golden::cases() {
         for engine in ENGINES {
-            let (report, totals, rows) = run_probed(&case, engine, 64);
+            let (report, m) = sampled(&case, engine, 64);
+            let (totals, rows) = (m.probe().totals(), m.probe().rows());
             assert_eq!(
                 totals, report.stats,
                 "{} under {engine:?}: probe totals diverge from run stats",
@@ -74,7 +70,8 @@ fn probe_totals_equal_run_aggregates_on_all_engines() {
 #[test]
 fn interval_rows_sum_to_totals_without_overwrite() {
     for case in golden::cases() {
-        let (report, _, rows) = run_probed(&case, Engine::FastForward, 32);
+        let (report, m) = sampled(&case, Engine::FastForward, 32);
+        let rows = m.probe().rows();
         let sum = |f: fn(&IntervalRow) -> u64| rows.iter().map(f).sum::<u64>();
         assert_eq!(
             sum(|r| r.instructions),
@@ -133,38 +130,24 @@ fn interval_rows_sum_to_totals_without_overwrite() {
     }
 }
 
+/// Interval 1 samples every cycle and 7 drifts across both clock
+/// parities, so samples land inside the stretches fast-forward's
+/// parked clusters sit out, not only on the 64-cycle grid; each probed
+/// cell is also held to the unprobed oracle.
 #[test]
 fn sample_stream_bit_identical_across_engines() {
-    // Interval 1 samples every cycle and 7 drifts across both clock
-    // parities, so samples land inside the stretches fast-forward's
-    // parked clusters sit out, not only on the 64-cycle grid.
     for case in golden::cases() {
-        for interval in [1, 7, 64] {
-            let (_, _, rows_ref) = run_probed(&case, ENGINES[0], interval);
-            for engine in &ENGINES[1..] {
-                let (_, _, rows) = run_probed(&case, *engine, interval);
-                assert_eq!(
-                    rows, rows_ref,
-                    "{} @interval {interval}: probe stream diverges under {engine:?}",
-                    case.name
-                );
-            }
-        }
+        matrix::agree(&Subject::golden(&case), &matrix::probe_cells()).unwrap();
     }
 }
 
+/// A probe only observes: FastForward on the default tier, probed at
+/// every one of the matrix's intervals, is held to the unprobed oracle.
 #[test]
 fn probing_does_not_change_cycle_counts() {
+    let cells = PROBE_INTERVALS.map(|iv| Cell::DEFAULT.probed(iv));
     for case in golden::cases() {
-        let unprobed = case.machine().run().unwrap();
-        for interval in [1, 7, 64, 1 << 20] {
-            let (report, _, _) = run_probed(&case, Engine::FastForward, interval);
-            assert_eq!(
-                report.stats, unprobed.stats,
-                "{} @interval {interval}: probed stats diverge from unprobed",
-                case.name
-            );
-        }
+        matrix::agree(&Subject::golden(&case), &cells).unwrap();
     }
 }
 

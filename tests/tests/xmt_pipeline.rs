@@ -119,46 +119,19 @@ fn engines_agree_bitwise_on_spawn_heavy_programs() {
     // indistinguishable from per-cycle reference stepping: identical
     // statistics, per-spawn records, memory image and global registers
     // on every golden program, for any worker count.
+    use xmt_bench::matrix::{self, Cell, Subject};
     use xmt_fft::golden;
-    use xmt_sim::Engine;
-    let engines = [
+    use xmt_sim::{Engine, TranslationTier};
+    let cells = [
         Engine::Reference,
         Engine::FastForward,
         Engine::Threaded { threads: 1 },
         Engine::Threaded { threads: 3 },
         Engine::Threaded { threads: 0 }, // auto worker count
-    ];
+    ]
+    .map(|e| Cell::on(e, TranslationTier::Block));
     for case in golden::cases() {
-        let mut runs = Vec::new();
-        for engine in engines {
-            let mut m = case.builder(&case.sim_config().engine(engine)).build();
-            let summary = m.run().unwrap();
-            let mem: Vec<u32> = m.read_f32s(0, 256).iter().map(|v| v.to_bits()).collect();
-            runs.push((engine, summary, mem, m.gregs_snapshot()));
-        }
-        let (_, ref_summary, ref_mem, ref_gregs) = &runs[0];
-        for (engine, summary, mem, gregs) in &runs[1..] {
-            assert_eq!(
-                summary.stats, ref_summary.stats,
-                "{}: stats diverge under {engine:?}",
-                case.name
-            );
-            assert_eq!(
-                summary.spawns, ref_summary.spawns,
-                "{}: spawn log diverges under {engine:?}",
-                case.name
-            );
-            assert_eq!(
-                mem, ref_mem,
-                "{}: memory diverges under {engine:?}",
-                case.name
-            );
-            assert_eq!(
-                gregs, ref_gregs,
-                "{}: gregs diverge under {engine:?}",
-                case.name
-            );
-        }
+        matrix::agree(&Subject::golden(&case), &cells).unwrap();
     }
 }
 
