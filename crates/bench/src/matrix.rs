@@ -24,10 +24,6 @@
 //! - per pause, the cycle it paused on and a digest of its checkpoint
 //!   bytes: the first sliced cell's with the same pauses and oracle.
 //!
-//! `Engine::Threaded` falls back to FastForward for some probes and
-//! programs (`Machine::run_inner` states which); a probed Threaded cell
-//! would compare FastForward with itself, so [`agree`] refuses one.
-//!
 //! The cell lists: [`exact_cells`] (engine × tier × plan, what
 //! `bench_sim` runs), [`probe_cells`] (engine × [`PROBE_INTERVALS`]),
 //! and the pause sets [`halfway`], [`third`], [`eight_slices`] and
@@ -42,11 +38,7 @@ use xmt_sim::{
 };
 
 /// The engines of the exact pass; the first is the oracle's.
-pub const ENGINES: [Engine; 3] = [
-    Engine::Reference,
-    Engine::FastForward,
-    Engine::Threaded { threads: 0 },
-];
+pub const ENGINES: [Engine; 2] = [Engine::Reference, Engine::FastForward];
 
 /// The translation tiers; the first is the oracle's.
 pub const TIERS: [TranslationTier; 2] = [TranslationTier::Interpreter, TranslationTier::Block];
@@ -173,12 +165,11 @@ pub fn exact_cells(plans: &[Plan]) -> Vec<Cell> {
     cells
 }
 
-/// Reference and FastForward on the default tier, probed at every one
-/// of [`PROBE_INTERVALS`]. (No Threaded: it would run FastForward.)
+/// Every engine on the default tier, probed at every one of
+/// [`PROBE_INTERVALS`].
 pub fn probe_cells() -> Vec<Cell> {
-    let serial = [Engine::Reference, Engine::FastForward];
     (PROBE_INTERVALS.into_iter())
-        .flat_map(|iv| serial.map(|e| Cell::on(e, TranslationTier::Block).probed(iv)))
+        .flat_map(|iv| ENGINES.map(|e| Cell::on(e, TranslationTier::Block).probed(iv)))
         .collect()
 }
 
@@ -409,8 +400,7 @@ impl Debug for Divergences {
 /// the cells share is still a failure.
 ///
 /// # Panics
-/// On no cells, a cell both probed and sliced, or a probed Threaded
-/// cell.
+/// On no cells, or a cell both probed and sliced.
 pub fn agree(subject: &Subject, cells: &[Cell]) -> Result<Agreed, Divergences> {
     judge(subject, cells, true)
 }
@@ -435,14 +425,9 @@ fn judge(subject: &Subject, cells: &[Cell], complete: bool) -> Result<Agreed, Di
     let mut done: Vec<(Cell, Vec<u64>, Yield)> = Vec::new();
     let mut diverged = Vec::new();
     for &cell in cells {
-        let threaded = matches!(cell.engine, Engine::Threaded { .. });
         assert!(
             cell.probe.is_none() || cell.pauses.is_none(),
             "probed and sliced"
-        );
-        assert!(
-            cell.probe.is_none() || !threaded,
-            "a probed Threaded cell runs FastForward"
         );
         let key = cell.plan.oracle();
         let oracle = &oracles

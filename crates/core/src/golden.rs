@@ -268,7 +268,7 @@ pub fn cases() -> Vec<GoldenCase> {
 /// full-scale 4096-, 8192- and 65536-TCU machines, in both a *dense*
 /// regime (n large enough that every cluster runs threads all stage
 /// long) and a *sparse* one (thread count well under the TCU count, so
-/// most clusters sit idle — the regime where the threaded engine's
+/// most clusters sit idle — the regime where fast-forward's
 /// active-cluster work list pays off most). Not part of [`cases`] (the
 /// per-commit golden suite stays cheap); `bench_sim` records them in
 /// `BENCH_sim.json` and checks every engine and tier against them, and

@@ -6,8 +6,8 @@
 //! *delivery index* — the k-th flit the inner network delivers is
 //! corrupted iff `fault_hash(seed, k)` falls below the configured
 //! threshold — so two runs of the same program under the same seed make
-//! identical decisions regardless of engine (reference, fast-forward or
-//! threaded) and regardless of how the clock was advanced. There is no
+//! identical decisions regardless of engine (reference or fast-forward)
+//! and regardless of how the clock was advanced. There is no
 //! RNG state to carry: the hash is stateless, so checkpoint restore
 //! only needs the delivery cursor, which is recoverable from the
 //! delivered/retried counters.

@@ -170,8 +170,6 @@ impl MachineBuilder {
         let layout = RegLayout::of(&decoded);
         let trace = (tier == TranslationTier::Block)
             .then(|| Box::new(TraceCache::new(&decoded, FPU_LATENCY, MDU_LATENCY)));
-        let has_global_ops = (0..prog.len())
-            .any(|pc| matches!(prog.fetch(pc), Instr::Ps { .. } | Instr::Sspawn { .. }));
         let n_channels = channels.len();
         let mut m = Machine {
             prog,
@@ -204,7 +202,6 @@ impl MachineBuilder {
             tracker: None,
             engine,
             decoded,
-            has_global_ops,
             mem_clock: 0,
             active_modules: ActiveSet::new(cfg.memory_modules),
             active_channels: ActiveSet::new(n_channels),

@@ -6,7 +6,7 @@
 //! (disabled or stuck TCUs, offline clusters and DRAM channels). The
 //! plan carries one master seed; every consumer derives its own seed
 //! stream from it with a splitmix64-style finalizer, so a run with the
-//! same plan replays bit-identically under all three engines — no
+//! same plan replays bit-identically under every engine — no
 //! wall-clock time and no OS randomness is ever consulted.
 
 use xmt_mem::EccConfig;

@@ -17,10 +17,10 @@
 //!
 //! Both are built from one `#[inline(always)]` helper per issue class
 //! on [`Cx`], so each class's semantics, each stall counter and each
-//! error constructor exists once. What differs between engines sits
-//! behind [`IssueSink`], monomorphised per engine: the serial engines'
-//! sink applies everything directly to the machine, the threaded
-//! engine's records it in the shard for the coordinator to replay.
+//! error constructor exists once. Where the globally ordered effects
+//! go sits behind [`IssueSink`], monomorphised per sink: the machine's
+//! sink applies everything directly to the machine, the unit tests'
+//! records it.
 
 use super::{MachineStats, SimError};
 use crate::config::XmtConfig;
@@ -313,8 +313,7 @@ const NUM_ISSUE_CLASSES: usize = IssueClass::Illegal as usize + 1;
 /// without reading a TCU at all.
 ///
 /// Mirror invariants (maintained by every mutation path in this
-/// module; the threaded engine moves each cluster's masks into its
-/// shard for the run):
+/// module):
 /// - `cls[k]` has bit `t` set iff `cluster[t].cls == k`, active or not.
 /// - `busy` has bit `t` set iff `busy_until > cycle`, where `cycle` is
 ///   the cycle currently being stepped; cleared via `wheel` at the top
@@ -591,9 +590,9 @@ pub(super) struct IssueEnv<'a> {
 }
 
 /// Where the globally ordered effects of a cluster step go. The issue
-/// rules are identical in every engine; an engine only chooses how
-/// thread IDs are sourced, where NoC injections land, how a micro-op
-/// is fetched, and whether parallel-mode global-register ops exist.
+/// rules are fixed; a sink only chooses how thread IDs are sourced,
+/// where NoC injections land, how a micro-op is fetched, and whether
+/// parallel-mode global-register ops exist.
 pub(super) trait IssueSink {
     /// True while this cluster can still be handed a thread ID.
     fn tids_remain(&self) -> bool;

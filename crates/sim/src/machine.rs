@@ -50,8 +50,6 @@ mod issue;
 mod memsys;
 #[path = "outcome.rs"]
 mod outcome;
-#[path = "machine_threaded.rs"]
-mod threaded;
 
 use ff::Parked;
 use memsys::ActiveSet;
@@ -75,7 +73,7 @@ pub const UNIT_LAT: xmt_isa::UnitLat = xmt_isa::UnitLat {
 };
 /// MTCU private-cache access latency for serial-mode memory ops.
 const SERIAL_MEM_LATENCY: u64 = 4;
-/// [`IssueSink`] of the serial engines (reference and fast-forward):
+/// [`IssueSink`] of both engines (reference and fast-forward):
 /// thread IDs come off the shared PS counter, requests go straight
 /// into the request NoC, micro-ops lower lazily on first fetch, and
 /// `ps`/`sspawn` apply to the global registers on the spot.
@@ -177,9 +175,9 @@ struct SpawnTracker {
     threads_at_start: u64,
 }
 
-/// Which advance loop [`Machine::run`] uses. Every engine produces
+/// Which advance loop [`Machine::run`] uses. Both loops produce
 /// bit-identical [`RunReport`] / memory / register state — the golden
-/// cycle tests pin this; engines only differ in wall-clock speed.
+/// cycle tests pin this; they only differ in wall-clock speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Plain cycle-by-cycle loop: every component steps every cycle.
@@ -191,16 +189,12 @@ pub enum Engine {
     /// resume) and accrue the skipped cycles' stall statistics in bulk.
     #[default]
     FastForward,
-    /// Two-phase parallel cluster stepping on worker threads: each
-    /// cycle the clusters compute locally in parallel, then the main
-    /// thread replays their memory-injection attempts in cluster order
-    /// so NoC arbitration and store slots match the serial engines
-    /// exactly. Includes the fast-forward optimization. Falls
-    /// back to [`Engine::FastForward`] for programs that mutate global
-    /// state from parallel mode (`ps`/`sspawn`).
+    /// Runs exactly as [`Engine::FastForward`]; `threads` is ignored.
+    /// Kept as a name because the request wire format carries its tag
+    /// and thread count, so requests and journals that select it still
+    /// decode and replay.
     Threaded {
-        /// Worker count; 0 picks one per available core (capped at
-        /// the cluster count).
+        /// Ignored (the wire format still bounds it to `1..=512`).
         threads: usize,
     },
 }
@@ -264,9 +258,6 @@ pub struct Machine<P: Probe = NoProbe> {
     /// contiguous fetch per TCU instead of a program fetch plus a
     /// hazard-table lookup plus per-instruction re-derivation.
     decoded: DecodedProgram,
-    /// Program touches global state from parallel mode (`ps`/`sspawn`),
-    /// which the threaded engine cannot partition across workers.
-    has_global_ops: bool,
     /// Completed memory-system steps. Trails `cycle` by the summed
     /// spawn-broadcast cycles (which advance the machine clock without
     /// stepping components); `cycle - mem_clock` converts component
@@ -471,18 +462,6 @@ impl<P: Probe> Machine<P> {
                 }
                 Ok(self.report())
             }
-            // With a probe attached the threaded engine would lag
-            // samples: workers bank skip-accrued stall deltas until
-            // their next step reply, so mid-run boundaries see stale
-            // aggregates. Fast-forward samples exactly, so a probed
-            // Threaded selection falls back to it (the sample stream
-            // stays bit-identical to Reference).
-            Engine::Threaded { threads }
-                if !P::ENABLED && !self.has_global_ops && self.clusters.len() >= 2 =>
-            {
-                threaded::run(self, threads)
-            }
-            // Fast-forward is a `run_until` whose pause never comes.
             Engine::FastForward | Engine::Threaded { .. } => {
                 self.run_until_inner(u64::MAX).map(|_| self.report())
             }
@@ -494,9 +473,9 @@ impl<P: Probe> Machine<P> {
     /// plus threads started: any cycle that advances neither for a
     /// whole watchdog horizon is a hang (legitimate quiet stretches are
     /// bounded by DRAM latency), reported as [`SimError::Stalled`] at
-    /// exactly `progress_cycle + watchdog` — the fast-forward and
-    /// threaded engines cap their skip horizons there so all three
-    /// engines fail on the identical cycle.
+    /// exactly `progress_cycle + watchdog` — the fast-forward engine
+    /// caps its skip horizons there so both engines fail on the
+    /// identical cycle.
     fn check_progress(&mut self) -> Result<(), SimError> {
         if self.stats.cycles > self.max_cycles {
             return Err(SimError::CycleLimit {
@@ -1121,7 +1100,7 @@ impl<P: Probe> Machine<P> {
     /// parked set, not of every cluster's masks, and that is exact: a
     /// cluster's `active` mask changes only inside its own step
     /// (activation, `join`), `step_clusters` sets its membership from
-    /// the mask after every step under either serial engine, and a
+    /// the mask after every step under either engine, and a
     /// cluster that does not step has the mask it had when it last did —
     /// empty if it is off the list with IDs exhausted, non-empty if it
     /// is parked.
@@ -1133,22 +1112,13 @@ impl<P: Probe> Machine<P> {
             return;
         }
         debug_assert!(self.masks.iter().all(|m| m.active == 0));
-        self.maybe_finish_spawn_drained(return_pc);
-    }
-
-    /// Barrier tail shared with the threaded engine (which knows TCU
-    /// activity from its workers' scans): the in-flight count covers
-    /// every request or reply in a NoC, module queue or outbox; the
-    /// active lists cover modules with queued/maturing work and channels
-    /// with fills or write-backs in flight. A module waiting only on a
-    /// DRAM fill is inactive, but its channel stays active until the
-    /// fill completes and `on_fill` reactivates the module — so empty
-    /// lists and nothing in flight is exactly the reference engine's
-    /// full drain scan.
-    fn maybe_finish_spawn_drained(&mut self, return_pc: usize) {
-        if self.next_tid < self.spawn_count {
-            return;
-        }
+        // The in-flight count covers every request or reply in a NoC,
+        // module queue or outbox; the active lists cover modules with
+        // queued/maturing work and channels with fills or write-backs
+        // in flight. A module waiting only on a DRAM fill is inactive,
+        // but its channel stays active until the fill completes and
+        // `on_fill` reactivates the module — so empty lists and nothing
+        // in flight is exactly a full drain scan.
         if self.txns.in_flight != 0
             || !self.active_modules.is_empty()
             || !self.active_channels.is_empty()
@@ -1510,11 +1480,7 @@ mod tests {
         interp.run(&prog).unwrap();
         let mut cfg = tiny_config();
         cfg.lsus_per_cluster = 2;
-        for engine in [
-            Engine::Reference,
-            Engine::FastForward,
-            Engine::Threaded { threads: 2 },
-        ] {
+        for engine in [Engine::Reference, Engine::FastForward] {
             let mut m = SimConfig::new(&cfg)
                 .engine(engine)
                 .builder(prog.clone())
@@ -1670,11 +1636,7 @@ mod tests {
     #[test]
     fn stuck_tcu_trips_watchdog_in_every_engine() {
         let mut stall_cycles = Vec::new();
-        for engine in [
-            Engine::Reference,
-            Engine::FastForward,
-            Engine::Threaded { threads: 2 },
-        ] {
+        for engine in [Engine::Reference, Engine::FastForward] {
             let mut m = SimConfig::new(&tiny_config())
                 .engine(engine)
                 .faults(FaultPlan::new(1).stuck_tcu(1, 3))
@@ -1694,7 +1656,6 @@ mod tests {
             }
         }
         assert_eq!(stall_cycles[0], stall_cycles[1]);
-        assert_eq!(stall_cycles[0], stall_cycles[2]);
     }
 
     /// A fault in the middle of a cycle leaves fast-forward's partial
@@ -1763,11 +1724,7 @@ mod tests {
     /// threads remap onto the survivors and the results are exact.
     #[test]
     fn degraded_tcus_still_compute_correctly() {
-        for engine in [
-            Engine::Reference,
-            Engine::FastForward,
-            Engine::Threaded { threads: 2 },
-        ] {
+        for engine in [Engine::Reference, Engine::FastForward] {
             let mut healthy = SimConfig::new(&tiny_config())
                 .engine(engine)
                 .builder(spawn_store_tids(64))
@@ -1817,7 +1774,6 @@ mod tests {
         };
         let reference = run(Engine::Reference);
         assert_eq!(reference, run(Engine::FastForward));
-        assert_eq!(reference, run(Engine::Threaded { threads: 2 }));
     }
 
     /// Dead DRAM channels remap the address hash around the offline
@@ -1877,11 +1833,7 @@ mod tests {
             .dram_flips(0.05, 0.01)
             .noc_corrupt(0.02);
         let mut reports = Vec::new();
-        for engine in [
-            Engine::Reference,
-            Engine::FastForward,
-            Engine::Threaded { threads: 2 },
-        ] {
+        for engine in [Engine::Reference, Engine::FastForward] {
             let mut m = SimConfig::new(&tiny_config())
                 .engine(engine)
                 .faults(plan.clone())
@@ -1895,7 +1847,6 @@ mod tests {
             reports.push(s.stats);
         }
         assert_eq!(reports[0], reports[1]);
-        assert_eq!(reports[0], reports[2]);
     }
 
     /// Two back-to-back spawns of `n` tid-stores, with `pad` serial

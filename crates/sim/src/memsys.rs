@@ -125,7 +125,7 @@ impl<P: Probe> Machine<P> {
     /// the memory order; kernels separate read and write sets between
     /// barriers), and the request tag becomes the reply token that
     /// rides the module queue, the outbox and the reply network.
-    pub(super) fn mem_route_requests(&mut self) {
+    fn mem_route_requests(&mut self) {
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         self.req_net.step_into(&mut deliveries);
         self.lap(Some(HostLayer::ReqNetStep));
@@ -166,12 +166,7 @@ impl<P: Probe> Machine<P> {
     /// Memory-cycle stage 2: active modules service their queues and
     /// emit DRAM requests (accumulated into `scratch_creqs`, in active-
     /// module order) and replies (routed to the per-module outboxes).
-    /// The threaded engine replaces this stage with a work-stealing
-    /// pass over the same active list — each module's step is
-    /// independent, and the creq/outbox merge is re-serialized in
-    /// module order — so both paths leave identical state for
-    /// [`Machine::mem_drain_collect`].
-    pub(super) fn mem_step_modules(&mut self) {
+    fn mem_step_modules(&mut self) {
         let mut creqs = std::mem::take(&mut self.scratch_creqs);
         let mut resps = std::mem::take(&mut self.scratch_resps);
         if P::HOST_TIMING {
@@ -187,21 +182,15 @@ impl<P: Probe> Machine<P> {
         }
         self.scratch_resps = resps;
         self.scratch_creqs = creqs;
-        self.retire_inactive_modules();
-        self.lap(Some(HostLayer::ModuleSteps));
-    }
-
-    /// Drop modules that went quiescent from the active set (shared
-    /// tail of the serial and threaded module-step stages).
-    pub(super) fn retire_inactive_modules(&mut self) {
         let modules = &self.modules;
         self.active_modules.retain(|m| modules[m].is_active());
+        self.lap(Some(HostLayer::ModuleSteps));
     }
 
     /// Memory-cycle stage 3: DRAM channels, module fills, reply
     /// injection and reply delivery. Consumes the channel requests
     /// stage 2 left in `scratch_creqs`.
-    pub(super) fn mem_drain_collect(&mut self, out: &mut Vec<Reply>) {
+    fn mem_drain_collect(&mut self, out: &mut Vec<Reply>) {
         let mut creqs = std::mem::take(&mut self.scratch_creqs);
         for cr in creqs.drain(..) {
             let ch = cr.module / self.cfg.mm_per_dram_ctrl;

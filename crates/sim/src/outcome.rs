@@ -50,9 +50,8 @@ pub enum SimError {
         last_retired: u64,
     },
     /// An internal protocol invariant broke (e.g. a checkpoint asked of
-    /// a machine with work in flight, or a threaded-engine worker that
-    /// panicked). Surfaced as a typed error instead of a panic so long
-    /// sweeps keep their partial results.
+    /// a machine with work in flight). Surfaced as a typed error
+    /// instead of a panic so long sweeps keep their partial results.
     Protocol {
         /// Which invariant broke.
         what: &'static str,

@@ -18,7 +18,7 @@
 //! borrows live component state (cumulative [`MachineStats`], DRAM
 //! channels, memory modules, NoC counters, instantaneous stall masks),
 //! so a probe computes per-interval deltas by keeping its own previous
-//! snapshot. Because all three engines visit identical architectural
+//! snapshot. Because the engines visit identical architectural
 //! states at every cycle boundary, the sample stream is bit-identical
 //! across engines (pinned by the `engine_agreement` proptest).
 //!
@@ -152,10 +152,9 @@ pub trait Probe {
 
     /// Host work one stage of a cycle did, as `[clusters stepped,
     /// clusters parked, modules stepped]`: clusters that went through
-    /// the issue kernel (serial engines) and that sat the cycle out with
-    /// their stalls paid by addition (fast-forward only), and active
-    /// memory modules stepped. Only called when [`Probe::HOST_TIMING`]
-    /// is set.
+    /// the issue kernel and that sat the cycle out with their stalls
+    /// paid by addition (fast-forward only), and active memory modules
+    /// stepped. Only called when [`Probe::HOST_TIMING`] is set.
     fn host_work(&mut self, work: [u64; 3]) {
         let _ = work;
     }

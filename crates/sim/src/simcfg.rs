@@ -15,7 +15,7 @@
 //! [`SimConfig::digest`] folds that text together with a program
 //! digest into the content address the result cache and job queue key
 //! on. The cache key deliberately **excludes the engine and the probe
-//! interval**: all three engines are bit-identical (so an engine
+//! interval**: the engines are bit-identical (so an engine
 //! change must *hit* the cache), and probed/streaming runs bypass the
 //! cache entirely; it **includes the tier**, matching the service
 //! contract in DESIGN.md §16.

@@ -5,11 +5,10 @@
 //! extraction ([`BlockMap`]) and per-instruction lowering into flat
 //! [`MicroOp`] records. This module owns the *cache*: one pre-sized
 //! micro-op slot per program counter, filled a superblock at a time the
-//! first time execution enters the block (or all at once for the
-//! threaded engine, whose workers share the cache read-only). The issue
-//! loops replay warm slots with a dense one-byte dispatch and fall back
-//! to the per-instruction interpreter path at every machine-level
-//! boundary, which is why enabling the tier cannot move a single cycle:
+//! first time execution enters the block. The issue loops replay warm
+//! slots with a dense one-byte dispatch and fall back to the
+//! per-instruction interpreter path at every machine-level boundary,
+//! which is why enabling the tier cannot move a single cycle:
 //! the lowered records compute the same values through the same
 //! `eval_*` kernels, and everything with scheduling consequences still
 //! runs the original code.
@@ -39,7 +38,7 @@ pub struct TraceStats {
     /// Superblocks in the program (static).
     pub blocks: u64,
     /// Superblocks actually lowered (lazily on first entry, or all of
-    /// them when a run pre-lowers for the threaded engine's workers).
+    /// them after [`TraceCache::lower_all`]).
     pub lowered: u64,
     /// Micro-ops materialized by those lowerings.
     pub uops: u64,
@@ -80,14 +79,6 @@ impl TraceCache {
         }
     }
 
-    /// Read the slot at `pc` without lowering. Replay loops that cannot
-    /// mutate the cache (threaded workers) use this and treat a
-    /// [`UopKind::Cold`] result as "take the interpreter path".
-    #[inline(always)]
-    pub fn fetch(&self, pc: usize) -> MicroOp {
-        self.uops[pc]
-    }
-
     /// Read the slot at `pc`, lowering its whole superblock first if
     /// this is the first entry. The hot path is one indexed load plus a
     /// byte compare.
@@ -118,9 +109,8 @@ impl TraceCache {
         self.uops[pc]
     }
 
-    /// Lower every superblock up front. The threaded engine calls this
-    /// before handing workers a read-only reference, so its replay
-    /// loops never see a cold slot.
+    /// Lower every superblock up front, so no slot is left
+    /// [`UopKind::Cold`] (the lowering cost measured apart from a run).
     pub fn lower_all(&mut self, decoded: &DecodedProgram) {
         for pc in 0..self.uops.len() {
             if self.map.is_leader(pc) && self.uops[pc].kind == UopKind::Cold {
@@ -134,12 +124,6 @@ impl TraceCache {
     #[inline(always)]
     pub fn note_entry(&mut self) {
         self.stats.entries += 1;
-    }
-
-    /// Fold entries counted outside the cache (the threaded engine's
-    /// per-shard counters) into the stats.
-    pub fn add_entries(&mut self, n: u64) {
-        self.stats.entries += n;
     }
 
     /// The exercise counters.
@@ -191,14 +175,14 @@ mod tests {
         let dec = small_decoded();
         let mut tc = TraceCache::new(&dec, 4, 8);
         assert_eq!(tc.stats().blocks, 3); // [0..=1], [2], [3]
-        assert_eq!(tc.fetch(0).kind, UopKind::Cold);
+        assert_eq!(tc.uops()[0].kind, UopKind::Cold);
         let u = tc.fetch_warm(&dec, 0);
         assert_eq!(u.kind, UopKind::Li);
         assert_eq!(tc.stats().lowered, 1);
         assert_eq!(tc.stats().uops, 2);
         // The other blocks stay cold until entered.
-        assert_eq!(tc.fetch(2).kind, UopKind::Cold);
-        assert_eq!(tc.fetch(3).kind, UopKind::Cold);
+        assert_eq!(tc.uops()[2].kind, UopKind::Cold);
+        assert_eq!(tc.uops()[3].kind, UopKind::Cold);
         let _ = tc.fetch_warm(&dec, 3);
         assert_eq!(tc.stats().lowered, 2);
         // Re-entry is a hit: nothing lowers again.
@@ -213,7 +197,7 @@ mod tests {
         tc.lower_all(&dec);
         assert_eq!(tc.stats().lowered, tc.stats().blocks);
         for pc in 0..dec.len() {
-            assert_ne!(tc.fetch(pc).kind, UopKind::Cold, "pc {pc}");
+            assert_ne!(tc.uops()[pc].kind, UopKind::Cold, "pc {pc}");
         }
         assert_eq!(tc.stats().uops, dec.len() as u64);
     }

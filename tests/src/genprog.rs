@@ -11,9 +11,9 @@
 //! to *prove*, which is what makes the generator double as a
 //! no-false-positives oracle for the race detector.
 //!
-//! Deliberately no `ps`/`sspawn`: the agreement test needs the
-//! threaded engine to genuinely partition clusters across workers
-//! rather than falling back to fast-forward.
+//! Deliberately no `ps`/`sspawn`: every section runs exactly the
+//! threads its `spawn` asks for. `sspawn` gets its own agreement test
+//! (`sspawn_mints_ids_while_clusters_are_parked`).
 
 use proptest::prelude::*;
 use xmt_bench::matrix::Subject;
@@ -326,9 +326,9 @@ pub fn build(serial: &[GenOp], par_ops: &[GenOp], threads: u8, epilogue: &[GenOp
 /// Serial prologue, then one spawn/join block per entry in
 /// `thread_counts` (each running `par_ops` over its own thread-private
 /// region), then a serial epilogue. Successive spawns of very different
-/// widths make the set of active clusters — and therefore the threaded
-/// engine's shard work lists — churn mid-run, which is exactly the
-/// regression surface the shard-churn agreement test pins.
+/// widths make the set of active clusters — fast-forward's work list
+/// and parked set — churn mid-run, which is exactly the regression
+/// surface `shard_churn_across_spawn_widths` pins.
 pub fn build_multi_spawn(
     serial: &[GenOp],
     par_ops: &[GenOp],

@@ -83,11 +83,6 @@ fn fast_forward_cells_match_the_golden_rows() {
 }
 
 #[test]
-fn threaded_cells_match_the_golden_rows() {
-    golden_cases_agree_under(ENGINES[2]);
-}
-
-#[test]
 fn fft_xmt4k_n32768_agrees_sliced_and_matches_its_row() {
     scaling_agrees("fft_xmt4k_n32768", &[]);
 }
@@ -150,11 +145,7 @@ fn unbounded_watchdog_and_cycle_limit_do_not_overflow() {
         .into_iter()
         .find(|c| c.name == "ps_tickets")
         .unwrap();
-    for engine in [
-        Engine::Reference,
-        Engine::FastForward,
-        Engine::Threaded { threads: 2 },
-    ] {
+    for engine in ENGINES {
         let sim = case
             .sim_config()
             .engine(engine)

@@ -1,21 +1,18 @@
 //! Cross-engine agreement: on randomly generated programs, the
-//! reference, fast-forward and threaded advance loops must produce
+//! reference and fast-forward advance loops must produce
 //! bitwise-identical run statistics, spawn logs, memory images and
 //! global registers — each a set of cells of the determinism matrix
 //! (`xmt_bench::matrix`), held to the Reference/interpreter oracle.
-//! The generator (`xmt_integration::genprog`) avoids
-//! `ps`/`sspawn` so the threaded engine genuinely partitions clusters
-//! across workers instead of falling back to fast-forward, and uses
-//! ≥ 2 clusters for the same reason.
+//! The generator (`xmt_integration::genprog`) uses ≥ 2 clusters, so
+//! work spreads across clusters and parking has clusters to park.
 //!
-//! This is the property the optimized engines are *defined* by (see
-//! `Engine`): fast-forward's bulk skips and mask-driven issue, and the
-//! threaded engine's two-phase replay, are pure wall-clock
-//! optimizations with no observable effect.
+//! This is the property the optimized engine is *defined* by (see
+//! `Engine`): fast-forward's bulk skips, parking and mask-driven issue
+//! are pure wall-clock optimizations with no observable effect.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use xmt_bench::matrix::{self, Agreed, Cell, Subject, TIERS};
+use xmt_bench::matrix::{self, Agreed, Cell, Subject, ENGINES, TIERS};
 use xmt_integration::genprog::{
     branchy_op_strategy, build, build_multi_spawn, emit, op_strategy, ro_words, subject, GenOp,
 };
@@ -32,8 +29,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Reference and fast-forward probed (the interval rows are part of
-    /// the contract, not just matching totals), threaded unprobed so it
-    /// really shards.
+    /// the contract, not just matching totals).
     #[test]
     fn all_engines_agree_bitwise(
         serial in proptest::collection::vec(op_strategy(), 0..10),
@@ -44,13 +40,11 @@ proptest! {
         ro_seed in any::<u64>(),
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
-        // clusters ≥ 2 so the threaded engine actually partitions.
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
         let subject = subject(prog, &cfg, 128 + 24 * 8 + 16, ro_words(ro_seed));
         agree(&subject, &[
             Cell::on(Engine::Reference, TranslationTier::Block).probed(32),
             Cell::on(Engine::FastForward, TranslationTier::Block).probed(32),
-            Cell::on(Engine::Threaded { threads: 2 }, TranslationTier::Block),
         ])?;
     }
 }
@@ -58,10 +52,9 @@ proptest! {
 proptest! {
     // The full 4096-TCU config simulates 128 clusters per cycle, so
     // keep the sample count and program sizes small: the point is to
-    // exercise the threaded engine's sharding (128 clusters across
-    // workers, wide spawns spanning shard boundaries) on the same
-    // machine the scaling benchmarks use, not to redo the small-config
-    // sweep above.
+    // exercise fast-forward (128 clusters, wide spawns parking and
+    // waking clusters) on the same machine the scaling benchmarks use,
+    // not to redo the small-config sweep above.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -74,7 +67,7 @@ proptest! {
     ) {
         let prog = build(&serial, &par_ops, threads, &epilogue);
         let subject = subject(prog, &XmtConfig::xmt_4k(), 128 + 256 * 8 + 16, ro_words(ro_seed));
-        agree(&subject, &[Cell::on(Engine::Threaded { threads: 2 }, TranslationTier::Block)])?;
+        agree(&subject, &[Cell::DEFAULT])?;
     }
 }
 
@@ -99,19 +92,19 @@ proptest! {
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
         let subject = subject(prog, &cfg, 128 + 24 * 8 + 16, ro_words(ro_seed));
         let mut cells = Vec::new();
-        for engine in [Engine::Reference, Engine::FastForward, Engine::Threaded { threads: 2 }] {
+        for engine in ENGINES {
             cells.extend(TIERS.map(|tier| Cell::on(engine, tier)));
         }
         agree(&subject, &cells)?;
     }
 }
 
-/// Shard-churn regression: successive spawns of wildly different widths
-/// on the full 4096-TCU machine, so clusters enter and leave the
-/// threaded engine's active work list — and migrate across shard
-/// boundaries as the partition is rebuilt — mid-run. A stale shard mask
-/// (e.g. a cluster whose busy/ready bits survived from a previous
-/// spawn's tenancy) shows up here as a stats or memory divergence.
+/// Churn regression: successive spawns of wildly different widths on
+/// the full 4096-TCU machine, so clusters enter and leave
+/// fast-forward's active work list and parked set mid-run. A stale
+/// cluster mask (e.g. a cluster whose busy/ready bits survived from a
+/// previous spawn's tenancy) shows up here as a stats or memory
+/// divergence.
 #[test]
 fn shard_churn_across_spawn_widths() {
     let par_ops = [
@@ -132,18 +125,14 @@ fn shard_churn_across_spawn_widths() {
         },
         GenOp::FStorePriv { fs: 3, slot: 5 },
     ];
-    // 3000 threads floods nearly every cluster; 40 leaves most shards
-    // idle; 500/96 land in between. Each transition rebuilds the
-    // active-cluster partition.
+    // 3000 threads floods nearly every cluster; 40 leaves most
+    // clusters idle; 500/96 land in between. Each transition rebuilds
+    // the active-cluster list.
     let widths = [500u32, 96, 3000, 40, 1024];
     let prog = build_multi_spawn(&[], &par_ops, &widths, &[]);
     let ro: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
     let subject = subject(prog, &XmtConfig::xmt_4k(), 128 + 3000 * 8 + 16, ro);
-    let mut cells = [0usize, 2, 3]
-        .map(|threads| Cell::on(Engine::Threaded { threads }, TranslationTier::Block))
-        .to_vec();
-    cells.push(Cell::DEFAULT);
-    matrix::agree(&subject, &cells).unwrap();
+    matrix::agree(&subject, &[Cell::DEFAULT]).unwrap();
 }
 
 /// A section in which thread `minter`, after `delay` dependent loads,
@@ -196,7 +185,6 @@ proptest! {
     /// cluster activate idle TCUs in that very cycle, those before it
     /// in the next, exactly as under the reference walk — statistics,
     /// spawn log, memory and the every-cycle probe stream agree.
-    /// (Threaded falls back to fast-forward on such programs.)
     #[test]
     fn sspawn_mints_ids_while_clusters_are_parked(
         par_ops in proptest::collection::vec(op_strategy(), 0..6),

@@ -1,5 +1,5 @@
 //! Resilience properties of the deterministic fault-injection layer:
-//! seeded soft faults replay bit-identically across all three advance
+//! seeded soft faults replay bit-identically across both advance
 //! engines on randomly generated programs, SECDED ECC and bounded NoC
 //! retry hide every injected soft fault from the FFT's numerics,
 //! degraded topologies (dead clusters / dead DRAM channels) stay
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use xmt_bench::matrix::{self, Cell, Pauses, Plan, Subject, TIERS};
+use xmt_bench::matrix::{self, Cell, Pauses, Plan, Subject, ENGINES, TIERS};
 use xmt_fft::golden;
 use xmt_fft::plan::XmtFftPlan;
 use xmt_fft::run::{host_reference, plan_builder_cfg, read_result, rel_error};
@@ -35,8 +35,8 @@ proptest! {
         let prog = build(&serial, &par_ops, threads, &epilogue);
         let cfg = XmtConfig::xmt_4k().scaled_to(1 << clusters_log);
         let subject = subject(prog, &cfg, 128 + 24 * 8 + 16, ro_words(fault_seed));
-        let cells = [Engine::Reference, Engine::FastForward, Engine::Threaded { threads: 2 }]
-            .map(|e| Cell::on(e, TranslationTier::Block).plan(Plan::Soft(fault_seed)));
+        let cells =
+            ENGINES.map(|e| Cell::on(e, TranslationTier::Block).plan(Plan::Soft(fault_seed)));
         matrix::agree_on_outcome(&subject, &cells)
             .map_err(|d| TestCaseError::fail(format!("{d:?}")))?;
     }
@@ -83,11 +83,7 @@ fn degraded_fft_validates_on_every_engine() {
         &[(&[3], &[]), (&[3, 7, 11], &[]), (&[], &[1]), (&[3], &[1])];
     for &(clusters, channels) in shapes {
         let mut outs = Vec::new();
-        for engine in [
-            Engine::Reference,
-            Engine::FastForward,
-            Engine::Threaded { threads: 0 },
-        ] {
+        for engine in ENGINES {
             let sim = SimConfig::new(&cfg).engine(engine).faults(FaultPlan {
                 dead_clusters: clusters.to_vec(),
                 dead_channels: channels.to_vec(),

@@ -16,16 +16,13 @@
 //!   race-free) golden workload, and at least one on a seeded racy
 //!   program that the static analysis also rejects.
 
-use xmt_bench::matrix::{self, Cell, Subject, PROBE_INTERVALS};
+use xmt_bench::matrix::{self, Cell, Subject, ENGINES, PROBE_INTERVALS};
 use xmt_fft::golden;
 use xmt_isa::{ir, ProgramBuilder};
 use xmt_sim::{
     Engine, HostLayer, HostLayers, IntervalProbe, IntervalRow, Machine, RaceCheck, RunReport,
     SimConfig,
 };
-
-/// A probed Threaded run is a fast-forward run (`Machine::run_inner`).
-const ENGINES: [Engine; 2] = [Engine::Reference, Engine::FastForward];
 
 /// One golden case run to completion with an interval probe attached.
 fn sampled(

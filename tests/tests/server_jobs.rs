@@ -22,7 +22,8 @@ use proptest::prelude::*;
 use std::time::Duration;
 use xmt_fft::golden;
 use xmt_server::{
-    encode_report, JobError, JobHandle, JobResult, JobState, Server, ServerConfig, SimRequest,
+    decode_request, encode_report, encode_request, JobError, JobHandle, JobResult, JobState,
+    Server, ServerConfig, SimRequest,
 };
 
 fn server(workers: usize, quantum: u64) -> Server {
@@ -162,6 +163,15 @@ fn cache_hits_are_byte_equal_and_engine_blind() {
     .unwrap();
     assert!(ref_engine.from_cache, "engine is not in the cache key");
     assert_eq!(ref_engine.bytes, first.bytes);
+    // `Engine::Threaded` (wire tag 2, a name for FastForward) still
+    // decodes and hits.
+    let threaded = SimRequest::golden("spawn_storm")
+        .unwrap()
+        .with_sim(|s| s.engine(xmt_sim::Engine::Threaded { threads: 2 }));
+    let threaded = decode_request(&encode_request(&threaded)).unwrap();
+    let threaded = finish(&srv.submit(threaded).unwrap()).unwrap();
+    assert!(threaded.from_cache, "engine is not in the cache key");
+    assert_eq!(threaded.bytes, first.bytes);
     // Fault-seed change: a different result, not a false hit.
     let seeded = finish(
         &srv.submit(

@@ -115,21 +115,14 @@ fn rotation_stage_has_lower_flops_than_twiddled_stage() {
 
 #[test]
 fn engines_agree_bitwise_on_spawn_heavy_programs() {
-    // The fast-forwarding and two-phase threaded engines must be
-    // indistinguishable from per-cycle reference stepping: identical
-    // statistics, per-spawn records, memory image and global registers
-    // on every golden program, for any worker count.
-    use xmt_bench::matrix::{self, Cell, Subject};
+    // The fast-forwarding engine must be indistinguishable from
+    // per-cycle reference stepping: identical statistics, per-spawn
+    // records, memory image and global registers on every golden
+    // program.
+    use xmt_bench::matrix::{self, Cell, Subject, ENGINES};
     use xmt_fft::golden;
-    use xmt_sim::{Engine, TranslationTier};
-    let cells = [
-        Engine::Reference,
-        Engine::FastForward,
-        Engine::Threaded { threads: 1 },
-        Engine::Threaded { threads: 3 },
-        Engine::Threaded { threads: 0 }, // auto worker count
-    ]
-    .map(|e| Cell::on(e, TranslationTier::Block));
+    use xmt_sim::TranslationTier;
+    let cells = ENGINES.map(|e| Cell::on(e, TranslationTier::Block));
     for case in golden::cases() {
         matrix::agree(&Subject::golden(&case), &cells).unwrap();
     }
