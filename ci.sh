@@ -134,7 +134,10 @@ stage "job server smoke: preemption, cache identity, worker kill" \
 # in-process cache-hit jobs, then 2 000 cold jobs of four or more slices,
 # may grow VmRSS by at most 0.5 KiB each beyond the report bytes they
 # keep — a finished job keeps its status and its report, nothing else
-# (no paused machine outlives its job). Its own test binary; skips
+# (no paused machine outlives its job). It also holds an exact count:
+# the 40 000 hits share one (dims, copies), so programs_digested must
+# be 1 — a hit that rebuilds its FFT program to make its content
+# address fails here, not on a clock. Its own test binary; skips
 # where /proc is absent.
 stage "job table memory: <= 0.5 KiB per finished job" \
     cargo test --release -p xmt-server --test job_table_memory -q

@@ -208,12 +208,14 @@ fn stats(mut args: Vec<String>) -> Result<(), String> {
         s.server.queued
     );
     println!(
-        "deduped={} tokens_reused={} shed_overload={} shed_quota={} journal_bytes={}",
+        "deduped={} tokens_reused={} shed_overload={} shed_quota={} journal_bytes={} \
+         programs_digested={}",
         s.server.deduped,
         s.server.tokens_reused,
         s.server.rejected_overload,
         s.server.rejected_quota,
-        s.server.journal_bytes
+        s.server.journal_bytes,
+        s.server.programs_digested
     );
     println!(
         "cache: entries={} hits={} disk_hits={} misses={} evictions={}",

@@ -106,12 +106,8 @@ impl ResultCache {
     /// bytes to memory on success). The bytes are the entry's own
     /// allocation, shared.
     pub fn get(&mut self, key: u64) -> Option<Arc<[u8]>> {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.map.get_mut(&key) {
-            e.touched = clock;
-            self.stats.hits += 1;
-            return Some(Arc::clone(&e.bytes));
+        if let Some(bytes) = self.get_resident(key) {
+            return Some(bytes);
         }
         if let Some(path) = self.path_for(key) {
             if let Some((cycles, bytes)) = std::fs::read(&path).ok().and_then(split_disk_entry) {
@@ -123,6 +119,18 @@ impl ResultCache {
         }
         self.stats.misses += 1;
         None
+    }
+
+    /// [`ResultCache::get`] in the memory tier only: a hit is counted
+    /// and refreshes its recency tiebreak; a miss counts nothing and
+    /// reads no file (the caller still has [`ResultCache::get`] to fall
+    /// back on, which counts it).
+    pub(crate) fn get_resident(&mut self, key: u64) -> Option<Arc<[u8]>> {
+        self.clock += 1;
+        let e = self.map.get_mut(&key)?;
+        e.touched = self.clock;
+        self.stats.hits += 1;
+        Some(Arc::clone(&e.bytes))
     }
 
     /// Insert (or overwrite) an entry with the simulated cycles its
@@ -245,6 +253,20 @@ mod tests {
         let mut c2 = ResultCache::new(4, Some(dir.clone()));
         assert_eq!(c2.get(8).as_deref(), Some(&[8, 8][..]));
         assert_eq!(c2.stats().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resident_lookup_reads_no_file_and_counts_no_miss() {
+        let dir = scratch("resident");
+        let mut c = ResultCache::new(1, Some(dir.clone()));
+        c.insert(7, vec![7, 7], 500);
+        c.insert(8, vec![8, 8], 900); // evicts 7 from memory only
+        assert_eq!(c.get_resident(7), None, "the persisted file is not read");
+        assert_eq!(c.get_resident(8).as_deref(), Some(&[8, 8][..]));
+        let s = c.stats();
+        assert_eq!((s.hits, s.disk_hits, s.misses), (1, 0, 0));
+        assert_eq!(c.get(7).as_deref(), Some(&[7, 7][..]), "get still does");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -664,6 +664,7 @@ mod tests {
                 rejected_quota: 6,
                 queued: 8,
                 journal_bytes: 4096,
+                programs_digested: 11,
             },
             cache: CacheStats {
                 entries: 2,

@@ -52,6 +52,21 @@ impl WorkloadSpec {
     }
 }
 
+/// What fixes a request's program ([`SimRequest::program_key`]): the
+/// workload spec less the FFT's input seed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum ProgramKey {
+    /// A golden case by name.
+    Golden(String),
+    /// An FFT plan's shape.
+    Fft {
+        /// Transform dimensions.
+        dims: Vec<usize>,
+        /// Data-replication factor.
+        copies: u32,
+    },
+}
+
 /// Look a golden case up by name across both case sets.
 pub(crate) fn find_case(name: &str) -> Option<GoldenCase> {
     golden::cases()
@@ -149,6 +164,20 @@ impl SimRequest {
         }
     }
 
+    /// The part of the request that fixes its program: the golden
+    /// name, or the FFT's shape — never its input seed. Requests with
+    /// equal keys run equal programs, so the program half of
+    /// [`SimRequest::digest`] can be computed once per key.
+    pub(crate) fn program_key(&self) -> ProgramKey {
+        match &self.workload {
+            WorkloadSpec::Golden { name } => ProgramKey::Golden(name.clone()),
+            WorkloadSpec::Fft { dims, copies, .. } => ProgramKey::Fft {
+                dims: dims.clone(),
+                copies: *copies,
+            },
+        }
+    }
+
     /// The content address of this request: FNV-1a over the workload
     /// canon, the program digest, and the [`SimConfig`] cache key. By
     /// construction it ignores the advance engine and probe settings
@@ -156,7 +185,14 @@ impl SimRequest {
     /// change the result — this is the key the result cache and job
     /// queue use.
     pub fn digest(&self) -> u64 {
-        let sim_digest = self.sim.digest(program_digest(&self.program()));
+        self.digest_with(program_digest(&self.program()))
+    }
+
+    /// [`SimRequest::digest`] given the digest of [`SimRequest::program`]
+    /// — for a caller that holds it already, keyed by
+    /// [`SimRequest::program_key`].
+    pub(crate) fn digest_with(&self, program_digest: u64) -> u64 {
+        let sim_digest = self.sim.digest(program_digest);
         let mut bytes = self.workload.canon().into_bytes();
         bytes.extend_from_slice(&sim_digest.to_le_bytes());
         fnv1a(&bytes)

@@ -13,7 +13,13 @@
 //! denominated in *simulated cycles*: admission requires a positive
 //! balance, every committed slice debits the cycles it burned, and the
 //! bucket refills in wall-clock time. Cache hits debit nothing — a
-//! resubmitted sweep is free.
+//! resubmitted sweep is free. An admitted submission whose result is
+//! resident in the cache's memory tier resolves at admission, without
+//! a worker.
+//!
+//! Content addresses: a submission's key is [`SimRequest::digest`],
+//! whose program half is memoized per server by the request's program
+//! key (golden name, or FFT shape) — a hit builds no program.
 //!
 //! Durability: with [`ServerConfig::journal`] set, every accepted
 //! submission is fsynced to the write-ahead journal *before* its
@@ -35,13 +41,17 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use self::state::State;
+use self::state::{State, Terminal};
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{JobError, JobId, JobResult, JobStatus, Lane};
 use crate::journal::{Journal, Record};
-use crate::request::SimRequest;
+use crate::request::{ProgramKey, SimRequest};
 use crate::wire;
-use xmt_sim::IntervalRow;
+use xmt_sim::{program_digest, IntervalRow};
+
+/// Programs the address memo holds; a miss past it starts the memo
+/// over.
+const PROGRAM_MEMO_ENTRIES: usize = 256;
 
 /// Per-tenant token-bucket quota, denominated in simulated cycles.
 ///
@@ -172,12 +182,16 @@ pub struct ServerStats {
     pub queued: usize,
     /// Current journal file size in bytes (0 without a journal).
     pub journal_bytes: u64,
+    /// Programs built and encoded to make a content address: the
+    /// address memo's misses. A request whose golden name or FFT
+    /// shape was seen before costs none.
+    pub programs_digested: u64,
 }
 
 // The statistics frame's server half, in wire order.
 xmt_sim::word_codec!(
     pub(crate) ServerStats,
-    10,
+    11,
     [
         submitted,
         completed,
@@ -189,13 +203,55 @@ xmt_sim::word_codec!(
         rejected_quota,
         queued,
         journal_bytes,
+        programs_digested,
     ]
 );
+
+/// The program half of content addresses, memoized: program key →
+/// program digest, at most `capacity` of them.
+struct ProgramMemo {
+    capacity: usize,
+    digests: HashMap<ProgramKey, u64>,
+    /// Misses: programs built and encoded.
+    digested: u64,
+}
+
+impl ProgramMemo {
+    fn new(capacity: usize) -> ProgramMemo {
+        ProgramMemo {
+            capacity,
+            digests: HashMap::new(),
+            digested: 0,
+        }
+    }
+}
+
+/// The content address of `req` — [`SimRequest::digest`]'s value —
+/// with its program half from `memo`. A miss builds and encodes the
+/// program with the memo unlocked; a full memo starts over.
+fn address(memo: &Mutex<ProgramMemo>, req: &SimRequest) -> u64 {
+    let key = req.program_key();
+    let known = unpoison(memo.lock()).digests.get(&key).copied();
+    let program = known.unwrap_or_else(|| {
+        let digest = program_digest(&req.program());
+        let mut m = unpoison(memo.lock());
+        if m.digests.len() >= m.capacity {
+            m.digests.clear();
+        }
+        m.digests.insert(key, digest);
+        m.digested += 1;
+        digest
+    });
+    req.digest_with(program)
+}
 
 pub(crate) struct Shared {
     state: Mutex<State>,
     cv: Condvar,
+    /// The result cache. Lock order: `state` before `cache`, never
+    /// the reverse.
     cache: Mutex<ResultCache>,
+    programs: Mutex<ProgramMemo>,
     quantum: u64,
     max_queued: usize,
     quota: Option<QuotaPolicy>,
@@ -280,11 +336,12 @@ impl Server {
     /// tests look at).
     fn start_with(cfg: ServerConfig, workers: usize) -> std::io::Result<Server> {
         let mut st = State::default();
+        let programs = Mutex::new(ProgramMemo::new(PROGRAM_MEMO_ENTRIES));
         let journal = match &cfg.journal {
             None => None,
             Some(path) => {
                 let replay = Journal::replay(path)?;
-                let compact = recovery::recover(&mut st, replay.jobs);
+                let compact = recovery::recover(&mut st, replay.jobs, &programs);
                 Some(Journal::rewrite(path, &compact)?)
             }
         };
@@ -292,6 +349,7 @@ impl Server {
             state: Mutex::new(st),
             cv: Condvar::new(),
             cache: Mutex::new(ResultCache::new(cfg.cache_entries, cfg.cache_dir)),
+            programs,
             quantum: cfg.quantum.max(1),
             max_queued: cfg.max_queued,
             quota: cfg.quota,
@@ -322,7 +380,8 @@ impl Server {
 
     /// Queue one submission with explicit tenant/lane/token metadata.
     pub fn submit_with(&self, sub: Submission) -> Result<JobHandle, JobError> {
-        self.admit(sub, None)
+        let digest = address(&self.shared.programs, &sub.req);
+        self.admit(sub, digest, None)
     }
 
     /// Queue a batch (e.g. [`SimRequest::paper_batch`]) in submission
@@ -345,9 +404,10 @@ impl Server {
         subs.into_iter()
             .map(|sub| {
                 let dedupable = sub.req.sim.probe_interval.is_none() && sub.token == 0;
-                let digest_key = dedupable.then(|| sub.req.digest());
+                let digest = address(&self.shared.programs, &sub.req);
+                let digest_key = dedupable.then_some(digest);
                 let primary = digest_key.and_then(|d| primaries.get(&d).copied());
-                let r = self.admit(sub, primary);
+                let r = self.admit(sub, digest, primary);
                 if let (Ok(h), Some(d), None) = (&r, digest_key, primary) {
                     primaries.insert(d, h.id());
                 }
@@ -357,11 +417,17 @@ impl Server {
     }
 
     /// Admission: shutdown check, idempotency-token lookup, queue
-    /// bound, quota, journal, insert. `dedup_of` marks a batch
-    /// follower (skips the queue/quota checks — followers cost no
-    /// execution).
-    fn admit(&self, sub: Submission, dedup_of: Option<JobId>) -> Result<JobHandle, JobError> {
-        let digest = sub.req.digest();
+    /// bound, quota, journal, insert, then follow, answer from the
+    /// cache, or enqueue. `digest` is the content address; `dedup_of`
+    /// marks a batch follower (skips the queue/quota checks —
+    /// followers cost no execution).
+    fn admit(
+        &self,
+        sub: Submission,
+        digest: u64,
+        dedup_of: Option<JobId>,
+    ) -> Result<JobHandle, JobError> {
+        let cacheable = sub.req.sim.probe_interval.is_none();
         let mut st = unpoison(self.shared.state.lock());
         if st.shutdown {
             return Err(JobError::Shutdown);
@@ -396,9 +462,20 @@ impl Server {
             }
         }
         st.insert(id, sub, digest);
-        let recs = match primary {
-            Some(pid) => st.follow(id, pid),
-            None => {
+        // A result resident in memory answers at once, through the
+        // worker's transitions: nobody holds the handle yet, so nobody
+        // waits to be woken. Anything else — a miss, a result only on
+        // disk — waits for a worker, which looks again.
+        let hit = if primary.is_none() && cacheable {
+            let resident = unpoison(self.shared.cache.lock()).get_resident(digest);
+            resident.and_then(|bytes| Terminal::completed(bytes, true, 0))
+        } else {
+            None
+        };
+        let recs = match (primary, hit) {
+            (Some(pid), _) => st.follow(id, pid),
+            (None, Some(hit)) => st.resolve(id, hit),
+            (None, None) => {
                 st.enqueue(id);
                 Vec::new()
             }
@@ -447,6 +524,7 @@ impl Server {
                 ..st.stats
             }
         };
+        s.programs_digested = unpoison(self.shared.programs.lock()).digested;
         if let Some(j) = unpoison(self.shared.journal.lock()).as_ref() {
             s.journal_bytes = j.len();
         }
@@ -896,7 +974,7 @@ mod tests {
             .with_sim(|s| s.probed(64));
         let burst = 1_000_000;
         let run = |quantum: u64, kill: bool| {
-            let srv = Server::start(ServerConfig {
+            let cfg = ServerConfig {
                 workers: 1,
                 quantum,
                 quota: Some(QuotaPolicy {
@@ -904,27 +982,28 @@ mod tests {
                     refill_cycles_per_sec: 0,
                 }),
                 ..ServerConfig::default()
-            })
-            .unwrap();
+            };
+            // The worker starts once the kill is aimed: nothing runs
+            // before it.
+            let srv = Server::start_with(cfg, 0).unwrap();
             let mut h = srv
                 .submit_with(Submission::new(req.clone()).tenant("t"))
                 .unwrap();
             let rx = h.take_stream().unwrap();
             if kill {
-                // What `kill_worker` does, with the kill requested under
-                // the state lock once two slices have committed: it lands
+                // What `kill_worker` does, with the kill aimed at the
+                // slice that commits after two committed ones: it lands
                 // part-way through the job, never after its end, and the
                 // run that starts over passes a pause that was already
                 // streamed and billed before it reaches new cycles.
                 let mut st = unpoison(srv.shared.state.lock());
-                while st.jobs[&h.id()].status.slices < 2 {
-                    st = unpoison(srv.shared.cv.wait(st));
-                }
                 assert!(st.jobs[&h.id()].result.is_none(), "the job outran the kill");
                 st.kill_requests += 1;
+                st.kill_aim = Some((h.id(), 2));
                 drop(st);
                 srv.spawn_worker();
             }
+            srv.spawn_worker();
             let r = h.wait_deadline(Duration::from_secs(120)).unwrap();
             assert!(r.outcome.is_completed());
             assert_eq!(unpoison(srv.shared.state.lock()).kill_requests, 0);
@@ -1026,6 +1105,123 @@ mod tests {
             "{stats:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The memoized address is [`SimRequest::digest`]'s value for every
+    /// golden case and for FFTs of 1, 2 and 3 dimensions × copies 1 and
+    /// 2 × two input seeds. The seeds share one memo entry and get
+    /// different addresses.
+    #[test]
+    fn memoized_addresses_are_the_digest() {
+        let memo = Mutex::new(ProgramMemo::new(PROGRAM_MEMO_ENTRIES));
+        let goldens = xmt_fft::golden::cases()
+            .into_iter()
+            .chain(xmt_fft::golden::scaling_cases());
+        for case in goldens {
+            let req = SimRequest::golden(case.name).unwrap();
+            assert_eq!(address(&memo, &req), req.digest(), "{}", case.name);
+        }
+        let arch = xmt_sim::XmtConfig::xmt_4k().scaled_to(4);
+        let shapes: [&[usize]; 3] = [&[64], &[16, 64], &[8, 8, 8]];
+        for dims in shapes {
+            for copies in [1, 2] {
+                let entries = || unpoison(memo.lock()).digests.len();
+                let before = entries();
+                let [a, b] = [1, 2].map(|seed| {
+                    let req = SimRequest::fft(dims, copies, seed, &arch);
+                    let d = address(&memo, &req);
+                    assert_eq!(d, req.digest(), "{dims:?} x{copies} seed {seed}");
+                    d
+                });
+                assert_ne!(a, b, "the seed is in the address");
+                assert_eq!(entries(), before + 1, "two seeds, one program");
+            }
+        }
+        let m = unpoison(memo.lock());
+        assert_eq!(m.digested, m.digests.len() as u64, "one miss per program");
+    }
+
+    /// More programs than the memo holds: every address still equals
+    /// the digest, and the memo never holds more than its capacity.
+    #[test]
+    fn a_full_memo_starts_over_and_stays_exact() {
+        let memo = Mutex::new(ProgramMemo::new(3));
+        let arch = xmt_sim::XmtConfig::xmt_4k().scaled_to(4);
+        let reqs: Vec<SimRequest> = SimRequest::paper_batch()
+            .into_iter()
+            .chain([64, 128, 256].map(|n| SimRequest::fft(&[n], 1, 0, &arch)))
+            .collect();
+        for _ in 0..2 {
+            for req in &reqs {
+                assert_eq!(address(&memo, req), req.digest());
+                assert!(unpoison(memo.lock()).digests.len() <= 3);
+            }
+        }
+        assert!(unpoison(memo.lock()).digested > reqs.len() as u64);
+    }
+
+    /// A result resident in memory answers at admission: with no worker
+    /// at all, a plain submission resolves `Done` from the cache in zero
+    /// slices, while its probed twin — which the cache cannot serve —
+    /// waits. A would-be hit still passes the gates first: a tenant in
+    /// debt and a full queue are refused.
+    #[test]
+    fn a_resident_hit_resolves_at_admission_after_the_gates() {
+        let quota = QuotaPolicy {
+            burst_cycles: 1_000,
+            refill_cycles_per_sec: 0,
+        };
+        let srv = Server::start_with(
+            ServerConfig {
+                max_queued: 1,
+                quota: Some(quota),
+                ..ServerConfig::default()
+            },
+            0,
+        )
+        .unwrap();
+        let req = SimRequest::golden("ps_tickets").unwrap();
+        let report = wire::encode_report(&req.builder().build().run().report);
+        unpoison(srv.shared.cache.lock()).insert(req.digest(), report.clone(), 135);
+        let h = srv.submit(req.clone()).unwrap();
+        assert_eq!(
+            h.poll(),
+            JobStatus {
+                state: JobState::Done,
+                at_cycle: 135,
+                slices: 0,
+                from_cache: true,
+                deduped: false,
+            }
+        );
+        let r = h.wait_deadline(Duration::ZERO).unwrap();
+        assert!(r.from_cache && r.slices == 0 && r.bytes == report);
+        assert_eq!(srv.quota_level("default"), Some(1_000.0), "hits are free");
+
+        unpoison(srv.shared.state.lock()).charge(&srv.shared.quota, "debtor", 2_000);
+        let in_debt = Submission::new(req.clone()).tenant("debtor");
+        assert_eq!(
+            srv.submit_with(in_debt).unwrap_err(),
+            JobError::QuotaExceeded
+        );
+
+        let probed = srv.submit(req.clone().with_sim(|s| s.probed(64))).unwrap();
+        assert_eq!(probed.poll().state, JobState::Queued);
+        assert_eq!(srv.submit(req).unwrap_err(), JobError::Overloaded);
+
+        let stats = srv.stats();
+        assert_eq!(
+            (
+                stats.completed,
+                stats.rejected_quota,
+                stats.rejected_overload
+            ),
+            (1, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.programs_digested, 1, "one program, one build");
+        let cs = srv.cache_stats();
+        assert_eq!((cs.hits, cs.misses), (1, 0), "refusals look nothing up");
     }
 
     /// One panic under the state lock poisons the mutex; every later

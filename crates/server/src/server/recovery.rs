@@ -1,8 +1,10 @@
 //! Crash recovery: the scheduler state rebuilt from a replayed journal
 //! ([`crate::journal`]), by the live transitions of [`super::state`].
 
+use std::sync::Mutex;
+
 use super::state::{State, Terminal};
-use super::submit_record;
+use super::{address, submit_record, ProgramMemo};
 use crate::job::JobError;
 use crate::journal::{Record, RecoveredJob};
 
@@ -13,12 +15,17 @@ use crate::journal::{Record, RecoveredJob};
 /// worker does not — in particular identical unfinished jobs are *not*
 /// collapsed (which rows formed a batch is not journaled): each is
 /// requeued on its own, and the first to finish serves the rest from
-/// the result cache, as at admission.
-pub(super) fn recover(st: &mut State, jobs: Vec<RecoveredJob>) -> Vec<Record> {
+/// the result cache, as at admission. Addresses come through the
+/// server's program memo, as at admission.
+pub(super) fn recover(
+    st: &mut State,
+    jobs: Vec<RecoveredJob>,
+    programs: &Mutex<ProgramMemo>,
+) -> Vec<Record> {
     let mut compact = Vec::new();
     for r in jobs {
         compact.push(submit_record(r.id, &r.sub));
-        let digest = r.sub.req.digest();
+        let digest = address(programs, &r.sub.req);
         st.insert(r.id, r.sub, digest);
         let ended = match r.terminal {
             // A recorded Done whose bytes no longer decode (version

@@ -168,6 +168,10 @@ pub(super) struct State {
     /// Pending worker kills ([`crate::Server::kill_worker`]); consumed at
     /// slice commit.
     pub(super) kill_requests: usize,
+    /// Test hook: pending kills land only on this job's slice that
+    /// commits after this many committed ones.
+    #[cfg(test)]
+    pub(super) kill_aim: Option<(JobId, u32)>,
     /// Idempotency map: `(tenant, token)` → the job it first named.
     pub(super) tokens: HashMap<(String, u64), JobId>,
     /// Per-tenant quota buckets (only with a [`QuotaPolicy`]).
@@ -227,6 +231,19 @@ impl State {
         );
         self.next_id = self.next_id.max(id.saturating_add(1));
         self.stats.submitted += 1;
+    }
+
+    /// Whether a pending kill consumes `id`'s slice committing now:
+    /// any slice does, unless a test aims the kill.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    pub(super) fn kill_lands(&self, id: JobId) -> bool {
+        #[cfg(test)]
+        if let Some(aim) = self.kill_aim {
+            if aim != (id, self.jobs[&id].status.slices) {
+                return false;
+            }
+        }
+        self.kill_requests > 0
     }
 
     /// The live part of an unfinished job.

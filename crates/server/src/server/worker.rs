@@ -149,9 +149,11 @@ pub(super) fn run(shared: &Shared) {
         let cacheable = req.sim.probe_interval.is_none();
         // An unprobed run about to start at cycle 0: try the content
         // cache before building anything. (Probed runs bypass the cache — their
-        // value is the stream.) Cache hits charge no quota and share the
-        // entry's bytes; a corrupt cached blob falls through and
-        // recomputes.
+        // value is the stream.) Admission already answered what was
+        // resident when the job arrived; this lookup serves a job
+        // queued before its key was cached, and results only on disk.
+        // Cache hits charge no quota and share the entry's bytes; a
+        // corrupt cached blob falls through and recomputes.
         if machine.is_none() && cacheable {
             let cached = unpoison(shared.cache.lock()).get(digest);
             if let Some(hit) = cached.and_then(|bytes| Terminal::completed(bytes, true, 0)) {
@@ -168,7 +170,7 @@ pub(super) fn run(shared: &Shared) {
         // A pending kill consumes this slice instead of committing
         // it: the slice and the machine are dropped, the job starts
         // over, and this thread dies.
-        if st.kill_requests > 0 {
+        if st.kill_lands(id) {
             st.kill_requests -= 1;
             let recs = st.rollback(id);
             drop(st);

@@ -12,6 +12,12 @@
 //!   paused job keeps its machine, and the gate shows the machine is
 //!   gone once the job resolves.
 //!
+//!
+//! Every job shares one `(dims, copies)`, so the server builds and
+//! encodes that program once to make content addresses: after the hits
+//! `programs_digested` is exactly 1 — an exact count of the work a hit
+//! must not repeat.
+//!
 //! Its own test binary, so no other test allocates in the process while
 //! VmRSS is read.
 
@@ -82,6 +88,11 @@ fn a_finished_job_costs_under_half_a_kib() {
         }
         0
     });
+    assert_eq!(
+        srv.stats().programs_digested,
+        1,
+        "one (dims, copies): one program built for its addresses"
+    );
     gate("sliced cold jobs", COLD, || {
         (KEYS..KEYS + COLD).map(cold).sum()
     });
