@@ -12,7 +12,7 @@
 //!
 //! Defaults: `fft_radix8_n512`, interval 64 cycles, output
 //! `trace_<workload>.json` in the target directory (`CARGO_TARGET_DIR`,
-//! else `target/`), where `xmt_lint` puts its artifact.
+//! else `target/`).
 //!
 //! `--stream` shrinks the per-module cache to a few lines and
 //! throttles DRAM channel bandwidth before running, putting the

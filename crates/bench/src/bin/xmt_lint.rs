@@ -1,554 +1,82 @@
-//! Two-pass static-analysis gate for every kernel in the workspace.
-//!
-//! **Pass 1 — translation validation.** Each target's lowering into
-//! the block-compiled tier's micro-ops is proven equivalent to the
-//! reference ISA semantics by the symbolic interpreter in
-//! `xmt_verify::transval`; for the golden workloads the trace cache a
-//! probed run *actually replayed* is audited too. **Pass 2 — static
-//! traffic.** The affine footprint analyzer in `xmt_verify::traffic`
-//! predicts per-phase instruction/flop/memory/NoC/DRAM traffic bounds
-//! and a roofline verdict, cross-checked against `IntervalProbe`
-//! measurements (every measured value must fall inside its predicted
-//! interval), and the paper's claim is pinned: the paper-scale FFT
-//! goldens must classify bandwidth-bound.
-//!
-//! The classic front half (structure, def-before-use, dead stores,
-//! races) still runs first on every target.
+//! The static-analysis gate over every kernel in the workspace: prints
+//! what [`xmt_bench::lint::check`] finds on each of
+//! [`xmt_bench::lint::targets`] (front half, translation validation,
+//! static traffic with the pinned roofline verdicts, and the measured
+//! cross-check of every golden and paper-scale case).
 //!
 //! ```text
-//! cargo run --release -p xmt-bench --bin xmt_lint [-- FLAGS]
-//!
-//!   --format text|json   report format on stdout (default: text)
-//!   --traffic-full       also measure the scaling cases (expensive)
-//!   --artifact PATH      JSON artifact path (default: target/xmt-lint.json)
+//! cargo run --release -p xmt-bench --bin xmt_lint
 //! ```
 //!
-//! Exit codes: **0** everything proven clean, **1** findings or a
-//! failed cross-check or verdict pin, **2** usage error. Every pass
-//! runs on every target every time — a clean result is only ever this
-//! build's own — and the JSON artifact is written on every run (pass
-//! or fail) so CI can archive it.
-//!
-//! XMTC-authored targets are a special case: their scatter addresses
-//! come from `/` and `%` on broadcast globals, which the affine domain
-//! widens to ⊤, so the race pass reports *unproven* (not disproven)
-//! races. Those are surfaced as a separate count and do not gate;
-//! generated kernels, which the domain does prove, gate strictly.
+//! It takes no arguments and writes no file. Exit codes: **0** every
+//! target passed, **1** any finding, **2** any argument.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::process::exit;
 
-use xmt_fft::golden::{self, GoldenCase};
-use xmt_fft::plan::{default_copies, XmtFftPlan};
-use xmt_fft::traffic::traffic_params;
-use xmt_isa::Program;
-use xmt_sim::{program_digest, IntervalProbe, UNIT_LAT};
-use xmt_verify::traffic::{analyze, TrafficParams, TrafficReport, Verdict};
-use xmt_verify::transval::{validate_cache, validate_program, TransvalStats};
-use xmt_verify::{verify, Kind};
+use xmt_bench::lint::{check, targets, Outcome};
 
-const PASSES: &str = "structure,dataflow,deadstore,races,transval,traffic";
-
-struct Flags {
-    json: bool,
-    traffic_full: bool,
-    artifact: PathBuf,
-}
-
-fn parse_flags() -> Result<Flags, String> {
-    let mut flags = Flags {
-        json: false,
-        traffic_full: false,
-        artifact: xmt_bench::target_dir().join("xmt-lint.json"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--format" => match args.next().as_deref() {
-                Some("json") => flags.json = true,
-                Some("text") => flags.json = false,
-                other => return Err(format!("--format wants text|json, got {other:?}")),
-            },
-            "--traffic-full" => flags.traffic_full = true,
-            "--artifact" => match args.next() {
-                Some(p) => flags.artifact = PathBuf::from(p),
-                None => return Err("--artifact wants a path".into()),
-            },
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+fn print_row(o: &Outcome) {
+    let status = if o.passed() { "ok" } else { "FAIL" };
+    let tv = o
+        .transval
+        .map_or("-".to_string(), |t| format!("{}b/{}u", t.blocks, t.uops));
+    let roof = o.verdict.map_or("-".to_string(), |v| v.to_string());
+    println!(
+        "{status:>4}  {:<20} {:<8} transval {tv:>10}  roofline {roof:<16} xcheck {}",
+        o.name, o.kind, o.crosscheck
+    );
+    if let Some(tv) = o.cache_audit {
+        println!(
+            "      replayed trace cache audited: {} block(s), {} uop(s), {} cold",
+            tv.blocks, tv.uops, tv.cold_blocks
+        );
     }
-    Ok(flags)
-}
-
-/// One program the lint proves things about.
-struct Target {
-    name: String,
-    kind: &'static str,
-    prog: Program,
-    params: TrafficParams,
-    /// XMTC targets: ⊤-address races are reported but do not gate.
-    relax_races: bool,
-    /// Pinned roofline verdict (the paper's claims), gated when set.
-    expect: Option<Verdict>,
-    /// When set, run a probed simulation: cross-check measured traffic
-    /// against the static intervals and audit the replayed trace cache.
-    measure: Option<GoldenCase>,
-}
-
-#[derive(Default)]
-struct Outcome {
-    name: String,
-    kind: &'static str,
-    digest: u64,
-    errors: usize,
-    warnings: usize,
-    unproven: usize,
-    transval: Option<TransvalStats>,
-    cache_audit: Option<TransvalStats>,
-    traffic: Option<TrafficReport>,
-    verdict: Option<Verdict>,
-    expect: Option<Verdict>,
-    /// "ok" | "skipped" | "failed"
-    crosscheck: &'static str,
-    /// Gating findings, already formatted for display.
-    findings: Vec<String>,
-    /// Non-gating notes (unproven races, analyzer notes, …).
-    notes: Vec<String>,
-}
-
-impl Outcome {
-    fn gated(&self) -> bool {
-        !self.findings.is_empty()
-    }
-}
-
-fn in_range(v: u64, (lo, hi): (u64, u64)) -> bool {
-    lo <= v && v <= hi
-}
-
-/// Run the probed simulation for a measured target: per-phase interval
-/// containment of every counter plus the replayed-trace-cache audit.
-fn crosscheck(case: &GoldenCase, prog: &Program, report: &TrafficReport, o: &mut Outcome) {
-    let probe = IntervalProbe::new(1, 400_000);
-    let mut m = case.builder(&case.sim_config()).build_probed(probe);
-    let outcome = m.run();
-    if let Some(e) = outcome.error() {
-        o.findings.push(format!("probed run failed: {e}"));
-        o.crosscheck = "failed";
-        return;
-    }
-    let rep = &outcome.report;
-
-    // Audit the lowered records the run actually replayed.
-    if let Some(tc) = m.trace_cache() {
-        match validate_cache(prog.instrs(), tc.map(), tc.uops(), tc.unit_lat()) {
-            Ok(stats) => o.cache_audit = Some(stats),
-            Err(e) => o.findings.push(format!("trace-cache audit: {e}")),
-        }
-    }
-
-    if !report.phase_order_exact || report.phases.len() != rep.spawns.len() {
-        o.findings.push(format!(
-            "cross-check needs exact phase order: predicted {} phase(s), measured {}",
-            report.phases.len(),
-            rep.spawns.len()
-        ));
-        o.crosscheck = "failed";
-        return;
-    }
-    let rows = m.probe().rows();
-    let mut bad = 0usize;
-    for (p, s) in report.phases.iter().zip(&rep.spawns) {
-        let noc: u64 = rows
-            .iter()
-            .filter(|r| r.spawn == Some(s.index as u64))
-            .map(|r| r.noc_injected)
-            .sum();
-        let dram: u64 = rows
-            .iter()
-            .filter(|r| r.spawn == Some(s.index as u64))
-            .map(|r| r.dram_bytes)
-            .sum();
-        let mut miss = |what: &str, got: u64, want: (u64, u64)| {
-            o.findings.push(format!(
-                "phase {}: measured {what} {got} outside predicted [{}, {}]",
-                p.index, want.0, want.1
-            ));
-            bad += 1;
-        };
-        if let Some(t) = p.threads {
-            if t != s.threads {
-                miss("threads", s.threads, (t, t));
-            }
-        }
-        if !in_range(s.instructions, p.instructions) {
-            miss("instructions", s.instructions, p.instructions);
-        }
-        if !in_range(s.flops, p.flops) {
-            miss("flops", s.flops, p.flops);
-        }
-        if !in_range(s.mem_reads, p.reads) {
-            miss("reads", s.mem_reads, p.reads);
-        }
-        if !in_range(s.mem_writes, p.writes) {
-            miss("writes", s.mem_writes, p.writes);
-        }
-        if !in_range(noc, p.noc_flits) {
-            miss("noc flits", noc, p.noc_flits);
-        }
-        if !in_range(dram, p.dram_bytes) {
-            miss("dram bytes", dram, p.dram_bytes);
-        }
-    }
-    o.crosscheck = if bad == 0 { "ok" } else { "failed" };
-}
-
-fn run_target(t: &Target) -> Outcome {
-    let mut o = Outcome {
-        name: t.name.clone(),
-        kind: t.kind,
-        digest: program_digest(&t.prog),
-        crosscheck: "skipped",
-        expect: t.expect,
-        ..Outcome::default()
-    };
-    // Front half + pass 1 on the canonical lowering.
-    let report = verify(&t.prog);
-    o.warnings = report.warnings().count();
-    for d in report.errors() {
-        if t.relax_races && d.kind == Kind::Race {
-            o.unproven += 1;
-        } else {
-            o.findings.push(d.to_string());
-        }
-    }
-    o.errors = o.findings.len();
-    match validate_program(t.prog.instrs(), UNIT_LAT) {
-        Ok(stats) => o.transval = Some(stats),
-        Err(e) => o.findings.push(format!("error[transval] pc {}: {e}", e.pc)),
-    }
-
-    // Pass 2: static traffic + roofline, then the measured cross-check.
-    match analyze(t.prog.instrs(), &t.params) {
-        Ok(traffic) => {
-            o.verdict = Some(traffic.verdict);
-            o.notes.extend(traffic.notes.iter().cloned());
-            if let Some(want) = t.expect {
-                if traffic.verdict != want {
-                    o.findings.push(format!(
-                        "roofline verdict is {}, paper pins {want}",
-                        traffic.verdict
-                    ));
-                }
-            }
-            if let Some(case) = &t.measure {
-                crosscheck(case, &t.prog, &traffic, &mut o);
-            }
-            o.traffic = Some(traffic);
-        }
-        Err(e) => o.findings.push(format!("error[traffic]: {e}")),
-    }
-    o.errors = o.findings.len();
-    o
-}
-
-fn build_targets(flags: &Flags) -> Vec<Target> {
-    let mut targets = Vec::new();
-
-    // Golden workloads: full pipeline + measured cross-check.
-    for case in golden::cases() {
-        let expect = match case.name {
-            "spawn_storm" | "ps_tickets" => Some(Verdict::BandwidthBound),
-            "fpu_chain" => Some(Verdict::ComputeBound),
-            "mem_chase" => Some(Verdict::LatencyBound),
-            // fft_radix8_n512 straddles the scaled-down golden ridge;
-            // the paper-scale pin lives on the scaling cases below.
-            _ => None,
-        };
-        targets.push(Target {
-            name: case.name.to_string(),
-            kind: "golden",
-            prog: case.program(),
-            params: traffic_params(&case.sim_config().arch),
-            relax_races: false,
-            expect,
-            measure: Some(case),
-        });
-    }
-
-    // Paper-scale scaling cases: the bandwidth-bound pin is static and
-    // always gates; the probed cross-check is opt-in (expensive).
-    for case in golden::scaling_cases() {
-        targets.push(Target {
-            name: case.name.to_string(),
-            kind: "scaling",
-            prog: case.program(),
-            params: traffic_params(&case.sim_config().arch),
-            relax_races: false,
-            expect: Some(Verdict::BandwidthBound),
-            measure: flags.traffic_full.then_some(case),
-        });
-    }
-
-    // FFT plans the experiments sweep (static only).
-    let cfg = golden::golden_config();
-    let plans = [
-        (
-            "fft_1d_n64",
-            XmtFftPlan::new_1d(64, default_copies(64, cfg.memory_modules)),
-        ),
-        (
-            "fft_1d_n4096",
-            XmtFftPlan::new_1d(4096, default_copies(4096, cfg.memory_modules)),
-        ),
-        (
-            "fft_2d_64x64",
-            XmtFftPlan::new_2d(64, 64, default_copies(4096, cfg.memory_modules)),
-        ),
-    ];
-    let params = traffic_params(&cfg);
-    for (name, plan) in plans {
-        targets.push(Target {
-            name: name.to_string(),
-            kind: "plan",
-            prog: plan.program,
-            params,
-            relax_races: false,
-            expect: None,
-            measure: None,
-        });
-    }
-
-    // XMTC-authored samples: the FFT's ⊤ addresses relax the race
-    // gate; the affine complex-square must prove clean end to end.
-    for (name, src, relax) in [
-        ("xmtc_fft_radix2", xmtc::samples::FFT_RADIX2, true),
-        ("xmtc_complex_square", xmtc::samples::COMPLEX_SQUARE, false),
-    ] {
-        match xmtc::compile(src) {
-            Ok(prog) => targets.push(Target {
-                name: name.to_string(),
-                kind: "xmtc",
-                prog,
-                params,
-                relax_races: relax,
-                expect: None,
-                measure: None,
-            }),
-            Err(e) => {
-                eprintln!("xmt-lint: {name} failed to compile: {e}");
-                exit(1);
-            }
-        }
-    }
-
-    targets
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_str_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!("[{}]", quoted.join(","))
-}
-
-fn render_json(results: &[Outcome], failed: bool) -> String {
-    let mut targets = Vec::new();
-    for o in results {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"kind\":\"{}\",\"digest\":\"{:016x}\",\
-             \"errors\":{},\"warnings\":{},\"unproven_races\":{}",
-            json_escape(&o.name),
-            o.kind,
-            o.digest,
-            o.findings.len().max(o.errors),
-            o.warnings,
+    if o.unproven > 0 {
+        println!(
+            "      {} race(s) unproven (⊤ addresses; reported, not gating for XMTC)",
             o.unproven
         );
-        if let Some(tv) = o.transval {
-            let _ = write!(
-                s,
-                ",\"transval\":{{\"blocks\":{},\"uops\":{}}}",
-                tv.blocks, tv.uops
-            );
-        }
-        if let Some(tv) = o.cache_audit {
-            let _ = write!(
-                s,
-                ",\"trace_cache_audit\":{{\"blocks\":{},\"uops\":{},\"cold_blocks\":{}}}",
-                tv.blocks, tv.uops, tv.cold_blocks
-            );
-        }
-        if let Some(v) = o.verdict {
-            let _ = write!(s, ",\"verdict\":\"{v}\"");
-        }
-        if let Some(want) = o.expect {
-            let _ = write!(s, ",\"pinned_verdict\":\"{want}\"");
-        }
-        if let Some(tr) = &o.traffic {
-            let phases: Vec<String> = tr
-                .phases
-                .iter()
-                .map(|p| {
-                    let mut ps = String::new();
-                    let _ = write!(
-                        ps,
-                        "{{\"index\":{},\"threads\":{},\"exact\":{},\
-                         \"instructions\":[{},{}],\"flops\":[{},{}],\
-                         \"reads\":[{},{}],\"writes\":[{},{}],\
-                         \"noc_flits\":[{},{}],\"dram_bytes\":[{},{}],\
-                         \"bottleneck\":\"{}\"",
-                        p.index,
-                        p.threads.map_or("null".into(), |t| t.to_string()),
-                        p.exact,
-                        p.instructions.0,
-                        p.instructions.1,
-                        p.flops.0,
-                        p.flops.1,
-                        p.reads.0,
-                        p.reads.1,
-                        p.writes.0,
-                        p.writes.1,
-                        p.noc_flits.0,
-                        p.noc_flits.1,
-                        p.dram_bytes.0,
-                        p.dram_bytes.1,
-                        p.bottleneck
-                    );
-                    if let Some((lo, hi)) = p.streaming_intensity {
-                        let _ = write!(ps, ",\"streaming_intensity\":[{lo},{hi}]");
-                    }
-                    ps.push('}');
-                    ps
-                })
-                .collect();
-            let _ = write!(
-                s,
-                ",\"traffic\":{{\"ridge_intensity\":{},\"phase_order_exact\":{},\"phases\":[{}]}}",
-                tr.ridge_intensity,
-                tr.phase_order_exact,
-                phases.join(",")
-            );
-        }
-        let _ = write!(s, ",\"crosscheck\":\"{}\"", o.crosscheck);
-        let _ = write!(s, ",\"findings\":{}", json_str_list(&o.findings));
-        let _ = write!(s, ",\"notes\":{}", json_str_list(&o.notes));
-        s.push('}');
-        targets.push(s);
     }
-    format!(
-        "{{\"tool\":\"xmt-lint\",\"version\":1,\"passes\":\"{PASSES}\",\"status\":\"{}\",\
-         \"targets\":[{}]}}",
-        if failed { "fail" } else { "ok" },
-        targets.join(",")
-    )
-}
-
-fn render_text(results: &[Outcome]) {
-    println!("xmt-lint: structure / def-use / races / transval / traffic\n");
-    for o in results {
-        let verdict = if o.gated() { "FAIL" } else { "ok" };
-        let tv = o
-            .transval
-            .map_or("-".to_string(), |t| format!("{}b/{}u", t.blocks, t.uops));
-        let roof = o.verdict.map_or("-".to_string(), |v| v.to_string());
-        println!(
-            "{verdict:>4}  {:<20} {:<8} transval {tv:>10}  roofline {roof:<16} xcheck {}",
-            o.name, o.kind, o.crosscheck
-        );
-        if let Some(tv) = o.cache_audit {
-            println!(
-                "      replayed trace cache audited: {} block(s), {} uop(s), {} cold",
-                tv.blocks, tv.uops, tv.cold_blocks
-            );
-        }
-        if o.unproven > 0 {
-            println!(
-                "      {} race(s) unproven (⊤ addresses; reported, not gating for XMTC)",
-                o.unproven
-            );
-        }
-        for f in &o.findings {
-            println!("      {f}");
-        }
-    }
-    let pins: Vec<&Outcome> = results.iter().filter(|o| o.expect.is_some()).collect();
-    if !pins.is_empty() {
-        println!("\npinned roofline verdicts:");
-        for o in pins {
-            println!(
-                "  {:<20} want {:<16} got {}",
-                o.name,
-                o.expect.unwrap().to_string(),
-                o.verdict.map_or("-".to_string(), |v| v.to_string())
-            );
-        }
+    for f in &o.findings {
+        println!("      {f}");
     }
 }
 
 fn main() {
-    let flags = match parse_flags() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("xmt-lint: {e}");
-            eprintln!("usage: xmt_lint [--format text|json] [--traffic-full] [--artifact PATH]");
-            exit(2);
-        }
-    };
-
-    let targets = build_targets(&flags);
-    let mut results = Vec::new();
-    let mut failed = false;
-    for t in &targets {
-        let o = run_target(t);
-        failed |= o.gated();
-        results.push(o);
+    if std::env::args().len() > 1 {
+        eprintln!("usage: xmt_lint (it takes no arguments)");
+        exit(2);
     }
 
-    let json = render_json(&results, failed);
-    if let Some(dir) = flags.artifact.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(&flags.artifact, &json) {
-        eprintln!(
-            "xmt-lint: could not write artifact {}: {e}",
-            flags.artifact.display()
-        );
-    }
+    println!("xmt-lint: structure / def-use / races / transval / traffic\n");
+    let results: Vec<Outcome> = targets()
+        .iter()
+        .map(|t| {
+            let o = check(t);
+            print_row(&o);
+            o
+        })
+        .collect();
 
-    if flags.json {
-        println!("{json}");
-    } else {
-        render_text(&results);
-        if failed {
-            eprintln!("\nxmt-lint: at least one target failed verification");
-        } else {
+    println!("\npinned roofline verdicts:");
+    for o in &results {
+        if let Some(want) = o.expect {
             println!(
-                "\nall targets proven: lowerings equivalent, traffic within static bounds, \
-                 paper-scale FFT bandwidth-bound"
+                "  {:<20} want {:<16} got {}",
+                o.name,
+                want.to_string(),
+                o.verdict.map_or("-".to_string(), |v| v.to_string())
             );
         }
     }
-    exit(if failed { 1 } else { 0 });
+
+    if results.iter().all(Outcome::passed) {
+        println!(
+            "\nall targets proven: lowerings equivalent, traffic within static bounds, \
+             paper-scale FFT bandwidth-bound"
+        );
+    } else {
+        eprintln!("\nxmt-lint: at least one target failed verification");
+        exit(1);
+    }
 }

@@ -187,6 +187,22 @@ fn bad_arguments_are_usage_errors_naming_the_command() {
     assert_eq!(fs::read_dir(&dir).expect("list").count(), 0);
 }
 
+/// `xmt_lint` takes no arguments: any is a usage error, caught before
+/// a target runs.
+#[test]
+fn xmt_lint_rejects_any_argument() {
+    let dir = scratch("xmt_lint_usage");
+    let out = Command::new(env!("CARGO_BIN_EXE_xmt_lint"))
+        .args(["--format", "json"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn xmt_lint");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "xmt_lint printed a result");
+    assert!(stderr(&out).contains("usage: xmt_lint"));
+    assert_eq!(fs::read_dir(&dir).expect("list").count(), 0);
+}
+
 #[test]
 fn docs_and_the_command_table_name_the_same_commands() {
     let docs: String = ["README.md", "EXPERIMENTS.md"]

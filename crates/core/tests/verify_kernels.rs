@@ -1,48 +1,13 @@
-//! Static verification of every kernel this crate generates.
+//! The verifier has teeth: a seeded racy kernel and an uninit-register
+//! kernel are rejected with actionable diagnostics.
 //!
-//! The generator (the stand-in for the XMTC compiler) must only ever
-//! emit programs that `xmt-verify` proves structurally sound, fully
-//! initialized, and race-free — so verification runs at plan-build
-//! time here, and any future kernel change that introduces a shared
-//! word or an unwritten register fails these tests before a simulator
-//! run ever observes nondeterminism. The negative cases pin that the
-//! verifier actually has teeth (a seeded racy kernel and an
-//! uninit-register kernel are rejected with actionable diagnostics).
+//! That every kernel this crate generates — each golden workload and
+//! each FFT plan shape the experiments sweep — verifies clean is one
+//! check of the static-analysis gate (`xmt_bench::lint`), which
+//! `xmt_lint` and the integration suite `static_analysis` run.
 
-use xmt_fft::golden;
-use xmt_fft::plan::{default_copies, XmtFftPlan};
 use xmt_isa::{ir, ProgramBuilder};
 use xmt_verify::{verify, Kind};
-
-#[test]
-fn every_golden_case_verifies_clean() {
-    for case in golden::cases() {
-        let report = verify(&case.program());
-        assert!(
-            report.is_clean(),
-            "golden case `{}` failed verification:\n{report}",
-            case.name
-        );
-    }
-}
-
-#[test]
-fn fft_plans_verify_clean_across_shapes() {
-    let cfg = golden::golden_config();
-    let shapes: Vec<XmtFftPlan> = vec![
-        XmtFftPlan::new_1d(64, default_copies(64, cfg.memory_modules)),
-        XmtFftPlan::new_1d(512, default_copies(512, cfg.memory_modules)),
-        XmtFftPlan::new_2d(64, 64, default_copies(4096, cfg.memory_modules)),
-    ];
-    for plan in &shapes {
-        let report = verify(&plan.program);
-        assert!(
-            report.is_clean(),
-            "plan over {} stages failed verification:\n{report}",
-            plan.num_stages()
-        );
-    }
-}
 
 #[test]
 fn seeded_racy_kernel_is_rejected_with_a_witness() {

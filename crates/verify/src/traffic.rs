@@ -42,9 +42,9 @@
 //!   0.6 flops/byte against a ridge of ~1.1 — the paper's
 //!   bandwidth-bound verdict, statically.
 //!
-//! Every quantity is tagged exact or bounding; `xmt_lint` cross-checks
-//! the exact ones against `IntervalProbe` measurements on the golden
-//! workloads and gates on the documented tolerance.
+//! Every quantity is tagged exact or bounding; the static-analysis gate
+//! (`xmt_bench::lint`) requires every measured per-phase quantity of the
+//! golden workloads and paper-scale cases to fall inside its interval.
 
 use crate::affine::AbsVal;
 use crate::cfg::Cfg;
@@ -693,7 +693,7 @@ fn classify_phase(
     } else {
         0.0
     };
-    let accesses = (reads + writes) as f64;
+    let accesses = reads.saturating_add(writes) as f64;
     let t_lsu = accesses / (usable * p.lsus_per_cluster as f64 * eff);
     let t_icn = (reads.max(writes)) as f64 / (usable * p.icn_words_per_cluster);
     let t_mem_net = t_lsu.max(t_icn);

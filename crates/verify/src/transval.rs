@@ -901,7 +901,8 @@ pub fn validate_cache(
 }
 
 /// Lower an instruction stream canonically and validate the result —
-/// the one-call entry `xmt_lint` and `verify_with_lowering` use.
+/// the one-call entry the static-analysis gate (`xmt_bench::lint`) and
+/// `verify_with_lowering` use.
 pub fn validate_program(instrs: &[Instr], lat: UnitLat) -> Result<TransvalStats, TransvalError> {
     let (map, uops) = lower(instrs, lat);
     validate_lowering(instrs, &map, &uops, lat)

@@ -151,7 +151,7 @@ fn probing_does_not_change_cycle_counts() {
 #[test]
 fn race_oracle_is_silent_on_all_golden_cases() {
     // The static verifier proves every golden program race-free
-    // (`crates/core/tests/verify_kernels.rs`); the dynamic oracle must
+    // (the gate in `xmt_bench::lint`); the dynamic oracle must
     // agree on the executions themselves, under every engine.
     for case in golden::cases() {
         for engine in ENGINES {
