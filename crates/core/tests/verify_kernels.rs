@@ -1,13 +1,29 @@
-//! The verifier has teeth: a seeded racy kernel and an uninit-register
-//! kernel are rejected with actionable diagnostics.
+//! Static verification of the kernels this crate generates.
 //!
-//! That every kernel this crate generates — each golden workload and
-//! each FFT plan shape the experiments sweep — verifies clean is one
-//! check of the static-analysis gate (`xmt_bench::lint`), which
+//! Every golden workload verifies clean here, at the crate that builds
+//! it, so a generator change that introduces a shared word or an
+//! unwritten register fails before a simulator run ever observes
+//! nondeterminism. The negative cases pin that the verifier has teeth:
+//! a seeded racy kernel and an uninit-register kernel are rejected with
+//! actionable diagnostics. The FFT plan shapes the experiments sweep
+//! are targets of the static-analysis gate (`xmt_bench::lint`), which
 //! `xmt_lint` and the integration suite `static_analysis` run.
 
+use xmt_fft::golden;
 use xmt_isa::{ir, ProgramBuilder};
 use xmt_verify::{verify, Kind};
+
+#[test]
+fn every_golden_case_verifies_clean() {
+    for case in golden::cases() {
+        let report = verify(&case.program());
+        assert!(
+            report.is_clean(),
+            "golden case `{}` failed verification:\n{report}",
+            case.name
+        );
+    }
+}
 
 #[test]
 fn seeded_racy_kernel_is_rejected_with_a_witness() {
