@@ -70,7 +70,7 @@ stage "non-test line ledger (informational)" line_ledger
 # FFT must classify bandwidth-bound. Every golden and paper-scale case
 # is also run probed: each per-phase measurement must fall inside its
 # predicted interval, and the trace cache the run replayed must
-# validate. About 5 s, peaking near 300 MB; it takes no arguments and
+# validate. About 5 s, peaking near 200 MiB; it takes no arguments and
 # writes no artifact. Exit 1 on any finding.
 stage "static analysis: front half + transval + traffic (xmt-lint)" \
     cargo run --release -p xmt-bench --bin xmt_lint
@@ -141,11 +141,13 @@ stage "job server smoke: preemption, cache identity, worker kill" \
 # in-process cache-hit jobs, then 2 000 cold jobs of four or more slices,
 # may grow VmRSS by at most 0.5 KiB each beyond the report bytes they
 # keep — a finished job keeps its status and its report, nothing else
-# (no paused machine outlives its job). It also holds an exact count:
+# (no paused machine outlives its job). It also holds two exact counts:
 # the 40 000 hits share one (dims, copies), so programs_digested must
 # be 1 — a hit that rebuilds its FFT program to make its content
-# address fails here, not on a clock. Its own test binary; skips
-# where /proc is absent.
+# address fails here, not on a clock — and the hits, resolved at
+# admission, must add fewer than 40 idle_wakeups — a server that wakes
+# its idle worker for every resolved job adds about one per hit. Its
+# own test binary; skips where /proc is absent.
 stage "job table memory: <= 0.5 KiB per finished job" \
     cargo test --release -p xmt-server --test job_table_memory -q
 

@@ -242,9 +242,12 @@ fn crosscheck(case: &GoldenCase, prog: &Program, report: &TrafficReport, o: &mut
         ));
         return;
     }
-    let rows = probe.rows();
     for (p, s) in report.phases.iter().zip(spawns) {
-        let of_phase = || rows.iter().filter(|r| r.spawn == Some(s.index as u64));
+        let of_phase = || {
+            probe
+                .scalar_rows()
+                .filter(|r| r.spawn == Some(s.index as u64))
+        };
         let quantities = [
             (
                 "threads",

@@ -209,13 +209,14 @@ fn stats(mut args: Vec<String>) -> Result<(), String> {
     );
     println!(
         "deduped={} tokens_reused={} shed_overload={} shed_quota={} journal_bytes={} \
-         programs_digested={}",
+         programs_digested={} idle_wakeups={}",
         s.server.deduped,
         s.server.tokens_reused,
         s.server.rejected_overload,
         s.server.rejected_quota,
         s.server.journal_bytes,
-        s.server.programs_digested
+        s.server.programs_digested,
+        s.server.idle_wakeups
     );
     println!(
         "cache: entries={} hits={} disk_hits={} misses={} evictions={}",

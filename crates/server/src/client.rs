@@ -12,12 +12,12 @@
 //! [`JobError::QuotaExceeded`], …) are never retried — they are
 //! answers, not failures.
 
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant, SystemTime};
 
 use crate::job::{JobError, JobId, JobStatus};
-use crate::net::{self, RemoteStats, Request, Response, MAX_FRAME};
+use crate::net::{self, RecvBuf, RemoteStats, Request, Response};
 use crate::server::Submission;
 use xmt_sim::{IntervalRow, RunReport};
 
@@ -105,8 +105,31 @@ pub struct RemoteResult {
 pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
-    conn: Option<TcpStream>,
+    conn: Option<Conn>,
     next_token: u64,
+}
+
+/// Longest single socket read while waiting for a response: the
+/// deadline is looked at between reads.
+const READ_TICK: Duration = Duration::from_millis(200);
+
+/// One live connection: its socket, its receive buffer, and the read
+/// timeout last set on the socket. Dropped whole, so no byte of a dead
+/// connection reaches the next one.
+struct Conn {
+    sock: TcpStream,
+    rx: RecvBuf,
+    read_timeout: Option<Duration>,
+}
+
+impl Conn {
+    fn new(sock: TcpStream) -> Conn {
+        Conn {
+            sock,
+            rx: RecvBuf::default(),
+            read_timeout: None,
+        }
+    }
 }
 
 impl Client {
@@ -229,9 +252,8 @@ impl Client {
         let (tag, body) = net::encode_request_frame(req);
         self.with_retries(|c| {
             c.send_frame(tag, &body)?;
-            c.read_frame(read_deadline)
-        })
-        .and_then(response)
+            c.read_frame(read_deadline).map(response)
+        })?
     }
 
     /// Run `f`, retrying transport failures with capped exponential
@@ -257,37 +279,55 @@ impl Client {
         }
     }
 
-    fn ensure_conn(&mut self) -> Result<&mut TcpStream, ClientError> {
+    fn ensure_conn(&mut self) -> Result<&mut Conn, ClientError> {
         if self.conn.is_none() {
             let s = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)
                 .map_err(ClientError::Io)?;
             let _ = s.set_nodelay(true);
-            self.conn = Some(s);
+            self.conn = Some(Conn::new(s));
         }
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
     fn send_frame(&mut self, tag: u8, body: &[u8]) -> Result<(), ClientError> {
-        net::write_frame(self.ensure_conn()?, tag, body).map_err(ClientError::Io)
+        net::write_frame(&mut self.ensure_conn()?.sock, tag, body).map_err(ClientError::Io)
     }
 
-    /// Read one response frame within `deadline`.
-    fn read_frame(&mut self, deadline: Duration) -> Result<(u8, Vec<u8>), ClientError> {
-        let sock = self
+    /// Read one response frame within `deadline`, through the
+    /// connection's receive buffer: a frame already buffered costs no
+    /// read. Each read waits at most [`READ_TICK`], and the socket's
+    /// timeout is set only when that wait changes — once per
+    /// connection, then on each read in the last tick before the
+    /// deadline. Timeouts surface as [`ClientError::Timeout`].
+    fn read_frame(&mut self, deadline: Duration) -> Result<(u8, &[u8]), ClientError> {
+        let conn = self
             .conn
             .as_mut()
             .ok_or(ClientError::Protocol("read without a connection"))?;
         let hard = Instant::now() + deadline;
-        let mut len4 = [0u8; 4];
-        read_all(sock, &mut len4, hard)?;
-        let len = u32::from_le_bytes(len4) as usize;
-        if !(9..=MAX_FRAME).contains(&len) {
-            return Err(ClientError::Protocol("bad frame length"));
-        }
-        let mut payload = vec![0u8; len];
-        read_all(sock, &mut payload, hard)?;
-        let (tag, body) = net::split_frame(&payload).map_err(ClientError::Protocol)?;
-        Ok((tag, body.to_vec()))
+        let n = loop {
+            if let Some(n) = conn.rx.whole_frame().map_err(ClientError::Protocol)? {
+                break n;
+            }
+            let left = hard.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(ClientError::Timeout);
+            }
+            let tick = Some(left.min(READ_TICK));
+            if conn.read_timeout != tick && conn.sock.set_read_timeout(tick).is_ok() {
+                conn.read_timeout = tick;
+            }
+            match conn.rx.fill(&mut conn.sock) {
+                Ok(0) => return Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into())),
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut
+                        || e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ClientError::Io(e)),
+            }
+        };
+        net::split_frame(conn.rx.take(n)).map_err(ClientError::Protocol)
     }
 }
 
@@ -296,8 +336,8 @@ impl Client {
 const UNEXPECTED: ClientError = ClientError::Protocol("unexpected response tag");
 
 /// Decode a response frame; the server's typed refusals become errors.
-fn response((tag, body): (u8, Vec<u8>)) -> Result<Response, ClientError> {
-    match net::decode_response(tag, &body).map_err(ClientError::Protocol)? {
+fn response((tag, body): (u8, &[u8])) -> Result<Response, ClientError> {
+    match net::decode_response(tag, body).map_err(ClientError::Protocol)? {
         Response::Err(Some(e)) => Err(ClientError::Server(e)),
         Response::Err(None) => Err(ClientError::Protocol("server rejected the request frame")),
         other => Ok(other),
@@ -310,35 +350,11 @@ fn backoff(base: Duration, attempt: u32) -> Duration {
         .min(Duration::from_secs(2))
 }
 
-/// Read exactly `buf.len()` bytes before `hard`, surfacing timeouts as
-/// [`ClientError::Timeout`].
-fn read_all(sock: &mut TcpStream, buf: &mut [u8], hard: Instant) -> Result<(), ClientError> {
-    let mut off = 0;
-    while off < buf.len() {
-        let left = hard.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(ClientError::Timeout);
-        }
-        let _ = sock.set_read_timeout(Some(left.min(Duration::from_millis(200))));
-        match sock.read(&mut buf[off..]) {
-            Ok(0) => {
-                return Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into()));
-            }
-            Ok(n) => off += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ClientError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::net::NetServer;
+    use crate::net::MAX_FRAME;
     use crate::request::SimRequest;
     use crate::server::{Server, ServerConfig};
     use std::io::Write;
@@ -434,7 +450,7 @@ mod tests {
         let mut c = Client {
             addr: net.local_addr(),
             cfg: ClientConfig::default(),
-            conn: Some(sock),
+            conn: Some(Conn::new(sock)),
             next_token: 1,
         };
         match c.read_frame(Duration::from_secs(5)).and_then(response) {
@@ -459,4 +475,201 @@ mod tests {
 
     /// Alias so the raw-garbage test reads clearly.
     const REQ_SUBMIT_RAW: u8 = super::super::net::REQ_SUBMIT;
+
+    // Framing through the receive buffers, at both ends of a socket.
+
+    /// The bytes of one frame.
+    fn frame_bytes(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut f = Vec::new();
+        net::write_frame(&mut f, tag, body).unwrap();
+        f
+    }
+
+    /// The bytes of one request frame.
+    fn request_bytes(req: &Request) -> Vec<u8> {
+        let (tag, body) = net::encode_request_frame(req);
+        frame_bytes(tag, &body)
+    }
+
+    /// A client on a raw socket to `addr`, for reading responses to
+    /// bytes written on that socket by hand.
+    fn raw_client(addr: SocketAddr) -> (Client, TcpStream) {
+        let sock = TcpStream::connect(addr).unwrap();
+        sock.set_nodelay(true).unwrap();
+        let writer = sock.try_clone().unwrap();
+        let c = Client {
+            addr,
+            cfg: ClientConfig::default(),
+            conn: Some(Conn::new(sock)),
+            next_token: 1,
+        };
+        (c, writer)
+    }
+
+    /// Whether the peer closed `sock` without a byte of answer (within
+    /// five seconds).
+    fn closed_without_answer(sock: &mut TcpStream) -> bool {
+        use std::io::Read;
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut b = [0u8; 16];
+        match sock.read(&mut b) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == io::ErrorKind::ConnectionReset,
+        }
+    }
+
+    /// Write `bytes` one per write, a millisecond apart.
+    fn trickle(w: &mut TcpStream, bytes: &[u8]) {
+        for b in bytes {
+            w.write_all(std::slice::from_ref(b)).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn server_answers_three_requests_in_one_write_in_order() {
+        let (_srv, net) = serve();
+        let (mut c, mut w) = raw_client(net.local_addr());
+        let sub = Submission::new(SimRequest::golden("ps_tickets").unwrap());
+        let three = [
+            request_bytes(&Request::Submit(Box::new(sub))),
+            request_bytes(&Request::Poll(9_999)),
+            request_bytes(&Request::Stats),
+        ];
+        w.write_all(&three.concat()).unwrap();
+        let mut next = || c.read_frame(Duration::from_secs(30)).and_then(response);
+        assert!(matches!(next(), Ok(Response::Submitted(0))));
+        assert!(matches!(
+            next(),
+            Err(ClientError::Server(JobError::UnknownJob))
+        ));
+        match next() {
+            Ok(Response::Stats(s)) => assert_eq!(s.server.submitted, 1),
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn server_decodes_a_frame_sent_one_byte_per_write() {
+        let (_srv, net) = serve();
+        let (mut c, mut w) = raw_client(net.local_addr());
+        trickle(&mut w, &request_bytes(&Request::Stats));
+        let r = c.read_frame(Duration::from_secs(30)).and_then(response);
+        assert!(matches!(r, Ok(Response::Stats(_))), "got {r:?}");
+    }
+
+    /// End of stream mid-frame, and a length prefix out of bounds: the
+    /// server drops that connection without an answer, and serves the
+    /// next one.
+    #[test]
+    fn server_drops_a_torn_or_mislengthed_frame() {
+        let (_srv, net) = serve();
+        let stats = request_bytes(&Request::Stats);
+        let too_long = (MAX_FRAME as u32 + 1).to_le_bytes();
+        for (what, bytes) in [
+            ("eof mid-frame", &stats[..stats.len() - 1]),
+            ("length below magic+tag", &[8, 0, 0, 0, 1, 2, 3][..]),
+            ("length past MAX_FRAME", &too_long[..]),
+        ] {
+            let mut sock = TcpStream::connect(net.local_addr()).unwrap();
+            sock.write_all(bytes).unwrap();
+            if what == "eof mid-frame" {
+                sock.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+            assert!(closed_without_answer(&mut sock), "{what}");
+        }
+        let mut c =
+            Client::connect(&net.local_addr().to_string(), ClientConfig::default()).unwrap();
+        assert_eq!(c.stats().unwrap().server.submitted, 0);
+    }
+
+    /// Stop joins within a few poll ticks while a client sits
+    /// mid-frame, not after the ten-second mid-frame stall.
+    #[test]
+    fn stop_joins_while_a_client_is_mid_frame() {
+        let (_srv, mut net) = serve();
+        let mut sock = TcpStream::connect(net.local_addr()).unwrap();
+        sock.write_all(&request_bytes(&Request::Stats)[..6])
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let t = Instant::now();
+        net.stop();
+        assert!(
+            t.elapsed() < Duration::from_secs(3),
+            "stop took {:?}",
+            t.elapsed()
+        );
+    }
+
+    /// A client on one end of a loopback pair whose other end the test
+    /// writes: the server side of the exchange, by hand.
+    fn scripted() -> (Client, TcpStream) {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let (c, _) = raw_client(l.local_addr().unwrap());
+        let (peer, _) = l.accept().unwrap();
+        peer.set_nodelay(true).unwrap();
+        (c, peer)
+    }
+
+    #[test]
+    fn client_reads_responses_from_one_write_in_order() {
+        let (mut c, mut peer) = scripted();
+        let status = JobStatus {
+            state: crate::job::JobState::Queued,
+            at_cycle: 0,
+            slices: 0,
+            from_cache: false,
+            deduped: false,
+        };
+        let two = [
+            frame_bytes(net::RESP_SUBMITTED, &net::encode_submitted(5)),
+            frame_bytes(net::RESP_STATUS, &net::encode_status(&status)),
+        ];
+        peer.write_all(&two.concat()).unwrap();
+        let first = c.read_frame(Duration::from_secs(5)).and_then(response);
+        assert!(matches!(first, Ok(Response::Submitted(5))), "got {first:?}");
+        let conn = c.conn.as_ref().unwrap();
+        assert!(
+            conn.rx.whole_frame().unwrap().is_some(),
+            "the second frame arrived with the first and waits buffered"
+        );
+        match c.read_frame(Duration::from_secs(5)).and_then(response) {
+            Ok(Response::Status(s)) => assert_eq!(s, status),
+            other => panic!("expected a status, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn client_decodes_a_response_sent_one_byte_per_write() {
+        let (mut c, mut peer) = scripted();
+        let bytes = frame_bytes(net::RESP_SUBMITTED, &net::encode_submitted(77));
+        let writer = std::thread::spawn(move || trickle(&mut peer, &bytes));
+        let r = c.read_frame(Duration::from_secs(30)).and_then(response);
+        writer.join().unwrap();
+        assert!(matches!(r, Ok(Response::Submitted(77))), "got {r:?}");
+    }
+
+    #[test]
+    fn client_eof_mid_frame_is_a_typed_error() {
+        let (mut c, mut peer) = scripted();
+        let bytes = frame_bytes(net::RESP_SUBMITTED, &net::encode_submitted(1));
+        peer.write_all(&bytes[..bytes.len() - 3]).unwrap();
+        drop(peer);
+        match c.read_frame(Duration::from_secs(5)) {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn client_rejects_a_bad_length_prefix() {
+        for len in [3u32, MAX_FRAME as u32 + 1] {
+            let (mut c, mut peer) = scripted();
+            peer.write_all(&len.to_le_bytes()).unwrap();
+            match c.read_frame(Duration::from_secs(5)) {
+                Err(ClientError::Protocol(what)) => assert_eq!(what, "bad frame length"),
+                other => panic!("length {len}: expected a protocol error, got {other:?}"),
+            }
+        }
+    }
 }

@@ -459,70 +459,126 @@ impl Drop for NetServer {
     }
 }
 
-/// Read exactly `buf.len()` bytes through a short-timeout socket,
-/// polling the stop flag between reads. `Ok(false)` = clean EOF before
-/// the first byte (client closed between requests).
-fn read_full(sock: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
-    let mut off = 0;
+/// Bytes a receive buffer asks the socket for at least, per read.
+const RECV_CHUNK: usize = 8 << 10;
+
+/// An empty receive buffer larger than this — grown for one large
+/// frame — is given back before the next read.
+const RECV_KEEP: usize = 1 << 20;
+
+/// One connection's receive buffer, at either end. A read takes
+/// whatever the socket holds, up to the room left, so one read usually
+/// brings a whole frame — prefix and payload — and bytes past it wait
+/// here for the next frame instead of being read again.
+#[derive(Debug, Default)]
+pub(crate) struct RecvBuf {
+    buf: Vec<u8>,
+    /// The unconsumed bytes are `buf[head..tail]`.
+    head: usize,
+    tail: usize,
+}
+
+impl RecvBuf {
+    /// Whether no byte of a next frame has arrived.
+    fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    /// The next frame's total length, prefix included, once its length
+    /// prefix has arrived. A length outside `9..=MAX_FRAME` is an
+    /// error: there is nothing left to resynchronize on.
+    fn next_len(&self) -> Result<Option<usize>, WireError> {
+        let Some(prefix) = self.buf[self.head..self.tail].get(..4) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+        if !(9..=MAX_FRAME).contains(&len) {
+            return Err("bad frame length");
+        }
+        Ok(Some(4 + len))
+    }
+
+    /// The next frame's total length once all of it is here, for
+    /// [`RecvBuf::take`]; `None` while more is to come.
+    pub(crate) fn whole_frame(&self) -> Result<Option<usize>, WireError> {
+        Ok(self.next_len()?.filter(|&n| n <= self.tail - self.head))
+    }
+
+    /// Consume the `n`-byte frame [`RecvBuf::whole_frame`] found, and
+    /// return its payload (magic, tag, body).
+    pub(crate) fn take(&mut self, n: usize) -> &[u8] {
+        let frame = self.head..self.head + n;
+        self.head += n;
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+        }
+        &self.buf[frame.start + 4..frame.end]
+    }
+
+    /// One read from `r` into the room after the buffered bytes, made
+    /// large enough for the rest of the frame in hand plus
+    /// [`RECV_CHUNK`]. `Ok(0)` is end of stream.
+    pub(crate) fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.is_empty() && self.buf.len() > RECV_KEEP {
+            self.buf = Vec::new();
+        }
+        let have = self.tail - self.head;
+        let frame = self.next_len().ok().flatten().unwrap_or(0);
+        let room = frame.saturating_sub(have) + RECV_CHUNK;
+        if self.buf.len() - self.tail < room {
+            self.buf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, have);
+            if self.buf.len() < have + room {
+                self.buf.resize(have + room, 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
+    }
+}
+
+/// Read one frame; `Ok(None)` on clean EOF between frames. The socket
+/// has a short read timeout: between reads the stop flag is polled,
+/// and a stall mid-frame longer than [`MID_FRAME_STALL`] drops the
+/// connection. Malformed framing is an `InvalidData` error (the
+/// connection is dropped — without a sound length prefix there is
+/// nothing left to resynchronize on).
+fn read_frame<'a>(
+    sock: &mut TcpStream,
+    rx: &'a mut RecvBuf,
+    stop: &AtomicBool,
+) -> io::Result<Option<(u8, &'a [u8])>> {
+    let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
     let mut last_progress = Instant::now();
-    while off < buf.len() {
+    let n = loop {
         if stop.load(Ordering::Relaxed) {
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
                 "server stopping",
             ));
         }
-        match sock.read(&mut buf[off..]) {
-            Ok(0) => {
-                return if off == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => {
-                off += n;
-                last_progress = Instant::now();
-            }
+        if let Some(n) = rx.whole_frame().map_err(invalid)? {
+            break n;
+        }
+        match rx.fill(sock) {
+            Ok(0) if rx.is_empty() => return Ok(None),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(_) => last_progress = Instant::now(),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 // Idle between requests is fine; a stall mid-frame is
                 // a dead client.
-                if off > 0 && last_progress.elapsed() > MID_FRAME_STALL {
+                if !rx.is_empty() && last_progress.elapsed() > MID_FRAME_STALL {
                     return Err(io::ErrorKind::TimedOut.into());
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    }
-    Ok(true)
-}
-
-/// Read one frame; `Ok(None)` on clean EOF. Malformed framing is an
-/// `InvalidData` error (the connection is dropped — without a sound
-/// length prefix there is nothing left to resynchronize on).
-fn read_frame(sock: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<(u8, Vec<u8>)>> {
-    let mut len4 = [0u8; 4];
-    if !read_full(sock, &mut len4, stop)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len4) as usize;
-    if !(9..=MAX_FRAME).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad frame length",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    if !read_full(sock, &mut payload, stop)? {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    match split_frame(&payload) {
-        Ok((tag, body)) => Ok(Some((tag, body.to_vec()))),
-        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-    }
+    };
+    split_frame(rx.take(n)).map(Some).map_err(invalid)
 }
 
 /// Wait for `h` at most `timeout_ms`, in short ticks so
@@ -562,8 +618,9 @@ fn stream_rows(sock: &mut TcpStream, mut h: JobHandle, stop: &AtomicBool) -> io:
 fn serve_conn(mut sock: TcpStream, server: &Server, stop: &AtomicBool) {
     let _ = sock.set_nodelay(true);
     let _ = sock.set_read_timeout(Some(POLL_TICK));
+    let mut rx = RecvBuf::default();
     loop {
-        let (tag, body) = match read_frame(&mut sock, stop) {
+        let (tag, body) = match read_frame(&mut sock, &mut rx, stop) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
@@ -571,7 +628,7 @@ fn serve_conn(mut sock: TcpStream, server: &Server, stop: &AtomicBool) {
         // was sound, so the connection stays usable), an unknown id, a
         // typed admission or wait error — is one `RESP_ERR` frame.
         let handle = |id| server.handle(id).ok_or(Some(JobError::UnknownJob));
-        let sent = match decode_request_frame(tag, &body).map_err(|_| None) {
+        let sent = match decode_request_frame(tag, body).map_err(|_| None) {
             Err(e) => Err(e),
             Ok(Request::Submit(sub)) => server
                 .submit_with(*sub)
@@ -665,6 +722,7 @@ mod tests {
                 queued: 8,
                 journal_bytes: 4096,
                 programs_digested: 11,
+                idle_wakeups: 12,
             },
             cache: CacheStats {
                 entries: 2,
@@ -746,6 +804,92 @@ mod tests {
             assert!(decode_response(tag, &[0; 3]).is_err(), "tag {tag:#x}");
         }
         assert!(decode_response(0x7F, &[]).is_err(), "unknown tag");
+    }
+
+    /// A reader that hands out at most `step` bytes per read, then end
+    /// of stream.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    fn frame(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut f = Vec::new();
+        write_frame(&mut f, tag, body).unwrap();
+        f
+    }
+
+    /// Every frame of `stream` read through one receive buffer, `step`
+    /// bytes per read at most, and the reads it took.
+    fn frames_of(stream: &[u8], step: usize) -> (Vec<Vec<u8>>, usize) {
+        let mut r = Trickle {
+            bytes: stream,
+            step,
+            reads: 0,
+        };
+        let mut rx = RecvBuf::default();
+        let mut frames = Vec::new();
+        loop {
+            while let Some(n) = rx.whole_frame().unwrap() {
+                frames.push(rx.take(n).to_vec());
+            }
+            if rx.fill(&mut r).unwrap() == 0 {
+                assert!(rx.is_empty(), "step {step}: a frame was left part-read");
+                return (frames, r.reads);
+            }
+        }
+    }
+
+    /// The receive buffer cuts a byte stream into the frames written to
+    /// it however the reads split it, one byte at a time included; a
+    /// frame larger than a read chunk is read whole; and reads that
+    /// bring several frames at once leave the later ones buffered
+    /// instead of reading again.
+    #[test]
+    fn the_receive_buffer_cuts_frames_however_reads_split_them() {
+        let big = vec![7u8; 3 * RECV_CHUNK];
+        let frames = [
+            frame(REQ_POLL, &3u64.to_le_bytes()),
+            frame(REQ_STATS, &[]),
+            frame(RESP_RESULT, &big),
+            frame(REQ_CANCEL, &9u64.to_le_bytes()),
+        ];
+        let stream = frames.concat();
+        let payloads: Vec<Vec<u8>> = frames.iter().map(|f| f[4..].to_vec()).collect();
+        for step in [1, 2, 5, 13, 4096, stream.len()] {
+            assert_eq!(frames_of(&stream, step).0, payloads, "step {step}");
+        }
+        // All in hand at once: a chunk, then the rest of the large
+        // frame with the one after it, then end of stream.
+        assert_eq!(frames_of(&stream, stream.len()).1, 3);
+        let small = [frame(REQ_POLL, &1u64.to_le_bytes()), frame(REQ_STATS, &[])].concat();
+        assert_eq!(frames_of(&small, small.len()).1, 2, "one read, then EOF");
+    }
+
+    #[test]
+    fn the_receive_buffer_rejects_a_bad_length_prefix() {
+        for len in [0u32, 8, MAX_FRAME as u32 + 1, u32::MAX] {
+            let mut r = Trickle {
+                bytes: &len.to_le_bytes(),
+                step: 4,
+                reads: 0,
+            };
+            let mut rx = RecvBuf::default();
+            assert_eq!(rx.whole_frame(), Ok(None));
+            rx.fill(&mut r).unwrap();
+            assert_eq!(rx.whole_frame(), Err("bad frame length"), "length {len}");
+        }
     }
 
     #[test]

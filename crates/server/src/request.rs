@@ -7,10 +7,12 @@
 //! work through the result cache and lets a preempted job be rebuilt
 //! from scratch on a different worker thread.
 
+use std::fmt;
+
 use xmt_fft::golden::{self, GoldenCase};
 use xmt_fft::plan::XmtFftPlan;
 use xmt_fft::run::plan_builder_cfg;
-use xmt_sim::simcfg::fnv1a;
+use xmt_sim::simcfg::Fnv1a;
 use xmt_sim::{program_digest, FaultPlan, MachineBuilder, SimConfig, XmtConfig};
 
 /// What program a job runs and on what inputs. Workloads are named
@@ -38,16 +40,16 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Canonical text of the spec: the workload half of the content
-    /// address.
-    pub fn canon(&self) -> String {
+    /// Write the canonical text of the spec, the workload half of the
+    /// content address, to `w`.
+    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            WorkloadSpec::Golden { name } => format!("golden:{name}"),
+            WorkloadSpec::Golden { name } => write!(w, "golden:{name}"),
             WorkloadSpec::Fft {
                 dims,
                 copies,
                 input_seed,
-            } => format!("fft:dims={dims:?} copies={copies} seed={input_seed}"),
+            } => write!(w, "fft:dims={dims:?} copies={copies} seed={input_seed}"),
         }
     }
 }
@@ -193,9 +195,10 @@ impl SimRequest {
     /// [`SimRequest::program_key`].
     pub(crate) fn digest_with(&self, program_digest: u64) -> u64 {
         let sim_digest = self.sim.digest(program_digest);
-        let mut bytes = self.workload.canon().into_bytes();
-        bytes.extend_from_slice(&sim_digest.to_le_bytes());
-        fnv1a(&bytes)
+        let mut h = Fnv1a::new();
+        let _ = self.workload.write_canon(&mut h);
+        h.bytes(&sim_digest.to_le_bytes());
+        h.finish()
     }
 
     /// A [`MachineBuilder`] for this request: the workload's program

@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use self::state::{State, Terminal};
+use self::state::{Ended, State, Terminal};
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{JobError, JobId, JobResult, JobStatus, Lane};
 use crate::journal::{Journal, Record};
@@ -186,12 +186,16 @@ pub struct ServerStats {
     /// address memo's misses. A request whose golden name or FFT
     /// shape was seen before costs none.
     pub programs_digested: u64,
+    /// Returns from an idle worker's wait that found no job to run and
+    /// no shutdown: wake-ups spent on nothing. A cache hit answered at
+    /// admission wakes no worker, so it adds none.
+    pub idle_wakeups: u64,
 }
 
 // The statistics frame's server half, in wire order.
 xmt_sim::word_codec!(
     pub(crate) ServerStats,
-    11,
+    12,
     [
         submitted,
         completed,
@@ -204,6 +208,7 @@ xmt_sim::word_codec!(
         queued,
         journal_bytes,
         programs_digested,
+        idle_wakeups,
     ]
 );
 
@@ -247,7 +252,13 @@ fn address(memo: &Mutex<ProgramMemo>, req: &SimRequest) -> u64 {
 
 pub(crate) struct Shared {
     state: Mutex<State>,
+    /// Where [`JobHandle::wait`] sleeps, and only it: signalled to all
+    /// when a job resolves ([`publish`]) and at shutdown.
     cv: Condvar,
+    /// Where idle workers sleep, and only they: signalled once per job
+    /// admission enqueues, and to all at shutdown, at a worker kill
+    /// and when a kill's rollback requeues its job.
+    work: Condvar,
     /// The result cache. Lock order: `state` before `cache`, never
     /// the reverse.
     cache: Mutex<ResultCache>,
@@ -271,15 +282,18 @@ fn unpoison<G>(r: LockResult<G>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Append records to the journal as one batch with one fsync,
+/// Journal the jobs that ended as one batch with one fsync,
 /// best-effort (a failed append only costs restart work — the
 /// in-memory result already stands, and replay re-executes anything
-/// not recorded), then wake whoever waits on the state they describe.
-fn publish(shared: &Shared, recs: &[Record]) {
-    if !recs.is_empty() {
-        if let Some(j) = unpoison(shared.journal.lock()).as_mut() {
-            let _ = j.append_all(recs);
-        }
+/// not recorded), then wake the handles waiting for results. When
+/// nothing ended there is nothing to journal and nobody to wake.
+fn publish(shared: &Shared, ended: &[Ended]) {
+    if ended.is_empty() {
+        return;
+    }
+    if let Some(j) = unpoison(shared.journal.lock()).as_mut() {
+        let recs: Vec<Record> = ended.iter().map(Ended::record).collect();
+        let _ = j.append_all(&recs);
     }
     shared.cv.notify_all();
 }
@@ -348,6 +362,7 @@ impl Server {
         let shared = Arc::new(Shared {
             state: Mutex::new(st),
             cv: Condvar::new(),
+            work: Condvar::new(),
             cache: Mutex::new(ResultCache::new(cfg.cache_entries, cfg.cache_dir)),
             programs,
             quantum: cfg.quantum.max(1),
@@ -464,24 +479,27 @@ impl Server {
         st.insert(id, sub, digest);
         // A result resident in memory answers at once, through the
         // worker's transitions: nobody holds the handle yet, so nobody
-        // waits to be woken. Anything else — a miss, a result only on
-        // disk — waits for a worker, which looks again.
+        // waits to be woken, and no worker is. Anything else — a miss,
+        // a result only on disk — waits for a worker, which looks again.
         let hit = if primary.is_none() && cacheable {
             let resident = unpoison(self.shared.cache.lock()).get_resident(digest);
             resident.and_then(|bytes| Terminal::completed(bytes, true, 0))
         } else {
             None
         };
-        let recs = match (primary, hit) {
+        let ended = match (primary, hit) {
             (Some(pid), _) => st.follow(id, pid),
             (None, Some(hit)) => st.resolve(id, hit),
             (None, None) => {
                 st.enqueue(id);
-                Vec::new()
+                drop(st);
+                // One job: one idle worker to wake.
+                self.shared.work.notify_one();
+                return Ok(self.handle_to(id));
             }
         };
         drop(st);
-        publish(&self.shared, &recs);
+        publish(&self.shared, &ended);
         Ok(self.handle_to(id))
     }
 
@@ -507,7 +525,7 @@ impl Server {
     pub fn kill_worker(&self) {
         unpoison(self.shared.state.lock()).kill_requests += 1;
         self.spawn_worker();
-        self.shared.cv.notify_all();
+        self.shared.work.notify_all();
     }
 
     /// Result-cache counters.
@@ -546,6 +564,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         unpoison(self.shared.state.lock()).shut_down();
+        self.shared.work.notify_all();
         self.shared.cv.notify_all();
         for h in unpoison(self.workers.lock()).drain(..) {
             let _ = h.join();
@@ -613,8 +632,8 @@ impl JobHandle {
     /// share one execution). A job that already finished keeps its
     /// result.
     pub fn cancel(&self) {
-        let recs = unpoison(self.shared.state.lock()).cancel(self.id);
-        publish(&self.shared, &recs);
+        let ended = unpoison(self.shared.state.lock()).cancel(self.id);
+        publish(&self.shared, &ended);
     }
 
     /// Take the probe-row stream (probed requests only; `None` for

@@ -3,7 +3,7 @@
 
 use std::sync::Mutex;
 
-use super::state::{State, Terminal};
+use super::state::{Ended, State, Terminal};
 use super::{address, submit_record, ProgramMemo};
 use crate::job::JobError;
 use crate::journal::{Record, RecoveredJob};
@@ -43,7 +43,7 @@ pub(super) fn recover(
             _ => None,
         };
         match ended {
-            Some(result) => compact.extend(st.resolve(r.id, result)),
+            Some(result) => compact.extend(st.resolve(r.id, result).iter().map(Ended::record)),
             // From cycle 0: runs are deterministic, so the rerun
             // reproduces the report and every probe row.
             None => st.enqueue(r.id),

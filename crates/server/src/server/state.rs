@@ -136,6 +136,42 @@ impl Terminal {
     }
 }
 
+/// A job [`State::resolve`] moved to its terminal state, as the journal
+/// records it. A completed job's report is the shared allocation, not
+/// a copy: only a journaled server copies it, into its
+/// [`Record::Done`].
+pub(super) enum Ended {
+    Done {
+        id: JobId,
+        slices: u32,
+        from_cache: bool,
+        report: Arc<[u8]>,
+    },
+    Failed(JobId),
+    Cancelled(JobId),
+}
+
+impl Ended {
+    /// The journal record of this terminal state.
+    pub(super) fn record(&self) -> Record {
+        match self {
+            Ended::Done {
+                id,
+                slices,
+                from_cache,
+                report,
+            } => Record::Done {
+                id: *id,
+                slices: *slices,
+                from_cache: *from_cache,
+                report: report.to_vec(),
+            },
+            Ended::Failed(id) => Record::Failed { id: *id },
+            Ended::Cancelled(id) => Record::Cancelled { id: *id },
+        }
+    }
+}
+
 /// A paused job's machine, kept between slices: the next slice runs it
 /// onward on whichever worker pops the job. The request fixes the
 /// variant — a probed request's machine carries its `IntervalProbe`.
@@ -261,7 +297,7 @@ impl State {
     /// The job is a dedupe follower of `primary`: it never executes,
     /// the primary's result fans out to it — at once when the primary
     /// (submitted moments ago in the same batch) has already resolved.
-    pub(super) fn follow(&mut self, id: JobId, primary: JobId) -> Vec<Record> {
+    pub(super) fn follow(&mut self, id: JobId, primary: JobId) -> Vec<Ended> {
         let e = self.jobs.get_mut(&id).expect("follower entry exists");
         e.status.deduped = true;
         self.stats.deduped += 1;
@@ -324,7 +360,7 @@ impl State {
     /// A killed worker's slice is discarded, and the machine with it:
     /// the job goes back to the head of its lane to start over from
     /// cycle 0 — or, when a cancel arrived while it ran, resolves now.
-    pub(super) fn rollback(&mut self, id: JobId) -> Vec<Record> {
+    pub(super) fn rollback(&mut self, id: JobId) -> Vec<Ended> {
         let e = self.jobs.get_mut(&id).expect("running job entry exists");
         let (None, Some(live)) = (&e.result, &e.live) else {
             return Vec::new();
@@ -340,7 +376,7 @@ impl State {
     /// A cancel request: a waiting job (or a follower) resolves at
     /// once, a running one at its slice commit, a finished one keeps
     /// its result.
-    pub(super) fn cancel(&mut self, id: JobId) -> Vec<Record> {
+    pub(super) fn cancel(&mut self, id: JobId) -> Vec<Ended> {
         let Some(e) = self.jobs.get_mut(&id) else {
             return Vec::new();
         };
@@ -361,10 +397,11 @@ impl State {
     /// for a completed run, `Failed` for a failed one, `Cancelled` for
     /// an error), drop its live part, and fan the result out to its
     /// dedupe followers — each holding the same report allocation.
-    /// Returns the journal records to append (the caller appends them
-    /// *after* dropping the state lock). Jobs that already resolved are
-    /// left untouched.
-    pub(super) fn resolve(&mut self, id: JobId, result: Terminal) -> Vec<Record> {
+    /// Returns what ended, one entry per job resolved here (the caller
+    /// journals them and wakes the waiters *after* dropping the state
+    /// lock); empty only when every job had already resolved, and those
+    /// are left untouched.
+    pub(super) fn resolve(&mut self, id: JobId, result: Terminal) -> Vec<Ended> {
         let (state, marks) = match &result {
             Terminal::Done {
                 at_cycle,
@@ -378,7 +415,7 @@ impl State {
             ),
             Terminal::Err(_) => (JobState::Cancelled, None),
         };
-        let mut recs = Vec::new();
+        let mut ended = Vec::new();
         let mut pending = vec![id];
         while let Some(jid) = pending.pop() {
             let Some(e) = self.jobs.get_mut(&jid) else {
@@ -402,7 +439,7 @@ impl State {
             if let Some(live) = e.live.take() {
                 pending.extend(live.followers);
             }
-            recs.push(match &result {
+            ended.push(match &result {
                 Terminal::Done {
                     report,
                     slices,
@@ -410,24 +447,24 @@ impl State {
                     ..
                 } => {
                     self.stats.completed += 1;
-                    Record::Done {
+                    Ended::Done {
                         id: jid,
                         slices: *slices,
                         from_cache: *from_cache,
-                        report: report.to_vec(),
+                        report: Arc::clone(report),
                     }
                 }
                 Terminal::Failed(_) => {
                     self.stats.failed += 1;
-                    Record::Failed { id: jid }
+                    Ended::Failed(jid)
                 }
                 Terminal::Err(_) => {
                     self.stats.cancelled += 1;
-                    Record::Cancelled { id: jid }
+                    Ended::Cancelled(jid)
                 }
             });
         }
-        recs
+        ended
     }
 
     /// The pool is going down: nothing waits any more and every

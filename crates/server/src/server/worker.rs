@@ -1,5 +1,6 @@
 //! The worker pool. Scheduling model: two FIFO run queues of job ids — a `High` express
-//! lane and the default `Normal` lane — under a mutex+condvar. A
+//! lane and the default `Normal` lane — under the state mutex, with
+//! idle workers asleep on a condvar of their own (`Shared::work`). A
 //! worker pops the head (`High` first, with a bounded anti-starvation
 //! share for `Normal`), takes the job's paused machine — or builds one
 //! on the first slice — and advances it by one *quantum* of simulated
@@ -33,10 +34,12 @@ use xmt_sim::{
     UtilizationReport,
 };
 
-/// Pop the next runnable job, blocking on the condvar. `None` = this
-/// worker should exit (shutdown).
+/// Pop the next runnable job, sleeping on the workers' condvar while
+/// there is none. `None` = this worker should exit (shutdown). A wake
+/// that finds nothing to do counts in `idle_wakeups`.
 fn next_job(shared: &Shared) -> Option<Popped> {
     let mut st = unpoison(shared.state.lock());
+    let mut woke = false;
     loop {
         if st.shutdown {
             return None;
@@ -44,7 +47,11 @@ fn next_job(shared: &Shared) -> Option<Popped> {
         if let Some(p) = st.start() {
             return Some(p);
         }
-        st = unpoison(shared.cv.wait(st));
+        if woke {
+            st.stats.idle_wakeups += 1;
+        }
+        st = unpoison(shared.work.wait(st));
+        woke = true;
     }
 }
 
@@ -157,8 +164,8 @@ pub(super) fn run(shared: &Shared) {
         if machine.is_none() && cacheable {
             let cached = unpoison(shared.cache.lock()).get(digest);
             if let Some(hit) = cached.and_then(|bytes| Terminal::completed(bytes, true, 0)) {
-                let recs = unpoison(shared.state.lock()).resolve(id, hit);
-                publish(shared, &recs);
+                let ended = unpoison(shared.state.lock()).resolve(id, hit);
+                publish(shared, &ended);
                 continue;
             }
         }
@@ -172,14 +179,15 @@ pub(super) fn run(shared: &Shared) {
         // over, and this thread dies.
         if st.kill_lands(id) {
             st.kill_requests -= 1;
-            let recs = st.rollback(id);
+            let ended = st.rollback(id);
             drop(st);
-            publish(shared, &recs);
+            shared.work.notify_all();
+            publish(shared, &ended);
             return;
         }
         let e = st.jobs.get_mut(&id).expect("running job entry exists");
         let live = e.live.as_mut().expect("a running job is live");
-        let recs = if live.cancelled {
+        let ended = if live.cancelled {
             st.resolve(id, Terminal::Err(JobError::Cancelled))
         } else {
             e.status.slices += 1;
@@ -207,7 +215,8 @@ pub(super) fn run(shared: &Shared) {
             st.charge(&shared.quota, &tenant, burned);
             match s.end {
                 // Preempted: keep the machine, go to the back of the
-                // lane. Nothing is journaled.
+                // lane. Nothing is journaled, and nobody woken: this
+                // worker pops next itself.
                 SliceEnd::Paused(machine) => {
                     st.pause(id, s.at_cycle, machine, s.rows_sent);
                     st.enqueue(id);
@@ -243,6 +252,6 @@ pub(super) fn run(shared: &Shared) {
         if let Some((key, bytes, cycles)) = cache_put {
             unpoison(shared.cache.lock()).insert(key, bytes, cycles);
         }
-        publish(shared, &recs);
+        publish(shared, &ended);
     }
 }

@@ -13,10 +13,13 @@
 //!   gone once the job resolves.
 //!
 //!
-//! Every job shares one `(dims, copies)`, so the server builds and
-//! encodes that program once to make content addresses: after the hits
-//! `programs_digested` is exactly 1 — an exact count of the work a hit
-//! must not repeat.
+//! Two exact counts of the work a hit must not do. Every job shares one
+//! `(dims, copies)`, so the server builds and encodes that program once
+//! to make content addresses: after the hits `programs_digested` is
+//! exactly 1. And a resident hit resolves at admission without waking
+//! the worker: the 40 000 hits add fewer than 40 `idle_wakeups` (a
+//! server that woke its idle worker on every resolved job adds about
+//! one per hit).
 //!
 //! Its own test binary, so no other test allocates in the process while
 //! VmRSS is read.
@@ -76,6 +79,7 @@ fn a_finished_job_costs_under_half_a_kib() {
     for seed in 0..KEYS {
         cold(seed);
     }
+    let idle_before = srv.stats().idle_wakeups;
     gate("cache hits", HITS, || {
         for _ in 0..HITS / KEYS {
             let sweep: Vec<JobHandle> = keys
@@ -88,10 +92,16 @@ fn a_finished_job_costs_under_half_a_kib() {
         }
         0
     });
+    let stats = srv.stats();
     assert_eq!(
-        srv.stats().programs_digested,
-        1,
+        stats.programs_digested, 1,
         "one (dims, copies): one program built for its addresses"
+    );
+    let idle = stats.idle_wakeups - idle_before;
+    eprintln!("job_table_memory: {HITS} cache hits woke the idle worker {idle} times");
+    assert!(
+        idle < HITS / 1000,
+        "{idle} idle worker wake-ups over {HITS} hits resolved at admission"
     );
     gate("sliced cold jobs", COLD, || {
         (KEYS..KEYS + COLD).map(cold).sum()

@@ -454,20 +454,36 @@ impl IntervalProbe {
     /// The retained samples, oldest first, materialized with their
     /// per-channel series.
     pub fn rows(&self) -> Vec<IntervalRow> {
-        let first = self.seq.saturating_sub(self.capacity as u64);
-        (first..self.seq)
-            .map(|s| {
-                let slot = (s % self.capacity as u64) as usize;
-                let (spawn, words) = self.ring[slot];
+        self.slots()
+            .zip(self.scalar_rows())
+            .map(|(slot, row)| {
                 let chan = slot * self.nchan..(slot + 1) * self.nchan;
                 IntervalRow {
-                    spawn,
                     channel_busy: self.chan_busy[chan.clone()].to_vec(),
                     channel_queue: self.chan_queue[chan].to_vec(),
-                    ..IntervalRow::from_words(words)
+                    ..row
                 }
             })
             .collect()
+    }
+
+    /// The retained samples, oldest first, without their per-channel
+    /// series (`channel_busy` and `channel_queue` are empty): a reader
+    /// of the scalar fields allocates nothing per row.
+    pub fn scalar_rows(&self) -> impl Iterator<Item = IntervalRow> + '_ {
+        self.slots().map(|slot| {
+            let (spawn, words) = self.ring[slot];
+            IntervalRow {
+                spawn,
+                ..IntervalRow::from_words(words)
+            }
+        })
+    }
+
+    /// The ring slots of the retained samples, oldest first.
+    fn slots(&self) -> impl Iterator<Item = usize> {
+        let capacity = self.capacity as u64;
+        (self.seq.saturating_sub(capacity)..self.seq).map(move |s| (s % capacity) as usize)
     }
 }
 

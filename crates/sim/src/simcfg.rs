@@ -21,23 +21,59 @@
 //! contract in DESIGN.md §16.
 
 use crate::config::{XmtConfig, ARCH_WORDS};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, TcuId};
 use crate::machine::{Engine, MachineBuilder};
 use crate::probe::IntervalProbe;
 use crate::tier::TranslationTier;
-use std::fmt::Write as _;
+use std::fmt;
 use xmt_isa::codec::encode_program;
 use xmt_isa::Program;
 
 /// 64-bit FNV-1a over a byte string — the workspace's standard
 /// content-digest primitive (same family as `spawn_digest`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] as a running hash: the digest of everything fed to it so
+/// far, bytes or formatted text. As a [`fmt::Write`] sink it hashes a
+/// canonical text while it is written, without building the text.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of nothing.
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feed `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Content digest of a program: FNV-1a over its canonical instruction
@@ -180,63 +216,78 @@ impl SimConfig {
     /// floats rendered bit-exactly. The architecture is printed from
     /// [`ARCH_WORDS`], a line per group.
     pub fn cache_canon(&self) -> String {
-        let f = &self.faults;
         let mut s = String::with_capacity(512);
-        s.push_str("arch=");
-        s.push_str(self.arch.name);
+        let _ = self.write_canon(&mut s);
+        s
+    }
+
+    /// Write [`SimConfig::cache_canon`]'s text to `w`.
+    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        let f = &self.faults;
+        write!(w, "arch={}", self.arch.name)?;
         let mut line = 0;
-        for w in ARCH_WORDS.iter().filter(|w| !w.key.is_empty()) {
-            s.push(if w.line == line { ' ' } else { '\n' });
-            line = w.line;
-            let v = (w.get)(&self.arch);
-            let _ = if w.float {
-                write!(s, "{}={v:016x}", w.key)
+        for k in ARCH_WORDS.iter().filter(|k| !k.key.is_empty()) {
+            w.write_char(if k.line == line { ' ' } else { '\n' })?;
+            line = k.line;
+            let v = (k.get)(&self.arch);
+            if k.float {
+                write!(w, "{}={v:016x}", k.key)?;
             } else {
-                write!(s, "{}={v}", w.key)
-            };
+                write!(w, "{}={v}", k.key)?;
+            }
         }
-        s.push('\n');
-        s.push_str(&format!("tier={}\n", tier_canon(&self.tier)));
+        writeln!(w)?;
+        writeln!(w, "tier={}", tier_canon(&self.tier))?;
         let (dram_retry, noc_retry, noc_backoff) = FaultPlan::RETRY_POLICY;
-        s.push_str(&format!(
+        writeln!(
+            w,
             "seed={} dram_single={:016x} dram_double={:016x} dram_retry={dram_retry} \
-             noc_corrupt={:016x} noc_retry={noc_retry} noc_backoff={noc_backoff}\n",
+             noc_corrupt={:016x} noc_retry={noc_retry} noc_backoff={noc_backoff}",
             f.seed,
             f.dram_single.to_bits(),
             f.dram_double.to_bits(),
             f.noc_corrupt.to_bits(),
-        ));
-        s.push_str(&format!(
-            "dead_clusters={:?} dead_tcus={:?} stuck_tcus={:?} dead_channels={:?}\n",
+        )?;
+        writeln!(
+            w,
+            "dead_clusters={:?} dead_tcus={:?} stuck_tcus={:?} dead_channels={:?}",
             f.dead_clusters,
-            f.dead_tcus
-                .iter()
-                .map(|t| (t.cluster, t.tcu))
-                .collect::<Vec<_>>(),
-            f.stuck_tcus
-                .iter()
-                .map(|t| (t.cluster, t.tcu))
-                .collect::<Vec<_>>(),
+            TcuPairs(&f.dead_tcus),
+            TcuPairs(&f.stuck_tcus),
             f.dead_channels,
-        ));
-        s.push_str(&format!(
-            "watchdog={} max_cycles={} mem_words={}\n",
+        )?;
+        writeln!(
+            w,
+            "watchdog={} max_cycles={} mem_words={}",
             self.watchdog.map_or(0, |v| v),
             self.max_cycles.map_or(0, |v| v),
             self.mem_words,
-        ));
-        s
+        )
     }
 
     /// The content address of `(program, this config)`: FNV-1a over
     /// the program digest and [`SimConfig::cache_canon`]. This is the
     /// cache key `(program digest, config, seed, fault plan, tier)`
     /// from the service contract — bit-identical requests collide, and
-    /// an engine change alone does not change the address.
+    /// an engine change alone does not change the address. The canon
+    /// text is hashed as it is written, never built.
     pub fn digest(&self, prog_digest: u64) -> u64 {
-        let mut bytes = prog_digest.to_le_bytes().to_vec();
-        bytes.extend_from_slice(self.cache_canon().as_bytes());
-        fnv1a(&bytes)
+        let mut h = Fnv1a::new();
+        h.bytes(&prog_digest.to_le_bytes());
+        let _ = self.write_canon(&mut h);
+        h.finish()
+    }
+}
+
+/// TCU ids printed as `(cluster, tcu)` pairs, the way a `Vec` of those
+/// tuples prints with `{:?}`.
+struct TcuPairs<'a>(&'a [TcuId]);
+
+impl fmt::Debug for TcuPairs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.0.iter().map(|t| (t.cluster, t.tcu)))
+            .finish()
     }
 }
 
@@ -360,5 +411,24 @@ mod tests {
                 "watchdog=10000 max_cycles=1048576 mem_words=4096\n",
             )
         );
+    }
+
+    /// Hashed as it is written, the address is still FNV-1a over the
+    /// program digest's bytes and then the canon text's.
+    #[test]
+    fn digest_is_fnv1a_of_the_canon_bytes() {
+        let c = SimConfig::new(&XmtConfig::xmt_4k().scaled_to(16))
+            .faults(
+                FaultPlan::new(3)
+                    .dead_tcu(1, 4)
+                    .stuck_tcu(2, 5)
+                    .stuck_tcu(0, 1),
+            )
+            .mem_words(4096);
+        let pd = program_digest(&prog());
+        let mut bytes = pd.to_le_bytes().to_vec();
+        bytes.extend_from_slice(c.cache_canon().as_bytes());
+        assert_eq!(c.digest(pd), fnv1a(&bytes));
+        assert!(c.cache_canon().contains("stuck_tcus=[(2, 5), (0, 1)]"));
     }
 }
