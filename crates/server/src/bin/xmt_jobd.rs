@@ -9,6 +9,10 @@
 //! xmt_jobd stats  --addr A
 //! ```
 //!
+//! `submit --wait` prints the result as well. For a key the server
+//! holds cached, that costs one round trip: the result comes back in
+//! the submit acknowledgement, and the wait sends nothing.
+//!
 //! `serve` prints `listening on <addr>` on stdout once bound (port 0
 //! resolves, so scripts can scrape the line) and runs until killed —
 //! there is deliberately no clean-shutdown path beyond the journal:
@@ -32,6 +36,8 @@ fn usage() -> ExitCode {
          \u{20}                [--cache-dir DIR] [--cache-entries N] [--max-queued N]\n\
          \u{20}                [--quota-burst CYCLES --quota-refill CYCLES_PER_SEC]\n\
          \u{20}      xmt_jobd submit --addr A NAME [--tenant T] [--high] [--token N] [--wait]\n\
+         \u{20}                (--wait on a cached key is one round trip: the result\n\
+         \u{20}                 comes with the acknowledgement)\n\
          \u{20}      xmt_jobd wait   --addr A ID [--timeout-ms N]\n\
          \u{20}      xmt_jobd stats  --addr A"
     );

@@ -11,8 +11,14 @@
 //! duplicate. Typed server rejections ([`JobError::Overloaded`],
 //! [`JobError::QuotaExceeded`], …) are never retried — they are
 //! answers, not failures.
+//!
+//! A submission the server finds already terminal — a resident cache
+//! hit, say — comes back with its result ([`net::RESP_RESOLVED`]). The
+//! client keeps such results in a small stash, and [`Client::wait`]
+//! returns one from there without a round trip.
 
-use std::io;
+use std::collections::VecDeque;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -107,6 +113,54 @@ pub struct Client {
     cfg: ClientConfig,
     conn: Option<Conn>,
     next_token: u64,
+    /// Results that came with their submit acknowledgement.
+    stash: Stash,
+    /// The request frame being sent, encoded in place; kept from call
+    /// to call, so it allocates only when a frame outgrows it.
+    tx: Vec<u8>,
+}
+
+/// Most results the stash keeps.
+const STASH_ENTRIES: usize = 64;
+
+/// Most report bytes the stashed results hold between them; a larger
+/// result is not kept.
+const STASH_BYTES: usize = 16 << 20;
+
+/// Results that arrived with their submit acknowledgement, oldest
+/// first, for [`Client::wait`] to take without a round trip. Bounded by
+/// [`STASH_ENTRIES`] and [`STASH_BYTES`], oldest evicted first; an
+/// evicted result is fetched by an ordinary `Wait`, as is one that was
+/// never kept.
+#[derive(Default)]
+struct Stash {
+    results: VecDeque<(JobId, RemoteResult)>,
+    bytes: usize,
+}
+
+impl Stash {
+    fn put(&mut self, id: JobId, r: RemoteResult) {
+        self.take(id);
+        if r.bytes.len() > STASH_BYTES {
+            return;
+        }
+        self.bytes += r.bytes.len();
+        self.results.push_back((id, r));
+        while self.results.len() > STASH_ENTRIES || self.bytes > STASH_BYTES {
+            let (_, old) = self
+                .results
+                .pop_front()
+                .expect("over a bound, so not empty");
+            self.bytes -= old.bytes.len();
+        }
+    }
+
+    fn take(&mut self, id: JobId) -> Option<RemoteResult> {
+        let at = self.results.iter().position(|(k, _)| *k == id)?;
+        let (_, r) = self.results.remove(at)?;
+        self.bytes -= r.bytes.len();
+        Some(r)
+    }
 }
 
 /// Longest single socket read while waiting for a response: the
@@ -146,20 +200,28 @@ impl Client {
             .duration_since(SystemTime::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(1);
-        let mut c = Client {
+        let mut c =
+            Client::unconnected(addr, cfg, (nanos | 1) ^ ((std::process::id() as u64) << 32));
+        c.with_retries(|c| c.ensure_conn().map(|_| ()))?;
+        Ok(c)
+    }
+
+    fn unconnected(addr: SocketAddr, cfg: ClientConfig, next_token: u64) -> Client {
+        Client {
             addr,
             cfg,
             conn: None,
-            next_token: (nanos | 1) ^ ((std::process::id() as u64) << 32),
-        };
-        c.with_retries(|c| c.ensure_conn().map(|_| ()))?;
-        Ok(c)
+            next_token,
+            stash: Stash::default(),
+            tx: Vec::new(),
+        }
     }
 
     /// Submit a job. A `token` of 0 is replaced with a fresh
     /// client-generated one, so transport retries of this call are
     /// idempotent; keep your own token to make *cross-process* retries
-    /// idempotent too.
+    /// idempotent too. A result that came with the acknowledgement is
+    /// kept for [`Client::wait`].
     pub fn submit(&mut self, mut sub: Submission) -> Result<JobId, ClientError> {
         if sub.token == 0 {
             sub.token = self.next_token;
@@ -168,6 +230,10 @@ impl Client {
         let req = Request::Submit(Box::new(sub));
         match self.rpc(&req, self.cfg.request_timeout)? {
             Response::Submitted(id) => Ok(id),
+            Response::Resolved(id, r) => {
+                self.stash.put(id, r);
+                Ok(id)
+            }
             _ => Err(UNEXPECTED),
         }
     }
@@ -182,8 +248,12 @@ impl Client {
 
     /// Wait for a job's terminal result, at most `timeout` (the server
     /// enforces the bound and answers [`JobError::Timeout`]; the job
-    /// keeps running).
+    /// keeps running). A result kept from the job's submit
+    /// acknowledgement is returned without a round trip, once.
     pub fn wait(&mut self, id: JobId, timeout: Duration) -> Result<RemoteResult, ClientError> {
+        if let Some(r) = self.stash.take(id) {
+            return Ok(r);
+        }
         let req = Request::Wait {
             id,
             timeout_ms: timeout.as_millis() as u64,
@@ -219,11 +289,10 @@ impl Client {
         id: JobId,
         deadline: Duration,
     ) -> Result<Vec<IntervalRow>, ClientError> {
-        let (tag, body) = net::encode_request_frame(&Request::Stream(id));
         // Streams are not idempotent (rows are consumed server-side):
         // no transport retry here.
         let hard = Instant::now() + deadline;
-        self.send_frame(tag, &body)?;
+        self.with_frame(&Request::Stream(id), |c, frame| c.send_frame(frame))?;
         let mut rows = Vec::new();
         loop {
             let left = hard.saturating_duration_since(Instant::now());
@@ -249,11 +318,22 @@ impl Client {
     /// refusal is an answer: it comes back as [`ClientError::Server`]
     /// without a retry and without dropping the connection.
     fn rpc(&mut self, req: &Request, read_deadline: Duration) -> Result<Response, ClientError> {
-        let (tag, body) = net::encode_request_frame(req);
-        self.with_retries(|c| {
-            c.send_frame(tag, &body)?;
-            c.read_frame(read_deadline).map(response)
+        // The frame is encoded once and resent as is on a retry.
+        self.with_frame(req, |c, frame| {
+            c.with_retries(|c| {
+                c.send_frame(frame)?;
+                c.read_frame(read_deadline).map(response)
+            })
         })?
+    }
+
+    /// Run `f` on `req`'s frame, encoded in place into the kept send
+    /// buffer.
+    fn with_frame<T>(&mut self, req: &Request, f: impl FnOnce(&mut Client, &[u8]) -> T) -> T {
+        let mut tx = std::mem::take(&mut self.tx);
+        let out = f(self, net::frame_into(&mut tx, |b| net::put_request(b, req)));
+        self.tx = tx;
+        out
     }
 
     /// Run `f`, retrying transport failures with capped exponential
@@ -289,8 +369,11 @@ impl Client {
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    fn send_frame(&mut self, tag: u8, body: &[u8]) -> Result<(), ClientError> {
-        net::write_frame(&mut self.ensure_conn()?.sock, tag, body).map_err(ClientError::Io)
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), ClientError> {
+        self.ensure_conn()?
+            .sock
+            .write_all(frame)
+            .map_err(ClientError::Io)
     }
 
     /// Read one response frame within `deadline`, through the
@@ -446,13 +529,10 @@ mod tests {
         let (srv, net) = serve();
         // A sound frame with garbage inside: typed ERR_MALFORMED.
         let mut sock = std::net::TcpStream::connect(net.local_addr()).unwrap();
-        net::write_frame(&mut sock, REQ_SUBMIT_RAW, &[0xFF; 40]).unwrap();
-        let mut c = Client {
-            addr: net.local_addr(),
-            cfg: ClientConfig::default(),
-            conn: Some(Conn::new(sock)),
-            next_token: 1,
-        };
+        sock.write_all(&frame_bytes(REQ_SUBMIT_RAW, &[0xFF; 40]))
+            .unwrap();
+        let mut c = Client::unconnected(net.local_addr(), ClientConfig::default(), 1);
+        c.conn = Some(Conn::new(sock));
         match c.read_frame(Duration::from_secs(5)).and_then(response) {
             Err(ClientError::Protocol(_)) => {}
             other => panic!("expected protocol rejection, got {other:?}"),
@@ -481,8 +561,11 @@ mod tests {
     /// The bytes of one frame.
     fn frame_bytes(tag: u8, body: &[u8]) -> Vec<u8> {
         let mut f = Vec::new();
-        net::write_frame(&mut f, tag, body).unwrap();
-        f
+        net::frame_into(&mut f, |b| {
+            b.extend_from_slice(body);
+            tag
+        })
+        .to_vec()
     }
 
     /// The bytes of one request frame.
@@ -497,12 +580,8 @@ mod tests {
         let sock = TcpStream::connect(addr).unwrap();
         sock.set_nodelay(true).unwrap();
         let writer = sock.try_clone().unwrap();
-        let c = Client {
-            addr,
-            cfg: ClientConfig::default(),
-            conn: Some(Conn::new(sock)),
-            next_token: 1,
-        };
+        let mut c = Client::unconnected(addr, ClientConfig::default(), 1);
+        c.conn = Some(Conn::new(sock));
         (c, writer)
     }
 
@@ -659,6 +738,116 @@ mod tests {
             Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             other => panic!("expected UnexpectedEof, got {other:?}"),
         }
+    }
+
+    // Results in submit acknowledgements, against a scripted server.
+
+    /// The tags of the request frames `peer` has received so far, read
+    /// until it has been quiet for 50 ms.
+    fn tags_received(peer: &mut TcpStream) -> Vec<u8> {
+        peer.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut rx = RecvBuf::default();
+        let mut tags = Vec::new();
+        loop {
+            while let Some(n) = rx.whole_frame().unwrap() {
+                tags.push(net::split_frame(rx.take(n)).unwrap().0);
+            }
+            if !matches!(rx.fill(peer), Ok(n) if n > 0) {
+                return tags;
+            }
+        }
+    }
+
+    /// A completed result with a real report, as the server stores it.
+    fn done() -> crate::job::JobResult {
+        let req = SimRequest::golden("ps_tickets").unwrap();
+        let report = req.builder().build().run().report;
+        crate::job::JobResult::completed(crate::wire::encode_report(&report), true, 0).unwrap()
+    }
+
+    fn ps_tickets() -> Submission {
+        Submission::new(SimRequest::golden("ps_tickets").unwrap())
+    }
+
+    #[test]
+    fn a_result_in_the_acknowledgement_is_waited_for_without_a_frame() {
+        let (mut c, mut peer) = scripted();
+        let r = done();
+        peer.write_all(&frame_bytes(
+            net::RESP_RESOLVED,
+            &net::encode_resolved(7, &r),
+        ))
+        .unwrap();
+        assert_eq!(c.submit(ps_tickets()).unwrap(), 7);
+        assert_eq!(tags_received(&mut peer), [net::REQ_SUBMIT]);
+        let back = c.wait(7, Duration::from_secs(5)).unwrap();
+        assert!(back.completed && back.from_cache);
+        assert_eq!((back.slices, &back.bytes), (r.slices, &r.bytes));
+        assert_eq!(tags_received(&mut peer), [], "the wait sent nothing");
+    }
+
+    #[test]
+    fn the_stash_evicts_its_oldest_result_past_its_entry_bound() {
+        let (mut c, mut peer) = scripted();
+        let r = done();
+        let n = STASH_ENTRIES as u64 + 1;
+        let acks: Vec<Vec<u8>> = (0..n)
+            .map(|id| frame_bytes(net::RESP_RESOLVED, &net::encode_resolved(id, &r)))
+            .collect();
+        peer.write_all(&acks.concat()).unwrap();
+        for id in 0..n {
+            assert_eq!(c.submit(ps_tickets()).unwrap(), id);
+        }
+        assert_eq!(tags_received(&mut peer), vec![net::REQ_SUBMIT; n as usize]);
+        assert_eq!(c.stash.results.len(), STASH_ENTRIES);
+        // The newest results are kept: no frame.
+        assert!(c.wait(n - 1, Duration::from_secs(5)).unwrap().completed);
+        assert!(c.wait(1, Duration::from_secs(5)).unwrap().completed);
+        assert_eq!(tags_received(&mut peer), []);
+        // The oldest was evicted: an ordinary Wait fetches it.
+        peer.write_all(&frame_bytes(net::RESP_RESULT, &net::encode_result(&r)))
+            .unwrap();
+        let back = c.wait(0, Duration::from_secs(5)).unwrap();
+        assert_eq!(back.bytes, r.bytes);
+        assert_eq!(tags_received(&mut peer), [net::REQ_WAIT]);
+    }
+
+    #[test]
+    fn the_stash_holds_a_bounded_total_of_report_bytes() {
+        let r = done();
+        let sized = |len: usize| RemoteResult {
+            bytes: vec![0; len],
+            ..net::decode_result(&net::encode_result(&r)).unwrap()
+        };
+        let mut stash = Stash::default();
+        stash.put(1, sized(STASH_BYTES / 2));
+        stash.put(2, sized(STASH_BYTES / 2));
+        assert_eq!(stash.bytes, STASH_BYTES);
+        stash.put(3, sized(1));
+        assert!(stash.take(1).is_none(), "the oldest made room");
+        stash.put(4, sized(STASH_BYTES + 1));
+        assert!(stash.take(4).is_none(), "too large to keep");
+        assert_eq!(stash.take(3).map(|r| r.bytes.len()), Some(1));
+        assert_eq!(stash.bytes, STASH_BYTES / 2);
+        // A second acknowledgement for an id replaces the first.
+        stash.put(2, sized(5));
+        assert_eq!((stash.results.len(), stash.bytes), (1, 5));
+    }
+
+    #[test]
+    fn a_plain_acknowledgement_still_waits_with_a_frame() {
+        let (mut c, mut peer) = scripted();
+        let r = done();
+        let two = [
+            frame_bytes(net::RESP_SUBMITTED, &net::encode_submitted(5)),
+            frame_bytes(net::RESP_RESULT, &net::encode_result(&r)),
+        ];
+        peer.write_all(&two.concat()).unwrap();
+        assert_eq!(c.submit(ps_tickets()).unwrap(), 5);
+        let back = c.wait(5, Duration::from_secs(5)).unwrap();
+        assert_eq!(back.bytes, r.bytes);
+        assert_eq!(tags_received(&mut peer), [net::REQ_SUBMIT, net::REQ_WAIT]);
     }
 
     #[test]

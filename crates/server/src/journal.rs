@@ -98,9 +98,35 @@ pub enum Record {
     },
 }
 
+/// Append one record's frame to `b`, in place: the 12-byte header is
+/// reserved, `payload` appends the payload behind it, and the length
+/// and checksum are filled in last.
+pub(crate) fn put_frame(b: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = b.len();
+    b.extend_from_slice(&[0; 12]);
+    payload(b);
+    let len = (b.len() - at - 12) as u32;
+    let sum = fnv1a(&b[at + 12..]);
+    b[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    b[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Append a [`Record::Done`] payload to `b` from the report bytes where
+/// they lie — how the server journals a shared report without copying
+/// it into a record first.
+pub(crate) fn put_done(b: &mut Vec<u8>, id: JobId, slices: u32, from_cache: bool, report: &[u8]) {
+    b.reserve(18 + report.len());
+    b.push(2);
+    wire::put_u64(b, id);
+    wire::put_u32(b, slices);
+    b.push(u8::from(from_cache));
+    wire::put_u32(b, report.len() as u32);
+    b.extend_from_slice(report);
+}
+
 impl Record {
-    fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(64);
+    /// Append the record's payload to `b`.
+    pub(crate) fn put(&self, b: &mut Vec<u8>) {
         match self {
             Record::Submit {
                 id,
@@ -110,11 +136,11 @@ impl Record {
                 req,
             } => {
                 b.push(0);
-                wire::put_u64(&mut b, *id);
-                wire::put_str(&mut b, tenant);
+                wire::put_u64(b, *id);
+                wire::put_str(b, tenant);
                 b.push(*lane as u8);
-                wire::put_u64(&mut b, *token);
-                wire::put_u32(&mut b, req.len() as u32);
+                wire::put_u64(b, *token);
+                wire::put_u32(b, req.len() as u32);
                 b.extend_from_slice(req);
             }
             Record::Commit {
@@ -123,9 +149,9 @@ impl Record {
                 checkpoint,
             } => {
                 b.push(1);
-                wire::put_u64(&mut b, *id);
-                wire::put_u64(&mut b, *at_cycle);
-                wire::put_u32(&mut b, checkpoint.len() as u32);
+                wire::put_u64(b, *id);
+                wire::put_u64(b, *at_cycle);
+                wire::put_u32(b, checkpoint.len() as u32);
                 b.extend_from_slice(checkpoint);
             }
             Record::Done {
@@ -133,24 +159,16 @@ impl Record {
                 slices,
                 from_cache,
                 report,
-            } => {
-                b.push(2);
-                wire::put_u64(&mut b, *id);
-                wire::put_u32(&mut b, *slices);
-                b.push(u8::from(*from_cache));
-                wire::put_u32(&mut b, report.len() as u32);
-                b.extend_from_slice(report);
-            }
+            } => put_done(b, *id, *slices, *from_cache, report),
             Record::Failed { id } => {
                 b.push(3);
-                wire::put_u64(&mut b, *id);
+                wire::put_u64(b, *id);
             }
             Record::Cancelled { id } => {
                 b.push(4);
-                wire::put_u64(&mut b, *id);
+                wire::put_u64(b, *id);
             }
         }
-        b
     }
 
     fn decode(payload: &[u8]) -> Result<Record, &'static str> {
@@ -183,16 +201,6 @@ impl Record {
                 _ => return Err("unknown journal record tag"),
             })
         })
-    }
-
-    /// The record as it sits in the file: `[len][fnv][payload]`.
-    fn frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        wire::put_u32(&mut frame, payload.len() as u32);
-        wire::put_u64(&mut frame, fnv1a(&payload));
-        frame.extend_from_slice(&payload);
-        frame
     }
 }
 
@@ -229,7 +237,14 @@ pub struct Replay {
 pub struct Journal {
     file: File,
     path: PathBuf,
+    /// The frames of one append, encoded in place and written with one
+    /// call; kept, so an append allocates only when it outgrows the
+    /// last (one grown past [`KEEP_BUF`] is given back).
+    buf: Vec<u8>,
 }
+
+/// The largest append buffer a journal keeps between appends.
+const KEEP_BUF: usize = 1 << 20;
 
 impl Journal {
     /// Open (creating if absent) the journal at `path` for appending.
@@ -243,6 +258,7 @@ impl Journal {
         Ok(Journal {
             file,
             path: path.to_path_buf(),
+            buf: Vec::new(),
         })
     }
 
@@ -254,9 +270,25 @@ impl Journal {
     /// Append a batch of records — a primary's `Done` and its
     /// followers' — durably, with one `sync_data` for the lot.
     pub fn append_all(&mut self, recs: &[Record]) -> std::io::Result<()> {
-        for rec in recs {
-            self.file.write_all(&rec.frame())?;
+        self.append_frames(|b| {
+            for rec in recs {
+                put_frame(b, |p| rec.put(p));
+            }
+        })
+    }
+
+    /// Append the frames `frames` encodes ([`put_frame`]) durably: one
+    /// write, one `sync_data`.
+    pub(crate) fn append_frames(
+        &mut self,
+        frames: impl FnOnce(&mut Vec<u8>),
+    ) -> std::io::Result<()> {
+        if self.buf.capacity() > KEEP_BUF {
+            self.buf = Vec::new();
         }
+        self.buf.clear();
+        frames(&mut self.buf);
+        self.file.write_all(&self.buf)?;
         self.file.sync_data()
     }
 
@@ -305,6 +337,7 @@ impl Journal {
         Journal {
             file: File::create(&tmp)?,
             path: tmp.clone(),
+            buf: Vec::new(),
         }
         .append_all(records)?;
         std::fs::rename(&tmp, path)?;

@@ -21,8 +21,15 @@
 //! [`decode_request_frame`]): `Submit{tenant, lane, token, request}`,
 //! `Poll{id}`, `Wait{id, timeout_ms}`, `Cancel{id}`, `Stream{id}`,
 //! `Stats`. Responses ([`Response`], one `encode_*` per body and
-//! [`decode_response`]): `Ok`, `Submitted{id}`, `Status{…}`,
-//! `Result{…}`, `Err{code}`, `Row{…}`, `End`, `Stats{…}`.
+//! [`decode_response`]): `Ok`, `Submitted{id}`, `Resolved{id, result}`,
+//! `Status{…}`, `Result{…}`, `Err{code}`, `Row{…}`, `End`, `Stats{…}`.
+//! A submission already terminal when its acknowledgement is written —
+//! a resident cache hit, a reused token of a finished job, a run that
+//! beat the acknowledgement — is answered [`RESP_RESOLVED`], its result
+//! in the acknowledgement, so it costs one round trip, not two.
+//!
+//! Each end encodes a frame in place (`frame_into`): the header is
+//! reserved, the body encoded behind it, the length filled in last.
 //!
 //! [`NetServer::bind`] runs an accept thread plus one thread per
 //! connection over an [`Arc<Server>`]; long waits and row streams are
@@ -43,8 +50,10 @@ use crate::server::{JobHandle, Server, ServerStats, Submission};
 use crate::wire::{self, WireError};
 use xmt_sim::IntervalRow;
 
-/// Protocol magic, first payload field of every frame ("XMTJ" v1).
-pub const PROTO_MAGIC: u64 = 0x584D_544A_0000_0001;
+/// Protocol magic, first payload field of every frame ("XMTJ" v2; v2
+/// added [`RESP_RESOLVED`], so a v1 peer fails at framing, not at an
+/// unknown tag halfway through an exchange).
+pub const PROTO_MAGIC: u64 = 0x584D_544A_0000_0002;
 
 /// Hard cap on one frame's payload (reports for paper-scale runs are
 /// megabytes; checkpoints never cross the wire).
@@ -79,6 +88,9 @@ pub const RESP_ROW: u8 = 0x85;
 pub const RESP_END: u8 = 0x86;
 /// Response tag: statistics.
 pub const RESP_STATS: u8 = 0x87;
+/// Response tag: submission accepted and already terminal, body = job
+/// id then exactly the [`RESP_RESULT`] body a `Wait` would return.
+pub const RESP_RESOLVED: u8 = 0x88;
 
 /// Error code for a frame the server could not parse (distinct from
 /// every [`JobError`] code).
@@ -122,14 +134,27 @@ pub fn state_from_code(c: u8) -> Result<JobState, WireError> {
     })
 }
 
-/// Write one frame: `[u32 len][u64 magic][tag][body]`.
-pub fn write_frame(w: &mut impl Write, tag: u8, body: &[u8]) -> io::Result<()> {
-    let mut f = Vec::with_capacity(13 + body.len());
-    wire::put_u32(&mut f, (9 + body.len()) as u32);
-    wire::put_u64(&mut f, PROTO_MAGIC);
-    f.push(tag);
-    f.extend_from_slice(body);
-    w.write_all(&f)
+/// Bytes ahead of a frame's body: length prefix, magic, tag.
+const HEADER: usize = 13;
+
+/// Encode one frame in place into `buf`, and return its bytes. The
+/// header is reserved first; `body` appends the body behind it and
+/// names the frame's tag; the length prefix is filled in last. No body
+/// is built apart and copied in, and a buffer kept from frame to frame
+/// allocates only when a frame outgrows it (one grown past
+/// [`RECV_KEEP`] is given back first).
+pub(crate) fn frame_into(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>) -> u8) -> &[u8] {
+    if buf.capacity() > RECV_KEEP {
+        *buf = Vec::new();
+    }
+    buf.clear();
+    buf.extend_from_slice(&[0; HEADER]);
+    let tag = body(buf);
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf[4..12].copy_from_slice(&PROTO_MAGIC.to_le_bytes());
+    buf[12] = tag;
+    buf
 }
 
 /// Split a received frame payload (everything after the length
@@ -171,34 +196,43 @@ pub enum Request {
 /// Encode a request frame body (the client side).
 pub fn encode_request_frame(req: &Request) -> (u8, Vec<u8>) {
     let mut b = Vec::new();
+    let tag = put_request(&mut b, req);
+    (tag, b)
+}
+
+/// Append a request's frame body to `b` — the submitted request
+/// encoded in place behind its length — and return its tag.
+pub(crate) fn put_request(b: &mut Vec<u8>, req: &Request) -> u8 {
     match req {
         Request::Submit(sub) => {
-            wire::put_str(&mut b, &sub.tenant);
+            wire::put_str(b, &sub.tenant);
             b.push(sub.lane as u8);
-            wire::put_u64(&mut b, sub.token);
-            let req = wire::encode_request(&sub.req);
-            wire::put_u32(&mut b, req.len() as u32);
-            b.extend_from_slice(&req);
-            (REQ_SUBMIT, b)
+            wire::put_u64(b, sub.token);
+            let at = b.len();
+            wire::put_u32(b, 0);
+            wire::put_request(b, &sub.req);
+            let len = (b.len() - at - 4) as u32;
+            b[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            REQ_SUBMIT
         }
         Request::Poll(id) => {
-            wire::put_u64(&mut b, *id);
-            (REQ_POLL, b)
+            wire::put_u64(b, *id);
+            REQ_POLL
         }
         Request::Wait { id, timeout_ms } => {
-            wire::put_u64(&mut b, *id);
-            wire::put_u64(&mut b, *timeout_ms);
-            (REQ_WAIT, b)
+            wire::put_u64(b, *id);
+            wire::put_u64(b, *timeout_ms);
+            REQ_WAIT
         }
         Request::Cancel(id) => {
-            wire::put_u64(&mut b, *id);
-            (REQ_CANCEL, b)
+            wire::put_u64(b, *id);
+            REQ_CANCEL
         }
         Request::Stream(id) => {
-            wire::put_u64(&mut b, *id);
-            (REQ_STREAM, b)
+            wire::put_u64(b, *id);
+            REQ_STREAM
         }
-        Request::Stats => (REQ_STATS, b),
+        Request::Stats => REQ_STATS,
     }
 }
 
@@ -297,37 +331,74 @@ pub fn decode_submitted(body: &[u8]) -> Result<JobId, WireError> {
 /// Encode a [`RESP_RESULT`] body from a terminal result (its report
 /// bytes are copied once, into the body).
 pub fn encode_result(r: &JobResult) -> Vec<u8> {
-    let mut b = Vec::with_capacity(16 + r.bytes.len());
-    b.push(state_code(if r.outcome.is_completed() {
+    let mut b = Vec::with_capacity(10 + r.bytes.len());
+    put_result(
+        &mut b,
+        r.outcome.is_completed(),
+        r.from_cache,
+        r.slices,
+        &r.bytes,
+    );
+    b
+}
+
+/// Append a [`RESP_RESULT`] body to `b`: the one layout of a result on
+/// the wire, for [`encode_result`] and for the server, which writes a
+/// stored report straight into its frame.
+pub(crate) fn put_result(
+    b: &mut Vec<u8>,
+    completed: bool,
+    from_cache: bool,
+    slices: u32,
+    report: &[u8],
+) {
+    b.reserve(10 + report.len());
+    b.push(state_code(if completed {
         JobState::Done
     } else {
         JobState::Failed
     }));
-    b.push(u8::from(r.from_cache));
-    wire::put_u32(&mut b, r.slices);
-    wire::put_u32(&mut b, r.bytes.len() as u32);
-    b.extend_from_slice(&r.bytes);
-    b
+    b.push(u8::from(from_cache));
+    wire::put_u32(b, slices);
+    wire::put_u32(b, report.len() as u32);
+    b.extend_from_slice(report);
 }
 
 /// Decode a [`RESP_RESULT`] body.
 pub fn decode_result(body: &[u8]) -> Result<RemoteResult, WireError> {
-    wire::whole(body, "trailing bytes after result frame", |r| {
-        let completed = match state_from_code(r.u8()?)? {
-            JobState::Done => true,
-            JobState::Failed => false,
-            _ => return Err("non-terminal result state"),
-        };
-        let from_cache = r.u8()? != 0;
-        let slices = r.u32()?;
-        let bytes = r.blob()?;
-        Ok(RemoteResult {
-            completed,
-            from_cache,
-            slices,
-            report: wire::decode_report(&bytes)?,
-            bytes,
-        })
+    wire::whole(body, "trailing bytes after result frame", result)
+}
+
+fn result(r: &mut wire::Reader<'_>) -> Result<RemoteResult, WireError> {
+    let completed = match state_from_code(r.u8()?)? {
+        JobState::Done => true,
+        JobState::Failed => false,
+        _ => return Err("non-terminal result state"),
+    };
+    let from_cache = r.u8()? != 0;
+    let slices = r.u32()?;
+    let bytes = r.blob()?;
+    Ok(RemoteResult {
+        completed,
+        from_cache,
+        slices,
+        report: wire::decode_report(&bytes)?,
+        bytes,
+    })
+}
+
+/// Encode a [`RESP_RESOLVED`] body: the job id, then exactly
+/// [`encode_result`]'s bytes.
+pub fn encode_resolved(id: JobId, r: &JobResult) -> Vec<u8> {
+    let mut b = id.to_le_bytes().to_vec();
+    b.extend_from_slice(&encode_result(r));
+    b
+}
+
+/// Decode a [`RESP_RESOLVED`] body.
+pub fn decode_resolved(body: &[u8]) -> Result<(JobId, RemoteResult), WireError> {
+    wire::whole(body, "trailing bytes after resolved frame", |r| {
+        Ok((r.u64()?, result(r)?))
     })
 }
 
@@ -335,6 +406,12 @@ pub fn decode_result(body: &[u8]) -> Result<RemoteResult, WireError> {
 /// [`ERR_MALFORMED`] for `None`.
 pub fn encode_err(e: Option<JobError>) -> [u8; 1] {
     [e.map_or(ERR_MALFORMED, err_code)]
+}
+
+/// Append a [`RESP_ERR`] body to `b` and return the tag.
+fn put_err(b: &mut Vec<u8>, e: Option<JobError>) -> u8 {
+    b.extend_from_slice(&encode_err(e));
+    RESP_ERR
 }
 
 /// Decode a [`RESP_ERR`] body (`None`: the peer could not parse our
@@ -352,6 +429,9 @@ pub enum Response {
     Ok,
     /// The submission was accepted under this id.
     Submitted(JobId),
+    /// The submission was accepted under this id and was already
+    /// terminal: its result came with the acknowledgement.
+    Resolved(JobId, RemoteResult),
     /// Status snapshot.
     Status(JobStatus),
     /// Terminal result.
@@ -374,6 +454,7 @@ pub fn decode_response(tag: u8, body: &[u8]) -> Result<Response, WireError> {
     match tag {
         RESP_OK => empty(Response::Ok),
         RESP_SUBMITTED => decode_submitted(body).map(Response::Submitted),
+        RESP_RESOLVED => decode_resolved(body).map(|(id, r)| Response::Resolved(id, r)),
         RESP_STATUS => decode_status(body).map(Response::Status),
         RESP_RESULT => decode_result(body).map(Response::Result),
         RESP_ERR => decode_err(body).map(Response::Err),
@@ -582,12 +663,18 @@ fn read_frame<'a>(
 }
 
 /// Wait for `h` at most `timeout_ms`, in short ticks so
-/// [`NetServer::stop`] joins promptly.
-fn wait_in_ticks(h: &JobHandle, timeout_ms: u64, stop: &AtomicBool) -> Result<JobResult, JobError> {
+/// [`NetServer::stop`] joins promptly, and append its [`RESP_RESULT`]
+/// body to `out`.
+fn wait_in_ticks(
+    h: &JobHandle,
+    timeout_ms: u64,
+    stop: &AtomicBool,
+    out: &mut Vec<u8>,
+) -> Result<(), JobError> {
     let deadline = Instant::now() + Duration::from_millis(timeout_ms);
     loop {
         let tick = POLL_TICK.min(deadline.saturating_duration_since(Instant::now()));
-        match h.wait_deadline(tick) {
+        match h.put_result(tick, out) {
             Err(JobError::Timeout) if stop.load(Ordering::Relaxed) => {
                 return Err(JobError::Shutdown)
             }
@@ -600,17 +687,35 @@ fn wait_in_ticks(h: &JobHandle, timeout_ms: u64, stop: &AtomicBool) -> Result<Jo
 /// Forward a probed job's rows as [`RESP_ROW`] frames until its stream
 /// closes, then [`RESP_END`]. Unprobed, already-taken or drained: the
 /// stream simply ends.
-fn stream_rows(sock: &mut TcpStream, mut h: JobHandle, stop: &AtomicBool) -> io::Result<()> {
+fn stream_rows(
+    sock: &mut TcpStream,
+    tx: &mut Vec<u8>,
+    mut h: JobHandle,
+    stop: &AtomicBool,
+) -> io::Result<()> {
     if let Some(rx) = h.take_stream() {
         while !stop.load(Ordering::Relaxed) {
             match rx.recv_timeout(POLL_TICK) {
-                Ok(row) => write_frame(sock, RESP_ROW, &wire::encode_row(&row))?,
+                Ok(row) => send(sock, tx, |b| {
+                    b.extend_from_slice(&wire::encode_row(&row));
+                    RESP_ROW
+                })?,
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
     }
-    write_frame(sock, RESP_END, &[])
+    send(sock, tx, |_| RESP_END)
+}
+
+/// Encode one response frame into the connection's send buffer `tx`
+/// ([`frame_into`]) and write it.
+fn send(
+    sock: &mut TcpStream,
+    tx: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>) -> u8,
+) -> io::Result<()> {
+    sock.write_all(frame_into(tx, body))
 }
 
 /// Serve one connection: a request→response loop until EOF, stop, or
@@ -619,6 +724,9 @@ fn serve_conn(mut sock: TcpStream, server: &Server, stop: &AtomicBool) {
     let _ = sock.set_nodelay(true);
     let _ = sock.set_read_timeout(Some(POLL_TICK));
     let mut rx = RecvBuf::default();
+    // The connection's send buffer: each response is encoded into it
+    // in place and written with one call.
+    let mut tx = Vec::new();
     loop {
         let (tag, body) = match read_frame(&mut sock, &mut rx, stop) {
             Ok(Some(f)) => f,
@@ -630,30 +738,49 @@ fn serve_conn(mut sock: TcpStream, server: &Server, stop: &AtomicBool) {
         let handle = |id| server.handle(id).ok_or(Some(JobError::UnknownJob));
         let sent = match decode_request_frame(tag, body).map_err(|_| None) {
             Err(e) => Err(e),
-            Ok(Request::Submit(sub)) => server
-                .submit_with(*sub)
-                .map(|h| write_frame(&mut sock, RESP_SUBMITTED, &encode_submitted(h.id())))
-                .map_err(Some),
-            Ok(Request::Poll(id)) => {
-                handle(id).map(|h| write_frame(&mut sock, RESP_STATUS, &encode_status(&h.poll())))
-            }
-            Ok(Request::Wait { id, timeout_ms }) => handle(id)
-                .and_then(|h| wait_in_ticks(&h, timeout_ms, stop).map_err(Some))
-                .map(|r| write_frame(&mut sock, RESP_RESULT, &encode_result(&r))),
+            Ok(Request::Submit(sub)) => server.submit_with(*sub).map_err(Some).map(|h| {
+                send(&mut sock, &mut tx, |b| {
+                    wire::put_u64(b, h.id());
+                    // Terminal already — a resident hit, a reused
+                    // token of a finished job, a run that beat this
+                    // acknowledgement: the result rides along.
+                    match h.put_result(Duration::ZERO, b) {
+                        Ok(()) => RESP_RESOLVED,
+                        Err(_) => RESP_SUBMITTED,
+                    }
+                })
+            }),
+            Ok(Request::Poll(id)) => handle(id).map(|h| {
+                send(&mut sock, &mut tx, |b| {
+                    b.extend_from_slice(&encode_status(&h.poll()));
+                    RESP_STATUS
+                })
+            }),
+            Ok(Request::Wait { id, timeout_ms }) => handle(id).map(|h| {
+                send(&mut sock, &mut tx, |b| {
+                    match wait_in_ticks(&h, timeout_ms, stop, b) {
+                        Ok(()) => RESP_RESULT,
+                        Err(e) => put_err(b, Some(e)),
+                    }
+                })
+            }),
             Ok(Request::Cancel(id)) => handle(id).map(|h| {
                 h.cancel();
-                write_frame(&mut sock, RESP_OK, &[])
+                send(&mut sock, &mut tx, |_| RESP_OK)
             }),
-            Ok(Request::Stream(id)) => handle(id).map(|h| stream_rows(&mut sock, h, stop)),
+            Ok(Request::Stream(id)) => handle(id).map(|h| stream_rows(&mut sock, &mut tx, h, stop)),
             Ok(Request::Stats) => {
                 let s = RemoteStats {
                     server: server.stats(),
                     cache: server.cache_stats(),
                 };
-                Ok(write_frame(&mut sock, RESP_STATS, &encode_stats(&s)))
+                Ok(send(&mut sock, &mut tx, |b| {
+                    b.extend_from_slice(&encode_stats(&s));
+                    RESP_STATS
+                }))
             }
         };
-        let sent = sent.unwrap_or_else(|e| write_frame(&mut sock, RESP_ERR, &encode_err(e)));
+        let sent = sent.unwrap_or_else(|e| send(&mut sock, &mut tx, |b| put_err(b, e)));
         if sent.is_err() {
             return;
         }
@@ -671,6 +798,13 @@ mod tests {
             .tenant("acme")
             .lane(Lane::High)
             .token(99);
+        // The submitted request is encoded in place, behind its length:
+        // the same bytes as encoding it apart.
+        let (_, body) = encode_request_frame(&Request::Submit(Box::new(sub.clone())));
+        let req = wire::encode_request(&sub.req);
+        let (head, tail) = body.split_at(body.len() - req.len());
+        assert_eq!(tail, req);
+        assert_eq!(head[head.len() - 4..], (req.len() as u32).to_le_bytes());
         for req in [
             Request::Submit(Box::new(sub)),
             Request::Poll(3),
@@ -774,6 +908,25 @@ mod tests {
                 other => panic!("expected a result, got {other:?}"),
             }
         }
+        // A resolved acknowledgement is the id, then exactly the result
+        // body a `Wait` returns.
+        for (r, completed) in [(&done, true), (&failed, false)] {
+            let body = encode_resolved(41, r);
+            assert_eq!(body[..8], 41u64.to_le_bytes());
+            assert_eq!(body[8..], encode_result(r));
+            match decode_response(RESP_RESOLVED, &body).unwrap() {
+                Response::Resolved(id, back) => {
+                    assert_eq!(id, 41);
+                    assert_eq!(back.completed, completed);
+                    assert_eq!(back.from_cache, r.from_cache);
+                    assert_eq!((back.slices, &back.bytes), (r.slices, &r.bytes));
+                }
+                other => panic!("expected a resolved acknowledgement, got {other:?}"),
+            }
+            assert!(decode_response(RESP_SUBMITTED, &body).is_err());
+            assert!(decode_response(RESP_RESULT, &body).is_err());
+        }
+        assert!(decode_response(RESP_RESOLVED, &encode_submitted(41)).is_err());
         assert!(matches!(
             decode_response(RESP_SUBMITTED, &encode_submitted(77)),
             Ok(Response::Submitted(77))
@@ -800,10 +953,50 @@ mod tests {
         }
         assert!(matches!(decode_response(RESP_OK, &[]), Ok(Response::Ok)));
         assert!(matches!(decode_response(RESP_END, &[]), Ok(Response::End)));
-        for tag in [RESP_OK, RESP_SUBMITTED, RESP_RESULT, RESP_ERR, RESP_END] {
+        for tag in [
+            RESP_OK,
+            RESP_SUBMITTED,
+            RESP_RESOLVED,
+            RESP_RESULT,
+            RESP_ERR,
+            RESP_END,
+        ] {
             assert!(decode_response(tag, &[0; 3]).is_err(), "tag {tag:#x}");
         }
         assert!(decode_response(0x7F, &[]).is_err(), "unknown tag");
+    }
+
+    /// A frame is `[u32 len][u64 magic v2][tag][body]`, encoded in place;
+    /// a buffer kept from frame to frame is reused, not reallocated,
+    /// and one grown past the keep bound is given back.
+    #[test]
+    fn frames_are_encoded_in_place() {
+        assert_eq!(PROTO_MAGIC >> 16, 0x584D_544A_0000, "\"XMTJ\"");
+        assert_eq!(PROTO_MAGIC & 0xFFFF, 2, "version word");
+        let body = [1u8, 2, 3, 4, 5];
+        let f = frame(RESP_ROW, &body);
+        assert_eq!(f.len(), HEADER + body.len());
+        assert_eq!(f[..4], (9 + body.len() as u32).to_le_bytes());
+        assert_eq!(f[4..12], PROTO_MAGIC.to_le_bytes());
+        assert_eq!((f[12], &f[13..]), (RESP_ROW, &body[..]));
+        assert_eq!(split_frame(&f[4..]), Ok((RESP_ROW, &body[..])));
+        let mut buf = Vec::new();
+        let first = frame_into(&mut buf, |b| {
+            b.extend_from_slice(&body);
+            RESP_ROW
+        })
+        .to_vec();
+        assert_eq!(first, f);
+        let at = buf.as_ptr();
+        let again = frame_into(&mut buf, |b| put_request(b, &Request::Poll(7)));
+        assert_eq!(again, frame(REQ_POLL, &7u64.to_le_bytes()));
+        assert_eq!(buf.as_ptr(), at, "the kept buffer is reused");
+        frame_into(&mut buf, |b| {
+            b.resize(RECV_KEEP + 1, 0);
+            RESP_ROW
+        });
+        frame_into(&mut buf, |_| RESP_OK);
+        assert!(buf.capacity() <= RECV_KEEP, "a grown buffer is given back");
     }
 
     /// A reader that hands out at most `step` bytes per read, then end
@@ -826,8 +1019,11 @@ mod tests {
 
     fn frame(tag: u8, body: &[u8]) -> Vec<u8> {
         let mut f = Vec::new();
-        write_frame(&mut f, tag, body).unwrap();
-        f
+        frame_into(&mut f, |b| {
+            b.extend_from_slice(body);
+            tag
+        })
+        .to_vec()
     }
 
     /// Every frame of `stream` read through one receive buffer, `step`

@@ -292,8 +292,7 @@ fn publish(shared: &Shared, ended: &[Ended]) {
         return;
     }
     if let Some(j) = unpoison(shared.journal.lock()).as_mut() {
-        let recs: Vec<Record> = ended.iter().map(Ended::record).collect();
-        let _ = j.append_all(&recs);
+        let _ = j.append_frames(|b| ended.iter().for_each(|e| e.put_frame(b)));
     }
     shared.cv.notify_all();
 }
@@ -599,14 +598,29 @@ impl JobHandle {
         self.wait_until(Instant::now().checked_add(timeout))
     }
 
-    /// Waits under the lock for the terminal value, then builds the
-    /// public result from it — decoding a report — with the lock
-    /// released.
+    /// [`JobHandle::wait_deadline`] straight to the wire: the result's
+    /// [`crate::net::encode_result`] bytes appended to `out`, the
+    /// completed report copied once from its shared allocation and not
+    /// decoded. With `Duration::ZERO` it never blocks: a peek at a job
+    /// that may already be terminal.
+    pub(crate) fn put_result(&self, timeout: Duration, out: &mut Vec<u8>) -> Result<(), JobError> {
+        self.terminal_until(Instant::now().checked_add(timeout))?
+            .put_result(out)
+    }
+
+    /// Builds the public result from the terminal value — decoding a
+    /// report — with the lock released.
     fn wait_until(&self, deadline: Option<Instant>) -> Result<JobResult, JobError> {
+        self.terminal_until(deadline)?.into_result()
+    }
+
+    /// Waits under the lock for the terminal value (a clone sharing the
+    /// report), until `deadline` if there is one.
+    fn terminal_until(&self, deadline: Option<Instant>) -> Result<Terminal, JobError> {
         let mut st = unpoison(self.shared.state.lock());
-        let terminal = loop {
+        loop {
             if let Some(r) = &st.jobs.get(&self.id).expect("job entry exists").result {
-                break r.clone();
+                return Ok(r.clone());
             }
             if st.shutdown {
                 return Err(JobError::Shutdown);
@@ -621,9 +635,7 @@ impl JobHandle {
                     unpoison(self.shared.cv.wait_timeout(st, deadline - now)).0
                 }
             };
-        };
-        drop(st);
-        terminal.into_result()
+        }
     }
 
     /// Ask the server to cancel the job. Queued jobs cancel
@@ -1313,16 +1325,28 @@ mod tests {
         let mut seen = Vec::new();
         for h in &handles {
             match h.wait_deadline(Duration::from_secs(120)) {
-                Ok(r) => seen.push((
-                    format!(
-                        "result {} slices {} cache {}",
-                        h.id(),
-                        r.slices,
-                        r.from_cache
-                    ),
-                    fnv1a(&crate::net::encode_result(&r)),
-                )),
-                Err(e) => seen.push((format!("result {} {e:?}", h.id()), 0)),
+                Ok(r) => {
+                    // The bytes a `RESP_RESOLVED` acknowledgement carries
+                    // after the id, built from the stored report, are
+                    // these: the hashes below pin both frames.
+                    let mut peeked = Vec::new();
+                    h.put_result(Duration::ZERO, &mut peeked).unwrap();
+                    assert_eq!(peeked, crate::net::encode_result(&r), "job {}", h.id());
+                    seen.push((
+                        format!(
+                            "result {} slices {} cache {}",
+                            h.id(),
+                            r.slices,
+                            r.from_cache
+                        ),
+                        fnv1a(&peeked),
+                    ))
+                }
+                Err(e) => {
+                    let peeked = h.put_result(Duration::ZERO, &mut Vec::new());
+                    assert_eq!(peeked, Err(e), "job {}", h.id());
+                    seen.push((format!("result {} {e:?}", h.id()), 0))
+                }
             }
         }
         drop(srv);

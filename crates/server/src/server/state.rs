@@ -16,7 +16,8 @@ use std::time::Instant;
 
 use super::{QuotaPolicy, ServerStats, Submission};
 use crate::job::{JobError, JobId, JobResult, JobState, JobStatus, Lane};
-use crate::journal::Record;
+use crate::journal::{self, Record};
+use crate::net;
 use crate::request::SimRequest;
 use crate::wire;
 use xmt_sim::{IntervalProbe, IntervalRow, Machine};
@@ -134,12 +135,34 @@ impl Terminal {
             Terminal::Err(e) => Err(e),
         }
     }
+
+    /// The public form's [`crate::net::encode_result`] bytes, appended
+    /// to `out`: a completed report is copied once, from its shared
+    /// allocation, and not decoded.
+    pub(super) fn put_result(&self, out: &mut Vec<u8>) -> Result<(), JobError> {
+        match self {
+            Terminal::Done {
+                report,
+                slices,
+                from_cache,
+                ..
+            } => net::put_result(out, true, *from_cache, *slices, report),
+            Terminal::Failed(r) => net::put_result(
+                out,
+                r.outcome.is_completed(),
+                r.from_cache,
+                r.slices,
+                &r.bytes,
+            ),
+            Terminal::Err(e) => return Err(*e),
+        }
+        Ok(())
+    }
 }
 
 /// A job [`State::resolve`] moved to its terminal state, as the journal
 /// records it. A completed job's report is the shared allocation, not
-/// a copy: only a journaled server copies it, into its
-/// [`Record::Done`].
+/// a copy: a journaled server copies it once, into the record's frame.
 pub(super) enum Ended {
     Done {
         id: JobId,
@@ -168,6 +191,22 @@ impl Ended {
             },
             Ended::Failed(id) => Record::Failed { id: *id },
             Ended::Cancelled(id) => Record::Cancelled { id: *id },
+        }
+    }
+
+    /// Append this terminal state's journal frame to `b`: a completed
+    /// report goes from its shared allocation straight into the frame.
+    pub(super) fn put_frame(&self, b: &mut Vec<u8>) {
+        match self {
+            Ended::Done {
+                id,
+                slices,
+                from_cache,
+                report,
+            } => journal::put_frame(b, |p| {
+                journal::put_done(p, *id, *slices, *from_cache, report)
+            }),
+            _ => journal::put_frame(b, |p| self.record().put(p)),
         }
     }
 }

@@ -113,11 +113,18 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, &'static str> {
 /// record.
 pub fn encode_request(req: &SimRequest) -> Vec<u8> {
     let mut b = Vec::with_capacity(256);
-    put_u64(&mut b, REQ_MAGIC);
+    put_request(&mut b, req);
+    b
+}
+
+/// [`encode_request`] appended to `b`: how a submit frame carries a
+/// request without encoding it apart first.
+pub(crate) fn put_request(b: &mut Vec<u8>, req: &SimRequest) {
+    put_u64(b, REQ_MAGIC);
     match &req.workload {
         WorkloadSpec::Golden { name } => {
             b.push(0);
-            put_str(&mut b, name);
+            put_str(b, name);
         }
         WorkloadSpec::Fft {
             dims,
@@ -125,16 +132,15 @@ pub fn encode_request(req: &SimRequest) -> Vec<u8> {
             input_seed,
         } => {
             b.push(1);
-            put_u32(&mut b, dims.len() as u32);
+            put_u32(b, dims.len() as u32);
             for &d in dims {
-                put_u64(&mut b, d as u64);
+                put_u64(b, d as u64);
             }
-            put_u32(&mut b, *copies);
-            put_u64(&mut b, *input_seed);
+            put_u32(b, *copies);
+            put_u64(b, *input_seed);
         }
     }
-    put_sim_config(&mut b, &req.sim);
-    b
+    put_sim_config(b, &req.sim);
 }
 
 /// Parse a request. Beyond structural decoding this *validates* the

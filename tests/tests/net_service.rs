@@ -10,8 +10,11 @@
 //! connections, expired deadlines) can wedge the server or leak its
 //! threads — [`NetServer::stop`] must always join promptly.
 
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use xmt_server::net::NetServer;
@@ -344,4 +347,111 @@ fn restart_on_same_journal_finishes_exactly_once_byte_identical() {
     assert_eq!(again, ids[1], "token lost across restart");
     assert_eq!(srv2.stats().tokens_reused, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A TCP relay for one connection to `to`, counting the frames the
+/// client sends through it (by their length prefixes) and passing the
+/// server's answers back untouched. Its threads end when the client
+/// hangs up; join the handle after that.
+fn counting_relay(to: SocketAddr) -> (SocketAddr, Arc<AtomicU64>, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let frames = Arc::new(AtomicU64::new(0));
+    let count = Arc::clone(&frames);
+    let relay = std::thread::spawn(move || {
+        let (mut client, _) = listener.accept().unwrap();
+        let mut server = TcpStream::connect(to).unwrap();
+        for s in [&client, &server] {
+            s.set_nodelay(true).unwrap();
+        }
+        let (mut back_from, mut back_to) =
+            (server.try_clone().unwrap(), client.try_clone().unwrap());
+        let back = std::thread::spawn(move || std::io::copy(&mut back_from, &mut back_to));
+        // Client to server: a frame is counted when its 4-byte length
+        // prefix is complete, and its payload is skipped.
+        let (mut prefix, mut skip) = (Vec::new(), 0usize);
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = client.read(&mut buf) {
+            let mut chunk = &buf[..n];
+            while !chunk.is_empty() {
+                if skip > 0 {
+                    let k = skip.min(chunk.len());
+                    (skip, chunk) = (skip - k, &chunk[k..]);
+                } else {
+                    prefix.push(chunk[0]);
+                    chunk = &chunk[1..];
+                    if prefix.len() == 4 {
+                        skip = u32::from_le_bytes(prefix[..].try_into().unwrap()) as usize;
+                        prefix.clear();
+                        count.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+            if server.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = server.shutdown(std::net::Shutdown::Both);
+        // The answer pump ends at the server's end of stream; an error
+        // writing to a client that already hung up is no fault here.
+        let _ = back.join().expect("the answer pump does not panic");
+    });
+    (addr, frames, relay)
+}
+
+/// One round trip per cache hit, counted exactly: a result already
+/// resident when its submission is acknowledged comes back in the
+/// acknowledgement, so a 16-key sweep of hits (16 submits, then 16
+/// waits) sends 16 request frames, not 32; a cold job still sends its
+/// submit and its wait. Every result equals a direct run, byte for
+/// byte.
+#[test]
+fn a_resident_hit_costs_one_request_frame() {
+    let (srv, net) = serve(ServerConfig {
+        workers: 1,
+        quantum: u64::MAX,
+        ..ServerConfig::default()
+    });
+    let arch = xmt_fft::golden::golden_config();
+    let key = |seed: u64| SimRequest::fft(&[16], 1, seed, &arch);
+    let direct = |req: &SimRequest| encode_report(&req.builder().build().run().report);
+    let keys: Vec<(SimRequest, Vec<u8>)> = (0..16)
+        .map(|seed| {
+            let req = key(seed);
+            let bytes = direct(&req);
+            (req, bytes)
+        })
+        .collect();
+    // Prefill the cache past the relay.
+    for (req, bytes) in &keys {
+        let r = srv.submit(req.clone()).unwrap().wait().unwrap();
+        assert_eq!(&r.bytes, bytes);
+    }
+    let (addr, frames, relay) = counting_relay(net.local_addr());
+    let mut c = Client::connect(&addr.to_string(), ClientConfig::default()).unwrap();
+    let ids: Vec<u64> = keys
+        .iter()
+        .map(|(req, _)| c.submit(Submission::new(req.clone())).unwrap())
+        .collect();
+    for (id, (_, bytes)) in ids.iter().zip(&keys) {
+        let r = c.wait(*id, SOAK_WAIT).unwrap();
+        assert!(r.completed && r.from_cache);
+        assert_eq!(&r.bytes, bytes, "job {id}");
+    }
+    assert_eq!(frames.load(Ordering::SeqCst), 16, "one frame per hit");
+    // A cold job: the single worker is held by a blocker run to its end
+    // (no preemption), so the job cannot be terminal when its
+    // submission is acknowledged.
+    let blocker = srv
+        .submit(SimRequest::golden("fft_radix8_n512").unwrap())
+        .unwrap();
+    let cold = key(99);
+    let id = c.submit(Submission::new(cold.clone())).unwrap();
+    let r = c.wait(id, SOAK_WAIT).unwrap();
+    assert!(r.completed && !r.from_cache);
+    assert_eq!(r.bytes, direct(&cold));
+    assert_eq!(frames.load(Ordering::SeqCst), 18, "submit and wait");
+    assert!(blocker.wait().unwrap().outcome.is_completed());
+    drop(c);
+    relay.join().unwrap();
 }

@@ -101,6 +101,20 @@ fn valid_frame(name: &str, lane_high: bool, token: u64) -> (u8, Vec<u8>) {
     net::encode_request_frame(&Request::Submit(Box::new(sub)))
 }
 
+/// A valid `RESP_RESOLVED` body — a job id, then the result body of a
+/// completed golden run — and the report bytes inside it, built once.
+fn valid_resolved() -> &'static (Vec<u8>, Vec<u8>) {
+    static BODY: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
+    BODY.get_or_init(|| {
+        let srv = xmt_server::Server::start(xmt_server::ServerConfig::default()).unwrap();
+        let h = srv
+            .submit(SimRequest::golden("ps_tickets").unwrap())
+            .unwrap();
+        let r = h.wait().unwrap();
+        (net::encode_resolved(h.id(), &r), r.bytes)
+    })
+}
+
 /// Single-field changes to a request's machine geometry, each of which
 /// used to decode, be admitted, and then panic a machine constructor
 /// (or, for the DRAM rate, the first burst) on the worker thread.
@@ -434,5 +448,24 @@ proptest! {
         // The body under every other tag: no panic (wrong-tag bodies
         // are exactly what a desynchronized peer would send).
         let _ = net::decode_request_frame(wrong_tag, &body);
+    }
+
+    /// The same shapes against the resolved acknowledgement, the one
+    /// response that carries a result besides `RESP_RESULT`: honest
+    /// bodies round-trip, truncations are typed errors, and bit flips
+    /// and other tags never panic.
+    #[test]
+    fn resolved_acknowledgements_survive_mutation(cut in 0.0f64..1.0, bit_frac in 0.0f64..1.0) {
+        let (body, report) = valid_resolved();
+        match net::decode_response(net::RESP_RESOLVED, body) {
+            Ok(net::Response::Resolved(_, r)) => prop_assert_eq!(&r.bytes, report),
+            other => prop_assert!(false, "expected a resolved acknowledgement, got {:?}", other),
+        }
+        let cut = (body.len() as f64 * cut) as usize;
+        prop_assert!(net::decode_response(net::RESP_RESOLVED, &body[..cut]).is_err());
+        let mut flipped = body.clone();
+        let bit = (flipped.len() * 8 - 1).min((flipped.len() as f64 * 8.0 * bit_frac) as usize);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        decode_all(&flipped);
     }
 }
