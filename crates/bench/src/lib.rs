@@ -1,5 +1,5 @@
-//! # xmt-bench — experiment harness shared by the `paper` binary, the
-//! two gate binaries and the Criterion benches.
+//! # xmt-bench — experiment harness shared by the `paper` binary and the
+//! two gate binaries.
 //!
 //! `paper <command>` regenerates every table and figure of the paper
 //! (`table1` … `table6`, `fig3`; DESIGN.md §5 has the index) and the

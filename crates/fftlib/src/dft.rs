@@ -1,7 +1,7 @@
 //! Naive O(N²) discrete Fourier transform, the correctness oracle.
 //!
-//! Every FFT code path in this workspace — host codelets, iterative and
-//! recursive drivers, and the XMT-simulated kernels — is ultimately
+//! Every FFT code path in this workspace — host codelets, the Stockham
+//! and Bluestein drivers, and the XMT-simulated kernels — is ultimately
 //! validated against this direct evaluation of Eq. (1) of the paper.
 
 use crate::complex::{Complex, Float};

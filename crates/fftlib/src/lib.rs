@@ -31,13 +31,12 @@
 //! * [`twiddle`] — twiddle tables and the paper's replication scheme.
 //! * [`codelets`] — fixed-size DFT butterflies (radix 2/4/8 + generic).
 //! * [`stockham`] — the breadth-first mixed-radix engine (serial/parallel).
-//! * [`radix2`] — classic in-place DIT/DIF drivers (ablations).
-//! * [`recursive`] — depth-first cache-oblivious driver and the
-//!   depth-first→breadth-first hybrid the paper suggests for large N.
 //! * [`bluestein`] — arbitrary-size transforms.
 //! * [`plan`] — the planner front end ([`Fft`], [`FftPlanner`]).
 //! * [`nd`] — 2D/3D transforms by the rotation method.
-//! * [`realfft`] — real-input transforms.
+//! * [`permute`] — the transpose and 3D axis rotation [`nd`] moves data
+//!   with, and [`exact_log`](permute::exact_log).
+//! * [`dft`] — the naive O(N²) DFT every transform is checked against.
 //! * [`flops`] — the 5N·log₂N accounting convention.
 
 #![warn(missing_docs)]
@@ -51,16 +50,12 @@ pub mod flops;
 pub mod nd;
 pub mod permute;
 pub mod plan;
-pub mod radix2;
-pub mod realfft;
-pub mod recursive;
 pub mod stockham;
 pub mod twiddle;
 
 pub use complex::{Complex, Complex32, Complex64, Float};
 pub use nd::{Fft2d, Fft3d, Granularity};
 pub use plan::{fft, ifft, Algorithm, Fft, FftPlanner, Normalization};
-pub use realfft::RealFft;
 pub use twiddle::{ReplicatedTwiddles, TwiddleTable};
 
 /// Transform direction. Forward uses the `e^{-i2πkn/N}` kernel of

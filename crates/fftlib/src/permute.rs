@@ -1,70 +1,7 @@
-//! Data-reordering primitives: bit/digit reversal, 2D transpose, and the
-//! 3D axis rotation that forms the communication-intensive phase of the
-//! paper's multidimensional FFT (Section VI-B).
-
-#[cfg(test)]
-use crate::complex::Complex;
-
-/// Reverse the low `bits` bits of `x`.
-#[inline]
-pub fn bit_reverse(x: usize, bits: u32) -> usize {
-    if bits == 0 {
-        return 0;
-    }
-    x.reverse_bits() >> (usize::BITS - bits)
-}
-
-/// Reverse the base-`r` digits of `x`, where `x < r^digits`.
-///
-/// For `r = 2` this is [`bit_reverse`]. Used to unscramble the output of
-/// in-place decimation-in-frequency radix-`r` FFTs.
-#[inline]
-pub fn digit_reverse(mut x: usize, r: usize, digits: u32) -> usize {
-    debug_assert!(r >= 2);
-    let mut out = 0usize;
-    for _ in 0..digits {
-        out = out * r + x % r;
-        x /= r;
-    }
-    out
-}
-
-/// In-place bit-reversal permutation of a power-of-two-length slice.
-pub fn bit_reverse_permute<T>(data: &mut [T]) {
-    let n = data.len();
-    if n <= 2 {
-        return;
-    }
-    assert!(
-        n.is_power_of_two(),
-        "bit reversal needs power-of-two length"
-    );
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = bit_reverse(i, bits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-}
-
-/// In-place base-`r` digit-reversal permutation.
-///
-/// Requires `len == r^k` for some `k`. Digit reversal is an involution,
-/// so the permutation can be applied by swapping `i` with `rev(i)`.
-pub fn digit_reverse_permute<T>(data: &mut [T], r: usize) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let digits = exact_log(n, r).expect("length must be a power of the radix");
-    for i in 0..n {
-        let j = digit_reverse(i, r, digits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-}
+//! Data-reordering primitives: the 2D transpose and the 3D axis rotation
+//! that form the communication-intensive phase of the paper's
+//! multidimensional FFT (Section VI-B), and the exact-power test
+//! `xmt-fft`'s planner applies to a forced radix.
 
 /// `log_r(n)` if `n` is an exact power of `r`, else `None`.
 pub fn exact_log(n: usize, r: usize) -> Option<u32> {
@@ -101,16 +38,6 @@ pub fn transpose_into<T: Copy>(src: &[T], rows: usize, cols: usize, dst: &mut [T
     }
 }
 
-/// In-place transpose of a square `n × n` row-major matrix.
-pub fn transpose_square<T>(data: &mut [T], n: usize) {
-    assert_eq!(data.len(), n * n, "shape mismatch");
-    for i in 0..n {
-        for j in (i + 1)..n {
-            data.swap(i * n + j, j * n + i);
-        }
-    }
-}
-
 /// Rotate the axes of a row-major 3D array so the old axis order
 /// `(d0, d1, d2)` (d2 contiguous) becomes `(d1, d2, d0)`.
 ///
@@ -131,94 +58,9 @@ pub fn rotate3d_into<T: Copy>(src: &[T], (d0, d1, d2): (usize, usize, usize), ds
     }
 }
 
-/// Bytes moved by one rotation of a `(d0,d1,d2)` array of `elem_bytes`
-/// elements: one read + one write per element. Used by the performance
-/// model to account for the rotation phase's traffic.
-pub fn rotation_traffic_bytes(shape: (usize, usize, usize), elem_bytes: usize) -> u64 {
-    let n = (shape.0 * shape.1 * shape.2) as u64;
-    2 * n * elem_bytes as u64
-}
-
-/// Generic permutation application: `dst[perm[i]] = src[i]`.
-///
-/// Panics if `perm` is not a permutation of `0..len` (checked in debug
-/// builds via the write pattern; callers should validate with
-/// [`is_permutation`] when the permutation comes from untrusted input).
-pub fn apply_permutation<T: Copy>(src: &[T], perm: &[usize], dst: &mut [T]) {
-    assert_eq!(src.len(), perm.len());
-    assert_eq!(src.len(), dst.len());
-    for (i, &p) in perm.iter().enumerate() {
-        dst[p] = src[i];
-    }
-}
-
-/// Check that `perm` maps `0..len` one-to-one onto `0..len`.
-pub fn is_permutation(perm: &[usize]) -> bool {
-    let n = perm.len();
-    let mut seen = vec![false; n];
-    for &p in perm {
-        if p >= n || seen[p] {
-            return false;
-        }
-        seen[p] = true;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bit_reverse_small() {
-        assert_eq!(bit_reverse(0b001, 3), 0b100);
-        assert_eq!(bit_reverse(0b110, 3), 0b011);
-        assert_eq!(bit_reverse(5, 0), 0);
-    }
-
-    #[test]
-    fn digit_reverse_matches_bit_reverse_for_r2() {
-        for i in 0..64 {
-            assert_eq!(digit_reverse(i, 2, 6), bit_reverse(i, 6));
-        }
-    }
-
-    #[test]
-    fn digit_reverse_radix8() {
-        // 0o123 reversed in base 8 is 0o321.
-        assert_eq!(digit_reverse(0o123, 8, 3), 0o321);
-    }
-
-    #[test]
-    fn digit_reverse_is_involution() {
-        for r in [2usize, 4, 8] {
-            let digits = 3;
-            let n = r.pow(digits);
-            for i in 0..n {
-                assert_eq!(digit_reverse(digit_reverse(i, r, digits), r, digits), i);
-            }
-        }
-    }
-
-    #[test]
-    fn permute_roundtrip() {
-        let mut v: Vec<usize> = (0..64).collect();
-        bit_reverse_permute(&mut v);
-        bit_reverse_permute(&mut v);
-        assert_eq!(v, (0..64).collect::<Vec<_>>());
-
-        let mut w: Vec<usize> = (0..512).collect();
-        digit_reverse_permute(&mut w, 8);
-        digit_reverse_permute(&mut w, 8);
-        assert_eq!(w, (0..512).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "power of the radix")]
-    fn digit_reverse_rejects_bad_len() {
-        let mut v = vec![0u8; 24];
-        digit_reverse_permute(&mut v, 8);
-    }
 
     #[test]
     fn exact_log_works() {
@@ -237,17 +79,6 @@ mod tests {
         let mut dst = [0; 6];
         transpose_into(&src, 2, 3, &mut dst);
         assert_eq!(dst, [1, 4, 2, 5, 3, 6]);
-    }
-
-    #[test]
-    fn transpose_square_involution() {
-        let n = 17;
-        let orig: Vec<usize> = (0..n * n).collect();
-        let mut v = orig.clone();
-        transpose_square(&mut v, n);
-        assert_ne!(v, orig);
-        transpose_square(&mut v, n);
-        assert_eq!(v, orig);
     }
 
     #[test]
@@ -288,35 +119,5 @@ mod tests {
         rotate3d_into(&src, (r, c, 1), &mut rot);
         transpose_into(&src, r, c, &mut tr);
         assert_eq!(rot, tr);
-    }
-
-    #[test]
-    fn permutation_check() {
-        assert!(is_permutation(&[2, 0, 1]));
-        assert!(!is_permutation(&[0, 0, 1]));
-        assert!(!is_permutation(&[0, 3, 1]));
-        assert!(is_permutation(&[]));
-    }
-
-    #[test]
-    fn apply_permutation_places_elements() {
-        let src = ['a', 'b', 'c'];
-        let mut dst = ['x'; 3];
-        apply_permutation(&src, &[2, 0, 1], &mut dst);
-        assert_eq!(dst, ['b', 'c', 'a']);
-    }
-
-    #[test]
-    fn rotation_traffic_counts_read_plus_write() {
-        assert_eq!(rotation_traffic_bytes((4, 4, 4), 8), 2 * 64 * 8);
-    }
-
-    #[test]
-    fn type_is_never_used_but_compiles() {
-        // Complex-typed instantiation of the generic helpers.
-        let v: Vec<Complex<f32>> = (0..8).map(|i| Complex::new(i as f32, 0.0)).collect();
-        let mut d = v.clone();
-        bit_reverse_permute(&mut d);
-        assert_eq!(d[1], v[4]);
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! The per-level degradation constants below are fitted to saturation
 //! measurements of the cycle models (see `tests` here and the
-//! `noc_saturation` bench) — the workspace's EXPERIMENTS.md records the
-//! fit. This is the term that produces the paper's observations (b)
+//! `saturation_probe` example) — the workspace's EXPERIMENTS.md records
+//! the fit. This is the term that produces the paper's observations (b)
 //! and (c) in Section VI-B.
 
 use crate::topology::Topology;

@@ -6,10 +6,10 @@
 //! destination, a binary fan-in tree with buffered 2-input switches and
 //! round-robin arbitration — and exists to *validate* that
 //! idealization: the non-blocking property means the switch-level
-//! network must deliver the same saturation throughput (see tests and
-//! the `noc_models` bench). The fan-out side needs no simulation at
-//! all: with a single injection per source per cycle, a fan-out tree
-//! never arbitrates, so it contributes pure pipeline latency.
+//! network must deliver the same saturation throughput (see tests).
+//! The fan-out side needs no simulation at all: with a single injection
+//! per source per cycle, a fan-out tree never arbitrates, so it
+//! contributes pure pipeline latency.
 
 use crate::net::{Delivered, Flit, NetStats, Network};
 use crate::topology::Topology;
