@@ -137,18 +137,20 @@ stage "paper binary: every command, release" \
 stage "job server smoke: preemption, cache identity, worker kill" \
     cargo test --release -p xmt-integration --test server_jobs -q
 
-# The job table's memory (DESIGN.md §16), no benchmark needed: 40 000
-# in-process cache-hit jobs, then 2 000 cold jobs of four or more slices,
-# may grow VmRSS by at most 0.5 KiB each beyond the report bytes they
-# keep — a finished job keeps its status and its report, nothing else
-# (no paused machine outlives its job). It also holds two exact counts:
+# The job table's memory (DESIGN.md §16), no benchmark needed: the
+# table keeps the newest 4 096 terminal jobs, so 40 000 in-process
+# cache-hit jobs must retire exactly 40 016 - 4 096 rows and grow VmRSS
+# by at most 0.1 KiB each; then 2 000 cold jobs of four or more slices
+# may grow it by at most 0.5 KiB each beyond the report bytes they keep
+# — a finished job keeps its status and its report, nothing else (no
+# paused machine outlives its job). It also holds two exact counts:
 # the 40 000 hits share one (dims, copies), so programs_digested must
 # be 1 — a hit that rebuilds its FFT program to make its content
 # address fails here, not on a clock — and the hits, resolved at
 # admission, must add fewer than 40 idle_wakeups — a server that wakes
 # its idle worker for every resolved job adds about one per hit. Its
 # own test binary; skips where /proc is absent.
-stage "job table memory: <= 0.5 KiB per finished job" \
+stage "job table memory: bounded table, <= 0.1 KiB per hit, <= 0.5 KiB per cold job" \
     cargo test --release -p xmt-server --test job_table_memory -q
 
 # The simulated machine's memory (DESIGN.md §10), no benchmark needed:

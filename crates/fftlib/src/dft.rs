@@ -34,11 +34,6 @@ pub fn dft<T: Float>(input: &[Complex<T>], direction: FftDirection) -> Vec<Compl
         .collect()
 }
 
-/// Forward naive DFT.
-pub fn dft_forward<T: Float>(input: &[Complex<T>]) -> Vec<Complex<T>> {
-    dft(input, FftDirection::Forward)
-}
-
 /// Inverse naive DFT *including* the 1/N normalization, so that
 /// `idft(dft(x)) == x`.
 pub fn idft_normalized<T: Float>(input: &[Complex<T>]) -> Vec<Complex<T>> {
@@ -90,7 +85,7 @@ mod tests {
     #[test]
     fn dft_of_impulse_is_flat() {
         let x = impulse(8, 0);
-        let y = dft_forward(&x);
+        let y = dft(&x, FftDirection::Forward);
         for v in y {
             assert!(v.dist(Complex64::one()) < 1e-12);
         }
@@ -100,7 +95,7 @@ mod tests {
     fn dft_of_shifted_impulse_is_twiddles() {
         let n = 16;
         let x = impulse(n, 1);
-        let y = dft_forward(&x);
+        let y = dft(&x, FftDirection::Forward);
         for (k, v) in y.iter().enumerate() {
             let expect = Complex64::cis(-std::f64::consts::TAU * k as f64 / n as f64);
             assert!(v.dist(expect) < 1e-12);
@@ -111,7 +106,7 @@ mod tests {
     fn dft_of_constant_is_impulse() {
         let n = 12;
         let x = vec![Complex64::one(); n];
-        let y = dft_forward(&x);
+        let y = dft(&x, FftDirection::Forward);
         assert!(y[0].dist(Complex64::new(n as f64, 0.0)) < 1e-10);
         for v in &y[1..] {
             assert!(v.abs() < 1e-10);
@@ -123,7 +118,7 @@ mod tests {
         let x: Vec<Complex64> = (0..10)
             .map(|i| Complex64::new(i as f64 * 0.3 - 1.0, (i * i) as f64 * 0.01))
             .collect();
-        let back = idft_normalized(&dft_forward(&x));
+        let back = idft_normalized(&dft(&x, FftDirection::Forward));
         assert!(max_error(&x, &back) < 1e-10);
     }
 
@@ -136,10 +131,10 @@ mod tests {
             .map(|i| Complex64::new(1.0 / (i + 1) as f64, 0.5))
             .collect();
         let sum: Vec<Complex64> = x.iter().zip(&y).map(|(a, b)| *a + *b).collect();
-        let lhs = dft_forward(&sum);
-        let rhs: Vec<Complex64> = dft_forward(&x)
+        let lhs = dft(&sum, FftDirection::Forward);
+        let rhs: Vec<Complex64> = dft(&x, FftDirection::Forward)
             .iter()
-            .zip(dft_forward(&y))
+            .zip(dft(&y, FftDirection::Forward))
             .map(|(a, b)| *a + b)
             .collect();
         assert!(max_error(&lhs, &rhs) < 1e-10);
@@ -147,7 +142,7 @@ mod tests {
 
     #[test]
     fn empty_input_ok() {
-        assert!(dft_forward::<f64>(&[]).is_empty());
+        assert!(dft::<f64>(&[], FftDirection::Forward).is_empty());
         assert!(idft_normalized::<f64>(&[]).is_empty());
     }
 

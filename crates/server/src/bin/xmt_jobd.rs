@@ -13,6 +13,11 @@
 //! holds cached, that costs one round trip: the result comes back in
 //! the submit acknowledgement, and the wait sends nothing.
 //!
+//! The server keeps every unfinished job and the newest 4 096 finished
+//! ones. An older finished job is retired: `wait` on its id fails with
+//! the server's `UnknownJob`, and a reused `--token` of it admits a new
+//! job. `stats` prints how many jobs were retired.
+//!
 //! `serve` prints `listening on <addr>` on stdout once bound (port 0
 //! resolves, so scripts can scrape the line) and runs until killed —
 //! there is deliberately no clean-shutdown path beyond the journal:
@@ -39,6 +44,8 @@ fn usage() -> ExitCode {
          \u{20}                (--wait on a cached key is one round trip: the result\n\
          \u{20}                 comes with the acknowledgement)\n\
          \u{20}      xmt_jobd wait   --addr A ID [--timeout-ms N]\n\
+         \u{20}                (the newest 4096 finished jobs are kept: an older\n\
+         \u{20}                 id answers UnknownJob)\n\
          \u{20}      xmt_jobd stats  --addr A"
     );
     ExitCode::from(2)
@@ -206,12 +213,13 @@ fn stats(mut args: Vec<String>) -> Result<(), String> {
     }
     let s = c.stats().map_err(|e| format!("stats: {e}"))?;
     println!(
-        "submitted={} completed={} failed={} cancelled={} queued={}",
+        "submitted={} completed={} failed={} cancelled={} queued={} retired={}",
         s.server.submitted,
         s.server.completed,
         s.server.failed,
         s.server.cancelled,
-        s.server.queued
+        s.server.queued,
+        s.server.retired
     );
     println!(
         "deduped={} tokens_reused={} shed_overload={} shed_quota={} journal_bytes={} \

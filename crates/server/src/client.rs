@@ -609,7 +609,10 @@ mod tests {
     fn server_answers_three_requests_in_one_write_in_order() {
         let (_srv, net) = serve();
         let (mut c, mut w) = raw_client(net.local_addr());
-        let sub = Submission::new(SimRequest::golden("ps_tickets").unwrap());
+        // A job of several slices, so it cannot have finished (and be
+        // acknowledged `RESP_RESOLVED`) by the time its submission is
+        // answered.
+        let sub = Submission::new(SimRequest::golden("fft_radix8_n512").unwrap());
         let three = [
             request_bytes(&Request::Submit(Box::new(sub))),
             request_bytes(&Request::Poll(9_999)),

@@ -15,18 +15,23 @@
 //! stops at the first truncated or checksum-failing frame and reports
 //! it, so a torn append costs exactly the unacknowledged record and
 //! nothing before it. On startup the server *compacts* the replayed
-//! journal — one `Submit` (plus the terminal record) per job — so
-//! repeated crash/restart cycles do not grow the file without bound.
+//! journal — the `Submit` of every job the job table still holds, then
+//! the terminal records of its finished ones in resolution order — so
+//! repeated crash/restart cycles do not grow the file without bound,
+//! and jobs the table retired leave the file.
 //! Ids are assigned and journaled under one lock, so `Submit` records
 //! arrive in id order and the fold finds a job by binary search: replay
 //! is linear in the file.
 //!
 //! Replay policy per record kind:
 //! - `Submit` — readmit the job (its id, tenant, lane and idempotency
-//!   token are restored verbatim; ids never recycle).
+//!   token are restored verbatim; ids never recycle: every record's id
+//!   counts toward [`Replay::next_id`]).
 //! - `Commit` — ignored. Servers that serialized paused machines wrote
 //!   one per preemption; such a journal still replays, and its
-//!   in-flight jobs run again from cycle 0 like any other.
+//!   in-flight jobs run again from cycle 0 like any other. Compaction
+//!   writes one, empty, when the highest id issued belongs to a retired
+//!   job: its id keeps a restart from issuing that id again.
 //! - `Done` — the terminal result; replay resolves the job immediately
 //!   with the recorded bytes.
 //! - `Cancelled` — replay resolves the job as cancelled.
@@ -171,6 +176,17 @@ impl Record {
         }
     }
 
+    /// The job the record names.
+    fn id(&self) -> JobId {
+        match self {
+            Record::Submit { id, .. }
+            | Record::Commit { id, .. }
+            | Record::Done { id, .. }
+            | Record::Failed { id }
+            | Record::Cancelled { id } => *id,
+        }
+    }
+
     fn decode(payload: &[u8]) -> Result<Record, &'static str> {
         wire::whole(payload, "trailing bytes after journal record", |r| {
             Ok(match r.u8()? {
@@ -215,6 +231,9 @@ pub struct RecoveredJob {
     /// How the job ended, if it did: its latest `Done`, `Failed` or
     /// `Cancelled` record.
     pub terminal: Option<Record>,
+    /// Where `terminal` stands among the file's records (0 = first):
+    /// the order the jobs resolved in.
+    pub ended_at: u64,
 }
 
 /// What [`Journal::replay`] found.
@@ -222,6 +241,9 @@ pub struct RecoveredJob {
 pub struct Replay {
     /// Recovered jobs in id (= submission) order.
     pub jobs: Vec<RecoveredJob>,
+    /// One past the highest id any record names: the first id a
+    /// restarted server may issue.
+    pub next_id: JobId,
     /// True when replay stopped at a torn or corrupt tail frame.
     pub torn_tail: bool,
     /// Checksum-valid records whose body failed to decode (version
@@ -303,6 +325,7 @@ impl Journal {
         };
         let mut out = Replay::default();
         let mut pos = 0usize;
+        let mut at = 0u64;
         while pos < bytes.len() {
             if bytes.len() - pos < 12 {
                 out.torn_tail = true;
@@ -322,8 +345,12 @@ impl Journal {
             pos += 12 + len;
             match Record::decode(payload) {
                 Err(_) => out.skipped += 1,
-                Ok(rec) => out.fold(rec),
+                Ok(rec) => {
+                    out.next_id = out.next_id.max(rec.id().saturating_add(1));
+                    out.fold(rec, at);
+                }
             }
+            at += 1;
         }
         Ok(out)
     }
@@ -362,7 +389,8 @@ impl Journal {
 }
 
 impl Replay {
-    fn fold(&mut self, rec: Record) {
+    /// Fold `rec`, the file's record number `at`, into the jobs.
+    fn fold(&mut self, rec: Record, at: u64) {
         match rec {
             Record::Submit {
                 id,
@@ -377,9 +405,9 @@ impl Replay {
                 };
                 // Duplicate submit ids cannot happen in a well-formed
                 // journal; keep the first.
-                if let Err(at) = self.slot(id) {
+                if let Err(slot) = self.slot(id) {
                     self.jobs.insert(
-                        at,
+                        slot,
                         RecoveredJob {
                             id,
                             sub: Submission {
@@ -389,14 +417,16 @@ impl Replay {
                                 token,
                             },
                             terminal: None,
+                            ended_at: 0,
                         },
                     );
                 }
             }
             Record::Commit { .. } => {}
             Record::Done { id, .. } | Record::Failed { id } | Record::Cancelled { id } => {
-                if let Ok(at) = self.slot(id) {
-                    self.jobs[at].terminal = Some(rec);
+                if let Ok(slot) = self.slot(id) {
+                    self.jobs[slot].terminal = Some(rec);
+                    self.jobs[slot].ended_at = at;
                 }
             }
         }

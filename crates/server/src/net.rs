@@ -50,10 +50,10 @@ use crate::server::{JobHandle, Server, ServerStats, Submission};
 use crate::wire::{self, WireError};
 use xmt_sim::IntervalRow;
 
-/// Protocol magic, first payload field of every frame ("XMTJ" v2; v2
-/// added [`RESP_RESOLVED`], so a v1 peer fails at framing, not at an
-/// unknown tag halfway through an exchange).
-pub const PROTO_MAGIC: u64 = 0x584D_544A_0000_0002;
+/// Protocol magic, first payload field of every frame ("XMTJ" v3; v2
+/// added [`RESP_RESOLVED`], v3 the stats frame's `retired` word, so an
+/// older peer fails at framing, not halfway through an exchange).
+pub const PROTO_MAGIC: u64 = 0x584D_544A_0000_0003;
 
 /// Hard cap on one frame's payload (reports for paper-scale runs are
 /// megabytes; checkpoints never cross the wire).
@@ -857,6 +857,7 @@ mod tests {
                 journal_bytes: 4096,
                 programs_digested: 11,
                 idle_wakeups: 12,
+                retired: 13,
             },
             cache: CacheStats {
                 entries: 2,
@@ -966,13 +967,13 @@ mod tests {
         assert!(decode_response(0x7F, &[]).is_err(), "unknown tag");
     }
 
-    /// A frame is `[u32 len][u64 magic v2][tag][body]`, encoded in place;
+    /// A frame is `[u32 len][u64 magic v3][tag][body]`, encoded in place;
     /// a buffer kept from frame to frame is reused, not reallocated,
     /// and one grown past the keep bound is given back.
     #[test]
     fn frames_are_encoded_in_place() {
         assert_eq!(PROTO_MAGIC >> 16, 0x584D_544A_0000, "\"XMTJ\"");
-        assert_eq!(PROTO_MAGIC & 0xFFFF, 2, "version word");
+        assert_eq!(PROTO_MAGIC & 0xFFFF, 3, "version word");
         let body = [1u8, 2, 3, 4, 5];
         let f = frame(RESP_ROW, &body);
         assert_eq!(f.len(), HEADER + body.len());

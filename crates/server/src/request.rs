@@ -7,12 +7,12 @@
 //! work through the result cache and lets a preempted job be rebuilt
 //! from scratch on a different worker thread.
 
-use std::fmt;
+use std::borrow::Cow;
 
 use xmt_fft::golden::{self, GoldenCase};
 use xmt_fft::plan::XmtFftPlan;
 use xmt_fft::run::plan_builder_cfg;
-use xmt_sim::simcfg::Fnv1a;
+use xmt_sim::simcfg::{CanonSink, Fnv1a};
 use xmt_sim::{program_digest, FaultPlan, MachineBuilder, SimConfig, XmtConfig};
 
 /// What program a job runs and on what inputs. Workloads are named
@@ -42,31 +42,55 @@ pub enum WorkloadSpec {
 impl WorkloadSpec {
     /// Write the canonical text of the spec, the workload half of the
     /// content address, to `w`.
-    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
+    fn write_canon(&self, w: &mut impl CanonSink) {
         match self {
-            WorkloadSpec::Golden { name } => write!(w, "golden:{name}"),
+            WorkloadSpec::Golden { name } => {
+                w.text("golden:");
+                w.text(name);
+            }
             WorkloadSpec::Fft {
                 dims,
                 copies,
                 input_seed,
-            } => write!(w, "fft:dims={dims:?} copies={copies} seed={input_seed}"),
+            } => {
+                w.text("fft:dims=");
+                w.list(dims, |w, &d| w.dec(d as u64));
+                w.text(" copies=");
+                w.dec(u64::from(*copies));
+                w.text(" seed=");
+                w.dec(*input_seed);
+            }
         }
     }
 }
 
 /// What fixes a request's program ([`SimRequest::program_key`]): the
-/// workload spec less the FFT's input seed.
+/// workload spec less the FFT's input seed. Borrowed from the request
+/// to look a program up, owned (`'static`) to remember one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum ProgramKey {
+pub(crate) enum ProgramKey<'a> {
     /// A golden case by name.
-    Golden(String),
+    Golden(Cow<'a, str>),
     /// An FFT plan's shape.
     Fft {
         /// Transform dimensions.
-        dims: Vec<usize>,
+        dims: Cow<'a, [usize]>,
         /// Data-replication factor.
         copies: u32,
     },
+}
+
+impl ProgramKey<'_> {
+    /// The key with its own copy of what it borrowed.
+    pub(crate) fn into_owned(self) -> ProgramKey<'static> {
+        match self {
+            ProgramKey::Golden(name) => ProgramKey::Golden(Cow::Owned(name.into_owned())),
+            ProgramKey::Fft { dims, copies } => ProgramKey::Fft {
+                dims: Cow::Owned(dims.into_owned()),
+                copies,
+            },
+        }
+    }
 }
 
 /// Look a golden case up by name across both case sets.
@@ -170,11 +194,11 @@ impl SimRequest {
     /// name, or the FFT's shape — never its input seed. Requests with
     /// equal keys run equal programs, so the program half of
     /// [`SimRequest::digest`] can be computed once per key.
-    pub(crate) fn program_key(&self) -> ProgramKey {
+    pub(crate) fn program_key(&self) -> ProgramKey<'_> {
         match &self.workload {
-            WorkloadSpec::Golden { name } => ProgramKey::Golden(name.clone()),
+            WorkloadSpec::Golden { name } => ProgramKey::Golden(Cow::Borrowed(name)),
             WorkloadSpec::Fft { dims, copies, .. } => ProgramKey::Fft {
-                dims: dims.clone(),
+                dims: Cow::Borrowed(dims),
                 copies: *copies,
             },
         }
@@ -196,7 +220,7 @@ impl SimRequest {
     pub(crate) fn digest_with(&self, program_digest: u64) -> u64 {
         let sim_digest = self.sim.digest(program_digest);
         let mut h = Fnv1a::new();
-        let _ = self.workload.write_canon(&mut h);
+        self.workload.write_canon(&mut h);
         h.bytes(&sim_digest.to_le_bytes());
         h.finish()
     }

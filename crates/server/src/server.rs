@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use self::state::{Ended, State, Terminal};
 use crate::cache::{CacheStats, ResultCache};
-use crate::job::{JobError, JobId, JobResult, JobStatus, Lane};
+use crate::job::{JobError, JobId, JobResult, JobState, JobStatus, Lane};
 use crate::journal::{Journal, Record};
 use crate::request::{ProgramKey, SimRequest};
 use crate::wire;
@@ -190,12 +190,16 @@ pub struct ServerStats {
     /// no shutdown: wake-ups spent on nothing. A cache hit answered at
     /// admission wakes no worker, so it adds none.
     pub idle_wakeups: u64,
+    /// Terminal jobs retired from the job table: past the newest 4 096
+    /// terminal jobs, the oldest leaves (once no handle names it), and
+    /// its id answers [`JobError::UnknownJob`].
+    pub retired: u64,
 }
 
 // The statistics frame's server half, in wire order.
 xmt_sim::word_codec!(
     pub(crate) ServerStats,
-    12,
+    13,
     [
         submitted,
         completed,
@@ -209,6 +213,7 @@ xmt_sim::word_codec!(
         journal_bytes,
         programs_digested,
         idle_wakeups,
+        retired,
     ]
 );
 
@@ -216,7 +221,7 @@ xmt_sim::word_codec!(
 /// program digest, at most `capacity` of them.
 struct ProgramMemo {
     capacity: usize,
-    digests: HashMap<ProgramKey, u64>,
+    digests: HashMap<ProgramKey<'static>, u64>,
     /// Misses: programs built and encoded.
     digested: u64,
 }
@@ -236,14 +241,20 @@ impl ProgramMemo {
 /// program with the memo unlocked; a full memo starts over.
 fn address(memo: &Mutex<ProgramMemo>, req: &SimRequest) -> u64 {
     let key = req.program_key();
-    let known = unpoison(memo.lock()).digests.get(&key).copied();
+    let known = {
+        let m = unpoison(memo.lock());
+        // The memo's owned keys, read as keys borrowing for as long as
+        // `key` does: the lookup copies nothing out of the request.
+        let digests: &HashMap<ProgramKey<'_>, u64> = &m.digests;
+        digests.get(&key).copied()
+    };
     let program = known.unwrap_or_else(|| {
         let digest = program_digest(&req.program());
         let mut m = unpoison(memo.lock());
         if m.digests.len() >= m.capacity {
             m.digests.clear();
         }
-        m.digests.insert(key, digest);
+        m.digests.insert(key.into_owned(), digest);
         m.digested += 1;
         digest
     });
@@ -354,7 +365,7 @@ impl Server {
             None => None,
             Some(path) => {
                 let replay = Journal::replay(path)?;
-                let compact = recovery::recover(&mut st, replay.jobs, &programs);
+                let compact = recovery::recover(&mut st, replay, &programs);
                 Some(Journal::rewrite(path, &compact)?)
             }
         };
@@ -449,7 +460,7 @@ impl Server {
         if sub.token != 0 {
             if let Some(&id) = st.tokens.get(&(sub.tenant.clone(), sub.token)) {
                 st.stats.tokens_reused += 1;
-                return Ok(self.handle_to(id));
+                return Ok(self.handle_to(&mut st, id));
             }
         }
         let primary = dedup_of.filter(|p| st.jobs.contains_key(p));
@@ -491,29 +502,37 @@ impl Server {
             (None, Some(hit)) => st.resolve(id, hit),
             (None, None) => {
                 st.enqueue(id);
+                let h = self.handle_to(&mut st, id);
                 drop(st);
                 // One job: one idle worker to wake.
                 self.shared.work.notify_one();
-                return Ok(self.handle_to(id));
+                return Ok(h);
             }
         };
+        let h = self.handle_to(&mut st, id);
         drop(st);
         publish(&self.shared, &ended);
-        Ok(self.handle_to(id))
+        Ok(h)
     }
 
-    fn handle_to(&self, id: JobId) -> JobHandle {
+    /// A handle to `id`, which is in the table: pinned under the same
+    /// lock, so the row stays until the handle drops.
+    fn handle_to(&self, st: &mut State, id: JobId) -> JobHandle {
+        st.pin(id);
         JobHandle {
             id,
             shared: Arc::clone(&self.shared),
         }
     }
 
-    /// A handle to an existing job by id (`None` for unknown ids) —
-    /// how the network layer reattaches to journal-recovered jobs.
+    /// A handle to an existing job by id (`None` for an id never issued
+    /// or retired) — how the network layer reattaches to
+    /// journal-recovered jobs.
     pub fn handle(&self, id: JobId) -> Option<JobHandle> {
-        let known = unpoison(self.shared.state.lock()).jobs.contains_key(&id);
-        known.then(|| self.handle_to(id))
+        let mut st = unpoison(self.shared.state.lock());
+        st.jobs
+            .contains_key(&id)
+            .then(|| self.handle_to(&mut st, id))
     }
 
     /// Kill one worker mid-job (failure-injection hook): the next
@@ -581,7 +600,8 @@ impl JobHandle {
     /// A snapshot of the job's current state.
     pub fn poll(&self) -> JobStatus {
         let st = unpoison(self.shared.state.lock());
-        st.jobs.get(&self.id).expect("job entry exists").status
+        // The handle pins its row, so the fallback is never read.
+        st.jobs.get(&self.id).map_or(GONE, |e| e.status)
     }
 
     /// Block until the job reaches a terminal state.
@@ -619,7 +639,10 @@ impl JobHandle {
     fn terminal_until(&self, deadline: Option<Instant>) -> Result<Terminal, JobError> {
         let mut st = unpoison(self.shared.state.lock());
         loop {
-            if let Some(r) = &st.jobs.get(&self.id).expect("job entry exists").result {
+            let Some(e) = st.jobs.get(&self.id) else {
+                return Err(JobError::UnknownJob);
+            };
+            if let Some(r) = &e.result {
                 return Ok(r.clone());
             }
             if st.shutdown {
@@ -658,12 +681,27 @@ impl JobHandle {
     }
 }
 
+/// What [`JobHandle::poll`] would report for a row that is gone.
+const GONE: JobStatus = JobStatus {
+    state: JobState::Cancelled,
+    at_cycle: 0,
+    slices: 0,
+    from_cache: false,
+    deduped: false,
+};
+
+impl Drop for JobHandle {
+    /// The row this handle pinned may retire now.
+    fn drop(&mut self) {
+        unpoison(self.shared.state.lock()).unpin(self.id);
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::state::HIGH_BURST;
+    use super::state::{HIGH_BURST, RETAINED_JOBS};
     use super::submit_record;
     use super::*;
-    use crate::job::JobState;
     use xmt_sim::{RunStatus, SimError};
 
     fn tiny_server(workers: usize, quantum: u64) -> Server {
@@ -1384,6 +1422,85 @@ mod tests {
         ("64d7c9947dfe04cd.rep", 0x71227a1431ac04e6),
         ("c80f9986e155b0d6.rep", 0x993cab7dc1503657),
     ];
+
+    /// A restart keeps what the live table would: every unfinished job
+    /// and the newest [`state::RETAINED_JOBS`] terminal ones by the
+    /// order their records were written, and compaction writes only
+    /// those. The highest id issued was retired, so the compacted file
+    /// carries it in an empty `Commit`: no restart issues it again.
+    #[test]
+    fn a_restart_keeps_the_newest_terminal_jobs() {
+        let dir = scratch("retention");
+        let path = dir.join("jobs.journal");
+        let tickets = SimRequest::golden("ps_tickets").unwrap();
+        let report = wire::encode_report(&tickets.builder().build().run().report);
+        const JOBS: u64 = 5_003;
+        let unfinished = [7, 3_000, 5_001];
+        {
+            let mut j = Journal::open(&path).unwrap();
+            let subs: Vec<Record> = (0..JOBS)
+                .map(|id| submit_record(id, &Submission::new(tickets.clone()).token(id + 1)))
+                .collect();
+            j.append_all(&subs).unwrap();
+            // The highest id finishes first: it is the oldest result.
+            let dones: Vec<Record> = (0..JOBS)
+                .rev()
+                .filter(|id| !unfinished.contains(id))
+                .map(|id| Record::Done {
+                    id,
+                    slices: 1,
+                    from_cache: false,
+                    report: report.clone(),
+                })
+                .collect();
+            j.append_all(&dones).unwrap();
+        }
+        assert_eq!(Journal::replay(&path).unwrap().jobs.len(), JOBS as usize);
+        // The newest 4 096 results are those of the lowest finished ids.
+        let kept = |id: u64| id <= 4_097 || unfinished.contains(&id);
+        let cfg = || ServerConfig {
+            journal: Some(path.clone()),
+            ..ServerConfig::default()
+        };
+        let check = |srv: &Server, retired| {
+            let stats = srv.stats();
+            assert_eq!((stats.retired, stats.queued), (retired, 3), "{stats:?}");
+            for id in 0..JOBS {
+                let state = srv.handle(id).map(|h| h.poll().state);
+                let want = if unfinished.contains(&id) {
+                    Some(JobState::Queued)
+                } else {
+                    kept(id).then_some(JobState::Done)
+                };
+                assert_eq!(state, want, "job {id}");
+            }
+        };
+        check(&Server::start_with(cfg(), 0).unwrap(), 904);
+        let a = std::fs::read(&path).unwrap();
+        let replay = Journal::replay(&path).unwrap();
+        assert_eq!(replay.next_id, JOBS);
+        let ids: Vec<u64> = replay.jobs.iter().map(|j| j.id).collect();
+        assert_eq!(ids, (0..JOBS).filter(|&id| kept(id)).collect::<Vec<_>>());
+        let ended = replay.jobs.iter().filter(|j| j.terminal.is_some()).count();
+        assert_eq!(ended, RETAINED_JOBS);
+        // Exactly those jobs' records, and the watermark.
+        let mut tags = [0usize; 5];
+        let mut rest = &a[..];
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            tags[usize::from(rest[12])] += 1;
+            rest = &rest[12 + len..];
+        }
+        assert_eq!(tags, [RETAINED_JOBS + 3, 1, RETAINED_JOBS, 0, 0]);
+        // A second restart finds the same jobs, rewrites the same bytes
+        // and issues the next id, not the retired one.
+        let srv = Server::start_with(cfg(), 0).unwrap();
+        check(&srv, 0);
+        assert_eq!(std::fs::read(&path).unwrap(), a, "compaction is a fixpoint");
+        assert_eq!(srv.submit(tickets).unwrap().id(), JOBS);
+        drop(srv);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// Compaction is a fixpoint: recovery walks every job through the
     /// live transitions, so what it writes back is what it would read

@@ -6,9 +6,17 @@
 //! → `Paused`), `rollback` (a killed worker's slice is discarded, and
 //! the job starts over from cycle 0), `cancel`, and
 //! `resolve` (terminal state, fan-out to followers, counters, journal
-//! record). Admission, the worker's slice commit and crash recovery
-//! ([`super::recovery`]) all go through them, so a recovered job is in exactly
-//! the state the live path would have left it in.
+//! record, retirement past [`RETAINED_JOBS`]). Admission, the worker's
+//! slice commit and crash recovery ([`super::recovery`]) all go through
+//! them, so a recovered job is in exactly the state the live path would
+//! have left it in.
+//!
+//! Retention: the table keeps every unfinished job and the newest
+//! [`RETAINED_JOBS`] terminal ones, in resolution order. Past that the
+//! oldest terminal row leaves the table and its idempotency token
+//! leaves `tokens` — unless a [`crate::JobHandle`] still names it
+//! (`pin`): then it leaves when the last such handle drops (`unpin`).
+//! A lookup by id of a retired job finds nothing.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc};
@@ -21,6 +29,10 @@ use crate::net;
 use crate::request::SimRequest;
 use crate::wire;
 use xmt_sim::{IntervalProbe, IntervalRow, Machine};
+
+/// Terminal jobs the table keeps, newest by resolution: past this the
+/// oldest retires (a row a handle still names, once the handle drops).
+pub(super) const RETAINED_JOBS: usize = 4096;
 
 /// Consecutive `High`-lane pops a worker may take while `Normal` work
 /// waits, before the scheduler grants `Normal` one pop.
@@ -63,6 +75,9 @@ pub(super) struct JobEntry {
     /// may be after the job finished.
     pub(super) stream_rx: Option<mpsc::Receiver<IntervalRow>>,
     pub(super) result: Option<Terminal>,
+    /// Live [`crate::JobHandle`]s naming this job: a row is retired
+    /// only when none does.
+    pub(super) pins: u32,
 }
 
 /// The part of a job only its execution reads.
@@ -71,6 +86,9 @@ pub(super) struct Live {
     pub(super) digest: u64,
     pub(super) tenant: String,
     pub(super) lane: Lane,
+    /// Idempotency token (0 = none): with `tenant`, the `tokens` key
+    /// the job leaves when it retires.
+    pub(super) token: u64,
     /// Dedupe followers to resolve when this (primary) job resolves.
     pub(super) followers: Vec<JobId>,
     /// The machine, paused where the last slice left it; `None` while
@@ -175,6 +193,13 @@ pub(super) enum Ended {
 }
 
 impl Ended {
+    /// The job that ended.
+    pub(super) fn id(&self) -> JobId {
+        match self {
+            Ended::Done { id, .. } | Ended::Failed(id) | Ended::Cancelled(id) => *id,
+        }
+    }
+
     /// The journal record of this terminal state.
     pub(super) fn record(&self) -> Record {
         match self {
@@ -230,6 +255,13 @@ pub(super) struct Popped {
     pub(super) rows_sent: u64,
 }
 
+/// A terminal job waiting to retire, with the idempotency key it
+/// claimed (if any).
+struct Retiree {
+    id: JobId,
+    token: Option<(String, u64)>,
+}
+
 /// Scheduler state under the mutex.
 #[derive(Default)]
 pub(super) struct State {
@@ -247,8 +279,15 @@ pub(super) struct State {
     /// commits after this many committed ones.
     #[cfg(test)]
     pub(super) kill_aim: Option<(JobId, u32)>,
-    /// Idempotency map: `(tenant, token)` → the job it first named.
+    /// Idempotency map: `(tenant, token)` → the job it first named,
+    /// until that job retires.
     pub(super) tokens: HashMap<(String, u64), JobId>,
+    /// Terminal jobs in resolution order, oldest first: the newest
+    /// [`RETAINED_JOBS`] of them stay in `jobs`.
+    retiring: VecDeque<Retiree>,
+    /// Rows past the bound that a handle still names: each retires
+    /// when its last handle drops.
+    held: HashMap<JobId, Retiree>,
     /// Per-tenant quota buckets (only with a [`QuotaPolicy`]).
     pub(super) buckets: HashMap<String, Bucket>,
     pub(super) stats: ServerStats,
@@ -294,6 +333,7 @@ impl State {
                     digest,
                     tenant,
                     lane,
+                    token,
                     followers: Vec::new(),
                     machine: None,
                     rows_sent: 0,
@@ -302,6 +342,7 @@ impl State {
                 })),
                 stream_rx,
                 result: None,
+                pins: 0,
             },
         );
         self.next_id = self.next_id.max(id.saturating_add(1));
@@ -435,7 +476,9 @@ impl State {
     /// Resolve a job to the terminal state its result names (`Done`
     /// for a completed run, `Failed` for a failed one, `Cancelled` for
     /// an error), drop its live part, and fan the result out to its
-    /// dedupe followers — each holding the same report allocation.
+    /// dedupe followers — each holding the same report allocation. Each
+    /// job resolved here joins the retention queue; the oldest past
+    /// [`RETAINED_JOBS`] retire.
     /// Returns what ended, one entry per job resolved here (the caller
     /// journals them and wakes the waiters *after* dropping the state
     /// lock); empty only when every job had already resolved, and those
@@ -475,9 +518,12 @@ impl State {
                 }
             }
             e.result = Some(result.clone());
+            let mut token = None;
             if let Some(live) = e.live.take() {
                 pending.extend(live.followers);
+                token = (live.token != 0).then_some((live.tenant, live.token));
             }
+            self.retiring.push_back(Retiree { id: jid, token });
             ended.push(match &result {
                 Terminal::Done {
                     report,
@@ -503,7 +549,50 @@ impl State {
                 }
             });
         }
+        while self.retiring.len() > RETAINED_JOBS {
+            if let Some(r) = self.retiring.pop_front() {
+                if self.jobs.get(&r.id).is_some_and(|e| e.pins > 0) {
+                    self.held.insert(r.id, r);
+                } else {
+                    self.retire(r);
+                }
+            }
+        }
         ended
+    }
+
+    /// The job's row and its idempotency token leave the table (the
+    /// token only while it still names this job: a later job may have
+    /// claimed it).
+    fn retire(&mut self, r: Retiree) {
+        self.jobs.remove(&r.id);
+        if let Some(key) = r.token {
+            if self.tokens.get(&key) == Some(&r.id) {
+                self.tokens.remove(&key);
+            }
+        }
+        self.stats.retired += 1;
+    }
+
+    /// A handle to `id` is made: its row stays until the handle drops.
+    pub(super) fn pin(&mut self, id: JobId) {
+        if let Some(e) = self.jobs.get_mut(&id) {
+            e.pins += 1;
+        }
+    }
+
+    /// A handle to `id` dropped: the last one lets a row past the bound
+    /// retire.
+    pub(super) fn unpin(&mut self, id: JobId) {
+        let Some(e) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        e.pins -= 1;
+        if e.pins == 0 {
+            if let Some(r) = self.held.remove(&id) {
+                self.retire(r);
+            }
+        }
     }
 
     /// The pool is going down: nothing waits any more and every
@@ -548,9 +637,90 @@ impl State {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Server, ServerConfig};
+    use super::super::{Server, ServerConfig, Submission};
     use super::*;
     use crate::JobHandle;
+
+    /// A server with no workers whose cache already holds `req`'s
+    /// result: every submission of `req` resolves at admission.
+    fn warm_server(req: &SimRequest) -> Server {
+        let srv = Server::start_with(ServerConfig::default(), 0).unwrap();
+        let report = wire::encode_report(&req.builder().build().run().report);
+        let cycles = wire::decode_report(&report).unwrap().stats.cycles;
+        let mut cache = srv.shared.cache.lock().unwrap();
+        cache.insert(req.digest(), report, cycles);
+        drop(cache);
+        srv
+    }
+
+    /// Terminal rows in the table.
+    fn terminal_rows(srv: &Server) -> usize {
+        let st = srv.shared.state.lock().unwrap();
+        st.jobs.values().filter(|e| e.result.is_some()).count()
+    }
+
+    /// Past the bound the oldest terminal rows leave, their ids are
+    /// unknown, and their tokens are free: reusing one admits a new
+    /// job, while a kept job's token still names that job.
+    #[test]
+    fn the_oldest_terminal_jobs_retire_past_the_bound() {
+        let req = SimRequest::golden("ps_tickets").unwrap();
+        let srv = warm_server(&req);
+        let sub = |token| Submission::new(req.clone()).tenant("t").token(token);
+        let total = RETAINED_JOBS as u64 + 500;
+        for token in 1..=total {
+            let h = srv.submit_with(sub(token)).unwrap();
+            assert_eq!(h.id(), token - 1);
+        }
+        assert_eq!(terminal_rows(&srv), RETAINED_JOBS);
+        let stats = srv.stats();
+        assert_eq!((stats.completed, stats.retired), (total, 500));
+        assert!(srv.handle(0).is_none() && srv.handle(499).is_none());
+        assert!(srv.handle(500).is_some() && srv.handle(total - 1).is_some());
+        assert_eq!(srv.shared.state.lock().unwrap().tokens.len(), RETAINED_JOBS);
+        // Job 0's token was retired with it: a new job.
+        assert_eq!(srv.submit_with(sub(1)).unwrap().id(), total);
+        assert_eq!(srv.stats().tokens_reused, 0);
+        // The newest kept job's token still answers with that job.
+        assert_eq!(srv.submit_with(sub(total)).unwrap().id(), total - 1);
+        assert_eq!(srv.stats().tokens_reused, 1);
+        // The new job pushed one more row out: job 500.
+        assert_eq!(srv.stats().retired, 501);
+        assert!(srv.handle(500).is_none());
+    }
+
+    /// A handle held while 5 000 later jobs finish keeps its row: it
+    /// polls, waits, streams and cancels as before, and the row retires
+    /// when the handle drops.
+    #[test]
+    fn a_held_handle_keeps_its_row_until_it_drops() {
+        let req = SimRequest::golden("ps_tickets").unwrap();
+        let srv = warm_server(&req);
+        srv.spawn_worker();
+        let mut held = srv.submit(req.clone().with_sim(|s| s.probed(64))).unwrap();
+        let first = held.wait().unwrap();
+        let status = held.poll();
+        for _ in 0..5_000 {
+            assert!(srv.submit(req.clone()).unwrap().wait().unwrap().from_cache);
+        }
+        assert_eq!(srv.stats().retired, 5_001 - RETAINED_JOBS as u64 - 1);
+        assert_eq!(held.poll(), status);
+        assert_eq!(held.wait().unwrap().bytes, first.bytes);
+        held.cancel();
+        assert_eq!(held.poll(), status, "a finished job keeps its result");
+        let rows: Vec<_> = held
+            .take_stream()
+            .expect("a probed job streams")
+            .iter()
+            .collect();
+        assert!(!rows.is_empty(), "the rows wait for their subscriber");
+        let id = held.id();
+        assert!(srv.handle(id).is_some(), "a held row answers by id too");
+        drop(held);
+        assert!(srv.handle(id).is_none());
+        assert_eq!(srv.stats().retired, 5_001 - RETAINED_JOBS as u64);
+        assert_eq!(terminal_rows(&srv), RETAINED_JOBS);
+    }
 
     /// A finished job costs one small row: the live part is boxed and
     /// gone, the report is a shared pointer.

@@ -1,17 +1,17 @@
 //! The job table's memory per finished job, measured in-process on one
 //! `Server` with the service workloads' shape (512-point FFTs on the
-//! golden configuration, quantum 2 400). Two phases, each held to half
-//! a KiB of VmRSS per job:
+//! golden configuration, quantum 2 400). Two phases:
 //!
 //! - 16 keys computed once, then 40 000 cache-hit jobs over them in
-//!   sweeps of 16 submits and 16 waits. Every id stays reachable, so
-//!   the table grows by one row per job; this holds that row — plus the
-//!   map's own overhead and whatever a hit leaves behind — to the gate.
-//! - 2 000 never-seen jobs, each run in at least four slices. Each
-//!   keeps its own report, whose bytes are subtracted; between slices a
-//!   paused job keeps its machine, and the gate shows the machine is
-//!   gone once the job resolves.
-//!
+//!   sweeps of 16 submits and 16 waits. The table keeps the newest
+//!   4 096 terminal jobs and retires the rest, so after the hits
+//!   `retired` is exactly 40 016 − 4 096 and the VmRSS the hits add is
+//!   that of a bounded table: held to a tenth of a KiB per hit (a table
+//!   keeping every row reads ~0.13).
+//! - 2 000 never-seen jobs, each run in at least four slices, held to
+//!   half a KiB per job. Each keeps its own report, whose bytes are
+//!   subtracted; between slices a paused job keeps its machine, and the
+//!   gate shows the machine is gone once the job resolves.
 //!
 //! Two exact counts of the work a hit must not do. Every job shares one
 //! `(dims, copies)`, so the server builds and encodes that program once
@@ -29,7 +29,10 @@ use xmt_server::{JobHandle, Server, ServerConfig, SimRequest};
 const KEYS: u64 = 16;
 const HITS: u64 = 40_000;
 const COLD: u64 = 2_000;
-const MAX_KIB_PER_JOB: f64 = 0.5;
+/// Terminal jobs the table keeps (the server's bound).
+const RETAINED: u64 = 4_096;
+const MAX_KIB_PER_HIT: f64 = 0.1;
+const MAX_KIB_PER_COLD_JOB: f64 = 0.5;
 
 /// Resident set size in KiB, from `/proc/self/status`.
 fn vm_rss_kib() -> Option<u64> {
@@ -39,8 +42,8 @@ fn vm_rss_kib() -> Option<u64> {
 }
 
 /// Hold the VmRSS that `run`'s `jobs` jobs add, less the report bytes
-/// `run` returns they keep, to the gate.
-fn gate(what: &str, jobs: u64, run: impl FnOnce() -> usize) {
+/// `run` returns they keep, to `max_kib` per job.
+fn gate(what: &str, jobs: u64, max_kib: f64, run: impl FnOnce() -> usize) {
     let before = vm_rss_kib().unwrap();
     let reports = run() as f64 / 1024.0;
     let grown = vm_rss_kib().unwrap().saturating_sub(before);
@@ -50,8 +53,8 @@ fn gate(what: &str, jobs: u64, run: impl FnOnce() -> usize) {
          over {jobs} jobs = {per_job:.3} KiB/job"
     );
     assert!(
-        per_job <= MAX_KIB_PER_JOB,
-        "{what}: {per_job:.3} KiB per finished job (limit {MAX_KIB_PER_JOB})"
+        per_job <= max_kib,
+        "{what}: {per_job:.3} KiB per finished job (limit {max_kib})"
     );
 }
 
@@ -80,7 +83,7 @@ fn a_finished_job_costs_under_half_a_kib() {
         cold(seed);
     }
     let idle_before = srv.stats().idle_wakeups;
-    gate("cache hits", HITS, || {
+    gate("cache hits", HITS, MAX_KIB_PER_HIT, || {
         for _ in 0..HITS / KEYS {
             let sweep: Vec<JobHandle> = keys
                 .iter()
@@ -94,6 +97,11 @@ fn a_finished_job_costs_under_half_a_kib() {
     });
     let stats = srv.stats();
     assert_eq!(
+        stats.retired,
+        KEYS + HITS - RETAINED,
+        "the table keeps the newest {RETAINED} terminal jobs"
+    );
+    assert_eq!(
         stats.programs_digested, 1,
         "one (dims, copies): one program built for its addresses"
     );
@@ -103,7 +111,7 @@ fn a_finished_job_costs_under_half_a_kib() {
         idle < HITS / 1000,
         "{idle} idle worker wake-ups over {HITS} hits resolved at admission"
     );
-    gate("sliced cold jobs", COLD, || {
+    gate("sliced cold jobs", COLD, MAX_KIB_PER_COLD_JOB, || {
         (KEYS..KEYS + COLD).map(cold).sum()
     });
 }

@@ -25,7 +25,6 @@ use crate::fault::{FaultPlan, TcuId};
 use crate::machine::{Engine, MachineBuilder};
 use crate::probe::IntervalProbe;
 use crate::tier::TranslationTier;
-use std::fmt;
 use xmt_isa::codec::encode_program;
 use xmt_isa::Program;
 
@@ -38,8 +37,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// [`fnv1a`] as a running hash: the digest of everything fed to it so
-/// far, bytes or formatted text. As a [`fmt::Write`] sink it hashes a
-/// canonical text while it is written, without building the text.
+/// far. As a [`CanonSink`] it hashes a canonical text while it is
+/// written, without building the text.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -69,10 +68,74 @@ impl Default for Fnv1a {
     }
 }
 
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
+/// Where canonical text goes: a buffer ([`SimConfig::cache_canon`]'s
+/// text) or an [`Fnv1a`] (a content address, hashed as it is written,
+/// the text never built). Integers are appended digit by digit rather
+/// than through `core::fmt`, which costs more than the hashing.
+pub trait CanonSink {
+    /// Append `bytes`, a piece of UTF-8 text.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Append `s`.
+    fn text(&mut self, s: &str) {
+        self.put(s.as_bytes());
+    }
+
+    /// Append `v` in decimal, as `{}` prints it.
+    fn dec(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.put(&buf[at..]);
+    }
+
+    /// Append `v` as 16 lowercase hex digits, as `{:016x}` prints it.
+    fn hex(&mut self, v: u64) {
+        let mut buf = [0u8; 16];
+        for (i, d) in buf.iter_mut().enumerate() {
+            let nibble = (v >> (60 - 4 * i)) as u8 & 0xf;
+            *d = if nibble < 10 {
+                b'0' + nibble
+            } else {
+                b'a' + nibble - 10
+            };
+        }
+        self.put(&buf);
+    }
+
+    /// Append `items` as `{:?}` prints a slice: `[a, b]`, each item
+    /// written by `item`.
+    fn list<T>(&mut self, items: &[T], item: impl Fn(&mut Self, &T))
+    where
+        Self: Sized,
+    {
+        self.text("[");
+        for (i, x) in items.iter().enumerate() {
+            if i > 0 {
+                self.text(", ");
+            }
+            item(self, x);
+        }
+        self.text("]");
+    }
+}
+
+impl CanonSink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+}
+
+impl CanonSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
@@ -216,53 +279,61 @@ impl SimConfig {
     /// floats rendered bit-exactly. The architecture is printed from
     /// [`ARCH_WORDS`], a line per group.
     pub fn cache_canon(&self) -> String {
-        let mut s = String::with_capacity(512);
-        let _ = self.write_canon(&mut s);
-        s
+        let mut s = Vec::with_capacity(512);
+        self.write_canon(&mut s);
+        String::from_utf8(s).expect("every piece of the canon is UTF-8")
     }
 
     /// Write [`SimConfig::cache_canon`]'s text to `w`.
-    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
+    fn write_canon(&self, w: &mut impl CanonSink) {
         let f = &self.faults;
-        write!(w, "arch={}", self.arch.name)?;
+        w.text("arch=");
+        w.text(self.arch.name);
         let mut line = 0;
         for k in ARCH_WORDS.iter().filter(|k| !k.key.is_empty()) {
-            w.write_char(if k.line == line { ' ' } else { '\n' })?;
+            w.text(if k.line == line { " " } else { "\n" });
             line = k.line;
+            w.text(k.key);
+            w.text("=");
             let v = (k.get)(&self.arch);
             if k.float {
-                write!(w, "{}={v:016x}", k.key)?;
+                w.hex(v);
             } else {
-                write!(w, "{}={v}", k.key)?;
+                w.dec(v);
             }
         }
-        writeln!(w)?;
-        writeln!(w, "tier={}", tier_canon(&self.tier))?;
+        w.text("\ntier=");
+        w.text(tier_canon(&self.tier));
         let (dram_retry, noc_retry, noc_backoff) = FaultPlan::RETRY_POLICY;
-        writeln!(
-            w,
-            "seed={} dram_single={:016x} dram_double={:016x} dram_retry={dram_retry} \
-             noc_corrupt={:016x} noc_retry={noc_retry} noc_backoff={noc_backoff}",
-            f.seed,
-            f.dram_single.to_bits(),
-            f.dram_double.to_bits(),
-            f.noc_corrupt.to_bits(),
-        )?;
-        writeln!(
-            w,
-            "dead_clusters={:?} dead_tcus={:?} stuck_tcus={:?} dead_channels={:?}",
-            f.dead_clusters,
-            TcuPairs(&f.dead_tcus),
-            TcuPairs(&f.stuck_tcus),
-            f.dead_channels,
-        )?;
-        writeln!(
-            w,
-            "watchdog={} max_cycles={} mem_words={}",
-            self.watchdog.map_or(0, |v| v),
-            self.max_cycles.map_or(0, |v| v),
-            self.mem_words,
-        )
+        w.text("\nseed=");
+        w.dec(f.seed);
+        w.text(" dram_single=");
+        w.hex(f.dram_single.to_bits());
+        w.text(" dram_double=");
+        w.hex(f.dram_double.to_bits());
+        w.text(" dram_retry=");
+        w.dec(u64::from(dram_retry));
+        w.text(" noc_corrupt=");
+        w.hex(f.noc_corrupt.to_bits());
+        w.text(" noc_retry=");
+        w.dec(u64::from(noc_retry));
+        w.text(" noc_backoff=");
+        w.dec(noc_backoff);
+        w.text("\ndead_clusters=");
+        w.list(&f.dead_clusters, |w, &c| w.dec(c as u64));
+        w.text(" dead_tcus=");
+        w.list(&f.dead_tcus, put_tcu);
+        w.text(" stuck_tcus=");
+        w.list(&f.stuck_tcus, put_tcu);
+        w.text(" dead_channels=");
+        w.list(&f.dead_channels, |w, &c| w.dec(c as u64));
+        w.text("\nwatchdog=");
+        w.dec(self.watchdog.unwrap_or(0));
+        w.text(" max_cycles=");
+        w.dec(self.max_cycles.unwrap_or(0));
+        w.text(" mem_words=");
+        w.dec(self.mem_words as u64);
+        w.text("\n");
     }
 
     /// The content address of `(program, this config)`: FNV-1a over
@@ -274,21 +345,19 @@ impl SimConfig {
     pub fn digest(&self, prog_digest: u64) -> u64 {
         let mut h = Fnv1a::new();
         h.bytes(&prog_digest.to_le_bytes());
-        let _ = self.write_canon(&mut h);
+        self.write_canon(&mut h);
         h.finish()
     }
 }
 
-/// TCU ids printed as `(cluster, tcu)` pairs, the way a `Vec` of those
-/// tuples prints with `{:?}`.
-struct TcuPairs<'a>(&'a [TcuId]);
-
-impl fmt::Debug for TcuPairs<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries(self.0.iter().map(|t| (t.cluster, t.tcu)))
-            .finish()
-    }
+/// A TCU id as a `(cluster, tcu)` pair, the way the tuple prints with
+/// `{:?}`.
+fn put_tcu(w: &mut impl CanonSink, t: &TcuId) {
+    w.text("(");
+    w.dec(t.cluster as u64);
+    w.text(", ");
+    w.dec(t.tcu as u64);
+    w.text(")");
 }
 
 fn tier_canon(t: &TranslationTier) -> &'static str {
@@ -411,6 +480,30 @@ mod tests {
                 "watchdog=10000 max_cycles=1048576 mem_words=4096\n",
             )
         );
+    }
+
+    /// The canon writer prints integers, hex words and lists exactly as
+    /// `{}`, `{:016x}` and `{:?}` do, at the edges of each digit count.
+    #[test]
+    fn canon_numbers_print_as_core_fmt_does() {
+        let mut values = vec![0, 1, 9, 10, 99, 100, u64::MAX, u64::MAX / 10, 1 << 63];
+        values.extend(
+            (0..64)
+                .map(|b| 1u64 << b)
+                .chain((1..20).map(|e| 10u64.pow(e) - 1)),
+        );
+        for v in values {
+            let mut w = Vec::new();
+            w.dec(v);
+            w.text(" ");
+            w.hex(v);
+            assert_eq!(String::from_utf8(w).unwrap(), format!("{v} {v:016x}"));
+        }
+        for list in [&[][..], &[7][..], &[3, 0, 12_345][..]] {
+            let mut w = Vec::new();
+            w.list(list, |w, &x: &usize| w.dec(x as u64));
+            assert_eq!(String::from_utf8(w).unwrap(), format!("{list:?}"));
+        }
     }
 
     /// Hashed as it is written, the address is still FNV-1a over the

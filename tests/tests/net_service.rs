@@ -17,7 +17,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use xmt_server::net::NetServer;
+use xmt_server::net::{
+    decode_response, encode_request_frame, split_frame, NetServer, Request, Response, PROTO_MAGIC,
+};
 use xmt_server::{
     encode_report, encode_row, Client, ClientConfig, ClientError, JobError, Lane, QuotaPolicy,
     Server, ServerConfig, SimRequest, Submission,
@@ -454,4 +456,71 @@ fn a_resident_hit_costs_one_request_frame() {
     assert!(blocker.wait().unwrap().outcome.is_completed());
     drop(c);
     relay.join().unwrap();
+}
+
+/// One request frame over a raw socket, and its decoded response.
+fn raw_rpc(sock: &mut TcpStream, req: &Request) -> Response {
+    let (tag, body) = encode_request_frame(req);
+    let mut frame = (9 + body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&PROTO_MAGIC.to_le_bytes());
+    frame.push(tag);
+    frame.extend_from_slice(&body);
+    sock.write_all(&frame).unwrap();
+    let mut len = [0u8; 4];
+    sock.read_exact(&mut len).unwrap();
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    sock.read_exact(&mut payload).unwrap();
+    let (tag, body) = split_frame(&payload).unwrap();
+    decode_response(tag, body).unwrap()
+}
+
+/// A retired job is gone by id over TCP too: once 4 096 later jobs
+/// have finished, `Wait`, `Poll`, `Cancel` and `Stream` on the first
+/// job's id each answer the typed [`JobError::UnknownJob`], and the
+/// connection goes on serving — the newest job still polls, and the
+/// statistics frame counts the retirement.
+#[test]
+fn a_retired_id_answers_unknown_job_over_tcp() {
+    let (srv, net) = serve(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let req = || SimRequest::golden("ps_tickets").unwrap();
+    let first = {
+        let h = srv.submit(req()).unwrap();
+        assert!(h.wait().unwrap().outcome.is_completed());
+        h.id()
+    };
+    // Cache hits, their handles dropped.
+    let mut last = first;
+    for _ in 0..4_096 {
+        let h = srv.submit(req()).unwrap();
+        assert!(h.wait().unwrap().from_cache);
+        last = h.id();
+    }
+    assert_eq!(srv.stats().retired, 1);
+    let mut sock = TcpStream::connect(net.local_addr()).unwrap();
+    sock.set_read_timeout(Some(SOAK_WAIT)).unwrap();
+    for req in [
+        Request::Wait {
+            id: first,
+            timeout_ms: 1_000,
+        },
+        Request::Poll(first),
+        Request::Cancel(first),
+        Request::Stream(first),
+    ] {
+        match raw_rpc(&mut sock, &req) {
+            Response::Err(Some(JobError::UnknownJob)) => {}
+            other => panic!("{req:?}: expected UnknownJob, got {other:?}"),
+        }
+    }
+    match raw_rpc(&mut sock, &Request::Poll(last)) {
+        Response::Status(s) => assert!(s.from_cache),
+        other => panic!("expected the newest job's status, got {other:?}"),
+    }
+    match raw_rpc(&mut sock, &Request::Stats) {
+        Response::Stats(s) => assert_eq!(s.server.retired, 1),
+        other => panic!("expected stats, got {other:?}"),
+    }
 }
