@@ -140,8 +140,9 @@ stage "job server smoke: preemption, cache identity, worker kill" \
 # The job table's memory (DESIGN.md §16), no benchmark needed: the
 # table keeps the newest 4 096 terminal jobs, so 40 000 in-process
 # cache-hit jobs must retire exactly 40 016 - 4 096 rows and grow VmRSS
-# by at most 0.1 KiB each; then 2 000 cold jobs of four or more slices
-# may grow it by at most 0.5 KiB each beyond the report bytes they keep
+# by at most 0.1 KiB each; then, in a process of their own on a table
+# filled to its bound, 2 000 cold jobs of four or more slices may grow
+# it by at most 0.5 KiB each beyond the report bytes they keep
 # — a finished job keeps its status and its report, nothing else (no
 # paused machine outlives its job). It also holds two exact counts:
 # the 40 000 hits share one (dims, copies), so programs_digested must
@@ -149,18 +150,20 @@ stage "job server smoke: preemption, cache identity, worker kill" \
 # address fails here, not on a clock — and the hits, resolved at
 # admission, must add fewer than 40 idle_wakeups — a server that wakes
 # its idle worker for every resolved job adds about one per hit. Its
-# own test binary; skips where /proc is absent.
+# own test binary, each phase in a child process; skips where /proc is
+# absent.
 stage "job table memory: bounded table, <= 0.1 KiB per hit, <= 0.5 KiB per cold job" \
     cargo test --release -p xmt-server --test job_table_memory -q
 
 # The simulated machine's memory (DESIGN.md §10), no benchmark needed:
 # building and running the 65 536-TCU fft_xmt64k_n8192 in-process may
-# grow VmRSS by at most 24 MiB — clusters no thread reaches hold 32-byte
-# issue records and no register store — and the dense fft_xmt8k_n65536
-# (#[ignore]d out of the debug suite) by at most 13.5 MiB — its
-# transactions travel as their own tags. Each measures in a process of
-# its own; skips where /proc is absent.
-stage "machine memory: 64k machine <= 24 MiB, dense 8k <= 13.5 MiB" \
+# grow VmRSS by at most 9 MiB — clusters no thread reaches hold no issue
+# records and no register store, and cache sets no access reaches hold
+# no tag words — and the dense fft_xmt8k_n65536 (#[ignore]d out of the
+# debug suite) by at most 13.5 MiB — its transactions travel as their
+# own tags. Each measures in a process of its own; skips where /proc is
+# absent.
+stage "machine memory: 64k machine <= 9 MiB, dense 8k <= 13.5 MiB" \
     cargo test --release -p xmt-integration --test machine_memory -q -- --include-ignored
 
 # The networked job service gate (DESIGN.md §18), three layers:

@@ -37,35 +37,69 @@ const VALID: u32 = 1;
 /// Tag-word flag: the held line is dirty.
 const DIRTY: u32 = 2;
 
-/// Set-associative tag store with LRU replacement.
+/// Set-associative tag store with LRU replacement, holding host memory
+/// only for the sets an access has reached: a set is born, its ways
+/// all empty, at its first access.
 #[derive(Debug, Clone)]
 struct TagStore {
-    sets: usize,
     ways: usize,
-    /// `tags[set * ways + way]` is `0` for an empty way, else
-    /// `line << 2 | DIRTY? | VALID` — the word checkpoints store, so an
-    /// 8-way set is half a host cache line. LRU order kept by position
-    /// (way 0 = most recent).
+    /// `slot[set]` is `0` for a set not yet born, which reads as `ways`
+    /// empty ways, else one more than the index of its block of `ways`
+    /// words in `tags`.
+    slot: Vec<u32>,
+    /// The born sets' blocks, in birth order. A word is `0` for an
+    /// empty way, else `line << 2 | DIRTY? | VALID` — the word
+    /// checkpoints store, so an 8-way set is half a host cache line.
+    /// LRU order kept by position (way 0 = most recent).
     tags: Vec<u32>,
 }
 
 impl TagStore {
     fn new(sets: usize, ways: usize) -> Self {
         Self {
-            sets,
             ways,
-            tags: vec![0; sets * ways],
+            slot: vec![0; sets],
+            tags: Vec::new(),
         }
     }
 
     fn set_of(&self, line: u32) -> usize {
-        (line as usize) & (self.sets - 1)
+        (line as usize) & (self.slot.len() - 1)
+    }
+
+    /// Where set `s`'s block starts in `tags`, if it is born.
+    fn block(&self, s: usize) -> Option<usize> {
+        match self.slot[s] {
+            0 => None,
+            k => Some((k as usize - 1) * self.ways),
+        }
+    }
+
+    /// Set `s`'s ways, born on first use.
+    #[inline]
+    fn ways_mut(&mut self, s: usize) -> &mut [u32] {
+        let at = match self.block(s) {
+            Some(at) => at,
+            None => self.bear(s),
+        };
+        &mut self.tags[at..at + self.ways]
+    }
+
+    /// Give set `s` a block of empty ways at the end of `tags`; returns
+    /// where it starts.
+    #[cold]
+    #[inline(never)]
+    fn bear(&mut self, s: usize) -> usize {
+        let at = self.tags.len();
+        self.tags.resize(at + self.ways, 0);
+        self.slot[s] = u32::try_from(at / self.ways + 1).expect("at most 2^32 - 1 sets");
+        at
     }
 
     /// Access `line`; returns (hit, writeback_of_dirty_line).
     fn access(&mut self, line: u32, write: bool) -> (bool, Option<u32>) {
-        let s = self.set_of(line);
-        let slice = &mut self.tags[s * self.ways..(s + 1) * self.ways];
+        let ways = self.ways;
+        let slice = self.ways_mut(self.set_of(line));
         let clean = line << 2 | VALID;
         let dirty = if write { DIRTY } else { 0 };
         if let Some(pos) = slice.iter().position(|&e| e & !DIRTY == clean) {
@@ -76,8 +110,8 @@ impl TagStore {
             (true, None)
         } else {
             // Miss: evict LRU way.
-            let victim = slice[self.ways - 1];
-            slice.copy_within(0..self.ways - 1, 1);
+            let victim = slice[ways - 1];
+            slice.copy_within(0..ways - 1, 1);
             slice[0] = clean | dirty;
             let wb = (victim & (VALID | DIRTY) == VALID | DIRTY).then_some(victim >> 2);
             (false, wb)
@@ -132,6 +166,8 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct CacheBank {
     cfg: CacheConfig,
+    /// `log2(line_words)`: a word address's line is `addr >> line_shift`.
+    line_shift: u32,
     tags: TagStore,
     /// Requests queued at the bank (arrival order).
     queue: VecDeque<MemReq>,
@@ -164,9 +200,11 @@ impl CacheBank {
         // Word addresses are `u32`, so this bounds a line index to the
         // 30 bits the packed tag word has for it.
         assert!(cfg.line_words >= 4, "lines shorter than 4 words");
+        assert!(cfg.line_words.is_power_of_two());
         let sets = cfg.lines / cfg.ways;
         Self {
             cfg,
+            line_shift: cfg.line_words.trailing_zeros(),
             tags: TagStore::new(sets, cfg.ways),
             queue: VecDeque::new(),
             stats: CacheStats::default(),
@@ -203,29 +241,47 @@ impl CacheBank {
 
     /// Line index of a word address under this bank's line size.
     pub fn line_of(&self, addr: u32) -> u32 {
-        addr / self.cfg.line_words as u32
+        addr >> self.line_shift
     }
 
     /// Flat snapshot of the tag store for checkpointing. One word per
-    /// (set, way) slot in LRU order (way 0 = MRU): `0` for an empty
-    /// slot, else `(line << 2) | (dirty << 1) | 1`. Because the tag
-    /// store keeps recency by position, the raw vector round-trips the
-    /// complete replacement state.
+    /// (set, way) slot, set by set, in LRU order (way 0 = MRU): `0` for
+    /// an empty slot, else `(line << 2) | (dirty << 1) | 1`; a set not
+    /// yet born reads as empty slots. Because the tag store keeps
+    /// recency by position, the snapshot round-trips the complete
+    /// replacement state.
     pub fn tag_snapshot(&self) -> Vec<u64> {
-        self.tags.tags.iter().map(|&word| u64::from(word)).collect()
+        let ways = self.tags.ways;
+        let mut words = Vec::with_capacity(self.tags.slot.len() * ways);
+        for s in 0..self.tags.slot.len() {
+            match self.tags.block(s) {
+                Some(at) => {
+                    words.extend(self.tags.tags[at..at + ways].iter().map(|&w| u64::from(w)))
+                }
+                None => words.resize(words.len() + ways, 0),
+            }
+        }
+        words
     }
 
     /// Restore a [`CacheBank::tag_snapshot`] into a freshly built bank
-    /// of the same geometry (queue must be empty).
+    /// of the same geometry (queue must be empty). Only sets holding a
+    /// line are born.
     pub fn restore_tags(&mut self, snapshot: &[u64]) {
+        let ways = self.tags.ways;
         assert_eq!(
             snapshot.len(),
-            self.tags.tags.len(),
+            self.tags.slot.len() * ways,
             "tag snapshot geometry mismatch"
         );
         assert!(self.queue.is_empty(), "restore into a busy bank");
-        for (slot, &word) in self.tags.tags.iter_mut().zip(snapshot) {
-            *slot = u32::try_from(word).expect("tag word beyond 32 bits");
+        for (s, words) in snapshot.chunks_exact(ways).enumerate() {
+            if self.tags.block(s).is_none() && words.iter().all(|&w| w == 0) {
+                continue;
+            }
+            for (slot, &word) in self.tags.ways_mut(s).iter_mut().zip(words) {
+                *slot = u32::try_from(word).expect("tag word beyond 32 bits");
+            }
         }
     }
 
@@ -233,7 +289,7 @@ impl CacheBank {
     pub fn service_one(&mut self) -> Option<Service> {
         let req = self.queue.pop_front()?;
         self.stats.accesses += 1;
-        let line = req.addr / self.cfg.line_words as u32;
+        let line = self.line_of(req.addr);
         let (hit, wb) = self.tags.access(line, req.is_write);
         if hit {
             self.stats.hits += 1;
@@ -255,6 +311,7 @@ impl CacheBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bank(lines: usize, ways: usize) -> CacheBank {
         CacheBank::new(CacheConfig {
@@ -378,6 +435,116 @@ mod tests {
     fn restore_rejects_wrong_geometry() {
         let mut b = bank(8, 4);
         b.restore_tags(&[0; 4]);
+    }
+
+    /// The tag store as it was before sets were born on first access:
+    /// the whole `sets × ways` array, zeroed, up front. The oracle of
+    /// `born_sets_equal_the_full_array`.
+    struct FullTags {
+        ways: usize,
+        tags: Vec<u32>,
+    }
+
+    impl FullTags {
+        fn access(&mut self, line: u32, write: bool) -> (bool, Option<u32>) {
+            let s = line as usize & (self.tags.len() / self.ways - 1);
+            let slice = &mut self.tags[s * self.ways..(s + 1) * self.ways];
+            let clean = line << 2 | VALID;
+            let dirty = if write { DIRTY } else { 0 };
+            if let Some(pos) = slice.iter().position(|&e| e & !DIRTY == clean) {
+                let e = slice[pos];
+                slice.copy_within(0..pos, 1);
+                slice[0] = e | dirty;
+                (true, None)
+            } else {
+                let victim = slice[self.ways - 1];
+                slice.copy_within(0..self.ways - 1, 1);
+                slice[0] = clean | dirty;
+                let wb = (victim & (VALID | DIRTY) == VALID | DIRTY).then_some(victim >> 2);
+                (false, wb)
+            }
+        }
+    }
+
+    /// Service `addr` at once; returns (hit, write-back).
+    fn serve(b: &mut CacheBank, addr: u32, write: bool) -> (bool, Option<u32>) {
+        b.enqueue(req(addr, write));
+        match b.service_one().unwrap() {
+            Service::Hit(_) => (true, None),
+            Service::Miss { writeback, .. } => (false, writeback),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A bank whose sets are born on first access is the full
+        /// array: the same hit and write-back at every access, and a
+        /// snapshot equal to the array word for word after each. The
+        /// final snapshot restored into a fresh bank births exactly the
+        /// sets holding a line and reads back unchanged, and restored
+        /// over a bank that touched other sets it empties them; both
+        /// then go on as the array does.
+        #[test]
+        fn born_sets_equal_the_full_array(
+            log_lines in 0u32..7,
+            log_ways in 0u32..4,
+            log_words in 2u32..5,
+            ops in proptest::collection::vec((0u32..48, 0u32..16, any::<bool>()), 0..160),
+            tail in proptest::collection::vec((0u32..48, 0u32..16, any::<bool>()), 0..40),
+        ) {
+            let cfg = CacheConfig {
+                lines: 1 << log_lines,
+                ways: 1 << log_ways.min(log_lines),
+                line_words: 1 << log_words,
+                hit_latency: 2,
+            };
+            let addr = |(line, off, _): (u32, u32, bool)| line << log_words | off & ((1 << log_words) - 1);
+            let mut b = CacheBank::new(cfg);
+            let mut full = FullTags { ways: cfg.ways, tags: vec![0; cfg.lines] };
+            let words = |f: &FullTags| f.tags.iter().map(|&w| u64::from(w)).collect::<Vec<u64>>();
+            for &op in &ops {
+                let a = addr(op);
+                prop_assert_eq!(serve(&mut b, a, op.2), full.access(a / cfg.line_words as u32, op.2));
+                prop_assert_eq!(b.tag_snapshot(), words(&full));
+            }
+            let snap = b.tag_snapshot();
+            let held = snap.chunks(cfg.ways).filter(|set| set.iter().any(|&w| w != 0)).count();
+            let mut fresh = CacheBank::new(cfg);
+            fresh.restore_tags(&snap);
+            prop_assert_eq!(fresh.tags.tags.len(), held * cfg.ways);
+            prop_assert_eq!(fresh.tag_snapshot(), snap);
+            let mut other = CacheBank::new(cfg);
+            for &op in ops.iter().rev().chain(&tail) {
+                serve(&mut other, addr(op), !op.2);
+            }
+            other.restore_tags(&snap);
+            prop_assert_eq!(other.tag_snapshot(), snap);
+            for &op in &tail {
+                let a = addr(op);
+                let want = full.access(a / cfg.line_words as u32, op.2);
+                prop_assert_eq!(serve(&mut fresh, a, op.2), want);
+                prop_assert_eq!(serve(&mut other, a, op.2), want);
+            }
+            prop_assert_eq!(fresh.tag_snapshot(), words(&full));
+            prop_assert_eq!(other.tag_snapshot(), words(&full));
+        }
+    }
+
+    /// A bank no request reached holds no tag words, nor does one
+    /// restored from an all-empty snapshot; its snapshot is every slot
+    /// empty. Its first access births exactly one set.
+    #[test]
+    fn an_untouched_bank_holds_no_tag_words() {
+        let cfg = CacheConfig::default_module();
+        let mut b = CacheBank::new(cfg);
+        assert_eq!(b.tags.tags.capacity(), 0);
+        assert_eq!(b.tag_snapshot(), vec![0; cfg.lines]);
+        let mut r = CacheBank::new(cfg);
+        r.restore_tags(&vec![0; cfg.lines]);
+        assert_eq!(r.tags.tags.capacity(), 0);
+        serve(&mut b, 5 * 8, true);
+        assert_eq!(b.tags.tags.len(), cfg.ways);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The job table's memory per finished job, measured in-process on one
-//! `Server` with the service workloads' shape (512-point FFTs on the
-//! golden configuration, quantum 2 400). Two phases:
+//! The job table's memory per finished job, measured in-process on a
+//! `Server` per phase with the service workloads' shape (512-point
+//! FFTs on the golden configuration, quantum 2 400). Two phases:
 //!
 //! - 16 keys computed once, then 40 000 cache-hit jobs over them in
 //!   sweeps of 16 submits and 16 waits. The table keeps the newest
@@ -8,7 +8,8 @@
 //!   `retired` is exactly 40 016 − 4 096 and the VmRSS the hits add is
 //!   that of a bounded table: held to a tenth of a KiB per hit (a table
 //!   keeping every row reads ~0.13).
-//! - 2 000 never-seen jobs, each run in at least four slices, held to
+//! - 4 096 cache hits fill the table to its bound, then 2 000
+//!   never-seen jobs, each run in at least four slices, are held to
 //!   half a KiB per job. Each keeps its own report, whose bytes are
 //!   subtracted; between slices a paused job keeps its machine, and the
 //!   gate shows the machine is gone once the job resolves.
@@ -21,9 +22,13 @@
 //! server that woke its idle worker on every resolved job adds about
 //! one per hit).
 //!
-//! Its own test binary, so no other test allocates in the process while
-//! VmRSS is read.
+//! Each phase runs in a child process of its own (this test binary
+//! again, with `JOB_TABLE_MEMORY_PHASE` naming the phase), on a server
+//! of its own warmed up by computing the 16 keys, so nothing else
+//! allocates in the process while VmRSS is read, and memory one phase
+//! grew is never charged to the other.
 
+use std::process::Command;
 use xmt_server::{JobHandle, Server, ServerConfig, SimRequest};
 
 const KEYS: u64 = 16;
@@ -58,41 +63,93 @@ fn gate(what: &str, jobs: u64, max_kib: f64, run: impl FnOnce() -> usize) {
     );
 }
 
+/// Set in a child process to the phase it measures.
+const PHASE: &str = "JOB_TABLE_MEMORY_PHASE";
+
 #[test]
 fn a_finished_job_costs_under_half_a_kib() {
     if vm_rss_kib().is_none() {
         eprintln!("job_table_memory: skipped, /proc/self/status has no VmRSS here");
         return;
     }
+    match std::env::var(PHASE).ok().as_deref() {
+        None => ["hits", "cold"]
+            .into_iter()
+            .for_each(in_a_process_of_its_own),
+        Some("hits") => cache_hits(),
+        Some("cold") => sliced_cold_jobs(),
+        Some(other) => panic!("{PHASE}={other} names no phase"),
+    }
+}
+
+/// Run this test again in a child process that measures `phase`.
+fn in_a_process_of_its_own(phase: &str) {
+    let test = "a_finished_job_costs_under_half_a_kib";
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args([test, "--exact", "--nocapture"])
+        .env(PHASE, phase)
+        .output()
+        .expect("the test binary runs again");
+    eprint!("{}", String::from_utf8_lossy(&child.stderr));
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success(),
+        "the {phase} phase failed in its process:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("1 passed"),
+        "the {phase} phase did not run:\n{stdout}"
+    );
+}
+
+/// Key `seed`'s request: a 512-point FFT on the golden configuration.
+fn req(seed: u64) -> SimRequest {
     let arch = xmt_fft::golden::golden_config();
     let copies = xmt_fft::default_copies(512, arch.memory_modules);
-    let req = |seed| SimRequest::fft(&[512], copies, seed, &arch);
+    SimRequest::fft(&[512], copies, seed, &arch)
+}
+
+/// Compute key `seed`, never seen before, in four or more slices;
+/// returns the bytes of the report it keeps.
+fn cold(srv: &Server, seed: u64) -> usize {
+    let r = srv.submit(req(seed)).unwrap().wait().unwrap();
+    assert!(r.outcome.is_completed() && !r.from_cache && r.slices >= 4);
+    r.bytes.len()
+}
+
+/// A one-worker server, quantum 2 400, that has computed the 16 keys.
+fn warmed_server() -> Server {
     let srv = Server::start(ServerConfig {
         workers: 1,
         quantum: 2_400,
         ..ServerConfig::default()
     })
     .unwrap();
-    let cold = |seed| {
-        let r = srv.submit(req(seed)).unwrap().wait().unwrap();
-        assert!(r.outcome.is_completed() && !r.from_cache && r.slices >= 4);
-        r.bytes.len()
-    };
-    let keys: Vec<SimRequest> = (0..KEYS).map(req).collect();
     for seed in 0..KEYS {
-        cold(seed);
+        cold(&srv, seed);
     }
+    srv
+}
+
+/// `n` sweeps of cache hits over `keys`: 16 submits, then 16 waits.
+fn hit_sweeps(srv: &Server, keys: &[SimRequest], n: u64) {
+    for _ in 0..n {
+        let sweep: Vec<JobHandle> = keys
+            .iter()
+            .map(|r| srv.submit(r.clone()).unwrap())
+            .collect();
+        for h in sweep {
+            assert!(h.wait().unwrap().from_cache);
+        }
+    }
+}
+
+fn cache_hits() {
+    let srv = warmed_server();
+    let keys: Vec<SimRequest> = (0..KEYS).map(req).collect();
     let idle_before = srv.stats().idle_wakeups;
     gate("cache hits", HITS, MAX_KIB_PER_HIT, || {
-        for _ in 0..HITS / KEYS {
-            let sweep: Vec<JobHandle> = keys
-                .iter()
-                .map(|r| srv.submit(r.clone()).unwrap())
-                .collect();
-            for h in sweep {
-                assert!(h.wait().unwrap().from_cache);
-            }
-        }
+        hit_sweeps(&srv, &keys, HITS / KEYS);
         0
     });
     let stats = srv.stats();
@@ -111,7 +168,16 @@ fn a_finished_job_costs_under_half_a_kib() {
         idle < HITS / 1000,
         "{idle} idle worker wake-ups over {HITS} hits resolved at admission"
     );
+}
+
+/// The cold jobs start on a table already at its bound, as on a server
+/// that has been up a while: each one retires a row.
+fn sliced_cold_jobs() {
+    let srv = warmed_server();
+    let keys: Vec<SimRequest> = (0..KEYS).map(req).collect();
+    hit_sweeps(&srv, &keys, RETAINED / KEYS);
+    assert_eq!(srv.stats().retired, KEYS, "the table is at its bound");
     gate("sliced cold jobs", COLD, MAX_KIB_PER_COLD_JOB, || {
-        (KEYS..KEYS + COLD).map(cold).sum()
+        (KEYS..KEYS + COLD).map(|seed| cold(&srv, seed)).sum()
     });
 }

@@ -122,34 +122,45 @@ impl RegLayout {
 /// registers, so their operands share host cache lines; a TCU-major
 /// store would give each TCU its own lines.
 ///
-/// `regs` stays empty until the cluster's first thread; that activation
-/// bears the whole store at once — `layout.rows() × ntcus` words, the
-/// only place one is born — and it then lives for the run. A cluster no
-/// thread reaches (most of them, on a machine with far more TCUs than
-/// threads) holds no register store at all.
+/// `hot` and `regs` stay empty until the cluster's first thread; that
+/// activation bears both at once — `ntcus` idle records and
+/// `layout.rows() × ntcus` words, the only place either is born — and
+/// they then live for the run. A cluster no thread reaches (most of
+/// them, on a machine with far more TCUs than threads) holds neither.
 #[derive(Debug, Clone)]
 pub(super) struct ClusterTcus {
     pub(super) hot: Vec<Tcu>,
     pub(super) regs: Vec<u32>,
     pub(super) layout: RegLayout,
+    ntcus: usize,
 }
 
 impl ClusterTcus {
     pub(super) fn new(ntcus: usize, layout: RegLayout) -> Self {
         Self {
-            hot: vec![Tcu::IDLE; ntcus],
+            hot: Vec::new(),
             regs: Vec::new(),
             layout,
+            ntcus,
         }
     }
 
+    /// Bear the cluster's issue records, all idle, and its register
+    /// store, all zero.
+    #[cold]
+    #[inline(never)]
+    fn bear(&mut self) {
+        self.hot = vec![Tcu::IDLE; self.ntcus];
+        self.regs = vec![0; self.layout.rows() * self.ntcus];
+    }
+
     /// TCU `t` takes thread `tid`: zeroed registers, `tid` in row 0.
-    /// The cluster's first thread bears the store.
+    /// The cluster's first thread bears the records and the store.
     #[inline(always)]
     fn start_thread(&mut self, t: usize, tid: u32) {
-        let ntcus = self.hot.len();
+        let ntcus = self.ntcus;
         if self.regs.is_empty() {
-            self.regs = vec![0; self.layout.rows() * ntcus];
+            self.bear();
         }
         for w in self.regs[t..].iter_mut().step_by(ntcus) {
             *w = 0;
@@ -164,11 +175,11 @@ impl ClusterTcus {
         self.regs[t]
     }
 
-    /// TCU `t`'s issue record and its registers. The store must be
+    /// TCU `t`'s issue record and its registers. The cluster must be
     /// born.
     #[inline(always)]
     pub(super) fn split(&mut self, t: usize) -> (&mut Tcu, TcuRegs<'_>) {
-        let stride = self.hot.len();
+        let stride = self.ntcus;
         let regs = TcuRegs {
             words: &mut self.regs[t..],
             stride,
@@ -633,7 +644,8 @@ struct Cx<'a, S> {
 
 impl<S: IssueSink> Cx<'_, S> {
     /// Idle TCU takes thread `tid`: fresh registers at the section
-    /// entry. The cluster's first thread bears its register store.
+    /// entry. The cluster's first thread bears its issue records and
+    /// register store.
     #[inline(always)]
     fn activate(&mut self, t: usize, tid: u32) {
         self.tcus.start_thread(t, tid);
@@ -1151,10 +1163,11 @@ mod tests {
     }
 
     /// Everything observable about TCU `t`, comparably: its issue
-    /// record and, once the store is born, every row of its column.
+    /// record (idle before the cluster is born) and, once the store is
+    /// born, every row of its column.
     fn tcu_view(c: &ClusterTcus, t: usize) -> impl PartialEq + std::fmt::Debug {
-        let h = &c.hot[t];
-        let ntcus = c.hot.len();
+        let h = c.hot.get(t).copied().unwrap_or(Tcu::IDLE);
+        let ntcus = c.ntcus;
         let rows = c.layout.rows();
         assert!(c.regs.is_empty() || c.regs.len() == rows * ntcus);
         let regs = (!c.regs.is_empty()).then(|| {
@@ -1205,7 +1218,7 @@ mod tests {
     /// of the three states that wait for a memory reply. Without it,
     /// while thread IDs remain, one cluster in four has not taken a
     /// thread yet: every TCU idle, some disabled or stuck, and no
-    /// register store born.
+    /// issue records or register store born.
     fn gen_cluster(
         rng: &mut proptest::TestRng,
         decoded: &DecodedProgram,
@@ -1227,7 +1240,7 @@ mod tests {
             }
             return (tcus, m);
         }
-        tcus.regs = vec![0; layout.rows() * ntcus];
+        tcus.bear();
         let (int_rows, fp_rows) = (layout.fbase, layout.rows - layout.fbase);
         m.cls = [0; NUM_ISSUE_CLASSES];
         for t in 0..ntcus {
@@ -1455,7 +1468,7 @@ mod tests {
             let run = |bulk: bool, born: bool| {
                 let (mut tcus, mut m) = (tcus.clone(), m.clone());
                 if born && tcus.regs.is_empty() {
-                    tcus.regs = vec![0; tcus.layout.rows() * ntcus];
+                    tcus.bear();
                 }
                 let unborn = tcus.regs.is_empty();
                 let mut stats = MachineStats::default();

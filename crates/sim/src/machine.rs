@@ -1745,11 +1745,12 @@ mod tests {
         }
     }
 
-    /// Register stores are born only in clusters that take a thread. 40
-    /// threads fill cluster 0 and put 8 in cluster 1; under every engine
-    /// those two end the run with a store of 4 rows (the tid, r1–r3)
-    /// per TCU, whose row 0 holds the thread IDs they ran, clusters 2
-    /// and 3 end it with none, and the runs agree.
+    /// Register stores and issue records are born only in clusters that
+    /// take a thread. 40 threads fill cluster 0 and put 8 in cluster 1;
+    /// under every engine those two end the run with 32 issue records
+    /// and a store of 4 rows (the tid, r1–r3) per TCU, whose row 0
+    /// holds the thread IDs they ran, clusters 2 and 3 end it with
+    /// neither, and the runs agree.
     #[test]
     fn only_clusters_that_take_a_thread_hold_register_files() {
         let run = |engine| {
@@ -1761,6 +1762,8 @@ mod tests {
             let report = m.run().unwrap();
             let words: Vec<usize> = m.clusters.iter().map(|c| c.regs.len()).collect();
             assert_eq!(words, [4 * 32, 4 * 32, 0, 0], "{engine:?}");
+            let records: Vec<usize> = m.clusters.iter().map(|c| c.hot.len()).collect();
+            assert_eq!(records, [32, 32, 0, 0], "{engine:?}");
             let mut tids: Vec<u32> = m
                 .clusters
                 .iter()
