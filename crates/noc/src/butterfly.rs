@@ -22,7 +22,7 @@
 //! counted into `stalls` by popcount and never visited; only moving
 //! heads touch their rings.
 
-use crate::egress::{Egress, InFlight};
+use crate::egress::{Egress, Waiting};
 use crate::net::{Delivered, Flit, NetStats, Network};
 use crate::topology::Topology;
 
@@ -160,8 +160,9 @@ pub struct ButterflyNetwork {
     qcap: usize,
     /// Ring `s * ports + row`: flits waiting at the input of stage `s`.
     queues: Rings,
-    /// The flits those rings index; `free` lists the vacant slots.
-    flits: Vec<InFlight>,
+    /// The flits those rings index, each destination in its link
+    /// word; `free` lists the vacant slots.
+    flits: Vec<Waiting>,
     free: Vec<u32>,
     /// Total flits across `queues` (O(1) next-event check).
     staged: usize,
@@ -215,7 +216,7 @@ impl ButterflyNetwork {
             flits: Vec::new(),
             free: Vec::new(),
             staged: 0,
-            egress: Egress::new(ports),
+            egress: Egress::new(ports, ports),
             last_inject: vec![u64::MAX; ports],
             cycle: 0,
             extra_latency: topo.mot_levels as u64,
@@ -273,7 +274,7 @@ impl ButterflyNetwork {
         let (w, p) = (s * self.words + (row >> 6), row & 63);
         self.bits.full[w] &= !(1 << p);
         match next {
-            Some(h) => self.set_up(s, row, self.flits[h as usize].flit.dst),
+            Some(h) => self.set_up(s, row, self.flits[h as usize].dst()),
             None => self.bits.has[w] &= !(1 << p),
         }
         i
@@ -292,7 +293,7 @@ impl ButterflyNetwork {
             self.egress.push(self.cycle + self.extra_latency + 1, f);
         } else {
             let mask = 1usize << self.route_bit(s);
-            let dst = f.flit.dst;
+            let dst = f.dst();
             self.push(s + 1, (row & !mask) | (dst & mask), i, dst);
         }
     }
@@ -409,10 +410,7 @@ impl Network for ButterflyNetwork {
             self.stats.inject_rejections += 1;
             return false;
         }
-        let f = InFlight {
-            flit,
-            injected_at: self.cycle,
-        };
+        let f = Waiting::new(flit, self.cycle);
         if self.stages == 0 {
             self.egress.push(self.cycle + self.extra_latency + 1, f);
         } else {
@@ -520,7 +518,7 @@ mod tests {
         stages: u32,
         qcap: usize,
         /// Queue `s * ports + row`.
-        queues: Vec<VecDeque<InFlight>>,
+        queues: Vec<VecDeque<Waiting>>,
         staged: usize,
         egress: Egress,
         last_inject: Vec<u64>,
@@ -540,7 +538,7 @@ mod tests {
                 qcap,
                 queues: vec![VecDeque::new(); topo.butterfly_levels as usize * ports],
                 staged: 0,
-                egress: Egress::new(ports),
+                egress: Egress::new(ports, ports),
                 last_inject: vec![u64::MAX; ports],
                 cycle: 0,
                 extra_latency: topo.mot_levels as u64,
@@ -559,7 +557,7 @@ mod tests {
             for w in 0..self.ports / 2 {
                 let r0 = insert_zero_bit(w, bit);
                 let r1 = r0 | mask;
-                let want = |q: &VecDeque<InFlight>| q.front().map(|f| r0 | (f.flit.dst & mask));
+                let want = |q: &VecDeque<Waiting>| q.front().map(|f| r0 | (f.dst() & mask));
                 let (w0, w1) = (want(&self.queues[here + r0]), want(&self.queues[here + r1]));
                 let (first, second) = if pri { (r1, r0) } else { (r0, r1) };
                 let mut taken: Option<usize> = None;
@@ -604,10 +602,7 @@ mod tests {
                 return false;
             }
             self.last_inject[flit.src] = self.cycle;
-            self.queues[flit.src].push_back(InFlight {
-                flit,
-                injected_at: self.cycle,
-            });
+            self.queues[flit.src].push_back(Waiting::new(flit, self.cycle));
             self.staged += 1;
             self.stats.injected += 1;
             self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight());

@@ -7,7 +7,7 @@
 //! per-destination service queue at 1 flit/cycle. Sources are limited
 //! to one injection per cycle (the cluster's single LSU port).
 
-use crate::egress::{Egress, InFlight};
+use crate::egress::{Egress, Waiting};
 use crate::net::{Delivered, Flit, NetStats, Network};
 use crate::topology::Topology;
 
@@ -36,7 +36,7 @@ impl MotNetwork {
             latency: topo.latency_cycles() as u64,
             topo,
             cycle: 0,
-            egress: Egress::new(topo.modules),
+            egress: Egress::new(topo.clusters, topo.modules),
             last_inject: vec![u64::MAX; topo.clusters],
             stats: NetStats::default(),
         }
@@ -68,9 +68,8 @@ impl Network for MotNetwork {
             return false;
         }
         self.last_inject[flit.src] = self.cycle;
-        let injected_at = self.cycle;
         self.egress
-            .push(self.cycle + self.latency, InFlight { flit, injected_at });
+            .push(self.cycle + self.latency, Waiting::new(flit, self.cycle));
         self.stats.injected += 1;
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight());
         true

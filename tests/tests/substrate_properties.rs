@@ -433,6 +433,74 @@ fn butterfly_2048_confined_is_pinned() {
     );
 }
 
+/// Seeded schedule whose hot destination moves every 64 cycles, as
+/// the hot module of a dense FFT moves from stage to stage: each cycle
+/// every source tries one injection with probability 1/4, three
+/// quarters of them at the current hot port, the rest uniform. Two
+/// rounds of 16 moves, each drained by events, so one port's backlog
+/// drains while the next one's builds. Returns what [`pin_network`]
+/// does.
+fn pin_moving_hot(net: &mut dyn Network, seed: u64) -> (u64, NetStats, u64) {
+    let (srcs, dsts) = net.ports();
+    let mut h = Fnv::new();
+    let mut refused = 0u64;
+    let mut rng = seed | 1;
+    let mut tag = 0u64;
+    for round in 0..2u64 {
+        for _ in 0..16 {
+            let hot = xorshift(&mut rng) as usize % dsts;
+            for _ in 0..64 {
+                for src in 0..srcs {
+                    let r = xorshift(&mut rng);
+                    if r & 3 != 0 {
+                        continue;
+                    }
+                    let dst = if r & 12 != 0 {
+                        hot
+                    } else {
+                        (r >> 8) as usize % dsts
+                    };
+                    if net.try_inject(Flit { src, dst, tag }) {
+                        tag += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+                step_hashed(net, &mut h);
+            }
+        }
+        drain_by_events(net, &mut h, 1 + round);
+    }
+    h.word(net.cycle());
+    (h.0, net.stats(), refused)
+}
+
+#[test]
+fn mot_and_butterfly_with_a_moving_hot_destination_are_pinned() {
+    let mut mot = MotNetwork::new(Topology::pure_mot(256, 256));
+    let (hash, stats, refused) = pin_moving_hot(&mut mot, 0x5eed_0007);
+    assert_eq!(refused, 0, "a MoT source port is never backpressured");
+    assert_eq!(
+        (hash, stats),
+        (
+            10517934009004193181,
+            net_stats(131536, 131536, 153718064, 41861, 0)
+        )
+    );
+    let mut bf = ButterflyNetwork::new(Topology::hybrid(64, 64, 2, 4));
+    let (hash, stats, refused) = pin_moving_hot(&mut bf, 0x5eed_0008);
+    assert!(refused > 0, "qcap never reached");
+    assert_eq!(
+        (hash, stats, bf.stalls, refused),
+        (
+            10609518279639351303,
+            net_stats(24018, 24018, 6764762, 3328, 8909),
+            151087,
+            8909
+        )
+    );
+}
+
 /// One module and its DRAM channel, driven the way the simulator's
 /// memory cycle drives them (an idle component is left unstepped and
 /// `sync_to`-ed when work next reaches it): line reuse for hits, same-
