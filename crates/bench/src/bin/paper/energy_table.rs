@@ -5,23 +5,28 @@
 
 use hpc_cluster::{model, Cluster, Fft3dJob};
 use xmt_bench::render_table;
-use xmt_fft::{stage_demands, table4_projection};
+use xmt_fft::table4_projection;
 use xmt_sim::{gflops_per_watt, phase_energy, XmtConfig};
 
 pub fn run(_: &crate::Args) {
     println!("Energy per 512^3 single-precision 3D FFT (activity-based model)\n");
+    let x4 = XmtConfig::xmt_128k_x4().name;
+    let mut x_gfw = f64::NAN;
     let mut rows = Vec::new();
     for (cfg, proj) in XmtConfig::paper_configs().iter().zip(table4_projection()) {
-        let demands = stage_demands(&[512, 512, 512], cfg);
-        let e = phase_energy(cfg, &demands);
-        let flops: f64 = demands.iter().map(|d| d.flops).sum();
+        let e = phase_energy(cfg, &proj.demands);
+        let flops: f64 = proj.demands.iter().map(|d| d.flops).sum();
+        let gfw = gflops_per_watt(flops, &e, proj.total_cycles);
+        if cfg.name == x4 {
+            x_gfw = gfw;
+        }
         let seconds = proj.total_cycles / (XmtConfig::CLOCK_GHZ * 1e9);
         rows.push(vec![
             cfg.name.to_string(),
             format!("{:.2}", e.total_j()),
             format!("{:.0}%", 100.0 * e.data_movement_fraction()),
             format!("{:.1}", e.total_j() / seconds),
-            format!("{:.1}", gflops_per_watt(flops, &e, proj.total_cycles)),
+            format!("{gfw:.1}"),
             format!("{:.1}", seconds * 1e3),
         ]);
     }
@@ -51,12 +56,6 @@ pub fn run(_: &crate::Args) {
         "\nEdison (1024^3, whole-machine power): {:.0} J per transform, {:.3} GFLOPS/W",
         e_joules, e_gfw
     );
-    let xmt = XmtConfig::xmt_128k_x4();
-    let demands = stage_demands(&[512, 512, 512], &xmt);
-    let ex = phase_energy(&xmt, &demands);
-    let flops: f64 = demands.iter().map(|d| d.flops).sum();
-    let proj = xmt_fft::project(&xmt, &[512, 512, 512]);
-    let x_gfw = gflops_per_watt(flops, &ex, proj.total_cycles);
     println!(
         "XMT 128k x4: {x_gfw:.1} GFLOPS/W — {:.0}x the cluster's FFT energy efficiency.",
         x_gfw / e_gfw

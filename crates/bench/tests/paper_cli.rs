@@ -87,7 +87,9 @@ const SLOW: &[Run] = &[
     (&["ablation_twiddle"], "Ablation — twiddle replication"),
 ];
 
-fn run_all(dir: &Path, runs: &[Run]) {
+/// Runs each command in `dir` and returns their stdouts, in order.
+fn run_all(dir: &Path, runs: &[Run]) -> Vec<String> {
+    let mut outputs = Vec::new();
     for (args, title) in runs {
         let out = paper(dir, args);
         assert!(
@@ -99,7 +101,9 @@ fn run_all(dir: &Path, runs: &[Run]) {
         let text = stdout(&out);
         let first = text.lines().next().unwrap_or_default();
         assert!(first.contains(title), "paper {args:?} began {first:?}");
+        outputs.push(text);
     }
+    outputs
 }
 
 #[test]
@@ -126,7 +130,32 @@ fn every_quick_command_runs_and_the_two_lists_cover_the_table() {
 #[test]
 #[ignore = "seconds of simulation in release, minutes unoptimised; ci.sh runs it"]
 fn every_slow_command_runs() {
-    run_all(&scratch("slow"), SLOW);
+    let outputs = run_all(&scratch("slow"), SLOW);
+    // Every calibration row of the full table4 (sim cycles, model
+    // cycles, ratio) is one EXPERIMENTS.md quotes, shape written its way.
+    let full = SLOW.iter().position(|(args, _)| *args == ["table4"]);
+    let table4 = &outputs[full.expect("the full table4 is a slow command")];
+    let experiments = String::from_utf8(repo_file("EXPERIMENTS.md")).expect("UTF-8");
+    let rows: Vec<(&str, &str)> = table4
+        .lines()
+        .skip_while(|l| !l.starts_with("Calibration:"))
+        .filter_map(|l| l.split_once('['))
+        .collect();
+    assert_eq!(rows.len(), 5, "five calibration rows in\n{table4}");
+    for (config, rest) in rows {
+        let (dims, values) = rest.split_once(']').expect("a closed shape");
+        let dims: Vec<&str> = dims.split(", ").collect();
+        let shape = match dims[..] {
+            [a, b, c] if a == b && b == c => format!("{a}³"),
+            _ => dims.join("×"),
+        };
+        let values: Vec<&str> = values.split_whitespace().collect();
+        let quoted = format!("| {} | {shape} | {} |", config.trim(), values.join(" | "));
+        assert!(
+            experiments.contains(&quoted),
+            "EXPERIMENTS.md lacks {quoted}"
+        );
+    }
 }
 
 #[test]

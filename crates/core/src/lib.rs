@@ -45,7 +45,7 @@ pub mod run;
 pub mod traffic;
 
 pub use kernels::{Rotation, StageKernel, TwiddleLayout};
-pub use phases::{project, stage_demands, table4_projection, FftProjection, RooflinePoint};
+pub use phases::{project, table4_projection, FftProjection, RooflinePoint};
 pub use plan::{default_copies, radix_schedule, StageMeta, XmtFftPlan};
 pub use run::{
     host_reference, plan_builder_cfg, read_result, rel_error, run_on_interp, run_on_machine,

@@ -1,93 +1,37 @@
-//! FFT workload model: per-stage resource demands for the analytic
+//! FFT workload model: per-phase resource demands for the analytic
 //! projection of paper-scale runs (Table IV, Table V, Fig. 3).
 //!
-//! Demand accounting per radix-`r` stage over `N` total elements:
+//! [`project`] reads each phase's flops, loads (NoC words down), stores
+//! (words up) and thread count from the static traffic analyzer
+//! ([`analyze`]) run over the transform's generated [`XmtFftPlan`].
+//! Rotation stages present the structured burst pattern
+//! ([`TrafficClass::Rotation`]); the others are hash-spread.
 //!
-//! * **FLOPs (actual)** — `N/r` codelets at `codelet_flops(r)` plus,
-//!   on twiddled stages, `(r−1)` complex multiplies (6 real ops) per
-//!   codelet. The 5N·log₂N convention is used only for reporting.
-//! * **Interconnect words** — every element is loaded (2 words) and
-//!   stored (2 words); twiddled stages additionally load `(r−1)`
-//!   factors (2 words each) per codelet, spread across replicas.
-//! * **DRAM bytes** — when the working set exceeds the on-chip cache,
-//!   every stage streams: 8 B/element read, plus write-allocate fill
-//!   and write-back on the store side (16 B/element) — 24 B/element
-//!   total. When the data fits in cache, only the initial load pays.
-//! * **Traffic class** — rotation stages present the structured burst
-//!   pattern ([`TrafficClass::Rotation`]); others are hash-spread.
+//! DRAM bytes are the model's own rule, since past 2^17 threads the
+//! analyzer bounds them only by an interval: when both ping-pong arrays
+//! exceed the aggregate cache, every phase streams 24 B/element (8 B
+//! read, write-allocate fill and write-back), which lies inside that
+//! interval; otherwise only the first phase pays, 8 B/element, which
+//! misses the fill of the destination array and so sits below the
+//! analyzer's lower bound.
 
-use crate::plan::radix_schedule;
-use parafft::codelets::codelet_flops;
+use crate::plan::{default_copies, XmtFftPlan};
+use crate::traffic::traffic_params;
 use parafft::flops::fft_flops_convention_nd;
 use xmt_noc::TrafficClass;
 use xmt_sim::perfmodel::{gflops, PhaseDemand, PhaseTime};
 use xmt_sim::XmtConfig;
+use xmt_verify::traffic::{analyze, PhaseTraffic};
 
-/// Pass geometry (mirrors `XmtFftPlan` without generating code).
-fn passes(dims: &[usize]) -> Vec<usize> {
-    match dims.len() {
-        1 => vec![dims[0]],
-        2 => vec![dims[1], dims[0]],
-        3 => vec![dims[2], dims[0], dims[1]],
-        _ => panic!("1-3 dimensions supported"),
-    }
-}
-
-/// Build per-stage demands for a transform of `dims` on `cfg`.
-pub fn stage_demands(dims: &[usize], cfg: &XmtConfig) -> Vec<PhaseDemand> {
-    let total: usize = dims.iter().product();
-    let n_elems = total as f64;
-    let data_bytes = 8.0 * n_elems;
-    let cache_bytes = (cfg.memory_modules * cfg.cache.lines * cfg.cache.line_words * 4) as f64;
-    // Ping-pong arrays: both src and dst compete for cache.
-    let streams = 2.0 * data_bytes > cache_bytes;
-
-    let multi_dim = dims.len() > 1;
-    let mut out = Vec::new();
-    for (dim, &n) in passes(dims).iter().enumerate() {
-        let sched = radix_schedule(n);
-        let last_idx = sched.len() - 1;
-        for (idx, &r) in sched.iter().enumerate() {
-            let r = r as usize;
-            let codelets = n_elems / r as f64;
-            let is_last = idx == last_idx;
-            let is_rotation = is_last && multi_dim;
-            let twiddled = !is_last;
-
-            let mut flops = codelets * codelet_flops(r) as f64;
-            let mut icn_down = 2.0 * n_elems;
-            let icn_up = 2.0 * n_elems;
-            if twiddled {
-                flops += codelets * (r as f64 - 1.0) * 6.0;
-                icn_down += codelets * (r as f64 - 1.0) * 2.0;
-            }
-            let dram_bytes = if streams {
-                24.0 * n_elems
-            } else if dim == 0 && idx == 0 {
-                8.0 * n_elems
-            } else {
-                0.0
-            };
-            out.push(PhaseDemand {
-                name: if is_rotation {
-                    format!("dim{dim} stage{idx} (rotation)")
-                } else {
-                    format!("dim{dim} stage{idx}")
-                },
-                flops,
-                icn_words_up: icn_up,
-                icn_words_down: icn_down,
-                dram_bytes,
-                traffic: if is_rotation {
-                    TrafficClass::Rotation
-                } else {
-                    TrafficClass::Hashed
-                },
-                parallelism: codelets,
-            });
-        }
-    }
-    out
+/// The FFT program for `dims` with the paper's twiddle replication on
+/// `cfg`, and the analyzer's traffic for it, one phase per stage.
+fn program_traffic(cfg: &XmtConfig, dims: &[usize]) -> (XmtFftPlan, Vec<PhaseTraffic>) {
+    let n = *dims.last().expect("at least one dimension");
+    let plan = XmtFftPlan::build(dims, default_copies(n, cfg.memory_modules));
+    let report = analyze(plan.program.instrs(), &traffic_params(cfg))
+        .expect("a generated FFT program is well-formed");
+    assert_eq!(report.phases.len(), plan.stages.len());
+    (plan, report.phases)
 }
 
 /// Aggregated projection of one configuration on one transform shape.
@@ -119,12 +63,13 @@ pub struct RooflinePoint {
 }
 
 impl FftProjection {
-    fn aggregate(&self, rotation: bool) -> RooflinePoint {
+    /// The Roofline point of the phases `keep` selects.
+    fn aggregate(&self, keep: impl Fn(&PhaseDemand) -> bool) -> RooflinePoint {
         let mut flops = 0.0;
         let mut bytes = 0.0;
         let mut cycles = 0.0;
         for (d, t) in self.demands.iter().zip(&self.phases) {
-            if d.name.contains("rotation") == rotation {
+            if keep(d) {
                 flops += d.flops;
                 bytes += d.dram_bytes;
                 cycles += t.cycles;
@@ -136,40 +81,23 @@ impl FftProjection {
             } else {
                 f64::INFINITY
             },
-            gflops: if cycles > 0.0 {
-                flops * 3.3 / cycles
-            } else {
-                0.0
-            },
+            gflops: gflops(flops, cycles),
         }
     }
 
     /// The Fig. 3 rotation-phase marker.
     pub fn rotation_point(&self) -> RooflinePoint {
-        self.aggregate(true)
+        self.aggregate(|d| d.name.contains("rotation"))
     }
 
     /// The Fig. 3 non-rotation marker.
     pub fn non_rotation_point(&self) -> RooflinePoint {
-        self.aggregate(false)
+        self.aggregate(|d| !d.name.contains("rotation"))
     }
 
     /// The Fig. 3 overall marker.
     pub fn overall_point(&self) -> RooflinePoint {
-        let flops: f64 = self.demands.iter().map(|d| d.flops).sum();
-        let bytes: f64 = self.demands.iter().map(|d| d.dram_bytes).sum();
-        RooflinePoint {
-            intensity: if bytes > 0.0 {
-                flops / bytes
-            } else {
-                f64::INFINITY
-            },
-            gflops: if self.total_cycles > 0.0 {
-                flops * 3.3 / self.total_cycles
-            } else {
-                0.0
-            },
-        }
+        self.aggregate(|_| true)
     }
 
     /// Fraction of total cycles spent in rotation phases.
@@ -187,7 +115,46 @@ impl FftProjection {
 
 /// Project a transform of `dims` on `cfg`.
 pub fn project(cfg: &XmtConfig, dims: &[usize]) -> FftProjection {
-    let demands = stage_demands(dims, cfg);
+    let (plan, traffic) = program_traffic(cfg, dims);
+    let n_elems = plan.total as f64;
+    let cache_bytes = (cfg.memory_modules * cfg.cache.lines * cfg.cache.line_words * 4) as f64;
+    // Ping-pong arrays: both src and dst compete for cache.
+    let streams = 2.0 * 8.0 * n_elems > cache_bytes;
+    let demands: Vec<PhaseDemand> = plan
+        .stages
+        .iter()
+        .zip(&traffic)
+        .map(|(st, p)| {
+            let point = |(lo, hi): (u64, u64)| {
+                assert_eq!(lo, hi, "phase {}: an FFT stage's counts are exact", p.index);
+                lo as f64
+            };
+            let label = format!("dim{} stage{}", st.dim, st.idx);
+            PhaseDemand {
+                name: if st.is_rotation {
+                    format!("{label} (rotation)")
+                } else {
+                    label
+                },
+                flops: point(p.flops),
+                icn_words_up: point(p.writes),
+                icn_words_down: point(p.reads),
+                dram_bytes: if streams {
+                    24.0 * n_elems
+                } else if p.index == 0 {
+                    8.0 * n_elems
+                } else {
+                    0.0
+                },
+                traffic: if st.is_rotation {
+                    TrafficClass::Rotation
+                } else {
+                    TrafficClass::Hashed
+                },
+                parallelism: p.threads.expect("an FFT stage's thread count is static") as f64,
+            }
+        })
+        .collect();
     let (phases, total_cycles) = xmt_sim::run_phases(cfg, &demands);
     let conv = fft_flops_convention_nd(&dims.iter().map(|&d| d as u64).collect::<Vec<_>>());
     let actual: f64 = demands.iter().map(|d| d.flops).sum();
@@ -214,15 +181,14 @@ pub fn table4_projection() -> Vec<FftProjection> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmt_sim::Bottleneck;
+    use xmt_sim::{gflops_per_watt, phase_energy, summarize, Bottleneck};
 
     /// Paper Table IV: GFLOPS per configuration.
     const PAPER_GFLOPS: [f64; 5] = [239.0, 500.0, 3667.0, 12570.0, 18972.0];
 
     #[test]
     fn stage_demand_counts() {
-        let cfg = XmtConfig::xmt_4k();
-        let d = stage_demands(&[512, 512, 512], &cfg);
+        let d = project(&XmtConfig::xmt_4k(), &[512, 512, 512]).demands;
         assert_eq!(d.len(), 9, "three radix-8 stages per dimension");
         let rotations = d.iter().filter(|x| x.name.contains("rotation")).count();
         assert_eq!(rotations, 3);
@@ -233,6 +199,68 @@ mod tests {
         // Rotation stages skip twiddles.
         let rot = d.iter().find(|x| x.name.contains("rotation")).unwrap();
         assert_eq!(rot.icn_words_down, rot.icn_words_up);
+    }
+
+    #[test]
+    fn the_program_gives_point_counts_and_the_dram_rule_lies_inside_its_interval() {
+        let cases = XmtConfig::paper_configs()
+            .into_iter()
+            .map(|cfg| (cfg, [512; 3]))
+            .chain([(XmtConfig::xmt_64k(), [1024; 3])]);
+        for (cfg, dims) in cases {
+            let (_, traffic) = program_traffic(&cfg, &dims);
+            let demands = project(&cfg, &dims).demands;
+            assert_eq!(traffic.len(), demands.len());
+            for (p, d) in traffic.iter().zip(&demands) {
+                let at = format!("{} {dims:?} {}", cfg.name, d.name);
+                for (what, (lo, hi)) in
+                    [("flops", p.flops), ("reads", p.reads), ("writes", p.writes)]
+                {
+                    assert_eq!(lo, hi, "{at}: {what} is an interval");
+                }
+                assert!(p.threads.is_some(), "{at}: thread count unknown");
+                let (lo, hi) = p.dram_bytes;
+                assert!(
+                    (lo as f64..=hi as f64).contains(&d.dram_bytes),
+                    "{at}: modelled {} B outside [{lo}, {hi}]",
+                    d.dram_bytes
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn energy_power_consistency_with_physical_model() {
+        // Average power implied by the 512³ FFT's energy and duration
+        // must not exceed the machine's modeled peak power.
+        for cfg in XmtConfig::paper_configs() {
+            let p = project(&cfg, &[512; 3]);
+            let e = phase_energy(&cfg, &p.demands);
+            let seconds = p.total_cycles / (XmtConfig::CLOCK_GHZ * 1e9);
+            let avg_w = e.total_j() / seconds;
+            let peak_w = summarize(&cfg).peak_power_w;
+            assert!(
+                avg_w < peak_w * 1.1,
+                "{}: avg {avg_w:.0} W exceeds peak {peak_w:.0} W",
+                cfg.name
+            );
+        }
+    }
+
+    #[test]
+    fn efficiency_improves_with_photonics() {
+        let efficiency = |cfg: &XmtConfig| {
+            let p = project(cfg, &[512; 3]);
+            let e = phase_energy(cfg, &p.demands);
+            let flops: f64 = p.demands.iter().map(|d| d.flops).sum();
+            gflops_per_watt(flops, &e, p.total_cycles)
+        };
+        let eff4 = efficiency(&XmtConfig::xmt_4k());
+        let effx = efficiency(&XmtConfig::xmt_128k_x4());
+        assert!(
+            effx > eff4,
+            "photonic 14 nm config must be more efficient: {effx:.1} vs {eff4:.1} GF/W"
+        );
     }
 
     #[test]
@@ -342,8 +370,7 @@ mod tests {
 
     #[test]
     fn small_transform_fits_in_cache() {
-        let cfg = XmtConfig::xmt_64k();
-        let d = stage_demands(&[64, 64], &cfg);
+        let d = project(&XmtConfig::xmt_64k(), &[64, 64]).demands;
         // Only the very first stage pays DRAM traffic.
         assert!(d[0].dram_bytes > 0.0);
         assert!(d[1..].iter().all(|x| x.dram_bytes == 0.0));

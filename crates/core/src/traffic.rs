@@ -3,13 +3,15 @@
 //!
 //! `xmt-verify` deliberately depends on `xmt-isa` alone, so its
 //! [`TrafficParams`] is a plain bag of numbers; this module is where
-//! those numbers come from — the same derating constants and rate
-//! formulas the analytic performance model (`xmt_sim::perfmodel`) and
-//! the cycle simulator's memory system use, so static predictions and
+//! those numbers come from — the analytic performance model's
+//! (`xmt_sim::perfmodel`) own rate functions and derating constants
+//! and the cycle simulator's cache geometry, so static predictions and
 //! `IntervalProbe` measurements are comparable on the same machine.
 
 use xmt_noc::{effective_throughput, TrafficClass};
-use xmt_sim::perfmodel::{COMPUTE_EFFICIENCY, DRAM_EFFICIENCY, ICN_EFFICIENCY};
+use xmt_sim::perfmodel::{
+    dram_bytes_per_cycle, startup_cycles, COMPUTE_EFFICIENCY, ICN_EFFICIENCY,
+};
 use xmt_sim::XmtConfig;
 use xmt_verify::traffic::TrafficParams;
 
@@ -18,7 +20,6 @@ use xmt_verify::traffic::TrafficParams;
 /// access stream on this machine falls into, since lines are striped
 /// across modules by address.
 pub fn traffic_params(cfg: &XmtConfig) -> TrafficParams {
-    let topo = cfg.topology();
     TrafficParams {
         line_words: cfg.cache.line_words as u64,
         cache_lines: (cfg.cache.lines * cfg.memory_modules) as u64,
@@ -26,13 +27,10 @@ pub fn traffic_params(cfg: &XmtConfig) -> TrafficParams {
         tcus_per_cluster: cfg.tcus_per_cluster as u64,
         fpus_per_cluster: cfg.fpus_per_cluster as u64,
         lsus_per_cluster: cfg.lsus_per_cluster as u64,
-        icn_words_per_cluster: effective_throughput(&topo, TrafficClass::Hashed) * ICN_EFFICIENCY,
-        dram_bytes_per_cycle: cfg.dram_channels() as f64
-            * cfg.dram.bytes_per_cycle
-            * DRAM_EFFICIENCY,
-        startup_cycles: (cfg.clusters as f64).log2().ceil()
-            + 2.0 * topo.latency_cycles() as f64
-            + cfg.dram.access_latency as f64,
+        icn_words_per_cluster: effective_throughput(&cfg.topology(), TrafficClass::Hashed)
+            * ICN_EFFICIENCY,
+        dram_bytes_per_cycle: dram_bytes_per_cycle(cfg),
+        startup_cycles: startup_cycles(cfg),
         compute_efficiency: COMPUTE_EFFICIENCY,
     }
 }

@@ -80,22 +80,6 @@ pub fn dft_generic<T: Float>(x: &[Complex<T>], roots: &[Complex<T>], out: &mut [
     }
 }
 
-/// Floating-point operation count of one radix-`r` codelet invocation
-/// (actual adds+muls, not the 5N·log₂N convention). Used by the cost
-/// model to report Roofline "actual FLOPS" (Section VI preamble).
-pub fn codelet_flops(r: usize) -> u64 {
-    match r {
-        // dft2: 2 complex add/sub = 4 real ops.
-        2 => 4,
-        // dft4: 8 complex add/sub (+ free ±i rotations) = 16.
-        4 => 16,
-        // dft8: two dft4 (32) + 2 full cmul (12) + 8 add/sub (16) = 60.
-        8 => 60,
-        // Generic: r² complex MACs at 8 real ops each (minus trivial row).
-        r => (r as u64) * (r as u64 - 1) * 8,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,12 +134,5 @@ mod tests {
             let want = dft(&x, FftDirection::Forward);
             assert!(max_error(&out, &want) < 1e-12, "radix {r}");
         }
-    }
-
-    #[test]
-    fn flop_counts_positive_and_monotone() {
-        assert!(codelet_flops(2) < codelet_flops(4));
-        assert!(codelet_flops(4) < codelet_flops(8));
-        assert!(codelet_flops(8) < codelet_flops(16));
     }
 }

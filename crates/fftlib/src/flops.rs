@@ -4,8 +4,8 @@
 //! floating-point operations for an FFT of N elements" (Section VI),
 //! *except* in the Roofline analysis, which uses actual operation
 //! counts. The convention lives here so every crate agrees on it; the
-//! actual counts are `xmt_fft::phases`', built on
-//! [`codelet_flops`](crate::codelets::codelet_flops).
+//! actual counts are `xmt_fft::phases`', read from the generated
+//! program.
 
 /// The 5N·log₂N convention for an N-point complex FFT.
 ///

@@ -165,68 +165,4 @@ mod tests {
             copper.dram_j
         );
     }
-
-    #[test]
-    fn energy_power_consistency_with_physical_model() {
-        // Average power implied by the 512³ FFT's energy and duration
-        // must not exceed the machine's modeled peak power.
-        for cfg in XmtConfig::paper_configs() {
-            let proj = crate_project(&cfg);
-            let e = phase_energy(&cfg, &proj.0);
-            let seconds = proj.1 / (XmtConfig::CLOCK_GHZ * 1e9);
-            let avg_w = e.total_j() / seconds;
-            let peak_w = crate::physical::summarize(&cfg).peak_power_w;
-            assert!(
-                avg_w < peak_w * 1.1,
-                "{}: avg {avg_w:.0} W exceeds peak {peak_w:.0} W",
-                cfg.name
-            );
-        }
-    }
-
-    /// Local stand-in for the higher-level crate's FFT demand builder
-    /// (xmt-fft depends on xmt-sim, not the reverse): a 9-stage
-    /// radix-8 512³ workload.
-    fn crate_project(cfg: &XmtConfig) -> (Vec<PhaseDemand>, f64) {
-        let n = 512f64 * 512.0 * 512.0;
-        let demands: Vec<PhaseDemand> = (0..9)
-            .map(|i| PhaseDemand {
-                name: if i % 3 == 2 {
-                    "rotation".into()
-                } else {
-                    format!("s{i}")
-                },
-                flops: n * if i % 3 == 2 { 7.5 } else { 12.75 },
-                icn_words_up: 2.0 * n,
-                icn_words_down: if i % 3 == 2 { 2.0 * n } else { 3.75 * n },
-                dram_bytes: 24.0 * n,
-                traffic: if i % 3 == 2 {
-                    TrafficClass::Rotation
-                } else {
-                    TrafficClass::Hashed
-                },
-                parallelism: n / 8.0,
-            })
-            .collect();
-        let (_, cycles) = crate::perfmodel::run_phases(cfg, &demands);
-        (demands, cycles)
-    }
-
-    #[test]
-    fn efficiency_improves_with_photonics() {
-        let (d4, c4) = crate_project(&XmtConfig::xmt_4k());
-        let e4 = phase_energy(&XmtConfig::xmt_4k(), &d4);
-        let f4 = d4.iter().map(|d| d.flops).sum::<f64>();
-        let eff4 = gflops_per_watt(f4, &e4, c4);
-
-        let cfg = XmtConfig::xmt_128k_x4();
-        let (dx, cx) = crate_project(&cfg);
-        let ex = phase_energy(&cfg, &dx);
-        let fx = dx.iter().map(|d| d.flops).sum::<f64>();
-        let effx = gflops_per_watt(fx, &ex, cx);
-        assert!(
-            effx > eff4,
-            "photonic 14 nm config must be more efficient: {effx:.1} vs {eff4:.1} GF/W"
-        );
-    }
 }

@@ -75,6 +75,20 @@ pub struct PhaseTime {
     pub dram_cycles: f64,
 }
 
+/// The DRAM ceiling's rate: bytes per cycle the machine's channels
+/// sustain, derated by [`DRAM_EFFICIENCY`].
+pub fn dram_bytes_per_cycle(cfg: &XmtConfig) -> f64 {
+    cfg.dram_channels() as f64 * cfg.dram.bytes_per_cycle * DRAM_EFFICIENCY
+}
+
+/// A phase's fixed startup: the spawn broadcast plus one full memory
+/// round trip (both NoC directions and a DRAM access).
+pub fn startup_cycles(cfg: &XmtConfig) -> f64 {
+    (cfg.clusters as f64).log2().ceil()
+        + 2.0 * cfg.topology().latency_cycles() as f64
+        + cfg.dram.access_latency as f64
+}
+
 /// Model one phase on one configuration.
 pub fn phase_time(cfg: &XmtConfig, d: &PhaseDemand) -> PhaseTime {
     let topo = cfg.topology();
@@ -92,14 +106,8 @@ pub fn phase_time(cfg: &XmtConfig, d: &PhaseDemand) -> PhaseTime {
     let icn_rate = usable_clusters * effective_throughput(&topo, d.traffic) * ICN_EFFICIENCY;
     let icn_cycles = (d.icn_words_up.max(d.icn_words_down)) / icn_rate;
 
-    // DRAM ceiling.
-    let dram_rate = cfg.dram_channels() as f64 * cfg.dram.bytes_per_cycle * DRAM_EFFICIENCY;
-    let dram_cycles = d.dram_bytes / dram_rate;
-
-    // Startup: broadcast + one full memory round trip.
-    let startup = (cfg.clusters as f64).log2().ceil()
-        + 2.0 * topo.latency_cycles() as f64
-        + cfg.dram.access_latency as f64;
+    let dram_cycles = d.dram_bytes / dram_bytes_per_cycle(cfg);
+    let startup = startup_cycles(cfg);
 
     let body = compute_cycles.max(icn_cycles).max(dram_cycles);
     let bound = if startup > body {
