@@ -157,14 +157,16 @@ stage "job table memory: bounded table, <= 0.1 KiB per hit, <= 0.5 KiB per cold 
 
 # The simulated machine's memory (DESIGN.md §10), no benchmark needed:
 # building and running the 65 536-TCU fft_xmt64k_n8192 in-process may
-# grow VmRSS by at most 9 MiB — clusters no thread reaches hold no issue
-# records and no register store, and cache sets no access reaches hold
-# no tag words — and the dense fft_xmt8k_n65536 (#[ignore]d out of the
-# debug suite) by at most 9.25 MiB — its transactions travel as their
-# own tags, and each network holds its waiting flits in one arena sized
-# to what waits at once. Each measures in a process of its own; skips
-# where /proc is absent.
-stage "machine memory: 64k machine <= 9 MiB, dense 8k <= 9.25 MiB" \
+# grow VmRSS by at most 5.75 MiB — clusters no thread reaches hold no
+# issue records and no register store, cache sets no access reaches
+# hold no tag words, and the butterfly's stage rings hold only the
+# flits staged at once — and the dense fft_xmt8k_n65536 (#[ignore]d out
+# of the debug suite) by at most 8 MiB — its transactions travel as
+# their own tags, each network holds its waiting flits in one arena
+# sized to what waits at once, and the memory modules share one pair of
+# arenas for their queued, waiting and maturing requests. Each measures
+# in a process of its own; skips where /proc is absent.
+stage "machine memory: 64k machine <= 5.75 MiB, dense 8k <= 8 MiB" \
     cargo test --release -p xmt-integration --test machine_memory -q -- --include-ignored
 
 # The networked job service gate (DESIGN.md §18), three layers:

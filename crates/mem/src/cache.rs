@@ -1,16 +1,15 @@
 //! The cache bank inside one memory module.
 //!
 //! Each XMT memory module pairs an on-chip cache slice with a share of
-//! a DRAM channel (Fig. 1 of the paper). The bank services one access
-//! per cycle in arrival order — "within each MM, the order of
+//! a DRAM channel (Fig. 1 of the paper). Its module feeds the bank one
+//! access per cycle in arrival order — "within each MM, the order of
 //! operations to the same memory location is preserved" — which is the
-//! same-module queuing that motivates the twiddle replication scheme.
+//! same-module queuing that motivates the twiddle replication scheme
+//! (the queue itself is the module's, see [`crate::module`]).
 //!
 //! The cache proper is set-associative with LRU replacement and
 //! write-back/write-allocate policy; only *timing* state (tags) is
 //! tracked here — data lives in the simulator's flat functional memory.
-
-use std::collections::VecDeque;
 
 /// A memory access request arriving at a module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,7 +157,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// The `writebacks` value.
     pub writebacks: u64,
-    /// The `peak_queue` value.
+    /// The most requests queued at the bank at once (kept by its
+    /// module, which holds the queue).
     pub peak_queue: usize,
 }
 
@@ -169,8 +169,6 @@ pub struct CacheBank {
     /// `log2(line_words)`: a word address's line is `addr >> line_shift`.
     line_shift: u32,
     tags: TagStore,
-    /// Requests queued at the bank (arrival order).
-    queue: VecDeque<MemReq>,
     /// Accumulated statistics.
     pub stats: CacheStats,
 }
@@ -206,7 +204,6 @@ impl CacheBank {
             cfg,
             line_shift: cfg.line_words.trailing_zeros(),
             tags: TagStore::new(sets, cfg.ways),
-            queue: VecDeque::new(),
             stats: CacheStats::default(),
         }
     }
@@ -214,29 +211,6 @@ impl CacheBank {
     /// The configuration used.
     pub fn config(&self) -> CacheConfig {
         self.cfg
-    }
-
-    /// Queue an arriving request.
-    pub fn enqueue(&mut self, req: MemReq) {
-        self.queue.push_back(req);
-        self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
-    }
-
-    /// The `queue_len` value.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The request at the head of the bank queue, if any.
-    pub fn peek(&self) -> Option<&MemReq> {
-        self.queue.front()
-    }
-
-    /// Remove the head request without probing the tag store (used when
-    /// the line already has a fill in flight and the request merges
-    /// into the waiting set instead).
-    pub fn pop_head(&mut self) -> Option<MemReq> {
-        self.queue.pop_front()
     }
 
     /// Line index of a word address under this bank's line size.
@@ -265,8 +239,7 @@ impl CacheBank {
     }
 
     /// Restore a [`CacheBank::tag_snapshot`] into a freshly built bank
-    /// of the same geometry (queue must be empty). Only sets holding a
-    /// line are born.
+    /// of the same geometry. Only sets holding a line are born.
     pub fn restore_tags(&mut self, snapshot: &[u64]) {
         let ways = self.tags.ways;
         assert_eq!(
@@ -274,7 +247,6 @@ impl CacheBank {
             self.tags.slot.len() * ways,
             "tag snapshot geometry mismatch"
         );
-        assert!(self.queue.is_empty(), "restore into a busy bank");
         for (s, words) in snapshot.chunks_exact(ways).enumerate() {
             if self.tags.block(s).is_none() && words.iter().all(|&w| w == 0) {
                 continue;
@@ -285,25 +257,24 @@ impl CacheBank {
         }
     }
 
-    /// Service at most one request this cycle (bank port = 1/cycle).
-    pub fn service_one(&mut self) -> Option<Service> {
-        let req = self.queue.pop_front()?;
+    /// Service `req`, the one access the bank port takes this cycle.
+    pub fn access(&mut self, req: MemReq) -> Service {
         self.stats.accesses += 1;
         let line = self.line_of(req.addr);
         let (hit, wb) = self.tags.access(line, req.is_write);
         if hit {
             self.stats.hits += 1;
-            Some(Service::Hit(req))
+            Service::Hit(req)
         } else {
             self.stats.misses += 1;
             if wb.is_some() {
                 self.stats.writebacks += 1;
             }
-            Some(Service::Miss {
+            Service::Miss {
                 req,
                 fill_line: line,
                 writeback: wb,
-            })
+            }
         }
     }
 }
@@ -311,6 +282,7 @@ impl CacheBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::MemoryModule;
     use proptest::prelude::*;
 
     fn bank(lines: usize, ways: usize) -> CacheBank {
@@ -333,9 +305,8 @@ mod tests {
     #[test]
     fn first_access_misses_second_hits() {
         let mut b = bank(64, 4);
-        b.enqueue(req(100, false));
-        b.enqueue(req(101, false)); // same 8-word line as 100? 100/8=12, 101/8=12 yes
-        match b.service_one().unwrap() {
+        // 100 and 101 share 8-word line 12.
+        match b.access(req(100, false)) {
             Service::Miss {
                 fill_line,
                 writeback,
@@ -346,27 +317,33 @@ mod tests {
             }
             other => panic!("expected miss, got {other:?}"),
         }
-        assert!(matches!(b.service_one().unwrap(), Service::Hit(_)));
+        assert!(matches!(b.access(req(101, false)), Service::Hit(_)));
         assert_eq!(b.stats.hits, 1);
         assert_eq!(b.stats.misses, 1);
     }
 
     #[test]
     fn one_service_per_cycle() {
-        let mut b = bank(64, 4);
+        // The bank port takes one queued request per module step.
+        let mut m = MemoryModule::new(0, bank(64, 4).config());
         for i in 0..4 {
-            b.enqueue(req(i * 64, false));
+            m.enqueue(req(i * 64, false));
         }
-        assert_eq!(b.queue_len(), 4);
-        b.service_one();
-        assert_eq!(b.queue_len(), 3);
-        assert_eq!(b.stats.peak_queue, 4);
+        assert_eq!(m.bank().stats.peak_queue, 4);
+        m.step(&mut Vec::new(), &mut Vec::new());
+        assert_eq!(m.bank().stats.accesses, 1);
+        m.step(&mut Vec::new(), &mut Vec::new());
+        assert_eq!(m.bank().stats.accesses, 2);
+        assert_eq!(m.bank().stats.peak_queue, 4);
     }
 
     #[test]
     fn empty_queue_services_nothing() {
-        let mut b = bank(64, 4);
-        assert!(b.service_one().is_none());
+        let mut m = MemoryModule::new(0, bank(64, 4).config());
+        let (mut creqs, mut resps) = (Vec::new(), Vec::new());
+        m.step(&mut creqs, &mut resps);
+        assert_eq!(m.bank().stats, CacheStats::default());
+        assert!(creqs.is_empty() && resps.is_empty());
     }
 
     #[test]
@@ -374,23 +351,18 @@ mod tests {
         // Direct-mapped-ish: 4 lines, 4 ways = 1 set.
         let mut b = bank(4, 4);
         for line in 0..4u32 {
-            b.enqueue(req(line * 8, false));
-            b.service_one();
+            b.access(req(line * 8, false));
         }
         // Touch line 0 to make it MRU, then insert a 5th line: the LRU
         // victim must be line 1.
-        b.enqueue(req(0, false));
-        assert!(matches!(b.service_one().unwrap(), Service::Hit(_)));
-        b.enqueue(req(4 * 8, false));
-        b.service_one();
+        assert!(matches!(b.access(req(0, false)), Service::Hit(_)));
+        b.access(req(4 * 8, false));
         // Line 1 evicted: re-access misses; line 0 still hits.
-        b.enqueue(req(8, false));
-        assert!(matches!(b.service_one().unwrap(), Service::Miss { .. }));
-        b.enqueue(req(0, false));
+        assert!(matches!(b.access(req(8, false)), Service::Miss { .. }));
         // Line 0 was evicted by the re-fill of line 1? Capacity 4:
         // after inserting line 4 the set is {4,0,3,2}; missing line 1
         // evicts 2 → set {1,4,0,3}; line 0 must still be present.
-        assert!(matches!(b.service_one().unwrap(), Service::Hit(_)));
+        assert!(matches!(b.access(req(0, false)), Service::Hit(_)));
     }
 
     #[test]
@@ -398,11 +370,9 @@ mod tests {
         let mut b = bank(4, 4);
         // Fill the single set with writes (all dirty).
         for line in 0..4u32 {
-            b.enqueue(req(line * 8, true));
-            b.service_one();
+            b.access(req(line * 8, true));
         }
-        b.enqueue(req(4 * 8, false));
-        match b.service_one().unwrap() {
+        match b.access(req(4 * 8, false)) {
             Service::Miss { writeback, .. } => assert_eq!(writeback, Some(0)),
             other => panic!("expected miss, got {other:?}"),
         }
@@ -413,18 +383,15 @@ mod tests {
     fn tag_snapshot_round_trips_lru_and_dirty_state() {
         let mut b = bank(8, 4);
         for line in [0u32, 1, 2, 0, 3, 4] {
-            b.enqueue(req(line * 8, line % 2 == 1));
-            b.service_one();
+            b.access(req(line * 8, line % 2 == 1));
         }
         let snap = b.tag_snapshot();
         let mut r = bank(8, 4);
         r.restore_tags(&snap);
         // The restored bank must behave identically from here on.
         for line in [0u32, 4, 5, 1, 2, 6] {
-            b.enqueue(req(line * 8, false));
-            r.enqueue(req(line * 8, false));
-            let a = b.service_one().unwrap();
-            let x = r.service_one().unwrap();
+            let a = b.access(req(line * 8, false));
+            let x = r.access(req(line * 8, false));
             assert_eq!(a, x, "divergence after restore at line {line}");
         }
         assert_eq!(b.tag_snapshot(), r.tag_snapshot());
@@ -468,8 +435,7 @@ mod tests {
 
     /// Service `addr` at once; returns (hit, write-back).
     fn serve(b: &mut CacheBank, addr: u32, write: bool) -> (bool, Option<u32>) {
-        b.enqueue(req(addr, write));
-        match b.service_one().unwrap() {
+        match b.access(req(addr, write)) {
             Service::Hit(_) => (true, None),
             Service::Miss { writeback, .. } => (false, writeback),
         }
@@ -554,8 +520,7 @@ mod tests {
         let table_lines = 32u32;
         for pass in 0..3 {
             for line in 0..table_lines {
-                b.enqueue(req(line * 8, false));
-                let s = b.service_one().unwrap();
+                let s = b.access(req(line * 8, false));
                 if pass > 0 {
                     assert!(matches!(s, Service::Hit(_)), "pass {pass} line {line}");
                 }

@@ -26,40 +26,42 @@ use crate::egress::{Egress, Waiting};
 use crate::net::{Delivered, Flit, NetStats, Network};
 use crate::topology::Topology;
 
-/// Fixed-capacity FIFO rings of in-flight slab indices, one per switch
-/// input, in one allocation. The network's backpressure check against
-/// `qcap` precedes every push, so no ring ever needs to grow. Each
-/// ring's head entry and counts sit apart from its slots, in one 8-byte
-/// record: most rings hold one flit at a time, and a push or pop then
-/// touches that record only.
+/// FIFO rings of in-flight slab indices, one per switch input, chained
+/// through one link per slab entry the way [`crate::egress`] chains a
+/// destination queue: a ring is its head, tail and length, and holds no
+/// slots of its own, so the rings together hold only the flits staged
+/// at once. The network's backpressure check against `qcap` precedes
+/// every push. Vacant slab entries are chained through the same links.
 #[derive(Debug)]
 struct Rings {
-    /// Slots per ring (`qcap` rounded up to a power of two) less one.
-    mask: usize,
-    /// Entries behind each head, ring `r` at `r * (mask + 1)..`.
-    slots: Vec<u32>,
     ends: Vec<RingEnds>,
+    /// Per slab entry: the entry behind it in its ring (meaningful
+    /// unless it is its ring's tail), or, while vacant, the next vacant
+    /// entry ([`NIL`] ends the list).
+    links: Vec<u32>,
+    /// The first vacant slab entry, or [`NIL`].
+    free: u32,
 }
 
-/// One ring's head entry and counts.
+/// End of a list of slab entries.
+const NIL: u32 = u32::MAX;
+
+/// One ring's head and tail entries (meaningful while `len > 0`) and
+/// length.
 #[derive(Debug, Clone, Copy, Default)]
 struct RingEnds {
-    /// The head entry (meaningful while `len > 0`).
     head: u32,
-    /// Free-running pop count of the slots (`u8` wraps with every
-    /// stride up to 256).
-    first: u8,
+    tail: u32,
     len: u8,
 }
 
 impl Rings {
     fn new(rings: usize, qcap: usize) -> Self {
         assert!((1..=255).contains(&qcap), "queue capacity must fit u8");
-        let stride = qcap.next_power_of_two();
         Self {
-            mask: stride - 1,
-            slots: vec![0; rings * stride],
             ends: vec![RingEnds::default(); rings],
+            links: Vec::new(),
+            free: NIL,
         }
     }
 
@@ -67,16 +69,41 @@ impl Rings {
         self.ends[ring].len as usize
     }
 
+    /// A vacant slab entry to fill, else `None`: the slab grows by one
+    /// entry, which the caller links with [`Rings::grow`].
+    fn reuse(&mut self) -> Option<u32> {
+        (self.free != NIL).then(|| {
+            let i = self.free;
+            self.free = self.links[i as usize];
+            i
+        })
+    }
+
+    /// Link the slab's new last entry; returns its index.
+    fn grow(&mut self) -> u32 {
+        assert!(
+            self.links.len() < NIL as usize,
+            "more flits staged than a link can name"
+        );
+        self.links.push(NIL);
+        (self.links.len() - 1) as u32
+    }
+
+    /// Slab entry `i` (in no ring) becomes vacant.
+    fn vacate(&mut self, i: u32) {
+        self.links[i as usize] = self.free;
+        self.free = i;
+    }
+
     /// Append `v`, returning the ring's new length.
     fn push_back(&mut self, ring: usize, v: u32) -> usize {
         let e = &mut self.ends[ring];
-        debug_assert!(e.len as usize <= self.mask, "push into a full ring");
         if e.len == 0 {
             e.head = v;
         } else {
-            let at = (e.first as usize + e.len as usize - 1) & self.mask;
-            self.slots[ring * (self.mask + 1) + at] = v;
+            self.links[e.tail as usize] = v;
         }
+        e.tail = v;
         e.len += 1;
         e.len as usize
     }
@@ -90,8 +117,7 @@ impl Rings {
         if e.len == 0 {
             return (v, None);
         }
-        e.head = self.slots[ring * (self.mask + 1) + (e.first as usize & self.mask)];
-        e.first = e.first.wrapping_add(1);
+        e.head = self.links[v as usize];
         (v, Some(e.head))
     }
 }
@@ -161,9 +187,8 @@ pub struct ButterflyNetwork {
     /// Ring `s * ports + row`: flits waiting at the input of stage `s`.
     queues: Rings,
     /// The flits those rings index, each destination in its link
-    /// word; `free` lists the vacant slots.
+    /// word; `queues` chains the entries, vacant ones too.
     flits: Vec<Waiting>,
-    free: Vec<u32>,
     /// Total flits across `queues` (O(1) next-event check).
     staged: usize,
     /// Outer (MoT) traversal after the last butterfly stage, and the
@@ -214,7 +239,6 @@ impl ButterflyNetwork {
             qcap,
             queues: Rings::new(stages as usize * ports, qcap),
             flits: Vec::new(),
-            free: Vec::new(),
             staged: 0,
             egress: Egress::new(ports, ports),
             last_inject: vec![u64::MAX; ports],
@@ -289,7 +313,7 @@ impl ButterflyNetwork {
         let f = self.flits[i as usize];
         if s + 1 == self.stages as usize {
             self.staged -= 1;
-            self.free.push(i);
+            self.queues.vacate(i);
             self.egress.push(self.cycle + self.extra_latency + 1, f);
         } else {
             let mask = 1usize << self.route_bit(s);
@@ -418,11 +442,16 @@ impl Network for ButterflyNetwork {
                 self.stats.inject_rejections += 1;
                 return false; // backpressure at the injection port
             }
-            let i = self.free.pop().unwrap_or_else(|| {
-                self.flits.push(f);
-                u32::try_from(self.flits.len() - 1).expect("more flits staged than ring slots")
-            });
-            self.flits[i as usize] = f;
+            let i = match self.queues.reuse() {
+                Some(i) => {
+                    self.flits[i as usize] = f;
+                    i
+                }
+                None => {
+                    self.flits.push(f);
+                    self.queues.grow()
+                }
+            };
             self.push(0, flit.src, i, flit.dst);
             self.staged += 1;
             self.staged_per[0] += 1;
@@ -963,5 +992,38 @@ mod tests {
         }
         let thr = n.stats.delivered as f64 / cycles as f64 / ports as f64;
         assert!(thr > 0.5, "throughput {thr} too low");
+    }
+
+    #[test]
+    fn the_rings_hold_only_the_staged_flits() {
+        // Every source bursts toward one hot destination, then the
+        // network drains: a ring is its two ends and a length, and the
+        // slab and its links grow to the most flits staged at once.
+        let ports = 64;
+        let mut n = hybrid(ports, 2, 4);
+        let mut peak = 0;
+        for c in 0..200u64 {
+            for src in 0..ports {
+                let dst = if c < 100 {
+                    5
+                } else {
+                    (src * 7 + c as usize) % ports
+                };
+                let _ = n.try_inject(Flit { src, dst, tag: c });
+                peak = peak.max(n.staged);
+            }
+            n.step();
+        }
+        while n.in_flight() > 0 {
+            n.step();
+        }
+        assert_eq!(std::mem::size_of::<RingEnds>(), 12);
+        assert_eq!(n.queues.ends.len(), 4 * ports);
+        assert_eq!(n.queues.links.len(), n.flits.len());
+        assert_eq!(n.flits.len(), peak);
+        // Drained, every entry is vacant: the free list walks them all.
+        let next = |i: u32| Some(n.queues.links[i as usize]).filter(|&j| j != NIL);
+        let vacant = std::iter::successors(Some(n.queues.free).filter(|&i| i != NIL), |&i| next(i));
+        assert_eq!(vacant.count(), peak);
     }
 }

@@ -135,9 +135,7 @@ impl MachineBuilder {
                 cfg.butterfly_levels,
             )
         };
-        let modules = (0..cfg.memory_modules)
-            .map(|i| MemoryModule::new(i, cfg.cache))
-            .collect();
+        let modules = MemoryModules::new(cfg.memory_modules, cfg.cache);
         let mut channels: Vec<DramChannel> = (0..cfg.dram_channels())
             .map(|_| DramChannel::new(cfg.dram))
             .collect();
@@ -298,8 +296,8 @@ impl MachineBuilder {
         // Every memory-side component resumes on the clock it paused on
         // (the butterfly NoC arbitrates by clock parity).
         m.skip_memory(cp.mem_clock);
-        for module in &mut m.modules {
-            module.sync_to(cp.mem_clock);
+        for i in 0..m.cfg.memory_modules {
+            m.modules.sync_to(i, cp.mem_clock);
         }
         for channel in &mut m.channels {
             channel.sync_to(cp.mem_clock);

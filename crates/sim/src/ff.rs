@@ -288,7 +288,7 @@ impl<P: Probe> Machine<P> {
             e = e.min(x + off);
         }
         for m in self.active_modules.iter() {
-            if let Some(x) = self.modules[m].next_event() {
+            if let Some(x) = self.modules.next_event(m) {
                 e = e.min(x + off);
             }
         }

@@ -37,7 +37,7 @@ use xmt_isa::instr::{eval_branch, Instr, Unit};
 use xmt_isa::interp::exec_compute;
 use xmt_isa::reg::{fr, ir, RegFile, Regs, NUM_GREGS};
 use xmt_isa::Program;
-use xmt_mem::{AddressHash, ChannelRequest, DramChannel, DramReq, MemReq, MemResp, MemoryModule};
+use xmt_mem::{AddressHash, ChannelRequest, DramChannel, DramReq, MemReq, MemResp, MemoryModules};
 use xmt_noc::{Delivered, FaultyNetwork, Flit, Network, Topology};
 
 #[path = "builder.rs"]
@@ -229,7 +229,7 @@ pub struct Machine<P: Probe = NoProbe> {
     cluster_instr: Vec<u64>,
     req_net: Box<dyn Network>,
     reply_net: Box<dyn Network>,
-    modules: Vec<MemoryModule>,
+    modules: MemoryModules,
     channels: Vec<DramChannel>,
     module_outbox: Vec<VecDeque<u64>>,
     hash: AddressHash,
@@ -263,7 +263,7 @@ pub struct Machine<P: Probe = NoProbe> {
     /// stepping components); `cycle - mem_clock` converts component
     /// clocks to machine clocks.
     mem_clock: u64,
-    /// Modules with work (`MemoryModule::is_active`); only these step
+    /// Modules with work (`Module::is_active`); only these step
     /// each cycle.
     active_modules: ActiveSet,
     /// Channels with transfers pending.

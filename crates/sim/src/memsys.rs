@@ -81,7 +81,7 @@ impl<P: Probe> Machine<P> {
         self.req_net.skip_idle(n);
         self.reply_net.skip_idle(n);
         for m in self.active_modules.iter() {
-            self.modules[m].skip_idle(n);
+            self.modules.skip_idle(m, n);
         }
         for c in self.active_channels.iter() {
             self.channels[c].skip_idle(n);
@@ -151,12 +151,16 @@ impl<P: Probe> Machine<P> {
             }
             // The module is about to take its step for this memory
             // cycle, so align it to the *previous* one.
-            self.modules[d.flit.dst].sync_to(self.mem_clock);
-            self.modules[d.flit.dst].enqueue(MemReq {
-                addr: req.addr,
-                is_write,
-                tag: Reply::token(d.flit.tag, value, cluster),
-            });
+            self.modules.sync_to(d.flit.dst, self.mem_clock);
+            let tag = Reply::token(d.flit.tag, value, cluster);
+            self.modules.enqueue(
+                d.flit.dst,
+                MemReq {
+                    addr: req.addr,
+                    is_write,
+                    tag,
+                },
+            );
             self.active_modules.insert(d.flit.dst);
         }
         self.scratch_deliveries = deliveries;
@@ -174,7 +178,7 @@ impl<P: Probe> Machine<P> {
                 .host_work([0, 0, self.active_modules.len() as u64]);
         }
         for m in self.active_modules.iter() {
-            self.modules[m].step(&mut creqs, &mut resps);
+            self.modules.step(m, &mut creqs, &mut resps);
             for resp in resps.drain(..) {
                 self.module_outbox[m].push_back(resp.req.tag);
                 self.active_outboxes.insert(m);
@@ -209,8 +213,8 @@ impl<P: Probe> Machine<P> {
                 let m = done.req.tag as usize;
                 // Post-step: both module and channel clocks now sit at
                 // the current memory cycle.
-                self.modules[m].sync_to(self.mem_clock);
-                self.modules[m].on_fill(done);
+                self.modules.sync_to(m, self.mem_clock);
+                self.modules.on_fill(m, done);
                 if self.modules[m].is_active() {
                     self.active_modules.insert(m);
                 }

@@ -28,7 +28,7 @@
 use crate::config::XmtConfig;
 use crate::machine::MachineStats;
 use std::collections::HashMap;
-use xmt_mem::{DramChannel, MemoryModule};
+use xmt_mem::{DramChannel, MemoryModules};
 use xmt_noc::NetStats;
 
 /// Instantaneous count of TCUs blocked at a sample boundary, split by
@@ -76,7 +76,7 @@ pub struct SampleCtx<'a> {
     /// DRAM channels (cumulative `stats` plus instantaneous `pending`).
     pub channels: &'a [DramChannel],
     /// Memory modules (instantaneous `outstanding` queue depths).
-    pub modules: &'a [MemoryModule],
+    pub modules: &'a MemoryModules,
 }
 
 impl SampleCtx<'_> {
