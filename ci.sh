@@ -139,8 +139,13 @@ stage "job server smoke: preemption, cache identity, worker kill" \
 
 # The job table's memory (DESIGN.md §16), no benchmark needed: the
 # table keeps the newest 4 096 terminal jobs, so 40 000 in-process
-# cache-hit jobs must retire exactly 40 016 - 4 096 rows and grow VmRSS
-# by at most 0.1 KiB each; then, in a process of their own on a table
+# cache-hit jobs, each with a token of its own, must retire exactly
+# 40 016 - 4 096 rows and grow VmRSS by at most 0.029 KiB each, leave a
+# row slab of no more slots than the 4 096 terminal rows and the
+# unfinished ones, and a token store holding one tenant name — rows in
+# one slab found through an index of slot numbers, not in a map of
+# 88-byte buckets with two tenant strings per row (0.060-0.077 KiB per
+# hit); then, in a process of their own on a table
 # filled to its bound, 2 000 cold jobs of four or more slices may grow
 # it by at most 0.5 KiB each beyond the report bytes they keep
 # — a finished job keeps its status and its report, nothing else (no
@@ -152,7 +157,7 @@ stage "job server smoke: preemption, cache identity, worker kill" \
 # its idle worker for every resolved job adds about one per hit. Its
 # own test binary, each phase in a child process; skips where /proc is
 # absent.
-stage "job table memory: bounded table, <= 0.1 KiB per hit, <= 0.5 KiB per cold job" \
+stage "job table memory: slab table, <= 0.029 KiB per hit, <= 0.5 KiB per cold job" \
     cargo test --release -p xmt-server --test job_table_memory -q
 
 # The simulated machine's memory (DESIGN.md §10), no benchmark needed:

@@ -18,13 +18,18 @@
 //!
 //! When a persistence directory is configured, every insert also lands
 //! in `<key>.rep` on disk (cost header + payload) and a memory miss
-//! falls back to the file before declaring a true miss. Eviction only
-//! trims memory — persisted files survive, so a server restart (or an
+//! falls back to the file before declaring a true miss. A file is
+//! validated once, when it is admitted to memory: its payload must
+//! decode as a report whose cycles are the header's, or the lookup is
+//! a miss and the job is computed again. Eviction only trims memory —
+//! persisted files survive, so a server restart (or an
 //! evicted-but-resubmitted sweep row) still hits.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+use crate::wire;
 
 /// Hit/miss counters for the cache, split by tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,34 +108,41 @@ impl ResultCache {
 
     /// Look a key up, refreshing its recency tiebreak. Falls back to
     /// the persistence directory on a memory miss (re-admitting the
-    /// bytes to memory on success). The bytes are the entry's own
-    /// allocation, shared.
+    /// bytes to memory when they validate). The bytes are the entry's
+    /// own allocation, shared.
     pub fn get(&mut self, key: u64) -> Option<Arc<[u8]>> {
-        if let Some(bytes) = self.get_resident(key) {
-            return Some(bytes);
+        self.get_entry(key).map(|(bytes, _)| bytes)
+    }
+
+    /// [`ResultCache::get`], with the simulated cycles the entry's run
+    /// took.
+    pub(crate) fn get_entry(&mut self, key: u64) -> Option<(Arc<[u8]>, u64)> {
+        if let Some(hit) = self.get_resident(key) {
+            return Some(hit);
         }
         if let Some(path) = self.path_for(key) {
-            if let Some((cycles, bytes)) = std::fs::read(&path).ok().and_then(split_disk_entry) {
+            let file = std::fs::read(&path).ok().and_then(split_disk_entry);
+            if let Some((cycles, bytes)) = file.filter(|(c, b)| is_report_of(b, *c)) {
                 self.stats.disk_hits += 1;
                 let bytes: Arc<[u8]> = bytes.into();
                 self.admit(key, Arc::clone(&bytes), cycles);
-                return Some(bytes);
+                return Some((bytes, cycles));
             }
         }
         self.stats.misses += 1;
         None
     }
 
-    /// [`ResultCache::get`] in the memory tier only: a hit is counted
-    /// and refreshes its recency tiebreak; a miss counts nothing and
-    /// reads no file (the caller still has [`ResultCache::get`] to fall
-    /// back on, which counts it).
-    pub(crate) fn get_resident(&mut self, key: u64) -> Option<Arc<[u8]>> {
+    /// [`ResultCache::get_entry`] in the memory tier only: a hit is
+    /// counted and refreshes its recency tiebreak; a miss counts nothing
+    /// and reads no file (the caller still has [`ResultCache::get_entry`]
+    /// to fall back on, which counts it).
+    pub(crate) fn get_resident(&mut self, key: u64) -> Option<(Arc<[u8]>, u64)> {
         self.clock += 1;
         let e = self.map.get_mut(&key)?;
         e.touched = self.clock;
         self.stats.hits += 1;
-        Some(Arc::clone(&e.bytes))
+        Some((Arc::clone(&e.bytes), e.cycles))
     }
 
     /// Insert (or overwrite) an entry with the simulated cycles its
@@ -184,6 +196,11 @@ impl ResultCache {
     }
 }
 
+/// Whether `bytes` decode as a report of a run that took `cycles`.
+fn is_report_of(bytes: &[u8], cycles: u64) -> bool {
+    wire::decode_report(bytes).is_ok_and(|r| r.stats.cycles == cycles)
+}
+
 /// Split a persisted cache file into (cycles header, payload); `None`
 /// for files too short to carry the header.
 fn split_disk_entry(mut file: Vec<u8>) -> Option<(u64, Vec<u8>)> {
@@ -207,6 +224,18 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// The canonical bytes of an empty report of a run that took
+    /// `cycles`: what a persisted entry must hold to be admitted.
+    fn report(cycles: u64) -> Vec<u8> {
+        let mut report = xmt_sim::RunReport {
+            stats: Default::default(),
+            spawns: Vec::new(),
+            utilization: Default::default(),
+        };
+        report.stats.cycles = cycles;
+        wire::encode_report(&report)
     }
 
     #[test]
@@ -238,11 +267,11 @@ mod tests {
     fn persistence_survives_eviction_and_restart() {
         let dir = scratch("persist");
         let mut c = ResultCache::new(1, Some(dir.clone()));
-        c.insert(7, vec![7, 7], 500);
-        c.insert(8, vec![8, 8], 900); // evicts 7 from memory only
+        c.insert(7, report(500), 500);
+        c.insert(8, report(900), 900); // evicts 7 from memory only
         assert_eq!(
             c.get(7).as_deref(),
-            Some(&[7, 7][..]),
+            Some(&report(500)[..]),
             "disk fallback after eviction"
         );
         assert_eq!(c.stats().disk_hits, 1);
@@ -251,7 +280,7 @@ mod tests {
         // cost header survives the round trip (re-eviction stays
         // cost-ordered).
         let mut c2 = ResultCache::new(4, Some(dir.clone()));
-        assert_eq!(c2.get(8).as_deref(), Some(&[8, 8][..]));
+        assert_eq!(c2.get_entry(8), Some((report(900).into(), 900)));
         assert_eq!(c2.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -260,13 +289,17 @@ mod tests {
     fn a_resident_lookup_reads_no_file_and_counts_no_miss() {
         let dir = scratch("resident");
         let mut c = ResultCache::new(1, Some(dir.clone()));
-        c.insert(7, vec![7, 7], 500);
-        c.insert(8, vec![8, 8], 900); // evicts 7 from memory only
+        c.insert(7, report(500), 500);
+        c.insert(8, report(900), 900); // evicts 7 from memory only
         assert_eq!(c.get_resident(7), None, "the persisted file is not read");
-        assert_eq!(c.get_resident(8).as_deref(), Some(&[8, 8][..]));
+        assert_eq!(c.get_resident(8), Some((report(900).into(), 900)));
         let s = c.stats();
         assert_eq!((s.hits, s.disk_hits, s.misses), (1, 0, 0));
-        assert_eq!(c.get(7).as_deref(), Some(&[7, 7][..]), "get still does");
+        assert_eq!(
+            c.get(7).as_deref(),
+            Some(&report(500)[..]),
+            "get still does"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -278,6 +311,30 @@ mod tests {
         std::fs::write(dir.join(format!("{:016x}.rep", 9u64)), [1, 2]).unwrap();
         let mut fresh = ResultCache::new(2, Some(dir.clone()));
         assert_eq!(fresh.get(9), None, "short file cannot carry the header");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A persisted file whose payload is not a report, or whose header
+    /// names other cycles than its report, is a miss and stays out of
+    /// memory: the job is computed again.
+    #[test]
+    fn a_corrupt_disk_entry_is_a_miss() {
+        let dir = scratch("corrupt");
+        let file = |key: u64| dir.join(format!("{key:016x}.rep"));
+        let mut c = ResultCache::new(4, Some(dir.clone()));
+        c.insert(1, report(42), 42);
+        c.insert(2, report(42), 42);
+        let mut garbled = std::fs::read(file(1)).unwrap();
+        garbled.truncate(garbled.len() - 1);
+        std::fs::write(file(1), garbled).unwrap();
+        let mut other_cycles = std::fs::read(file(2)).unwrap();
+        other_cycles[..8].copy_from_slice(&43u64.to_le_bytes());
+        std::fs::write(file(2), other_cycles).unwrap();
+        let mut fresh = ResultCache::new(4, Some(dir.clone()));
+        assert_eq!(fresh.get(1), None, "the payload does not decode");
+        assert_eq!(fresh.get(2), None, "the header is not the report's");
+        let s = fresh.stats();
+        assert_eq!((s.entries, s.disk_hits, s.misses), (0, 0, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -458,12 +458,12 @@ impl Server {
             return Err(JobError::Shutdown);
         }
         if sub.token != 0 {
-            if let Some(&id) = st.tokens.get(&(sub.tenant.clone(), sub.token)) {
+            if let Some(id) = st.tokens.get(&sub.tenant, sub.token) {
                 st.stats.tokens_reused += 1;
                 return Ok(self.handle_to(&mut st, id));
             }
         }
-        let primary = dedup_of.filter(|p| st.jobs.contains_key(p));
+        let primary = dedup_of.filter(|&p| st.jobs.contains(p));
         if primary.is_none() {
             if st.queued() >= self.shared.max_queued {
                 st.stats.rejected_overload += 1;
@@ -486,17 +486,22 @@ impl Server {
                 return Err(JobError::Journal);
             }
         }
-        st.insert(id, sub, digest);
         // A result resident in memory answers at once, through the
         // worker's transitions: nobody holds the handle yet, so nobody
         // waits to be woken, and no worker is. Anything else — a miss,
         // a result only on disk — waits for a worker, which looks again.
         let hit = if primary.is_none() && cacheable {
             let resident = unpoison(self.shared.cache.lock()).get_resident(digest);
-            resident.and_then(|bytes| Terminal::completed(bytes, true, 0))
+            resident.map(|(report, cycles)| Terminal::hit(report, cycles))
         } else {
             None
         };
+        // A hit is terminal at once: a full table retires its oldest
+        // terminal row first, and the hit's row takes that slot.
+        if hit.is_some() {
+            st.make_room();
+        }
+        st.insert(id, sub, digest);
         let ended = match (primary, hit) {
             (Some(pid), _) => st.follow(id, pid),
             (None, Some(hit)) => st.resolve(id, hit),
@@ -530,9 +535,16 @@ impl Server {
     /// journal-recovered jobs.
     pub fn handle(&self, id: JobId) -> Option<JobHandle> {
         let mut st = unpoison(self.shared.state.lock());
-        st.jobs
-            .contains_key(&id)
-            .then(|| self.handle_to(&mut st, id))
+        st.jobs.contains(id).then(|| self.handle_to(&mut st, id))
+    }
+
+    /// The job table's storage, for memory tests: the slots its row slab
+    /// has made (rows plus vacated slots), the rows unfinished, and the
+    /// tenant names its token store holds.
+    #[doc(hidden)]
+    pub fn table_footprint(&self) -> (usize, usize, usize) {
+        let st = unpoison(self.shared.state.lock());
+        (st.jobs.slots(), st.jobs.unfinished(), st.tokens.tenants())
     }
 
     /// Kill one worker mid-job (failure-injection hook): the next
@@ -601,7 +613,7 @@ impl JobHandle {
     pub fn poll(&self) -> JobStatus {
         let st = unpoison(self.shared.state.lock());
         // The handle pins its row, so the fallback is never read.
-        st.jobs.get(&self.id).map_or(GONE, |e| e.status)
+        st.jobs.get(self.id).map_or(GONE, |e| e.status)
     }
 
     /// Block until the job reaches a terminal state.
@@ -639,7 +651,7 @@ impl JobHandle {
     fn terminal_until(&self, deadline: Option<Instant>) -> Result<Terminal, JobError> {
         let mut st = unpoison(self.shared.state.lock());
         loop {
-            let Some(e) = st.jobs.get(&self.id) else {
+            let Some(e) = st.jobs.get(self.id) else {
                 return Err(JobError::UnknownJob);
             };
             if let Some(r) = &e.result {
@@ -677,7 +689,8 @@ impl JobHandle {
     /// state.
     pub fn take_stream(&mut self) -> Option<mpsc::Receiver<IntervalRow>> {
         let mut st = unpoison(self.shared.state.lock());
-        st.jobs.get_mut(&self.id).and_then(|e| e.stream_rx.take())
+        let rx = st.jobs.get_mut(self.id).and_then(|e| e.stream_rx.take());
+        rx.map(|rx| *rx)
     }
 }
 
@@ -802,6 +815,24 @@ mod tests {
         assert_eq!(first.bytes, second.bytes);
         let cs = srv.cache_stats();
         assert!(cs.hits >= 1, "cache counters: {cs:?}");
+    }
+
+    /// The cycles a cold run files with its cache entry, which a hit
+    /// resolves with undecoded, are its report's and its outcome's.
+    #[test]
+    fn a_cache_entry_carries_its_runs_cycles() {
+        let srv = tiny_server(1, 2_400);
+        let req = SimRequest::golden("fft_radix8_n512").unwrap();
+        let cold = srv.submit(req.clone()).unwrap().wait().unwrap();
+        assert!(!cold.from_cache && cold.slices >= 2);
+        let entry = unpoison(srv.shared.cache.lock()).get_resident(req.digest());
+        let (bytes, cycles) = entry.expect("the cold run was cached");
+        assert_eq!(bytes[..], cold.bytes[..]);
+        assert_eq!(cycles, wire::decode_report(&bytes).unwrap().stats.cycles);
+        assert_eq!(cycles, cold.outcome.at_cycle());
+        let hit = srv.submit(req).unwrap();
+        assert_eq!(hit.poll().at_cycle, cycles);
+        assert_eq!(hit.wait().unwrap().outcome.at_cycle(), cycles);
     }
 
     #[test]
@@ -1066,7 +1097,8 @@ mod tests {
                 // run that starts over passes a pause that was already
                 // streamed and billed before it reaches new cycles.
                 let mut st = unpoison(srv.shared.state.lock());
-                assert!(st.jobs[&h.id()].result.is_none(), "the job outran the kill");
+                let e = st.jobs.get(h.id()).unwrap();
+                assert!(e.result.is_none(), "the job outran the kill");
                 st.kill_requests += 1;
                 st.kill_aim = Some((h.id(), 2));
                 drop(st);
@@ -1267,7 +1299,9 @@ mod tests {
         assert!(r.from_cache && r.slices == 0 && r.bytes == report);
         assert_eq!(srv.quota_level("default"), Some(1_000.0), "hits are free");
 
-        unpoison(srv.shared.state.lock()).charge(&srv.shared.quota, "debtor", 2_000);
+        unpoison(srv.shared.state.lock())
+            .bucket(&quota, "debtor")
+            .level -= 2_000.0;
         let in_debt = Submission::new(req.clone()).tenant("debtor");
         assert_eq!(
             srv.submit_with(in_debt).unwrap_err(),

@@ -61,19 +61,19 @@ pub(super) fn recover(
     st.next_id = st.next_id.max(replay.next_id);
     let mut compact: Vec<Record> = submits
         .into_iter()
-        .filter(|(id, _)| st.jobs.contains_key(id))
+        .filter(|(id, _)| st.jobs.contains(*id))
         .map(|(_, rec)| rec)
         .collect();
     compact.extend(
         ended
             .iter()
-            .filter(|e| st.jobs.contains_key(&e.id()))
+            .filter(|e| st.jobs.contains(e.id()))
             .map(Ended::record),
     );
     // The highest id issued belongs to no kept job: an empty `Commit`
     // carries it, so no restart issues it again.
     let last = st.next_id.checked_sub(1);
-    if let Some(id) = last.filter(|id| !st.jobs.contains_key(id)) {
+    if let Some(id) = last.filter(|&id| !st.jobs.contains(id)) {
         compact.push(Record::Commit {
             id,
             at_cycle: 0,

@@ -17,6 +17,12 @@
 //! leaves `tokens` — unless a [`crate::JobHandle`] still names it
 //! (`pin`): then it leaves when the last such handle drops (`unpin`).
 //! A lookup by id of a retired job finds nothing.
+//!
+//! Storage ([`Jobs`], [`Tokens`]): the rows live in one slab whose
+//! vacated slots the next jobs reuse, found by id through an index of
+//! slot numbers, and the terminal ones wait to retire in a FIFO of ids.
+//! A tenant's name is held once, by the token store, and shared with
+//! the rows whose tokens it keys.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc};
@@ -63,6 +69,7 @@ impl Bucket {
 /// One row of the job table: what a reader can still ask for. A live
 /// job also holds its [`Live`] part; [`State::resolve`] drops that, so
 /// a finished job costs this row plus its share of the report bytes.
+/// Rows sit in the [`Jobs`] slab.
 pub(super) struct JobEntry {
     /// What [`crate::JobHandle::poll`] reports. `deduped` marks a dedupe
     /// follower: the entry never executes, its result fans out from
@@ -72,12 +79,25 @@ pub(super) struct JobEntry {
     pub(super) live: Option<Box<Live>>,
     /// Receiver end of the probe-row stream, parked here until a
     /// subscriber takes it ([`crate::JobHandle::take_stream`]) — which
-    /// may be after the job finished.
-    pub(super) stream_rx: Option<mpsc::Receiver<IntervalRow>>,
+    /// may be after the job finished. Boxed: only probed jobs have one.
+    pub(super) stream_rx: Option<Box<mpsc::Receiver<IntervalRow>>>,
     pub(super) result: Option<Terminal>,
     /// Live [`crate::JobHandle`]s naming this job: a row is retired
     /// only when none does.
     pub(super) pins: u32,
+    /// Past the bound while a handle still named it: the row retires
+    /// when the last such handle drops.
+    held: bool,
+    /// The idempotency token this job claimed, released when it
+    /// retires.
+    claim: Option<Claim>,
+}
+
+/// An idempotency token a job claimed: its tenant — the token store's
+/// own string, shared — and the token.
+struct Claim {
+    tenant: Arc<str>,
+    token: u64,
 }
 
 /// The part of a job only its execution reads.
@@ -86,9 +106,6 @@ pub(super) struct Live {
     pub(super) digest: u64,
     pub(super) tenant: String,
     pub(super) lane: Lane,
-    /// Idempotency token (0 = none): with `tenant`, the `tokens` key
-    /// the job leaves when it retires.
-    pub(super) token: u64,
     /// Dedupe followers to resolve when this (primary) job resolves.
     pub(super) followers: Vec<JobId>,
     /// The machine, paused where the last slice left it; `None` while
@@ -124,10 +141,21 @@ pub(super) enum Terminal {
 }
 
 impl Terminal {
-    /// A completed result from canonical report bytes that did not come
-    /// from running — a cache hit, a journal-recovered `Done`. The bytes
-    /// are decoded once to validate them; `None` when they no longer
-    /// decode (a stale or corrupt blob): the caller runs the job instead.
+    /// A cache hit: the entry's report bytes, shared, and the cycles
+    /// its run took, as [`crate::ResultCache`] hands them out. The cache
+    /// validated the bytes on the way in, so nothing is decoded here.
+    pub(super) fn hit(report: Arc<[u8]>, at_cycle: u64) -> Terminal {
+        Terminal::Done {
+            report,
+            at_cycle,
+            slices: 0,
+            from_cache: true,
+        }
+    }
+
+    /// A journal-recovered `Done` from its report bytes. They are
+    /// decoded once to validate them; `None` when they no longer decode
+    /// (version skew): recovery runs the job again instead.
     pub(super) fn completed(report: Arc<[u8]>, from_cache: bool, slices: u32) -> Option<Terminal> {
         let at_cycle = wire::decode_report(&report).ok()?.stats.cycles;
         Some(Terminal::Done {
@@ -255,11 +283,157 @@ pub(super) struct Popped {
     pub(super) rows_sent: u64,
 }
 
-/// A terminal job waiting to retire, with the idempotency key it
-/// claimed (if any).
-struct Retiree {
-    id: JobId,
-    token: Option<(String, u64)>,
+/// The job table: every row in one slab, a retired row's slot reused
+/// by the next job, found by id through `index`. The terminal rows
+/// wait to retire in `retiring`, oldest resolution first; only this
+/// table knows where a row sits.
+#[derive(Default)]
+pub(super) struct Jobs {
+    slab: Vec<Option<JobEntry>>,
+    /// Vacated slots, reused before the slab grows.
+    free: Vec<u32>,
+    index: HashMap<JobId, u32>,
+    /// Terminal jobs in resolution order, oldest first: the newest
+    /// [`RETAINED_JOBS`] of them keep their rows.
+    retiring: VecDeque<JobId>,
+}
+
+impl Jobs {
+    pub(super) fn get(&self, id: JobId) -> Option<&JobEntry> {
+        self.slab[*self.index.get(&id)? as usize].as_ref()
+    }
+
+    pub(super) fn get_mut(&mut self, id: JobId) -> Option<&mut JobEntry> {
+        self.slab[*self.index.get(&id)? as usize].as_mut()
+    }
+
+    pub(super) fn contains(&self, id: JobId) -> bool {
+        self.index.contains_key(&id)
+    }
+
+    /// Every row in the table.
+    pub(super) fn iter_mut(&mut self) -> impl Iterator<Item = &mut JobEntry> {
+        self.slab.iter_mut().flatten()
+    }
+
+    /// Rows in the table.
+    #[cfg(test)]
+    pub(super) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Rows with no terminal result yet.
+    pub(super) fn unfinished(&self) -> usize {
+        self.slab
+            .iter()
+            .flatten()
+            .filter(|e| e.result.is_none())
+            .count()
+    }
+
+    /// Slots the slab has made: rows plus vacated slots.
+    pub(super) fn slots(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// `row` enters the table as `id`'s, in a vacated slot when there
+    /// is one.
+    fn insert(&mut self, id: JobId, row: JobEntry) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(row);
+                slot
+            }
+            None => {
+                self.slab.push(Some(row));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 rows")
+            }
+        };
+        let old = self.index.insert(id, slot);
+        debug_assert!(old.is_none(), "job {id} entered the table twice");
+    }
+
+    /// `id`'s row leaves the table, and its slot is free for the next.
+    fn remove(&mut self, id: JobId) -> Option<JobEntry> {
+        let slot = self.index.remove(&id)?;
+        self.free.push(slot);
+        self.slab[slot as usize].take()
+    }
+
+    /// Room for one more terminal row: when [`RETAINED_JOBS`] wait to
+    /// retire, the oldest stops waiting. Returns its id when its row is
+    /// to leave now; a row a handle still names is marked `held`
+    /// instead, and leaves when the last such handle drops.
+    fn make_room(&mut self) -> Option<JobId> {
+        if self.retiring.len() < RETAINED_JOBS {
+            return None;
+        }
+        let id = self.retiring.pop_front().expect("a full queue has a head");
+        match self.get_mut(id) {
+            Some(e) if e.pins > 0 => {
+                e.held = true;
+                None
+            }
+            _ => Some(id),
+        }
+    }
+
+    /// `id` resolved: it waits to retire behind every terminal row
+    /// resolved before it. Returns the oldest's id when, to keep
+    /// [`RETAINED_JOBS`], its row is to leave now.
+    fn file_terminal(&mut self, id: JobId) -> Option<JobId> {
+        let out = self.make_room();
+        self.retiring.push_back(id);
+        out
+    }
+}
+
+/// The idempotency map: tenant → token → the job the token first named,
+/// until that job retires. A tenant's name is held once, as the key its
+/// claims share; a tenant whose last claim is released leaves.
+#[derive(Default)]
+pub(super) struct Tokens(HashMap<Arc<str>, HashMap<u64, JobId>>);
+
+impl Tokens {
+    /// The job `(tenant, token)` names, if any.
+    pub(super) fn get(&self, tenant: &str, token: u64) -> Option<JobId> {
+        self.0.get(tenant)?.get(&token).copied()
+    }
+
+    /// `(tenant, token)` names `id` from now on.
+    fn claim(&mut self, tenant: &str, token: u64, id: JobId) -> Claim {
+        let tenant = match self.0.get_key_value(tenant) {
+            Some((name, _)) => Arc::clone(name),
+            None => Arc::from(tenant),
+        };
+        (self.0.entry(Arc::clone(&tenant)).or_default()).insert(token, id);
+        Claim { tenant, token }
+    }
+
+    /// `id`'s claim is released — only while its token still names
+    /// `id`: a later job may have claimed it.
+    fn release(&mut self, claim: &Claim, id: JobId) {
+        let Some(jobs) = self.0.get_mut(&*claim.tenant) else {
+            return;
+        };
+        if jobs.get(&claim.token) == Some(&id) {
+            jobs.remove(&claim.token);
+            if jobs.is_empty() {
+                self.0.remove(&*claim.tenant);
+            }
+        }
+    }
+
+    /// Tokens claimed, over every tenant.
+    #[cfg(test)]
+    pub(super) fn len(&self) -> usize {
+        self.0.values().map(HashMap::len).sum()
+    }
+
+    /// Tenant names held.
+    pub(super) fn tenants(&self) -> usize {
+        self.0.len()
+    }
 }
 
 /// Scheduler state under the mutex.
@@ -269,7 +443,7 @@ pub(super) struct State {
     pub(super) queues: [VecDeque<JobId>; 2],
     /// Consecutive `High` pops taken while `Normal` work waited.
     pub(super) high_streak: u32,
-    pub(super) jobs: HashMap<JobId, JobEntry>,
+    pub(super) jobs: Jobs,
     pub(super) next_id: JobId,
     pub(super) shutdown: bool,
     /// Pending worker kills ([`crate::Server::kill_worker`]); consumed at
@@ -279,15 +453,7 @@ pub(super) struct State {
     /// commits after this many committed ones.
     #[cfg(test)]
     pub(super) kill_aim: Option<(JobId, u32)>,
-    /// Idempotency map: `(tenant, token)` → the job it first named,
-    /// until that job retires.
-    pub(super) tokens: HashMap<(String, u64), JobId>,
-    /// Terminal jobs in resolution order, oldest first: the newest
-    /// [`RETAINED_JOBS`] of them stay in `jobs`.
-    retiring: VecDeque<Retiree>,
-    /// Rows past the bound that a handle still names: each retires
-    /// when its last handle drops.
-    held: HashMap<JobId, Retiree>,
+    pub(super) tokens: Tokens,
     /// Per-tenant quota buckets (only with a [`QuotaPolicy`]).
     pub(super) buckets: HashMap<String, Bucket>,
     pub(super) stats: ServerStats,
@@ -309,12 +475,10 @@ impl State {
             lane,
             token,
         } = sub;
-        if token != 0 {
-            self.tokens.insert((tenant.clone(), token), id);
-        }
+        let claim = (token != 0).then(|| self.tokens.claim(&tenant, token, id));
         let (stream, stream_rx) = if req.sim.probe_interval.is_some() {
             let (tx, rx) = mpsc::channel();
-            (Some(tx), Some(rx))
+            (Some(tx), Some(Box::new(rx)))
         } else {
             (None, None)
         };
@@ -333,7 +497,6 @@ impl State {
                     digest,
                     tenant,
                     lane,
-                    token,
                     followers: Vec::new(),
                     machine: None,
                     rows_sent: 0,
@@ -343,6 +506,8 @@ impl State {
                 stream_rx,
                 result: None,
                 pins: 0,
+                held: false,
+                claim,
             },
         );
         self.next_id = self.next_id.max(id.saturating_add(1));
@@ -355,7 +520,8 @@ impl State {
     pub(super) fn kill_lands(&self, id: JobId) -> bool {
         #[cfg(test)]
         if let Some(aim) = self.kill_aim {
-            if aim != (id, self.jobs[&id].status.slices) {
+            let e = self.jobs.get(id).expect("running job entry exists");
+            if aim != (id, e.status.slices) {
                 return false;
             }
         }
@@ -364,7 +530,7 @@ impl State {
 
     /// The live part of an unfinished job.
     pub(super) fn live(&mut self, id: JobId) -> &mut Live {
-        (self.jobs.get_mut(&id).and_then(|e| e.live.as_deref_mut()))
+        (self.jobs.get_mut(id).and_then(|e| e.live.as_deref_mut()))
             .expect("unfinished job entry exists")
     }
 
@@ -378,10 +544,10 @@ impl State {
     /// the primary's result fans out to it — at once when the primary
     /// (submitted moments ago in the same batch) has already resolved.
     pub(super) fn follow(&mut self, id: JobId, primary: JobId) -> Vec<Ended> {
-        let e = self.jobs.get_mut(&id).expect("follower entry exists");
+        let e = self.jobs.get_mut(id).expect("follower entry exists");
         e.status.deduped = true;
         self.stats.deduped += 1;
-        let p = self.jobs.get_mut(&primary).expect("primary entry exists");
+        let p = self.jobs.get_mut(primary).expect("primary entry exists");
         if let Some(r) = p.result.clone() {
             return self.resolve(id, r);
         }
@@ -412,7 +578,7 @@ impl State {
     /// worker gets a copy of its request and takes its paused machine.
     pub(super) fn start(&mut self) -> Option<Popped> {
         let id = self.pop_id()?;
-        let e = self.jobs.get_mut(&id).expect("queued job entry exists");
+        let e = self.jobs.get_mut(id).expect("queued job entry exists");
         e.status.state = JobState::Running;
         let live = e.live.as_mut().expect("a queued job is live");
         Some(Popped {
@@ -432,7 +598,7 @@ impl State {
         let live = self.live(id);
         live.machine = Some(machine);
         live.rows_sent = rows_sent;
-        let e = self.jobs.get_mut(&id).expect("paused job entry exists");
+        let e = self.jobs.get_mut(id).expect("paused job entry exists");
         e.status.at_cycle = e.status.at_cycle.max(at_cycle);
         e.status.state = JobState::Paused;
     }
@@ -441,7 +607,7 @@ impl State {
     /// the job goes back to the head of its lane to start over from
     /// cycle 0 — or, when a cancel arrived while it ran, resolves now.
     pub(super) fn rollback(&mut self, id: JobId) -> Vec<Ended> {
-        let e = self.jobs.get_mut(&id).expect("running job entry exists");
+        let e = self.jobs.get_mut(id).expect("running job entry exists");
         let (None, Some(live)) = (&e.result, &e.live) else {
             return Vec::new();
         };
@@ -457,7 +623,7 @@ impl State {
     /// once, a running one at its slice commit, a finished one keeps
     /// its result.
     pub(super) fn cancel(&mut self, id: JobId) -> Vec<Ended> {
-        let Some(e) = self.jobs.get_mut(&id) else {
+        let Some(e) = self.jobs.get_mut(id) else {
             return Vec::new();
         };
         let (None, Some(live)) = (&e.result, &mut e.live) else {
@@ -477,8 +643,8 @@ impl State {
     /// for a completed run, `Failed` for a failed one, `Cancelled` for
     /// an error), drop its live part, and fan the result out to its
     /// dedupe followers — each holding the same report allocation. Each
-    /// job resolved here joins the retention queue; the oldest past
-    /// [`RETAINED_JOBS`] retire.
+    /// job resolved here joins the retention queue, the oldest past
+    /// [`RETAINED_JOBS`] retiring first to make room.
     /// Returns what ended, one entry per job resolved here (the caller
     /// journals them and wakes the waiters *after* dropping the state
     /// lock); empty only when every job had already resolved, and those
@@ -500,7 +666,7 @@ impl State {
         let mut ended = Vec::new();
         let mut pending = vec![id];
         while let Some(jid) = pending.pop() {
-            let Some(e) = self.jobs.get_mut(&jid) else {
+            let Some(e) = self.jobs.get_mut(jid) else {
                 continue;
             };
             if e.result.is_some() {
@@ -518,12 +684,12 @@ impl State {
                 }
             }
             e.result = Some(result.clone());
-            let mut token = None;
             if let Some(live) = e.live.take() {
                 pending.extend(live.followers);
-                token = (live.token != 0).then_some((live.tenant, live.token));
             }
-            self.retiring.push_back(Retiree { id: jid, token });
+            if let Some(old) = self.jobs.file_terminal(jid) {
+                self.retire(old);
+            }
             ended.push(match &result {
                 Terminal::Done {
                     report,
@@ -549,34 +715,33 @@ impl State {
                 }
             });
         }
-        while self.retiring.len() > RETAINED_JOBS {
-            if let Some(r) = self.retiring.pop_front() {
-                if self.jobs.get(&r.id).is_some_and(|e| e.pins > 0) {
-                    self.held.insert(r.id, r);
-                } else {
-                    self.retire(r);
-                }
-            }
-        }
         ended
+    }
+
+    /// Room for one more terminal job: when [`RETAINED_JOBS`] wait to
+    /// retire, the oldest retires first (or is held, while a handle
+    /// names it). Admission makes room before a resident hit enters
+    /// the table, so the hit's row takes the vacated slot and a full
+    /// table's slab does not grow.
+    pub(super) fn make_room(&mut self) {
+        if let Some(id) = self.jobs.make_room() {
+            self.retire(id);
+        }
     }
 
     /// The job's row and its idempotency token leave the table (the
     /// token only while it still names this job: a later job may have
     /// claimed it).
-    fn retire(&mut self, r: Retiree) {
-        self.jobs.remove(&r.id);
-        if let Some(key) = r.token {
-            if self.tokens.get(&key) == Some(&r.id) {
-                self.tokens.remove(&key);
-            }
+    fn retire(&mut self, id: JobId) {
+        if let Some(claim) = self.jobs.remove(id).and_then(|e| e.claim) {
+            self.tokens.release(&claim, id);
         }
         self.stats.retired += 1;
     }
 
     /// A handle to `id` is made: its row stays until the handle drops.
     pub(super) fn pin(&mut self, id: JobId) {
-        if let Some(e) = self.jobs.get_mut(&id) {
+        if let Some(e) = self.jobs.get_mut(id) {
             e.pins += 1;
         }
     }
@@ -584,14 +749,12 @@ impl State {
     /// A handle to `id` dropped: the last one lets a row past the bound
     /// retire.
     pub(super) fn unpin(&mut self, id: JobId) {
-        let Some(e) = self.jobs.get_mut(&id) else {
+        let Some(e) = self.jobs.get_mut(id) else {
             return;
         };
         e.pins -= 1;
-        if e.pins == 0 {
-            if let Some(r) = self.held.remove(&id) {
-                self.retire(r);
-            }
+        if e.pins == 0 && e.held {
+            self.retire(id);
         }
     }
 
@@ -605,7 +768,7 @@ impl State {
         for q in &mut self.queues {
             q.clear();
         }
-        for e in self.jobs.values_mut() {
+        for e in self.jobs.iter_mut() {
             if e.result.is_none() {
                 e.result = Some(Terminal::Err(JobError::Shutdown));
                 if let Some(live) = &mut e.live {
@@ -618,21 +781,35 @@ impl State {
     /// The tenant's bucket, created full on first use and brought
     /// current.
     pub(super) fn bucket(&mut self, q: &QuotaPolicy, tenant: &str) -> &mut Bucket {
-        let b = self
-            .buckets
-            .entry(tenant.to_string())
-            .or_insert_with(|| Bucket::full(q));
-        b.refill(q);
-        b
+        bucket(&mut self.buckets, q, tenant)
     }
 
-    /// Debit a committed slice's simulated cycles from its tenant's
-    /// bucket (no-op when unmetered).
-    pub(super) fn charge(&mut self, quota: &Option<QuotaPolicy>, tenant: &str, cycles: u64) {
-        if let (Some(q), true) = (quota, cycles > 0) {
-            self.bucket(q, tenant).level -= cycles as f64;
-        }
+    /// Debit a committed slice's simulated cycles from the bucket of
+    /// job `id`'s tenant, read from its row (no-op when unmetered).
+    pub(super) fn charge(&mut self, quota: &Option<QuotaPolicy>, id: JobId, cycles: u64) {
+        let (Some(q), true) = (quota, cycles > 0) else {
+            return;
+        };
+        let live =
+            (self.jobs.get(id).and_then(|e| e.live.as_deref())).expect("a running job is live");
+        bucket(&mut self.buckets, q, &live.tenant).level -= cycles as f64;
     }
+}
+
+/// [`State::bucket`] on the bucket map alone, so the tenant may be
+/// borrowed from the job table; the name is copied only for a tenant's
+/// first bucket.
+fn bucket<'a>(
+    buckets: &'a mut HashMap<String, Bucket>,
+    q: &QuotaPolicy,
+    tenant: &str,
+) -> &'a mut Bucket {
+    if !buckets.contains_key(tenant) {
+        buckets.insert(tenant.to_string(), Bucket::full(q));
+    }
+    let b = buckets.get_mut(tenant).expect("inserted above");
+    b.refill(q);
+    b
 }
 
 #[cfg(test)]
@@ -656,7 +833,7 @@ mod tests {
     /// Terminal rows in the table.
     fn terminal_rows(srv: &Server) -> usize {
         let st = srv.shared.state.lock().unwrap();
-        st.jobs.values().filter(|e| e.result.is_some()).count()
+        st.jobs.len() - st.jobs.unfinished()
     }
 
     /// Past the bound the oldest terminal rows leave, their ids are
@@ -677,7 +854,9 @@ mod tests {
         assert_eq!((stats.completed, stats.retired), (total, 500));
         assert!(srv.handle(0).is_none() && srv.handle(499).is_none());
         assert!(srv.handle(500).is_some() && srv.handle(total - 1).is_some());
-        assert_eq!(srv.shared.state.lock().unwrap().tokens.len(), RETAINED_JOBS);
+        let st = srv.shared.state.lock().unwrap();
+        assert_eq!((st.tokens.len(), st.tokens.tenants()), (RETAINED_JOBS, 1));
+        drop(st);
         // Job 0's token was retired with it: a new job.
         assert_eq!(srv.submit_with(sub(1)).unwrap().id(), total);
         assert_eq!(srv.stats().tokens_reused, 0);
@@ -756,7 +935,7 @@ mod tests {
         }
         let st = srv.shared.state.lock().unwrap();
         let report = |h: &JobHandle| {
-            let e = &st.jobs[&h.id()];
+            let e = st.jobs.get(h.id()).unwrap();
             assert!(e.live.is_none(), "a finished job keeps no live part");
             match &e.result {
                 Some(Terminal::Done { report, .. }) => Arc::clone(report),
@@ -771,5 +950,382 @@ mod tests {
             Arc::ptr_eq(&report(&batch[1]), &report(&batch[0])),
             "follower vs primary"
         );
+    }
+
+    /// The job table as it was kept before its rows moved into a slab:
+    /// a map of rows, a FIFO of retirees each carrying its own
+    /// `(tenant, token)` strings, a map of held retirees and a token map
+    /// keyed by `(String, u64)`, with the retention rules written
+    /// against them as they stood. `model_test` holds [`State`] to it.
+    #[derive(Default)]
+    struct OldTable {
+        jobs: HashMap<JobId, OldRow>,
+        tokens: HashMap<(String, u64), JobId>,
+        retiring: VecDeque<Retiree>,
+        held: HashMap<JobId, Retiree>,
+        queue: VecDeque<JobId>,
+        completed: u64,
+        cancelled: u64,
+        retired: u64,
+    }
+
+    struct OldRow {
+        /// `Some(true)` once done, `Some(false)` once cancelled.
+        result: Option<bool>,
+        pins: u32,
+        /// Tenant, token and followers; `None` once resolved.
+        live: Option<(String, u64, Vec<JobId>)>,
+    }
+
+    /// A terminal job waiting to retire, with the key it claimed.
+    struct Retiree {
+        id: JobId,
+        token: Option<(String, u64)>,
+    }
+
+    impl OldTable {
+        fn insert(&mut self, id: JobId, tenant: &str, token: u64) {
+            if token != 0 {
+                self.tokens.insert((tenant.to_string(), token), id);
+            }
+            let live = Some((tenant.to_string(), token, Vec::new()));
+            let row = OldRow {
+                result: None,
+                pins: 0,
+                live,
+            };
+            self.jobs.insert(id, row);
+        }
+
+        fn follow(&mut self, id: JobId, primary: JobId) {
+            let p = self.jobs.get_mut(&primary).unwrap();
+            match (&mut p.live, p.result) {
+                (_, Some(done)) => self.resolve(id, done),
+                (Some((_, _, followers)), None) => followers.push(id),
+                (None, None) => unreachable!("an unresolved job is live"),
+            }
+        }
+
+        fn resolve(&mut self, id: JobId, done: bool) {
+            let mut pending = vec![id];
+            while let Some(jid) = pending.pop() {
+                let Some(row) = self.jobs.get_mut(&jid) else {
+                    continue;
+                };
+                if row.result.is_some() {
+                    continue;
+                }
+                row.result = Some(done);
+                let mut token = None;
+                if let Some((tenant, tok, followers)) = row.live.take() {
+                    pending.extend(followers);
+                    token = (tok != 0).then_some((tenant, tok));
+                }
+                self.retiring.push_back(Retiree { id: jid, token });
+                if done {
+                    self.completed += 1;
+                } else {
+                    self.cancelled += 1;
+                }
+            }
+            while self.retiring.len() > RETAINED_JOBS {
+                let r = self.retiring.pop_front().unwrap();
+                if self.jobs.get(&r.id).is_some_and(|e| e.pins > 0) {
+                    self.held.insert(r.id, r);
+                } else {
+                    self.retire(r);
+                }
+            }
+        }
+
+        fn retire(&mut self, r: Retiree) {
+            self.jobs.remove(&r.id);
+            if let Some(key) = r.token {
+                if self.tokens.get(&key) == Some(&r.id) {
+                    self.tokens.remove(&key);
+                }
+            }
+            self.retired += 1;
+        }
+
+        fn pin(&mut self, id: JobId) {
+            if let Some(e) = self.jobs.get_mut(&id) {
+                e.pins += 1;
+            }
+        }
+
+        fn unpin(&mut self, id: JobId) {
+            let Some(e) = self.jobs.get_mut(&id) else {
+                return;
+            };
+            e.pins -= 1;
+            if e.pins == 0 {
+                if let Some(r) = self.held.remove(&id) {
+                    self.retire(r);
+                }
+            }
+        }
+
+        fn cancel(&mut self, id: JobId) {
+            if self.jobs.get(&id).is_some_and(|e| e.result.is_none()) {
+                self.queue.retain(|&x| x != id);
+                self.resolve(id, false);
+            }
+        }
+    }
+
+    mod model_test {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+        use std::collections::HashSet;
+
+        const TENANTS: [&str; 3] = ["default", "acme", "batch"];
+
+        /// How a new job enters the table.
+        #[derive(Clone, Copy)]
+        enum Kind {
+            /// A resident cache hit: terminal at admission.
+            Hit,
+            /// A miss: it waits in its lane.
+            Cold,
+            /// A batch follower of this job, when the table has it.
+            Follow(JobId),
+        }
+
+        /// [`State`] and [`OldTable`] driven by the same operations,
+        /// through [`State`]'s transitions as admission and a worker
+        /// call them, and the handles the test keeps.
+        struct Lockstep {
+            new: State,
+            old: OldTable,
+            handles: Vec<JobId>,
+            fresh_token: u64,
+            /// The most rows the table held after any operation.
+            peak_rows: usize,
+            req: SimRequest,
+            report: Arc<[u8]>,
+        }
+
+        impl Lockstep {
+            fn new() -> Lockstep {
+                Lockstep {
+                    new: State::default(),
+                    old: OldTable::default(),
+                    handles: Vec::new(),
+                    fresh_token: 1_000,
+                    peak_rows: 0,
+                    req: SimRequest::golden("ps_tickets").unwrap(),
+                    report: Arc::from(&b"report"[..]),
+                }
+            }
+
+            fn done(&self) -> Terminal {
+                Terminal::hit(Arc::clone(&self.report), 7)
+            }
+
+            /// A token by `mode`: none (0), one of eight reused ones
+            /// (1), or one never used before (2).
+            fn token(&mut self, mode: u32, pick: u32) -> u64 {
+                match mode % 3 {
+                    0 => 0,
+                    1 => 1 + u64::from(pick % 8),
+                    _ => {
+                        self.fresh_token += 1;
+                        self.fresh_token
+                    }
+                }
+            }
+
+            /// A submission as admission makes it: a token still
+            /// claimed answers with its job, anything else is a new job
+            /// of `kind`. The handle is kept, or dropped at once. A
+            /// `replayed` submission enters as recovery inserts a
+            /// journaled one, taking its token over from a job that may
+            /// still claim it.
+            fn submit(
+                &mut self,
+                tenant: &str,
+                token: u64,
+                kind: Kind,
+                keep: bool,
+                replayed: bool,
+            ) -> Result<(), TestCaseError> {
+                let claimed = self.new.tokens.get(tenant, token);
+                let key = (tenant.to_string(), token);
+                prop_assert_eq!(claimed, self.old.tokens.get(&key).copied(), "token answer");
+                let id = match claimed.filter(|_| token != 0 && !replayed) {
+                    Some(id) => id,
+                    None => self.admit(tenant, token, kind),
+                };
+                self.new.pin(id);
+                self.old.pin(id);
+                if keep {
+                    self.handles.push(id);
+                } else {
+                    self.new.unpin(id);
+                    self.old.unpin(id);
+                }
+                Ok(())
+            }
+
+            fn admit(&mut self, tenant: &str, token: u64, kind: Kind) -> JobId {
+                let id = self.new.next_id;
+                let sub = Submission::new(self.req.clone())
+                    .tenant(tenant)
+                    .token(token);
+                let primary = match kind {
+                    Kind::Follow(p) => Some(p).filter(|&p| self.new.jobs.contains(p)),
+                    _ => None,
+                };
+                if let (Kind::Hit, None) = (kind, primary) {
+                    self.new.make_room();
+                }
+                self.new.insert(id, sub, 0);
+                self.old.insert(id, tenant, token);
+                match (kind, primary) {
+                    (_, Some(p)) => {
+                        self.new.follow(id, p);
+                        self.old.follow(id, p);
+                    }
+                    (Kind::Hit, None) => {
+                        self.new.resolve(id, self.done());
+                        self.old.resolve(id, true);
+                    }
+                    _ => {
+                        self.new.enqueue(id);
+                        self.old.queue.push_back(id);
+                    }
+                }
+                id
+            }
+
+            /// A worker takes the next waiting job and completes it.
+            fn finish(&mut self) -> Result<(), TestCaseError> {
+                let popped = self.new.start().map(|p| p.id);
+                prop_assert_eq!(popped, self.old.queue.pop_front(), "next job");
+                if let Some(id) = popped {
+                    self.new.resolve(id, self.done());
+                    self.old.resolve(id, true);
+                }
+                Ok(())
+            }
+
+            /// Everything a caller can observe of the table is the
+            /// same on both sides, and the slab has made no more slots
+            /// than the most rows alive at once.
+            fn agree(&mut self) -> Result<(), TestCaseError> {
+                let (new, old) = (&self.new, &self.old);
+                prop_assert_eq!(
+                    (new.stats.completed, new.stats.cancelled, new.stats.retired),
+                    (old.completed, old.cancelled, old.retired)
+                );
+                prop_assert_eq!(new.jobs.len(), old.jobs.len(), "rows kept");
+                for (&id, row) in &old.jobs {
+                    let e = new.jobs.get(id);
+                    prop_assert!(e.is_some(), "job {} is kept", id);
+                    let e = e.unwrap();
+                    prop_assert_eq!(e.result.is_some(), row.result.is_some(), "job {}", id);
+                    prop_assert_eq!(e.pins, row.pins, "job {}'s handles", id);
+                }
+                prop_assert_eq!(new.tokens.len(), old.tokens.len(), "tokens claimed");
+                for ((tenant, token), &id) in &old.tokens {
+                    prop_assert_eq!(new.tokens.get(tenant, *token), Some(id));
+                }
+                let tenants: HashSet<&str> = old.tokens.keys().map(|(t, _)| t.as_str()).collect();
+                prop_assert_eq!(new.tokens.tenants(), tenants.len(), "tenant names");
+                self.peak_rows = self.peak_rows.max(old.jobs.len());
+                let slots = new.jobs.slots();
+                prop_assert!(
+                    slots <= self.peak_rows + 1,
+                    "{} slots for at most {} rows",
+                    slots,
+                    self.peak_rows
+                );
+                Ok(())
+            }
+
+            fn op(&mut self, (op, a, b): (u32, u32, u32)) -> Result<(), TestCaseError> {
+                // The prefill's oldest rows hold the only claims of the
+                // third tenant.
+                let tenant = TENANTS[(b % 2) as usize];
+                let (keep, replayed) = (a & 1 == 1, a >> 1 & 7 == 0);
+                match op {
+                    0..=2 => {
+                        let token = self.token(a >> 4, b >> 2);
+                        let kind = match op {
+                            0 => Kind::Hit,
+                            1 => Kind::Cold,
+                            _ => Kind::Follow(u64::from(b >> 2) % self.new.next_id.max(1)),
+                        };
+                        self.submit(tenant, token, kind, keep, replayed)?;
+                    }
+                    3 => {
+                        for _ in 0..=a % 3 {
+                            self.finish()?;
+                        }
+                    }
+                    4 => {
+                        let id = u64::from(b) % self.new.next_id.max(1);
+                        self.new.cancel(id);
+                        self.old.cancel(id);
+                    }
+                    5 if !self.handles.is_empty() => {
+                        let id = self.handles.swap_remove(b as usize % self.handles.len());
+                        self.new.unpin(id);
+                        self.old.unpin(id);
+                    }
+                    _ => {
+                        for _ in 0..=a % 600 {
+                            let token = self.token(b % 2 * 2, 0);
+                            self.submit(tenant, token, Kind::Hit, false, false)?;
+                        }
+                    }
+                }
+                self.agree()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// Random admissions — tokened and not, over three tenants,
+            /// tokens reused, some replayed — cache hits, queued jobs a
+            /// worker finishes, batch followers, cancels and handles
+            /// kept and dropped, on a table first filled to a few
+            /// hundred rows under its bound, so that rows retire,
+            /// handles hold some past it and unfinished rows add slots:
+            /// after every operation [`State`] answers every lookup as
+            /// the old table did.
+            #[test]
+            fn the_slab_table_keeps_what_the_old_table_kept(
+                under in 0u32..256,
+                ops in proptest::collection::vec((0u32..7, any::<u32>(), any::<u32>()), 1..60),
+            ) {
+                let mut t = Lockstep::new();
+                for i in 0..RETAINED_JOBS as u32 - 128 - under {
+                    // The oldest rows' tenant claims nothing once they
+                    // retire, the next 16 claim the reused tokens a
+                    // replayed job may take over, and every 61st handle
+                    // is kept, holding its row past the bound.
+                    let tenant = TENANTS[if i < 128 { 2 } else { i as usize % 2 }];
+                    let token = match i {
+                        128..144 => t.token(1, i / 2),
+                        _ => t.token(i % 2 * 2, 0),
+                    };
+                    t.submit(tenant, token, Kind::Hit, i % 61 == 0, false)?;
+                }
+                t.agree()?;
+                for op in ops {
+                    t.op(op)?;
+                }
+                for id in std::mem::take(&mut t.handles) {
+                    t.new.unpin(id);
+                    t.old.unpin(id);
+                }
+                t.agree()?;
+                prop_assert_eq!(t.new.jobs.len(), t.old.jobs.len());
+            }
+        }
     }
 }

@@ -160,10 +160,11 @@ pub(super) fn run(shared: &Shared) {
         // resident when the job arrived; this lookup serves a job
         // queued before its key was cached, and results only on disk.
         // Cache hits charge no quota and share the entry's bytes; a
-        // corrupt cached blob falls through and recomputes.
+        // corrupt persisted file is a miss, and the job recomputes.
         if machine.is_none() && cacheable {
-            let cached = unpoison(shared.cache.lock()).get(digest);
-            if let Some(hit) = cached.and_then(|bytes| Terminal::completed(bytes, true, 0)) {
+            let cached = unpoison(shared.cache.lock()).get_entry(digest);
+            if let Some((report, cycles)) = cached {
+                let hit = Terminal::hit(report, cycles);
                 let ended = unpoison(shared.state.lock()).resolve(id, hit);
                 publish(shared, &ended);
                 continue;
@@ -185,7 +186,7 @@ pub(super) fn run(shared: &Shared) {
             publish(shared, &ended);
             return;
         }
-        let e = st.jobs.get_mut(&id).expect("running job entry exists");
+        let e = st.jobs.get_mut(id).expect("running job entry exists");
         let live = e.live.as_mut().expect("a running job is live");
         let ended = if live.cancelled {
             st.resolve(id, Terminal::Err(JobError::Cancelled))
@@ -211,8 +212,7 @@ pub(super) fn run(shared: &Shared) {
                 }
             }
             let burned = s.at_cycle.saturating_sub(e.status.at_cycle);
-            let tenant = live.tenant.clone();
-            st.charge(&shared.quota, &tenant, burned);
+            st.charge(&shared.quota, id, burned);
             match s.end {
                 // Preempted: keep the machine, go to the back of the
                 // lane. Nothing is journaled, and nobody woken: this

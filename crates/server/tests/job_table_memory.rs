@@ -3,11 +3,19 @@
 //! FFTs on the golden configuration, quantum 2 400). Two phases:
 //!
 //! - 16 keys computed once, then 40 000 cache-hit jobs over them in
-//!   sweeps of 16 submits and 16 waits. The table keeps the newest
-//!   4 096 terminal jobs and retires the rest, so after the hits
-//!   `retired` is exactly 40 016 − 4 096 and the VmRSS the hits add is
-//!   that of a bounded table: held to a tenth of a KiB per hit (a table
-//!   keeping every row reads ~0.13).
+//!   sweeps of 16 submits and 16 waits, each submission with an
+//!   idempotency token of its own, as a network client sends them. The
+//!   table keeps the newest 4 096 terminal jobs and retires the rest,
+//!   so after the hits `retired` is exactly 40 016 − 4 096, and the
+//!   VmRSS the hits add is that of a bounded table whose rows sit in
+//!   one slab, found through an index of slot numbers, with one tenant
+//!   name for all their tokens: held to 0.029 KiB per hit (8 runs read
+//!   0.023–0.026; rows in a map of 88-byte buckets with two tenant
+//!   strings per tokened row read 0.060–0.077, and a table keeping
+//!   every row ~0.13). The structure is asserted too: the slab has made
+//!   no more slots than the 4 096 terminal rows and the unfinished ones
+//!   (a hit makes room before it enters the table), and the token store
+//!   holds one tenant name.
 //! - 4 096 cache hits fill the table to its bound, then 2 000
 //!   never-seen jobs, each run in at least four slices, are held to
 //!   half a KiB per job. Each keeps its own report, whose bytes are
@@ -29,14 +37,14 @@
 //! grew is never charged to the other.
 
 use std::process::Command;
-use xmt_server::{JobHandle, Server, ServerConfig, SimRequest};
+use xmt_server::{JobHandle, Server, ServerConfig, SimRequest, Submission};
 
 const KEYS: u64 = 16;
 const HITS: u64 = 40_000;
 const COLD: u64 = 2_000;
 /// Terminal jobs the table keeps (the server's bound).
 const RETAINED: u64 = 4_096;
-const MAX_KIB_PER_HIT: f64 = 0.1;
+const MAX_KIB_PER_HIT: f64 = 0.029;
 const MAX_KIB_PER_COLD_JOB: f64 = 0.5;
 
 /// Resident set size in KiB, from `/proc/self/status`.
@@ -132,11 +140,14 @@ fn warmed_server() -> Server {
 }
 
 /// `n` sweeps of cache hits over `keys`: 16 submits, then 16 waits.
+/// Each submission carries an idempotency token of its own, as a
+/// network client's do.
 fn hit_sweeps(srv: &Server, keys: &[SimRequest], n: u64) {
-    for _ in 0..n {
-        let sweep: Vec<JobHandle> = keys
-            .iter()
-            .map(|r| srv.submit(r.clone()).unwrap())
+    for sweep in 0..n {
+        let token = |k: usize| sweep * KEYS + k as u64 + 1;
+        let sweep: Vec<JobHandle> = (keys.iter().enumerate())
+            .map(|(k, r)| srv.submit_with(Submission::new(r.clone()).token(token(k))))
+            .map(Result::unwrap)
             .collect();
         for h in sweep {
             assert!(h.wait().unwrap().from_cache);
@@ -162,6 +173,13 @@ fn cache_hits() {
         stats.programs_digested, 1,
         "one (dims, copies): one program built for its addresses"
     );
+    let (slots, unfinished, tenants) = srv.table_footprint();
+    eprintln!("job_table_memory: the table's slab has {slots} slots");
+    assert!(
+        slots <= RETAINED as usize + unfinished,
+        "{slots} row slots for {RETAINED} terminal and {unfinished} unfinished rows"
+    );
+    assert_eq!(tenants, 1, "one tenant name, however many tokens it claims");
     let idle = stats.idle_wakeups - idle_before;
     eprintln!("job_table_memory: {HITS} cache hits woke the idle worker {idle} times");
     assert!(
